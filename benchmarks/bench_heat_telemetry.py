@@ -75,10 +75,11 @@ def run_stream(enable_heat: bool):
     server = TieraServer(instance)
     tracker = None
     if enable_heat:
-        tracker = server.enable_heat(
-            top_k=TOP_K, hot_min=HOT_MIN, max_objects=MAX_OBJECTS,
+        server.configure(
+            "heat", top_k=TOP_K, hot_min=HOT_MIN, max_objects=MAX_OBJECTS,
             sample_interval=5.0,
-        )
+        ).raise_for_error()
+        tracker = server.obs.heat
     keys = ZipfianKeys(RECORDS, theta=THETA, seed=SEED + 1)
     mix = random.Random(SEED + 2)
     ctx = RequestContext(cluster.clock)
@@ -113,7 +114,10 @@ def run_stream(enable_heat: bool):
             "recall": round(hit / len(true_hot), 4),
             "distinct_keys": len(true_counts),
         })
-    summary = server.heat_summary() if tracker is not None else None
+    summary = (
+        server.invoke("heat", "summary").state if tracker is not None
+        else None
+    )
     return phases, summary, ctx
 
 

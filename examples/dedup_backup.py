@@ -44,17 +44,19 @@ def main() -> None:
 
     # Responses are callable directly too: tag-targeted encryption and
     # compression of the cold backup set.
-    server.put("secrets.txt", b"the credentials file " * 40, tags=("sensitive",))
+    server.put_object(
+        "secrets.txt", b"the credentials file " * 40, tags=["sensitive"]
+    ).raise_for_error()
     scope = EvalScope(instance=instance)
     ctx = RequestContext(cluster.clock)
     Compress(TaggedObjects("sensitive")).execute(scope, ctx)
     Encrypt(TaggedObjects("sensitive"), key="hunter2").execute(scope, ctx)
     meta = server.stat("secrets.txt")
     print(f"\nsecrets.txt: compressed={meta.compressed} encrypted={meta.encrypted}")
-    sealed = server.get("secrets.txt")
+    sealed = server.get_object("secrets.txt").raise_for_error().value
     print(f"  reading without the key returns ciphertext: {sealed[:16]!r}…")
     Decrypt(TaggedObjects("sensitive"), key="hunter2").execute(scope, ctx)
-    plain = server.get("secrets.txt")
+    plain = server.get_object("secrets.txt").raise_for_error().value
     print(f"  after decrypt response: {plain[:24]!r}…")
 
 

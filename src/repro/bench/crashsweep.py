@@ -32,14 +32,14 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.conditions import And, AttrRef, Comparison, Literal
 from repro.core.durability import fsck, reopen_instance, simulate_crash
 from repro.core.events import ActionEvent, TimerEvent
 from repro.core.instance import TieraInstance
 from repro.core.policy import Policy, Rule
 from repro.core.responses import Copy, SetAttr, Store
-from repro.core.selectors import InsertObject, ObjectsWhere
+from repro.core.selectors import InsertObject
 from repro.core.server import TieraServer
+from repro.core.templates import dirty_in
 from repro.core.units import parse_size
 from repro.simcloud.cluster import Cluster
 from repro.simcloud.errors import ProcessCrash
@@ -66,15 +66,6 @@ def _payload(seed: int, key: str, version: int) -> bytes:
     return (stamp * (PAYLOAD_BYTES // len(stamp) + 1))[:PAYLOAD_BYTES]
 
 
-def _dirty_in(tier: str):
-    return ObjectsWhere(
-        And(
-            Comparison("==", AttrRef(("object", "location")), Literal(tier)),
-            Comparison("==", AttrRef(("object", "dirty")), Literal(True)),
-        )
-    )
-
-
 def _rules(deployment: str) -> List[Rule]:
     if deployment == "write-through":
         return [
@@ -96,7 +87,7 @@ def _rules(deployment: str) -> List[Rule]:
             ),
             Rule(
                 TimerEvent(FLUSH_PERIOD),
-                [Copy(_dirty_in("tier1"), "tier2")],
+                [Copy(dirty_in("tier1"), "tier2")],
                 name="flush-dirty",
             ),
         ]
@@ -177,19 +168,19 @@ def _workload(
     def put(key: str, version: int) -> None:
         attempted.append(("put", key, version))
         ctx = RequestContext(clock)
-        server.put(key, _payload(seed, key, version), ctx=ctx)
+        server.put_object(key, _payload(seed, key, version), ctx=ctx).raise_for_error()
         pump(ctx)
         acked.append(("put", key, version))
 
     def get(key: str) -> None:
         ctx = RequestContext(clock)
-        server.get(key, ctx=ctx)
+        server.get_object(key, ctx=ctx).raise_for_error()
         pump(ctx)
 
     def delete(key: str) -> None:
         attempted.append(("delete", key, 0))
         ctx = RequestContext(clock)
-        server.delete(key, ctx=ctx)
+        server.delete_object(key, ctx=ctx).raise_for_error()
         pump(ctx)
         acked.append(("delete", key, 0))
 

@@ -73,65 +73,84 @@ def _scenario_fig07(profiler: Profiler):
     return 2014, result, obs, before
 
 
-def _scenario_fig13(profiler: Profiler):
-    """Figure 13's High Durability instance under YCSB 50/50."""
+def _ycsb_scenario(
+    profiler: Profiler,
+    seed: int,
+    template: Callable,
+    make_workload: Callable,
+    features: Optional[Dict[str, Dict[str, object]]] = None,
+    drive: Optional[Callable] = None,
+    **sizes,
+):
+    """The shape the YCSB scenarios share: a templated instance behind
+    a :class:`TieraServer`, ``features`` switched on through the
+    management API, the workload loaded, then driven — by the 4-client
+    closed loop unless ``drive(clock, server, workload, obs)`` is given.
+    """
     from repro.core.server import TieraServer
-    from repro.core.templates import high_durability_instance
     from repro.simcloud.cluster import Cluster
     from repro.simcloud.resources import RequestContext
     from repro.tiers.registry import TierRegistry
-    from repro.workloads.ycsb import mixed_50_50
 
     with profiler.section("build"):
-        cluster = Cluster(seed=2014)
+        cluster = Cluster(seed=seed)
         obs = cluster.obs
         obs.profiler = profiler
         registry = TierRegistry(cluster)
-        instance = high_durability_instance(
-            registry, mem="100M", ebs="100M", push_interval=120.0
-        )
+        instance = template(registry, mem="100M", ebs="100M", **sizes)
         server = TieraServer(instance)
-    workload = mixed_50_50(server, 500, seed=3)
+        for feature, options in (features or {}).items():
+            server.configure(feature, **options).raise_for_error()
+    workload = make_workload(server)
     with profiler.section("load"):
         ctx = RequestContext(cluster.clock)
         workload.load(ctx=ctx)
         cluster.clock.run_until(ctx.time)
     before = obs.metrics.snapshot()
     with profiler.section("drive"):
-        result = run_closed_loop(
-            cluster.clock, clients=4, duration=20.0,
-            op_fn=workload, warmup=5.0, obs=obs,
-        )
-    return 2014, result, obs, before
+        if drive is not None:
+            result = drive(cluster.clock, server, workload, obs)
+        else:
+            result = run_closed_loop(
+                cluster.clock, clients=4, duration=20.0,
+                op_fn=workload, warmup=5.0, obs=obs,
+            )
+    return seed, result, obs, before
+
+
+def _scenario_fig13(profiler: Profiler):
+    """Figure 13's High Durability instance under YCSB 50/50."""
+    from repro.core.templates import high_durability_instance
+    from repro.workloads.ycsb import mixed_50_50
+
+    return _ycsb_scenario(
+        profiler, 2014, high_durability_instance,
+        lambda server: mixed_50_50(server, 500, seed=3),
+        push_interval=120.0,
+    )
 
 
 def _scenario_batch_scaling(profiler: Profiler):
     """The batch-scaling bench's depth-8 pipelined run."""
-    from repro.core.server import TieraServer
     from repro.core.templates import high_durability_instance
-    from repro.simcloud.cluster import Cluster
-    from repro.simcloud.resources import RequestContext
-    from repro.tiers.registry import TierRegistry
     from repro.workloads.ycsb import mixed_50_50
 
-    with profiler.section("build"):
-        cluster = Cluster(seed=11)
-        obs = cluster.obs
-        obs.profiler = profiler
-        registry = TierRegistry(cluster)
-        instance = high_durability_instance(registry, mem="100M", ebs="100M")
-        server = TieraServer(instance)
-    workload = mixed_50_50(server, 200, seed=3)
-    with profiler.section("load"):
-        ctx = RequestContext(cluster.clock)
-        workload.load(ctx=ctx)
-        cluster.clock.run_until(ctx.time)
-    before = obs.metrics.snapshot()
-    with profiler.section("drive"):
-        result = run_pipelined(
-            cluster.clock, server, workload, 400, depth=8, obs=obs,
-        )
-    return 11, result, obs, before
+    return _ycsb_scenario(
+        profiler, 11, high_durability_instance,
+        lambda server: mixed_50_50(server, 200, seed=3),
+        drive=lambda clock, server, workload, obs: run_pipelined(
+            clock, server, workload, 400, depth=8, obs=obs,
+        ),
+    )
+
+
+def _zipfian(reads: float, updates: float) -> Callable:
+    from repro.workloads.ycsb import YcsbWorkload
+
+    return lambda server: YcsbWorkload(
+        server, 500, read_proportion=reads, update_proportion=updates,
+        distribution="zipfian", theta=0.99, seed=3,
+    )
 
 
 def _scenario_heat_telemetry(profiler: Profiler):
@@ -142,36 +161,12 @@ def _scenario_heat_telemetry(profiler: Profiler):
     other scenarios use, so benchdiff catches regressions the tracker
     itself might introduce on the data path.
     """
-    from repro.core.server import TieraServer
     from repro.core.templates import memcached_ebs_instance
-    from repro.simcloud.cluster import Cluster
-    from repro.simcloud.resources import RequestContext
-    from repro.tiers.registry import TierRegistry
-    from repro.workloads.ycsb import YcsbWorkload
 
-    with profiler.section("build"):
-        cluster = Cluster(seed=2014)
-        obs = cluster.obs
-        obs.profiler = profiler
-        registry = TierRegistry(cluster)
-        instance = memcached_ebs_instance(registry, mem="100M", ebs="100M")
-        server = TieraServer(instance)
-        server.enable_heat(top_k=32, hot_min=4)
-    workload = YcsbWorkload(
-        server, 500, read_proportion=0.5, update_proportion=0.5,
-        distribution="zipfian", theta=0.99, seed=3,
+    return _ycsb_scenario(
+        profiler, 2014, memcached_ebs_instance, _zipfian(0.5, 0.5),
+        features={"heat": {"top_k": 32, "hot_min": 4}},
     )
-    with profiler.section("load"):
-        ctx = RequestContext(cluster.clock)
-        workload.load(ctx=ctx)
-        cluster.clock.run_until(ctx.time)
-    before = obs.metrics.snapshot()
-    with profiler.section("drive"):
-        result = run_closed_loop(
-            cluster.clock, clients=4, duration=20.0,
-            op_fn=workload, warmup=5.0, obs=obs,
-        )
-    return 2014, result, obs, before
 
 
 def _scenario_adaptive_placement(profiler: Profiler):
@@ -183,39 +178,15 @@ def _scenario_adaptive_placement(profiler: Profiler):
     catches both data-path slowdowns and runaway move churn (the
     ``tiera_placement_*`` counters land in the registry delta).
     """
-    from repro.core.server import TieraServer
     from repro.core.templates import memcached_ebs_instance
-    from repro.simcloud.cluster import Cluster
-    from repro.simcloud.resources import RequestContext
-    from repro.tiers.registry import TierRegistry
-    from repro.workloads.ycsb import YcsbWorkload
 
-    with profiler.section("build"):
-        cluster = Cluster(seed=2014)
-        obs = cluster.obs
-        obs.profiler = profiler
-        registry = TierRegistry(cluster)
-        instance = memcached_ebs_instance(registry, mem="100M", ebs="100M")
-        server = TieraServer(instance)
-        server.configure("heat", top_k=64, hot_min=2).raise_for_error()
-        server.configure(
-            "placement", objective="balanced", interval=1.0,
-        ).raise_for_error()
-    workload = YcsbWorkload(
-        server, 500, read_proportion=0.8, update_proportion=0.2,
-        distribution="zipfian", theta=0.99, seed=3,
+    return _ycsb_scenario(
+        profiler, 2014, memcached_ebs_instance, _zipfian(0.8, 0.2),
+        features={
+            "heat": {"top_k": 64, "hot_min": 2},
+            "placement": {"objective": "balanced", "interval": 1.0},
+        },
     )
-    with profiler.section("load"):
-        ctx = RequestContext(cluster.clock)
-        workload.load(ctx=ctx)
-        cluster.clock.run_until(ctx.time)
-    before = obs.metrics.snapshot()
-    with profiler.section("drive"):
-        result = run_closed_loop(
-            cluster.clock, clients=4, duration=20.0,
-            op_fn=workload, warmup=5.0, obs=obs,
-        )
-    return 2014, result, obs, before
 
 
 SCENARIOS: Dict[str, Callable] = {
@@ -302,26 +273,30 @@ def make_record(
     return record
 
 
+def _timed(name: str, profiler: Profiler):
+    """Run scenario ``name``: its result tuple plus the wall seconds."""
+    if name not in SCENARIOS:
+        raise ValueError(
+            f"unknown scenario {name!r}; have {', '.join(sorted(SCENARIOS))}"
+        )
+    started = perf_counter()
+    seed, result, obs, before = SCENARIOS[name](profiler)
+    return seed, result, obs, before, perf_counter() - started
+
+
 def run_scenario(
     name: str,
     profiler: Optional[Profiler] = None,
     with_profile: bool = False,
 ) -> Dict[str, object]:
     """Run one telemetry scenario and return its record."""
-    if name not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {name!r}; have {', '.join(sorted(SCENARIOS))}"
-        )
     profiler = profiler if profiler is not None else Profiler()
-    wall_start = perf_counter()
-    seed, result, obs, before = SCENARIOS[name](profiler)
-    wall_seconds = perf_counter() - wall_start
-    record = make_record(
+    seed, result, obs, before, wall_seconds = _timed(name, profiler)
+    return make_record(
         name, seed, result, wall_seconds,
         registry=registry_delta(before, obs.metrics.snapshot()),
         profile=profiler.wall_report() if with_profile else None,
     )
-    return record
 
 
 def profile_scenario(
@@ -334,19 +309,13 @@ def profile_scenario(
     The report's ``coverage`` is the fraction of the measured wall time
     the top-level sections account for — the acceptance bar is ≥ 0.9.
     """
-    if name not in SCENARIOS:
-        raise ValueError(
-            f"unknown scenario {name!r}; have {', '.join(sorted(SCENARIOS))}"
-        )
     profiler = Profiler()
     functions: Dict[str, object] = {}
-    wall_start = perf_counter()
     if cprofile:
         with cprofile_capture(cprofile_limit) as functions:
-            seed, result, obs, before = SCENARIOS[name](profiler)
+            seed, result, obs, before, measured = _timed(name, profiler)
     else:
-        seed, result, obs, before = SCENARIOS[name](profiler)
-    measured = perf_counter() - wall_start
+        seed, result, obs, before, measured = _timed(name, profiler)
     wall = profiler.wall_report()
     report: Dict[str, object] = {
         "scenario": name,

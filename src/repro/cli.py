@@ -58,7 +58,10 @@ import os
 import sys
 from typing import Dict, List, Optional
 
+from repro.core import features
+from repro.core.errors import FEATURE_DISABLED, TieraError
 from repro.core.server import TieraServer
+from repro.obs.export import parse_labels
 from repro.simcloud.clock import WallClock
 from repro.simcloud.cluster import Cluster
 from repro.spec import SpecSyntaxError, compile_spec, parse
@@ -77,6 +80,10 @@ def _parse_args_option(pairs: List[str]) -> Dict[str, object]:
         except ValueError:
             out[name] = raw
     return out
+
+
+#: What reading and compiling a spec file can raise.
+_SPEC_ERRORS = (OSError, SpecSyntaxError, TieraError, ValueError, KeyError)
 
 
 def _compile_file(path: str, args: Dict[str, object], wall: bool = False):
@@ -119,7 +126,7 @@ def cmd_cost(options) -> int:
     args = _parse_args_option(options.arg)
     try:
         _, instance = _compile_file(options.spec, args)
-    except (SpecSyntaxError, Exception) as exc:
+    except _SPEC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{instance.name}: ${instance.monthly_cost():.2f}/month "
@@ -139,14 +146,15 @@ def cmd_serve(options) -> int:
     args = _parse_args_option(options.arg)
     try:
         cluster, instance = _compile_file(options.spec, args, wall=True)
-    except (SpecSyntaxError, Exception) as exc:
+    except _SPEC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(options, "backup_root", None):
-        instance.enable_backups(options.backup_root)
-    server = TieraRpcServer(
-        TieraServer(instance), host=options.host, port=options.port
-    ).start()
+    tiera = TieraServer(instance)
+    if options.backup_root:
+        attached = tiera.configure("backup", root=options.backup_root)
+        if not attached.ok:
+            return _refused("backup store", attached)
+    server = TieraRpcServer(tiera, host=options.host, port=options.port).start()
     print(f"{instance.name} serving on {server.host}:{server.port} "
           f"(tiers: {', '.join(instance.tiers.names())})")
     print("press Ctrl-C to stop")
@@ -166,13 +174,8 @@ def cmd_serve(options) -> int:
 
 
 def cmd_stats(options) -> int:
-    from repro.rpc import TieraClient
-
-    try:
-        client = TieraClient(options.host, options.port)
-    except OSError as exc:
-        print(f"cannot connect to {options.host}:{options.port}: {exc}",
-              file=sys.stderr)
+    client = _connect(options)
+    if client is None:
         return 1
     with client:
         if options.format == "prometheus":
@@ -287,9 +290,7 @@ def _print_latency_summary(snapshot: Dict[str, object]) -> None:
         sample = family["samples"][key]
         if not sample.get("count"):
             continue
-        op = dict(
-            part.split("=", 1) for part in key.split(",") if "=" in part
-        ).get("op", key or "all")
+        op = parse_labels(key).get("op", key or "all")
         print(f"  latency {op}: "
               f"p50 {sample['p50'] * 1000:.2f} ms, "
               f"p95 {sample['p95'] * 1000:.2f} ms, "
@@ -397,85 +398,149 @@ def _connect(options):
         return None
 
 
-def cmd_fsck(options) -> int:
+def _add_flags(parser, params) -> None:
+    """argparse arguments for registry param specs: booleans are
+    switches, ``repeat`` params repeatable flags, and ``bytes`` params
+    a positional file whose content is the value."""
+    for param in params:
+        dest = param.flag or param.name
+        flag = "--" + dest.replace("_", "-")
+        if param.type is bytes:
+            parser.add_argument(dest, help=param.help)
+        elif param.type is bool:
+            parser.add_argument(
+                flag, dest=dest, action="store_true", help=param.help
+            )
+        elif param.repeat:
+            parser.add_argument(
+                flag, dest=dest, type=param.type, action="append",
+                default=[], help=param.help,
+            )
+        else:
+            parser.add_argument(
+                flag, dest=dest, type=param.type, default=None,
+                choices=param.choices, help=param.help,
+            )
+
+
+def _flag_params(options, params) -> Dict[str, object]:
+    """The flag → param dict: only what the user actually set."""
+    out: Dict[str, object] = {}
+    for param in params:
+        value = getattr(options, param.flag or param.name, None)
+        if value is None or value is False or value == []:
+            continue
+        if param.type is bytes:
+            with open(value, "rb") as handle:
+                value = handle.read()
+        out[param.name] = value
+    return out
+
+
+def _refused(what: str, result) -> int:
+    print(f"{what} failed: [{result.error}] {result.error_message}",
+          file=sys.stderr)
+    return 1
+
+
+def _manage(options, feature: str, action: str, enable: bool = False):
+    """One management call over RPC: ``status`` is the feature's status,
+    anything else one of its actions with the action's flags as params.
+    With ``enable``, ``--enable`` and the feature's option flags go
+    through ``configure`` first.  Returns ``None``, after a message,
+    when the server is unreachable or refuses; a feature that is merely
+    off comes back as its ``FEATURE_DISABLED`` envelope to render."""
     client = _connect(options)
     if client is None:
-        return 1
+        return None
     with client:
-        report = client.fsck(repair=options.repair)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report["clean"] else 1
+        if enable:
+            config = _flag_params(options, features.FEATURES[feature].options)
+            if config and not options.enable:
+                print("configuration flags need --enable", file=sys.stderr)
+                return None
+            if options.enable:
+                configured = client.configure(feature, **config)
+                if not configured.ok:
+                    _refused(f"{feature} configure", configured)
+                    return None
+        if action == "status":
+            result = client.feature_status(feature)
+        else:
+            spec = features.action_spec(feature, action)
+            result = client.invoke(
+                feature, action, **_flag_params(options, spec.params)
+            )
+    if not result.ok and result.error != FEATURE_DISABLED:
+        _refused(f"{feature} {action}", result)
+        return None
+    return result
+
+
+def _show(options, result, render) -> int:
+    """Print a feature document as JSON or through its text renderer;
+    exit status says whether the feature is on."""
+    if result is None:
+        return 1
+    doc = result.state or {"enabled": False}
+    if options.format == "json":
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        render(doc)
+    return 0 if result.enabled else 1
+
+
+def _per_shard(doc: Dict[str, object]) -> List[Dict[str, object]]:
+    """The per-shard documents of a multi-shard router's answer (its
+    ``{"shards": {name: doc}}`` nest); from anything else, the one."""
+    return list(doc["shards"].values()) if set(doc) == {"shards"} else [doc]
+
+
+def cmd_fsck(options) -> int:
+    result = _manage(options, "durability", "fsck")
+    if result is None:
+        return 1
+    print(json.dumps(result.state, indent=2, sort_keys=True))
+    return 0 if all(d["clean"] for d in _per_shard(result.state)) else 1
 
 
 def cmd_snapshot(options) -> int:
-    client = _connect(options)
-    if client is None:
+    result = _manage(options, "durability", "snapshot")
+    if result is None:
         return 1
-    with client:
-        result = client.snapshot(include_volatile=options.include_volatile)
+    archive = result.state["archive"]
+    manifests = _per_shard(result.state["manifest"])
     with open(options.out, "wb") as handle:
-        handle.write(result["archive"])
-    manifest = result["manifest"]
-    print(f"snapshot of {manifest['instance']}: {manifest['objects']} objects, "
-          f"{len(result['archive'])} bytes -> {options.out}")
-    print(f"  state digest {manifest['state_digest']}")
+        handle.write(archive)
+    names = dict.fromkeys(m["instance"] for m in manifests)
+    print(f"snapshot of {', '.join(names)}: "
+          f"{sum(m['objects'] for m in manifests)} objects, "
+          f"{len(archive)} bytes -> {options.out}")
+    for manifest in manifests:
+        print(f"  state digest {manifest['state_digest']}")
     return 0
 
 
 def cmd_restore(options) -> int:
-    client = _connect(options)
-    if client is None:
+    result = _manage(options, "durability", "restore")
+    if result is None:
         return 1
-    with open(options.archive, "rb") as handle:
-        blob = handle.read()
-    from repro.rpc import RpcError
-
-    with client:
-        try:
-            result = client.restore(blob)
-        except RpcError as exc:
-            print(f"restore failed: {exc}", file=sys.stderr)
-            return 1
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0 if result.get("verified") else 1
+    print(json.dumps(result.state, indent=2, sort_keys=True))
+    verified = all(d.get("verified") for d in _per_shard(result.state))
+    return 0 if verified else 1
 
 
 def cmd_backup(options) -> int:
-    client = _connect(options)
-    if client is None:
-        return 1
-    from repro.rpc import RpcError
-
     action = options.backup_action
-    params: Dict[str, object] = {}
-    if action == "snapshot":
-        params["kind"] = options.kind
-        if options.immutable:
-            params["immutable"] = True
-    elif action == "restore":
-        if options.to_seq is not None:
-            params["to_seq"] = options.to_seq
-        if options.to_time is not None:
-            params["to_time"] = options.to_time
-        if options.snapshot_id is not None:
-            params["snapshot_id"] = options.snapshot_id
-    elif action == "prune":
-        if options.keep_last is not None:
-            params["keep_last"] = options.keep_last
-        if options.keep_window is not None:
-            params["keep_window"] = options.keep_window
-    with client:
-        try:
-            result = client.backup(action=action, **params)
-        except RpcError as exc:
-            print(f"backup {action} failed: {exc}", file=sys.stderr)
-            return 1
-    if not result.get("enabled"):
+    result = _manage(options, "backup", action)
+    if result is None:
+        return 1
+    if not result.enabled:
         print("backups are not enabled on this server "
               "(serve with --backup-root)", file=sys.stderr)
         return 1
     if action == "list":
-        for entry in result["snapshots"]:
+        for entry in result.state["snapshots"]:
             flags = "".join(
                 flag for flag, on in (
                     (" immutable", entry.get("immutable")),
@@ -489,71 +554,27 @@ def cmd_backup(options) -> int:
                   f"seq {entry['base_seq']}..{entry['upto_seq']}"
                   f"{parent}{flags}")
         return 0
-    payload = result.get(action) or result.get("snapshot") or result
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(result.state, indent=2, sort_keys=True))
     if action == "verify":
-        return 0 if payload.get("ok") else 1
+        return 0 if result.state.get("ok") else 1
     return 0
 
 
 def cmd_heat(options) -> int:
     from repro.obs.heat import render_report
 
-    client = _connect(options)
-    if client is None:
-        return 1
-    config: Dict[str, object] = {}
-    if options.top_k is not None:
-        config["top_k"] = options.top_k
-    if options.hot_min is not None:
-        config["hot_min"] = options.hot_min
-    if options.window:
-        config["windows"] = options.window
-    if options.sample_interval is not None:
-        config["sample_interval"] = options.sample_interval
-    if options.max_objects is not None:
-        config["max_objects"] = options.max_objects
-    if config and not options.enable:
-        print("configuration flags need --enable", file=sys.stderr)
-        return 1
-    with client:
-        summary = client.heat(
-            enable=options.enable, limit=options.limit, **config
-        )
-    if options.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        print(render_report(summary))
-    return 0 if summary.get("enabled") else 1
+    result = _manage(options, "heat", "summary", enable=True)
+    return _show(options, result, lambda doc: print(render_report(doc)))
 
 
 def cmd_placement(options) -> int:
-    client = _connect(options)
-    if client is None:
-        return 1
-    config: Dict[str, object] = {}
-    if options.objective is not None:
-        config["objective"] = options.objective
-    if options.interval is not None:
-        config["interval"] = options.interval
-    if config and not options.enable:
-        print("configuration flags need --enable", file=sys.stderr)
-        return 1
-    with client:
-        if options.enable:
-            envelope = client.configure("placement", **config)
-            if not envelope.ok:
-                print(f"error [{envelope.error}]: {envelope.error_message}",
-                      file=sys.stderr)
-                return 1
-        result = client.placement(action=options.placement_action)
-    if options.format == "json":
-        print(json.dumps(result, indent=2, sort_keys=True))
-    elif options.placement_action == "status":
-        _print_placement_status(result)
-    else:
-        _print_placement_plan(result)
-    return 0 if result.get("enabled") else 1
+    action = options.placement_action
+    result = _manage(options, "placement", action, enable=True)
+    return _show(
+        options, result,
+        _print_placement_status if action == "status"
+        else _print_placement_plan,
+    )
 
 
 def _print_placement_status(status: Dict[str, object]) -> None:
@@ -645,24 +666,19 @@ def cmd_cluster(options) -> int:
         print(f"cluster {action} needs --port (a running `repro serve`)",
               file=sys.stderr)
         return 1
-    client = _connect(options)
-    if client is None:
+    action = action.replace("-", "_")
+    result = _manage(options, "cluster", action)
+    if result is None:
         return 1
-    params: Dict[str, object] = {}
-    if action == "fsck" and options.repair:
-        params["repair"] = True
-    if action == "replay" and options.target is not None:
-        params["target"] = options.target
-    with client:
-        result = client.cluster(
-            action=action.replace("-", "_"), **params
-        )
-    print(json.dumps(result, indent=2, sort_keys=True))
-    if not result.get("enabled"):
+    if not result.enabled:
+        print(json.dumps({"enabled": False}, indent=2, sort_keys=True))
         print("server is not a replicated shard cluster", file=sys.stderr)
         return 1
+    print(json.dumps(
+        {"enabled": True, action: result.state}, indent=2, sort_keys=True
+    ))
     if action == "fsck":
-        return 0 if result["fsck"]["clean"] else 1
+        return 0 if result.state["clean"] else 1
     return 0
 
 
@@ -693,15 +709,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     serve.set_defaults(func=cmd_serve)
 
-    stats = commands.add_parser(
+    def live(sub, func):
+        """A subcommand that talks to a running server over RPC."""
+        sub.add_argument("--host", default="127.0.0.1")
+        sub.add_argument("--port", type=int, required=True)
+        sub.set_defaults(func=func)
+        return sub
+
+    stats = live(commands.add_parser(
         "stats", help="query a running server's observability snapshot"
-    )
-    stats.add_argument("--host", default="127.0.0.1")
-    stats.add_argument("--port", type=int, required=True)
+    ), cmd_stats)
     stats.add_argument(
         "--format", choices=("summary", "json", "prometheus"), default="summary"
     )
-    stats.set_defaults(func=cmd_stats)
 
     profile = commands.add_parser(
         "profile",
@@ -783,35 +803,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     chaos.set_defaults(func=cmd_chaos)
 
-    fsck = commands.add_parser(
+    def params_of(feature, action):
+        return features.action_spec(feature, action).params
+
+    fsck = live(commands.add_parser(
         "fsck", help="scrub a running server's metadata vs tier contents"
-    )
-    fsck.add_argument("--host", default="127.0.0.1")
-    fsck.add_argument("--port", type=int, required=True)
-    fsck.add_argument(
-        "--repair", action="store_true", help="fix findings, not just report"
-    )
-    fsck.set_defaults(func=cmd_fsck)
+    ), cmd_fsck)
+    _add_flags(fsck, params_of("durability", "fsck"))
 
-    snapshot = commands.add_parser(
+    snapshot = live(commands.add_parser(
         "snapshot", help="pull a full snapshot of a running instance"
-    )
-    snapshot.add_argument("--host", default="127.0.0.1")
-    snapshot.add_argument("--port", type=int, required=True)
+    ), cmd_snapshot)
     snapshot.add_argument("--out", required=True, help="archive file to write")
-    snapshot.add_argument(
-        "--include-volatile", action="store_true",
-        help="also archive volatile (memcached) tier contents",
-    )
-    snapshot.set_defaults(func=cmd_snapshot)
+    _add_flags(snapshot, params_of("durability", "snapshot"))
 
-    restore = commands.add_parser(
+    restore = live(commands.add_parser(
         "restore", help="restore a running instance from a snapshot archive"
-    )
-    restore.add_argument("archive", help="archive file written by snapshot")
-    restore.add_argument("--host", default="127.0.0.1")
-    restore.add_argument("--port", type=int, required=True)
-    restore.set_defaults(func=cmd_restore)
+    ), cmd_restore)
+    _add_flags(restore, params_of("durability", "restore"))
 
     backup = commands.add_parser(
         "backup", help="backup lifecycle of a running instance"
@@ -819,96 +828,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     backup_actions = backup.add_subparsers(
         dest="backup_action", required=True
     )
+    for action, summary in (
+        ("snapshot", "take a full or incremental snapshot"),
+        ("restore", "point-in-time restore from the backup store"),
+        ("prune", "apply retention policy to the snapshot catalog"),
+        ("verify", "restore the latest chain into a scratch instance "
+                   "and check it"),
+        ("list", "list the snapshot catalog"),
+    ):
+        sub = live(backup_actions.add_parser(action, help=summary), cmd_backup)
+        _add_flags(sub, params_of("backup", action))
 
-    def _backup_common(sub):
-        sub.add_argument("--host", default="127.0.0.1")
-        sub.add_argument("--port", type=int, required=True)
-        sub.set_defaults(func=cmd_backup)
-        return sub
-
-    bsnap = _backup_common(backup_actions.add_parser(
-        "snapshot", help="take a full or incremental snapshot"
-    ))
-    bsnap.add_argument(
-        "--kind", choices=("auto", "full", "incremental"), default="auto"
-    )
-    bsnap.add_argument(
-        "--immutable", action="store_true",
-        help="protect this snapshot from retention pruning",
-    )
-    brestore = _backup_common(backup_actions.add_parser(
-        "restore", help="point-in-time restore from the backup store"
-    ))
-    brestore.add_argument(
-        "--to-seq", type=int, default=None,
-        help="replay the archived journal up to this sequence number",
-    )
-    brestore.add_argument(
-        "--to-time", type=float, default=None,
-        help="restore to the latest archived state at/before this "
-             "virtual time",
-    )
-    brestore.add_argument(
-        "--snapshot-id", type=int, default=None,
-        help="restore exactly this snapshot (no journal replay)",
-    )
-    bprune = _backup_common(backup_actions.add_parser(
-        "prune", help="apply retention policy to the snapshot catalog"
-    ))
-    bprune.add_argument(
-        "--keep-last", type=int, default=None,
-        help="keep the N newest snapshots",
-    )
-    bprune.add_argument(
-        "--keep-window", type=float, default=None,
-        help="keep snapshots from the last W virtual seconds",
-    )
-    _backup_common(backup_actions.add_parser(
-        "verify", help="restore the latest chain into a scratch "
-                       "instance and check it"
-    ))
-    _backup_common(backup_actions.add_parser(
-        "list", help="list the snapshot catalog"
-    ))
-
-    heat = commands.add_parser(
+    heat = live(commands.add_parser(
         "heat",
         help="workload heat: hot keys, tier occupancy, access skew",
-    )
-    heat.add_argument("--host", default="127.0.0.1")
-    heat.add_argument("--port", type=int, required=True)
+    ), cmd_heat)
     heat.add_argument(
         "--enable", action="store_true",
         help="turn the tracker on first (it starts disabled)",
     )
-    heat.add_argument(
-        "--top-k", type=int, default=None,
-        help="Space-Saving sketch capacity (hot-set size bound)",
-    )
-    heat.add_argument(
-        "--hot-min", type=int, default=None,
-        help="guaranteed count before a key counts as hot",
-    )
-    heat.add_argument(
-        "--window", type=float, action="append", default=[],
-        help="EWMA decay window in seconds (repeatable)",
-    )
-    heat.add_argument(
-        "--sample-interval", type=float, default=None,
-        help="virtual seconds between occupancy samples",
-    )
-    heat.add_argument(
-        "--max-objects", type=int, default=None,
-        help="per-object stat table cap (LRU beyond this)",
-    )
-    heat.add_argument(
-        "--limit", type=int, default=None,
-        help="cap the hot list in the snapshot",
-    )
+    _add_flags(heat, features.FEATURES["heat"].options)
+    _add_flags(heat, params_of("heat", "summary"))
     heat.add_argument(
         "--format", choices=("text", "json"), default="text"
     )
-    heat.set_defaults(func=cmd_heat)
 
     placement = commands.add_parser(
         "placement",
@@ -920,24 +863,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="status (engine state), plan (score candidates without "
              "moving), run (execute one cycle now)",
     )
-    placement.add_argument("--host", default="127.0.0.1")
-    placement.add_argument("--port", type=int, required=True)
+    live(placement, cmd_placement)
     placement.add_argument(
         "--enable", action="store_true",
         help="configure the engine on first (it starts disabled)",
     )
-    placement.add_argument(
-        "--objective", choices=("balanced", "latency", "cost"), default=None,
-        help="cost-vs-latency weighting preset",
-    )
-    placement.add_argument(
-        "--interval", type=float, default=None,
-        help="virtual seconds between placement cycles",
-    )
+    _add_flags(placement, features.FEATURES["placement"].options)
     placement.add_argument(
         "--format", choices=("text", "json"), default="text"
     )
-    placement.set_defaults(func=cmd_placement)
 
     crashsweep = commands.add_parser(
         "crashsweep",
@@ -972,14 +906,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--port", type=int, default=None,
         help="RPC port of a running shard router (live actions only)",
     )
-    cluster.add_argument(
-        "--repair", action="store_true",
-        help="with fsck: fix findings, not just report",
-    )
-    cluster.add_argument(
-        "--target", default=None,
-        help="with replay: drain hints for this shard only",
-    )
+    for action in features.FEATURES["cluster"].actions:
+        _add_flags(cluster, action.params)
     cluster.set_defaults(func=cmd_cluster)
 
     options = parser.parse_args(argv)

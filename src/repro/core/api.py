@@ -19,24 +19,26 @@ one contract they all implement now:
   over-limit batch is refused up front with ``BACKPRESSURE`` before any
   item runs.
 
-The legacy positional verbs (``put``/``get``/``delete``) survive one
-release as deprecation shims over these methods; see docs/API.md.
+The admin plane has the same shape: :class:`ManagementAPI`'s three
+verbs return :class:`ManagementResult` envelopes, all driven by the one
+feature table in :mod:`repro.core.features`.  See docs/API.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
-try:  # Protocol is 3.8+; runtime_checkable keeps isinstance() working
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - very old pythons
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
-
-from repro.core.errors import PARTIAL_FAILURE
+from repro.core import errors
 
 #: Operation names accepted in a batch.
 PUT = "put"
@@ -109,9 +111,8 @@ class OpResult:
     """Structured outcome of one storage operation.
 
     Failure is data here, not control flow: a missing key yields an
-    ``OpResult`` with ``ok=False`` and ``error="NO_SUCH_OBJECT"``.  The
-    legacy shims call :meth:`raise_for_error` to recover the old raising
-    behaviour.
+    ``OpResult`` with ``ok=False`` and ``error="NO_SUCH_OBJECT"``.
+    Callers that want a raise chain :meth:`raise_for_error`.
     """
 
     op: str
@@ -126,7 +127,7 @@ class OpResult:
     #: stable error code (see repro.core.errors), None on success.
     error: Optional[str] = None
     error_message: str = ""
-    #: exception class name, kept so RPC shims can re-raise faithfully.
+    #: exception class name, kept so the RPC client re-raises faithfully.
     error_type: str = ""
     #: payload bytes for a successful get; None otherwise.
     value: Optional[bytes] = None
@@ -205,7 +206,7 @@ class BatchResult:
 
     @property
     def code(self) -> Optional[str]:
-        return None if self.ok else PARTIAL_FAILURE
+        return None if self.ok else errors.PARTIAL_FAILURE
 
     @property
     def failures(self) -> List[OpResult]:
@@ -249,11 +250,9 @@ class AdmissionController:
         self.rejected = 0
 
     def acquire(self, count: int = 1) -> None:
-        from repro.core.errors import BackpressureError
-
         if count > self.max_inflight - self.inflight:
             self.rejected += count
-            raise BackpressureError(
+            raise errors.BackpressureError(
                 requested=count,
                 inflight=self.inflight,
                 limit=self.max_inflight,
@@ -263,6 +262,50 @@ class AdmissionController:
 
     def release(self, count: int = 1) -> None:
         self.inflight = max(0, self.inflight - count)
+
+
+class BatchVerbs:
+    """``put_many`` / ``get_many`` / ``delete_many`` for a façade that
+    has ``execute_batch``: build the :class:`BatchOp` list, delegate,
+    and pass through whatever routing keyword (``ctx=``) that façade's
+    ``execute_batch`` takes."""
+
+    def put_many(
+        self,
+        items: Iterable[Tuple[str, bytes]],
+        *,
+        tags: Optional[List[str]] = None,
+        parallelism: int = DEFAULT_PARALLELISM,
+        **route,
+    ) -> BatchResult:
+        return self.execute_batch(
+            [BatchOp.put(key, data, tags=tags) for key, data in items],
+            parallelism=parallelism, **route,
+        )
+
+    def get_many(
+        self,
+        keys: Iterable[str],
+        *,
+        parallelism: int = DEFAULT_PARALLELISM,
+        **route,
+    ) -> BatchResult:
+        return self.execute_batch(
+            [BatchOp.get(key) for key in keys],
+            parallelism=parallelism, **route,
+        )
+
+    def delete_many(
+        self,
+        keys: Iterable[str],
+        *,
+        parallelism: int = DEFAULT_PARALLELISM,
+        **route,
+    ) -> BatchResult:
+        return self.execute_batch(
+            [BatchOp.delete(key) for key in keys],
+            parallelism=parallelism, **route,
+        )
 
 
 @runtime_checkable
@@ -302,17 +345,18 @@ class StorageAPI(Protocol):
 class ManagementResult:
     """Envelope for the unified management surface.
 
-    ``configure(feature, **options)`` and ``feature_status(feature)``
-    return this from every façade — direct, sharded, and RPC — so the
-    admin plane has the same stable shape as the data plane.  Errors
-    are *captured*, never raised: an unknown feature comes back with
-    ``error == "UNKNOWN_FEATURE"``, refused options with
-    ``error == "BAD_CONFIG"``.  ``state`` is a JSON-clean dict (no
-    tuples, no bytes) so the RPC round-trip is the identity.
+    ``configure``, ``feature_status`` and ``invoke`` return this from
+    every façade — direct, sharded, and RPC — so the admin plane has
+    the same stable shape as the data plane.  Errors are *captured*,
+    never raised: ``UNKNOWN_FEATURE``, ``UNKNOWN_ACTION``, ``BAD_CONFIG``
+    (refused options or parameters), ``FEATURE_DISABLED``, or a domain
+    error's own code.  ``state`` is a JSON-clean dict (no tuples; bytes
+    only in the fields the feature table marks, which RPC base64-codes)
+    so the RPC round-trip is the identity.
     """
 
     feature: str
-    action: str                     # "configure" | "status"
+    action: str                     # "configure" | "status" | an action
     ok: bool = True
     enabled: bool = False
     state: Dict[str, object] = field(default_factory=dict)
@@ -320,19 +364,15 @@ class ManagementResult:
     error_message: Optional[str] = None
 
     def raise_for_error(self) -> "ManagementResult":
-        if not self.ok:
-            from repro.core import errors
-
-            exc_cls = {
-                errors.UNKNOWN_FEATURE: errors.UnknownFeatureError,
-                errors.BAD_CONFIG: errors.BadConfigError,
-            }.get(self.error)
-            if exc_cls is errors.UnknownFeatureError:
-                raise exc_cls(self.feature)
-            if exc_cls is errors.BadConfigError:
-                raise exc_cls(self.feature, self.error_message or "")
-            raise errors.TieraError(self.error_message or self.error or "")
-        return self
+        if self.ok:
+            return self
+        if self.error == errors.UNKNOWN_FEATURE:
+            raise errors.UnknownFeatureError(self.feature)
+        if self.error == errors.BAD_CONFIG:
+            raise errors.BadConfigError(self.feature, self.error_message or "")
+        exc = errors.TieraError(self.error_message or self.error or "")
+        exc.code = self.error or exc.code
+        raise exc
 
     def to_wire(self) -> Dict[str, object]:
         return {
@@ -360,37 +400,17 @@ class ManagementResult:
 
 @runtime_checkable
 class ManagementAPI(Protocol):
-    """The admin verb pair every Tiera façade implements.
+    """The admin verbs every Tiera façade implements.
 
-    The legacy ``enable_*`` verbs grew ad hoc — present on some façades
-    with divergent signatures and return shapes.  This protocol is the
-    replacement: one keyword-only ``configure`` to turn a feature on or
-    retune it, one ``feature_status`` to inspect it, both returning
-    :class:`ManagementResult` envelopes with stable error codes.
+    ``configure`` turns a feature on or retunes it, ``feature_status``
+    inspects it, ``invoke`` runs one of its extra actions; all three
+    are lookups in the one table of :mod:`repro.core.features` and
+    return :class:`ManagementResult` envelopes with stable error codes.
     """
 
     def configure(self, feature: str, **options) -> ManagementResult: ...
 
     def feature_status(self, feature: str) -> ManagementResult: ...
 
-
-def batch_from_verbs(
-    op: str,
-    items: Iterable,
-    *,
-    tags: Optional[List[str]] = None,
-) -> List[BatchOp]:
-    """Build the BatchOp list behind put_many/get_many/delete_many."""
-    ops: List[BatchOp] = []
-    if op == PUT:
-        for key, data in items:
-            ops.append(BatchOp.put(key, data, tags=tags))
-    elif op == GET:
-        for key in items:
-            ops.append(BatchOp.get(key))
-    elif op == DELETE:
-        for key in items:
-            ops.append(BatchOp.delete(key))
-    else:  # pragma: no cover - callers pass module constants
-        raise ValueError(f"unknown batch op {op!r}")
-    return ops
+    def invoke(self, feature: str, action: str, **params
+               ) -> ManagementResult: ...

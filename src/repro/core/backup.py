@@ -51,17 +51,16 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.durability import (
     SNAPSHOT_FORMAT,
-    _b64,
     _erase,
-    _unb64,
+    archive_manifest,
     archived_state,
     fsck,
-    pack_archive,
+    pack_snapshot,
     restore_archive,
     snapshot_archive,
+    unpack_archive,
 )
 from repro.core.errors import BackupError
-from repro.core.objects import ObjectMeta
 from repro.obs.audit import AuditRecord
 from repro.simcloud.resources import RequestContext
 
@@ -456,27 +455,19 @@ class BackupManager:
             "tier_order": instance.tiers.names(),
             "state_digest": digest,
         }
-        members: List[Tuple[str, bytes]] = [(
-            "manifest.json",
-            json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
-        )]
-        members.append((
-            "metadata.jsonl",
-            b"".join(kept_by_key[k].to_json() + b"\n" for k in changed),
-        ))
         changed_set = set(changed)
-        for tier_name, contents in tier_rows:
-            if not contents:
-                continue  # non-archived tier
-            lines = b"".join(
-                json.dumps(
-                    {"key": k, "data_b64": _b64(contents[k])},
-                    sort_keys=True,
-                ).encode("utf-8") + b"\n"
-                for k in sorted(changed_set & set(contents))
-            )
-            members.append((f"data/{tier_name}.jsonl", lines))
-        return pack_archive(members), manifest
+        blob = pack_snapshot(
+            manifest,
+            [kept_by_key[k] for k in changed],
+            [
+                (tier_name, {
+                    k: contents[k] for k in changed_set & set(contents)
+                })
+                for tier_name, contents in tier_rows
+                if contents  # skips non-archived tiers
+            ],
+        )
+        return blob, manifest
 
     # -- restore ------------------------------------------------------------
 
@@ -517,7 +508,7 @@ class BackupManager:
         # Verify every link's bytes before mutating anything.
         blobs = [self._read_archive(entry) for entry in chain]
         for i in range(1, len(chain)):
-            manifest = self._incr_manifest(blobs[i])
+            manifest = archive_manifest(blobs[i])
             if manifest.get("parent_sha256") != _sha256(blobs[i - 1]):
                 raise BackupError(
                     f"snapshot #{chain[i]['id']} was not taken against "
@@ -538,40 +529,8 @@ class BackupManager:
                 f"snapshot #{chain[-1]['id']} ({str(expected)[:12]}…)"
             )
 
-    def _incr_manifest(self, blob: bytes) -> Dict[str, object]:
-        import io
-        import tarfile
-
-        from repro.core.durability import _read_member
-
-        with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-            return json.loads(_read_member(tar, "manifest.json"))
-
     def _apply_incremental(self, target, blob: bytes) -> None:
-        import io
-        import tarfile
-
-        from repro.core.durability import _read_member
-
-        with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-            manifest = json.loads(_read_member(tar, "manifest.json"))
-            metas = [
-                ObjectMeta.from_json(line)
-                for line in _read_member(tar, "metadata.jsonl").splitlines()
-                if line
-            ]
-            tier_data: Dict[str, Dict[str, bytes]] = {}
-            for member in tar.getnames():
-                if not member.startswith("data/"):
-                    continue
-                tier_name = member[len("data/"):-len(".jsonl")]
-                rows: Dict[str, bytes] = {}
-                for line in _read_member(tar, member).splitlines():
-                    if line:
-                        doc = json.loads(line)
-                        rows[doc["key"]] = _unb64(doc["data_b64"])
-                tier_data[tier_name] = rows
-
+        manifest, metas, tier_data = unpack_archive(blob)
         for name in tier_data:
             if not target.tiers.has(name):
                 raise BackupError(f"restore target has no tier {name!r}")

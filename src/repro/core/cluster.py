@@ -694,7 +694,7 @@ class ClusterManager:
         if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
         ctx = self._ctx(ctx)
-        self.router.admission.acquire(len(ops))
+        self.router.admit(len(ops))
         root = self.obs.tracer.start_request(
             "batch", f"{len(ops)} ops", ctx, force=trace
         )

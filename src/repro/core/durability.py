@@ -44,7 +44,7 @@ import base64
 import io
 import json
 import tarfile
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import NoSuchObjectError, TieraError
 from repro.core.objects import ObjectMeta, content_checksum
@@ -802,6 +802,29 @@ def pack_archive(members: List[Tuple[str, bytes]]) -> bytes:
     return buf.getvalue()
 
 
+def pack_snapshot(
+    manifest: Dict[str, object],
+    metas: List[ObjectMeta],
+    tier_rows: List[Tuple[str, Dict[str, bytes]]],
+) -> bytes:
+    """The archive layout every snapshot — full or incremental —
+    shares: the manifest, the metadata rows, one data member per tier."""
+    members: List[Tuple[str, bytes]] = [
+        ("manifest.json",
+         json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")),
+        ("metadata.jsonl", b"".join(m.to_json() + b"\n" for m in metas)),
+    ]
+    for tier_name, rows in tier_rows:
+        lines = b"".join(
+            json.dumps(
+                {"key": k, "data_b64": _b64(rows[k])}, sort_keys=True
+            ).encode("utf-8") + b"\n"
+            for k in sorted(rows)
+        )
+        members.append((f"data/{tier_name}.jsonl", lines))
+    return pack_archive(members)
+
+
 def snapshot_archive(
     instance, include_volatile: bool = False
 ) -> Tuple[bytes, Dict[str, object]]:
@@ -817,7 +840,7 @@ def snapshot_archive(
         t for t in instance.tiers.ordered() if t.durable or include_volatile
     ]
     archived_names = {t.name for t in archived}
-    kept, _tier_rows, digest = archived_state(instance, include_volatile)
+    kept, tier_rows, digest = archived_state(instance, include_volatile)
 
     manifest: Dict[str, object] = {
         "format": SNAPSHOT_FORMAT,
@@ -840,23 +863,9 @@ def snapshot_archive(
         "state_digest": digest,
     }
 
-    members: List[Tuple[str, bytes]] = [(
-        "manifest.json",
-        json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
-    )]
-    meta_lines = b"".join(m.to_json() + b"\n" for m in kept)
-    members.append(("metadata.jsonl", meta_lines))
-    for tier in archived:
-        lines = b"".join(
-            json.dumps(
-                {"key": k, "data_b64": _b64(tier.service._data[k])},
-                sort_keys=True,
-            ).encode("utf-8") + b"\n"
-            for k in sorted(tier.keys())
-        )
-        members.append((f"data/{tier.name}.jsonl", lines))
-
-    blob = pack_archive(members)
+    blob = pack_snapshot(manifest, kept, [
+        (name, rows) for name, rows in tier_rows if name in archived_names
+    ])
     instance.obs.metrics.counter(
         "tiera_snapshots_total", "Snapshot archives produced."
     ).inc()
@@ -881,26 +890,34 @@ def write_snapshot(
     return manifest
 
 
+def _open_archive(blob: bytes) -> tarfile.TarFile:
+    try:
+        return tarfile.open(fileobj=io.BytesIO(blob))
+    except tarfile.TarError as exc:
+        raise ValueError(f"not a snapshot archive: {exc}") from exc
+
+
 def _read_member(tar: tarfile.TarFile, name: str) -> bytes:
-    member = tar.extractfile(name)
+    try:
+        member = tar.extractfile(name)
+    except KeyError:
+        member = None
     if member is None:
         raise ValueError(f"snapshot archive is missing {name!r}")
     return member.read()
 
 
-def restore_archive(instance, blob: bytes) -> Dict[str, object]:
-    """Rebuild an instance's state from a snapshot archive.
+def archive_manifest(blob: bytes) -> Dict[str, object]:
+    with _open_archive(blob) as tar:
+        return json.loads(_read_member(tar, "manifest.json"))
 
-    The target instance must have every tier the archive holds data
-    for, with enough capacity.  All current state — tier contents,
-    metadata, pending journal records — is replaced wholesale; the
-    result is verified against the manifest's state digest.
-    """
-    try:
-        tar = tarfile.open(fileobj=io.BytesIO(blob))
-    except tarfile.TarError as exc:
-        raise ValueError(f"not a snapshot archive: {exc}") from exc
-    with tar:
+
+def unpack_archive(
+    blob: bytes,
+) -> Tuple[Dict[str, object], List[ObjectMeta], Dict[str, Dict[str, bytes]]]:
+    """A snapshot archive — full or incremental — read back:
+    ``(manifest, metas, {tier: {key: data}})``."""
+    with _open_archive(blob) as tar:
         manifest = json.loads(_read_member(tar, "manifest.json"))
         if int(manifest.get("format", 0)) > SNAPSHOT_FORMAT:
             raise ValueError(
@@ -912,22 +929,39 @@ def restore_archive(instance, blob: bytes) -> Dict[str, object]:
             for line in _read_member(tar, "metadata.jsonl").splitlines()
             if line
         ]
-        tier_data: Dict[str, List[Tuple[str, bytes]]] = {}
-        for entry in manifest["tiers"]:
-            name = entry["name"]
-            rows = []
-            for line in _read_member(tar, f"data/{name}.jsonl").splitlines():
+        tier_data: Dict[str, Dict[str, bytes]] = {}
+        for member in tar.getnames():
+            if not member.startswith("data/"):
+                continue
+            rows = tier_data[member[len("data/"):-len(".jsonl")]] = {}
+            for line in _read_member(tar, member).splitlines():
                 if line:
                     doc = json.loads(line)
-                    rows.append((doc["key"], _unb64(doc["data_b64"])))
-            tier_data[name] = rows
+                    rows[doc["key"]] = _unb64(doc["data_b64"])
+    return manifest, metas, tier_data
+
+
+def restore_archive(instance, blob: bytes) -> Dict[str, object]:
+    """Rebuild an instance's state from a snapshot archive.
+
+    The target instance must have every tier the archive holds data
+    for, with enough capacity.  All current state — tier contents,
+    metadata, pending journal records — is replaced wholesale; the
+    result is verified against the manifest's state digest.
+    """
+    manifest, metas, tier_data = unpack_archive(blob)
 
     # Validate shape before mutating anything.
+    for entry in manifest["tiers"]:
+        if entry["name"] not in tier_data:
+            raise ValueError(
+                f"snapshot archive is missing the {entry['name']!r} tier's data"
+            )
     for name, rows in sorted(tier_data.items()):
         if not instance.tiers.has(name):
             raise ValueError(f"restore target has no tier {name!r}")
         tier = instance.tiers.get(name)
-        total = sum(len(data) for _, data in rows)
+        total = sum(len(data) for data in rows.values())
         if tier.capacity is not None and total > tier.capacity:
             raise ValueError(
                 f"tier {name!r} capacity {tier.capacity} cannot hold "
@@ -952,7 +986,7 @@ def restore_archive(instance, blob: bytes) -> Dict[str, object]:
     for name in sorted(tier_data):
         tier = instance.tiers.get(name)
         service = tier.service
-        for key, data in sorted(tier_data[name]):
+        for key, data in sorted(tier_data[name].items()):
             service._data[key] = data
             service._used += len(data)
             tier._order[key] = None
@@ -980,6 +1014,31 @@ def restore_archive(instance, blob: bytes) -> Dict[str, object]:
         detail={"objects": len(metas), "verified": result["verified"]},
     ))
     return result
+
+
+def bundle_archives(archives: Dict[str, bytes]) -> bytes:
+    """One archive of per-shard snapshot archives, deterministic like
+    its members: what a multi-shard router's snapshot is."""
+    return pack_archive([
+        (f"shards/{name}.tar", archives[name]) for name in sorted(archives)
+    ])
+
+
+def shard_archive(blob: bytes, shard: str, shards: Sequence[str]) -> bytes:
+    """``shard``'s own archive out of a :func:`bundle_archives` bundle,
+    which must hold exactly ``shards`` — keys restored under another
+    ring would sit on shards that do not own them."""
+    with _open_archive(blob) as tar:
+        held = sorted(
+            name[len("shards/"):-len(".tar")] for name in tar.getnames()
+            if name.startswith("shards/")
+        )
+        if held != sorted(shards):
+            raise ValueError(
+                f"archive holds shards {held or 'none (one instance)'}; "
+                f"this router's are {sorted(shards)}"
+            )
+        return _read_member(tar, f"shards/{shard}.tar")
 
 
 def restore_snapshot(instance, path: str) -> Dict[str, object]:

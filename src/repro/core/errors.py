@@ -39,6 +39,13 @@ class UnknownTierError(TieraError, KeyError):
         super().__init__(f"no tier named {tier!r} in this instance")
 
 
+def _cause_detail(causes) -> str:
+    """``who: ErrorType: message`` for each ``(who, exception)`` tried."""
+    return "; ".join(
+        f"{who}: {type(exc).__name__}: {exc}" for who, exc in causes
+    )
+
+
 class TierUnavailableError(TieraError):
     """Every tier that could serve the request is failed/unreachable.
 
@@ -53,11 +60,7 @@ class TierUnavailableError(TieraError):
     def __init__(self, key: str, detail: str = "", causes=()):
         self.key = key
         self.causes = list(causes)
-        if self.causes and not detail:
-            detail = "; ".join(
-                f"{tier}: {type(exc).__name__}: {exc}"
-                for tier, exc in self.causes
-            )
+        detail = detail or _cause_detail(self.causes)
         super().__init__(
             f"no available tier can serve {key!r}" + (f": {detail}" if detail else "")
         )
@@ -138,10 +141,7 @@ class NoQuorumError(TieraError):
         self.acked = acked
         self.needed = needed
         self.causes = list(causes)
-        detail = "; ".join(
-            f"{shard}: {type(exc).__name__}: {exc}"
-            for shard, exc in self.causes
-        )
+        detail = _cause_detail(self.causes)
         super().__init__(
             f"write of {key!r} acked by {acked}/{needed} required replicas"
             + (f": {detail}" if detail else "")
@@ -156,11 +156,7 @@ class ClusterUnavailableError(TieraError):
     def __init__(self, key: str, detail: str = "", causes=()):
         self.key = key
         self.causes = list(causes)
-        if self.causes and not detail:
-            detail = "; ".join(
-                f"{shard}: {type(exc).__name__}: {exc}"
-                for shard, exc in self.causes
-            )
+        detail = detail or _cause_detail(self.causes)
         super().__init__(
             f"no replica can serve {key!r}" + (f": {detail}" if detail else "")
         )
@@ -187,10 +183,9 @@ class UnknownFeatureError(TieraError):
 
     code = "UNKNOWN_FEATURE"
 
-    def __init__(self, feature: str, known=()):
+    def __init__(self, feature: str):
         self.feature = feature
-        hint = f"; known: {', '.join(sorted(known))}" if known else ""
-        super().__init__(f"unknown manageable feature {feature!r}{hint}")
+        super().__init__(f"unknown manageable feature {feature!r}")
 
 
 class BadConfigError(TieraError):
@@ -225,8 +220,12 @@ BAD_REQUEST = "BAD_REQUEST"
 INTERNAL = "INTERNAL"
 #: Code for a management-API feature name no façade exports.
 UNKNOWN_FEATURE = "UNKNOWN_FEATURE"
-#: Code for management-API options a feature refused.
+#: Code for management-API options or parameters a feature refused.
 BAD_CONFIG = "BAD_CONFIG"
+#: Code for a management-API action the named feature does not offer.
+UNKNOWN_ACTION = "UNKNOWN_ACTION"
+#: Code for a management-API action on a feature that is switched off.
+FEATURE_DISABLED = "FEATURE_DISABLED"
 
 
 def code_for(exc: BaseException) -> str:

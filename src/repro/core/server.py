@@ -11,35 +11,35 @@ object.
 
 from __future__ import annotations
 
-import warnings
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core import api
+from repro.core import api, features
 from repro.core.actions import Action, DELETE, GET, INSERT
 from repro.core.api import (
     AdmissionController,
     BatchOp,
     BatchResult,
-    ManagementResult,
+    BatchVerbs,
     OpResult,
 )
-from repro.core.errors import BAD_CONFIG, UNKNOWN_FEATURE, TieraError, code_for
+from repro.core.errors import TieraError, code_for
 from repro.core.instance import TieraInstance
 from repro.core.objects import ObjectMeta, content_checksum
 from repro.simcloud.errors import SimCloudError
 from repro.simcloud.resources import RequestContext
 
 
-class TieraServer:
+class TieraServer(BatchVerbs, features.ManagementVerbs):
     """The :class:`~repro.core.api.StorageAPI` façade over one
     :class:`TieraInstance`.
 
     Single-object verbs return :class:`~repro.core.api.OpResult`
     envelopes; batch verbs run their items across ``parallelism``
     concurrent lanes in virtual time and return a
-    :class:`~repro.core.api.BatchResult`.  The legacy positional verbs
-    (``put``/``get``/``delete``) remain as deprecation shims.
+    :class:`~repro.core.api.BatchResult`.  The admin plane is the
+    three :class:`~repro.core.api.ManagementAPI` verbs, each a lookup in
+    the :mod:`repro.core.features` table.
     """
 
     def __init__(
@@ -365,106 +365,6 @@ class TieraServer:
             parallelism=len(lanes),
         )
 
-    def put_many(
-        self,
-        items: Iterable[Tuple[str, bytes]],
-        *,
-        tags: Optional[List[str]] = None,
-        parallelism: int = api.DEFAULT_PARALLELISM,
-        ctx: Optional[RequestContext] = None,
-    ) -> BatchResult:
-        return self.execute_batch(
-            api.batch_from_verbs(api.PUT, items, tags=tags),
-            parallelism=parallelism, ctx=ctx,
-        )
-
-    def get_many(
-        self,
-        keys: Iterable[str],
-        *,
-        parallelism: int = api.DEFAULT_PARALLELISM,
-        ctx: Optional[RequestContext] = None,
-    ) -> BatchResult:
-        return self.execute_batch(
-            api.batch_from_verbs(api.GET, keys),
-            parallelism=parallelism, ctx=ctx,
-        )
-
-    def delete_many(
-        self,
-        keys: Iterable[str],
-        *,
-        parallelism: int = api.DEFAULT_PARALLELISM,
-        ctx: Optional[RequestContext] = None,
-    ) -> BatchResult:
-        return self.execute_batch(
-            api.batch_from_verbs(api.DELETE, keys),
-            parallelism=parallelism, ctx=ctx,
-        )
-
-    # -- legacy verbs (deprecated shims over the envelope API) ---------------
-
-    @staticmethod
-    def _deprecated(old: str, new: str) -> None:
-        warnings.warn(
-            f"TieraServer.{old} is deprecated; use {new} (see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def put(
-        self,
-        key: str,
-        data: bytes,
-        tags: Iterable[str] = (),
-        ctx: Optional[RequestContext] = None,
-        trace: bool = False,
-    ) -> RequestContext:
-        """Deprecated: use :meth:`put_object` (envelope) instead.
-
-        Preserves the original contract — returns the request context,
-        whose ``elapsed`` is the client-observed latency, and raises on
-        failure.
-        """
-        self._deprecated("put", "put_object / put_many")
-        ctx = self._ctx(ctx)
-        self.put_object(
-            key, data, tags=list(tags) if tags else None, ctx=ctx,
-            trace=trace,
-        ).raise_for_error()
-        return ctx
-
-    def get(
-        self,
-        key: str,
-        ctx: Optional[RequestContext] = None,
-        prefer: Optional[str] = None,
-        trace: bool = False,
-    ) -> bytes:
-        """Deprecated: use :meth:`get_object` (envelope) instead."""
-        self._deprecated("get", "get_object / get_many")
-        result = self.get_object(key, prefer=prefer, ctx=ctx, trace=trace)
-        result.raise_for_error()
-        return result.value
-
-    def get_with_context(
-        self, key: str, ctx: Optional[RequestContext] = None
-    ) -> "tuple[bytes, RequestContext]":
-        ctx = self._ctx(ctx)
-        return self.get(key, ctx=ctx), ctx
-
-    def delete(
-        self,
-        key: str,
-        ctx: Optional[RequestContext] = None,
-        trace: bool = False,
-    ) -> RequestContext:
-        """Deprecated: use :meth:`delete_object` (envelope) instead."""
-        self._deprecated("delete", "delete_object / delete_many")
-        ctx = self._ctx(ctx)
-        self.delete_object(key, ctx=ctx, trace=trace).raise_for_error()
-        return ctx
-
     # -- introspection ---------------------------------------------------------
 
     def health(self) -> Dict[str, object]:
@@ -514,31 +414,21 @@ class TieraServer:
             ],
             "audit_errors": instance.obs.audit.error_count(),
         }
-        if res is not None:
-            out["resilience"] = res.summary()
-        if instance.durability is not None:
-            out["durability"] = instance.durability.summary()
-        if instance.backup is not None:
-            backup = instance.backup.health_summary()
-            out["backup"] = backup
-            verified = backup["last_verified_restore"]
-            if (
-                verified is not None
-                and not verified.get("ok")
-                and out["status"] == "ok"
-            ):
-                # The latest restore drill failed: the instance serves
-                # fine but its recoverability claim is broken.
-                out["status"] = "dirty"
-        slo = self.obs.slo
-        if slo.objectives:
-            summary = slo.summary()
-            out["slo"] = summary
-            if summary["alerting"] and status == "ok":
-                out["status"] = "degraded"
+        # These four report their feature-table status as is.
+        for name in ("resilience", "durability", "backup", "slo"):
+            feature = features.status(self, name)
+            if feature.enabled:
+                out[name] = feature.state
+        verified = out.get("backup", {}).get("last_verified_restore")
+        if verified is not None and not verified.get("ok") and status == "ok":
+            # The latest restore drill failed: the instance serves
+            # fine but its recoverability claim is broken.
+            out["status"] = "dirty"
+        if out.get("slo", {}).get("alerting") and status == "ok":
+            out["status"] = "degraded"
         heat = self.obs.heat
         if heat.enabled:
-            # Hot-key detail stays in the heat verb/snapshot; health
+            # Hot-key detail stays in the heat summary action; health
             # carries the workload-shape headline only.
             out["heat"] = dict(
                 heat.global_stats(), hot_keys=heat.hot_keys()
@@ -553,121 +443,6 @@ class TieraServer:
                 )
             }
         return out
-
-    # -- unified management API ---------------------------------------------
-
-    #: Features the management verbs accept, in registration order.
-    FEATURES: Tuple[str, ...] = ("heat", "placement")
-
-    def configure(self, feature: str, **options) -> ManagementResult:
-        """Enable or retune ``feature`` (the :class:`ManagementAPI` verb).
-
-        Errors come back captured in the envelope, never raised: an
-        unrecognized ``feature`` yields ``UNKNOWN_FEATURE``, options the
-        feature refuses yield ``BAD_CONFIG``.  On success the envelope
-        carries the feature's post-configure status.
-        """
-        if feature not in self.FEATURES:
-            return self._unknown_feature(feature, "configure")
-        try:
-            if feature == "heat":
-                self.instance.enable_heat(**options)
-            else:
-                self.instance.enable_placement(**options)
-        except (TypeError, ValueError) as exc:
-            return ManagementResult(
-                feature=feature,
-                action="configure",
-                ok=False,
-                enabled=self._feature_enabled(feature),
-                error=BAD_CONFIG,
-                error_message=str(exc),
-            )
-        return self._feature_envelope(feature, "configure")
-
-    def feature_status(self, feature: str) -> ManagementResult:
-        """Inspect ``feature`` (the :class:`ManagementAPI` verb)."""
-        if feature not in self.FEATURES:
-            return self._unknown_feature(feature, "status")
-        return self._feature_envelope(feature, "status")
-
-    def _unknown_feature(self, feature: str, action: str) -> ManagementResult:
-        return ManagementResult(
-            feature=feature,
-            action=action,
-            ok=False,
-            error=UNKNOWN_FEATURE,
-            error_message=(
-                f"unknown manageable feature {feature!r}; known: "
-                + ", ".join(self.FEATURES)
-            ),
-        )
-
-    def _feature_enabled(self, feature: str) -> bool:
-        if feature == "heat":
-            return self.obs.heat.enabled
-        return self.instance.placement is not None
-
-    def _feature_envelope(self, feature: str, action: str) -> ManagementResult:
-        enabled = self._feature_enabled(feature)
-        state: Dict[str, object] = {}
-        if enabled:
-            if feature == "heat":
-                tracker = self.obs.heat
-                state = {
-                    "config": {
-                        "windows": [float(w) for w in tracker.windows],
-                        "top_k": tracker.top_k,
-                        "max_objects": tracker.max_objects,
-                        "sample_interval": tracker.sample_interval,
-                        "hot_min": tracker.hot_min,
-                    },
-                    "tracked_objects": len(tracker._objects),
-                }
-            else:
-                state = self.instance.placement.status()
-        return ManagementResult(
-            feature=feature, action=action, enabled=enabled, state=state,
-        )
-
-    # -- workload heat -----------------------------------------------------
-
-    def enable_heat(self, **config):
-        """Deprecated: use ``configure("heat", ...)`` instead.
-
-        Preserves the original shape — returns the instance's
-        :class:`~repro.obs.heat.HeatTracker` ack (idempotent).
-        """
-        self._deprecated("enable_heat", 'configure("heat", ...)')
-        return self.instance.enable_heat(**config)
-
-    def heat_summary(self, limit: Optional[int] = None) -> Dict[str, object]:
-        """The heat tracker's snapshot (``{"enabled": False}`` until on)."""
-        return self.obs.heat.summary(limit=limit)
-
-    # -- adaptive placement -------------------------------------------------
-
-    def placement_status(self) -> Dict[str, object]:
-        """The placement engine's state (``{"enabled": False}`` until on)."""
-        engine = self.instance.placement
-        if engine is None:
-            return {"enabled": False}
-        return engine.status()
-
-    def placement_plan(self) -> Dict[str, object]:
-        """Score candidates and return the decision list without moving
-        anything (``{"enabled": False}`` until the engine is on)."""
-        engine = self.instance.placement
-        if engine is None:
-            return {"enabled": False}
-        return engine.plan()
-
-    def placement_run(self) -> Dict[str, object]:
-        """Execute one placement cycle now, outside the timer cadence."""
-        engine = self.instance.placement
-        if engine is None:
-            return {"enabled": False}
-        return engine.run_cycle(self._ctx(None), origin="manual")
 
     def last_trace(self):
         """The most recently completed request trace (or ``None``)."""

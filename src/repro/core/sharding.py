@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import api
+from repro.core import api, features
 from repro.core.api import (
     AdmissionController,
     BatchOp,
     BatchResult,
+    BatchVerbs,
     ManagementResult,
     OpResult,
 )
@@ -99,7 +99,7 @@ class ConsistentHashRing:
         return sorted(self._shards)
 
 
-class ShardedTieraServer:
+class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
     """PUT/GET over a consistent-hash ring of Tiera instances.
 
     Each shard is an ordinary :class:`~repro.core.server.TieraServer`
@@ -141,6 +141,10 @@ class ShardedTieraServer:
             "tiera_shard_ops_total", "Operations routed, by shard and op."
         )
         self.admission = AdmissionController(max_inflight)
+        self._backpressure = self.obs.metrics.counter(
+            "tiera_backpressure_total",
+            "Requests refused by admission control.",
+        )
         self.migrations = 0
         self.cluster: Optional[ClusterManager] = None
         if replication is not None:
@@ -151,6 +155,15 @@ class ShardedTieraServer:
 
     def _shard_for(self, key: str) -> TieraServer:
         return self.shards[self.ring.owner(key)]
+
+    def admit(self, count: int) -> None:
+        """Admission for a whole batch at the router, refusals counted
+        like :meth:`TieraServer.execute_batch` counts its own."""
+        try:
+            self.admission.acquire(count)
+        except TieraError:
+            self._backpressure.inc(op="batch")
+            raise
 
     def _route(self, key: str, op: str) -> TieraServer:
         shard = self.ring.owner(key)
@@ -232,7 +245,7 @@ class ShardedTieraServer:
         if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
         ctx = ctx if ctx is not None else RequestContext(self.clock)
-        self.admission.acquire(len(ops))
+        self.admit(len(ops))
         root = self.obs.tracer.start_request(
             "batch", f"{len(ops)} ops", ctx, force=trace
         )
@@ -277,100 +290,6 @@ class ShardedTieraServer:
             latency=ctx.time - started,
             parallelism=min(parallelism, max(1, len(ops))),
         )
-
-    def put_many(
-        self,
-        items: Iterable[Tuple[str, bytes]],
-        *,
-        tags: Optional[List[str]] = None,
-        parallelism: int = api.DEFAULT_PARALLELISM,
-        ctx: Optional[RequestContext] = None,
-    ) -> BatchResult:
-        return self.execute_batch(
-            api.batch_from_verbs(api.PUT, items, tags=tags),
-            parallelism=parallelism, ctx=ctx,
-        )
-
-    def get_many(
-        self,
-        keys: Iterable[str],
-        *,
-        parallelism: int = api.DEFAULT_PARALLELISM,
-        ctx: Optional[RequestContext] = None,
-    ) -> BatchResult:
-        return self.execute_batch(
-            api.batch_from_verbs(api.GET, keys),
-            parallelism=parallelism, ctx=ctx,
-        )
-
-    def delete_many(
-        self,
-        keys: Iterable[str],
-        *,
-        parallelism: int = api.DEFAULT_PARALLELISM,
-        ctx: Optional[RequestContext] = None,
-    ) -> BatchResult:
-        return self.execute_batch(
-            api.batch_from_verbs(api.DELETE, keys),
-            parallelism=parallelism, ctx=ctx,
-        )
-
-    # -- legacy verbs (deprecated; same shapes as TieraServer's shims) -------
-
-    def put(
-        self,
-        key: str,
-        data: bytes,
-        tags: Optional[Iterable[str]] = None,
-        ctx: Optional[RequestContext] = None,
-        trace: bool = False,
-    ) -> RequestContext:
-        """Deprecated: use :meth:`put_object`.  Signature and return
-        shape now match :meth:`TieraServer.put` (this façade used to
-        take ``tags=()`` and lacked ``trace``)."""
-        if self.cluster is not None:
-            ctx = ctx if ctx is not None else RequestContext(self.clock)
-            self.cluster.put_object(
-                key, data, tags=list(tags) if tags else None, ctx=ctx,
-                trace=trace,
-            ).raise_for_error()
-            return ctx
-        return self._route(key, api.PUT).put(
-            key, data, tags=tuple(tags) if tags else (), ctx=ctx, trace=trace
-        )
-
-    def get(
-        self,
-        key: str,
-        ctx: Optional[RequestContext] = None,
-        prefer: Optional[str] = None,
-        trace: bool = False,
-    ) -> bytes:
-        """Deprecated: use :meth:`get_object`."""
-        if self.cluster is not None:
-            result = self.cluster.get_object(
-                key, prefer=prefer, ctx=ctx, trace=trace
-            )
-            result.raise_for_error()
-            return result.value
-        return self._route(key, api.GET).get(
-            key, ctx=ctx, prefer=prefer, trace=trace
-        )
-
-    def delete(
-        self,
-        key: str,
-        ctx: Optional[RequestContext] = None,
-        trace: bool = False,
-    ) -> RequestContext:
-        """Deprecated: use :meth:`delete_object`."""
-        if self.cluster is not None:
-            ctx = ctx if ctx is not None else RequestContext(self.clock)
-            self.cluster.delete_object(
-                key, ctx=ctx, trace=trace
-            ).raise_for_error()
-            return ctx
-        return self._route(key, api.DELETE).delete(key, ctx=ctx, trace=trace)
 
     def contains(self, key: str) -> bool:
         if self.cluster is not None:
@@ -423,7 +342,7 @@ class ShardedTieraServer:
             out["cluster"] = summary
             if any(state != "up" for state in summary["shards"].values()):
                 out["status"] = "degraded"
-        heat = self.heat_summary()
+        heat = self.invoke("heat", "summary").state
         if heat.get("enabled"):
             out["heat"] = {
                 "accesses": heat["accesses"]["total"],
@@ -436,106 +355,22 @@ class ShardedTieraServer:
 
     # -- unified management API ----------------------------------------------
 
-    def configure(self, feature: str, **options) -> ManagementResult:
-        """Fan ``configure`` out to every shard (the ManagementAPI verb).
-
-        With one shard the envelope is returned unchanged, so the parity
-        suite can byte-compare it against the direct façade.  With
-        several, the router aggregates: ``ok``/``enabled`` are the
-        conjunction, ``state`` nests per-shard states, and the first
-        error (in shard order) surfaces as the envelope's error.
-        """
-        return self._aggregate_management([
-            (name, self.shards[name].configure(feature, **options))
-            for name in sorted(self.shards)
-        ])
-
-    def feature_status(self, feature: str) -> ManagementResult:
-        """Fan ``feature_status`` out to every shard and aggregate."""
-        return self._aggregate_management([
-            (name, self.shards[name].feature_status(feature))
-            for name in sorted(self.shards)
-        ])
-
-    @staticmethod
-    def _aggregate_management(
-        results: Sequence[Tuple[str, ManagementResult]]
-    ) -> ManagementResult:
-        if len(results) == 1:
-            return results[0][1]
-        first = results[0][1]
-        failed = next((r for _, r in results if not r.ok), None)
-        return ManagementResult(
-            feature=first.feature,
-            action=first.action,
-            ok=all(r.ok for _, r in results),
-            enabled=all(r.enabled for _, r in results),
-            state={"shards": {name: r.state for name, r in results}},
-            error=failed.error if failed is not None else None,
-            error_message=(
-                failed.error_message if failed is not None else None
-            ),
-        )
-
-    # -- adaptive placement --------------------------------------------------
-
-    def _per_shard(self, verb: str) -> Dict[str, object]:
-        """Single-shard identity, multi-shard ``{"shards": {...}}`` nest."""
-        results = {
-            name: getattr(self.shards[name], verb)()
-            for name in sorted(self.shards)
-        }
-        if len(results) == 1:
-            return next(iter(results.values()))
-        return {
-            "enabled": any(r.get("enabled", True) for r in results.values()),
-            "shards": results,
-        }
-
-    def placement_status(self) -> Dict[str, object]:
-        return self._per_shard("placement_status")
-
-    def placement_plan(self) -> Dict[str, object]:
-        return self._per_shard("placement_plan")
-
-    def placement_run(self) -> Dict[str, object]:
-        return self._per_shard("placement_run")
-
-    # -- workload heat -------------------------------------------------------
-
-    def enable_heat(self, **config):
-        """Deprecated: use ``configure("heat", ...)`` instead.
-
-        Returns the per-shard tracker acks in shard-name order (the old
-        signature returned ``None`` — callers can only gain).
-        """
-        warnings.warn(
-            "ShardedTieraServer.enable_heat is deprecated; use "
-            'configure("heat", ...) (see docs/API.md)',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        acks = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in sorted(self.shards):
-                acks[name] = self.shards[name].enable_heat(**config)
-        return acks
-
-    def heat_summary(self, limit: Optional[int] = None) -> Dict[str, object]:
-        """Cluster-wide heat view: per-shard trackers aggregated.
-
-        Keys route to exactly one shard, so per-shard hot lists merge
-        disjointly (union → re-rank → truncate) while tier traffic and
-        occupancy sum; see :func:`repro.obs.heat.merge_summaries`.
-        With one shard the snapshot is byte-identical to the direct
-        facade's (the parity suite pins this).
-        """
-        from repro.obs.heat import merge_summaries
-
-        return merge_summaries([
-            self.shards[name].heat_summary(limit=limit)
-            for name in sorted(self.shards)
+    def _manage(self, feature: str, call) -> ManagementResult:
+        """Run a :class:`ManagementAPI` verb on every shard and fold the
+        envelopes by the feature table's rule (one shard: unchanged, so
+        the parity suite can compare it with the direct façade; several:
+        see :func:`repro.core.features.merge_shards`).  Router-level
+        features (the replicated cluster) are answered here instead."""
+        spec = features.FEATURES.get(feature)
+        if spec is not None and spec.router_level:
+            return call(self, None)
+        names = tuple(sorted(self.shards))
+        return features.merge_shards([
+            (name, call(
+                self.shards[name],
+                features.Shard(name, names) if len(names) > 1 else None,
+            ))
+            for name in names
         ])
 
     # -- elasticity ---------------------------------------------------------

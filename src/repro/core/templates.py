@@ -63,7 +63,7 @@ def _build(
     return instance
 
 
-def _dirty_in(tier: str):
+def dirty_in(tier: str):
     """``object.location == tierX && object.dirty == true`` (Figure 3)."""
     return ObjectsWhere(
         And(
@@ -98,7 +98,7 @@ def low_latency_instance(
         ),
         Rule(
             TimerEvent(t),
-            [Copy(_dirty_in("tier1"), "tier2")],
+            [Copy(dirty_in("tier1"), "tier2")],
             name="write-back",
         ),
     ]
@@ -178,7 +178,7 @@ def growing_instance(
         ),
         Rule(
             TimerEvent(t),
-            [Move(_dirty_in("tier1"), "tier2")],
+            [Move(dirty_in("tier1"), "tier2")],
             name="write-back-move",
         ),
     ]
@@ -333,7 +333,7 @@ def high_durability_instance(
         ),
         Rule(
             TimerEvent(push_interval),
-            [Copy(_dirty_in("tier1"), "tier3")],
+            [Copy(dirty_in("tier1"), "tier3")],
             name="push-to-s3",
         ),
     ]
@@ -367,7 +367,7 @@ def low_durability_instance(
         ),
         Rule(
             TimerEvent(push_interval),
-            [Copy(_dirty_in("tier1"), "tier2")],
+            [Copy(dirty_in("tier1"), "tier2")],
             name="push-to-s3",
         ),
     ]
@@ -409,7 +409,7 @@ def replicated_volumes_instance(
                 ),
                 background=True,
             ),
-            [Copy(_dirty_in("tier1"), "tier2", bandwidth=bandwidth)],
+            [Copy(dirty_in("tier1"), "tier2", bandwidth=bandwidth)],
             name="replicate",
         ),
     ]
@@ -497,7 +497,7 @@ def ephemeral_s3_reconfiguration(
         ),
         Rule(
             TimerEvent(backup_interval),
-            [Copy(_dirty_in("tier3"), "tier4")],
+            [Copy(dirty_in("tier3"), "tier4")],
             name="backup-ephemeral-to-s3",
         ),
     ]

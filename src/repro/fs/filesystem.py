@@ -60,7 +60,9 @@ class TieraFileSystem:
             if key.startswith(_INODE_PREFIX):
                 path = key[len(_INODE_PREFIX):]
                 try:
-                    doc = json.loads(self.server.get(key).decode("utf-8"))
+                    doc = json.loads(
+                        self.server.get_object(key).raise_for_error().value
+                    )
                 except (NoSuchObjectError, ValueError):
                     continue
                 self._sizes[path] = int(doc["size"])
@@ -71,7 +73,9 @@ class TieraFileSystem:
         if self._persisted_sizes.get(path) == size:
             return  # unchanged since last persist; skip the round trip
         doc = json.dumps({"size": size}).encode("utf-8")
-        self.server.put(_INODE_PREFIX + path, doc, tags=("fs-inode",), ctx=ctx)
+        self.server.put_object(
+            _INODE_PREFIX + path, doc, tags=["fs-inode"], ctx=ctx
+        ).raise_for_error()
         self._persisted_sizes[path] = size
 
     # -- namespace operations ----------------------------------------------
@@ -95,9 +99,9 @@ class TieraFileSystem:
         for index in range(blocks):
             key = _block_key(path, index)
             if self.server.contains(key):
-                self.server.delete(key, ctx=ctx)
+                self.server.delete_object(key, ctx=ctx).raise_for_error()
         if self.server.contains(_INODE_PREFIX + path):
-            self.server.delete(_INODE_PREFIX + path, ctx=ctx)
+            self.server.delete_object(_INODE_PREFIX + path, ctx=ctx).raise_for_error()
         if self.page_cache is not None:
             self.page_cache.invalidate(path)
         del self._sizes[path]
@@ -113,13 +117,15 @@ class TieraFileSystem:
         for index in range(blocks):
             old_key = _block_key(old, index)
             if self.server.contains(old_key):
-                data = self.server.get(old_key, ctx=ctx)
-                self.server.put(_block_key(new, index), data, ctx=ctx)
-                self.server.delete(old_key, ctx=ctx)
+                data = self.server.get_object(old_key, ctx=ctx).raise_for_error().value
+                self.server.put_object(
+                    _block_key(new, index), data, ctx=ctx
+                ).raise_for_error()
+                self.server.delete_object(old_key, ctx=ctx).raise_for_error()
         self._sizes[new] = self._sizes.pop(old)
         self._persisted_sizes.pop(old, None)
         if self.server.contains(_INODE_PREFIX + old):
-            self.server.delete(_INODE_PREFIX + old, ctx=ctx)
+            self.server.delete_object(_INODE_PREFIX + old, ctx=ctx).raise_for_error()
         self._persist_inode(new, ctx)
         if self.page_cache is not None:
             self.page_cache.invalidate(old)
@@ -157,7 +163,7 @@ class TieraFileSystem:
         key = _block_key(path, index)
         if not self.server.contains(key):
             return b"\x00" * self.block_size  # sparse region
-        data = self.server.get(key, ctx=ctx)
+        data = self.server.get_object(key, ctx=ctx).raise_for_error().value
         if self.page_cache is not None:
             self.page_cache.put(path, index, data)
         return data
@@ -165,23 +171,23 @@ class TieraFileSystem:
     def _write_block(
         self, path: str, index: int, data: bytes, ctx: RequestContext
     ) -> None:
-        self.server.put(_block_key(path, index), data, ctx=ctx)
+        self.server.put_object(_block_key(path, index), data, ctx=ctx).raise_for_error()
         if self.page_cache is not None:
             self.page_cache.put(path, index, data)
 
 
-class TieraFile:
-    """An open file handle with a dirty-block write buffer."""
+class FileHandle:
+    """What an open handle of either file system is: a position into a
+    file of known ``size``, write buffering flushed on ``close``.  The
+    file system's handle adds ``size``, ``read``, ``write``, ``flush``
+    and ``truncate``."""
 
-    def __init__(self, fs: TieraFileSystem, path: str, writable: bool):
+    def __init__(self, fs, path: str, writable: bool):
         self.fs = fs
         self.path = path
         self.writable = writable
         self._pos = 0
         self._closed = False
-        self._dirty: Dict[int, bytearray] = {}
-
-    # -- positioning --------------------------------------------------------
 
     def tell(self) -> int:
         return self._pos
@@ -200,15 +206,41 @@ class TieraFile:
         self._pos = new
         return new
 
+    def _check_open(self, writing: bool = False) -> None:
+        if self._closed:
+            raise FileSystemError(f"file {self.path!r} is closed")
+        if writing and not self.writable:
+            raise FileSystemError(f"file {self.path!r} opened read-only")
+
+    def fsync(self, ctx: Optional[RequestContext] = None) -> None:
+        """``flush``: Tiera's policy (or the device) decides durability."""
+        self.flush(ctx)
+
+    def close(self, ctx: Optional[RequestContext] = None) -> None:
+        if self._closed:
+            return
+        self.flush(ctx)
+        self._closed = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class TieraFile(FileHandle):
+    """An open file handle with a dirty-block write buffer."""
+
+    def __init__(self, fs: TieraFileSystem, path: str, writable: bool):
+        super().__init__(fs, path, writable)
+        self._dirty: Dict[int, bytearray] = {}
+
     @property
     def size(self) -> int:
         return self.fs._sizes[self.path]
 
     # -- IO ----------------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise FileSystemError(f"file {self.path!r} is closed")
 
     def _block_bytes(self, index: int, ctx: RequestContext) -> bytearray:
         buffered = self._dirty.get(index)
@@ -235,9 +267,7 @@ class TieraFile:
         return bytes(out)
 
     def write(self, data: bytes, ctx: Optional[RequestContext] = None) -> int:
-        self._check_open()
-        if not self.writable:
-            raise FileSystemError(f"file {self.path!r} opened read-only")
+        self._check_open(writing=True)
         ctx = self.fs._ctx(ctx)
         bs = self.fs.block_size
         pos = self._pos
@@ -272,13 +302,8 @@ class TieraFile:
         self._dirty.clear()
         self.fs._persist_inode(self.path, ctx)
 
-    # fsync == flush for this gateway: Tiera's policy decides durability.
-    fsync = flush
-
     def truncate(self, size: int, ctx: Optional[RequestContext] = None) -> None:
-        self._check_open()
-        if not self.writable:
-            raise FileSystemError(f"file {self.path!r} opened read-only")
+        self._check_open(writing=True)
         ctx = self.fs._ctx(ctx)
         old_blocks = self.fs._block_count(self.size)
         new_blocks = self.fs._block_count(size)
@@ -286,20 +311,8 @@ class TieraFile:
             self._dirty.pop(index, None)
             key = _block_key(self.path, index)
             if self.fs.server.contains(key):
-                self.fs.server.delete(key, ctx=ctx)
+                self.fs.server.delete_object(key, ctx=ctx).raise_for_error()
             if self.fs.page_cache is not None:
                 self.fs.page_cache.invalidate(self.path, index)
         self.fs._sizes[self.path] = size
         self.fs._persist_inode(self.path, ctx)
-
-    def close(self, ctx: Optional[RequestContext] = None) -> None:
-        if self._closed:
-            return
-        self.flush(ctx)
-        self._closed = True
-
-    def __enter__(self) -> "TieraFile":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.fs.cache import CACHE_HIT_COST, PageCache
-from repro.fs.filesystem import BLOCK_SIZE, FileSystemError
+from repro.fs.filesystem import BLOCK_SIZE, FileHandle, FileSystemError
 from repro.simcloud.errors import ServiceUnavailableError
 from repro.simcloud.services.base import StorageService
 from repro.simcloud.resources import RequestContext
@@ -122,47 +122,20 @@ class RawDeviceFileSystem:
         return handle
 
 
-class RawDeviceFile:
+class RawDeviceFile(FileHandle):
     """An open handle with kernel-style caching and write buffering."""
 
     #: blocks prefetched ahead once a sequential miss pattern is seen
     READAHEAD = 32
 
     def __init__(self, fs: RawDeviceFileSystem, path: str, writable: bool):
-        self.fs = fs
-        self.path = path
-        self.writable = writable
-        self._pos = 0
-        self._closed = False
+        super().__init__(fs, path, writable)
         self._dirty_blocks: set = set()
         self._last_block = -2  # sequential-access detector state
-
-    # -- positioning --------------------------------------------------------
-
-    def tell(self) -> int:
-        return self._pos
 
     @property
     def size(self) -> int:
         return len(self.fs._data[self.path])
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        if whence == 0:
-            new = offset
-        elif whence == 1:
-            new = self._pos + offset
-        elif whence == 2:
-            new = self.size + offset
-        else:
-            raise FileSystemError(f"bad whence {whence!r}")
-        if new < 0:
-            raise FileSystemError("negative seek position")
-        self._pos = new
-        return new
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise FileSystemError(f"file {self.path!r} is closed")
 
     # -- IO -------------------------------------------------------------------
 
@@ -205,9 +178,7 @@ class RawDeviceFile:
         return out
 
     def write(self, data: bytes, ctx: Optional[RequestContext] = None) -> int:
-        self._check_open()
-        if not self.writable:
-            raise FileSystemError(f"file {self.path!r} opened read-only")
+        self._check_open(writing=True)
         buf = self.fs._data[self.path]
         end = self._pos + len(data)
         if end > len(buf):
@@ -237,12 +208,8 @@ class RawDeviceFile:
                 self.fs.page_cache.put(self.path, block, chunk)
         self._dirty_blocks.clear()
 
-    fsync = flush
-
     def truncate(self, size: int, ctx: Optional[RequestContext] = None) -> None:
-        self._check_open()
-        if not self.writable:
-            raise FileSystemError(f"file {self.path!r} opened read-only")
+        self._check_open(writing=True)
         data = self.fs._data[self.path]
         bs = self.fs.block_size
         if size < len(data):
@@ -251,15 +218,3 @@ class RawDeviceFile:
             self._dirty_blocks = {b for b in self._dirty_blocks if b < first_gone}
             if self.fs.page_cache is not None:
                 self.fs.page_cache.invalidate(self.path)
-
-    def close(self, ctx: Optional[RequestContext] = None) -> None:
-        if self._closed:
-            return
-        self.flush(ctx)
-        self._closed = True
-
-    def __enter__(self) -> "RawDeviceFile":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

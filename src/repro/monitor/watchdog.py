@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.errors import TieraError
 from repro.core.server import TieraServer
 from repro.simcloud.clock import Timer
-from repro.simcloud.errors import SimCloudError
 from repro.simcloud.resources import RequestContext
 
 PROBE_INTERVAL = 120.0  # "writes data ... on a 2 minute schedule"
@@ -46,14 +44,8 @@ class StorageMonitor:
         self.failures_seen = 0
         self.repaired = False
         self._timer: Optional[Timer] = None
-        self._obs = getattr(server, "obs", None)
-        self._probe_counter = (
-            self._obs.metrics.counter(
-                "tiera_monitor_probes_total",
-                "Monitor canary probes by outcome.",
-            )
-            if self._obs is not None
-            else None
+        self._probe_counter = server.obs.metrics.counter(
+            "tiera_monitor_probes_total", "Monitor canary probes by outcome."
         )
 
     def start(self) -> "StorageMonitor":
@@ -80,21 +72,20 @@ class StorageMonitor:
         error: Optional[str] = None
         for _ in range(self.retries):
             ctx = RequestContext(self.server.clock)
-            try:
-                self.server.put(CANARY_KEY, payload, tags=("monitor",), ctx=ctx)
-            except (TieraError, SimCloudError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
+            result = self.server.put_object(
+                CANARY_KEY, payload, tags=["monitor"], ctx=ctx
+            )
+            if not result.ok:
+                error = f"{result.error_type}: {result.error_message}"
                 continue
-            try:
-                self.server.delete(CANARY_KEY)
-            except (TieraError, SimCloudError):
-                pass  # cleanup is best-effort; the write proved health
+            # Cleanup is best-effort (a failure stays in the envelope);
+            # the write proved health.
+            self.server.delete_object(CANARY_KEY)
             self._record("healthy", None)
-            res = self.server.instance.resilience
-            if res is not None:
-                # A healthy probe doubles as a recovery signal: kick the
-                # repair queue for any tier that is reachable again.
-                res.replay_pending()
+            # A healthy probe doubles as a recovery signal: kick the
+            # repair queue for any tier that is reachable again (a
+            # FEATURE_DISABLED envelope when the layer is off).
+            self.server.invoke("resilience", "replay")
             return
         self.failures_seen += 1
         self._record("failed", error)
@@ -103,12 +94,10 @@ class StorageMonitor:
             self.on_failure()
 
     def _record(self, outcome: str, error: Optional[str]) -> None:
-        if self._obs is None:
-            return
         self._probe_counter.inc(outcome=outcome)
         from repro.obs.audit import AuditRecord
 
-        self._obs.audit.append(
+        self.server.obs.audit.append(
             AuditRecord(
                 time=self.server.clock.now(),
                 category="probe",

@@ -21,7 +21,8 @@ Surfaces:
 * ``tiera_slo_*`` metric families (burn rates, compliance gauges,
   breach transition counters),
 * audit records (category ``slo``) on every alert transition,
-* ``TieraServer.health()["slo"]`` and the RPC ``slo`` verb,
+* ``TieraServer.health()["slo"]`` and the management API's ``slo``
+  feature (``configure("slo")`` / ``feature_status("slo")``),
 * the spec-language condition primitive ``slo.<name>.<attr>`` (see
   :mod:`repro.core.conditions`), so policy rules can react to burn —
   e.g. ``event(slo.get_latency.burning) : response { grow(...) }``.

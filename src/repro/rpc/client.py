@@ -3,10 +3,10 @@
 Implements the same :class:`~repro.core.api.StorageAPI` surface as the
 in-process façades: envelope verbs (``put_object``/``get_object``/
 ``delete_object``), batch verbs riding the ``batch`` wire method, and
-the legacy positional verbs as deprecation shims.  Captured failures
-carry an :class:`~repro.rpc.protocol.RpcError` (with the server's
-stable ``code``) as their exception, so ``raise_for_error`` behaves
-like the old raising client.
+the three :class:`~repro.core.api.ManagementAPI` verbs.  Captured
+failures carry an :class:`~repro.rpc.protocol.RpcError` (with the
+server's stable ``code``) as their exception, so ``raise_for_error``
+raises it.
 """
 
 from __future__ import annotations
@@ -14,10 +14,16 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core import api
-from repro.core.api import BatchOp, BatchResult, OpResult
+from repro.core import api, features
+from repro.core.api import (
+    BatchOp,
+    BatchResult,
+    BatchVerbs,
+    ManagementResult,
+    OpResult,
+)
 from repro.rpc.protocol import (
     RpcError,
     decode_bytes,
@@ -27,7 +33,7 @@ from repro.rpc.protocol import (
 )
 
 
-class TieraClient:
+class TieraClient(BatchVerbs):
     """Connects to a :class:`~repro.rpc.server.TieraRpcServer`.
 
     Thread-safe: concurrent calls serialize on the connection, matching
@@ -73,9 +79,8 @@ class TieraClient:
 
     @staticmethod
     def _from_wire(wire: Dict[str, Any]) -> OpResult:
-        """Decode an envelope, rehydrating failures as RpcErrors so
-        ``raise_for_error`` raises the same exception type the old
-        raising client did (with the stable ``code`` attached)."""
+        """Decode an envelope, rehydrating failures as RpcErrors (with
+        the stable ``code`` attached) for ``raise_for_error``."""
         result = OpResult.from_wire(wire, decode_bytes)
         if not result.ok:
             result.exception = RpcError(
@@ -126,47 +131,6 @@ class TieraClient:
             latency=wire["latency"],
             parallelism=wire["parallelism"],
         )
-
-    def put_many(
-        self,
-        items: Iterable[Tuple[str, bytes]],
-        *,
-        tags: Optional[List[str]] = None,
-        parallelism: int = api.DEFAULT_PARALLELISM,
-    ) -> BatchResult:
-        return self.execute_batch(
-            api.batch_from_verbs(api.PUT, items, tags=tags),
-            parallelism=parallelism,
-        )
-
-    def get_many(
-        self, keys: Iterable[str], *, parallelism: int = api.DEFAULT_PARALLELISM
-    ) -> BatchResult:
-        return self.execute_batch(
-            api.batch_from_verbs(api.GET, keys), parallelism=parallelism
-        )
-
-    def delete_many(
-        self, keys: Iterable[str], *, parallelism: int = api.DEFAULT_PARALLELISM
-    ) -> BatchResult:
-        return self.execute_batch(
-            api.batch_from_verbs(api.DELETE, keys), parallelism=parallelism
-        )
-
-    # -- legacy verbs (deprecated shims over the envelope API) ------------
-
-    def put(self, key: str, data: bytes, tags: Optional[List[str]] = None) -> float:
-        """Deprecated: use :meth:`put_object`.  Returns the server-side
-        latency in seconds, raising :class:`RpcError` on failure."""
-        return self.put_object(key, data, tags=tags).raise_for_error().latency
-
-    def get(self, key: str) -> bytes:
-        """Deprecated: use :meth:`get_object`."""
-        return self.get_object(key).raise_for_error().value
-
-    def delete(self, key: str) -> float:
-        """Deprecated: use :meth:`delete_object`."""
-        return self.delete_object(key).raise_for_error().latency
 
     def contains(self, key: str) -> bool:
         return self._call("contains", key=key)
@@ -220,111 +184,31 @@ class TieraClient:
         report, starting a fresh profiling window."""
         return self._call("profile", reset=reset)
 
-    def slo(
-        self,
-        install_defaults: bool = False,
-        objectives: Optional[List[Dict[str, Any]]] = None,
-    ) -> Dict[str, Any]:
-        """The SLO engine's summary; optionally install objectives first."""
-        params: Dict[str, Any] = {}
-        if install_defaults:
-            params["install_defaults"] = True
-        if objectives:
-            params["objectives"] = objectives
-        return self._call("slo", **params)
-
-    def heat(self, enable: bool = False, limit: Optional[int] = None,
-             **config) -> Dict[str, Any]:
-        """The heat tracker's snapshot; optionally enable it first.
-
-        ``enable=True`` turns the tracker on (configuration keywords —
-        ``windows=``, ``top_k=``, ``max_objects=``, ``sample_interval=``,
-        ``hot_min=`` — pass through); ``limit`` caps the hot list.
-        Returns ``{"enabled": False}`` until enabled."""
-        params: Dict[str, Any] = {}
-        if enable:
-            params["enable"] = True
-            params.update(config)
-        if limit is not None:
-            params["limit"] = limit
-        return self._call("heat", **params)
-
     # -- unified management API -------------------------------------------
 
-    def configure(self, feature: str, **options) -> "api.ManagementResult":
+    def configure(self, feature: str, **options) -> ManagementResult:
         """Enable or retune ``feature`` (the :class:`ManagementAPI` verb).
 
         The rehydrated :class:`~repro.core.api.ManagementResult`
         compares equal to the direct façade's — errors (stable codes
-        ``UNKNOWN_FEATURE``, ``BAD_CONFIG``) come back captured in the
-        envelope, never raised."""
+        ``UNKNOWN_FEATURE``, ``BAD_CONFIG``, …) come back captured in
+        the envelope, never raised."""
         doc = self._call("configure", feature=feature, options=options)
-        return api.ManagementResult.from_wire(doc)
+        return ManagementResult.from_wire(doc)
 
-    def feature_status(self, feature: str) -> "api.ManagementResult":
+    def feature_status(self, feature: str) -> ManagementResult:
         """Inspect ``feature`` (the :class:`ManagementAPI` verb)."""
         doc = self._call("feature_status", feature=feature)
-        return api.ManagementResult.from_wire(doc)
+        return ManagementResult.from_wire(doc)
 
-    # -- adaptive placement -------------------------------------------------
-
-    def placement(self, action: str = "status") -> Dict[str, Any]:
-        """Placement introspection: ``status`` (default), ``plan``
-        (score candidates without moving data), or ``run`` (execute one
-        cycle now).  Returns ``{"enabled": False}`` until the engine is
-        configured on."""
-        return self._call("placement", action=action)
-
-    # -- durability -------------------------------------------------------
-
-    def fsck(self, repair: bool = False) -> Dict[str, Any]:
-        """Run the metadata/tier cross-check scrub on the server."""
-        return self._call("fsck", repair=repair)
-
-    def snapshot(self, include_volatile: bool = False) -> Dict[str, Any]:
-        """Pull a full snapshot of the server's state.
-
-        Returns ``{"archive": <tar bytes>, "manifest": <dict>}``."""
-        result = self._call("snapshot", include_volatile=include_volatile)
-        return {
-            "archive": decode_bytes(result["archive"]),
-            "manifest": result["manifest"],
-        }
-
-    def restore(self, archive: bytes) -> Dict[str, Any]:
-        """Replace the server's state with a snapshot archive's."""
-        return self._call("restore", archive=encode_bytes(archive))
-
-    def backup(self, action: str = "status", **params) -> Dict[str, Any]:
-        """Drive the server's backup lifecycle.
-
-        ``action`` is ``snapshot`` / ``restore`` / ``prune`` /
-        ``verify`` / ``list`` / ``mark_immutable`` / ``status``;
-        remaining keyword arguments pass through (``kind=``,
-        ``to_seq=``, ``keep_last=``, ``snapshot_id=``, …).  Returns
-        ``{"enabled": False}`` when the instance has no backup store
-        attached (pass ``enable=True, root="…"`` to attach one)."""
-        return self._call("backup", action=action, **params)
-
-    def cluster(self, action: str = "status", **params) -> Dict[str, Any]:
-        """Drive the replicated shard cluster, when the server is one.
-
-        ``action`` is ``status`` / ``fsck`` / ``replay`` /
-        ``anti_entropy``; remaining keyword arguments pass through
-        (``repair=``, ``target=``).  Returns ``{"enabled": False}``
-        against a single instance or a replication-off router."""
-        return self._call("cluster", action=action, **params)
-
-    def resilience(
-        self, enable: Optional[bool] = None, replay: bool = False
-    ) -> Dict[str, Any]:
-        """The resilience layer's summary (breakers, retries, repairs).
-
-        ``enable=True`` turns the layer on first; ``replay=True`` kicks
-        a repair-queue replay for reachable tiers."""
-        params: Dict[str, Any] = {}
-        if enable:
-            params["enable"] = True
-        if replay:
-            params["replay"] = True
-        return self._call("resilience", **params)
+    def invoke(self, feature: str, action: str, **params) -> ManagementResult:
+        """Run one of ``feature``'s extra actions (the
+        :class:`ManagementAPI` verb); byte-valued parameters and state
+        fields are base64-coded on the wire and plain ``bytes`` here."""
+        doc = self._call(
+            "invoke", feature=feature, action=action,
+            params=features.code_params(feature, action, params, encode_bytes),
+        )
+        return features.code_state(
+            ManagementResult.from_wire(doc), decode_bytes
+        )

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import socket
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional
 
-from repro.core import api
+from repro.core import api, features
 from repro.core.api import BatchOp
 from repro.core.errors import (
     BAD_REQUEST,
@@ -28,7 +27,8 @@ from repro.simcloud.errors import SimCloudError
 
 
 class TieraRpcServer:
-    """Serves PUT/GET/DELETE/stat/tag methods for one Tiera instance."""
+    """Serves the StorageAPI, ManagementAPI and introspection methods of
+    one Tiera façade (a single instance's server or a shard router)."""
 
     def __init__(
         self,
@@ -167,24 +167,6 @@ class TieraRpcServer:
             "code": batch.code,
         }
 
-    # -- legacy single-op wire methods (kept for protocol compatibility) ----
-
-    def _method_put(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        result = self.tiera.put_object(
-            params["key"],
-            decode_bytes(params["data"]),
-            tags=list(params.get("tags") or []) or None,
-        ).raise_for_error()
-        return {"latency": result.latency}
-
-    def _method_get(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        result = self.tiera.get_object(params["key"]).raise_for_error()
-        return {"data": encode_bytes(result.value)}
-
-    def _method_delete(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        result = self.tiera.delete_object(params["key"]).raise_for_error()
-        return {"latency": result.latency}
-
     def _method_contains(self, params: Dict[str, Any]) -> bool:
         return self.tiera.contains(params["key"])
 
@@ -263,77 +245,12 @@ class TieraRpcServer:
             obs.profiler.reset()
         return report
 
-    def _method_slo(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Inspect (and optionally configure) the SLO engine.
-
-        ``install_defaults=true`` installs the canned objectives when
-        none are present; ``objectives=[{...}]`` installs explicit ones
-        (fields of :class:`~repro.obs.slo.SloObjective`).
-        """
-        from repro.obs.slo import SloObjective, default_slos
-
-        engine = self.tiera.obs.slo
-        if params.get("install_defaults") and not engine.objectives:
-            engine.install(default_slos())
-        for spec in params.get("objectives") or []:
-            engine.install([SloObjective(**spec)])
-        if not engine.objectives:
-            return {"objectives": [], "breaching": [], "alerting": []}
-        return engine.summary()
-
-    def _method_resilience(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Inspect (and optionally enable / kick) the resilience layer.
-
-        ``enable=true`` turns the layer on; ``replay=true`` kicks a
-        repair-queue replay for every tier that looks reachable.
-        """
-        instance = self.tiera.instance
-        if params.get("enable"):
-            instance.enable_resilience()
-        res = instance.resilience
-        if res is None:
-            return {"enabled": False}
-        out: Dict[str, Any] = {"enabled": True}
-        if params.get("replay"):
-            out["replay_kicked"] = res.replay_pending()
-        out.update(res.summary())
-        return out
-
-    def _method_heat(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Inspect (and optionally enable/configure) heat telemetry.
-
-        ``enable=true`` turns the tracker on first; configuration
-        keywords (``windows=``, ``top_k=``, ``max_objects=``,
-        ``sample_interval=``, ``hot_min=``) pass through to
-        :meth:`~repro.obs.heat.HeatTracker.enable`.  Works against both
-        a single instance and a shard router (per-shard aggregation);
-        answers ``{"enabled": False}`` until enabled.
-        """
-        if params.get("enable"):
-            config = {
-                name: params[name]
-                for name in (
-                    "windows", "top_k", "max_objects",
-                    "sample_interval", "hot_min",
-                )
-                if params.get(name) is not None
-            }
-            with warnings.catch_warnings():
-                # The shim's own warning is for in-process callers; the
-                # wire verb is not itself deprecated.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                self.tiera.enable_heat(**config)
-        limit = params.get("limit")
-        return self.tiera.heat_summary(
-            limit=int(limit) if limit is not None else None
-        )
-
     # -- unified management API ---------------------------------------------
 
     def _method_configure(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Enable or retune a feature; see :class:`ManagementAPI`.
 
-        Error codes (``UNKNOWN_FEATURE``, ``BAD_CONFIG``) ride inside
+        Error codes (``UNKNOWN_FEATURE``, ``BAD_CONFIG``, …) ride inside
         the envelope, never as RPC-level errors, so the rehydrated
         result compares equal to the direct façade's.
         """
@@ -343,134 +260,15 @@ class TieraRpcServer:
     def _method_feature_status(self, params: Dict[str, Any]) -> Dict[str, Any]:
         return self.tiera.feature_status(params["feature"]).to_wire()
 
-    def _method_placement(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Placement introspection: ``action`` is ``status`` (default),
-        ``plan`` (score without moving), or ``run`` (one cycle now)."""
-        action = params.get("action", "status")
-        if action == "status":
-            return self.tiera.placement_status()
-        if action == "plan":
-            return self.tiera.placement_plan()
-        if action == "run":
-            return self.tiera.placement_run()
-        raise ValueError(f"unknown placement action {action!r}")
-
-    # -- durability verbs (FSCK / SNAPSHOT / RESTORE) -----------------------
-
-    def _method_fsck(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Cross-check metadata against tier contents; ``repair=true``
-        fixes what it finds (see :func:`repro.core.durability.fsck`)."""
-        from repro.core.durability import fsck
-
-        return fsck(self.tiera.instance, repair=bool(params.get("repair")))
-
-    def _method_snapshot(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """A barman-style full snapshot: deterministic tar archive of
-        the instance's durable state, returned inline with its manifest."""
-        from repro.core.durability import snapshot_archive
-
-        blob, manifest = snapshot_archive(
-            self.tiera.instance,
-            include_volatile=bool(params.get("include_volatile")),
+    def _method_invoke(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """Run a feature's action.  The fields the feature table marks
+        as bytes travel base64-coded, in ``params`` and in ``state``."""
+        feature, action = params["feature"], params["action"]
+        given = features.code_params(
+            feature, action, params.get("params") or {}, decode_bytes
         )
-        return {"archive": encode_bytes(blob), "manifest": manifest}
-
-    def _method_restore(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Replace the instance's entire state with a snapshot archive's."""
-        from repro.core.durability import restore_archive
-
-        return restore_archive(
-            self.tiera.instance, decode_bytes(params["archive"])
-        )
-
-    def _method_backup(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Backup lifecycle verbs, dispatched on ``action``:
-        ``snapshot`` / ``restore`` / ``prune`` / ``verify`` / ``list`` /
-        ``mark_immutable`` / ``status``.  Requires backups enabled on
-        the instance (``enable=true`` with a ``root`` attaches one)."""
-        instance = self.tiera.instance
-        if params.get("enable") and instance.backup is None:
-            instance.enable_backups(str(params["root"]))
-        manager = instance.backup
-        if manager is None:
-            return {"enabled": False}
-        action = str(params.get("action", "status"))
-        if action == "snapshot":
-            entry = manager.snapshot(
-                kind=str(params.get("kind", "auto")),
-                immutable=bool(params.get("immutable")),
-            )
-            return {"enabled": True, "snapshot": entry}
-        if action == "restore":
-            to_seq = params.get("to_seq")
-            to_time = params.get("to_time")
-            snapshot_id = params.get("snapshot_id")
-            return {
-                "enabled": True,
-                "restore": manager.restore(
-                    to_seq=int(to_seq) if to_seq is not None else None,
-                    to_time=(
-                        float(to_time) if to_time is not None else None
-                    ),
-                    snapshot_id=(
-                        int(snapshot_id) if snapshot_id is not None else None
-                    ),
-                ),
-            }
-        if action == "prune":
-            keep_last = params.get("keep_last")
-            keep_window = params.get("keep_window")
-            return {
-                "enabled": True,
-                "prune": manager.prune(
-                    keep_last=(
-                        int(keep_last) if keep_last is not None else None
-                    ),
-                    keep_window=(
-                        float(keep_window) if keep_window is not None
-                        else None
-                    ),
-                ),
-            }
-        if action == "verify":
-            return {"enabled": True, "verify": manager.verify_restore()}
-        if action == "list":
-            return {"enabled": True, "snapshots": manager.list_snapshots()}
-        if action == "mark_immutable":
-            return {
-                "enabled": True,
-                "snapshot": manager.mark_immutable(
-                    int(params["snapshot_id"])
-                ),
-            }
-        if action == "status":
-            return {"enabled": True, "status": manager.health_summary()}
-        raise ValueError(f"unknown backup action {action!r}")
-
-    def _method_cluster(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Replicated-cluster verbs, dispatched on ``action``:
-        ``status`` / ``fsck`` / ``replay`` / ``anti_entropy``.  Answers
-        ``{"enabled": False}`` when the server is not a replicated shard
-        router (single instances and replication-off routers)."""
-        manager = getattr(self.tiera, "cluster", None)
-        if manager is None:
-            return {"enabled": False}
-        action = str(params.get("action", "status"))
-        if action == "status":
-            return {"enabled": True, "status": manager.summary()}
-        if action == "fsck":
-            return {
-                "enabled": True,
-                "fsck": manager.fsck(repair=bool(params.get("repair"))),
-            }
-        if action == "replay":
-            return {
-                "enabled": True,
-                "replay": manager.replay_hints(params.get("target")),
-            }
-        if action == "anti_entropy":
-            return {"enabled": True, "anti_entropy": manager.anti_entropy()}
-        raise ValueError(f"unknown cluster action {action!r}")
+        result = self.tiera.invoke(feature, action, **given)
+        return features.code_state(result, encode_bytes).to_wire()
 
     def _method_tiers(self, params: Dict[str, Any]) -> list:
         return [

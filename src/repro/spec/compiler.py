@@ -387,21 +387,24 @@ class Compiler:
             self._selector(stmt), to=self._tier_arg(stmt, "to"), label=str(label)
         )
 
-    def _call_backupSnapshot(self, stmt: ast.CallStmt) -> "Response":
-        from repro.core.responses import BackupSnapshot
-
-        expr = stmt.args.get("kind")
+    def _word_arg(self, stmt: ast.CallStmt, name: str, default: str) -> str:
+        """A keyword-like argument: a bare identifier (the
+        ``store(to: tier1)`` idiom) or a string."""
+        expr = stmt.args.get(name)
         if expr is None:
-            kind = "auto"
-        elif (
+            return default
+        if (
             isinstance(expr, ast.PathExpr)
             and len(expr.parts) == 1
             and expr.parts[0] not in self.args
         ):
-            # Bare-identifier idiom, like store(to: tier1).
-            kind = expr.parts[0]
-        else:
-            kind = str(self._literal_arg(stmt, "kind", unit="string"))
+            return expr.parts[0]
+        return str(self._literal_arg(stmt, name, unit="string"))
+
+    def _call_backupSnapshot(self, stmt: ast.CallStmt) -> "Response":
+        from repro.core.responses import BackupSnapshot
+
+        kind = self._word_arg(stmt, "kind", "auto")
         if kind not in ("auto", "full", "incremental"):
             raise PolicyError(
                 f"line {stmt.line}: backupSnapshot 'kind:' must be "
@@ -418,18 +421,7 @@ class Compiler:
         from repro.core.placement import OBJECTIVES
         from repro.core.responses import AdaptivePlacement
 
-        expr = stmt.args.get("objective")
-        if expr is None:
-            objective = "balanced"
-        elif (
-            isinstance(expr, ast.PathExpr)
-            and len(expr.parts) == 1
-            and expr.parts[0] not in self.args
-        ):
-            # Bare-identifier idiom, like store(to: tier1).
-            objective = expr.parts[0]
-        else:
-            objective = str(self._literal_arg(stmt, "objective", unit="string"))
+        objective = self._word_arg(stmt, "objective", "balanced")
         if objective not in OBJECTIVES:
             raise PolicyError(
                 f"line {stmt.line}: adaptive_placement 'objective:' must "

@@ -28,52 +28,44 @@ class TraceRecorder:
     """Wraps an op function, logging each operation it performs.
 
     The wrapped workload must be one of this repo's key-value op
-    sources (it calls ``server.put``/``server.get``); recording hooks
-    the server, so any workload composition is captured faithfully.
+    sources (it calls the server's ``put_object`` / ``get_object`` /
+    ``delete_object``); recording hooks the server, so any workload
+    composition is captured faithfully.  Failed operations are not
+    recorded.
     """
+
+    _VERBS = {"put_object": "put", "get_object": "get", "delete_object": "delete"}
 
     def __init__(self, server: TieraServer):
         self.server = server
         self.events: List[dict] = []
-        self._orig_put = server.put
-        self._orig_get = server.get
-        self._orig_delete = server.delete
 
     def __enter__(self) -> "TraceRecorder":
-        server = self.server
-
-        def put(key, data, tags=(), ctx=None):
-            result = self._orig_put(key, data, tags=tags, ctx=ctx)
-            self.events.append(
-                {"op": "put", "key": key, "size": len(data),
-                 "at": result.start}
-            )
-            return result
-
-        def get(key, ctx=None, prefer=None):
-            data = self._orig_get(key, ctx=ctx, prefer=prefer)
-            at = ctx.start if ctx is not None else server.clock.now()
-            self.events.append({"op": "get", "key": key, "at": at})
-            return data
-
-        def delete(key, ctx=None):
-            result = self._orig_delete(key, ctx=ctx)
-            self.events.append(
-                {"op": "delete", "key": key, "at": result.start}
-            )
-            return result
-
-        server.put = put
-        server.get = get
-        server.delete = delete
+        for verb, op in self._VERBS.items():
+            setattr(self.server, verb, self._recording(verb, op))
         return self
+
+    def _recording(self, verb: str, op: str):
+        call = getattr(self.server, verb)
+
+        def recorded(key, *args, ctx=None, **kwargs):
+            at = ctx.start if ctx is not None else self.server.clock.now()
+            result = call(key, *args, ctx=ctx, **kwargs)
+            if result.ok:
+                event = {"op": op, "key": key, "at": at}
+                if op == "put":
+                    event["size"] = result.size
+                self.events.append(event)
+            return result
+
+        return recorded
 
     def __exit__(self, *exc) -> None:
         # The hooks were installed as instance attributes shadowing the
         # class methods; removing them restores the originals exactly.
-        for name in ("put", "get", "delete"):
+        for verb in self._VERBS:
             try:
-                delattr(self.server, name)
+                delattr(self.server, verb)
             except AttributeError:
                 pass
 

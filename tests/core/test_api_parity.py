@@ -11,6 +11,7 @@ captured in-process exception and its RPC-rehydrated twin compare equal.
 import pytest
 
 from repro.core.api import BatchOp, BatchResult, ManagementAPI, StorageAPI
+from repro.core.cluster import ClusterConfig
 from repro.core.errors import BackpressureError, NoSuchObjectError
 from repro.core.events import ActionEvent
 from repro.core.policy import Rule
@@ -142,22 +143,44 @@ class TestParity:
             assert getattr(err.value, "code") == "NO_SUCH_OBJECT"
 
 
+def refusals(facade) -> float:
+    """``tiera_backpressure_total{op="batch"}`` on the façade's own hub."""
+    family = facade.obs.metrics.snapshot()["metrics"]["tiera_backpressure_total"]
+    return family["samples"].get("op=batch", 0)
+
+
 class TestBackpressureParity:
     def test_all_facades_refuse_with_the_same_code(self):
         items = [(f"k{i}", b"v") for i in range(5)]
         codes = []
+        counted = []
 
         direct = fresh_server(max_inflight=4)
         with pytest.raises(BackpressureError) as err:
             direct.put_many(items)
         codes.append(err.value.code)
+        counted.append(refusals(direct))
 
         sharded = ShardedTieraServer({"s1": fresh_server()}, max_inflight=4)
         with pytest.raises(BackpressureError) as err:
             sharded.put_many(items)
         codes.append(err.value.code)
+        counted.append(refusals(sharded))
 
-        rpc = TieraRpcServer(fresh_server(max_inflight=4), port=0).start()
+        replicated = ShardedTieraServer(
+            {"s1": fresh_server()}, max_inflight=4,
+            replication=ClusterConfig(replication_factor=1),
+        )
+        try:
+            with pytest.raises(BackpressureError) as err:
+                replicated.put_many(items)
+        finally:
+            replicated.cluster.stop()
+        codes.append(err.value.code)
+        counted.append(refusals(replicated))
+
+        served = fresh_server(max_inflight=4)
+        rpc = TieraRpcServer(served, port=0).start()
         try:
             with TieraClient(rpc.host, rpc.port) as client:
                 with pytest.raises(RpcError) as err:
@@ -165,39 +188,10 @@ class TestBackpressureParity:
                 codes.append(err.value.code)
         finally:
             rpc.stop()
+        counted.append(refusals(served))
 
-        assert codes == ["BACKPRESSURE"] * 3
-
-
-class TestLegacyShimParity:
-    """The deprecated verbs keep their original shapes on every façade."""
-
-    def test_put_returns_context_in_process(self, direct, sharded):
-        for facade in (direct, sharded):
-            ctx = facade.put("k", b"v")
-            assert ctx.elapsed > 0
-
-    def test_client_put_returns_latency_float(self, rpc_client):
-        latency = rpc_client.put("k", b"v")
-        assert isinstance(latency, float) and latency > 0
-        assert rpc_client.get("k") == b"v"
-
-    def test_get_missing_raises_like_before(self, direct, sharded, rpc_client):
-        for facade, exc_type in (
-            (direct, NoSuchObjectError),
-            (sharded, NoSuchObjectError),
-            (rpc_client, RpcError),
-        ):
-            with pytest.raises(exc_type):
-                facade.get("ghost")
-
-    def test_shims_warn(self, direct):
-        with pytest.warns(DeprecationWarning):
-            direct.put("k", b"v")
-        with pytest.warns(DeprecationWarning):
-            direct.get("k")
-        with pytest.warns(DeprecationWarning):
-            direct.delete("k")
+        assert codes == ["BACKPRESSURE"] * 4
+        assert counted == [1] * 4
 
 
 class TestHeatParity:
@@ -217,39 +211,35 @@ class TestHeatParity:
         facade.delete_object("beta")
 
     def test_summaries_identical_across_facades(self, direct, sharded, rpc_client):
-        direct.enable_heat(**self.HEAT_CONFIG)
-        sharded.enable_heat(**self.HEAT_CONFIG)
-        rpc_client.heat(enable=True, **self.HEAT_CONFIG)
         summaries = []
         for facade in (direct, sharded, rpc_client):
+            facade.configure("heat", **self.HEAT_CONFIG).raise_for_error()
             self._drive(facade)
-            if facade is rpc_client:
-                summaries.append(facade.heat())
-            else:
-                summaries.append(facade.heat_summary())
+            summaries.append(facade.invoke("heat", "summary").state)
         assert summaries[0] == summaries[1]
         assert summaries[0] == summaries[2]
         assert summaries[0]["enabled"] is True
         assert summaries[0]["hot_keys"][0] == "alpha"
 
     def test_disabled_snapshot_parity(self, direct, sharded, rpc_client):
-        assert direct.heat_summary() == {"enabled": False}
-        assert sharded.heat_summary() == {"enabled": False}
-        assert rpc_client.heat() == {"enabled": False}
+        for facade in (direct, sharded, rpc_client):
+            result = facade.invoke("heat", "summary")
+            assert result.enabled is False and result.state == {}
+            assert result.error == "FEATURE_DISABLED"
 
     def test_limit_truncates_hot_list_everywhere(self, direct, rpc_client):
-        direct.enable_heat(**self.HEAT_CONFIG)
-        rpc_client.heat(enable=True, **self.HEAT_CONFIG)
         for facade in (direct, rpc_client):
+            facade.configure("heat", **self.HEAT_CONFIG).raise_for_error()
             for key in ("a", "b", "c"):
                 for _ in range(3):
                     facade.put_object(key, b"x" * 64)
-        assert direct.heat_summary(limit=1) == rpc_client.heat(limit=1)
-        assert len(direct.heat_summary(limit=1)["hot"]) == 1
+        assert direct.invoke("heat", "summary", limit=1) == \
+            rpc_client.invoke("heat", "summary", limit=1)
+        assert len(direct.invoke("heat", "summary", limit=1).state["hot"]) == 1
 
 
 class TestManagementParity:
-    """configure/feature_status: one envelope shape from every façade.
+    """configure/feature_status/invoke: one envelope shape from every façade.
 
     The single-shard router returns the shard's envelope unchanged and
     the RPC client rehydrates through ``ManagementResult.from_wire`` —
@@ -309,62 +299,29 @@ class TestManagementParity:
         for facade in (direct, sharded, rpc_client):
             facade.configure("placement", interval=30.0).raise_for_error()
             facade.put_object("k", b"v" * 128)
-        docs = [
-            direct.placement_plan(),
-            sharded.placement_plan(),
-            rpc_client.placement("plan"),
-        ]
+        facades = (direct, sharded, rpc_client)
+        docs = [facade.invoke("placement", "plan") for facade in facades]
         assert docs[0] == docs[1] == docs[2]
-        statuses = [
-            direct.placement_status(),
-            sharded.placement_status(),
-            rpc_client.placement("status"),
-        ]
+        assert docs[0].ok and docs[0].state["enabled"] is True
+        statuses = [facade.feature_status("placement") for facade in facades]
         assert statuses[0] == statuses[1] == statuses[2]
-        assert statuses[0]["running"] is True
+        assert statuses[0].state["running"] is True
 
     def test_placement_disabled_shape_parity(self, direct, sharded, rpc_client):
-        docs = [
-            direct.placement_status(),
-            sharded.placement_status(),
-            rpc_client.placement("status"),
-        ]
-        assert docs == [{"enabled": False}] * 3
-
-
-class TestDeprecatedEnableHeat:
-    """The legacy verb warns everywhere and the sharded router finally
-    acks (it used to return ``None`` while the direct façade returned
-    the tracker — callers holding the router got nothing back)."""
-
-    def test_direct_shim_warns_and_returns_tracker(self, direct):
-        with pytest.warns(DeprecationWarning, match="enable_heat"):
-            tracker = direct.enable_heat(top_k=4, hot_min=2)
-        assert tracker.enabled and tracker.top_k == 4
-
-    def test_sharded_shim_warns_and_acks_per_shard(self, sharded):
-        with pytest.warns(DeprecationWarning, match="enable_heat"):
-            acks = sharded.enable_heat(top_k=4, hot_min=2)
-        assert set(acks) == {"s1"}
-        assert acks["s1"].enabled and acks["s1"].top_k == 4
-
-    def test_configure_does_not_warn(self, direct, sharded, recwarn):
-        direct.configure("heat", top_k=4)
-        sharded.configure("heat", top_k=4)
-        assert not [
-            w for w in recwarn.list
-            if issubclass(w.category, DeprecationWarning)
-        ]
+        for facade in (direct, sharded, rpc_client):
+            status = facade.feature_status("placement")
+            assert status.ok and status.enabled is False
+            assert status.state == {}
+            for action in ("plan", "run"):
+                refused = facade.invoke("placement", action)
+                assert refused.enabled is False and refused.state == {}
+                assert refused.error == "FEATURE_DISABLED"
 
 
 class TestShardRouterTagPropagation:
     """Regression: the router's put used to take ``tags=()`` while
-    TieraServer.put took an iterable default — tags silently diverged
+    TieraServer's took an iterable default — tags silently diverged
     depending on which façade a caller held."""
-
-    def test_legacy_put_propagates_tags(self, sharded):
-        sharded.put("k", b"v", tags=("hot", "pinned"))
-        assert sharded.stat("k").tags == {"hot", "pinned"}
 
     def test_envelope_put_propagates_tags(self, sharded):
         sharded.put_object("k2", b"v", tags=["cold"])
@@ -380,6 +337,6 @@ class TestShardRouterTagPropagation:
     def test_signatures_match_across_facades(self, direct, sharded):
         """Same call shape works identically on both in-process façades."""
         for facade in (direct, sharded):
-            ctx = facade.put("sig", b"v", ("a",))
-            assert ctx.elapsed > 0
+            result = facade.put_object("sig", b"v", tags=["a"])
+            assert result.latency > 0
             assert facade.stat("sig").tags == {"a"}

@@ -110,8 +110,8 @@ def live_rpc():
     rpc = TieraRpcServer(TieraServer(instance), port=0).start()
     with TieraClient(rpc.host, rpc.port) as conn:
         for i in range(8):
-            conn.put(f"k{i}", b"v" * 64)
-            conn.get(f"k{i}")
+            conn.put_object(f"k{i}", b"v" * 64).raise_for_error()
+            conn.get_object(f"k{i}").raise_for_error()
     yield rpc
     rpc.stop()
     instance.shutdown()
@@ -149,7 +149,7 @@ class TestStatsSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(live_rpc.host, live_rpc.port) as conn:
-            conn.slo(install_defaults=True)
+            conn.configure("slo").raise_for_error()
         assert main([
             "stats", "--port", str(live_rpc.port), "--format", "summary",
         ]) == 0
@@ -271,7 +271,7 @@ class TestHeatSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(live_rpc.host, live_rpc.port) as conn:
-            conn.heat(enable=True, hot_min=2)
+            conn.configure("heat", hot_min=2).raise_for_error()
             for _ in range(4):
                 conn.get_object("k0")
         out = self._summary(live_rpc, capsys)
@@ -347,7 +347,7 @@ class TestBackupSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(live_rpc.host, live_rpc.port) as conn:
-            conn.backup(enable=True, root=str(tmp_path / "bk"))
+            conn.configure("backup", root=str(tmp_path / "bk")).raise_for_error()
         return live_rpc
 
     def _summary(self, rpc, capsys):
@@ -365,7 +365,7 @@ class TestBackupSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(backed_rpc.host, backed_rpc.port) as conn:
-            conn.backup(action="snapshot", kind="full")
+            conn.invoke("backup", "snapshot", kind="full").raise_for_error()
         out = self._summary(backed_rpc, capsys)
         lines = [ln for ln in out.splitlines() if ln.startswith("  backup: ")]
         assert len(lines) == 1
@@ -377,8 +377,8 @@ class TestBackupSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(backed_rpc.host, backed_rpc.port) as conn:
-            conn.backup(action="snapshot", kind="full")
-            assert conn.backup(action="verify")["verify"]["ok"] is True
+            conn.invoke("backup", "snapshot", kind="full").raise_for_error()
+            assert conn.invoke("backup", "verify").state["ok"] is True
         out = self._summary(backed_rpc, capsys)
         lines = [
             ln for ln in out.splitlines()
@@ -387,3 +387,103 @@ class TestBackupSummary:
         assert len(lines) == 1
         assert self.VERIFIED_LINE.match(lines[0]), lines[0]
         assert " ok (" in lines[0]
+
+
+class TestLiveRouterCommands:
+    """The live admin commands against a shard router: the replicated
+    cluster's JSON shape, and the per-shard nests of a 4-shard one."""
+
+    @pytest.fixture
+    def served(self):
+        from repro.rpc import TieraRpcServer
+
+        servers = []
+
+        def serve(router):
+            servers.append(TieraRpcServer(router, port=0).start())
+            return servers[-1]
+
+        yield serve
+        for rpc in servers:
+            rpc.stop()
+
+    @pytest.fixture
+    def replicated(self, served):
+        from repro.bench.failover import build_shard_cluster
+        from repro.core.cluster import ClusterConfig
+
+        _, router, _, _ = build_shard_cluster(
+            shards=3, config=ClusterConfig(replication_factor=2)
+        )
+        yield served(router)
+        router.cluster.stop()
+
+    @pytest.fixture
+    def four_shards(self, served):
+        from repro.core.server import TieraServer
+        from repro.core.sharding import ShardedTieraServer
+        from repro.core.templates import write_through_instance
+        from repro.simcloud.cluster import Cluster
+        from repro.tiers.registry import TierRegistry
+
+        router = ShardedTieraServer({
+            f"s{i}": TieraServer(write_through_instance(
+                TierRegistry(Cluster(seed=i)), mem="4M", ebs="4M"
+            ))
+            for i in range(4)
+        })
+        for i in range(20):
+            router.put_object(f"k{i}", b"v%d" % i).raise_for_error()
+        return router, served(router)
+
+    @pytest.mark.parametrize("action,key", [
+        ("status", "status"), ("fsck", "fsck"),
+        ("replay", "replay"), ("anti-entropy", "anti_entropy"),
+    ])
+    def test_cluster_json_is_enabled_plus_the_action(
+        self, replicated, capsys, action, key
+    ):
+        assert main(["cluster", action, "--port", str(replicated.port)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc) == sorted(["enabled", key])
+        assert doc["enabled"] is True and isinstance(doc[key], dict)
+
+    def test_cluster_against_a_single_instance(self, live_rpc, capsys):
+        assert main(["cluster", "status", "--port", str(live_rpc.port)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"enabled": False}
+        assert "not a replicated shard cluster" in captured.err
+
+    def test_fsck_folds_clean_across_shards(self, four_shards, capsys):
+        _, rpc = four_shards
+        assert main(["fsck", "--repair", "--port", str(rpc.port)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc["shards"]) == ["s0", "s1", "s2", "s3"]
+
+    def test_snapshot_and_restore_round_trip(
+        self, four_shards, tmp_path, capsys
+    ):
+        router, rpc = four_shards
+        archive = str(tmp_path / "router.tar")
+        assert main(["snapshot", "--port", str(rpc.port), "--out", archive]) == 0
+        out = capsys.readouterr().out
+        assert ": 20 objects, " in out and out.count("state digest") == 4
+        for i in range(20):
+            router.delete_object(f"k{i}").raise_for_error()
+        assert main(["restore", "--port", str(rpc.port), archive]) == 0
+        restored = json.loads(capsys.readouterr().out)
+        assert all(s["verified"] for s in restored["shards"].values())
+        for i in range(20):
+            assert router.get_object(f"k{i}").value == b"v%d" % i
+
+    def test_restore_of_one_instances_archive_is_refused(
+        self, four_shards, live_rpc, tmp_path, capsys
+    ):
+        router, rpc = four_shards
+        archive = str(tmp_path / "single.tar")
+        assert main([
+            "snapshot", "--port", str(live_rpc.port), "--out", archive,
+        ]) == 0
+        assert main(["restore", "--port", str(rpc.port), archive]) == 1
+        assert "BAD_CONFIG" in capsys.readouterr().err
+        assert all(router.get_object(f"k{i}").ok for i in range(20))

@@ -54,7 +54,7 @@ def _build(store=None, rules=(WRITE_THROUGH,), seed=7):
 
 def _put(cluster, server, key, data):
     ctx = RequestContext(cluster.clock)
-    server.put(key, data, ctx=ctx)
+    server.put_object(key, data, ctx=ctx).raise_for_error()
     if ctx.time > cluster.clock.now():
         cluster.clock.run_until(ctx.time)
 
@@ -119,7 +119,9 @@ class TestCrashRecovery:
         assert recovery["fsck"]["clean"] or recovery["fsck"]["repair"]
         assert fsck(successor)["clean"]
         reopened = TieraServer(successor)
-        assert reopened.get("keep", ctx=RequestContext(cluster.clock)) == (
+        assert reopened.get_object(
+            "keep", ctx=RequestContext(cluster.clock)
+        ).raise_for_error().value == (
             b"acked bytes"
         )
 
@@ -130,7 +132,9 @@ class TestCrashRecovery:
         assert [r["op"] for r in recovery["replayed"]] == ["write"]
         assert fsck(successor)["clean"]
         reopened = TieraServer(successor)
-        assert reopened.get("wip", ctx=RequestContext(cluster.clock)) == (
+        assert reopened.get_object(
+            "wip", ctx=RequestContext(cluster.clock)
+        ).raise_for_error().value == (
             b"in-flight bytes"
         )
 
@@ -140,7 +144,9 @@ class TestCrashRecovery:
         _put(cluster, server, "victim", b"doomed")
         instance.crash_points = CrashPointInjector().arm("delete.data")
         with pytest.raises(ProcessCrash):
-            server.delete("victim", ctx=RequestContext(cluster.clock))
+            server.delete_object(
+                "victim", ctx=RequestContext(cluster.clock)
+            ).raise_for_error()
         simulate_crash(instance)
         successor, recovery = reopen_instance(
             name=instance.name,

@@ -337,9 +337,12 @@ class TestManagementEnvelopes:
 
     def test_placement_verbs_before_enable(self, registry):
         server = TieraServer(cold_instance(registry))
-        assert server.placement_status() == {"enabled": False}
-        assert server.placement_plan() == {"enabled": False}
-        assert server.placement_run() == {"enabled": False}
+        status = server.feature_status("placement")
+        assert status.ok and status.enabled is False and status.state == {}
+        for action in ("plan", "run"):
+            refused = server.invoke("placement", action)
+            assert refused.enabled is False and refused.state == {}
+            assert refused.error == "FEATURE_DISABLED"
 
     def test_health_reports_placement(self, registry):
         server = TieraServer(cold_instance(registry))

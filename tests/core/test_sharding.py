@@ -111,19 +111,20 @@ class TestRingEdges:
 class TestShardedServer:
     def test_roundtrip_through_routing(self, sharded):
         for i in range(60):
-            sharded.put(f"key{i}", f"value{i}".encode())
+            sharded.put_object(f"key{i}", f"value{i}".encode()).raise_for_error()
         for i in range(60):
-            assert sharded.get(f"key{i}") == f"value{i}".encode()
+            fetched = sharded.get_object(f"key{i}").raise_for_error()
+            assert fetched.value == f"value{i}".encode()
 
     def test_objects_actually_distributed(self, sharded):
         for i in range(120):
-            sharded.put(f"key{i}", b"x")
+            sharded.put_object(f"key{i}", b"x").raise_for_error()
         counts = sharded.object_counts()
         assert sum(counts.values()) == 120
         assert sum(1 for count in counts.values() if count > 0) == 3
 
     def test_shard_policies_stay_independent(self, sharded):
-        sharded.put("some-key", b"v")
+        sharded.put_object("some-key", b"v").raise_for_error()
         owner = sharded.shard_of("some-key")
         meta = sharded.stat("some-key")
         assert meta.locations  # placed by that shard's own policy
@@ -131,22 +132,23 @@ class TestShardedServer:
 
     def test_add_shard_migrates_minimum(self, registry, sharded):
         for i in range(150):
-            sharded.put(f"key{i}", f"v{i}".encode())
+            sharded.put_object(f"key{i}", f"v{i}".encode()).raise_for_error()
         moved = sharded.add_shard("d", make_shard(registry, "d"))
         # Roughly 1/4 of the keys should move — and never the majority.
         assert 0 < moved < 100
         for i in range(150):
-            assert sharded.get(f"key{i}") == f"v{i}".encode()
+            fetched = sharded.get_object(f"key{i}").raise_for_error()
+            assert fetched.value == f"v{i}".encode()
 
     def test_remove_shard_drains(self, registry, sharded):
         for i in range(100):
-            sharded.put(f"key{i}", b"v", tags=("keep",))
+            sharded.put_object(f"key{i}", b"v", tags=["keep"]).raise_for_error()
         victim = sharded.shard_of("key0")
         moved = sharded.remove_shard(victim)
         assert moved > 0
         assert victim not in sharded.shards
         for i in range(100):
-            assert sharded.get(f"key{i}") == b"v"
+            assert sharded.get_object(f"key{i}").raise_for_error().value == b"v"
         # Tags survive migration.
         assert "keep" in sharded.stat("key0").tags
 
@@ -156,8 +158,8 @@ class TestShardedServer:
             single.remove_shard("only")
 
     def test_delete_routes(self, sharded):
-        sharded.put("k", b"v")
-        sharded.delete("k")
+        sharded.put_object("k", b"v").raise_for_error()
+        sharded.delete_object("k").raise_for_error()
         assert not sharded.contains("k")
 
     def test_router_has_its_own_observability(self, sharded):
@@ -167,8 +169,8 @@ class TestShardedServer:
 
     def test_per_shard_op_counters(self, sharded):
         for i in range(30):
-            sharded.put(f"key{i}", b"v")
-            sharded.get(f"key{i}")
+            sharded.put_object(f"key{i}", b"v").raise_for_error()
+            sharded.get_object(f"key{i}").raise_for_error()
         counter = sharded.obs.metrics.counter(
             "tiera_shard_ops_total", "per-shard ops routed"
         )
@@ -184,7 +186,7 @@ class TestShardedServer:
             assert counter.value(shard=name, op="put") > 0
 
     def test_health_aggregates_shards(self, sharded):
-        sharded.put("k", b"v")
+        sharded.put_object("k", b"v").raise_for_error()
         health = sharded.health()
         assert health["status"] == "ok"
         assert set(health["shards"]) == set(sharded.shards)

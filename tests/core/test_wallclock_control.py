@@ -61,7 +61,7 @@ class TestWallClockControl:
             clock=clock,
         )
         server = TieraServer(instance)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         assert instance.meta("k").locations == {"tier1"}
         assert wait_for(lambda: "tier2" in instance.meta("k").locations)
         instance.shutdown()

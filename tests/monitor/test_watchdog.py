@@ -87,9 +87,9 @@ class TestMonitor:
             )
 
         StorageMonitor(server, on_failure=repair).start()
-        server.put("pre-failure", b"v")
+        server.put_object("pre-failure", b"v").raise_for_error()
         instance.tiers.get("tier2").service.fail()
         cluster.clock.advance(360)  # detection + repair happen in here
-        ctx = server.put("post-repair", b"v")
+        result = server.put_object("post-repair", b"v").raise_for_error()
         assert instance.meta("post-repair").locations == {"tier3"}
-        assert ctx.elapsed < 1.0  # writes are fast again
+        assert result.latency < 1.0  # writes are fast again

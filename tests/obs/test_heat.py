@@ -302,10 +302,10 @@ class TestHeatSpecIntegration:
         inst = compile_spec(HEAT_SPEC, registry)
         inst.enable_heat(hot_min=4)
         server = TieraServer(inst)
-        server.put("alpha", b"v" * 64)
-        server.put("beta", b"v" * 64)
+        server.put_object("alpha", b"v" * 64).raise_for_error()
+        server.put_object("beta", b"v" * 64).raise_for_error()
         for _ in range(6):
-            server.get("alpha")
+            server.get_object("alpha").raise_for_error()
         assert inst.obs.heat.is_hot("alpha")
         assert "tier1" not in inst.meta("alpha").locations
         # Background threshold responses run off the simulated clock.
@@ -327,9 +327,9 @@ class TestHeatSpecIntegration:
         inst = compile_spec(HEAT_SPEC, registry)
         inst.enable_heat(hot_min=2)
         server = TieraServer(inst)
-        server.put("alpha", b"v" * 64)
+        server.put_object("alpha", b"v" * 64).raise_for_error()
         for _ in range(3):
-            server.get("alpha")
+            server.get_object("alpha").raise_for_error()
         scope = EvalScope(instance=inst)
         assert AttrRef(("heat", "accesses")).evaluate(scope) == 4
         assert AttrRef(("heat", "reads")).evaluate(scope) == 3
@@ -365,15 +365,15 @@ class TestServerHeatSurface:
             [("tier1", "Memcached", 64 * 1024), ("tier2", "EBS", 10 ** 7)],
         )
         server = TieraServer(inst)
-        assert server.heat_summary() == {"enabled": False}
+        assert server.invoke("heat", "summary").enabled is False
         assert "heat" not in server.health()
-        server.enable_heat(hot_min=2)
-        server.put("k", b"x" * 128)
+        server.configure("heat", hot_min=2).raise_for_error()
+        server.put_object("k", b"x" * 128).raise_for_error()
         for _ in range(3):
-            server.get("k")
+            server.get_object("k").raise_for_error()
         health = server.health()
         assert health["heat"]["accesses"] == 4
         assert health["heat"]["hot_keys"] == ["k"]
-        summary = server.heat_summary()
+        summary = server.invoke("heat", "summary").state
         assert summary["enabled"] and summary["hot_keys"] == ["k"]
         assert "tier1" in summary["tiers"]

@@ -106,8 +106,8 @@ class TestTracedRequests:
             ],
         )
         server = TieraServer(instance)
-        server.put("k", b"payload")
-        server.get("k", trace=True)
+        server.put_object("k", b"payload").raise_for_error()
+        server.get_object("k", trace=True).raise_for_error()
 
         trace = server.last_trace()
         assert trace is not None
@@ -124,11 +124,11 @@ class TestTracedRequests:
     def test_traced_put_records_write_through_tiers(self, registry):
         instance = templates.write_through_instance(registry, mem="4M", ebs="4M")
         server = TieraServer(instance)
-        ctx = server.put("k", b"x" * 100, trace=True)
+        result = server.put_object("k", b"x" * 100, trace=True).raise_for_error()
 
         trace = server.last_trace()
         assert trace.attrs == {"op": "put", "key": "k"}
-        assert trace.duration == ctx.elapsed
+        assert trace.duration == result.latency
         assert [s.name for s in trace.find("rule")] == ["write-through"]
         touched = {s.attrs["tier"] for s in trace.find("tier-op")}
         assert touched == {"tier1", "tier2"}
@@ -147,17 +147,19 @@ class TestTracedRequests:
                 TierRegistry(cluster), mem="4M", ebs="4M"
             )
             server = TieraServer(instance)
-            ctx = server.put("k", b"x" * 512, trace=traced)
+            stored = server.put_object(
+                "k", b"x" * 512, trace=traced
+            ).raise_for_error()
             get_ctx = RequestContext(instance.clock)
-            server.get("k", ctx=get_ctx, trace=traced)
-            latencies.append((ctx.elapsed, get_ctx.elapsed))
+            server.get_object("k", ctx=get_ctx, trace=traced).raise_for_error()
+            latencies.append((stored.latency, get_ctx.elapsed))
             instance.shutdown()
         assert latencies[0] == latencies[1]
 
     def test_untraced_requests_leave_no_spans(self, registry):
         instance = templates.write_through_instance(registry, mem="4M", ebs="4M")
         server = TieraServer(instance)
-        server.put("k", b"v")
-        server.get("k")
+        server.put_object("k", b"v").raise_for_error()
+        server.get_object("k").raise_for_error()
         assert server.last_trace() is None
         assert server.obs.tracer.recent() == []

@@ -4,12 +4,15 @@ import threading
 
 import pytest
 
+from repro.core.errors import TieraError
 from repro.core.instance import TieraInstance
 from repro.core.policy import Policy, Rule
 from repro.core.events import ActionEvent
 from repro.core.responses import Store
 from repro.core.selectors import InsertObject
 from repro.core.server import TieraServer
+from repro.core.sharding import ShardedTieraServer
+from repro.core.templates import write_through_instance
 from repro.rpc import RpcError, TieraClient, TieraRpcServer
 from repro.simcloud.clock import WallClock
 from repro.simcloud.cluster import Cluster
@@ -55,31 +58,31 @@ class TestRpcRoundtrip:
         assert client.ping()
 
     def test_put_get(self, client):
-        latency = client.put("k", b"remote bytes")
-        assert latency >= 0
-        assert client.get("k") == b"remote bytes"
+        stored = client.put_object("k", b"remote bytes").raise_for_error()
+        assert stored.latency >= 0
+        assert client.get_object("k").raise_for_error().value == b"remote bytes"
 
     def test_binary_safety(self, client):
         payload = bytes(range(256)) * 8
-        client.put("bin", payload)
-        assert client.get("bin") == payload
+        client.put_object("bin", payload).raise_for_error()
+        assert client.get_object("bin").raise_for_error().value == payload
 
     def test_delete_and_contains(self, client):
-        client.put("k", b"v")
+        client.put_object("k", b"v").raise_for_error()
         assert client.contains("k")
-        client.delete("k")
+        client.delete_object("k").raise_for_error()
         assert not client.contains("k")
 
     def test_stat(self, client):
-        client.put("k", b"hello", tags=["web"])
+        client.put_object("k", b"hello", tags=["web"]).raise_for_error()
         stat = client.stat("k")
         assert stat["size"] == 5
         assert stat["tags"] == ["web"]
         assert sorted(stat["locations"]) == ["tier1", "tier2"]
 
     def test_tags_and_keys(self, client):
-        client.put("a", b"1", tags=["x"])
-        client.put("b", b"2")
+        client.put_object("a", b"1", tags=["x"]).raise_for_error()
+        client.put_object("b", b"2").raise_for_error()
         client.add_tag("b", "x")
         assert client.keys(tag="x") == ["a", "b"]
         assert client.keys() == ["a", "b"]
@@ -91,7 +94,7 @@ class TestRpcRoundtrip:
 
     def test_missing_key_error(self, client):
         with pytest.raises(RpcError) as excinfo:
-            client.get("ghost")
+            client.get_object("ghost").raise_for_error()
         assert excinfo.value.error_type == "NoSuchObjectError"
 
     def test_unknown_method(self, live_server, client):
@@ -102,7 +105,7 @@ class TestRpcRoundtrip:
 
 class TestIntrospection:
     def test_stats_snapshot(self, client):
-        client.put("k", b"v")
+        client.put_object("k", b"v").raise_for_error()
         snap = client.stats()
         requests = snap["metrics"]["tiera_requests_total"]["samples"]
         assert requests["op=put"] == 1
@@ -110,7 +113,7 @@ class TestIntrospection:
         assert snap["traces"]["enabled"] is False
 
     def test_stats_prometheus_text(self, client):
-        client.put("k", b"v")
+        client.put_object("k", b"v").raise_for_error()
         text = client.stats(format="prometheus")
         assert isinstance(text, str)
         assert "# TYPE tiera_requests_total counter" in text
@@ -119,8 +122,8 @@ class TestIntrospection:
     def test_trace_toggle_and_fetch(self, client):
         result = client.trace(enable=True)
         assert result["enabled"] is True
-        client.put("k", b"v")
-        client.get("k")
+        client.put_object("k", b"v").raise_for_error()
+        client.get_object("k").raise_for_error()
         result = client.trace(limit=5, enable=False)
         assert result["enabled"] is False
         ops = [t["attrs"]["op"] for t in result["traces"]]
@@ -129,7 +132,7 @@ class TestIntrospection:
         assert get_trace["attrs"]["served_by"] in ("tier1", "tier2")
 
     def test_health(self, client):
-        client.put("k", b"v")
+        client.put_object("k", b"v").raise_for_error()
         health = client.health()
         assert health["status"] == "ok"
         assert health["objects"] == 1
@@ -139,7 +142,7 @@ class TestIntrospection:
         from repro.cli import main
 
         with TieraClient(live_server.host, live_server.port) as conn:
-            conn.put("k", b"v")
+            conn.put_object("k", b"v").raise_for_error()
         assert main(
             ["stats", "--port", str(live_server.port)]
         ) == 0
@@ -183,8 +186,9 @@ class TestConcurrency:
                 with TieraClient(live_server.host, live_server.port) as conn:
                     for i in range(20):
                         key = f"w{worker_id}-{i}"
-                        conn.put(key, key.encode())
-                        assert conn.get(key) == key.encode()
+                        conn.put_object(key, key.encode()).raise_for_error()
+                        fetched = conn.get_object(key).raise_for_error()
+                        assert fetched.value == key.encode()
             except Exception as exc:  # pragma: no cover - fail loudly
                 errors.append(exc)
 
@@ -197,41 +201,45 @@ class TestConcurrency:
 
     def test_sequential_requests_one_connection(self, client):
         for i in range(50):
-            client.put(f"k{i}", b"x")
+            client.put_object(f"k{i}", b"x").raise_for_error()
         assert len(client.keys()) == 50
 
 
 class TestDurabilityVerbs:
     def test_fsck_clean_over_rpc(self, client):
-        client.put("k", b"bytes")
-        report = client.fsck()
+        client.put_object("k", b"bytes").raise_for_error()
+        report = client.invoke("durability", "fsck").state
         assert report["clean"] is True
         assert report["counts"]["findings"] == 0
 
     def test_fsck_repair_flag_round_trips(self, client):
-        client.put("k", b"bytes")
-        report = client.fsck(repair=True)
+        client.put_object("k", b"bytes").raise_for_error()
+        report = client.invoke("durability", "fsck", repair=True).state
         assert report["repair"] is True
 
     def test_snapshot_restore_roundtrip(self, client):
         for i in range(3):
-            client.put(f"obj{i}", b"payload-%d" % i)
-        result = client.snapshot()
+            client.put_object(f"obj{i}", b"payload-%d" % i).raise_for_error()
+        result = client.invoke("durability", "snapshot").state
         manifest = result["manifest"]
         assert manifest["objects"] == 3
         assert result["archive"][:8]  # non-empty tar bytes
 
-        client.delete("obj0")
-        client.put("obj9", b"post-snapshot write")
-        restored = client.restore(result["archive"])
+        client.delete_object("obj0").raise_for_error()
+        client.put_object("obj9", b"post-snapshot write").raise_for_error()
+        restored = client.invoke(
+            "durability", "restore", archive=result["archive"]
+        ).state
         assert restored["verified"] is True
         assert client.contains("obj0")
         assert not client.contains("obj9")
-        assert client.get("obj1") == b"payload-1"
+        assert client.get_object("obj1").raise_for_error().value == b"payload-1"
 
     def test_restore_rejects_garbage_archive(self, client):
-        with pytest.raises(RpcError):
-            client.restore(b"this is not a tar archive")
+        refused = client.invoke(
+            "durability", "restore", archive=b"this is not a tar archive"
+        )
+        assert not refused.ok and refused.error == "BAD_CONFIG"
 
     def test_cli_fsck(self, live_server, capsys):
         from repro.cli import main
@@ -244,70 +252,76 @@ class TestDurabilityVerbs:
         from repro.cli import main
 
         with TieraClient(live_server.host, live_server.port) as conn:
-            conn.put("cli-obj", b"cli bytes")
+            conn.put_object("cli-obj", b"cli bytes").raise_for_error()
         archive = str(tmp_path / "backup.tar")
         port = str(live_server.port)
         assert main(["snapshot", "--port", port, "--out", archive]) == 0
         assert "1 objects" in capsys.readouterr().out
         with TieraClient(live_server.host, live_server.port) as conn:
-            conn.delete("cli-obj")
+            conn.delete_object("cli-obj").raise_for_error()
         assert main(["restore", archive, "--port", port]) == 0
         assert '"verified": true' in capsys.readouterr().out
         with TieraClient(live_server.host, live_server.port) as conn:
-            assert conn.get("cli-obj") == b"cli bytes"
+            assert conn.get_object("cli-obj").raise_for_error().value == b"cli bytes"
 
 
 class TestBackupVerbs:
     def test_disabled_store_reports_disabled(self, client):
-        assert client.backup() == {"enabled": False}
+        status = client.feature_status("backup")
+        assert status.ok and status.enabled is False and status.state == {}
+        refused = client.invoke("backup", "list")
+        assert refused.enabled is False
+        assert refused.error == "FEATURE_DISABLED"
 
     def test_lifecycle_round_trip(self, client, tmp_path):
-        client.put("obj0", b"v0" * 64)
-        status = client.backup(enable=True, root=str(tmp_path / "bk"))
-        assert status["enabled"] is True
+        client.put_object("obj0", b"v0" * 64).raise_for_error()
+        status = client.configure("backup", root=str(tmp_path / "bk"))
+        assert status.ok and status.enabled is True
 
-        full = client.backup(action="snapshot", kind="full")["snapshot"]
+        full = client.invoke("backup", "snapshot", kind="full").state
         assert full["kind"] == "full"
-        client.put("obj1", b"v1" * 64)
-        inc = client.backup(action="snapshot")["snapshot"]
+        client.put_object("obj1", b"v1" * 64).raise_for_error()
+        inc = client.invoke("backup", "snapshot").state
         assert inc["kind"] == "incremental"
         assert inc["parent"] == full["id"]
 
-        listing = client.backup(action="list")["snapshots"]
+        listing = client.invoke("backup", "list").state["snapshots"]
         assert [e["id"] for e in listing] == [full["id"], inc["id"]]
 
-        verify = client.backup(action="verify")["verify"]
+        verify = client.invoke("backup", "verify").state
         assert verify["ok"] is True
 
-        frozen = client.backup(
-            action="mark_immutable", snapshot_id=full["id"]
-        )["snapshot"]
+        frozen = client.invoke(
+            "backup", "mark_immutable", snapshot_id=full["id"]
+        ).state
         assert frozen["immutable"] is True
         # keep_last=1 cannot orphan the chain: nothing is pruned.
-        assert client.backup(action="prune", keep_last=1)["prune"][
+        assert client.invoke("backup", "prune", keep_last=1).state[
             "pruned"
         ] == []
 
-        status = client.backup()["status"]
+        status = client.feature_status("backup").state
         assert status["snapshots"] == 2
         assert status["last_verified_restore"]["ok"] is True
 
     def test_restore_to_seq_over_rpc(self, client, tmp_path):
-        client.backup(enable=True, root=str(tmp_path / "bk"))
-        client.put("k", b"v1" * 64)
-        client.backup(action="snapshot", kind="full")
-        client.put("k", b"v2" * 64)
-        target = client.backup()["status"]["wal"]["last_seq"]
-        client.put("k", b"v3" * 64)
-        restore = client.backup(action="restore", to_seq=target)["restore"]
+        client.configure("backup", root=str(tmp_path / "bk")).raise_for_error()
+        client.put_object("k", b"v1" * 64).raise_for_error()
+        client.invoke("backup", "snapshot", kind="full").raise_for_error()
+        client.put_object("k", b"v2" * 64).raise_for_error()
+        target = client.feature_status("backup").state["wal"]["last_seq"]
+        client.put_object("k", b"v3" * 64).raise_for_error()
+        restore = client.invoke("backup", "restore", to_seq=target).state
         assert restore["to_seq"] == target
         assert restore["replayed"] > 0
-        assert client.get("k") == b"v2" * 64
+        assert client.get_object("k").raise_for_error().value == b"v2" * 64
 
     def test_backup_errors_have_a_stable_code(self, client, tmp_path):
-        client.backup(enable=True, root=str(tmp_path / "bk"))
-        with pytest.raises(RpcError) as excinfo:
-            client.backup(action="restore", to_seq=10 ** 9)
+        client.configure("backup", root=str(tmp_path / "bk")).raise_for_error()
+        refused = client.invoke("backup", "restore", to_seq=10 ** 9)
+        assert not refused.ok and refused.error == "BACKUP_ERROR"
+        with pytest.raises(TieraError) as excinfo:
+            refused.raise_for_error()
         assert excinfo.value.code == "BACKUP_ERROR"
 
     def test_cli_backup_commands(self, live_server, capsys, tmp_path):
@@ -319,8 +333,8 @@ class TestBackupVerbs:
         assert "not enabled" in capsys.readouterr().err
 
         with TieraClient(live_server.host, live_server.port) as conn:
-            conn.put("cli-obj", b"cli bytes")
-            conn.backup(enable=True, root=str(tmp_path / "bk"))
+            conn.put_object("cli-obj", b"cli bytes").raise_for_error()
+            conn.configure("backup", root=str(tmp_path / "bk")).raise_for_error()
 
         assert main([
             "backup", "snapshot", "--port", port, "--kind", "full",
@@ -350,31 +364,37 @@ class TestClusterVerb:
         router.cluster.stop()
 
     def test_not_a_cluster_answers_disabled(self, client):
-        assert client.cluster() == {"enabled": False}
+        """Regression: the old ``cluster`` verb answered a bare
+        ``{"enabled": False}`` dict; the answer is an envelope now."""
+        status = client.feature_status("cluster")
+        assert status.ok and status.enabled is False and status.state == {}
+        for action in ("fsck", "replay", "anti_entropy"):
+            refused = client.invoke("cluster", action)
+            assert refused.enabled is False and refused.state == {}
+            assert refused.error == "FEATURE_DISABLED"
 
     def test_status_fsck_replay_and_anti_entropy(self, cluster_rpc):
         rpc, router = cluster_rpc
         with TieraClient(rpc.host, rpc.port) as conn:
-            conn.put("ck", b"cluster bytes")
-            assert conn.get("ck") == b"cluster bytes"
+            conn.put_object("ck", b"cluster bytes").raise_for_error()
+            assert conn.get_object("ck").raise_for_error().value == b"cluster bytes"
 
-            status = conn.cluster()["status"]
+            status = conn.feature_status("cluster").state
             assert status["replicas"] == 2
             assert set(status["shards"]) == set(router.shards)
             assert all(s == "up" for s in status["shards"].values())
 
-            assert conn.cluster("fsck")["fsck"]["clean"]
-            assert conn.cluster("replay")["replay"]["replayed"] == 0
-            assert conn.cluster("anti_entropy")["anti_entropy"][
+            assert conn.invoke("cluster", "fsck").state["clean"]
+            assert conn.invoke("cluster", "replay").state["replayed"] == 0
+            assert conn.invoke("cluster", "anti_entropy").state[
                 "divergent"] == 0
             assert conn.health()["cluster"]["hints"]["pending"] == 0
 
-    def test_unknown_action_is_a_bad_request(self, cluster_rpc):
+    def test_unknown_action_has_a_stable_code(self, cluster_rpc):
         rpc, _ = cluster_rpc
         with TieraClient(rpc.host, rpc.port) as conn:
-            with pytest.raises(RpcError) as excinfo:
-                conn.cluster("explode")
-            assert excinfo.value.code == "BAD_REQUEST"
+            refused = conn.invoke("cluster", "explode")
+            assert not refused.ok and refused.error == "UNKNOWN_ACTION"
 
     def test_instance_only_verbs_fail_cleanly_on_a_router(self, cluster_rpc):
         rpc, _ = cluster_rpc
@@ -382,3 +402,99 @@ class TestClusterVerb:
             with pytest.raises(RpcError) as excinfo:
                 conn.tiers()
             assert excinfo.value.code == "BAD_REQUEST"
+
+
+class TestShardRouterManagement:
+    """Regression: over RPC to a shard router, ``resilience``, ``fsck``,
+    ``snapshot``, ``restore`` and ``backup`` used to reach for the
+    router's missing ``.instance`` and come back as ``BAD_REQUEST`` from
+    a swallowed ``AttributeError``; through the feature table they fan
+    out per shard."""
+
+    @pytest.fixture
+    def router_client(self):
+        registry = TierRegistry(Cluster(clock=WallClock()))
+        shards = {
+            f"shard{i}": TieraServer(
+                write_through_instance(registry, mem="8M", ebs="8M")
+            )
+            for i in range(4)
+        }
+        rpc = TieraRpcServer(ShardedTieraServer(shards), port=0).start()
+        with TieraClient(rpc.host, rpc.port) as conn:
+            yield conn, sorted(shards)
+        rpc.stop()
+        for server in shards.values():
+            server.instance.shutdown()
+        registry.cluster.clock.shutdown()
+
+    def test_fsck_returns_a_clean_per_shard_nest(self, router_client):
+        conn, names = router_client
+        for i in range(16):
+            conn.put_object(f"k{i}", b"v" * 32).raise_for_error()
+        result = conn.invoke("durability", "fsck")
+        assert result.ok
+        assert sorted(result.state["shards"]) == names
+        assert all(r["clean"] for r in result.state["shards"].values())
+
+    def test_snapshot_restore_round_trips_every_key(self, router_client):
+        """The router's snapshot is one bundle of the shards' archives
+        and ``restore`` hands each shard its own member back."""
+        conn, names = router_client
+        payloads = {f"k{i}": b"v%d" % i * 8 for i in range(20)}
+        for key, data in payloads.items():
+            conn.put_object(key, data).raise_for_error()
+        taken = conn.invoke("durability", "snapshot")
+        assert taken.ok and isinstance(taken.state["archive"], bytes)
+        assert sorted(taken.state["manifest"]["shards"]) == names
+        for key in payloads:
+            conn.put_object(key, b"overwritten").raise_for_error()
+        conn.put_object("later", b"x").raise_for_error()
+
+        restored = conn.invoke(
+            "durability", "restore", archive=taken.state["archive"]
+        )
+        assert restored.ok and sorted(restored.state["shards"]) == names
+        assert all(r["verified"] for r in restored.state["shards"].values())
+        for key, data in payloads.items():
+            assert conn.get_object(key).value == data
+        assert conn.get_object("later").error == "NO_SUCH_OBJECT"
+
+    def test_restore_refuses_an_archive_of_other_shards(self, router_client):
+        """One instance's archive loaded into every shard would leave
+        each holding keys it does not own: refused, nothing touched."""
+        conn, names = router_client
+        for i in range(20):
+            conn.put_object(f"k{i}", b"v" * 32).raise_for_error()
+        single = TieraServer(
+            write_through_instance(
+                TierRegistry(Cluster(seed=3)), mem="8M", ebs="8M"
+            )
+        ).invoke("durability", "snapshot").state["archive"]
+        bundle = conn.invoke("durability", "snapshot").state["archive"]
+        two = ShardedTieraServer({
+            name: TieraServer(write_through_instance(
+                TierRegistry(Cluster(seed=3)), mem="8M", ebs="8M"
+            ))
+            for name in names[:2]
+        })
+        for refused in (
+            conn.invoke("durability", "restore", archive=single),
+            conn.invoke("durability", "restore", archive=b"not a tar"),
+            two.invoke("durability", "restore", archive=bundle),
+        ):
+            assert not refused.ok and refused.error == "BAD_CONFIG"
+        assert all(conn.get_object(f"k{i}").ok for i in range(20))
+
+    def test_resilience_and_backup_fan_out(self, router_client, tmp_path):
+        conn, names = router_client
+        enabled = conn.configure("resilience")
+        assert enabled.ok and enabled.enabled
+        assert sorted(enabled.state["shards"]) == names
+        replay = conn.invoke("resilience", "replay")
+        assert replay.ok
+        assert all(
+            r["replay_kicked"] == 0 for r in replay.state["shards"].values()
+        )
+        refused = conn.invoke("backup", "list")
+        assert refused.error == "FEATURE_DISABLED"

@@ -18,9 +18,9 @@ def server(registry):
 class TestRecorder:
     def test_records_all_op_kinds(self, server, cluster):
         with TraceRecorder(server) as recorder:
-            server.put("a", b"x" * 100)
-            server.get("a")
-            server.delete("a")
+            server.put_object("a", b"x" * 100).raise_for_error()
+            server.get_object("a").raise_for_error()
+            server.delete_object("a").raise_for_error()
         kinds = [event["op"] for event in recorder.events]
         assert kinds == ["put", "get", "delete"]
         assert recorder.events[0]["size"] == 100
@@ -29,14 +29,14 @@ class TestRecorder:
         from repro.core.server import TieraServer
 
         with TraceRecorder(server):
-            assert "put" in vars(server)  # hook installed
-        assert "put" not in vars(server)  # hook removed
-        assert server.put.__func__ is TieraServer.put
+            assert "put_object" in vars(server)  # hook installed
+        assert "put_object" not in vars(server)  # hook removed
+        assert server.put_object.__func__ is TieraServer.put_object
 
     def test_dump_and_load(self, server, tmp_path):
         with TraceRecorder(server) as recorder:
-            server.put("a", b"1")
-            server.get("a")
+            server.put_object("a", b"1").raise_for_error()
+            server.get_object("a").raise_for_error()
         path = str(tmp_path / "trace.jsonl")
         assert recorder.dump(path) == 2
         events = load_trace(path)
@@ -46,7 +46,7 @@ class TestRecorder:
         with TraceRecorder(server) as recorder:
             ctx = RequestContext(cluster.clock)
             for i in range(5):
-                server.put(f"k{i}", b"v", ctx=ctx)
+                server.put_object(f"k{i}", b"v", ctx=ctx).raise_for_error()
         times = [event["at"] for event in recorder.events]
         assert times == sorted(times)
 
@@ -57,9 +57,9 @@ class TestReplayer:
         with TraceRecorder(source) as recorder:
             ctx = RequestContext(cluster.clock)
             for i in range(20):
-                source.put(f"k{i}", bytes(512), ctx=ctx)
+                source.put_object(f"k{i}", bytes(512), ctx=ctx).raise_for_error()
             for i in range(20):
-                source.get(f"k{i % 5}", ctx=ctx)
+                source.get_object(f"k{i % 5}", ctx=ctx).raise_for_error()
             cluster.clock.run_until(ctx.time)
         return recorder.events
 
