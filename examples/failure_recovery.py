@@ -49,14 +49,16 @@ def main() -> None:
     )
     print("EBS outage scheduled for t = 4.1 min; watching throughput:")
 
+    # One writer pausing 10 ms between requests: the ten-minute shape
+    # (steady, outage, faster after the repair) at a sixth of the ops.
     result = run_closed_loop(
-        cluster.clock, clients=4, duration=600.0, op_fn=workload,
-        series_bucket=60.0,
+        cluster.clock, clients=1, duration=600.0, op_fn=workload,
+        think_time=0.01, series_bucket=60.0,
     )
     rates = dict(result.throughput_series.rate())
     for minute in range(10):
         rate = rates.get(minute * 60.0, 0.0)
-        bar = "#" * int(rate / 10)
+        bar = "#" * int(rate / 2)
         print(f"  minute {minute}: {rate:7.1f} ops/s  {bar}")
     print(f"failed writes during the outage: {result.errors}")
     print(f"tiers now: {instance.tiers.names()}")

@@ -17,7 +17,11 @@ one contract they all implement now:
   :class:`BatchResult` preserving submission order;
 * :class:`AdmissionController` bounding in-flight operations — an
   over-limit batch is refused up front with ``BACKPRESSURE`` before any
-  item runs.
+  item runs;
+* the one pipeline the in-process façades run those verbs through:
+  :func:`run_batch` (the bracket around a batch), :func:`schedule_lanes`
+  (the lane scheduler), :func:`failed_result` and :func:`close_request`
+  (how an op fails and ends).
 
 The admin plane has the same shape: :class:`ManagementAPI`'s three
 verbs return :class:`ManagementResult` envelopes, all driven by the one
@@ -186,6 +190,24 @@ class OpResult:
         )
 
 
+def failed_result(
+    op: str, key: str, exc: BaseException, latency: float
+) -> OpResult:
+    """The envelope of an op that raised ``exc``: its stable code, its
+    message and class name for the wire, and the exception itself for
+    :meth:`OpResult.raise_for_error` in-process."""
+    return OpResult(
+        op=op,
+        key=key,
+        ok=False,
+        latency=latency,
+        error=errors.code_for(exc),
+        error_message=str(exc),
+        error_type=type(exc).__name__,
+        exception=exc,
+    )
+
+
 @dataclass
 class BatchResult:
     """Outcome of a batch: per-item results in submission order.
@@ -238,16 +260,22 @@ class AdmissionController:
     admits 32.  A request that would exceed the limit is rejected whole
     — partial admission would break batch ordering guarantees — with a
     :class:`~repro.core.errors.BackpressureError` (code ``BACKPRESSURE``)
-    raised before any virtual time is spent.
+    raised before any virtual time is spent.  ``metrics`` is the hub
+    registry of the façade the controller guards; refused batches count
+    there as ``tiera_backpressure_total``.
     """
 
-    def __init__(self, max_inflight: int = DEFAULT_MAX_INFLIGHT):
+    def __init__(self, max_inflight: int, metrics):
         if max_inflight < 1:
             raise ValueError("admission limit must be at least 1")
         self.max_inflight = max_inflight
         self.inflight = 0
         self.admitted = 0
         self.rejected = 0
+        self.refusals = metrics.counter(
+            "tiera_backpressure_total",
+            "Requests refused by admission control.",
+        )
 
     def acquire(self, count: int = 1) -> None:
         if count > self.max_inflight - self.inflight:
@@ -262,6 +290,121 @@ class AdmissionController:
 
     def release(self, count: int = 1) -> None:
         self.inflight = max(0, self.inflight - count)
+
+
+def close_request(
+    obs, op: str, root, ctx, started: float,
+    exc: Optional[BaseException] = None,
+) -> float:
+    """Close a client request on hub ``obs`` — its trace root (with the
+    error, if it failed) and its SLO sample — and return its latency."""
+    latency = ctx.time - started
+    obs.tracer.finish_request(
+        root, ctx,
+        error=None if exc is None else f"{type(exc).__name__}: {exc}",
+    )
+    # SLO accounting is a no-op until objectives are installed, and
+    # never touches virtual time.
+    obs.slo.record(op, latency, exc is None, ctx.time)
+    return latency
+
+
+def schedule_lanes(
+    ops: Sequence[BatchOp], width: int, ctx, parent, run_item
+) -> List[OpResult]:
+    """Run ``ops`` through ``run_item(op, ctx)``, overlapped in virtual
+    time across at most ``width`` concurrent lanes.
+
+    Items execute in submission order (so seeded latency draws are
+    schedule-independent) but *cost* as if pipelined: each item starts
+    on the earliest-free lane of a scatter/join on ``ctx``, which ends
+    at the latest lane completion — max-plus-queueing, not a sum.  With
+    a ``parent`` span, each item runs under its own ``op`` child, so
+    tier-ops nest under the item and a failed item marks its span.
+    """
+    lanes = [ctx.time] * min(width, len(ops))
+    results: List[OpResult] = []
+    branches = ctx.scatter()
+    for index, op in enumerate(ops):
+        lane = min(range(len(lanes)), key=lanes.__getitem__)
+        bctx = branches.branch(at=lanes[lane])
+        span = None
+        if parent is not None:
+            # The branch inherited the enclosing span; repoint it.
+            span = parent.child(
+                f"{op.op} {op.key}", "op", bctx.time,
+                op=op.op, key=op.key, index=index, lane=lane,
+            )
+            bctx.span = span
+        result = run_item(op, bctx)
+        results.append(result)
+        if span is not None:
+            span.finish(bctx.time)
+            if not result.ok:
+                span.error = result.error
+            bctx.span = None
+        lanes[lane] = bctx.time
+    branches.join()
+    return results
+
+
+def run_batch(
+    ops: Iterable[BatchOp],
+    parallelism: int,
+    ctx,
+    trace: bool,
+    tracer,
+    admission: AdmissionController,
+    body,
+    shares: Sequence[Tuple[AdmissionController, int]] = (),
+) -> BatchResult:
+    """The bracket every in-process façade runs a batch inside.
+
+    In order: validate ``parallelism``; admit the whole batch on
+    ``admission`` and on every ``(controller, count)`` of ``shares`` (a
+    router's per-shard sub-batches) — all or nothing, so a refusal
+    anywhere is counted once, on ``admission``'s hub, and raised before
+    any item runs; open the ``batch`` root span on ``tracer``; call
+    ``body(ops, lanes, ctx, parent)``, which runs the items and returns
+    their results in submission order plus the root's extra attributes;
+    release; close the root (with the error, when the body raised);
+    build the :class:`BatchResult`.
+    """
+    ops = list(ops)
+    if parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
+    lanes = max(1, min(parallelism, len(ops)))
+    admitted: List[Tuple[AdmissionController, int]] = []
+    root = None
+    try:
+        try:
+            for controller, count in ((admission, len(ops)), *shares):
+                controller.acquire(count)
+                admitted.append((controller, count))
+        except errors.BackpressureError:
+            admission.refusals.inc(op="batch")
+            raise
+        root = tracer.start_request(
+            "batch", f"{len(ops)} ops", ctx, force=trace
+        )
+        # Nested inside a traced request, the items parent on the
+        # enclosing span instead of a fresh root.
+        parent = root if root is not None else ctx.span
+        started = ctx.time
+        results, attrs = body(ops, lanes, ctx, parent)
+    except BaseException as exc:
+        tracer.finish_request(root, ctx, error=f"{type(exc).__name__}: {exc}")
+        raise
+    finally:
+        for controller, count in admitted:
+            controller.release(count)
+    if root is not None:
+        root.attrs["items"] = len(ops)
+        root.attrs.update(attrs)
+    tracer.finish_request(root, ctx)
+    return BatchResult(
+        results=results, latency=ctx.time - started, parallelism=lanes
+    )
 
 
 class BatchVerbs:

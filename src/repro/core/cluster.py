@@ -34,18 +34,14 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import api
 from repro.core.api import BatchOp, BatchResult, OpResult
 from repro.core.durability import IntentJournal
-from repro.core.errors import (
-    ClusterUnavailableError,
-    NoQuorumError,
-    TieraError,
-    code_for,
-)
+from repro.core.errors import ClusterUnavailableError, NoQuorumError
 from repro.kvstore.store import MemoryStore
 from repro.obs.audit import AuditRecord
 from repro.simcloud.resources import RequestContext
@@ -69,6 +65,15 @@ _INFRA_CODES = frozenset(
 #: Bound on the in-memory transition / repair-run logs.
 _LOG_CAP = 1000
 
+#: Consecutive probe misses before a shard is marked down (one miss
+#: already makes it suspect).
+DOWN_AFTER_MISSES = 2
+#: Consecutive data-path infra failures before a shard is marked down
+#: without waiting for the prober.
+OP_FAILURE_THRESHOLD = 3
+#: Leaf buckets per shard in the Merkle comparison.
+MERKLE_BUCKETS = 16
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -82,17 +87,9 @@ class ClusterConfig:
     write_quorum: Optional[int] = None
     #: seconds between failure-detector probe rounds.
     heartbeat_interval: float = 5.0
-    #: consecutive probe misses before a shard is marked down
-    #: (one miss already makes it suspect).
-    down_after_misses: int = 2
-    #: consecutive data-path infra failures before a shard is marked
-    #: down without waiting for the prober.
-    op_failure_threshold: int = 3
     #: seconds between anti-entropy sweeps (0 disables the timer;
     #: :meth:`ClusterManager.anti_entropy` can still be called).
     anti_entropy_interval: float = 60.0
-    #: leaf buckets per shard in the Merkle comparison.
-    merkle_buckets: int = 16
 
     def quorum(self, replicas: int) -> int:
         if self.write_quorum is not None:
@@ -104,10 +101,10 @@ class ClusterConfig:
             "replication_factor": self.replication_factor,
             "write_quorum": self.write_quorum,
             "heartbeat_interval": self.heartbeat_interval,
-            "down_after_misses": self.down_after_misses,
-            "op_failure_threshold": self.op_failure_threshold,
+            "down_after_misses": DOWN_AFTER_MISSES,
+            "op_failure_threshold": OP_FAILURE_THRESHOLD,
             "anti_entropy_interval": self.anti_entropy_interval,
-            "merkle_buckets": self.merkle_buckets,
+            "merkle_buckets": MERKLE_BUCKETS,
         }
 
 
@@ -122,16 +119,6 @@ class Hint:
     checksum: str = ""
     created_at: float = 0.0
     attempts: int = 0
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "target": self.target,
-            "holder": self.holder,
-            "op": self.op,
-            "checksum": self.checksum,
-            "created_at": self.created_at,
-        }
 
 
 class HintQueue:
@@ -200,7 +187,6 @@ class FailureDetector:
 
     def __init__(self, manager: "ClusterManager"):
         self.manager = manager
-        self.config = manager.config
         self.state: Dict[str, str] = {}
         self.misses: Dict[str, int] = {}
         self.op_failures: Dict[str, int] = {}
@@ -258,8 +244,7 @@ class FailureDetector:
     def _recompute(self, shard: str) -> None:
         misses = self.misses[shard]
         failures = self.op_failures[shard]
-        if (misses >= self.config.down_after_misses
-                or failures >= self.config.op_failure_threshold):
+        if misses >= DOWN_AFTER_MISSES or failures >= OP_FAILURE_THRESHOLD:
             new = DOWN
         elif misses > 0 or failures > 0:
             new = SUSPECT
@@ -283,6 +268,29 @@ class FailureDetector:
 
     def summary(self) -> Dict[str, str]:
         return {shard: self.state[shard] for shard in sorted(self.state)}
+
+
+def transfer(
+    key: str, source, targets: Sequence, ctx: Optional[RequestContext] = None,
+    verify: Optional[str] = None,
+) -> Optional[List[OpResult]]:
+    """Copy ``key`` — bytes and tags — from one shard to others: one
+    read of ``source``, one put per target, all on ``ctx``.
+
+    Every movement of an object between shards is this function:
+    migration (journaled or not), hint replay, replica repair.  Returns
+    the puts' envelopes in ``targets`` order, or ``None`` without
+    writing anything when the source copy cannot be read or — given
+    ``verify``, the checksum its metadata records — does not match it.
+    """
+    fetched = source.get_object(key, ctx=ctx)
+    if not fetched.ok or (verify is not None and fetched.checksum != verify):
+        return None
+    tags = sorted(source.stat(key).tags)
+    return [
+        target.put_object(key, fetched.value, tags=tags, ctx=ctx)
+        for target in targets
+    ]
 
 
 class ClusterManager:
@@ -404,20 +412,6 @@ class ClusterManager:
     def _ctx(self, ctx: Optional[RequestContext]) -> RequestContext:
         return ctx if ctx is not None else RequestContext(self.clock)
 
-    def _error_result(
-        self, op: str, key: str, exc: TieraError, latency: float
-    ) -> OpResult:
-        return OpResult(
-            op=op,
-            key=key,
-            ok=False,
-            latency=latency,
-            error=code_for(exc),
-            error_message=str(exc),
-            error_type=type(exc).__name__,
-            exception=exc,
-        )
-
     def _shard_op(self, shard: str, op: str) -> None:
         self.router._shard_ops.inc(shard=shard, op=op)
 
@@ -464,7 +458,7 @@ class ClusterManager:
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        return self._write(api.PUT, key, data, tags, ctx, trace)
+        return self._write(BatchOp.put(key, data, tags=tags), ctx, trace)
 
     def delete_object(
         self,
@@ -473,17 +467,12 @@ class ClusterManager:
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        return self._write(api.DELETE, key, None, None, ctx, trace)
+        return self._write(BatchOp.delete(key), ctx, trace)
 
     def _write(
-        self,
-        op: str,
-        key: str,
-        data: Optional[bytes],
-        tags: Optional[List[str]],
-        ctx: Optional[RequestContext],
-        trace: bool,
+        self, write: BatchOp, ctx: Optional[RequestContext], trace: bool
     ) -> OpResult:
+        op, key = write.op, write.key
         ctx = self._ctx(ctx)
         root = self.obs.tracer.start_request(op, key, ctx, force=trace)
         started = ctx.time
@@ -498,13 +487,12 @@ class ClusterManager:
                 # Don't burn a timeout on a known-dead shard: park the
                 # write on the next healthy successor instead.
                 self._hinted_write(
-                    op, key, data, tags, shard, owners, handoffs_taken,
-                    branches, causes,
+                    write, shard, owners, handoffs_taken, branches, causes
                 )
                 continue
             bctx = branches.branch()
             self._shard_op(shard, op)
-            result = self._apply_write(shard, op, key, data, tags, bctx)
+            result = self._apply_write(self.shards[shard], write, bctx)
             self._feed_detector(shard, result)
             self._replica_ops.inc(
                 shard=shard, op=op, outcome="ok" if result.ok else "error"
@@ -512,56 +500,51 @@ class ClusterManager:
             if result.ok:
                 acked.append((shard, result))
             else:
-                causes.append((shard, result.exception or RuntimeError(
-                    result.error_message)))
+                causes.append((shard, result.exception))
                 if result.error in _INFRA_CODES:
                     # The owner timed out under us mid-detection: hint
                     # the write so the shard heals when it returns.
                     self._hinted_write(
-                        op, key, data, tags, shard, owners, handoffs_taken,
-                        branches, causes,
+                        write, shard, owners, handoffs_taken, branches,
+                        causes,
                     )
         branches.join()
-        latency = ctx.time - started
         if len(acked) >= quorum:
-            self.obs.tracer.finish_request(root, ctx)
-            self.obs.slo.record(op, latency, True, ctx.time)
             shard_names, results = zip(*acked)
             template = results[0]
             return OpResult(
                 op=op,
                 key=key,
                 ok=True,
-                latency=latency,
+                latency=api.close_request(self.obs, op, root, ctx, started),
                 tier=",".join(sorted(shard_names)),
                 checksum=template.checksum,
                 size=template.size,
             )
         self._quorum_failures.inc(op=op)
         exc = NoQuorumError(key, len(acked), quorum, causes)
-        self.obs.tracer.finish_request(
-            root, ctx, error=f"{type(exc).__name__}: {exc}"
+        return api.failed_result(
+            op, key, exc,
+            api.close_request(self.obs, op, root, ctx, started, exc),
         )
-        self.obs.slo.record(op, latency, False, ctx.time)
-        return self._error_result(op, key, exc, latency)
 
-    def _apply_write(
-        self, shard: str, op: str, key, data, tags, bctx
-    ) -> OpResult:
-        server = self.shards[shard]
-        if op == api.PUT:
-            return server.put_object(key, data, tags=tags, ctx=bctx)
-        result = server.delete_object(key, ctx=bctx)
+    def _apply_write(self, server, write: BatchOp, bctx) -> OpResult:
+        if write.op == api.PUT:
+            return server.put_object(
+                write.key, write.data, tags=write.tags, ctx=bctx
+            )
+        result = server.delete_object(write.key, ctx=bctx)
         if not result.ok and result.error == "NO_SUCH_OBJECT":
             # Deleting a key a replica never got is a successful delete
             # from the cluster's point of view.
-            return OpResult(op=api.DELETE, key=key, ok=True,
+            return OpResult(op=api.DELETE, key=write.key, ok=True,
                             latency=result.latency)
         return result
 
     def _hinted_write(
-        self, op, key, data, tags, target, owners, taken, branches, causes
+        self, write: BatchOp, target, owners, taken, branches, causes
     ) -> None:
+        op, key = write.op, write.key
         holder = self._handoff_target(key, owners, taken)
         if holder is None:
             causes.append(
@@ -573,14 +556,11 @@ class ClusterManager:
         bctx = branches.branch()
         self._shard_op(holder, f"handoff-{op}")
         if op == api.PUT:
-            result = self.shards[holder].put_object(
-                key, data, tags=tags, ctx=bctx
-            )
+            result = self._apply_write(self.shards[holder], write, bctx)
             if result.ok:
                 self._record_hint(key, target, holder, op, result.checksum)
             else:
-                causes.append((holder, result.exception or RuntimeError(
-                    result.error_message)))
+                causes.append((holder, result.exception))
                 self._feed_detector(holder, result)
         else:
             # A delete owed to a down shard needs no bytes parked — just
@@ -613,7 +593,7 @@ class ClusterManager:
         expected = self._checksum_vote(key, owners)
         causes: List[Tuple[str, BaseException]] = []
         missing = 0
-        for index, shard in enumerate(candidates):
+        for shard in candidates:
             self._shard_op(shard, api.GET)
             result = self.shards[shard].get_object(key, prefer=prefer, ctx=ctx)
             self._feed_detector(shard, result)
@@ -633,27 +613,21 @@ class ClusterManager:
                     self._failover_reads.inc(shard=owners[0])
                 if missing or causes:
                     self._schedule_repair(key, reason="read-repair")
-                latency = ctx.time - started
-                self.obs.tracer.finish_request(root, ctx)
-                self.obs.slo.record(api.GET, latency, True, ctx.time)
-                result.latency = latency
+                result.latency = api.close_request(
+                    self.obs, api.GET, root, ctx, started
+                )
                 return result
-            if result.error == "NO_SUCH_OBJECT":
-                missing += 1
-                causes.append((shard, result.exception))
-                continue
+            missing += result.error == "NO_SUCH_OBJECT"
             causes.append((shard, result.exception))
-        latency = ctx.time - started
         if missing == len(candidates):
             # Every reachable replica agrees the key does not exist.
             exc = causes[0][1]
         else:
             exc = ClusterUnavailableError(key, causes=causes)
-        self.obs.tracer.finish_request(
-            root, ctx, error=f"{type(exc).__name__}: {exc}"
+        return api.failed_result(
+            api.GET, key, exc,
+            api.close_request(self.obs, api.GET, root, ctx, started, exc),
         )
-        self.obs.slo.record(api.GET, latency, False, ctx.time)
-        return self._error_result(api.GET, key, exc, latency)
 
     def _checksum_vote(self, key: str, owners: Sequence[str]) -> Optional[str]:
         """Majority content checksum across reachable owners' metadata.
@@ -687,62 +661,22 @@ class ClusterManager:
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> BatchResult:
-        """Batch over the replicated path: greedy-lane scheduling like
-        the single-instance server, each item fanning out to its own
-        replica set."""
-        ops = list(ops)
-        if parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        ctx = self._ctx(ctx)
-        self.router.admit(len(ops))
-        root = self.obs.tracer.start_request(
-            "batch", f"{len(ops)} ops", ctx, force=trace
+        """Batch over the replicated path: the same bracket and lane
+        scheduler as the single-instance server (admission is the
+        router's), each item fanning out to its own replica set."""
+        return api.run_batch(
+            ops, parallelism, self._ctx(ctx), trace,
+            self.obs.tracer, self.router.admission, self._run_items,
         )
-        parent = root if root is not None else ctx.span
-        started = ctx.time
-        lanes = [ctx.time] * max(1, min(parallelism, len(ops)))
-        results: List[OpResult] = []
-        try:
-            branches = ctx.scatter()
-            for index, op in enumerate(ops):
-                lane = min(range(len(lanes)), key=lanes.__getitem__)
-                bctx = branches.branch(at=lanes[lane])
-                span = None
-                if parent is not None:
-                    span = parent.child(
-                        f"{op.op} {op.key}", "op", bctx.time,
-                        op=op.op, key=op.key, index=index, lane=lane,
-                    )
-                    bctx.span = span
-                if op.op == api.PUT:
-                    result = self.put_object(
-                        op.key, op.data, tags=op.tags, ctx=bctx
-                    )
-                elif op.op == api.GET:
-                    result = self.get_object(
-                        op.key, prefer=op.prefer, ctx=bctx
-                    )
-                else:
-                    result = self.delete_object(op.key, ctx=bctx)
-                results.append(result)
-                if span is not None:
-                    span.finish(bctx.time)
-                    if not result.ok:
-                        span.error = result.error
-                    bctx.span = None
-                lanes[lane] = bctx.time
-            branches.join()
-        finally:
-            self.router.admission.release(len(ops))
-        if root is not None:
-            root.attrs["items"] = len(ops)
-            root.attrs["parallelism"] = len(lanes)
-        self.obs.tracer.finish_request(root, ctx)
-        return BatchResult(
-            results=results,
-            latency=ctx.time - started,
-            parallelism=len(lanes),
-        )
+
+    def _run_items(self, ops: Sequence[BatchOp], lanes: int, ctx, parent):
+        results = api.schedule_lanes(ops, lanes, ctx, parent, self._run_op)
+        return results, {"parallelism": lanes}
+
+    def _run_op(self, op: BatchOp, ctx: RequestContext) -> OpResult:
+        if op.op == api.GET:
+            return self.get_object(op.key, prefer=op.prefer, ctx=ctx)
+        return self._write(op, ctx, False)
 
     # -- metadata views ---------------------------------------------------
 
@@ -757,25 +691,47 @@ class ClusterManager:
                 return self.shards[shard].stat(key)
         return self.shards[self.owners(key)[0]].stat(key)  # raises
 
-    def cluster_keys(self) -> List[str]:
-        seen = set()
-        for shard in self.shards.values():
-            seen.update(shard.keys())
-        return sorted(seen)
-
     # -- self-healing: hint replay ---------------------------------------
 
-    def _note_transition(self, shard: str, old: str, new: str) -> None:
+    @contextmanager
+    def _background(
+        self, name: str, section: str,
+        ctx: Optional[RequestContext] = None, **attrs: object,
+    ):
+        """The bracket around a piece of maintenance work: a fresh
+        context under a background trace root (or the ``ctx`` of the
+        sweep this work is part of, nesting under that sweep's root),
+        timed as profiler section ``cluster:<section>``.  Yields the
+        context and the root (``None`` when tracing is off or the
+        context was lent)."""
+        root = None
+        if ctx is None:
+            ctx = RequestContext(self.clock)
+            root = self.obs.tracer.start_background(name, ctx, **attrs)
+        try:
+            with self.obs.profiler.section(f"cluster:{section}"):
+                yield ctx, root
+        finally:
+            self.obs.tracer.finish_request(root, ctx)
+
+    def _audit(
+        self, name: str, origin: str, detail: Dict[str, object],
+        moved: int = 0,
+    ) -> None:
         self.obs.audit.append(
             AuditRecord(
                 time=self.clock.now(),
                 category="cluster",
-                name=shard,
-                origin="failure-detector",
+                name=name,
+                origin=origin,
                 foreground=False,
-                detail={"from": old, "to": new},
+                objects_moved=moved,
+                detail=detail,
             )
         )
+
+    def _note_transition(self, shard: str, old: str, new: str) -> None:
+        self._audit(shard, "failure-detector", {"from": old, "to": new})
         if old == DOWN and new != DOWN:
             # The shard came back: drain its hints, then reconcile any
             # writes that arrived while it was dark.
@@ -793,12 +749,11 @@ class ClusterManager:
         Hints for still-down targets (a flapping shard can drop mid-
         replay) re-queue; a hint whose holder lost the bytes is dropped
         — anti-entropy owns that divergence."""
-        ctx = RequestContext(self.clock)
-        root = self.obs.tracer.start_background(
-            f"hint-replay {target or '*'}", ctx, target=target or "*"
-        )
         replayed = dropped = requeued = 0
-        with self.obs.profiler.section("cluster:hint-replay"):
+        with self._background(
+            f"hint-replay {target or '*'}", "hint-replay",
+            target=target or "*",
+        ) as (ctx, root):
             for hint in self.hints.take(target):
                 if (hint.target not in self.shards
                         or self.detector.is_down(hint.target)):
@@ -828,47 +783,32 @@ class ClusterManager:
                     self._hint_replays.inc(
                         target=hint.target, outcome="requeued"
                     )
-        self._hints_pending.set(len(self.hints))
-        if root is not None:
-            root.attrs.update(
-                replayed=replayed, dropped=dropped, requeued=requeued
-            )
-        self.obs.tracer.finish_request(root, ctx)
-        record = {
-            "time": self.clock.now(),
+            self._hints_pending.set(len(self.hints))
+            if root is not None:
+                root.attrs.update(
+                    replayed=replayed, dropped=dropped, requeued=requeued
+                )
+        counts = {
             "target": target or "*",
             "replayed": replayed,
             "dropped": dropped,
             "requeued": requeued,
         }
+        record = {"time": self.clock.now(), **counts}
         if replayed or dropped or requeued:
             if len(self.replay_runs) < _LOG_CAP:
                 self.replay_runs.append(record)
-            self.obs.audit.append(
-                AuditRecord(
-                    time=self.clock.now(),
-                    category="cluster",
-                    name=target or "*",
-                    origin="hint-replay",
-                    foreground=False,
-                    objects_moved=replayed,
-                    detail={k: v for k, v in record.items() if k != "time"},
-                )
-            )
+            self._audit(target or "*", "hint-replay", counts, moved=replayed)
         return record
 
     def _replay_put(self, hint: Hint, ctx: RequestContext) -> Optional[bool]:
         holder = self.shards.get(hint.holder)
         if holder is None or not holder.contains(hint.key):
             return None
-        fetched = holder.get_object(hint.key, ctx=ctx)
-        if not fetched.ok:
-            return False
-        tags = sorted(holder.stat(hint.key).tags)
-        result = self.shards[hint.target].put_object(
-            hint.key, fetched.value, tags=tags, ctx=ctx
+        written = transfer(
+            hint.key, holder, [self.shards[hint.target]], ctx
         )
-        if not result.ok:
+        if written is None or not written[0].ok:
             return False
         if (hint.holder not in self.owners(hint.key)
                 and hint.holder not in self.hints.holders_of(hint.key)):
@@ -881,7 +821,7 @@ class ClusterManager:
 
     def _bucket(self, key: str) -> int:
         digest = hashlib.sha256(key.encode()).digest()
-        return int.from_bytes(digest[:4], "big") % self.config.merkle_buckets
+        return int.from_bytes(digest[:4], "big") % MERKLE_BUCKETS
 
     def _merkle(self, shard: str, keys: Sequence[str]) -> Tuple[str, List[str]]:
         """(root, per-bucket digests) of ``shard``'s view of ``keys``.
@@ -892,9 +832,7 @@ class ClusterManager:
         Versions are deliberately left out of the leaves: a repair
         rewrite bumps the repaired copy's version, and hashing versions
         would keep a healed group "divergent" forever."""
-        buckets: List[List[str]] = [
-            [] for _ in range(self.config.merkle_buckets)
-        ]
+        buckets: List[List[str]] = [[] for _ in range(MERKLE_BUCKETS)]
         server = self.shards[shard]
         for key in keys:
             if server.contains(key):
@@ -915,15 +853,13 @@ class ClusterManager:
         copy.  Groups with an unreachable member are compared among the
         reachable ones only; the next sweep after recovery finishes the
         job."""
-        ctx = RequestContext(self.clock)
-        root = self.obs.tracer.start_background("anti-entropy", ctx)
         groups: Dict[Tuple[str, ...], List[str]] = {}
-        for key in self.cluster_keys():
+        for key in self.router.keys():
             groups.setdefault(tuple(self.owners(key)), []).append(key)
         divergent_groups = 0
         skipped_groups = 0
         repairs = 0
-        with self.obs.profiler.section("cluster:anti-entropy"):
+        with self._background("anti-entropy", "anti-entropy") as (ctx, root):
             for owner_set in sorted(groups):
                 keys = sorted(groups[owner_set])
                 reachable = [s for s in owner_set
@@ -937,38 +873,27 @@ class ClusterManager:
                     continue
                 divergent_groups += 1
                 suspect_buckets = set()
-                for bucket in range(self.config.merkle_buckets):
+                for bucket in range(MERKLE_BUCKETS):
                     digests = {trees[s][1][bucket] for s in reachable}
                     if len(digests) > 1:
                         suspect_buckets.add(bucket)
                 for key in keys:
                     if self._bucket(key) in suspect_buckets:
                         repairs += self._sync_key(key, ctx=ctx)
-        self._ae_runs.inc()
-        if root is not None:
-            root.attrs.update(divergent=divergent_groups, repairs=repairs)
-        self.obs.tracer.finish_request(root, ctx)
-        record = {
-            "time": self.clock.now(),
+            self._ae_runs.inc()
+            if root is not None:
+                root.attrs.update(divergent=divergent_groups, repairs=repairs)
+        counts = {
             "groups": len(groups),
             "divergent": divergent_groups,
             "skipped": skipped_groups,
             "repairs": repairs,
         }
+        record = {"time": self.clock.now(), **counts}
         if len(self.anti_entropy_runs) < _LOG_CAP:
             self.anti_entropy_runs.append(record)
         if divergent_groups:
-            self.obs.audit.append(
-                AuditRecord(
-                    time=self.clock.now(),
-                    category="cluster",
-                    name="anti-entropy",
-                    origin="timer",
-                    foreground=False,
-                    objects_moved=repairs,
-                    detail={k: v for k, v in record.items() if k != "time"},
-                )
-            )
+            self._audit("anti-entropy", "timer", counts, moved=repairs)
         return record
 
     def _schedule_repair(self, key: str, reason: str) -> None:
@@ -986,57 +911,37 @@ class ClusterManager:
         read-repair) open their own background trace root; an
         anti-entropy sweep passes its ``ctx`` so repairs nest under the
         sweep's root instead."""
-        root = None
-        if ctx is None:
-            ctx = RequestContext(self.clock)
-            root = self.obs.tracer.start_background(
-                f"read-repair {key}", ctx, key=key
-            )
-        try:
-            with self.obs.profiler.section("cluster:read-repair"):
-                return self._converge_replicas(key, ctx)
-        finally:
-            self.obs.tracer.finish_request(root, ctx)
+        with self._background(
+            f"read-repair {key}", "read-repair", ctx, key=key
+        ) as (ctx, _):
+            return self._converge_replicas(key, ctx)
 
     def _converge_replicas(self, key: str, ctx: RequestContext) -> int:
-        owners = self.owners(key)
-        reachable = [s for s in owners if not self.detector.is_down(s)]
-        candidates: List[Tuple[int, str, str]] = []  # (version, checksum, shard)
-        for shard in reachable:
-            server = self.shards[shard]
-            if server.contains(key):
-                meta = server.stat(key)
-                candidates.append((meta.version, meta.checksum, shard))
-        if not candidates:
-            return 0
-        winner_data = None
-        winner_checksum = ""
-        winner_tags: List[str] = []
-        for version, checksum, shard in sorted(candidates, reverse=True):
-            fetched = self.shards[shard].get_object(key, ctx=ctx)
-            if fetched.ok and fetched.checksum == checksum:
-                winner_data = fetched.value
-                winner_checksum = checksum
-                winner_tags = sorted(self.shards[shard].stat(key).tags)
-                break
-        if winner_data is None:
-            return 0
-        repaired = 0
-        for shard in reachable:
-            server = self.shards[shard]
-            if (server.contains(key)
-                    and server.stat(key).checksum == winner_checksum):
-                # Trust the recorded checksum unless the copy is the one
-                # we just verified; deep verification is the read path's
-                # job.  Divergence here means a missed or torn write.
-                continue
-            result = server.put_object(
-                key, winner_data, tags=winner_tags, ctx=ctx
+        reachable = [
+            s for s in self.owners(key) if not self.detector.is_down(s)
+        ]
+        candidates = sorted(
+            (self._rank(key, s) for s in reachable
+             if self.shards[s].contains(key)),
+            reverse=True,
+        )
+        recorded = {shard: checksum for _, checksum, shard in candidates}
+        for _, checksum, shard in candidates:
+            # Trust a recorded checksum equal to the winner's; deep
+            # verification is the read path's job.  Divergence here
+            # means a missed or torn write.
+            stale = [s for s in reachable if recorded.get(s) != checksum]
+            written = transfer(
+                key, self.shards[shard], [self.shards[s] for s in stale],
+                ctx, verify=checksum,
             )
-            if result.ok:
-                repaired += 1
-                self._ae_repairs.inc(shard=shard)
-        return repaired
+            if written is None:
+                continue  # bit-rotted or unreadable: cannot win
+            repaired = [s for s, put in zip(stale, written) if put.ok]
+            for name in repaired:
+                self._ae_repairs.inc(shard=name)
+            return len(repaired)
+        return 0
 
     # -- crash-safe migration --------------------------------------------
 
@@ -1046,8 +951,6 @@ class ClusterManager:
 
     def add_shard(self, name: str, server) -> int:
         """Join a shard with journaled, crash-safe key migration."""
-        if name in self.shards:
-            raise ValueError(f"shard {name!r} already in the cluster")
         self._crash("cluster.migrate.begin")
         member_seq = self.journal.begin(
             {"kind": "cluster.membership", "action": "add", "shard": name}
@@ -1058,16 +961,10 @@ class ClusterManager:
         moved = self._rebalance()
         self._crash("cluster.migrate.done")
         self.journal.commit(member_seq)
-        self.migrations += moved
-        self._audit_migration("add", name, moved)
-        return moved
+        return self._migrated("add", name, moved)
 
     def remove_shard(self, name: str) -> int:
         """Drain and remove a shard, journaled like :meth:`add_shard`."""
-        if name not in self.shards:
-            raise KeyError(f"no shard {name!r}")
-        if len(self.shards) == 1:
-            raise TieraError("cannot remove the last shard")
         self._crash("cluster.migrate.begin")
         member_seq = self.journal.begin(
             {"kind": "cluster.membership", "action": "remove", "shard": name}
@@ -1081,22 +978,15 @@ class ClusterManager:
         del self.shards[name]
         self.detector.forget(name)
         self.journal.commit(member_seq)
-        self.migrations += moved
-        self._audit_migration("remove", name, moved)
-        return moved
+        return self._migrated("remove", name, moved)
 
-    def _audit_migration(self, action: str, shard: str, moved: int) -> None:
-        self.obs.audit.append(
-            AuditRecord(
-                time=self.clock.now(),
-                category="cluster",
-                name=shard,
-                origin=f"migrate-{action}",
-                foreground=False,
-                objects_moved=moved,
-                detail={"action": action, "moved": moved},
-            )
+    def _migrated(self, action: str, shard: str, moved: int) -> int:
+        self.migrations += moved
+        self._audit(
+            shard, f"migrate-{action}", {"action": action, "moved": moved},
+            moved=moved,
         )
+        return moved
 
     def _rebalance(self) -> int:
         """Make key placement match the ring, one journaled move at a
@@ -1105,15 +995,12 @@ class ClusterManager:
         to the same placement."""
         ctx = RequestContext(self.clock)
         moved = 0
-        for key in self.cluster_keys():
+        for key in self.router.keys():
             owners = self.owners(key)
-            holders = [
-                s for s in sorted(self.shards)
-                if self.shards[s].contains(key)
-            ]
+            holders = self._holders(key)
             if not holders:
                 continue
-            source = self._pick_source(key, holders)
+            source = max(holders, key=lambda s: self._rank(key, s))
             for target in owners:
                 if target in holders:
                     continue
@@ -1140,14 +1027,13 @@ class ClusterManager:
                 self._moves.inc(kind="drop")
         return moved
 
-    def _pick_source(self, key: str, holders: Sequence[str]) -> str:
-        best = None
-        for shard in holders:
-            meta = self.shards[shard].stat(key)
-            rank = (meta.version, meta.checksum, shard)
-            if best is None or rank > best[0]:
-                best = (rank, shard)
-        return best[1]
+    def _holders(self, key: str) -> List[str]:
+        return [s for s in sorted(self.shards) if self.shards[s].contains(key)]
+
+    def _rank(self, key: str, shard: str) -> Tuple[int, str, str]:
+        """Replica precedence: the highest (version, checksum) wins."""
+        meta = self.shards[shard].stat(key)
+        return meta.version, meta.checksum, shard
 
     def _copy_key(
         self, key: str, source: str, target: str, ctx: RequestContext
@@ -1155,13 +1041,8 @@ class ClusterManager:
         src = self.shards.get(source)
         if src is None or not src.contains(key):
             return False
-        fetched = src.get_object(key, ctx=ctx)
-        if not fetched.ok:
-            return False
-        tags = sorted(src.stat(key).tags)
-        return self.shards[target].put_object(
-            key, fetched.value, tags=tags, ctx=ctx
-        ).ok
+        written = transfer(key, src, [self.shards[target]], ctx)
+        return written is not None and written[0].ok
 
     def recover(self) -> Dict[str, object]:
         """Finish whatever a crashed migration left in flight.
@@ -1216,16 +1097,9 @@ class ClusterManager:
             "rebalanced": rebalanced,
             "journal_pending": len(self.journal),
         }
-        self.obs.audit.append(
-            AuditRecord(
-                time=self.clock.now(),
-                category="cluster",
-                name="recover",
-                origin="migration-journal",
-                foreground=False,
-                objects_moved=redone + rebalanced,
-                detail=dict(report),
-            )
+        self._audit(
+            "recover", "migration-journal", dict(report),
+            moved=redone + rebalanced,
         )
         return report
 
@@ -1242,74 +1116,63 @@ class ClusterManager:
         ``repair=True`` each finding is healed in place — replay /
         sync / drop / recover — and annotated with what was done."""
         findings: List[Dict[str, object]] = []
-        keys = self.cluster_keys()
+
+        def found(kind: str, key: str, shard: str, detail: str) -> None:
+            findings.append(
+                {"kind": kind, "key": key, "shard": shard, "detail": detail}
+            )
+
+        keys = self.router.keys()
         for key in keys:
             owners = self.owners(key)
-            holders = [
-                s for s in sorted(self.shards)
-                if self.shards[s].contains(key)
-            ]
+            holders = self._holders(key)
             if not holders:
                 continue
-            hint_targets = {
-                h.target for h in self.hints if h.key == key
-            }
+            hint_targets = {h.target for h in self.hints if h.key == key}
             hint_holders = set(self.hints.holders_of(key))
             for owner in owners:
                 if owner not in holders and owner not in hint_targets:
-                    findings.append(
-                        {"kind": "under-replicated", "key": key,
-                         "shard": owner,
-                         "detail": f"owner {owner!r} holds no copy"}
-                    )
+                    found("under-replicated", key, owner,
+                          f"owner {owner!r} holds no copy")
             for holder in holders:
                 if holder not in owners and holder not in hint_holders:
-                    findings.append(
-                        {"kind": "orphan-copy", "key": key, "shard": holder,
-                         "detail": f"non-owner {holder!r} holds a copy"}
-                    )
-            checksums = sorted(
-                {self.shards[s].stat(key).checksum
-                 for s in holders if s in owners}
-            )
+                    found("orphan-copy", key, holder,
+                          f"non-owner {holder!r} holds a copy")
+            checksums = {
+                self.shards[s].stat(key).checksum
+                for s in holders if s in owners
+            }
             if len(checksums) > 1:
-                findings.append(
-                    {"kind": "divergent-replicas", "key": key,
-                     "shard": ",".join(s for s in owners if s in holders),
-                     "detail": f"{len(checksums)} distinct checksums"}
-                )
+                found("divergent-replicas", key,
+                      ",".join(s for s in owners if s in holders),
+                      f"{len(checksums)} distinct checksums")
         for hint in self.hints:
-            if hint.target not in self.shards:
-                findings.append(
-                    {"kind": "orphan-hint", "key": hint.key,
-                     "shard": hint.target,
-                     "detail": "hint target left the cluster"}
-                )
-            elif hint.op == api.PUT and (
-                    hint.holder not in self.shards
-                    or not self.shards[hint.holder].contains(hint.key)):
-                findings.append(
-                    {"kind": "orphan-hint", "key": hint.key,
-                     "shard": hint.holder,
-                     "detail": "hint holder lost the parked copy"}
-                )
+            orphaned = self._orphaned(hint)
+            if orphaned is not None:
+                found("orphan-hint", hint.key, *orphaned)
         for seq, record in self.journal.pending():
-            findings.append(
-                {"kind": "migration-journal",
-                 "key": str(record.get("key", record.get("shard", ""))),
-                 "shard": str(record.get("target", "")),
-                 "detail": f"uncommitted {record.get('kind')} intent "
-                           f"(seq {seq})"}
-            )
+            found("migration-journal",
+                  str(record.get("key", record.get("shard", ""))),
+                  str(record.get("target", "")),
+                  f"uncommitted {record.get('kind')} intent (seq {seq})")
         if repair and findings:
             self._repair_findings(findings)
-        report = {
+        return {
             "clean": not findings,
             "checked_keys": len(keys),
             "checked_hints": len(self.hints),
             "findings": findings,
         }
-        return report
+
+    def _orphaned(self, hint: Hint) -> Optional[Tuple[str, str]]:
+        """(the shard that is gone, why) for a hint nothing can honour."""
+        if hint.target not in self.shards:
+            return hint.target, "hint target left the cluster"
+        if hint.op == api.PUT and (
+                hint.holder not in self.shards
+                or not self.shards[hint.holder].contains(hint.key)):
+            return hint.holder, "hint holder lost the parked copy"
+        return None
 
     def _repair_findings(self, findings: List[Dict[str, object]]) -> None:
         ctx = RequestContext(self.clock)
@@ -1335,13 +1198,8 @@ class ClusterManager:
                         else "kept (sole copy)"
                     )
             elif kind == "orphan-hint":
-                for hint in list(self.hints):
-                    if hint.key == finding["key"] and (
-                            hint.target not in self.shards
-                            or (hint.op == api.PUT and (
-                                hint.holder not in self.shards
-                                or not self.shards[hint.holder].contains(
-                                    hint.key)))):
+                for hint in self.hints:
+                    if hint.key == finding["key"] and self._orphaned(hint):
                         self.hints.discard(hint.target, hint.key)
                 finding["repair"] = "dropped orphan hint"
                 self._hints_pending.set(len(self.hints))

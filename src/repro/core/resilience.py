@@ -152,6 +152,10 @@ class RepairTask:
     attempts: int = 0
 
 
+#: Replays of one redirected write before its repair task is dropped.
+MAX_REPAIR_ATTEMPTS = 5
+
+
 class RepairQueue:
     """FIFO of repair tasks, deduplicated on (key, tier).
 
@@ -160,7 +164,7 @@ class RepairQueue:
     *current* bytes, so one task per destination is always enough.
     """
 
-    def __init__(self, max_attempts: int = 5):
+    def __init__(self, max_attempts: int = MAX_REPAIR_ATTEMPTS):
         self._tasks: "OrderedDict[Tuple[str, str], RepairTask]" = OrderedDict()
         self.max_attempts = max_attempts
         self.enqueued = 0
@@ -217,11 +221,6 @@ class ResilienceConfig:
 
     retry: RetryPolicy = RetryPolicy()
     breaker: BreakerConfig = BreakerConfig()
-    #: verify checksums on read (and read-repair corrupt copies)?
-    verify_reads: bool = True
-    #: redirect writes to a surviving tier when the target is sick?
-    degraded_writes: bool = True
-    max_repair_attempts: int = 5
     #: jitter RNG seed; None derives one from the instance name
     seed: Optional[int] = None
 
@@ -238,9 +237,7 @@ class ResilienceLayer:
             seed = zlib.crc32(instance.name.encode("utf-8")) ^ 0x9E3779B9
         self.rng = random.Random(seed)
         self.breakers: Dict[str, CircuitBreaker] = {}
-        self.repair_queue = RepairQueue(
-            max_attempts=self.config.max_repair_attempts
-        )
+        self.repair_queue = RepairQueue()
         self.retry_count = 0
         self.degraded_write_count = 0
         self.read_repair_count = 0
@@ -384,8 +381,6 @@ class ResilienceLayer:
 
         Raises the original ``cause`` when no tier can take the write
         (nowhere to degrade to — a genuine outage)."""
-        if not self.config.degraded_writes:
-            raise cause
         instance = self.instance
         fallback = None
         for tier in instance.tiers.ordered():
@@ -433,10 +428,7 @@ class ResilienceLayer:
         Compression/encryption rewrite the stored form, so only plain
         objects with a recorded content checksum are verifiable."""
         return bool(
-            self.config.verify_reads
-            and meta.checksum
-            and not meta.compressed
-            and not meta.encrypted
+            meta.checksum and not meta.compressed and not meta.encrypted
         )
 
     def verify(self, meta, data: bytes) -> bool:

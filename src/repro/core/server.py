@@ -23,7 +23,7 @@ from repro.core.api import (
     BatchVerbs,
     OpResult,
 )
-from repro.core.errors import TieraError, code_for
+from repro.core.errors import TieraError
 from repro.core.instance import TieraInstance
 from repro.core.objects import ObjectMeta, content_checksum
 from repro.simcloud.errors import SimCloudError
@@ -50,8 +50,8 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         self.instance = instance
         self.clock = instance.clock
         self.obs = instance.obs
-        self.admission = AdmissionController(max_inflight)
         metrics = self.obs.metrics
+        self.admission = AdmissionController(max_inflight, metrics)
         self._requests = metrics.counter(
             "tiera_requests_total", "Client PUT/GET/DELETE requests served."
         )
@@ -72,33 +72,18 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
             "tiera_batch_seconds",
             "Client-observed simulated latency per batch.",
         )
-        self._backpressure = metrics.counter(
-            "tiera_backpressure_total",
-            "Requests refused by admission control.",
-        )
 
     def _ctx(self, ctx: Optional[RequestContext]) -> RequestContext:
         return ctx if ctx is not None else RequestContext(self.clock)
 
-    def _begin(self, op: str, key: str, ctx: RequestContext, trace: bool):
-        """Open the request trace (when tracing) and note the start time."""
-        return self.obs.tracer.start_request(op, key, ctx, force=trace), ctx.time
-
     def _end(self, op, root, ctx, start, error: Optional[BaseException] = None):
-        """Close the trace and record the request's registry samples."""
-        latency = ctx.time - start
+        """Record the request's registry samples and close it."""
         if error is None:
             self._requests.inc(op=op)
-            self._request_seconds.observe(latency, op=op)
-            self.obs.tracer.finish_request(root, ctx)
+            self._request_seconds.observe(ctx.time - start, op=op)
         else:
             self._request_errors.inc(op=op, error=type(error).__name__)
-            self.obs.tracer.finish_request(
-                root, ctx, error=f"{type(error).__name__}: {error}"
-            )
-        # SLO accounting rides the same completion event; it is a no-op
-        # until objectives are installed, and never touches virtual time.
-        self.obs.slo.record(op, latency, error is None, ctx.time)
+        return api.close_request(self.obs, op, root, ctx, start, error)
 
     # -- the StorageAPI surface (envelope verbs) -----------------------------
 
@@ -148,27 +133,19 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         :class:`~repro.simcloud.errors.ProcessCrash`, a BaseException)
         still propagate.
         """
-        root, started = self._begin(op.op, op.key, ctx, trace)
+        root = self.obs.tracer.start_request(op.op, op.key, ctx, force=trace)
+        started = ctx.time
         try:
             with self.obs.profiler.section(f"op:{op.op}"):
                 result = self._apply_op(op, ctx)
         except (TieraError, SimCloudError) as exc:
-            self._end(op.op, root, ctx, started, exc)
-            return OpResult(
-                op=op.op,
-                key=op.key,
-                ok=False,
-                latency=ctx.time - started,
-                error=code_for(exc),
-                error_message=str(exc),
-                error_type=type(exc).__name__,
-                exception=exc,
+            return api.failed_result(
+                op.op, op.key, exc, self._end(op.op, root, ctx, started, exc)
             )
         except BaseException as exc:
             self._end(op.op, root, ctx, started, exc)
             raise
-        self._end(op.op, root, ctx, started)
-        result.latency = ctx.time - started
+        result.latency = self._end(op.op, root, ctx, started)
         # Heat accounting (per-object sketch + EWMA) rides the same
         # completion event — one record per client op, whether the op
         # arrived alone or inside a batch; inert until enabled.
@@ -295,75 +272,32 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         trace: bool = False,
     ) -> BatchResult:
         """Run a batch of independent operations, overlapped in virtual
-        time across ``parallelism`` concurrent lanes.
+        time across ``parallelism`` concurrent lanes
+        (:func:`repro.core.api.schedule_lanes`), inside the one batch
+        bracket (:func:`repro.core.api.run_batch`).
 
-        Items execute in submission order (so seeded latency draws are
-        schedule-independent) but *cost* as if pipelined: each item
-        starts on the earliest-free lane, and the batch's latency is the
-        latest lane completion — max-plus-queueing, not a sum.  Results
-        come back in submission order; item failures are captured in
-        their envelopes (the batch's ``code`` is ``PARTIAL_FAILURE``),
-        never raised.  The only raise is
+        Results come back in submission order; item failures are
+        captured in their envelopes (the batch's ``code`` is
+        ``PARTIAL_FAILURE``), never raised.  The only raise is
         :class:`~repro.core.errors.BackpressureError`, *before* any item
         runs, when admission control refuses the batch.
         """
-        ops = list(ops)
-        if parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        ctx = self._ctx(ctx)
-        try:
-            self.admission.acquire(len(ops))
-        except TieraError:
-            self._backpressure.inc(op="batch")
-            raise
-        root = self.obs.tracer.start_request(
-            "batch", f"{len(ops)} ops", ctx, force=trace
+        return api.run_batch(
+            ops, parallelism, self._ctx(ctx), trace,
+            self.obs.tracer, self.admission, self.run_items,
         )
-        # When this batch is itself nested inside a traced request (the
-        # sharded router's per-shard sub-batches), parent the item spans
-        # on the enclosing span instead of a fresh root.
-        parent = root if root is not None else ctx.span
+
+    def run_items(self, ops: Sequence[BatchOp], lanes: int, ctx, parent):
+        """What this façade does inside the batch bracket: schedule the
+        items on this instance and record the batch's registry samples.
+        A router holding the bracket (and this shard's admission) calls
+        it for its sub-batch."""
         started = ctx.time
-        lanes = [ctx.time] * max(1, min(parallelism, len(ops)))
-        results: List[OpResult] = []
-        try:
-            branches = ctx.scatter()
-            for index, op in enumerate(ops):
-                lane = min(range(len(lanes)), key=lanes.__getitem__)
-                bctx = branches.branch(at=lanes[lane])
-                span = None
-                if parent is not None:
-                    # Each item gets its own child span so tier-ops nest
-                    # under the item, not the batch root.  The branch
-                    # inherited the root as its span; repoint it.
-                    span = parent.child(
-                        f"{op.op} {op.key}", "op", bctx.time,
-                        op=op.op, key=op.key, index=index, lane=lane,
-                    )
-                    bctx.span = span
-                result = self._run_op(op, bctx)
-                results.append(result)
-                if span is not None:
-                    span.finish(bctx.time)
-                    if not result.ok:
-                        span.error = result.error
-                    bctx.span = None
-                lanes[lane] = bctx.time
-            branches.join()
-        finally:
-            self.admission.release(len(ops))
+        results = api.schedule_lanes(ops, lanes, ctx, parent, self._run_op)
         self._batches.inc()
         self._batch_items.inc(len(ops))
         self._batch_seconds.observe(ctx.time - started)
-        if root is not None:
-            root.attrs["items"] = len(ops)
-            root.attrs["parallelism"] = len(lanes)
-        self.obs.tracer.finish_request(root, ctx)
-        return BatchResult(
-            results=results,
-            latency=ctx.time - started,
-            parallelism=len(lanes),
-        )
+        return results, {"parallelism": lanes}
 
     # -- introspection ---------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.core.api import (
     ManagementResult,
     OpResult,
 )
-from repro.core.cluster import ClusterConfig, ClusterManager
+from repro.core.cluster import ClusterConfig, ClusterManager, transfer
 from repro.core.errors import EmptyRingError, TieraError
 from repro.core.server import TieraServer
 from repro.obs.hub import Observability
@@ -68,24 +68,24 @@ class ConsistentHashRing:
         self._shards.discard(shard)
         self._points = [p for p in self._points if p[1] != shard]
 
-    def owner(self, key: str) -> str:
+    def _successor(self, key: str) -> int:
+        """Index of the first ring point clockwise from ``key``."""
         if not self._points:
             raise EmptyRingError("the ring has no shards")
-        position = _ring_position(key)
-        index = bisect.bisect_right(self._points, (position, chr(0x10FFFF)))
-        if index == len(self._points):
-            index = 0
-        return self._points[index][1]
+        index = bisect.bisect_right(
+            self._points, (_ring_position(key), chr(0x10FFFF))
+        )
+        return index % len(self._points)
+
+    def owner(self, key: str) -> str:
+        return self._points[self._successor(key)][1]
 
     def owners(self, key: str, n: int) -> List[str]:
         """The first ``n`` *distinct* shards clockwise from the key's
         ring position — the key's replica set (capped at the shard
         count).  ``owners(key, 1)[0] == owner(key)``."""
-        if not self._points:
-            raise EmptyRingError("the ring has no shards")
+        index = self._successor(key)
         n = min(n, len(self._shards))
-        position = _ring_position(key)
-        index = bisect.bisect_right(self._points, (position, chr(0x10FFFF)))
         out: List[str] = []
         for step in range(len(self._points)):
             shard = self._points[(index + step) % len(self._points)][1]
@@ -99,19 +99,151 @@ class ConsistentHashRing:
         return sorted(self._shards)
 
 
+class SingleOwnerPlane:
+    """The unreplicated data plane: every key lives on its one ring
+    owner, whose own policy places it; the plane only routes.  It has
+    the verbs :class:`~repro.core.cluster.ClusterManager`, the
+    replicated plane, answers for R copies."""
+
+    def __init__(self, router: "ShardedTieraServer"):
+        self.router = router
+        self.ring = router.ring
+        self.shards = router.shards
+        self.migrations = 0
+
+    def owners(self, key: str) -> List[str]:
+        return [self.ring.owner(key)]
+
+    def _route(self, key: str, op: str) -> TieraServer:
+        shard = self.ring.owner(key)
+        self.router._shard_ops.inc(shard=shard, op=op)
+        return self.shards[shard]
+
+    def put_object(self, key: str, data: bytes, **options) -> OpResult:
+        return self._route(key, api.PUT).put_object(key, data, **options)
+
+    def get_object(self, key: str, **options) -> OpResult:
+        return self._route(key, api.GET).get_object(key, **options)
+
+    def delete_object(self, key: str, **options) -> OpResult:
+        return self._route(key, api.DELETE).delete_object(key, **options)
+
+    def execute_batch(
+        self, ops: Sequence[BatchOp], *, parallelism: int, ctx, trace: bool
+    ) -> BatchResult:
+        """Fan a batch out to the shards that own its keys.
+
+        Ops group by ring owner, each shard runs its sub-batch on its
+        own branch of a scatter/join — shards are independent
+        instances, so the router pays the slowest shard, not the sum —
+        and results reassemble into submission order.  The router's
+        bracket holds the whole batch's admission, here and on every
+        owning shard for its share, before any shard sees work.  With
+        tracing on, each sub-batch gets a ``shard`` child of the batch
+        root and the shard's per-item ``op`` spans nest under it.
+        """
+        ops = list(ops)
+        owners = [self.ring.owner(op.key) for op in ops]
+        groups: Dict[str, List[int]] = {}  # submission indices, by owner
+        for index, owner in enumerate(owners):
+            groups.setdefault(owner, []).append(index)
+
+        def fan_out(ops, lanes, ctx, parent):
+            for owner, op in zip(owners, ops):
+                self.router._shard_ops.inc(shard=owner, op=op.op)
+            results: List[Optional[OpResult]] = [None] * len(ops)
+            branches = ctx.scatter()
+            for name in sorted(groups):
+                indices = groups[name]
+                bctx = branches.branch()
+                span = None
+                if parent is not None:
+                    span = parent.child(
+                        name, "shard", bctx.time,
+                        shard=name, items=len(indices),
+                    )
+                    bctx.span = span
+                sub_results, _ = self.shards[name].run_items(
+                    [ops[i] for i in indices], lanes, bctx, span
+                )
+                if span is not None:
+                    span.finish(bctx.time)
+                    bctx.span = None
+                for index, item in zip(indices, sub_results):
+                    results[index] = item
+            branches.join()
+            return results, {"shards": len(groups)}
+
+        return api.run_batch(
+            ops, parallelism,
+            ctx if ctx is not None else RequestContext(self.router.clock),
+            trace, self.router.obs.tracer, self.router.admission, fan_out,
+            shares=[
+                (self.shards[name].admission, len(groups[name]))
+                for name in sorted(groups)
+            ],
+        )
+
+    def contains(self, key: str) -> bool:
+        return self.shards[self.ring.owner(key)].contains(key)
+
+    def stat(self, key: str):
+        return self.shards[self.ring.owner(key)].stat(key)
+
+    def add_shard(self, name: str, server: TieraServer) -> int:
+        before = {key: self.ring.owner(key) for key in self.router.keys()}
+        self.shards[name] = server
+        self.ring.add(name)
+        return self._rehome(
+            (key, self.shards[old]) for key, old in before.items()
+            if self.ring.owner(key) != old
+        )
+
+    def remove_shard(self, name: str) -> int:
+        departing = self.shards[name]
+        self.ring.remove(name)
+        moved = self._rehome((key, departing) for key in departing.keys())
+        if departing.keys():
+            raise TieraError(
+                f"shard {name!r} still holds keys that could not be read; "
+                "not removed"
+            )
+        del self.shards[name]
+        return moved
+
+    def _rehome(self, moves) -> int:
+        """Move each ``(key, holding shard)`` to the key's ring owner; a
+        key its holder cannot read stays where it is."""
+        moved = 0
+        for key, source in moves:
+            written = transfer(
+                key, source, [self.shards[self.ring.owner(key)]]
+            )
+            if written is None:
+                continue
+            written[0].raise_for_error()
+            source.delete_object(key).raise_for_error()
+            moved += 1
+        self.migrations += moved
+        return moved
+
+
 class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
     """PUT/GET over a consistent-hash ring of Tiera instances.
 
     Each shard is an ordinary :class:`~repro.core.server.TieraServer`
     whose instance runs its own policy; by default the sharding layer
-    only routes.  Adding or removing a shard triggers a minimal
-    migration: exactly the keys whose ring owner changed are moved.
+    only routes (:class:`SingleOwnerPlane`).  Adding or removing a
+    shard triggers a minimal migration: exactly the keys whose ring
+    owner changed are moved.
 
-    Built with ``replication=ClusterConfig(...)``, the router grows a
-    :class:`~repro.core.cluster.ClusterManager` and the data path
-    becomes replicated and self-healing: R copies per key, quorum
-    writes, checksum-verified failover reads, hinted handoff, Merkle
+    Built with ``replication=ClusterConfig(...)``, the router's data
+    plane is a :class:`~repro.core.cluster.ClusterManager` instead
+    (also reachable as ``router.cluster``), and the data path becomes
+    replicated and self-healing: R copies per key, quorum writes,
+    checksum-verified failover reads, hinted handoff, Merkle
     anti-entropy, and journaled crash-safe migration (docs/CLUSTER.md).
+    Either way every verb below is one call into ``self.plane``.
     """
 
     def __init__(
@@ -140,35 +272,22 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         self._shard_ops = self.obs.metrics.counter(
             "tiera_shard_ops_total", "Operations routed, by shard and op."
         )
-        self.admission = AdmissionController(max_inflight)
-        self._backpressure = self.obs.metrics.counter(
-            "tiera_backpressure_total",
-            "Requests refused by admission control.",
-        )
-        self.migrations = 0
+        self.admission = AdmissionController(max_inflight, self.obs.metrics)
+        #: the replicated plane, when there is one (the feature table's
+        #: ``cluster`` entry and the drills reach it by this name).
         self.cluster: Optional[ClusterManager] = None
-        if replication is not None:
-            self.cluster = ClusterManager(
+        if replication is None:
+            self.plane = SingleOwnerPlane(self)
+        else:
+            self.plane = self.cluster = ClusterManager(
                 self, replication, journal_store=journal_store
             )
-            self.cluster.start()
+            self.plane.start()
 
-    def _shard_for(self, key: str) -> TieraServer:
-        return self.shards[self.ring.owner(key)]
-
-    def admit(self, count: int) -> None:
-        """Admission for a whole batch at the router, refusals counted
-        like :meth:`TieraServer.execute_batch` counts its own."""
-        try:
-            self.admission.acquire(count)
-        except TieraError:
-            self._backpressure.inc(op="batch")
-            raise
-
-    def _route(self, key: str, op: str) -> TieraServer:
-        shard = self.ring.owner(key)
-        self._shard_ops.inc(shard=shard, op=op)
-        return self.shards[shard]
+    @property
+    def migrations(self) -> int:
+        """Objects moved by add/remove-shard so far."""
+        return self.plane.migrations
 
     # -- the StorageAPI surface, routed -------------------------------------
 
@@ -181,11 +300,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        if self.cluster is not None:
-            return self.cluster.put_object(
-                key, data, tags=tags, ctx=ctx, trace=trace
-            )
-        return self._route(key, api.PUT).put_object(
+        return self.plane.put_object(
             key, data, tags=tags, ctx=ctx, trace=trace
         )
 
@@ -197,11 +312,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        if self.cluster is not None:
-            return self.cluster.get_object(
-                key, prefer=prefer, ctx=ctx, trace=trace
-            )
-        return self._route(key, api.GET).get_object(
+        return self.plane.get_object(
             key, prefer=prefer, ctx=ctx, trace=trace
         )
 
@@ -212,11 +323,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        if self.cluster is not None:
-            return self.cluster.delete_object(key, ctx=ctx, trace=trace)
-        return self._route(key, api.DELETE).delete_object(
-            key, ctx=ctx, trace=trace
-        )
+        return self.plane.delete_object(key, ctx=ctx, trace=trace)
 
     def execute_batch(
         self,
@@ -226,86 +333,45 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> BatchResult:
-        """Fan a batch out to the shards that own its keys.
-
-        Ops group by ring owner (preserving submission indices), each
-        shard runs its sub-batch on its own branch of a scatter/join —
-        shards are independent instances, so the router pays the slowest
-        shard, not the sum — and results reassemble into submission
-        order.  Admission is enforced at the router on the whole batch
-        before any shard sees work.  With tracing on, the router opens
-        the batch root and a ``shard`` child per sub-batch; each shard's
-        per-item ``op`` spans nest under its shard span.
-        """
-        if self.cluster is not None:
-            return self.cluster.execute_batch(
-                ops, parallelism=parallelism, ctx=ctx, trace=trace
-            )
-        ops = list(ops)
-        if parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        ctx = ctx if ctx is not None else RequestContext(self.clock)
-        self.admit(len(ops))
-        root = self.obs.tracer.start_request(
-            "batch", f"{len(ops)} ops", ctx, force=trace
-        )
-        started = ctx.time
-        try:
-            groups: Dict[str, List[Tuple[int, BatchOp]]] = {}
-            for index, op in enumerate(ops):
-                owner = self.ring.owner(op.key)
-                self._shard_ops.inc(shard=owner, op=op.op)
-                groups.setdefault(owner, []).append((index, op))
-            results: List[Optional[OpResult]] = [None] * len(ops)
-            branches = ctx.scatter()
-            for shard_name in sorted(groups):
-                sub = groups[shard_name]
-                bctx = branches.branch()
-                span = None
-                if root is not None:
-                    span = root.child(
-                        shard_name, "shard", bctx.time,
-                        shard=shard_name, items=len(sub),
-                    )
-                    bctx.span = span
-                sub_result = self.shards[shard_name].execute_batch(
-                    [op for _, op in sub],
-                    parallelism=parallelism,
-                    ctx=bctx,
-                )
-                if span is not None:
-                    span.finish(bctx.time)
-                    bctx.span = None
-                for (index, _), item in zip(sub, sub_result.results):
-                    results[index] = item
-            branches.join()
-        finally:
-            self.admission.release(len(ops))
-        if root is not None:
-            root.attrs["items"] = len(ops)
-            root.attrs["shards"] = len(groups)
-        self.obs.tracer.finish_request(root, ctx)
-        return BatchResult(
-            results=results,
-            latency=ctx.time - started,
-            parallelism=min(parallelism, max(1, len(ops))),
+        """Run a batch on the data plane: split by ring owner
+        (:meth:`SingleOwnerPlane.execute_batch`) or lane-scheduled over
+        replica sets (:meth:`ClusterManager.execute_batch`), both
+        inside :func:`repro.core.api.run_batch` under this router's
+        admission and tracer."""
+        return self.plane.execute_batch(
+            ops, parallelism=parallelism, ctx=ctx, trace=trace
         )
 
     def contains(self, key: str) -> bool:
-        if self.cluster is not None:
-            return self.cluster.contains(key)
-        return self._shard_for(key).contains(key)
+        return self.plane.contains(key)
 
     def stat(self, key: str):
-        if self.cluster is not None:
-            return self.cluster.stat(key)
-        return self._shard_for(key).stat(key)
+        return self.plane.stat(key)
 
     def keys(self) -> List[str]:
         seen = set()
         for server in self.shards.values():
             seen.update(server.keys())
         return sorted(seen)
+
+    def keys_with_tag(self, tag: str) -> List[str]:
+        seen = set()
+        for server in self.shards.values():
+            seen.update(server.keys_with_tag(tag))
+        return sorted(seen)
+
+    def add_tag(self, key: str, tag: str) -> None:
+        self._retag("add_tag", key, tag)
+
+    def remove_tag(self, key: str, tag: str) -> None:
+        self._retag("remove_tag", key, tag)
+
+    def _retag(self, verb: str, key: str, tag: str) -> None:
+        """Apply a tag verb on every owner replica holding ``key``."""
+        self.stat(key)  # NoSuchObject for a missing key, as on one instance
+        for name in self.plane.owners(key):
+            if self.shards[name].contains(key):
+                getattr(self.shards[name], verb)(key, tag)
 
     def shard_of(self, key: str) -> str:
         return self.ring.owner(key)
@@ -334,8 +400,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
             "time": self.clock.now(),
             "status": status,
             "shards": shard_health,
-            "migrations": self.migrations
-            if self.cluster is None else self.cluster.migrations,
+            "migrations": self.migrations,
         }
         if self.cluster is not None:
             summary = self.cluster.summary()
@@ -379,53 +444,14 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         """Join a shard and migrate the keys it now owns; returns the
         number of objects moved.  With replication on, the migration is
         journaled and crash-safe (see ClusterManager.add_shard)."""
-        if self.cluster is not None:
-            return self.cluster.add_shard(name, server)
-        before = {key: self.ring.owner(key) for key in self.keys()}
-        self.shards[name] = server
-        self.ring.add(name)
-        return self._migrate(before)
+        if name in self.shards:
+            raise ValueError(f"shard {name!r} already in the cluster")
+        return self.plane.add_shard(name, server)
 
     def remove_shard(self, name: str) -> int:
         """Drain and remove a shard; returns the objects moved off it."""
-        if self.cluster is not None:
-            moved = self.cluster.remove_shard(name)
-            self.migrations = self.cluster.migrations
-            return moved
         if name not in self.shards:
             raise KeyError(f"no shard {name!r}")
         if len(self.shards) == 1:
             raise TieraError("cannot remove the last shard")
-        departing = self.shards[name]
-        keys = departing.keys()
-        self.ring.remove(name)
-        moved = 0
-        for key in keys:
-            data = departing.get_object(key).raise_for_error().value
-            meta = departing.stat(key)
-            target = self.shards[self.ring.owner(key)]
-            target.put_object(key, data, tags=sorted(meta.tags)).raise_for_error()
-            departing.delete_object(key).raise_for_error()
-            moved += 1
-        del self.shards[name]
-        self.migrations += moved
-        return moved
-
-    def _migrate(self, previous_owners: Dict[str, str]) -> int:
-        moved = 0
-        for key, old_owner in previous_owners.items():
-            new_owner = self.ring.owner(key)
-            if new_owner == old_owner:
-                continue
-            source = self.shards[old_owner]
-            fetched = source.get_object(key)
-            if not fetched.ok:
-                continue
-            meta = source.stat(key)
-            self.shards[new_owner].put_object(
-                key, fetched.value, tags=sorted(meta.tags)
-            ).raise_for_error()
-            source.delete_object(key).raise_for_error()
-            moved += 1
-        self.migrations += moved
-        return moved
+        return self.plane.remove_shard(name)

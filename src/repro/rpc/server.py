@@ -121,9 +121,9 @@ class TieraRpcServer:
                 result = handler(params)
         except (TieraError, SimCloudError) as exc:
             return _error(request_id, type(exc).__name__, str(exc), code_for(exc))
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            # AttributeError covers instance-only verbs called against a
-            # shard router (which has no single ``.instance``).
+        except (KeyError, ValueError, TypeError) as exc:
+            # Not AttributeError: a verb the façade lacks is a bug here,
+            # not a malformed request, and must not pass for one.
             return _error(request_id, "BadRequest", str(exc), BAD_REQUEST)
         return {"id": request_id, "result": result}
 
@@ -271,6 +271,12 @@ class TieraRpcServer:
         return features.code_state(result, encode_bytes).to_wire()
 
     def _method_tiers(self, params: Dict[str, Any]) -> list:
+        instance = getattr(self.tiera, "instance", None)
+        if instance is None:
+            raise ValueError(
+                "tiers describes one instance; a shard router has one per "
+                "shard (see health()['shards'])"
+            )
         return [
             {
                 "name": tier.name,
@@ -279,7 +285,7 @@ class TieraRpcServer:
                 "used": tier.used,
                 "available": tier.available,
             }
-            for tier in self.tiera.instance.tiers
+            for tier in instance.tiers
         ]
 
 

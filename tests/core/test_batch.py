@@ -16,6 +16,7 @@ from repro.core.sharding import ShardedTieraServer
 from repro.rpc.protocol import encode_bytes
 from repro.simcloud.cluster import Cluster
 from repro.simcloud.latency import FixedLatency
+from repro.simcloud.resources import RequestContext
 from repro.tiers.registry import TierRegistry
 from tests.core.conftest import build_instance
 
@@ -202,6 +203,33 @@ class TestAdmissionControl:
             sharded.put_many([(f"k{i}", b"v") for i in range(5)])
         assert shard.keys() == []
         assert sharded.admission.inflight == 0
+
+    def test_a_shard_refusing_its_share_refuses_the_whole_router_batch(self):
+        """Regression: the router admitted the batch, ran the earlier
+        shards, and only then met the full shard — 31 of 40 keys landed
+        before ``BACKPRESSURE``, the traced root stayed open on the
+        caller's context and the router hub never counted it."""
+        shards = {
+            "s0": fixed_stack(seed=1),
+            "s1": fixed_stack(seed=2),
+            "s2": fixed_stack(seed=3, max_inflight=2),
+        }
+        sharded = ShardedTieraServer(shards)
+        items = [(f"k{i}", b"v") for i in range(40)]
+        assert sum(sharded.shard_of(k) == "s2" for k, _ in items) > 2
+        ctx = RequestContext(sharded.clock)
+        with pytest.raises(BackpressureError):
+            sharded.put_many(items, ctx=ctx, trace=True)
+        assert sharded.keys() == []          # refused whole: nothing ran
+        assert ctx.span is None and ctx.trace is None
+        assert ctx.time == ctx.start         # no virtual time spent
+        refusals = sharded.obs.metrics.counter("tiera_backpressure_total")
+        assert refusals.total() == 1         # once, at the router
+        for server in (sharded, *shards.values()):
+            assert server.admission.inflight == 0
+        # ... and the same batch fits once the shard has room again.
+        shards["s2"].admission.max_inflight = 128
+        assert sharded.put_many(items).ok
 
 
 def _trace(server, seed):

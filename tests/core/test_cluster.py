@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.cluster import ClusterConfig, Hint, HintQueue
+from repro.core.cluster import (
+    DOWN_AFTER_MISSES,
+    OP_FAILURE_THRESHOLD,
+    ClusterConfig,
+    Hint,
+    HintQueue,
+)
 from repro.core.server import TieraServer
 from repro.core.sharding import ShardedTieraServer
 from repro.kvstore.store import MemoryStore
@@ -49,7 +55,7 @@ def take_down(cluster, router, shard):
 def mark_down(cluster, router, shard):
     handles = take_down(cluster, router, shard)
     detector = router.cluster.detector
-    for _ in range(CONFIG.down_after_misses):
+    for _ in range(DOWN_AFTER_MISSES):
         detector.tick()
     assert detector.is_down(shard)
     return handles
@@ -207,7 +213,7 @@ class TestSelfHealing:
         victim = owners[0]
         handles = take_down(cluster, rt, victim)
         # No probe runs; repeated data-path timeouts must trip it.
-        for _ in range(CONFIG.op_failure_threshold):
+        for _ in range(OP_FAILURE_THRESHOLD):
             rt.put_object("fd-1", b"x")
         assert rt.cluster.detector.is_down(victim)
         transitions = [
@@ -317,6 +323,29 @@ class TestMigration:
         assert len(router.cluster.journal) == 0
         for i in range(24):
             assert router.get_object(f"mig{i:03d}").ok
+        router.cluster.stop()
+
+    def test_router_migrations_reads_the_one_counter(self, registry):
+        """Regression: on a replicated router ``add_shard`` left
+        ``router.migrations`` at 0 while the cluster and ``health()``
+        had counted the moves; the next ``remove_shard`` jumped it."""
+        shards = {name: make_shard(registry, name) for name in ("a", "b", "c")}
+        router = ShardedTieraServer(
+            shards, replication=ClusterConfig(
+                replication_factor=2, heartbeat_interval=1000.0,
+                anti_entropy_interval=0.0,
+            ),
+        )
+        for i in range(40):
+            router.put_object(f"mig{i:03d}", b"v").raise_for_error()
+        added = router.add_shard("d", make_shard(registry, "d"))
+        assert added > 0
+        assert router.migrations == added
+        assert router.cluster.migrations == added
+        assert router.health()["migrations"] == added
+        removed = router.remove_shard("a")
+        assert router.migrations == added + removed
+        assert router.health()["migrations"] == added + removed
         router.cluster.stop()
 
     def test_remove_shard_rebalances_and_fscks_clean(self, registry):

@@ -437,6 +437,34 @@ class TestShardRouterManagement:
         assert sorted(result.state["shards"]) == names
         assert all(r["clean"] for r in result.state["shards"].values())
 
+    def test_tag_verbs_reach_the_owning_shard(self, router_client):
+        """Regression: ``keys(tag=...)`` and ``add_tag`` came back
+        ``BAD_REQUEST: 'ShardedTieraServer' object has no attribute
+        ...`` — the router lacked the verbs and ``_handle`` swallowed
+        the ``AttributeError``."""
+        conn, _ = router_client
+        for i in range(12):
+            conn.put_object(
+                f"k{i:02d}", b"v", tags=["even"] if i % 2 == 0 else None
+            ).raise_for_error()
+        evens = [f"k{i:02d}" for i in range(0, 12, 2)]
+        assert conn.keys(tag="even") == evens
+        conn.add_tag("k01", "even")
+        assert conn.keys(tag="even") == sorted(evens + ["k01"])
+        assert "even" in conn.stat("k01")["tags"]
+        assert conn.keys(tag="nobody") == []
+        with pytest.raises(RpcError) as excinfo:
+            conn.add_tag("ghost", "even")
+        assert excinfo.value.code == "NO_SUCH_OBJECT"
+
+    def test_tiers_refuses_with_an_explicit_message(self, router_client):
+        conn, _ = router_client
+        with pytest.raises(RpcError) as excinfo:
+            conn.tiers()
+        assert excinfo.value.code == "BAD_REQUEST"
+        assert "shard router" in str(excinfo.value)
+        assert "has no attribute" not in str(excinfo.value)
+
     def test_snapshot_restore_round_trips_every_key(self, router_client):
         """The router's snapshot is one bundle of the shards' archives
         and ``restore`` hands each shard its own member back."""
