@@ -13,7 +13,8 @@ regressions:
   vary by machine and are recorded for trend-watching but never gated.
 
 :func:`diff_records` compares a fresh record against a committed
-baseline and fails on throughput regression beyond the tolerance; the
+baseline and fails on a ``virt_ops_per_s`` (operations per virtual
+second) regression beyond the tolerance; the
 ``repro bench`` / ``repro benchdiff`` CLI commands and the CI
 ``perf-telemetry`` job are thin wrappers around it.
 
@@ -43,7 +44,7 @@ from repro.obs.profiler import (
 
 SCHEMA_VERSION = 1
 
-#: Relative throughput drop beyond which benchdiff fails.
+#: Relative ``virt_ops_per_s`` drop beyond which benchdiff fails.
 DEFAULT_TOLERANCE = 0.15
 
 
@@ -254,7 +255,7 @@ def make_record(
         "operations": result.operations,
         "errors": result.errors,
         "virtual_duration": round(result.duration, 6),
-        "throughput": round(result.throughput, 3),
+        "virt_ops_per_s": round(result.throughput, 3),
         "latency": {
             "mean": round(latencies.mean(), 6),
             "p50": round(latencies.percentile(50), 6),
@@ -365,15 +366,15 @@ def diff_records(
 ) -> Tuple[bool, List[str]]:
     """Compare a run against its baseline.
 
-    Gates on throughput only: virtual throughput is seed-deterministic,
+    Gates on ``virt_ops_per_s`` only: virtual throughput is seed-deterministic,
     so a drop beyond ``tolerance`` means the *model* got slower, not the
     machine.  Latency and wall figures are reported as context.
     """
     lines: List[str] = []
     ok = True
     name = current.get("name", "?")
-    base_tp = float(baseline.get("throughput", 0.0))
-    cur_tp = float(current.get("throughput", 0.0))
+    base_tp = float(baseline.get("virt_ops_per_s", 0.0))
+    cur_tp = float(current.get("virt_ops_per_s", 0.0))
     if base_tp > 0:
         change = (cur_tp - base_tp) / base_tp
         verdict = "ok"
@@ -381,11 +382,11 @@ def diff_records(
             ok = False
             verdict = f"FAIL (>{tolerance:.0%} regression)"
         lines.append(
-            f"{name}: throughput {base_tp:.1f} -> {cur_tp:.1f} ops/s "
+            f"{name}: virt_ops_per_s {base_tp:.1f} -> {cur_tp:.1f} "
             f"({change:+.1%}) {verdict}"
         )
     else:
-        lines.append(f"{name}: baseline has no throughput; skipping gate")
+        lines.append(f"{name}: baseline has no virt_ops_per_s; skipping gate")
     for pct in ("p50", "p95", "p99"):
         base = float(baseline.get("latency", {}).get(pct, 0.0))
         cur = float(current.get("latency", {}).get(pct, 0.0))

@@ -46,7 +46,7 @@ Commands mirror how the paper's prototype is operated:
   and write one ``BENCH_<name>.json`` record each.
 * ``benchdiff --current DIR [--baseline DIR] [--tolerance F]`` —
   compare fresh records against the committed baselines; exits nonzero
-  on a throughput regression beyond the tolerance (the CI
+  on a ``virt_ops_per_s`` regression beyond the tolerance (the CI
   perf-telemetry job's gate).
 """
 
@@ -334,7 +334,7 @@ def cmd_bench(options) -> int:
             return 1
         path = write_record(record, options.out)
         print(f"{name}: {record['operations']} ops, "
-              f"{record['throughput']:.1f} ops/s, "
+              f"{record['virt_ops_per_s']:.1f} virtual ops/s, "
               f"p95 {record['latency']['p95'] * 1000:.2f} ms, "
               f"wall {record['wall_seconds']:.2f}s -> {path}")
     return 0
@@ -777,7 +777,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     benchdiff.add_argument(
         "--tolerance", type=float, default=0.15,
-        help="relative throughput drop that fails the gate (default 0.15)",
+        help="relative virt_ops_per_s drop that fails the gate (default 0.15)",
     )
     benchdiff.add_argument(
         "--name", action="append", default=[],

@@ -544,8 +544,7 @@ class BackupManager:
             # moved tiers since) are erased before the new ones land.
             for tier in target.tiers.ordered():
                 _erase(tier, meta.key)
-            target._meta[meta.key] = meta
-            target.persist_meta(meta)
+            target.install_meta(meta)
         for name in sorted(tier_data):
             tier = target.tiers.get(name)
             service = tier.service
@@ -554,12 +553,6 @@ class BackupManager:
                 service._data[key] = data
                 service._used += len(data)
                 tier._order[key] = None
-        # Rebuild dedup deterministically over the surviving table.
-        target._dedup.clear()
-        for key in sorted(target._meta):
-            meta = target._meta[key]
-            if meta.checksum and meta.alias_of is None:
-                target._dedup.setdefault(meta.checksum, key)
 
     def _replay(self, target, lo: int, hi: int) -> int:
         """Replay archived records with seq in (lo, hi] onto ``target``."""

@@ -336,17 +336,11 @@ class DurabilityLayer:
         self.last_recovery = report
         return report
 
-    def _install_meta(self, doc) -> Optional[ObjectMeta]:
+    def _install_meta(self, doc) -> None:
         """Install a journaled post-operation metadata image."""
-        if not doc:
-            return None
-        blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-        meta = ObjectMeta.from_json(blob)
-        self.instance._meta[meta.key] = meta
-        self.instance.persist_meta(meta)
-        if meta.checksum and meta.alias_of is None:
-            self.instance._dedup.setdefault(meta.checksum, meta.key)
-        return meta
+        if doc:
+            blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+            self.instance.install_meta(ObjectMeta.from_json(blob))
 
     def _redo_write(self, record, ctx: RequestContext) -> None:
         instance = self.instance
@@ -623,8 +617,7 @@ def fsck(
                 instance._drop_dedup_entry(meta)
                 meta.checksum = content_checksum(truth)
                 meta.size = len(truth)
-                instance._dedup.setdefault(meta.checksum, meta.key)
-                instance.persist_meta(meta)
+                instance.install_meta(meta)  # re-derives its dedup entry
                 for tier_name in bad:
                     service = instance.tiers.get(tier_name).service
                     old = service._data.get(key)
@@ -640,7 +633,6 @@ def fsck(
             continue
         note("lost", key, "", "no tier holds this object", "drop-object")
         if repair:
-            instance._drop_dedup_entry(meta)
             instance._drop_meta(key)
     if repair:
         for key in sorted(list(metas)):
@@ -971,18 +963,14 @@ def restore_archive(instance, blob: bytes) -> Dict[str, object]:
     for tier in instance.tiers.ordered():
         tier.service._drop_all()
         tier._order.clear()
-    instance._meta.clear()
-    instance._dedup.clear()
+    instance.clear_meta()
     for key in list(instance.metadata_store.keys()):
         instance.metadata_store.delete(key)
     if instance.durability is not None:
         instance.durability.journal.clear()
 
     for meta in metas:
-        instance._meta[meta.key] = meta
-        instance.persist_meta(meta)
-        if meta.checksum and meta.alias_of is None:
-            instance._dedup.setdefault(meta.checksum, meta.key)
+        instance.install_meta(meta)
     for name in sorted(tier_data):
         tier = instance.tiers.get(name)
         service = tier.service
@@ -1061,6 +1049,7 @@ def simulate_crash(instance) -> None:
     if instance.resilience is not None:
         instance.resilience.detach()
     instance.obs.metrics.remove_collector(instance._collect_gauges)
+    instance.meta_writeback.keys.clear()  # a dead process flushes nothing
     cancel_all = getattr(instance.clock, "cancel_all", None)
     if cancel_all is not None:
         cancel_all()

@@ -11,6 +11,7 @@ reconfiguration entry point the Figure 17 experiment drives.
 from __future__ import annotations
 
 import hashlib
+import re
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.control import ControlLayer
@@ -27,7 +28,7 @@ from repro.core.policy import Policy, Rule
 from repro.core.tierset import TierSet
 from repro.kvstore import KVStore, MemoryStore
 from repro.simcloud.clock import Clock
-from repro.simcloud.errors import ServiceUnavailableError
+from repro.simcloud.errors import ProcessCrash, ServiceUnavailableError
 from repro.simcloud.pricing import PriceBook
 from repro.simcloud.resources import RequestContext
 from repro.tiers.base import Tier
@@ -35,6 +36,10 @@ from repro.tiers.base import Tier
 #: Eviction-chain sentinel: discard victims instead of relocating them.
 #: Only victims that also live in another tier may be dropped.
 DROP = "<drop>"
+
+#: ``<key>@v<N>``, the name :meth:`TieraInstance.preserve_version` gives
+#: version N of ``key`` (the last ``@v`` splits, as the key may hold one).
+_VERSION_KEY = re.compile(r"(.+)@v(\d+)\Z", re.DOTALL)
 
 
 def state_fingerprint(meta_rows, tier_rows) -> str:
@@ -59,6 +64,41 @@ def state_fingerprint(meta_rows, tier_rows) -> str:
             h.update(stored.encode("utf-8"))
             h.update(hashlib.sha256(contents[stored]).digest())
     return h.hexdigest()
+
+
+class _MetaWriteBack:
+    """One client op's metadata write-back scope (``with
+    instance.meta_writeback:``, opened by ``TieraServer._run_op``).
+
+    While a scope is open on an instance that has no journal,
+    :meth:`TieraInstance.persist_meta` and ``_drop_meta`` only note the
+    key; leaving the outermost scope writes every noted key's current
+    state to the metadata store once (a put, or a delete when the op
+    removed it) — so an acked or refused op's metadata is in the store
+    before its envelope exists.  A :class:`ProcessCrash` leaving the
+    scope writes nothing: a dead process does not flush.
+    """
+
+    __slots__ = ("instance", "depth", "keys")
+
+    def __init__(self, instance: "TieraInstance"):
+        self.instance = instance
+        self.depth = 0
+        self.keys: Dict[str, None] = {}  # touched keys, first-touch order
+
+    def __enter__(self) -> None:
+        self.depth += 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.depth -= 1
+        if self.depth:
+            return
+        keys, self.keys = self.keys, {}
+        if exc_type is not None and issubclass(exc_type, ProcessCrash):
+            return
+        instance = self.instance
+        for key in keys:
+            instance._store_meta(key, instance._meta.get(key))
 
 
 class TieraInstance:
@@ -112,7 +152,14 @@ class TieraInstance:
             control_kwargs["eval_overhead"] = eval_overhead
         self.control = ControlLayer(self, self.policy, clock, **control_kwargs)
         self._meta: Dict[str, ObjectMeta] = {}
+        #: three indexes derived from the table, kept by install_meta /
+        #: _drop_meta (wholesale) and the alias/version primitives (live):
         self._dedup: Dict[str, str] = {}  # checksum -> canonical key
+        #: canonical key -> its alias keys, earliest-linked first
+        self._aliases: Dict[str, Dict[str, None]] = {}
+        #: key -> {preserved version key: version number}
+        self._versions: Dict[str, Dict[str, int]] = {}
+        self.meta_writeback = _MetaWriteBack(self)
         #: tier -> tier overflow map: when making room in a tier, evicted
         #: LRU objects move to its chain successor (and so on down).
         #: Templates implementing exclusive LRU tiering set this.
@@ -153,10 +200,56 @@ class TieraInstance:
         for key, blob in self.metadata_store.items():
             if key.startswith(b"\x00"):
                 continue  # reserved (journal records ride on this store)
-            meta = ObjectMeta.from_json(blob)
-            self._meta[meta.key] = meta
-            if meta.checksum and meta.alias_of is None:
-                self._dedup.setdefault(meta.checksum, meta.key)
+            self.install_meta(ObjectMeta.from_json(blob), persist=False)
+
+    def install_meta(self, meta: ObjectMeta, persist: bool = True) -> None:
+        """Make ``meta`` the table's entry for its key.
+
+        The one way a ready-made metadata image (a store row on open, a
+        journaled post-state, a snapshot member) enters the table: it
+        replaces whatever the key held and re-derives the key's dedup,
+        alias and version index entries from the image alone.
+        """
+        old = self._meta.get(meta.key)
+        if old is not None:
+            self._unindex(old)
+        self._meta[meta.key] = meta
+        if meta.alias_of is not None:
+            self._aliases.setdefault(meta.alias_of, {})[meta.key] = None
+        elif meta.checksum:
+            self._dedup.setdefault(meta.checksum, meta.key)
+        if "version" in meta.tags:
+            # Only what preserve_version created counts as a version: a
+            # client's own ``report@v9`` does not carry the tag.
+            match = _VERSION_KEY.match(meta.key)
+            if match is not None:
+                self._versions.setdefault(match[1], {})[meta.key] = int(match[2])
+        if persist:
+            self.persist_meta(meta)
+
+    def clear_meta(self) -> None:
+        """Empty the table and its indexes (a restore starts from here)."""
+        self._meta.clear()
+        self._dedup.clear()
+        self._aliases.clear()
+        self._versions.clear()
+
+    def _unindex(self, meta: ObjectMeta) -> None:
+        """Forget ``meta``'s own entries in the three indexes."""
+        self._drop_dedup_entry(meta)
+        if meta.alias_of is not None:
+            self._unlink(self._aliases, meta.alias_of, meta.key)
+        match = _VERSION_KEY.match(meta.key)
+        if match is not None:
+            self._unlink(self._versions, match[1], meta.key)
+
+    @staticmethod
+    def _unlink(index: Dict[str, Dict], owner: str, member: str) -> None:
+        members = index.get(owner)
+        if members is not None:
+            members.pop(member, None)
+            if not members:
+                del index[owner]
 
     def has_object(self, key: str) -> bool:
         return key in self._meta
@@ -174,9 +267,25 @@ class TieraInstance:
         return len(self._meta)
 
     def persist_meta(self, meta: ObjectMeta) -> None:
-        self.metadata_store.put(meta.key.encode("utf-8"), meta.to_json())
+        """Send ``meta`` to the metadata store — the one way it gets
+        there.  Journal on, or outside a client op: now.  Inside a
+        client op with no journal: once, when the op ends."""
+        self._store_meta(meta.key, meta)
         if self.on_meta_change is not None:
             self.on_meta_change(meta.key)
+
+    def _store_meta(self, key: str, meta: Optional[ObjectMeta]) -> None:
+        """Write ``key``'s row to the store (``None``: delete it) — or,
+        in an open write-back scope, leave that to the scope's end.
+        Never deferred with a journal: each intent's redo contract names
+        the persisted metadata around it."""
+        writeback = self.meta_writeback
+        if writeback.depth and self.durability is None:
+            writeback.keys[key] = None
+        elif meta is None:
+            self.metadata_store.delete(key.encode("utf-8"))
+        else:
+            self.metadata_store.put(key.encode("utf-8"), meta.to_json())
 
     def create_object(
         self, key: str, size: int, tags: Optional[Set[str]] = None
@@ -205,19 +314,19 @@ class TieraInstance:
         return meta
 
     def _drop_meta(self, key: str) -> None:
-        self._meta.pop(key, None)
-        self.metadata_store.delete(key.encode("utf-8"))
+        """Forget ``key``: table, indexes and store (install_meta's
+        inverse; the store delete defers like :meth:`persist_meta`)."""
+        meta = self._meta.pop(key, None)
+        if meta is not None:
+            self._unindex(meta)
+        self._store_meta(key, None)
         if self.on_meta_change is not None:
             self.on_meta_change(key)
 
     # -- de-duplication index (storeOnce) ---------------------------------
 
     def dedup_lookup(self, checksum: str) -> Optional[str]:
-        canonical = self._dedup.get(checksum)
-        if canonical is not None and canonical not in self._meta:
-            del self._dedup[checksum]
-            return None
-        return canonical
+        return self._dedup.get(checksum)  # _drop_meta leaves no dead entry
 
     def dedup_register(self, checksum: str, key: str) -> None:
         self._dedup[checksum] = key
@@ -231,7 +340,10 @@ class TieraInstance:
         canonical = self.meta(canonical_key)
         if meta.alias_of == canonical_key:
             return
+        if meta.alias_of is not None:
+            self._unlink(self._aliases, meta.alias_of, key)
         meta.alias_of = canonical_key
+        self._aliases.setdefault(canonical_key, {})[key] = None
         meta.checksum = canonical.checksum
         canonical.refcount += 1
         self.persist_meta(meta)
@@ -452,14 +564,7 @@ class TieraInstance:
         branches = ctx.scatter()
         for tier in candidates:
             if not tier.available:
-                causes.append((
-                    tier.name,
-                    ServiceUnavailableError(
-                        tier.service.name,
-                        node=tier.service.node.name,
-                        zone=tier.service.node.zone.name,
-                    ),
-                ))
+                causes.append((tier.name, self._unavailable(tier)))
                 continue
             bctx = branches.branch()
             try:
@@ -567,30 +672,72 @@ class TieraInstance:
         if canonical is not None:
             canonical.refcount = max(0, canonical.refcount - 1)
             self.persist_meta(canonical)
+        self._unlink(self._aliases, meta.alias_of, meta.key)
         meta.alias_of = None
         meta.locations = set()
         self.persist_meta(meta)
 
-    def _handoff_to_heir(self, meta: ObjectMeta, ctx: RequestContext) -> bool:
-        """If ``meta`` is canonical content with aliases, rename the
-        physical bytes to the first alias (the heir) and repoint the
-        rest.  Returns whether a handoff happened."""
-        aliases = [m for m in self._meta.values() if m.alias_of == meta.key]
-        if not aliases:
-            return False
-        heir = aliases[0]
-        for tier_name in sorted(meta.locations):
-            tier = self.tiers.get(tier_name)
-            if tier.contains(meta.key) and tier.available:
-                blob = tier.get(meta.key, ctx)
-                tier.put(heir.key, blob, ctx)
-                tier.delete(meta.key, ctx)
+    def _handoff_holders(self, meta: ObjectMeta) -> Optional[List[Tier]]:
+        """The tiers a canonical's bytes must be renamed in before its
+        key can be overwritten or deleted — ``None`` when ``meta`` has
+        no aliases (the usual case: one index lookup, no table walk).
+
+        All or nothing: a holder that cannot be reached refuses the op
+        here, before anything is renamed, so both keys keep reading the
+        old content; skipping it would leave the heir recording a copy
+        that still sits under the old key.
+        """
+        if meta.key not in self._aliases:
+            return None
+        holders = [
+            tier for tier in map(self.tiers.get, sorted(meta.locations))
+            if tier.contains(meta.key)
+        ]
+        down = [tier for tier in holders if not tier.available]
+        if down:
+            raise TierUnavailableError(meta.key, causes=[
+                (tier.name, self._unavailable(tier)) for tier in down
+            ])
+        return holders
+
+    @staticmethod
+    def _unavailable(tier: Tier) -> ServiceUnavailableError:
+        service = tier.service
+        return ServiceUnavailableError(
+            service.name, node=service.node.name, zone=service.node.zone.name
+        )
+
+    def _handoff_to_heir(
+        self, meta: ObjectMeta, holders: List[Tier], ctx: RequestContext
+    ) -> None:
+        """Rename a canonical's physical bytes to its heir and repoint
+        the other aliases at it.
+
+        The heir is the earliest-linked alias still pointing here —
+        link order, not creation order: a key re-aliased to this content
+        after its creation queues behind the aliases linked before it.
+        (After a reopen, link order is the store's row order.)
+
+        The alias index is left alone until every tier has renamed: a
+        tier op that raises (no room for the second copy, an injected
+        fault) leaves the links in place, so a retry hands off again.
+        """
+        heir_key, *others = self._aliases[meta.key]
+        heir = self._meta[heir_key]
+        for tier in holders:
+            blob = tier.get(meta.key, ctx)
+            tier.put(heir.key, blob, ctx)
+            tier.delete(meta.key, ctx)
+        del self._aliases[meta.key]
         heir.alias_of = None
         heir.locations = set(meta.locations)
         heir.size = meta.size
         heir.checksum = meta.checksum
-        heir.refcount = len(aliases) - 1
-        for other in aliases[1:]:
+        heir.refcount = len(others)
+        if others:
+            self._aliases[heir.key] = dict.fromkeys(others)
+        for key in others:
+            other = self._meta[key]
             other.alias_of = heir.key
             self.persist_meta(other)
         if meta.checksum:
@@ -598,7 +745,6 @@ class TieraInstance:
         self.persist_meta(heir)
         meta.locations = set()
         meta.refcount = 0  # all aliases now point at the heir
-        return True
 
     def _drop_dedup_entry(self, meta: ObjectMeta) -> None:
         if meta.checksum and self._dedup.get(meta.checksum) == meta.key:
@@ -620,7 +766,9 @@ class TieraInstance:
         if meta.alias_of is not None:
             self._detach_alias(meta)
             return
-        if self._handoff_to_heir(meta, ctx):
+        holders = self._handoff_holders(meta)
+        if holders is not None:
+            self._handoff_to_heir(meta, holders, ctx)
             return
         self._drop_dedup_entry(meta)
 
@@ -632,6 +780,7 @@ class TieraInstance:
         still has aliases hands the physical bytes over to one of them.
         """
         meta = self.meta(key)
+        heir_holders = self._handoff_holders(meta)  # may refuse: no tombstone yet
         self._crash_point("delete.begin")
         # Tombstone-first: the journaled delete intent names every tier
         # that may still hold bytes, so a crash mid-delete finishes the
@@ -646,7 +795,8 @@ class TieraInstance:
         if meta.alias_of is not None:
             self._detach_alias(meta)
             self._drop_meta(key)
-        elif self._handoff_to_heir(meta, ctx):
+        elif heir_holders is not None:
+            self._handoff_to_heir(meta, heir_holders, ctx)
             self._drop_meta(key)
         else:
             holders = [
@@ -664,7 +814,6 @@ class TieraInstance:
             self._crash_point("delete.data")
             for tier in holders:
                 self.obs.heat.record_tier("delete", tier.name, at=ctx.time)
-            self._drop_dedup_entry(meta)
             self._drop_meta(key)
         if seq is not None:
             dur.commit(seq)
@@ -706,22 +855,15 @@ class TieraInstance:
             candidates = [t for t in self.tiers.ordered() if t.name in meta.locations]
             target = candidates[-1].name if candidates else self.tiers.first().name
         self.create_object(version_key, len(data), tags={"version"})
+        self._versions.setdefault(key, {})[version_key] = meta.version
         self.write_to_tier(version_key, data, target, ctx)
         self._trim_versions(key, ctx)
         return version_key
 
     def versions_of(self, key: str) -> List[str]:
         """Preserved version keys for ``key``, oldest first."""
-        prefix = f"{key}@v"
-        keyed = []
-        for meta in self._meta.values():
-            if meta.key.startswith(prefix):
-                try:
-                    number = int(meta.key[len(prefix):])
-                except ValueError:
-                    continue
-                keyed.append((number, meta.key))
-        return [name for _, name in sorted(keyed)]
+        numbered = self._versions.get(key, {})
+        return sorted(numbered, key=lambda name: (numbered[name], name))
 
     def _trim_versions(self, key: str, ctx: RequestContext) -> None:
         versions = self.versions_of(key)

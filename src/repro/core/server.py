@@ -136,7 +136,11 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         root = self.obs.tracer.start_request(op.op, op.key, ctx, force=trace)
         started = ctx.time
         try:
-            with self.obs.profiler.section(f"op:{op.op}"):
+            # Leaving the write-back scope stores each object the op
+            # touched once — before any envelope is built, an error's
+            # included; a ProcessCrash stores nothing.
+            with self.obs.profiler.section(f"op:{op.op}"), \
+                    self.instance.meta_writeback:
                 result = self._apply_op(op, ctx)
         except (TieraError, SimCloudError) as exc:
             return api.failed_result(

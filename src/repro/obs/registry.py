@@ -13,9 +13,11 @@ Design constraints, in order:
    :class:`~repro.simcloud.resources.RequestContext`, a resource, or an
    RNG, so enabling metrics cannot shift a simulated latency by even a
    nanosecond (the Figure 18 "observer effect" requirement).
-2. **Cheap in real time.**  A labelled increment is two dict lookups;
-   hot paths pre-resolve a label set once (:meth:`Metric.labels`) and
-   then pay one dict lookup per event.
+2. **Cheap in real time.**  A labelled increment sorts its keyword
+   labels into a tuple key, then does one dict read and one dict write
+   (plus a clock read for ``last_updated``).  There is no pre-resolved
+   label child: hot paths pay the key construction on every event —
+   pre-bound cells are ROADMAP item 5's to add.
 3. **Self-describing exports.**  :meth:`MetricsRegistry.snapshot`
    returns plain JSON-able data; the Prometheus text form lives in
    :mod:`repro.obs.export`.

@@ -19,7 +19,7 @@ from repro.bench.telemetry import (
 #: Keys derived from the virtual timeline — byte-stable per seed.
 DETERMINISTIC_KEYS = (
     "schema", "name", "seed", "operations", "errors",
-    "virtual_duration", "throughput", "latency", "registry",
+    "virtual_duration", "virt_ops_per_s", "latency", "registry",
 )
 
 
@@ -48,7 +48,7 @@ class TestRecords:
         assert record["name"] == "batch_scaling"
         assert record["seed"] == 11
         assert record["operations"] == 400
-        assert record["throughput"] > 0
+        assert record["virt_ops_per_s"] > 0
         assert set(record["latency"]) == {"mean", "p50", "p95", "p99"}
         assert record["latency"]["p50"] <= record["latency"]["p99"]
         assert record["wall_seconds"] > 0
@@ -88,24 +88,24 @@ class TestDiff:
     def test_identical_records_pass(self, batch_record):
         ok, lines = diff_records(batch_record, copy.deepcopy(batch_record))
         assert ok
-        assert any("throughput" in line and "ok" in line for line in lines)
+        assert any("virt_ops_per_s" in line and "ok" in line for line in lines)
 
     def test_twenty_percent_regression_fails(self, batch_record):
         slower = copy.deepcopy(batch_record)
-        slower["throughput"] = round(batch_record["throughput"] * 0.8, 3)
+        slower["virt_ops_per_s"] = round(batch_record["virt_ops_per_s"] * 0.8, 3)
         ok, lines = diff_records(batch_record, slower, tolerance=0.15)
         assert not ok
         assert any("FAIL" in line for line in lines)
 
     def test_regression_within_tolerance_passes(self, batch_record):
         slightly = copy.deepcopy(batch_record)
-        slightly["throughput"] = round(batch_record["throughput"] * 0.9, 3)
+        slightly["virt_ops_per_s"] = round(batch_record["virt_ops_per_s"] * 0.9, 3)
         ok, _ = diff_records(batch_record, slightly, tolerance=0.15)
         assert ok
 
     def test_improvement_never_fails(self, batch_record):
         faster = copy.deepcopy(batch_record)
-        faster["throughput"] = round(batch_record["throughput"] * 2, 3)
+        faster["virt_ops_per_s"] = round(batch_record["virt_ops_per_s"] * 2, 3)
         ok, _ = diff_records(batch_record, faster)
         assert ok
 
@@ -133,7 +133,7 @@ class TestDiffDirectories:
     def test_regressed_current_fails(self, batch_record, tmp_path):
         baseline, current = self._dirs(tmp_path, batch_record)
         slower = copy.deepcopy(batch_record)
-        slower["throughput"] = round(batch_record["throughput"] * 0.5, 3)
+        slower["virt_ops_per_s"] = round(batch_record["virt_ops_per_s"] * 0.5, 3)
         write_record(slower, current)
         ok, lines = diff_directories(baseline, current)
         assert not ok

@@ -211,7 +211,7 @@ class TestBenchCommands:
             d.mkdir()
         record = {
             "schema": 1, "name": "demo", "operations": 10,
-            "throughput": 100.0,
+            "virt_ops_per_s": 100.0,
             "latency": {"p50": 0.001, "p95": 0.002, "p99": 0.003},
             "wall_seconds": 1.0,
         }
@@ -223,7 +223,7 @@ class TestBenchCommands:
         ]) == 0
         assert "benchdiff: ok" in capsys.readouterr().out
 
-        slower = dict(record, throughput=80.0)  # -20%: past the 15% gate
+        slower = dict(record, virt_ops_per_s=80.0)  # -20%: past the 15% gate
         (current / "BENCH_demo.json").write_text(json.dumps(slower))
         assert main([
             "benchdiff", "--baseline", str(baseline),
@@ -238,7 +238,7 @@ class TestBenchCommands:
         current.mkdir()
         (current / "BENCH_demo.json").write_text(json.dumps({
             "schema": 1, "name": "demo", "operations": 1,
-            "throughput": 1.0, "latency": {}, "wall_seconds": 1.0,
+            "virt_ops_per_s": 1.0, "latency": {}, "wall_seconds": 1.0,
         }))
         assert main([
             "benchdiff", "--baseline", str(tmp_path / "nope"),

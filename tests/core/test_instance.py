@@ -12,6 +12,7 @@ from repro.core.policy import Rule
 from repro.core.events import ActionEvent
 from repro.core.responses import Store
 from repro.core.selectors import InsertObject
+from repro.core.server import TieraServer
 from repro.kvstore import LogStore
 from repro.simcloud.resources import RequestContext
 from tests.core.conftest import build_instance
@@ -229,3 +230,33 @@ class TestMetadataPersistence:
         assert meta.size == 3
         assert "keep" in meta.tags
         assert meta.locations == {"tier2"}
+
+    def test_acked_ops_are_in_the_store_without_a_shutdown(
+        self, registry, tmp_path
+    ):
+        """Acked means persisted: the write-back happens when each op
+        ends, not at shutdown — a second process opening the log while
+        the first is still up (or dead without a goodbye) sees them all."""
+        path = str(tmp_path / "meta.db")
+        tiers = [("tier1", "Memcached", 10 ** 6), ("tier2", "EBS", 10 ** 7)]
+        inst = build_instance(
+            registry, tiers, metadata_store=LogStore(path, sync_writes=True)
+        )
+        server = TieraServer(inst)
+        for n in range(25):
+            server.put_object(f"k{n}", f"value {n}".encode()).raise_for_error()
+        for n in range(5):
+            server.put_object(f"k{n}", b"overwritten").raise_for_error()
+        server.delete_object("k24").raise_for_error()
+        # No shutdown(), no close(): just open the same log again.
+        reopened = build_instance(
+            registry,
+            [("tier1b", "Memcached", 10 ** 6), ("tier2b", "EBS", 10 ** 7)],
+            metadata_store=LogStore(path),
+        )
+        assert sorted(m.key for m in reopened.iter_meta()) == sorted(
+            f"k{n}" for n in range(24)
+        )
+        for n in range(24):
+            assert reopened.meta(f"k{n}") == inst.meta(f"k{n}")
+        assert reopened.meta("k0").version == 1

@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.core.durability import simulate_crash
 from repro.core.errors import NoSuchObjectError
 from repro.core.events import ActionEvent
+from repro.core.objects import ObjectMeta
 from repro.core.policy import Rule
 from repro.core.responses import Compress, SetAttr, Store
 from repro.core.selectors import InsertObject
 from repro.core.server import TieraServer
+from repro.core.templates import high_durability_instance
+from repro.kvstore import MemoryStore
+from repro.simcloud.errors import ProcessCrash
+from repro.simcloud.faults import CrashPointInjector
 from tests.core.conftest import build_instance
 
 
@@ -178,3 +184,138 @@ class TestSetAttrThroughPolicy:
         server = TieraServer(inst)
         server.put_object("k", b"v").raise_for_error()
         assert server.stat("k").dirty is True
+
+
+class CountingStore(MemoryStore):
+    """A metadata store that counts its writes per key."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts = []
+        self.deletes = []
+
+    def put(self, key, value):
+        self.puts.append(key.decode())
+        super().put(key, value)
+
+    def delete(self, key):
+        self.deletes.append(key.decode())
+        return super().delete(key)
+
+
+def counting(instance):
+    """Give a freshly built (still empty) instance a counting store."""
+    instance.metadata_store = CountingStore()
+    return instance.metadata_store
+
+
+def persisted(instance, key):
+    blob = instance.metadata_store.get(key.encode())
+    return None if blob is None else ObjectMeta.from_json(blob)
+
+
+class TestMetadataWriteBack:
+    """Journal off, a client op writes each object it touched to the
+    metadata store once, when the op ends; journal on, every primitive
+    writes through as before."""
+
+    def test_one_store_put_per_object_touched(self, registry):
+        instance = high_durability_instance(registry, mem="1M", ebs="1M")
+        store = counting(instance)
+        server = TieraServer(instance)
+        server.put_object("k", b"first").raise_for_error()
+        assert store.puts == ["k"]  # the parent wrote it five times
+        server.put_object("k", b"second").raise_for_error()
+        assert store.puts == ["k", "k"]
+        assert persisted(instance, "k") == instance.meta("k")
+        server.get_object("k").raise_for_error()
+        assert store.puts == ["k", "k"]  # a GET persists nothing, as before
+
+    def test_every_object_an_op_touches_is_written_once(self, registry):
+        instance = build_instance(registry, [
+            ("tier1", "Memcached", 10 ** 6), ("tier2", "EBS", 10 ** 7),
+        ])
+        instance.enable_versioning(max_versions=1)
+        store = counting(instance)
+        server = TieraServer(instance)
+        for n in range(3):
+            server.put_object("doc", f"content {n}".encode()).raise_for_error()
+        # The third PUT preserved doc@v1, trimmed doc@v0, rewrote doc.
+        assert store.puts[-2:] == ["doc@v1", "doc"]
+        assert store.deletes == ["doc@v0"]
+        assert persisted(instance, "doc@v0") is None
+        for key in ("doc", "doc@v1"):
+            assert persisted(instance, key) == instance.meta(key)
+
+    def test_delete_reaches_the_store_when_the_op_ends(self, registry):
+        instance = high_durability_instance(registry, mem="1M", ebs="1M")
+        store = counting(instance)
+        server = TieraServer(instance)
+        server.put_object("k", b"bytes").raise_for_error()
+        server.delete_object("k").raise_for_error()
+        assert store.deletes == ["k"] and store.puts == ["k"]
+        assert persisted(instance, "k") is None
+
+    def test_journal_on_keeps_the_per_step_persists(self, registry):
+        instance = high_durability_instance(registry, mem="1M", ebs="1M")
+        store = counting(instance)
+        instance.enable_durability()
+        server = TieraServer(instance)
+        server.put_object("k", b"first").raise_for_error()
+        meta_puts = [key for key in store.puts if not key.startswith("\x00")]
+        assert meta_puts == ["k"] * 5  # pinned: today's write-through count
+
+    def test_outside_a_client_op_persist_writes_through(self, two_tier, ctx):
+        store = counting(two_tier)
+        two_tier.create_object("k", 3)
+        two_tier.write_to_tier("k", b"abc", "tier1", ctx)
+        assert store.puts == ["k", "k"]
+        TieraServer(two_tier).add_tag("k", "hot")
+        assert store.puts == ["k", "k", "k"]
+
+    def test_scopes_nest_and_only_the_outermost_flushes(self, two_tier, ctx):
+        store = counting(two_tier)
+        with two_tier.meta_writeback:
+            two_tier.create_object("k", 3)
+            with two_tier.meta_writeback:
+                two_tier.write_to_tier("k", b"abc", "tier1", ctx)
+            assert store.puts == []
+        assert store.puts == ["k"]
+
+    def test_a_failed_op_still_persists_what_it_changed(self, registry):
+        instance = high_durability_instance(registry, mem="1M", ebs="1M")
+        store = counting(instance)
+        server = TieraServer(instance)
+        instance.tiers.get("tier2").service.fail()
+        result = server.put_object("k", b"bytes")  # tier1 stored, copy failed
+        assert not result.ok
+        assert instance.meta("k").locations == {"tier1"}
+        assert store.puts == ["k"]
+        assert persisted(instance, "k") == instance.meta("k")
+
+    def test_a_crash_mid_op_leaves_the_store_as_the_last_op_left_it(
+        self, registry
+    ):
+        instance = high_durability_instance(registry, mem="1M", ebs="1M")
+        store = counting(instance)
+        server = TieraServer(instance)
+        server.put_object("k", b"acked").raise_for_error()
+        server.put_object("other", b"acked too").raise_for_error()
+        before = dict(store._data)
+        mid_op = []
+
+        def on_hit(index, point):
+            # Unflushed: the durable digest reads the store as it is.
+            mid_op.append(dict(store._data) == before)
+
+        instance.crash_points = CrashPointInjector(on_hit=on_hit).arm(
+            "write.meta", occurrence=1  # tier1 written, mid copy to tier2
+        )
+        with pytest.raises(ProcessCrash):
+            server.put_object("k", b"never acked")
+        simulate_crash(instance)
+        assert mid_op and all(mid_op)
+        assert dict(store._data) == before
+        assert instance.meta_writeback.depth == 0
+        assert not instance.meta_writeback.keys
+        assert persisted(instance, "k").version == 0

@@ -72,3 +72,27 @@ class TestVersioning:
         server.put_object("doc", b"v0").raise_for_error()
         server.put_object("doc", b"v1").raise_for_error()
         assert two_tier.versions_of("doc") == []
+
+    def test_a_client_key_that_looks_like_a_version_is_not_one(self, versioned):
+        """``report@v9`` is the client's own object: it takes no version
+        slot and is never trimmed (the parent counted it, so only one
+        real version of ``report`` survived)."""
+        instance, server = versioned
+        server.put_object("report@v9", b"client data").raise_for_error()
+        for n in range(5):
+            server.put_object("report", f"content {n}".encode()).raise_for_error()
+        assert instance.versions_of("report") == ["report@v2", "report@v3"]
+        assert server.get_object("report@v9").raise_for_error().value == b"client data"
+        # Overwriting the look-alike versions *it*, under its own name.
+        server.put_object("report@v9", b"client data 2").raise_for_error()
+        assert instance.versions_of("report@v9") == ["report@v9@v0"]
+        assert instance.versions_of("report") == ["report@v2", "report@v3"]
+
+    def test_deleting_a_version_frees_its_slot(self, versioned):
+        instance, server = versioned
+        for n in range(3):
+            server.put_object("doc", f"content {n}".encode()).raise_for_error()
+        server.delete_object("doc@v0").raise_for_error()
+        assert instance.versions_of("doc") == ["doc@v1"]
+        server.put_object("doc", b"content 3").raise_for_error()
+        assert instance.versions_of("doc") == ["doc@v1", "doc@v2"]
