@@ -21,6 +21,7 @@ asserted.
 from __future__ import annotations
 
 import hashlib
+import zlib
 
 from repro.bench.report import format_table, ms
 from repro.bench.runner import run_closed_loop
@@ -36,6 +37,12 @@ CLIENTS = 8
 DURATION = 30.0
 WARMUP = 8.0
 PUSH_INTERVAL = 120.0
+
+
+def _seed(name: str) -> int:
+    """Per-instance cluster seed; crc32, not ``hash()``, whose ``str``
+    values are salted per process."""
+    return zlib.crc32(name.encode("utf-8")) % 1000
 
 
 def _measure(builder, seed):
@@ -72,7 +79,7 @@ def run_figure13():
             f"{PUSH_INTERVAL:.0f} s (S3 push window)",
         ),
     ):
-        instance, result = _measure(builder, seed=hash(name) % 1000)
+        instance, result = _measure(builder, seed=_seed(name))
         rows.append(
             [
                 name,
@@ -147,7 +154,7 @@ def run_kill_restart():
             ),
         ),
     ):
-        survived, recovery = _kill_restart(builder, seed=hash(name) % 1000)
+        survived, recovery = _kill_restart(builder, seed=_seed(name))
         rows.append([
             name,
             KILL_OBJECTS,

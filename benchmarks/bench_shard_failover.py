@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from repro.bench.failover import run_failover, run_migration_crash
+from repro.bench.sim import run_failover, run_migration_crash
 from repro.bench.report import format_table
 
 SMOKE_KWARGS = dict(

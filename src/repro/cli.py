@@ -361,7 +361,7 @@ def cmd_benchdiff(options) -> int:
 
 
 def cmd_chaos(options) -> int:
-    from repro.bench.chaos import DEPLOYMENTS, run_chaos
+    from repro.bench.sim import CHAOS_DEPLOYMENTS, run_chaos
     from repro.simcloud.faults import SCENARIOS
 
     if options.list:
@@ -369,7 +369,7 @@ def cmd_chaos(options) -> int:
             events = SCENARIOS[name].describe()["events"]
             shapes = ", ".join(e["profile"]["name"] for e in events)
             print(f"{name}: {shapes}")
-        print("deployments:", ", ".join(DEPLOYMENTS))
+        print("deployments:", ", ".join(CHAOS_DEPLOYMENTS))
         return 0
     try:
         report = run_chaos(
@@ -622,7 +622,7 @@ def _print_placement_plan(plan: Dict[str, object]) -> None:
 
 
 def cmd_crashsweep(options) -> int:
-    from repro.bench.crashsweep import run_crash_sweep
+    from repro.bench.sim import run_crash_sweep
 
     try:
         report = run_crash_sweep(
@@ -640,7 +640,7 @@ def cmd_crashsweep(options) -> int:
 def cmd_cluster(options) -> int:
     action = options.cluster_action
     if action in ("failover", "migrate-crash"):
-        from repro.bench.failover import run_failover, run_migration_crash
+        from repro.bench.sim import run_failover, run_migration_crash
 
         if action == "failover":
             report = run_failover(

@@ -29,8 +29,9 @@ module closes that window with a classic redo-logging design:
   state digest.
 
 * :func:`simulate_crash` / :func:`reopen_instance` — what the
-  crash-point sweep (``repro.bench.crashsweep``) uses to kill a process
-  mid-operation and boot a successor over the surviving state.
+  simulation harness's crash sweep (``repro.bench.sim``,
+  docs/SIMULATION.md) uses to kill a process mid-operation and boot a
+  successor over the surviving state.
 
 Recovery rolls *forward*, never back: an intent that reached the journal
 is completed on reopen, one that did not leaves no trace.  So every

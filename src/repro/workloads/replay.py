@@ -15,6 +15,7 @@ and compare latency/cost.
 from __future__ import annotations
 
 import json
+import zlib
 from typing import List
 
 from repro.core.api import BatchOp
@@ -145,7 +146,10 @@ class TraceReplayer:
         op = event["op"]
         key = event["key"]
         if op == "put":
-            payload = record_payload(hash(key) & 0xFFFF, 0, event.get("size", 4096))
+            # crc32, not hash(): str hashes are salted per process, and a
+            # replayed trace must store the same bytes in every process.
+            record = zlib.crc32(key.encode("utf-8")) & 0xFFFF
+            payload = record_payload(record, 0, event.get("size", 4096))
             return BatchOp.put(key, payload)
         if op == "get":
             return BatchOp.get(key)

@@ -409,7 +409,7 @@ class TestLiveRouterCommands:
 
     @pytest.fixture
     def replicated(self, served):
-        from repro.bench.failover import build_shard_cluster
+        from repro.bench.sim import build_shard_cluster
         from repro.core.cluster import ClusterConfig
 
         _, router, _, _ = build_shard_cluster(

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.bench.crashsweep import DEPLOYMENTS, run_crash_sweep
+from repro.bench.sim import CRASH_DEPLOYMENTS as DEPLOYMENTS, run_crash_sweep
 
 #: Boundaries swept in the quick per-deployment test.  The CI
 #: crash-matrix job runs the full sweep; here a prefix keeps the suite

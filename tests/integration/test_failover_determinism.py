@@ -13,7 +13,7 @@
 
 import json
 
-from repro.bench.failover import run_failover, run_migration_crash
+from repro.bench.sim import run_failover, run_migration_crash
 
 #: Short but meaningful window: outage at t=30 for 45s plus a flapping
 #: recovery, inside 120 driven seconds.
@@ -52,6 +52,10 @@ class TestSelfHealingInvariants:
     def test_shard_loss_availability_and_zero_acked_loss(self):
         report = run_failover(seed=7, **KWARGS)
         assert report["availability"]["overall"] >= 0.999
+        # One ledger judges both: every in-run GET and every key's
+        # post-convergence read is an acked write or a later attempt.
+        assert report["model"]["checked"] > KWARGS["records"]
+        assert report["model"]["violations"] == 0, report["model"]
         assert report["acked_write_loss"] == 0
         assert report["hints"]["pending"] == 0
         assert report["anti_entropy"]["final_divergent"] == 0
@@ -63,3 +67,4 @@ class TestSelfHealingInvariants:
         assert all(entry["crashed"] for entry in report["swept"])
         assert all(entry["fsck_clean"] for entry in report["swept"])
         assert all(entry["keys_readable"] for entry in report["swept"])
+        assert report["model"]["violations"] == 0, report["model"]

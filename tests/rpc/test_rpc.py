@@ -352,7 +352,7 @@ class TestBackupVerbs:
 class TestClusterVerb:
     @pytest.fixture
     def cluster_rpc(self):
-        from repro.bench.failover import build_shard_cluster
+        from repro.bench.sim import build_shard_cluster
         from repro.core.cluster import ClusterConfig
 
         sim, router, _, _ = build_shard_cluster(

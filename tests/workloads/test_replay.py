@@ -148,3 +148,34 @@ class TestPipelinedReplay:
         _, target = self._target()
         with pytest.raises(ValueError):
             TraceReplayer(target, self._events()).run(depth=0)
+
+
+class TestProcessIndependentInputs:
+    """Regression: ``str`` hashes are salted per process, so anything
+    "deterministic" derived from ``hash(key)`` differs between runs."""
+
+    def test_replayed_payload_does_not_depend_on_the_hash_seed(self):
+        import zlib
+
+        from repro.workloads.ycsb import record_payload
+
+        op = TraceReplayer._op_for({"op": "put", "key": "user000042", "size": 512})
+        assert op.data == record_payload(
+            zlib.crc32(b"user000042") & 0xFFFF, 0, 512
+        )
+
+    def test_no_bare_hash_call_in_src_or_benchmarks(self):
+        import ast
+        from pathlib import Path
+
+        root = Path(__file__).parents[2]
+        offenders = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for top in ("src", "benchmarks")
+            for path in sorted((root / top).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "hash"
+        ]
+        assert offenders == [], offenders
