@@ -50,6 +50,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.durability import (
+    INTENTS,
     SNAPSHOT_FORMAT,
     _erase,
     archive_manifest,
@@ -66,9 +67,6 @@ from repro.simcloud.resources import RequestContext
 
 #: Backup store layout version (bump on incompatible change).
 BACKUP_FORMAT = 1
-
-#: Journal ops that carry a redo plan (everything else is a marker).
-_REPLAYABLE = ("write", "remove", "rewrite", "delete")
 
 
 def _atomic_write(path: str, blob: bytes) -> None:
@@ -221,13 +219,7 @@ class BackupManager:
             # tracked; an incremental over that window would lie.
             self._force_full = True
         elif active:
-            since = int(active[-1]["upto_seq"])
-            self._dirty = {
-                str(e["record"].get("key", ""))
-                for e in self._wal.values()
-                if int(e["seq"]) > since and e["op"] in _REPLAYABLE
-            }
-            self._dirty.discard("")
+            self._dirty = self._changed_since(int(active[-1]["upto_seq"]))
 
     def _read_wal_file(self, path: str) -> List[Dict[str, object]]:
         """Load one WAL file; a torn final line (crash mid-append) is
@@ -260,24 +252,29 @@ class BackupManager:
     def _note_meta_change(self, key: str) -> None:
         self._dirty.add(key)
 
+    def _changed_since(self, seq: int) -> set:
+        """Keys the archived WAL shows mutated after ``seq``."""
+        return {
+            str(e["record"]["key"])
+            for s, e in self._wal.items()
+            if s > seq and e["op"] in INTENTS and e["record"].get("key")
+        }
+
     def _archive_record(self, seq, record, applied) -> None:
         op = str(record.get("op", "?"))
         if not applied:
             # Never replay an intent whose redo plan did not take
             # effect; archive a marker so the seq space stays dense.
-            entry = {"seq": seq, "time": self.instance.clock.now(),
-                     "op": "noop", "record": {"was": op}}
+            op, record = "noop", {"was": op}
         elif op == "scope":
-            entry = {"seq": seq, "time": self.instance.clock.now(),
-                     "op": "scope", "record": {
-                         "rule": record.get("rule", ""),
-                         "origin": record.get("origin", ""),
-                     }}
-        else:
-            entry = {"seq": seq, "time": self.instance.clock.now(),
-                     "op": op, "record": record}
-            self._dirty.add(str(record.get("key", "")))
-            self._dirty.discard("")
+            record = {
+                "rule": record.get("rule", ""),
+                "origin": record.get("origin", ""),
+            }
+        elif record.get("key"):
+            self._dirty.add(str(record["key"]))
+        entry = {"seq": seq, "time": self.instance.clock.now(),
+                 "op": op, "record": record}
         self._wal[int(seq)] = entry
         self._last_seq = max(self._last_seq, int(seq))
         line = json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n"
@@ -503,9 +500,9 @@ class BackupManager:
         chain.reverse()
         return chain
 
-    def _apply_chain(self, target, chain: List[Dict[str, object]]) -> None:
-        """Rebuild ``target`` to the chain tip's captured state."""
-        # Verify every link's bytes before mutating anything.
+    def _read_chain(self, chain: List[Dict[str, object]]) -> List[bytes]:
+        """Every link's archive, checked against its catalog digest and
+        its parent link."""
         blobs = [self._read_archive(entry) for entry in chain]
         for i in range(1, len(chain)):
             manifest = archive_manifest(blobs[i])
@@ -514,6 +511,12 @@ class BackupManager:
                     f"snapshot #{chain[i]['id']} was not taken against "
                     f"#{chain[i - 1]['id']} — chain integrity broken"
                 )
+        return blobs
+
+    def _apply_chain(
+        self, target, chain: List[Dict[str, object]], blobs: List[bytes]
+    ) -> None:
+        """Rebuild ``target`` to the chain tip's captured state."""
         result = restore_archive(target, blobs[0])
         if not result["verified"]:
             raise BackupError(
@@ -554,10 +557,8 @@ class BackupManager:
                 service._used += len(data)
                 tier._order[key] = None
 
-    def _replay(self, target, lo: int, hi: int) -> int:
-        """Replay archived records with seq in (lo, hi] onto ``target``."""
-        if hi <= lo:
-            return 0
+    def _wal_records(self, lo: int, hi: int) -> List[Tuple[int, Dict]]:
+        """The archived ``(seq, record)`` pairs with seq in (lo, hi]."""
         missing = [s for s in range(lo + 1, hi + 1) if s not in self._wal]
         if missing:
             raise BackupError(
@@ -565,29 +566,34 @@ class BackupManager:
                 f"(range {lo + 1}..{hi}) — point-in-time restore "
                 f"would skip history"
             )
-        dur = target.durability
-        if dur is None:
+        return [(s, self._wal[s]["record"]) for s in range(lo + 1, hi + 1)]
+
+    def _rebuild(
+        self, target, chain: List[Dict[str, object]], to_seq: Optional[int]
+    ) -> int:
+        """Bring ``target`` to the chain tip's state plus the archived
+        records up to ``to_seq``; returns how many were replayed.  The
+        chain's bytes and links, the WAL's density over the replay range
+        and the target's durability layer are checked before ``target``
+        is touched: a rebuild refused for any of them has not happened."""
+        blobs = self._read_chain(chain)
+        records = [] if to_seq is None else self._wal_records(
+            int(chain[-1]["upto_seq"]), to_seq
+        )
+        if records and target.durability is None:
             raise BackupError("restore target has no durability layer")
-        ctx = RequestContext(target.clock)
-        redo = {
-            "write": dur._redo_write,
-            "remove": dur._redo_remove,
-            "rewrite": dur._redo_rewrite,
-            "delete": dur._redo_delete,
-        }
-        replayed = 0
-        dur.recovering = True
-        try:
-            for seq in range(lo + 1, hi + 1):
-                entry = self._wal[seq]
-                handler = redo.get(str(entry["op"]))
-                if handler is None:
-                    continue  # scope / noop marker
-                handler(entry["record"], ctx)
-                replayed += 1
-        finally:
-            dur.recovering = False
-        return replayed
+        self._apply_chain(target, chain, blobs)
+        if not records:
+            return 0
+        replayed, errors = target.durability.replay(
+            records, RequestContext(target.clock)
+        )
+        if errors:
+            raise BackupError(
+                "replaying archived seq {seq} ({op} {key!r}) failed: "
+                "{error}".format(**errors[0])
+            )
+        return len(replayed)
 
     def _resolve_target_seq(
         self, to_seq: Optional[int], to_time: Optional[float],
@@ -648,6 +654,8 @@ class BackupManager:
         WAL beyond the target and retires snapshots taken after it (the
         abandoned timeline stays on disk but is no longer a restore
         base), exactly like a database PITR starting a new timeline.
+        A restore refused for a bad target, a broken chain or a hole in
+        the WAL has changed nothing (see :meth:`_rebuild`).
         """
         if sum(x is not None for x in (to_seq, to_time, snapshot_id)) > 1:
             raise BackupError(
@@ -673,12 +681,7 @@ class BackupManager:
             journal.archiver = None
             target.on_meta_change = None
         try:
-            self._apply_chain(target, chain)
-            replayed = 0
-            if target_seq is not None:
-                replayed = self._replay(
-                    target, int(base["upto_seq"]), target_seq
-                )
+            replayed = self._rebuild(target, chain, target_seq)
         finally:
             if hooks is not None:
                 target.durability.journal.archiver = hooks[0]
@@ -689,12 +692,7 @@ class BackupManager:
         )
         if in_place:
             self._truncate_after(end_seq)
-            self._dirty = {
-                str(e["record"].get("key", ""))
-                for s, e in self._wal.items()
-                if s > int(base["upto_seq"]) and e["op"] in _REPLAYABLE
-            }
-            self._dirty.discard("")
+            self._dirty = self._changed_since(int(base["upto_seq"]))
             journal = target.durability.journal
             journal._next_seq = max(journal._next_seq, end_seq + 1)
         result = {
@@ -908,13 +906,9 @@ class BackupManager:
             if not active:
                 raise BackupError("nothing to verify: no snapshots yet")
             tip = active[-1]
-            chain = self._chain(tip)
             scratch = self._scratch_instance()
             # _apply_chain digest-checks the chain tip internally.
-            self._apply_chain(scratch, chain)
-            replayed = self._replay(
-                scratch, int(tip["upto_seq"]), self.last_seq
-            )
+            replayed = self._rebuild(scratch, self._chain(tip), self.last_seq)
             scrub = fsck(scratch, repair=False)
             result.update({
                 "ok": bool(scrub["clean"]),

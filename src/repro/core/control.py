@@ -46,17 +46,11 @@ class ControlLayer:
         policy: Policy,
         clock: Clock,
         eval_overhead: float = EVAL_OVERHEAD,
-        request_pool_size: int = 8,
-        response_pool_size: int = 4,
     ):
         self.instance = instance
         self.policy = policy
         self.clock = clock
         self.eval_overhead = eval_overhead
-        # Pool sizes are honoured by the RPC server (WallClock mode);
-        # the simulated control layer is synchronous.
-        self.request_pool_size = request_pool_size
-        self.response_pool_size = response_pool_size
         self.fired: Dict[str, int] = {}
         self.background_errors: List[Tuple[str, Exception]] = []
         self._timers: Dict[str, Timer] = {}

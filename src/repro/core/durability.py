@@ -13,10 +13,11 @@ module closes that window with a classic redo-logging design:
   plan (including the payload bytes) before touching any tier, and
   deletes the record once both the tier and the metadata table agree.
 
-* :class:`DurabilityLayer` — per-instance façade: journaling hooks for
-  the primitives, lightweight *scope* records around multi-step policy
-  responses, :meth:`~DurabilityLayer.recover` (roll every pending intent
-  forward, then scrub), and :meth:`~DurabilityLayer.checkpoint`.
+* :class:`DurabilityLayer` — per-instance façade: a journaling hook and
+  a redo per mutation kind (both declared once, in :data:`INTENTS`),
+  lightweight *scope* records around multi-step policy responses,
+  :meth:`~DurabilityLayer.recover` (roll every pending intent forward,
+  then scrub), and :meth:`~DurabilityLayer.checkpoint`.
 
 * :func:`fsck` — the scrub: cross-checks the metadata table against
   actual tier contents (ghosts, orphans, dangling aliases, checksum
@@ -45,7 +46,7 @@ import base64
 import io
 import json
 import tarfile
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import NoSuchObjectError, TieraError
 from repro.core.objects import ObjectMeta, content_checksum
@@ -151,6 +152,130 @@ class IntentJournal:
         return len(self._pending)
 
 
+# -- the intent table: every journaled mutation kind, declared once --------
+
+
+def _install_post(instance, record) -> None:
+    """Install a record's journaled post-operation metadata image."""
+    doc = record.get("post_meta")
+    if doc:
+        instance.install_meta(ObjectMeta.from_doc(doc))
+
+
+def _plan_write(meta: ObjectMeta, tier_name: str, data: bytes):
+    post = meta.to_doc()
+    post["locations"] = sorted(meta.locations | {tier_name})
+    post["size"] = len(data)
+    return {"tier": tier_name, "data_b64": _b64(data), "post_meta": post}
+
+
+def _redo_write(instance, record, ctx: RequestContext) -> None:
+    _install_post(instance, record)
+    tier_name = str(record["tier"])
+    if instance.tiers.has(tier_name):
+        instance.write_to_tier(
+            str(record["key"]), _unb64(record["data_b64"]), tier_name, ctx
+        )
+
+
+def _plan_remove(meta: ObjectMeta, tier_name: str):
+    post = meta.to_doc()
+    post["locations"] = sorted(meta.locations - {tier_name})
+    return {"tier": tier_name, "post_meta": post}
+
+
+def _redo_remove(instance, record, ctx: RequestContext) -> None:
+    _install_post(instance, record)
+    key, tier_name = str(record["key"]), str(record["tier"])
+    if instance.tiers.has(tier_name) and instance.has_object(key):
+        instance.remove_from_tier(key, tier_name, ctx)
+
+
+def _plan_rewrite(meta: ObjectMeta, data: bytes, updates):
+    post = meta.to_doc()
+    post["size"] = len(data)
+    post.update(updates or {})
+    return {
+        "locations": sorted(meta.locations),
+        "data_b64": _b64(data),
+        "post_meta": post,
+    }
+
+
+def _redo_rewrite(instance, record, ctx: RequestContext) -> None:
+    _install_post(instance, record)
+    data = _unb64(record["data_b64"])
+    for tier_name in map(str, record.get("locations", [])):
+        if instance.tiers.has(tier_name):
+            instance.tiers.get(tier_name).put(str(record["key"]), data, ctx)
+
+
+def _plan_delete(meta: ObjectMeta):
+    # Tombstone-first: the intent names every tier that may still hold
+    # bytes, so a crash mid-delete finishes the removal on reopen
+    # instead of leaving orphan replicas.
+    return {"locations": sorted(meta.locations)}
+
+
+def _redo_delete(instance, record, ctx: RequestContext) -> None:
+    key = str(record["key"])
+    if instance.has_object(key):
+        instance.delete_object(key, ctx)
+        return
+    # Metadata already gone: finish clearing any surviving replicas.
+    for tier_name in map(str, record.get("locations", [])):
+        if not instance.tiers.has(tier_name):
+            continue
+        tier = instance.tiers.get(tier_name)
+        if tier.contains(key) and tier.available:
+            tier.delete(key, ctx)
+
+
+class Intent(NamedTuple):
+    """One kind of journaled mutation: ``plan(meta, *args)`` gives the
+    record's own fields (redo plan and post-operation metadata image)
+    from the pre-state; ``redo(instance, record, ctx)`` rolls a record
+    forward, changing nothing when its effects already landed; ``points``
+    names the crash points the primitive's body announces."""
+
+    plan: Callable[..., Dict[str, object]]
+    redo: Callable[..., None]
+    points: Tuple[str, ...]
+
+
+#: The journaled mutations.  The instance primitive named by each row
+#: runs its body inside the journal bracket (``instance._Journaled``),
+#: :meth:`DurabilityLayer.replay` redoes a record through its row, and
+#: any other ``op`` in a journal or the backup WAL is a marker.
+INTENTS: Dict[str, Intent] = {
+    "write": Intent(_plan_write, _redo_write, ("data", "meta")),
+    "remove": Intent(_plan_remove, _redo_remove, ("data",)),
+    "rewrite": Intent(_plan_rewrite, _redo_rewrite, ("data",)),
+    "delete": Intent(_plan_delete, _redo_delete, ("data",)),
+}
+
+#: Every boundary the bracket and the bodies announce, in pass order.
+INTENT_CRASH_POINTS: Tuple[str, ...] = tuple(
+    f"{op}.{point}" for op, intent in INTENTS.items()
+    for point in ("begin", "journaled", *intent.points, "commit")
+)
+
+
+def _journal_hook(op: str):
+    plan = INTENTS[op].plan
+
+    def journal(self, key: str, *args):
+        """Journal this kind's intent for ``key``: its seq, or ``None``
+        while replaying and when the key has no metadata yet (nothing
+        to make consistent) — the two guards every kind shares."""
+        meta = None if self.recovering else self.instance._meta.get(key)
+        if meta is None:
+            return None
+        return self._begin({"op": op, "key": key, **plan(meta, *args)})
+
+    return journal
+
+
 class DurabilityLayer:
     """Journaling, recovery, and checkpointing for one instance.
 
@@ -166,7 +291,7 @@ class DurabilityLayer:
         )
         self._owns_store = self.store is not instance.metadata_store
         self.journal = IntentJournal(self.store)
-        #: set while :meth:`recover` replays; suppresses re-journaling.
+        #: set while :meth:`replay` runs; suppresses re-journaling.
         self.recovering = False
         self.last_recovery: Optional[Dict[str, object]] = None
         metrics = instance.obs.metrics
@@ -184,69 +309,10 @@ class DurabilityLayer:
         self._records.inc(op=str(record.get("op", "?")))
         return self.journal.begin(record)
 
-    def _post_doc(self, meta: ObjectMeta) -> Dict[str, object]:
-        return json.loads(meta.to_json().decode("utf-8"))
-
-    def journal_write(self, key: str, tier_name: str, data: bytes):
-        if self.recovering:
-            return None
-        meta = self.instance._meta.get(key)
-        if meta is None:
-            return None  # no metadata yet: nothing to make consistent
-        post = self._post_doc(meta)
-        post["locations"] = sorted(set(post["locations"]) | {tier_name})
-        post["size"] = len(data)
-        return self._begin({
-            "op": "write",
-            "key": key,
-            "tier": tier_name,
-            "data_b64": _b64(data),
-            "post_meta": post,
-        })
-
-    def journal_remove(self, key: str, tier_name: str):
-        if self.recovering:
-            return None
-        meta = self.instance._meta.get(key)
-        if meta is None:
-            return None
-        post = self._post_doc(meta)
-        post["locations"] = sorted(set(post["locations"]) - {tier_name})
-        return self._begin({
-            "op": "remove",
-            "key": key,
-            "tier": tier_name,
-            "post_meta": post,
-        })
-
-    def journal_rewrite(
-        self, key: str, data: bytes, updates: Optional[Dict[str, object]]
-    ):
-        if self.recovering:
-            return None
-        meta = self.instance._meta.get(key)
-        if meta is None:
-            return None
-        post = self._post_doc(meta)
-        post["size"] = len(data)
-        for attr, value in (updates or {}).items():
-            post[attr] = value
-        return self._begin({
-            "op": "rewrite",
-            "key": key,
-            "locations": sorted(meta.locations),
-            "data_b64": _b64(data),
-            "post_meta": post,
-        })
-
-    def journal_delete(self, key: str, locations: List[str]):
-        if self.recovering:
-            return None
-        return self._begin({
-            "op": "delete",
-            "key": key,
-            "locations": list(locations),
-        })
+    # One named hook per row (profilers, benchmarks/perf count by kind).
+    journal_write, journal_remove, journal_rewrite, journal_delete = map(
+        _journal_hook, INTENTS
+    )
 
     def begin_scope(self, rule_name: str, origin: str):
         """Mark a multi-step policy response as in flight.
@@ -268,6 +334,34 @@ class DurabilityLayer:
 
     # -- recovery ---------------------------------------------------------
 
+    def replay(self, records, ctx: RequestContext):
+        """Roll forward, in order, each ``(seq, record)`` that carries a
+        redo plan (markers — scopes, aborted intents — are passed over):
+        the one redo dispatcher, under crash recovery and point-in-time
+        restore alike.  Returns ``(replayed, errors)``, a ``{"seq", "op",
+        "key"}`` per record plus, in ``errors``, why its redo failed —
+        which does not strand the records behind it."""
+        replayed: List[Dict[str, object]] = []
+        errors: List[Dict[str, object]] = []
+        self.recovering = True
+        try:
+            for seq, record in records:
+                op = str(record.get("op", "?"))
+                intent = INTENTS.get(op)
+                if intent is None:
+                    continue
+                entry = {"seq": seq, "op": op, "key": str(record.get("key", ""))}
+                try:
+                    intent.redo(self.instance, record, ctx)
+                except (TieraError, SimCloudError) as exc:
+                    entry["error"] = f"{type(exc).__name__}: {exc}"
+                    errors.append(entry)
+                else:
+                    replayed.append(entry)
+        finally:
+            self.recovering = False
+        return replayed, errors
+
     def recover(self) -> Dict[str, object]:
         """Roll forward every pending intent, then scrub.
 
@@ -276,42 +370,16 @@ class DurabilityLayer:
         findings (repaired in place)."""
         instance = self.instance
         ctx = RequestContext(instance.clock)
-        replayed: List[Dict[str, object]] = []
-        incomplete: List[Dict[str, object]] = []
-        errors: List[Dict[str, object]] = []
-        self.recovering = True
-        try:
-            for seq, record in self.journal.pending():
-                op = str(record.get("op", "?"))
-                try:
-                    if op == "scope":
-                        incomplete.append({
-                            "rule": record.get("rule", ""),
-                            "origin": record.get("origin", ""),
-                        })
-                    elif op == "write":
-                        self._redo_write(record, ctx)
-                    elif op == "remove":
-                        self._redo_remove(record, ctx)
-                    elif op == "rewrite":
-                        self._redo_rewrite(record, ctx)
-                    elif op == "delete":
-                        self._redo_delete(record, ctx)
-                    if op != "scope":
-                        replayed.append({
-                            "seq": seq, "op": op,
-                            "key": str(record.get("key", "")),
-                        })
-                        self._replays.inc(op=op)
-                except (TieraError, SimCloudError) as exc:
-                    errors.append({
-                        "seq": seq, "op": op,
-                        "key": str(record.get("key", "")),
-                        "error": f"{type(exc).__name__}: {exc}",
-                    })
-                self.journal.commit(seq)
-        finally:
-            self.recovering = False
+        pending = self.journal.pending()
+        replayed, errors = self.replay(pending, ctx)
+        incomplete = [
+            {"rule": record.get("rule", ""), "origin": record.get("origin", "")}
+            for _, record in pending if record.get("op") == "scope"
+        ]
+        for entry in replayed:
+            self._replays.inc(op=entry["op"])
+        for seq, _ in pending:
+            self.journal.commit(seq)
         scrub = fsck(instance, repair=True, ctx=ctx)
         report = {
             "replayed": replayed,
@@ -336,52 +404,6 @@ class DurabilityLayer:
         ))
         self.last_recovery = report
         return report
-
-    def _install_meta(self, doc) -> None:
-        """Install a journaled post-operation metadata image."""
-        if doc:
-            blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-            self.instance.install_meta(ObjectMeta.from_json(blob))
-
-    def _redo_write(self, record, ctx: RequestContext) -> None:
-        instance = self.instance
-        key = str(record["key"])
-        tier_name = str(record["tier"])
-        self._install_meta(record.get("post_meta"))
-        if instance.tiers.has(tier_name):
-            data = _unb64(record["data_b64"])
-            instance.write_to_tier(key, data, tier_name, ctx)
-
-    def _redo_remove(self, record, ctx: RequestContext) -> None:
-        instance = self.instance
-        key = str(record["key"])
-        tier_name = str(record["tier"])
-        self._install_meta(record.get("post_meta"))
-        if instance.tiers.has(tier_name) and instance.has_object(key):
-            instance.remove_from_tier(key, tier_name, ctx)
-
-    def _redo_rewrite(self, record, ctx: RequestContext) -> None:
-        instance = self.instance
-        key = str(record["key"])
-        self._install_meta(record.get("post_meta"))
-        data = _unb64(record["data_b64"])
-        for tier_name in record.get("locations", []):
-            if instance.tiers.has(str(tier_name)):
-                instance.tiers.get(str(tier_name)).put(key, data, ctx)
-
-    def _redo_delete(self, record, ctx: RequestContext) -> None:
-        instance = self.instance
-        key = str(record["key"])
-        if instance.has_object(key):
-            instance.delete_object(key, ctx)
-            return
-        # Metadata already gone: finish clearing any surviving replicas.
-        for tier_name in record.get("locations", []):
-            if not instance.tiers.has(str(tier_name)):
-                continue
-            tier = instance.tiers.get(str(tier_name))
-            if tier.contains(key) and tier.available:
-                tier.delete(key, ctx)
 
     # -- maintenance ------------------------------------------------------
 
@@ -746,11 +768,9 @@ def archived_state(
         held = meta.locations & archived_names
         if not held:
             continue
-        doc = json.loads(meta.to_json().decode("utf-8"))
-        doc["locations"] = sorted(held)
-        kept.append(ObjectMeta.from_json(
-            json.dumps(doc, sort_keys=True).encode("utf-8")
-        ))
+        copy = ObjectMeta.from_doc(meta.to_doc())
+        copy.locations = held
+        kept.append(copy)
         kept_keys.add(key)
     for key in sorted(instance._meta):
         meta = instance._meta[key]
@@ -761,7 +781,7 @@ def archived_state(
         except NoSuchObjectError:
             continue
         if physical in kept_keys:
-            kept.append(ObjectMeta.from_json(meta.to_json()))
+            kept.append(ObjectMeta.from_doc(meta.to_doc()))
     kept.sort(key=lambda m: m.key)
 
     tier_rows: List[Tuple[str, Dict[str, bytes]]] = []

@@ -14,7 +14,7 @@ import hashlib
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.control import ControlLayer
+from repro.core.control import EVAL_OVERHEAD, ControlLayer
 from repro.core.errors import (
     BreakerOpenError,
     CorruptObjectError,
@@ -101,6 +101,48 @@ class _MetaWriteBack:
             instance._store_meta(key, instance._meta.get(key))
 
 
+class _Journaled:
+    """The bracket every journaled primitive runs its body in (``with
+    _Journaled(instance, op, key, *plan_args):``, the kinds and their
+    plans in :data:`repro.core.durability.INTENTS`).
+
+    Enter: ``<op>.begin``, the intent (journal on and something to
+    record), ``<op>.journaled``.  Three exits: the body returned —
+    commit, ``<op>.commit``; it raised — abort: the intent never
+    happened (archived as a ``noop`` marker, never replayed); the
+    process died (:class:`ProcessCrash`) — the record stays pending for
+    the successor's ``recover()`` to roll forward.
+    """
+
+    __slots__ = ("instance", "op", "args", "seq")
+
+    def __init__(self, instance: "TieraInstance", op: str, *args):
+        self.instance = instance
+        self.op = op
+        self.args = args  # the key, then what the kind's plan takes
+        self.seq: Optional[int] = None
+
+    def __enter__(self) -> None:
+        instance, op = self.instance, self.op
+        instance._crash_point(op + ".begin")
+        dur = instance.durability
+        if dur is not None:
+            self.seq = getattr(dur, "journal_" + op)(*self.args)
+            if self.seq is not None:
+                instance._crash_point(op + ".journaled")
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        seq = self.seq
+        if seq is None:
+            return
+        instance = self.instance
+        if exc_type is None:
+            instance.durability.commit(seq)
+            instance._crash_point(self.op + ".commit")
+        elif not issubclass(exc_type, ProcessCrash):
+            instance.durability.abort(seq)
+
+
 class TieraInstance:
     """One configured multi-tier storage instance."""
 
@@ -112,7 +154,7 @@ class TieraInstance:
         clock: Optional[Clock] = None,
         metadata_store: Optional[KVStore] = None,
         price_book: Optional[PriceBook] = None,
-        eval_overhead: Optional[float] = None,
+        eval_overhead: float = EVAL_OVERHEAD,
         obs=None,
     ):
         if clock is None:
@@ -147,10 +189,7 @@ class TieraInstance:
             "tiera_gets_served_total", "GET requests answered, by tier."
         )
         obs.metrics.add_collector(self._collect_gauges)
-        control_kwargs = {}
-        if eval_overhead is not None:
-            control_kwargs["eval_overhead"] = eval_overhead
-        self.control = ControlLayer(self, self.policy, clock, **control_kwargs)
+        self.control = ControlLayer(self, self.policy, clock, eval_overhead)
         self._meta: Dict[str, ObjectMeta] = {}
         #: three indexes derived from the table, kept by install_meta /
         #: _drop_meta (wholesale) and the alias/version primitives (live):
@@ -413,38 +452,25 @@ class TieraInstance:
             self._make_room(tier, incoming, evict_to, ctx, protect=key)
         if not tier.can_fit(incoming):
             raise NoCapacityError(tier_name, key)
-        # Journal the write intent (bytes + post-state metadata) before
-        # the tier mutates: a crash anywhere past this line rolls the
-        # whole write forward on reopen; before it, no trace remains.
-        self._crash_point("write.begin")
-        dur = self.durability
-        seq = dur.journal_write(key, tier_name, data) if dur is not None else None
-        if seq is not None:
-            self._crash_point("write.journaled")
-        if res is None:
-            tier.put(key, data, ctx)
-        else:
-            try:
-                res.guarded_put(tier, key, data, ctx)
-            except (ServiceUnavailableError, BreakerOpenError) as exc:
-                if seq is not None:
-                    # The degraded write goes elsewhere (journaled by its
-                    # own write_to_tier call): this intent never happened.
-                    dur.abort(seq)
-                if not redirect:
-                    raise
-                res.redirect_write(key, data, tier_name, ctx, exc)
-                return
-        self._crash_point("write.data")
-        meta = self.meta(key)
-        meta.locations.add(tier_name)
-        meta.size = len(data)
-        self.persist_meta(meta)
-        self._crash_point("write.meta")
-        self.obs.heat.record_tier("put", tier_name, at=ctx.time)
-        if seq is not None:
-            dur.commit(seq)
-            self._crash_point("write.commit")
+        try:
+            with _Journaled(self, "write", key, tier_name, data):
+                if res is None:
+                    tier.put(key, data, ctx)
+                else:
+                    res.guarded_put(tier, key, data, ctx)
+                self._crash_point("write.data")
+                meta = self.meta(key)
+                meta.locations.add(tier_name)
+                meta.size = len(data)
+                self.persist_meta(meta)
+                self._crash_point("write.meta")
+                self.obs.heat.record_tier("put", tier_name, at=ctx.time)
+        except (ServiceUnavailableError, BreakerOpenError) as exc:
+            if res is None or not redirect:
+                raise
+            # The degraded write goes elsewhere, journaled by its own
+            # write_to_tier call; this tier's intent was aborted.
+            res.redirect_write(key, data, tier_name, ctx, exc)
 
     def write_fanout(
         self,
@@ -626,45 +652,31 @@ class TieraInstance:
         can never leave transformed bytes with an untransformed flag.
         """
         meta = self.meta(key)
-        self._crash_point("rewrite.begin")
-        dur = self.durability
-        seq = dur.journal_rewrite(key, data, updates) if dur is not None else None
-        if seq is not None:
-            self._crash_point("rewrite.journaled")
-        locations = sorted(meta.locations)
-        if len(locations) > 1:
-            branches = ctx.scatter()
-            for tier_name in locations:
-                self.tiers.get(tier_name).put(key, data, branches.branch())
-            branches.join()
-        else:
-            for tier_name in locations:
-                self.tiers.get(tier_name).put(key, data, ctx)
-        self._crash_point("rewrite.data")
-        meta.size = len(data)
-        for attr, value in (updates or {}).items():
-            setattr(meta, attr, value)
-        self.persist_meta(meta)
-        if seq is not None:
-            dur.commit(seq)
-            self._crash_point("rewrite.commit")
+        with _Journaled(self, "rewrite", key, data, updates):
+            locations = sorted(meta.locations)
+            if len(locations) > 1:
+                branches = ctx.scatter()
+                for tier_name in locations:
+                    self.tiers.get(tier_name).put(key, data, branches.branch())
+                branches.join()
+            else:
+                for tier_name in locations:
+                    self.tiers.get(tier_name).put(key, data, ctx)
+            self._crash_point("rewrite.data")
+            meta.size = len(data)
+            for attr, value in (updates or {}).items():
+                setattr(meta, attr, value)
+            self.persist_meta(meta)
 
     def remove_from_tier(self, key: str, tier_name: str, ctx: RequestContext) -> None:
         tier = self.tiers.get(tier_name)
-        self._crash_point("remove.begin")
-        dur = self.durability
-        seq = dur.journal_remove(key, tier_name) if dur is not None else None
-        if seq is not None:
-            self._crash_point("remove.journaled")
-        if tier.contains(key):
-            tier.delete(key, ctx)
-        self._crash_point("remove.data")
-        meta = self.meta(key)
-        meta.locations.discard(tier_name)
-        self.persist_meta(meta)
-        if seq is not None:
-            dur.commit(seq)
-            self._crash_point("remove.commit")
+        with _Journaled(self, "remove", key, tier_name):
+            if tier.contains(key):
+                tier.delete(key, ctx)
+            self._crash_point("remove.data")
+            meta = self.meta(key)
+            meta.locations.discard(tier_name)
+            self.persist_meta(meta)
 
     def _detach_alias(self, meta: ObjectMeta) -> None:
         """Break an alias link (its canonical loses one reference)."""
@@ -781,43 +793,28 @@ class TieraInstance:
         """
         meta = self.meta(key)
         heir_holders = self._handoff_holders(meta)  # may refuse: no tombstone yet
-        self._crash_point("delete.begin")
-        # Tombstone-first: the journaled delete intent names every tier
-        # that may still hold bytes, so a crash mid-delete finishes the
-        # removal on reopen instead of leaving orphan replicas.
-        dur = self.durability
-        seq = (
-            dur.journal_delete(key, sorted(meta.locations))
-            if dur is not None else None
-        )
-        if seq is not None:
-            self._crash_point("delete.journaled")
-        if meta.alias_of is not None:
-            self._detach_alias(meta)
-            self._drop_meta(key)
-        elif heir_holders is not None:
-            self._handoff_to_heir(meta, heir_holders, ctx)
-            self._drop_meta(key)
-        else:
-            holders = [
-                self.tiers.get(name) for name in sorted(meta.locations)
-            ]
-            holders = [t for t in holders if t.contains(key) and t.available]
-            if len(holders) > 1:
-                branches = ctx.scatter()
-                for tier in holders:
-                    tier.delete(key, branches.branch())
-                branches.join()
+        with _Journaled(self, "delete", key):
+            if meta.alias_of is not None:
+                self._detach_alias(meta)
+            elif heir_holders is not None:
+                self._handoff_to_heir(meta, heir_holders, ctx)
             else:
+                holders = [
+                    self.tiers.get(name) for name in sorted(meta.locations)
+                ]
+                holders = [t for t in holders if t.contains(key) and t.available]
+                if len(holders) > 1:
+                    branches = ctx.scatter()
+                    for tier in holders:
+                        tier.delete(key, branches.branch())
+                    branches.join()
+                else:
+                    for tier in holders:
+                        tier.delete(key, ctx)
+                self._crash_point("delete.data")
                 for tier in holders:
-                    tier.delete(key, ctx)
-            self._crash_point("delete.data")
-            for tier in holders:
-                self.obs.heat.record_tier("delete", tier.name, at=ctx.time)
+                    self.obs.heat.record_tier("delete", tier.name, at=ctx.time)
             self._drop_meta(key)
-        if seq is not None:
-            dur.commit(seq)
-            self._crash_point("delete.commit")
 
     # -- object versioning (extension: paper §2.2 future work) --------------
 

@@ -67,8 +67,10 @@ class ObjectMeta:
 
     # -- persistence (metadata survives server restart via the kvstore) --
 
-    def to_json(self) -> bytes:
-        doc = {
+    def to_doc(self) -> Dict[str, object]:
+        """The JSON-able image behind store rows, journal post-images
+        and snapshot members (a fresh dict: callers may edit it)."""
+        return {
             "key": self.key,
             "size": self.size,
             "locations": sorted(self.locations),
@@ -85,11 +87,9 @@ class ObjectMeta:
             "alias_of": self.alias_of,
             "refcount": self.refcount,
         }
-        return json.dumps(doc, sort_keys=True).encode("utf-8")
 
     @classmethod
-    def from_json(cls, blob: bytes) -> "ObjectMeta":
-        doc: Dict = json.loads(blob.decode("utf-8"))
+    def from_doc(cls, doc: Dict) -> "ObjectMeta":
         return cls(
             key=doc["key"],
             size=doc["size"],
@@ -107,3 +107,10 @@ class ObjectMeta:
             alias_of=doc.get("alias_of"),
             refcount=doc.get("refcount", 0),
         )
+
+    def to_json(self) -> bytes:
+        return json.dumps(self.to_doc(), sort_keys=True).encode("utf-8")
+
+    @classmethod
+    def from_json(cls, blob: bytes) -> "ObjectMeta":
+        return cls.from_doc(json.loads(blob.decode("utf-8")))

@@ -43,8 +43,7 @@ def _ring_position(label: str) -> int:
 class ConsistentHashRing:
     """A classic consistent-hash ring with virtual nodes."""
 
-    def __init__(self, vnodes: int = VNODES):
-        self.vnodes = vnodes
+    def __init__(self):
         self._points: List[Tuple[int, str]] = []  # sorted (position, shard)
         self._shards: set = set()
 
@@ -52,7 +51,7 @@ class ConsistentHashRing:
         if shard in self._shards:
             raise ValueError(f"shard {shard!r} already on the ring")
         self._shards.add(shard)
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             point = (_ring_position(f"{shard}#{v}"), shard)
             bisect.insort(self._points, point)
 
@@ -249,7 +248,6 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
     def __init__(
         self,
         shards: Dict[str, TieraServer],
-        vnodes: int = VNODES,
         max_inflight: int = api.DEFAULT_MAX_INFLIGHT,
         obs: Optional[Observability] = None,
         replication: Optional[ClusterConfig] = None,
@@ -257,7 +255,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
     ):
         if not shards:
             raise ValueError("need at least one shard")
-        self.ring = ConsistentHashRing(vnodes=vnodes)
+        self.ring = ConsistentHashRing()
         self.shards: Dict[str, TieraServer] = {}
         for name, server in shards.items():
             self.shards[name] = server

@@ -40,7 +40,6 @@ def _build(
     tier_specs: Sequence[TierSpec],
     rules: Sequence[Rule],
     eviction_chain: Optional[Dict[str, str]] = None,
-    eval_overhead: Optional[float] = None,
 ) -> TieraInstance:
     tiers = [
         registry.create(
@@ -56,7 +55,6 @@ def _build(
         tiers=tiers,
         policy=Policy(list(rules)),
         clock=registry.cluster.clock,
-        eval_overhead=eval_overhead,
     )
     if eviction_chain:
         instance.eviction_chain.update(eviction_chain)

@@ -35,17 +35,9 @@ class TieraRpcServer:
         tiera: TieraServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        pool_size: Optional[int] = None,
+        pool_size: int = 8,
     ):
         self.tiera = tiera
-        if pool_size is None:
-            # Shard routers have no single control layer; fall back to
-            # the control-layer default pool size for those.
-            instance = getattr(tiera, "instance", None)
-            pool_size = (
-                instance.control.request_pool_size
-                if instance is not None else 8
-            )
         self._pool = ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix="tiera-rpc"
         )

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.durability import INTENT_CRASH_POINTS
 from repro.simcloud.clock import Clock
 from repro.simcloud.errors import ProcessCrash, TransientServiceError
 
@@ -38,14 +39,10 @@ SCENARIOS: Dict[str, "ChaosScenario"] = {}
 #: Crash points the instance data path announces, in the order a write
 #: primitive passes them.  Registered here (not discovered at runtime)
 #: so the sweep harness and the docs agree on the full set; the
+#: journaled primitives' rows come from the intent table, and their
 #: ``*.journaled`` / ``*.commit`` boundaries only fire when the
 #: durability layer is enabled.
-CRASH_POINTS: Tuple[str, ...] = (
-    "write.begin", "write.journaled", "write.data", "write.meta",
-    "write.commit",
-    "remove.begin", "remove.journaled", "remove.data", "remove.commit",
-    "rewrite.begin", "rewrite.journaled", "rewrite.data", "rewrite.commit",
-    "delete.begin", "delete.journaled", "delete.data", "delete.commit",
+CRASH_POINTS: Tuple[str, ...] = INTENT_CRASH_POINTS + (
     "checkpoint.begin", "checkpoint.done",
     "backup.snapshot.begin", "backup.snapshot.temp", "backup.snapshot.done",
 )

@@ -306,6 +306,31 @@ class TestPointInTimeRestore:
         assert sorted(manager._wal) == list(range(manager.last_seq + 1))
         assert fsck(instance)["clean"]
 
+    def test_a_refused_in_place_restore_has_not_happened(self, tmp_path):
+        # The hole is found before the live instance is wiped back to
+        # the base snapshot, not after.
+        cluster, instance, server = _build(tmp_path)
+        manager = instance.backup
+        _put(cluster, server, "a", b"v1" * 32)
+        manager.snapshot(kind="full")
+        _put(cluster, server, "b", b"v2" * 32)
+        _put(cluster, server, "c", b"v3" * 32)
+        del manager._wal[manager.last_seq - 2]
+        pending = instance.durability.journal.begin({"op": "scope"})
+        before = (
+            instance.state_digest(), len(instance.durability.journal),
+            manager.list_snapshots(), sorted(manager._wal),
+        )
+        with pytest.raises(BackupError, match="has a hole at seq"):
+            manager.restore()
+        assert before == (
+            instance.state_digest(), len(instance.durability.journal),
+            manager.list_snapshots(), sorted(manager._wal),
+        )
+        assert instance.durability.journal.pending()[0][0] == pending
+        for key, value in (("a", b"v1"), ("b", b"v2"), ("c", b"v3")):
+            assert _get(cluster, server, key) == value * 32
+
     def test_same_seed_double_restore_is_byte_identical(self, tmp_path):
         def scenario(root):
             store = MemoryStore()

@@ -1,5 +1,7 @@
 """Object metadata: attributes, serialization, checksums."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,6 +45,16 @@ class TestObjectMeta:
         )
         restored = ObjectMeta.from_json(meta.to_json())
         assert restored == meta
+        # One codec: the JSON form is the doc form serialised, and a doc
+        # round trip is a deep copy (edits to either side stay there).
+        doc = meta.to_doc()
+        assert meta.to_json() == json.dumps(doc, sort_keys=True).encode()
+        copy = ObjectMeta.from_doc(doc)
+        assert copy == meta
+        doc["locations"].append("c")
+        copy.tags.add("other")
+        assert meta.locations == {"a", "b"} and meta.tags == {"tmp"}
+        assert copy.locations == {"a", "b"}
 
     @given(
         key=st.text(min_size=1, max_size=30),

@@ -349,3 +349,16 @@ class TestCrashPointInjector:
         assert "write.journaled" in CRASH_POINTS
         assert "delete.commit" in CRASH_POINTS
         assert len(CRASH_POINTS) == len(set(CRASH_POINTS))
+        # The journaled primitives' rows are derived from the intent
+        # table; names and order are what sweeps and docs were built on.
+        assert CRASH_POINTS == (
+            "write.begin", "write.journaled", "write.data", "write.meta",
+            "write.commit",
+            "remove.begin", "remove.journaled", "remove.data", "remove.commit",
+            "rewrite.begin", "rewrite.journaled", "rewrite.data",
+            "rewrite.commit",
+            "delete.begin", "delete.journaled", "delete.data", "delete.commit",
+            "checkpoint.begin", "checkpoint.done",
+            "backup.snapshot.begin", "backup.snapshot.temp",
+            "backup.snapshot.done",
+        )
