@@ -63,10 +63,6 @@ class Schema:
             raise ValueError("duplicate column names")
         object.__setattr__(self, "columns", tuple(columns))
 
-    @property
-    def key_column(self) -> Column:
-        return self.columns[0]
-
     def names(self) -> List[str]:
         return [c.name for c in self.columns]
 

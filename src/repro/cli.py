@@ -86,9 +86,13 @@ def _parse_args_option(pairs: List[str]) -> Dict[str, object]:
 _SPEC_ERRORS = (OSError, SpecSyntaxError, TieraError, ValueError, KeyError)
 
 
-def _compile_file(path: str, args: Dict[str, object], wall: bool = False):
+def _read_spec(path: str) -> str:
     with open(path) as handle:
-        source = handle.read()
+        return handle.read()
+
+
+def _compile_file(path: str, args: Dict[str, object], wall: bool = False):
+    source = _read_spec(path)
     clock = WallClock() if wall else None
     cluster = Cluster(clock=clock)
     registry = TierRegistry(cluster)
@@ -98,9 +102,12 @@ def _compile_file(path: str, args: Dict[str, object], wall: bool = False):
 
 def cmd_validate(options) -> int:
     try:
-        spec = parse(open(options.spec).read())
+        spec = parse(_read_spec(options.spec))
     except SpecSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
+        return 1
+    except _SPEC_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"instance {spec.name}")
     if spec.params:

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import api
 from repro.core.api import BatchOp, BatchResult, OpResult
-from repro.core.durability import IntentJournal
+from repro.core.durability import Intent, IntentJournal
 from repro.core.errors import ClusterUnavailableError, NoQuorumError
 from repro.kvstore.store import MemoryStore
 from repro.obs.audit import AuditRecord
@@ -73,6 +73,10 @@ DOWN_AFTER_MISSES = 2
 OP_FAILURE_THRESHOLD = 3
 #: Leaf buckets per shard in the Merkle comparison.
 MERKLE_BUCKETS = 16
+#: Who sends a replica op besides a client request: the role prefixes
+#: the op in the routing and outcome counters (``replay-put``; a
+#: client's op is bare).
+HANDOFF, REPLAY, REPAIR, MIGRATE = "handoff", "replay", "repair", "migrate"
 
 
 @dataclass(frozen=True)
@@ -270,9 +274,27 @@ class FailureDetector:
         return {shard: self.state[shard] for shard in sorted(self.state)}
 
 
+def _public_verb(server, op: BatchOp, ctx) -> OpResult:
+    """``op`` through ``server``'s public verb: the one place this
+    module calls a shard's data API, and :func:`transfer`'s default
+    sender."""
+    if op.op == api.GET:
+        return server.get_object(op.key, prefer=op.prefer, ctx=ctx)
+    if op.op == api.PUT:
+        return server.put_object(op.key, op.data, tags=op.tags, ctx=ctx)
+    result = server.delete_object(op.key, ctx=ctx)
+    if result.error == "NO_SUCH_OBJECT":
+        # Deleting a key a replica never got is a successful delete
+        # from the cluster's point of view.
+        return OpResult(op=api.DELETE, key=op.key, ok=True,
+                        latency=result.latency)
+    return result
+
+
 def transfer(
     key: str, source, targets: Sequence, ctx: Optional[RequestContext] = None,
-    verify: Optional[str] = None,
+    verify: Optional[str] = None, send=_public_verb,
+    stat=lambda shard, key: shard.stat(key),
 ) -> Optional[List[OpResult]]:
     """Copy ``key`` — bytes and tags — from one shard to others: one
     read of ``source``, one put per target, all on ``ctx``.
@@ -282,15 +304,84 @@ def transfer(
     the puts' envelopes in ``targets`` order, or ``None`` without
     writing anything when the source copy cannot be read or — given
     ``verify``, the checksum its metadata records — does not match it.
+    ``send(shard, op, ctx)`` carries each op and ``stat(shard, key)``
+    reads the source's metadata: the defaults take shards as servers,
+    :class:`ClusterManager` passes names and its replica-op bracket.
     """
-    fetched = source.get_object(key, ctx=ctx)
+    fetched = send(source, BatchOp.get(key), ctx)
     if not fetched.ok or (verify is not None and fetched.checksum != verify):
         return None
-    tags = sorted(source.stat(key).tags)
-    return [
-        target.put_object(key, fetched.value, tags=tags, ctx=ctx)
-        for target in targets
-    ]
+    copy = BatchOp.put(key, fetched.value, tags=sorted(stat(source, key).tags))
+    return [send(target, copy, ctx) for target in targets]
+
+
+def _took(written: Optional[List[OpResult]]) -> bool:
+    """Did a :func:`transfer` read its source and land every put?"""
+    return written is not None and all(put.ok for put in written)
+
+
+# -- the migration intents: every journaled cluster mutation, declared once --
+
+#: What a pending record's redo came to (the ``recover()`` report's keys).
+REDONE, CONFIRMED, ABORTED = "redone", "confirmed", "aborted"
+
+
+def _fields(*names: str):
+    """A plan that journals its arguments under ``names``."""
+    return lambda *values: dict(zip(names, values))
+
+
+def _redo_membership(manager, record, ctx) -> None:
+    """Nothing of its own: the rebalance sweep every ``recover()`` ends
+    with is what finishes a membership change, so the record is retired
+    after it (``None``: not yet)."""
+    return None
+
+
+def _redo_move(manager, record, ctx) -> str:
+    key, source, target = record["key"], record["source"], record["target"]
+    if target in manager.shards and manager.shards[target].contains(key):
+        return CONFIRMED
+    if (source in manager.shards and manager.shards[source].contains(key)
+            and _took(manager._transfer(key, source, [target], ctx, MIGRATE))):
+        return REDONE
+    return ABORTED
+
+
+def _redo_drop(manager, record, ctx) -> str:
+    key, shard = record["key"], record["shard"]
+    if (shard not in manager.shards
+            or not manager.shards[shard].contains(key)
+            or shard in manager.owners(key)):
+        return CONFIRMED
+    return REDONE if manager._drop(shard, key, ctx, MIGRATE).ok else ABORTED
+
+
+#: The journaled migration steps.  ``plan(*args)`` gives the record's
+#: own fields; ``redo(manager, record, ctx)`` is what ``recover()`` does
+#: with a pending one; ``points`` are the crash points the bracket
+#: (:meth:`ClusterManager._journaled`) announces after the begin, after
+#: the body and after the commit, as far as the row names them.
+MIGRATION_INTENTS: Dict[str, Intent] = {
+    "cluster.membership": Intent(
+        _fields("action", "shard"), _redo_membership,
+        ("cluster.migrate.begin", "cluster.migrate.done"),
+    ),
+    "cluster.move": Intent(
+        _fields("key", "source", "target"), _redo_move,
+        ("cluster.move.intent", "cluster.move.copied", "cluster.move.done"),
+    ),
+    "cluster.drop": Intent(_fields("key", "shard"), _redo_drop, ()),
+}
+
+#: Every boundary the bracket announces, in pass order: the membership
+#: bracket opens, the per-key rows run inside it, it closes.
+_membership, *_per_key = MIGRATION_INTENTS.values()
+MIGRATION_CRASH_POINTS: Tuple[str, ...] = (
+    _membership.points[:1]
+    + tuple(point for row in _per_key for point in row.points)
+    + _membership.points[1:]
+)
 
 
 class ClusterManager:
@@ -412,14 +503,44 @@ class ClusterManager:
     def _ctx(self, ctx: Optional[RequestContext]) -> RequestContext:
         return ctx if ctx is not None else RequestContext(self.clock)
 
-    def _shard_op(self, shard: str, op: str) -> None:
-        self.router._shard_ops.inc(shard=shard, op=op)
-
-    def _feed_detector(self, shard: str, result: OpResult) -> None:
+    def _replica_op(
+        self, shard: str, op: BatchOp, ctx: RequestContext, role: str = ""
+    ) -> OpResult:
+        """Send ``op`` to ``shard`` — the only way this class does:
+        routing counter → the shard's public verb → detector feedback →
+        outcome counter → the envelope, for the caller to act on.  A
+        client request's fan-out, hinted handoff and failover read call
+        it directly; hint replay, replica repair and migration reach it
+        through :meth:`_transfer` and :meth:`_drop`."""
+        label = f"{role}-{op.op}" if role else op.op
+        self.router._shard_ops.inc(shard=shard, op=label)
+        result = _public_verb(self.shards[shard], op, ctx)
         if result.ok:
             self.detector.note_success(shard)
         elif result.error in _INFRA_CODES:
             self.detector.note_failure(shard)
+        self._replica_ops.inc(
+            shard=shard, op=label, outcome="ok" if result.ok else "error"
+        )
+        return result
+
+    def _drop(
+        self, shard: str, key: str, ctx: RequestContext, role: str
+    ) -> OpResult:
+        """Delete ``shard``'s copy of ``key`` as ``role``."""
+        return self._replica_op(shard, BatchOp.delete(key), ctx, role)
+
+    def _transfer(
+        self, key: str, source: str, targets: Sequence[str],
+        ctx: RequestContext, role: str, verify: Optional[str] = None,
+    ) -> Optional[List[OpResult]]:
+        """:func:`transfer` between this cluster's shards, by name, its
+        read and its puts sent by :meth:`_replica_op` as ``role``."""
+        return transfer(
+            key, source, targets, ctx, verify,
+            send=lambda shard, op, at: self._replica_op(shard, op, at, role),
+            stat=lambda shard, name: self.shards[shard].stat(name),
+        )
 
     def _handoff_target(
         self, key: str, owners: Sequence[str], taken: set
@@ -432,22 +553,6 @@ class ClusterManager:
             if not self.detector.is_down(candidate):
                 return candidate
         return None
-
-    def _record_hint(
-        self, key: str, target: str, holder: str, op: str, checksum: str
-    ) -> None:
-        self.hints.add(
-            Hint(
-                key=key,
-                target=target,
-                holder=holder,
-                op=op,
-                checksum=checksum,
-                created_at=self.clock.now(),
-            )
-        )
-        self._hints_recorded.inc(target=target)
-        self._hints_pending.set(len(self.hints))
 
     def put_object(
         self,
@@ -490,13 +595,7 @@ class ClusterManager:
                     write, shard, owners, handoffs_taken, branches, causes
                 )
                 continue
-            bctx = branches.branch()
-            self._shard_op(shard, op)
-            result = self._apply_write(self.shards[shard], write, bctx)
-            self._feed_detector(shard, result)
-            self._replica_ops.inc(
-                shard=shard, op=op, outcome="ok" if result.ok else "error"
-            )
+            result = self._replica_op(shard, write, branches.branch())
             if result.ok:
                 acked.append((shard, result))
             else:
@@ -528,19 +627,6 @@ class ClusterManager:
             api.close_request(self.obs, op, root, ctx, started, exc),
         )
 
-    def _apply_write(self, server, write: BatchOp, bctx) -> OpResult:
-        if write.op == api.PUT:
-            return server.put_object(
-                write.key, write.data, tags=write.tags, ctx=bctx
-            )
-        result = server.delete_object(write.key, ctx=bctx)
-        if not result.ok and result.error == "NO_SUCH_OBJECT":
-            # Deleting a key a replica never got is a successful delete
-            # from the cluster's point of view.
-            return OpResult(op=api.DELETE, key=write.key, ok=True,
-                            latency=result.latency)
-        return result
-
     def _hinted_write(
         self, write: BatchOp, target, owners, taken, branches, causes
     ) -> None:
@@ -553,19 +639,24 @@ class ClusterManager:
             )
             return
         taken.add(holder)
-        bctx = branches.branch()
-        self._shard_op(holder, f"handoff-{op}")
+        checksum = ""
         if op == api.PUT:
-            result = self._apply_write(self.shards[holder], write, bctx)
-            if result.ok:
-                self._record_hint(key, target, holder, op, result.checksum)
-            else:
+            # A delete owed to a down shard parks no bytes — just the
+            # intent to delete when the target returns, so only a put
+            # sends the holder anything.
+            result = self._replica_op(
+                holder, write, branches.branch(), HANDOFF
+            )
+            if not result.ok:
                 causes.append((holder, result.exception))
-                self._feed_detector(holder, result)
-        else:
-            # A delete owed to a down shard needs no bytes parked — just
-            # the intent to delete when the target returns.
-            self._record_hint(key, target, holder, op, "")
+                return
+            checksum = result.checksum
+        self.hints.add(Hint(
+            key=key, target=target, holder=holder, op=op,
+            checksum=checksum, created_at=self.clock.now(),
+        ))
+        self._hints_recorded.inc(target=target)
+        self._hints_pending.set(len(self.hints))
 
     def get_object(
         self,
@@ -593,14 +684,9 @@ class ClusterManager:
         expected = self._checksum_vote(key, owners)
         causes: List[Tuple[str, BaseException]] = []
         missing = 0
+        read = BatchOp.get(key, prefer=prefer)
         for shard in candidates:
-            self._shard_op(shard, api.GET)
-            result = self.shards[shard].get_object(key, prefer=prefer, ctx=ctx)
-            self._feed_detector(shard, result)
-            self._replica_ops.inc(
-                shard=shard, op=api.GET,
-                outcome="ok" if result.ok else "error",
-            )
+            result = self._replica_op(shard, read, ctx)
             if result.ok:
                 if expected is not None and result.checksum != expected:
                     causes.append(
@@ -749,7 +835,8 @@ class ClusterManager:
         Hints for still-down targets (a flapping shard can drop mid-
         replay) re-queue; a hint whose holder lost the bytes is dropped
         — anti-entropy owns that divergence."""
-        replayed = dropped = requeued = 0
+        counts = {"target": target or "*",
+                  "replayed": 0, "dropped": 0, "requeued": 0}
         with self._background(
             f"hint-replay {target or '*'}", "hint-replay",
             target=target or "*",
@@ -757,65 +844,53 @@ class ClusterManager:
             for hint in self.hints.take(target):
                 if (hint.target not in self.shards
                         or self.detector.is_down(hint.target)):
-                    self.hints.requeue(hint)
-                    requeued += 1
-                    continue
-                if hint.op == api.DELETE:
-                    result = self.shards[hint.target].delete_object(
-                        hint.key, ctx=ctx
-                    )
-                    ok = result.ok or result.error == "NO_SUCH_OBJECT"
+                    outcome = "requeued"  # not attempted, so not metered
                 else:
-                    ok = self._replay_put(hint, ctx)
-                    if ok is None:  # holder lost the bytes: drop the hint
-                        dropped += 1
-                        self._hint_replays.inc(
-                            target=hint.target, outcome="dropped"
-                        )
-                        continue
-                if ok:
-                    replayed += 1
-                    self.hints.replayed += 1
-                    self._hint_replays.inc(target=hint.target, outcome="ok")
-                else:
-                    self.hints.requeue(hint)
-                    requeued += 1
+                    outcome = self._replay(hint, ctx)
                     self._hint_replays.inc(
-                        target=hint.target, outcome="requeued"
+                        target=hint.target,
+                        outcome="ok" if outcome == "replayed" else outcome,
                     )
+                counts[outcome] += 1
+                if outcome == "requeued":
+                    self.hints.requeue(hint)
+                elif outcome == "replayed":
+                    self.hints.replayed += 1
             self._hints_pending.set(len(self.hints))
+            moved = counts["replayed"]
             if root is not None:
                 root.attrs.update(
-                    replayed=replayed, dropped=dropped, requeued=requeued
+                    replayed=moved, dropped=counts["dropped"],
+                    requeued=counts["requeued"],
                 )
-        counts = {
-            "target": target or "*",
-            "replayed": replayed,
-            "dropped": dropped,
-            "requeued": requeued,
-        }
         record = {"time": self.clock.now(), **counts}
-        if replayed or dropped or requeued:
+        if moved or counts["dropped"] or counts["requeued"]:
             if len(self.replay_runs) < _LOG_CAP:
                 self.replay_runs.append(record)
-            self._audit(target or "*", "hint-replay", counts, moved=replayed)
+            self._audit(target or "*", "hint-replay", counts, moved=moved)
         return record
 
-    def _replay_put(self, hint: Hint, ctx: RequestContext) -> Optional[bool]:
+    def _replay(self, hint: Hint, ctx: RequestContext) -> str:
+        """Send one hint's write to its target: ``replayed``,
+        ``requeued`` (the target refused) or ``dropped``."""
+        if hint.op == api.DELETE:
+            took = self._drop(hint.target, hint.key, ctx, REPLAY).ok
+            return "replayed" if took else "requeued"
         holder = self.shards.get(hint.holder)
         if holder is None or not holder.contains(hint.key):
-            return None
-        written = transfer(
-            hint.key, holder, [self.shards[hint.target]], ctx
-        )
-        if written is None or not written[0].ok:
-            return False
+            return "dropped"  # the holder lost the bytes
+        if not _took(self._transfer(
+                hint.key, hint.holder, [hint.target], ctx, REPLAY)):
+            return "requeued"
         if (hint.holder not in self.owners(hint.key)
                 and hint.holder not in self.hints.holders_of(hint.key)):
             # The parked copy served its purpose; drop the stray so the
-            # key is held only by its owners again.
-            holder.delete_object(hint.key, ctx=ctx)
-        return True
+            # key is held only by its owners again.  The replay took
+            # either way: a refused drop has fed the detector and its
+            # outcome counter (the bracket), and the stray it leaves is
+            # fsck's ``orphan-copy`` to find and drop.
+            self._drop(hint.holder, hint.key, ctx, REPLAY)
+        return "replayed"
 
     # -- self-healing: Merkle anti-entropy -------------------------------
 
@@ -931,9 +1006,8 @@ class ClusterManager:
             # verification is the read path's job.  Divergence here
             # means a missed or torn write.
             stale = [s for s in reachable if recorded.get(s) != checksum]
-            written = transfer(
-                key, self.shards[shard], [self.shards[s] for s in stale],
-                ctx, verify=checksum,
+            written = self._transfer(
+                key, shard, stale, ctx, REPAIR, verify=checksum
             )
             if written is None:
                 continue  # bit-rotted or unreadable: cannot win
@@ -945,42 +1019,65 @@ class ClusterManager:
 
     # -- crash-safe migration --------------------------------------------
 
-    def _crash(self, point: str) -> None:
-        if self.crash_points is not None:
+    def _crash(self, point: Optional[str]) -> None:
+        if point is not None and self.crash_points is not None:
             self.crash_points.reach(point)
+
+    def _journaled(self, kind: str, *args: object, body) -> bool:
+        """The migration bracket: journal the ``kind`` row's intent, run
+        ``body()``, commit — the row's crash points after each step.
+        There are two exits and no abort: the body took (it returned
+        true) and the record is committed, or anything else — a shard
+        refused with an error envelope, an exception, the process died —
+        and the record stays pending, which is :meth:`recover`'s (and
+        fsck's ``migration-journal``) to finish.  Returns whether it
+        committed."""
+        row = MIGRATION_INTENTS[kind]
+        journaled, applied, retired = (row.points + (None,) * 3)[:3]
+        seq = self.journal.begin({"kind": kind, **row.plan(*args)})
+        self._crash(journaled)
+        if not body():
+            return False
+        self._crash(applied)
+        self.journal.commit(seq)
+        self._crash(retired)
+        return True
 
     def add_shard(self, name: str, server) -> int:
         """Join a shard with journaled, crash-safe key migration."""
-        self._crash("cluster.migrate.begin")
-        member_seq = self.journal.begin(
-            {"kind": "cluster.membership", "action": "add", "shard": name}
-        )
-        self.shards[name] = server
-        self.ring.add(name)
-        self.detector.register(name)
-        moved = self._rebalance()
-        self._crash("cluster.migrate.done")
-        self.journal.commit(member_seq)
-        return self._migrated("add", name, moved)
+        def join() -> None:
+            self.shards[name] = server
+            self.ring.add(name)
+            self.detector.register(name)
+
+        return self._change_membership("add", name, join)
 
     def remove_shard(self, name: str) -> int:
-        """Drain and remove a shard, journaled like :meth:`add_shard`."""
-        self._crash("cluster.migrate.begin")
-        member_seq = self.journal.begin(
-            {"kind": "cluster.membership", "action": "remove", "shard": name}
+        """Drain and remove a shard, journaled like :meth:`add_shard`.
+        The departing shard stays in the map while the rebalance sweep
+        copies its keys to their new owners (it is a source, never a
+        target, once off the ring)."""
+        moved = self._change_membership(
+            "remove", name, lambda: self.ring.remove(name)
         )
-        self.ring.remove(name)
-        # The departing shard stays in the map while the rebalance sweep
-        # copies its keys to their new owners (it is a source, never a
-        # target, once off the ring).
-        moved = self._rebalance()
-        self._crash("cluster.migrate.done")
         del self.shards[name]
         self.detector.forget(name)
-        self.journal.commit(member_seq)
-        return self._migrated("remove", name, moved)
+        return moved
 
-    def _migrated(self, action: str, shard: str, moved: int) -> int:
+    def _change_membership(self, action: str, shard: str, change) -> int:
+        """One membership intent around the ring ``change`` and the
+        rebalance sweep that follows it; it commits once the sweep has
+        visited every key (a step the sweep could not finish keeps its
+        own record pending)."""
+        moved = 0
+
+        def sweep() -> bool:
+            nonlocal moved
+            change()
+            moved = self._rebalance()
+            return True
+
+        self._journaled("cluster.membership", action, shard, body=sweep)
         self.migrations += moved
         self._audit(
             shard, f"migrate-{action}", {"action": action, "moved": moved},
@@ -989,10 +1086,11 @@ class ClusterManager:
         return moved
 
     def _rebalance(self) -> int:
-        """Make key placement match the ring, one journaled move at a
+        """Make key placement match the ring, one journaled step at a
         time: copy to missing owners, then drop from non-owners.  Every
-        move is redo-logged, so replaying a crashed rebalance converges
-        to the same placement."""
+        step is redo-logged, so replaying a crashed rebalance converges
+        to the same placement; a step a shard refuses stays pending and
+        uncounted, and the sweep carries on."""
         ctx = RequestContext(self.clock)
         moved = 0
         for key in self.router.keys():
@@ -1002,29 +1100,21 @@ class ClusterManager:
                 continue
             source = max(holders, key=lambda s: self._rank(key, s))
             for target in owners:
-                if target in holders:
-                    continue
-                seq = self.journal.begin(
-                    {"kind": "cluster.move", "key": key,
-                     "source": source, "target": target}
-                )
-                self._crash("cluster.move.intent")
-                if self._copy_key(key, source, target, ctx):
+                if target not in holders and self._journaled(
+                    "cluster.move", key, source, target,
+                    body=lambda: _took(self._transfer(
+                        key, source, [target], ctx, MIGRATE)),
+                ):
                     moved += 1
                     self._moves.inc(kind="copy")
-                self._crash("cluster.move.copied")
-                self.journal.commit(seq)
-                self._crash("cluster.move.done")
             hint_holders = set(self.hints.holders_of(key))
             for holder in holders:
-                if holder in owners or holder in hint_holders:
-                    continue
-                seq = self.journal.begin(
-                    {"kind": "cluster.drop", "key": key, "shard": holder}
-                )
-                self.shards[holder].delete_object(key, ctx=ctx)
-                self.journal.commit(seq)
-                self._moves.inc(kind="drop")
+                if (holder not in owners and holder not in hint_holders
+                        and self._journaled(
+                            "cluster.drop", key, holder,
+                            body=lambda: self._drop(
+                                holder, key, ctx, MIGRATE).ok)):
+                    self._moves.inc(kind="drop")
         return moved
 
     def _holders(self, key: str) -> List[str]:
@@ -1035,71 +1125,40 @@ class ClusterManager:
         meta = self.shards[shard].stat(key)
         return meta.version, meta.checksum, shard
 
-    def _copy_key(
-        self, key: str, source: str, target: str, ctx: RequestContext
-    ) -> bool:
-        src = self.shards.get(source)
-        if src is None or not src.contains(key):
-            return False
-        written = transfer(key, src, [self.shards[target]], ctx)
-        return written is not None and written[0].ok
-
     def recover(self) -> Dict[str, object]:
-        """Finish whatever a crashed migration left in flight.
+        """Finish whatever a crashed or refused migration left pending.
 
         Build the manager over the *same* journal store and the union of
         shards (including any shard that was mid-join), then call this:
-        pending per-key moves are redone or confirmed, pending drops
-        redone, and a full rebalance sweep reconciles placement with the
-        ring before the membership intent commits."""
+        each pending record goes through its row's ``redo`` — a move is
+        confirmed, redone or (its source gone) aborted, a drop redone or
+        confirmed — and a full rebalance sweep reconciles placement with
+        the ring before the membership intents commit."""
         ctx = RequestContext(self.clock)
-        membership_seqs: List[int] = []
-        redone = confirmed = aborted = 0
+        counts = {REDONE: 0, CONFIRMED: 0, ABORTED: 0}
+        after_sweep: List[int] = []
         for seq, record in self.journal.pending():
-            kind = record.get("kind")
-            if kind == "cluster.membership":
-                membership_seqs.append(seq)
-            elif kind == "cluster.move":
-                key = record["key"]
-                target = record["target"]
-                source = record["source"]
-                if (target in self.shards
-                        and self.shards[target].contains(key)):
-                    confirmed += 1
-                    self.journal.commit(seq)
-                elif self._copy_key(key, source, target, ctx):
-                    redone += 1
-                    self.journal.commit(seq)
-                else:
-                    aborted += 1
-                    self.journal.abort(seq)
-            elif kind == "cluster.drop":
-                key = record["key"]
-                shard = record["shard"]
-                if (shard in self.shards
-                        and self.shards[shard].contains(key)
-                        and shard not in self.owners(key)):
-                    self.shards[shard].delete_object(key, ctx=ctx)
-                    redone += 1
-                else:
-                    confirmed += 1
-                self.journal.commit(seq)
-            else:
-                aborted += 1
+            row = MIGRATION_INTENTS.get(record.get("kind"))
+            outcome = ABORTED if row is None else row.redo(self, record, ctx)
+            if outcome is None:
+                after_sweep.append(seq)
+                continue
+            counts[outcome] += 1
+            if outcome == ABORTED:
                 self.journal.abort(seq)
+            else:
+                self.journal.commit(seq)
         rebalanced = self._rebalance()
-        for seq in membership_seqs:
+        for seq in after_sweep:
             self.journal.commit(seq)
         report = {
-            "redone": redone,
-            "confirmed": confirmed,
-            "aborted": aborted,
+            **counts,
             "rebalanced": rebalanced,
             "journal_pending": len(self.journal),
         }
         self._audit(
             "recover", "migration-journal", dict(report),
-            moved=redone + rebalanced,
+            moved=report[REDONE] + rebalanced,
         )
         return report
 
@@ -1176,7 +1235,7 @@ class ClusterManager:
 
     def _repair_findings(self, findings: List[Dict[str, object]]) -> None:
         ctx = RequestContext(self.clock)
-        recovered = False
+        recovered: Optional[Dict[str, object]] = None
         for finding in findings:
             kind = finding["kind"]
             if kind in ("under-replicated", "divergent-replicas"):
@@ -1187,14 +1246,17 @@ class ClusterManager:
                 key = finding["key"]
                 owners = self.owners(key)
                 if any(self.shards[o].contains(key) for o in owners):
-                    self.shards[shard].delete_object(key, ctx=ctx)
-                    finding["repair"] = "dropped orphan copy"
-                else:
-                    repaired = self._copy_key(
-                        key, shard, owners[0], ctx
-                    )
+                    dropped = self._drop(shard, key, ctx, REPAIR)
                     finding["repair"] = (
-                        "promoted orphan to owner" if repaired
+                        "dropped orphan copy" if dropped.ok
+                        else f"kept (drop refused: {dropped.error})"
+                    )
+                else:
+                    promoted = _took(self._transfer(
+                        key, shard, owners[:1], ctx, REPAIR
+                    ))
+                    finding["repair"] = (
+                        "promoted orphan to owner" if promoted
                         else "kept (sole copy)"
                     )
             elif kind == "orphan-hint":
@@ -1203,14 +1265,12 @@ class ClusterManager:
                         self.hints.discard(hint.target, hint.key)
                 finding["repair"] = "dropped orphan hint"
                 self._hints_pending.set(len(self.hints))
-            elif kind == "migration-journal" and not recovered:
-                report = self.recover()
-                finding["repair"] = (
-                    f"recovered journal ({report['redone']} redone)"
-                )
-                recovered = True
             elif kind == "migration-journal":
-                finding["repair"] = "recovered journal"
+                if recovered is None:  # one recover() finishes them all
+                    recovered = self.recover()
+                finding["repair"] = (
+                    f"recovered journal ({recovered[REDONE]} redone)"
+                )
 
     # -- reporting --------------------------------------------------------
 

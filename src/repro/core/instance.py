@@ -597,10 +597,7 @@ class TieraInstance:
                 if res is None:
                     data = tier.get(physical, bctx)
                 else:
-                    data = res.attempt(
-                        tier, "get",
-                        lambda t=tier, c=bctx: t.get(physical, c), bctx,
-                    )
+                    data = res.guarded_get(tier, physical, bctx)
             except BreakerOpenError as exc:
                 causes.append((tier.name, exc))
                 continue

@@ -164,9 +164,8 @@ class RepairQueue:
     *current* bytes, so one task per destination is always enough.
     """
 
-    def __init__(self, max_attempts: int = MAX_REPAIR_ATTEMPTS):
+    def __init__(self):
         self._tasks: "OrderedDict[Tuple[str, str], RepairTask]" = OrderedDict()
-        self.max_attempts = max_attempts
         self.enqueued = 0
         self.replayed = 0
         self.dropped = 0
@@ -199,7 +198,7 @@ class RepairQueue:
         """Put a failed task back (front-of-line); False when it has
         exhausted its attempts and was dropped instead."""
         task.attempts += 1
-        if task.attempts >= self.max_attempts:
+        if task.attempts >= MAX_REPAIR_ATTEMPTS:
             self.dropped += 1
             return False
         self._tasks[(task.key, task.tier)] = task

@@ -13,28 +13,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.audit import DEFAULT_AUDIT_CAPACITY, AuditLog
+from repro.obs.audit import AuditLog
 from repro.obs.heat import HeatTracker
 from repro.obs.profiler import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SloEngine
-from repro.obs.trace import DEFAULT_TRACE_CAPACITY, Tracer
+from repro.obs.trace import Tracer
 from repro.simcloud.clock import Clock
 
 
 class Observability:
     """Bundle of the observability pillars for one stack."""
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
-        audit_capacity: int = DEFAULT_AUDIT_CAPACITY,
-    ):
+    def __init__(self, clock: Optional[Clock] = None):
         self.clock = clock
         self.metrics = MetricsRegistry(clock)
-        self.tracer = Tracer(clock, capacity=trace_capacity)
-        self.audit = AuditLog(capacity=audit_capacity)
+        self.tracer = Tracer(clock)
+        self.audit = AuditLog()
         self.profiler = Profiler()
         self.slo = SloEngine(self.metrics, self.audit, clock)
         self.heat = HeatTracker(self.metrics, self.audit, clock)

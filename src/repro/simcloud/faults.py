@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.cluster import MIGRATION_CRASH_POINTS
 from repro.core.durability import INTENT_CRASH_POINTS
 from repro.simcloud.clock import Clock
 from repro.simcloud.errors import ProcessCrash, TransientServiceError
@@ -47,18 +48,12 @@ CRASH_POINTS: Tuple[str, ...] = INTENT_CRASH_POINTS + (
     "backup.snapshot.begin", "backup.snapshot.temp", "backup.snapshot.done",
 )
 
-#: Crash points the *cluster* migration path announces (kept separate
-#: from :data:`CRASH_POINTS` so the single-instance crash sweep's
-#: boundary enumeration is unchanged).  ``cluster.move.*`` fire once per
-#: journaled key move; the ``migrate.*`` pair brackets the whole
-#: membership change.
-CLUSTER_CRASH_POINTS: Tuple[str, ...] = (
-    "cluster.migrate.begin",
-    "cluster.move.intent",
-    "cluster.move.copied",
-    "cluster.move.done",
-    "cluster.migrate.done",
-)
+#: Crash points the *cluster* migration path announces, from its own
+#: intent table (kept separate from :data:`CRASH_POINTS` so the
+#: single-instance crash sweep's boundary enumeration is unchanged).
+#: ``cluster.move.*`` fire once per journaled key move; the ``migrate.*``
+#: pair brackets the whole membership change.
+CLUSTER_CRASH_POINTS: Tuple[str, ...] = MIGRATION_CRASH_POINTS
 
 
 @dataclass(frozen=True)
@@ -231,10 +226,6 @@ class FaultInjector:
         if fault in self._active:
             self._active.remove(fault)
         self._note_event("clear", fault)
-
-    def clear_all(self) -> None:
-        for fault in list(self._active):
-            self.clear(fault)
 
     def run_scenario(self, scenario: ChaosScenario, at: float = 0.0) -> None:
         """Schedule every event of ``scenario`` relative to now + ``at``."""

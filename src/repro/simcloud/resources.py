@@ -65,9 +65,6 @@ class _Channel:
         keep = [iv for iv in self.intervals if iv[1] >= before]
         self.intervals = keep
 
-    def frontier(self) -> float:
-        return self.intervals[-1][1] if self.intervals else 0.0
-
 
 class Resource:
     """A bank of identical FCFS channels in virtual time.
@@ -117,10 +114,6 @@ class Resource:
             for channel in self._channels:
                 channel.prune(cutoff)
         return best_start, best_start + service_time
-
-    def earliest_free(self) -> float:
-        """The earliest instant some channel is free forever after."""
-        return min(ch.frontier() for ch in self._channels)
 
     def reset(self) -> None:
         for channel in self._channels:

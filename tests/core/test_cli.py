@@ -55,6 +55,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "syntax error" in capsys.readouterr().err
 
+    def test_missing_file_is_an_error_line_like_cost(self, tmp_path, capsys):
+        """Regression: ``validate`` read the spec with a bare ``open`` and
+        printed a ``FileNotFoundError`` traceback where ``cost`` on the
+        same path prints ``error: ...`` and exits 1."""
+        missing = str(tmp_path / "no-such.tiera")
+        for command in ("cost", "validate"):
+            assert main([command, missing]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "no-such.tiera" in err
+
 
 class TestCost:
     def test_prices_configuration(self, spec_file, capsys):

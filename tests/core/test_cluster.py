@@ -348,6 +348,54 @@ class TestMigration:
         assert router.health()["migrations"] == added + removed
         router.cluster.stop()
 
+    def test_a_refused_migration_op_is_neither_committed_nor_counted(
+        self, cluster, registry
+    ):
+        """Regression: shard verbs answer error *envelopes*, the sweep
+        discarded them — with every tier of ``a`` erroring, ``add_shard``
+        counted 27 drops, committed every intent (journal 0) and left
+        ``a`` up while 5 drops never happened (5 ``orphan-copy``)."""
+        shards = {name: make_shard(registry, name) for name in ("a", "b", "c")}
+        router = ShardedTieraServer(
+            shards, replication=ClusterConfig(
+                replication_factor=2, heartbeat_interval=1000.0,
+                anti_entropy_interval=0.0,
+            ),
+        )
+        manager = router.cluster
+        for i in range(40):
+            router.put_object(f"mig{i:03d}", b"v").raise_for_error()
+        sick = [
+            cluster.faults.inject(
+                f"service:{tier.service.name}", FaultProfile(error_rate=1.0)
+            )
+            for tier in shards["a"].instance.tiers
+        ]
+        moved = router.add_shard("d", make_shard(registry, "d"))
+        moves = router.obs.metrics.counter("tiera_cluster_moves_total", "")
+        refused = 5   # of the 27 drops, the ones owed by ``a``
+        assert refused >= OP_FAILURE_THRESHOLD
+        assert manager._replica_ops.value(
+            shard="a", op="migrate-delete", outcome="error"
+        ) == refused
+        assert moved == moves.value(kind="copy") == 27   # the sweep carried on
+        assert moves.value(kind="drop") == 27 - refused
+        pending = [record for _, record in manager.journal.pending()]
+        assert [(r["kind"], r["shard"]) for r in pending] == (
+            [("cluster.drop", "a")] * refused
+        )
+        assert manager.detector.state["a"] == "down"
+        kinds = [f["kind"] for f in manager.fsck()["findings"]]
+        assert kinds.count("migration-journal") == refused
+        assert kinds.count("orphan-copy") == refused
+
+        for handle in sick:
+            cluster.faults.clear(handle)
+        manager.fsck(repair=True)
+        assert manager.fsck()["clean"]
+        assert len(manager.journal) == 0
+        manager.stop()
+
     def test_remove_shard_rebalances_and_fscks_clean(self, registry):
         # Four shards at R=3, so the departing shard's keys genuinely
         # need a new third owner (at R == N a removal only drops copies).

@@ -3,10 +3,13 @@
 Every in-process façade runs its batches through
 :func:`repro.core.api.run_batch` and its items through
 :func:`repro.core.api.schedule_lanes`; every movement of an object
-between shards is :func:`repro.core.cluster.transfer`.  These tests pin
-the properties the three hand-written copies used to disagree on.
+between shards is :func:`repro.core.cluster.transfer`; every data op the
+replicated plane sends a shard goes through ``ClusterManager._replica_op``
+and every migration step through its one journal bracket.  These tests
+pin the properties the hand-written copies used to disagree on.
 """
 
+import ast
 import os
 import re
 
@@ -14,11 +17,16 @@ import pytest
 
 from repro.core import api
 from repro.core.api import BatchOp
-from repro.core.cluster import ClusterConfig, transfer
+from repro.core.cluster import MIGRATION_INTENTS, ClusterConfig, transfer
 from repro.core.server import TieraServer
 from repro.core.sharding import ShardedTieraServer
+from repro.kvstore.store import MemoryStore
+from repro.simcloud.errors import ProcessCrash
+from repro.simcloud.faults import CLUSTER_CRASH_POINTS, CrashPointInjector
 from repro.simcloud.resources import RequestContext
 from tests.core.conftest import build_instance
+from tests.core.test_cluster import CONFIG, bring_up, mark_down
+from tests.core.test_journal_bracket import CORE, _scoped_nodes
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -120,6 +128,270 @@ class TestTransfer:
         assert not target.contains("k")
         checksum = source.stat("k").checksum
         assert transfer("k", source, [target], verify=checksum)[0].ok
+
+
+def _cluster_calls(*names):
+    """``(enclosing scope, call node)`` for every call in core/cluster.py
+    of an attribute (or bare name) in ``names``."""
+    return [
+        (scope, node)
+        for scope, node in _scoped_nodes(CORE / "cluster.py")
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", "")) in names
+    ]
+
+
+class TestOneReplicaOpOneMigrationBracket:
+    """The lints: each fails at the commit before the bracket."""
+
+    def test_a_shard_verb_is_called_in_one_place(self):
+        scopes = {
+            scope
+            for scope, call in _cluster_calls(
+                "put_object", "get_object", "delete_object")
+            if not (isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "self")
+        }
+        # transfer's default sender, and the one line inside _replica_op
+        assert scopes == {"_public_verb"}
+        assert {scope for scope, _ in _cluster_calls("_public_verb")} == {
+            "ClusterManager._replica_op"
+        }
+
+    def test_intents_are_begun_and_retired_by_the_bracket_and_recover(self):
+        journal_calls = {
+            (scope, call.func.attr)
+            for scope, call in _cluster_calls("begin", "commit", "abort")
+        }
+        assert journal_calls == {
+            ("ClusterManager._journaled", "begin"),
+            ("ClusterManager._journaled", "commit"),
+            ("ClusterManager.recover", "commit"),
+            ("ClusterManager.recover", "abort"),
+        }
+
+    def test_recover_dispatches_through_the_table(self):
+        """No record ``kind`` is compared to a literal anywhere, and
+        ``recover()`` names none: it looks the row up."""
+        kinds = set(MIGRATION_INTENTS)
+        for scope, node in _scoped_nodes(CORE / "cluster.py"):
+            if isinstance(node, ast.Compare):
+                assert not any(
+                    isinstance(side, ast.Constant) and side.value in kinds
+                    for side in (node.left, *node.comparators)
+                ), scope
+            if isinstance(node, ast.Constant) and node.value in kinds:
+                assert scope != "ClusterManager.recover"
+
+    def test_every_crash_point_is_a_rows_point(self):
+        # Only the bracket announces, and only names it read off the row.
+        for scope, call in _cluster_calls("_crash"):
+            assert scope == "ClusterManager._journaled"
+            assert isinstance(call.args[0], ast.Name)
+        assert set(CLUSTER_CRASH_POINTS) == {
+            point for row in MIGRATION_INTENTS.values() for point in row.points
+        }
+
+    def test_a_join_announces_exactly_the_registered_points(self, registry):
+        router = ShardedTieraServer(
+            {n: make_shard(registry, n) for n in "abc"}, replication=CONFIG
+        )
+        for i in range(12):
+            router.put_object(f"k{i}", b"v").raise_for_error()
+        router.cluster.crash_points = probe = CrashPointInjector()
+        router.add_shard("d", make_shard(registry, "d"))
+        visited = [point for _, point in probe.schedule]
+        assert list(dict.fromkeys(visited)) == list(CLUSTER_CRASH_POINTS)
+        router.cluster.stop()
+
+
+#: Every ``op`` label the replicated plane may emit: a client's verbs
+#: bare, a maintenance role's prefixed — bounded, 13 per shard.
+OP_LABELS = {"put", "get", "delete", "handoff-put"} | {
+    f"{role}-{verb}" for role in ("replay", "repair", "migrate")
+    for verb in ("get", "put", "delete")
+}
+
+
+def _labels(counter):
+    """``{(shard, op label): count}`` of a routing counter."""
+    seen = {}
+    for labels in map(dict, counter.label_sets()):
+        seen[labels["shard"], labels["op"]] = counter.value(**labels)
+    return seen
+
+
+class TestRoleMatrix:
+    """Every path that sends a shard a data op — client or maintenance —
+    moves ``tiera_shard_ops_total`` and
+    ``tiera_cluster_replica_ops_total{outcome}`` under its role's label
+    and feeds the failure detector.  The maintenance rows fail at the
+    commit before ``_replica_op``: those ops went straight to the shard."""
+
+    @pytest.fixture
+    def rt(self, registry):
+        router = ShardedTieraServer(
+            {n: make_shard(registry, n) for n in "abcd"}, replication=CONFIG
+        )
+        router.fed = []
+        note = router.cluster.detector.note_success
+        router.cluster.detector.note_success = lambda shard: (
+            router.fed.append(shard), note(shard))
+        yield router
+        router.cluster.stop()
+
+    def _check(self, rt, before, expected):
+        routed = _labels(rt._shard_ops)
+        assert {label for _, label in routed} <= OP_LABELS
+        outcomes = rt.cluster._replica_ops
+        for shard, label in expected:
+            assert routed.get((shard, label), 0) > before.get((shard, label), 0), (
+                shard, label)
+            assert outcomes.value(shard=shard, op=label, outcome="ok") == (
+                routed[(shard, label)]), (shard, label)
+            assert shard in rt.fed, (shard, label)
+
+    def test_client_ops(self, rt):
+        owners = rt.cluster.owners("k")
+        before = _labels(rt._shard_ops)
+        rt.put_object("k", b"v").raise_for_error()
+        rt.get_object("k").raise_for_error()
+        rt.delete_object("k").raise_for_error()
+        self._check(rt, before, [
+            *((o, "put") for o in owners), (owners[0], "get"),
+            *((o, "delete") for o in owners),
+        ])
+
+    def test_handoff_and_hint_replay_of_a_put(self, cluster, rt):
+        owners = rt.cluster.owners("k")
+        handles = mark_down(cluster, rt, owners[0])
+        before = _labels(rt._shard_ops)
+        rt.put_object("k", b"v").raise_for_error()
+        holder = next(iter(rt.cluster.hints)).holder
+        self._check(rt, before, [(holder, "handoff-put")])
+        rt.fed.clear()
+        bring_up(cluster, rt, handles)
+        self._check(rt, before, [
+            (holder, "replay-get"), (owners[0], "replay-put"),
+            (holder, "replay-delete"),  # the stray parked copy
+        ])
+
+    def test_a_delete_hint_sends_the_holder_nothing(self, cluster, rt):
+        rt.put_object("k", b"v").raise_for_error()
+        owners = rt.cluster.owners("k")
+        handles = mark_down(cluster, rt, owners[0])
+        before = _labels(rt._shard_ops)
+        rt.delete_object("k").raise_for_error()
+        holder = next(iter(rt.cluster.hints)).holder
+        # Regression: the parent bumped {op="handoff-delete"} for an op
+        # it never sent.
+        assert {k: v for k, v in _labels(rt._shard_ops).items()
+                if k[0] == holder} == {k: v for k, v in before.items()
+                                       if k[0] == holder}
+        rt.fed.clear()
+        bring_up(cluster, rt, handles)
+        self._check(rt, before, [(owners[0], "replay-delete")])
+
+    def test_read_repair_and_anti_entropy(self, rt):
+        rt.put_object("k", b"v").raise_for_error()
+        owners = rt.cluster.owners("k")
+        rt.shards[owners[0]].delete_object("k").raise_for_error()
+        before = _labels(rt._shard_ops)
+        rt.fed.clear()
+        rt.get_object("k").raise_for_error()
+        rt.clock.run_until(rt.clock.now() + 0.01)
+        self._check(rt, before, [(owners[0], "repair-put")])
+        assert any(label == "repair-get" and count > before.get((s, label), 0)
+                   for (s, label), count in _labels(rt._shard_ops).items())
+        rt.shards[owners[1]].put_object("k", b"newer").raise_for_error()
+        before = _labels(rt._shard_ops)
+        rt.fed.clear()
+        assert rt.cluster.anti_entropy()["repairs"] == 2
+        self._check(rt, before, [
+            (owners[1], "repair-get"), (owners[0], "repair-put"),
+            (owners[2], "repair-put"),
+        ])
+
+    def test_migration_copy_and_drop_and_fsck_drop(self, registry, rt):
+        for i in range(12):
+            rt.put_object(f"k{i}", b"v").raise_for_error()
+        before = _labels(rt._shard_ops)
+        rt.fed.clear()
+        assert rt.add_shard("e", make_shard(registry, "e")) > 0
+        after = _labels(rt._shard_ops)
+        self._check(rt, before, [("e", "migrate-put")])
+        for label in ("migrate-get", "migrate-delete"):
+            moved = [s for (s, op) in after if op == label]
+            assert moved and "e" not in moved
+            self._check(rt, before, [(s, label) for s in moved])
+        owners = rt.cluster.owners("k0")
+        stray = next(s for s in sorted(rt.shards) if s not in owners)
+        rt.shards[stray].put_object("k0", b"stray").raise_for_error()
+        before = _labels(rt._shard_ops)
+        rt.fed.clear()
+        rt.cluster.fsck(repair=True)
+        self._check(rt, before, [(stray, "repair-delete")])
+
+
+
+class TestDropWindow:
+    """A crash between the ``cluster.drop`` record and the delete it
+    announces: ``recover()`` over the same journal store redoes the
+    drop exactly once."""
+
+    def test_a_pending_drop_is_redone_exactly_once(self, registry):
+        class DiesOnDelete:
+            """Stands in for a shard whose process dies mid-drop."""
+
+            def __init__(self, server):
+                self.server, self.deletes = server, 0
+
+            def delete_object(self, key, **options):
+                self.deletes += 1
+                raise ProcessCrash("cluster.drop", 0)
+
+            def __getattr__(self, name):
+                return getattr(self.server, name)
+
+        store = MemoryStore()
+        shards = {n: make_shard(registry, n) for n in "abc"}
+        config = ClusterConfig(
+            replication_factor=2, heartbeat_interval=1000.0,
+            anti_entropy_interval=0.0,
+        )
+        router = ShardedTieraServer(
+            dict(shards), replication=config, journal_store=store
+        )
+        for i in range(24):
+            router.put_object(f"k{i:02d}", b"v").raise_for_error()
+        joiner = make_shard(registry, "d")
+        for name in shards:
+            router.shards[name] = DiesOnDelete(shards[name])
+        with pytest.raises(ProcessCrash):
+            router.add_shard("d", joiner)
+        router.cluster.stop()
+        router.clock.cancel_all()
+        pending = [r for _, r in router.cluster.journal.pending()]
+        assert [r["kind"] for r in pending] == [
+            "cluster.membership", "cluster.drop"
+        ]
+        drop = pending[1]
+        assert shards[drop["shard"]].contains(drop["key"])
+
+        reopened = ShardedTieraServer(
+            {**shards, "d": joiner}, replication=config, journal_store=store
+        )
+        routed = reopened._shard_ops
+        report = reopened.cluster.recover()
+        assert report["redone"] == 1 and report["aborted"] == 0
+        assert not shards[drop["shard"]].contains(drop["key"])
+        assert routed.value(shard=drop["shard"], op="migrate-delete") >= 1
+        assert len(reopened.cluster.journal) == 0
+        assert reopened.cluster.recover()["redone"] == 0   # exactly once
+        assert reopened.cluster.fsck()["clean"]
+        for i in range(24):
+            assert reopened.get_object(f"k{i:02d}").ok
+        reopened.cluster.stop()
 
 
 def test_failed_result_is_the_envelope_raise_for_error_undoes():

@@ -9,6 +9,7 @@ from repro.core.errors import TierUnavailableError
 from repro.core.resilience import (
     CLOSED,
     HALF_OPEN,
+    MAX_REPAIR_ATTEMPTS,
     OPEN,
     BreakerConfig,
     CircuitBreaker,
@@ -116,13 +117,14 @@ class TestRepairQueue:
         assert queue.pending("tier3") == 1
 
     def test_requeue_goes_front_of_line_and_drops_when_exhausted(self):
-        queue = RepairQueue(max_attempts=2)
+        queue = RepairQueue()
         queue.add("a", "tier2", now=1.0)
         queue.add("b", "tier2", now=2.0)
         task = queue.take("tier2")
-        assert queue.requeue(task) is True      # attempt 1: retried first
-        assert queue.take("tier2").key == "a"
-        assert queue.requeue(task) is False     # attempt 2: dropped
+        for _ in range(MAX_REPAIR_ATTEMPTS - 1):
+            assert queue.requeue(task) is True  # retried first
+            assert queue.take("tier2").key == "a"
+        assert queue.requeue(task) is False     # the last attempt: dropped
         assert queue.dropped == 1
         assert queue.pending("tier2") == 1      # only "b" remains
 

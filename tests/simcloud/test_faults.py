@@ -362,3 +362,14 @@ class TestCrashPointInjector:
             "backup.snapshot.begin", "backup.snapshot.temp",
             "backup.snapshot.done",
         )
+
+    def test_cluster_crash_point_names_are_registered(self):
+        from repro.simcloud.faults import CLUSTER_CRASH_POINTS
+
+        # Derived from the migration intent table, in pass order: the
+        # membership bracket opens, a key moves, the bracket closes.
+        assert CLUSTER_CRASH_POINTS == (
+            "cluster.migrate.begin",
+            "cluster.move.intent", "cluster.move.copied", "cluster.move.done",
+            "cluster.migrate.done",
+        )
