@@ -1,11 +1,11 @@
 """Benchmark-suite plumbing.
 
-Every ``bench_figNN`` module reproduces one figure of the paper's
-evaluation.  The experiment runs once inside ``benchmark.pedantic``
-(so ``pytest benchmarks/ --benchmark-only`` measures each figure's
-wall time), prints the same series the paper plots (through
-``capsys.disabled()`` so it lands on the terminal), and writes it to
-``benchmarks/results/<name>.txt`` for EXPERIMENTS.md.
+``bench_figures.py`` runs each row of the paper-figures table (and the
+other ``bench_*`` modules their own experiments) once inside
+``benchmark.pedantic`` (so ``pytest benchmarks/ --benchmark-only``
+measures each one's wall time), prints the same series the paper plots
+(through ``capsys.disabled()`` so it lands on the terminal), and writes
+it to ``benchmarks/results/<name>.txt`` for EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -39,15 +39,17 @@ Commands mirror how the paper's prototype is operated:
   recovery invariants, print the JSON report (byte-identical across
   same-seed runs; the CI crash-matrix job diffs two runs).
 * ``profile [--scenario S] [--cprofile] [--format text|json]`` — run a
-  telemetry scenario under the scoped profiler and print the combined
-  wall-clock / virtual-time breakdown; with ``--port`` it fetches a
-  running server's live profile over RPC instead.
-* ``bench [--name S ...] [--out DIR]`` — run the telemetry scenarios
-  and write one ``BENCH_<name>.json`` record each.
+  row of the paper-figures table at smoke scale under the scoped
+  profiler and print the combined wall-clock / virtual-time breakdown;
+  with ``--port`` it fetches a running server's live profile over RPC
+  instead.
+* ``bench [--name S ...] [--out DIR]`` — run the figure rows at smoke
+  scale and write one ``BENCH_<name>.json`` record each.
 * ``benchdiff --current DIR [--baseline DIR] [--tolerance F]`` —
   compare fresh records against the committed baselines; exits nonzero
-  on a ``virt_ops_per_s`` regression beyond the tolerance (the CI
-  perf-telemetry job's gate).
+  when a baseline has no fresh record, a shape predicate fails, or a
+  same-seed number drifts beyond the tolerance (the CI figures job's
+  gate).
 """
 
 from __future__ import annotations
@@ -330,21 +332,26 @@ def cmd_profile(options) -> int:
 
 
 def cmd_bench(options) -> int:
-    from repro.bench.telemetry import SCENARIOS, run_scenario, write_record
+    from repro.bench.figures import FIGURES
+    from repro.bench.telemetry import run_scenario, write_record
 
-    names = options.name or sorted(SCENARIOS)
-    for name in names:
+    failed = []
+    for name in options.name or list(FIGURES):
         try:
             record = run_scenario(name)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         path = write_record(record, options.out)
+        failed += [f"{name}: {check}"
+                   for check, ok in record["checks"].items() if not ok]
         print(f"{name}: {record['operations']} ops, "
               f"{record['virt_ops_per_s']:.1f} virtual ops/s, "
               f"p95 {record['latency']['p95'] * 1000:.2f} ms, "
-              f"wall {record['wall_seconds']:.2f}s -> {path}")
-    return 0
+              f"{len(record['checks'])} predicates -> {path}")
+    for line in failed:
+        print(f"predicate FAIL: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_benchdiff(options) -> int:
@@ -730,14 +737,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--format", choices=("summary", "json", "prometheus"), default="summary"
     )
 
+    from repro.bench.figures import FIGURES
+
+    rows = ", ".join(FIGURES)
     profile = commands.add_parser(
         "profile",
         help="profile a benchmark scenario (or a running server's window)",
     )
     profile.add_argument(
         "--scenario", default="fig07",
-        help="telemetry scenario to profile locally (fig07, fig13, "
-             "batch_scaling, heat_telemetry)",
+        help=f"figure row to profile locally at smoke scale ({rows})",
     )
     profile.add_argument(
         "--cprofile", action="store_true",
@@ -758,11 +767,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     profile.set_defaults(func=cmd_profile)
 
     bench = commands.add_parser(
-        "bench", help="run telemetry benchmark scenarios, write BENCH_*.json"
+        "bench", help="run the figure rows at smoke scale, write BENCH_*.json"
     )
     bench.add_argument(
         "--name", action="append", default=[],
-        help="scenario to run (repeatable; default: all)",
+        help=f"row to run (repeatable; default: all of {rows})",
     )
     bench.add_argument(
         "--out", default="benchmarks/telemetry",
@@ -784,11 +793,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     benchdiff.add_argument(
         "--tolerance", type=float, default=0.15,
-        help="relative virt_ops_per_s drop that fails the gate (default 0.15)",
+        help="relative drift of any same-seed number, or virt_ops_per_s "
+             "drop, that fails the gate (default 0.15)",
     )
     benchdiff.add_argument(
         "--name", action="append", default=[],
-        help="only diff these scenarios (repeatable)",
+        help="only diff these rows (repeatable)",
     )
     benchdiff.set_defaults(func=cmd_benchdiff)
 

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
+from repro.bench.figures import FIGURES
 from repro.bench.telemetry import (
-    SCENARIOS,
     diff_directories,
     diff_records,
     load_record,
@@ -16,17 +16,6 @@ from repro.bench.telemetry import (
     write_record,
 )
 
-#: Keys derived from the virtual timeline — byte-stable per seed.
-DETERMINISTIC_KEYS = (
-    "schema", "name", "seed", "operations", "errors",
-    "virtual_duration", "virt_ops_per_s", "latency", "registry",
-)
-
-
-def deterministic_view(record):
-    return {k: record[k] for k in DETERMINISTIC_KEYS}
-
-
 @pytest.fixture(scope="module")
 def batch_record():
     """One real run of the fastest scenario, shared across this module."""
@@ -35,29 +24,33 @@ def batch_record():
 
 class TestRecords:
     def test_known_scenarios(self):
-        assert set(SCENARIOS) == {
-            "fig07", "fig13", "batch_scaling", "heat_telemetry",
+        assert list(FIGURES) == [
+            "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
+            "fig13_kill_restart", "fig14", "fig15", "fig16", "fig17",
+            "fig17_resilient", "fig18", "batch_scaling", "heat_telemetry",
             "adaptive_placement",
-        }
+        ]
         with pytest.raises(ValueError):
             run_scenario("fig99")
 
     def test_record_shape(self, batch_record):
         record = batch_record
-        assert record["schema"] == 1
+        assert record["schema"] == 2
         assert record["name"] == "batch_scaling"
-        assert record["seed"] == 11
+        assert record["params"]["seed"] == 11
         assert record["operations"] == 400
+        assert record["checks"] == {"throughput rises with every depth step": True}
+        assert [row[0] for row in record["rows"]] == [1, 8]
         assert record["virt_ops_per_s"] > 0
         assert set(record["latency"]) == {"mean", "p50", "p95", "p99"}
         assert record["latency"]["p50"] <= record["latency"]["p99"]
-        assert record["wall_seconds"] > 0
+        assert "wall_seconds" not in record and "peak_rss_kb" not in record
         assert record["registry"]["tiera_requests_total"] >= 400
         json.dumps(record)  # JSON-able end to end
 
     def test_deterministic_fields_are_seed_stable(self, batch_record):
-        again = run_scenario("batch_scaling")
-        assert deterministic_view(again) == deterministic_view(batch_record)
+        # every field comes from the virtual timeline
+        assert run_scenario("batch_scaling") == batch_record
 
     def test_profile_scenario_covers_the_run(self):
         report = profile_scenario("batch_scaling")
@@ -113,7 +106,7 @@ class TestDiff:
         drifted = copy.deepcopy(batch_record)
         drifted["operations"] += 1
         ok, lines = diff_records(batch_record, drifted)
-        assert ok  # reported, not gated
+        assert not ok  # same-seed runs must match
         assert any("operations" in line for line in lines)
 
 
