@@ -56,9 +56,9 @@ def _measure(background, seed):
                         Comparison(
                             ">=", AttrRef(("tier1", "filled")), Literal(THRESHOLD)
                         ),
-                        background=background,
                     ),
                     [Copy(everything_in_tier1, "tier2")],
+                    background=background,
                     name="backup",
                 ),
             ]

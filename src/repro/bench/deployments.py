@@ -22,18 +22,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.apps.minidb.database import Database
-from repro.core.actions import INSERT
-from repro.core.events import ActionEvent
-from repro.core.instance import DROP, TieraInstance
-from repro.core.policy import Policy, Rule
-from repro.core.responses import Copy, Retrieve, Store
-from repro.core.selectors import InsertObject
+from repro.core.instance import TieraInstance
 from repro.core.server import TieraServer
 from repro.core.templates import (
     memcached_ebs_instance,
     memcached_replicated_instance,
+    memcached_s3_instance,
 )
-from repro.core.conditions import AttrRef, Comparison, Literal, Not
 from repro.core.units import parse_size
 from repro.fs.cache import PageCache
 from repro.fs.filesystem import TieraFileSystem
@@ -163,31 +158,7 @@ def mysql_on_memcached_s3(
     Memcached LRU cache over S3.  The cache is deliberately not large
     enough for the database; S3 is the persistent store."""
     cluster, meter, registry = _stack(seed)
-    cache = registry.create(
-        "Memcached", tier_name="tier1", size=parse_size(mem), colocated=True
-    )
-    s3 = registry.create("S3", tier_name="tier2", size=None)
-    not_cached = Not(
-        Comparison("==", AttrRef(("insert", "object", "location")), Literal("tier1"))
-    )
-    instance = TieraInstance(
-        name="MemcachedS3",
-        tiers=[cache, s3],
-        policy=Policy([
-            Rule(
-                ActionEvent(INSERT),
-                [Store(InsertObject(), "tier1"), Copy(InsertObject(), "tier2")],
-                name="cache-and-persist",
-            ),
-            Rule(
-                ActionEvent("get", guard=not_cached),
-                [Retrieve(InsertObject(), promote_to="tier1")],
-                name="promote-on-miss",
-            ),
-        ]),
-        clock=cluster.clock,
-    )
-    instance.eviction_chain["tier1"] = DROP
+    instance = memcached_s3_instance(registry, mem=mem, colocated=True)
     server = TieraServer(instance)
     fs = TieraFileSystem(server)
     db = Database(fs, "sbtest", buffer_pool_pages=pool_pages)

@@ -52,12 +52,7 @@ from repro.bench.report import (
     tier_breakdown_rows,
 )
 from repro.bench.runner import RunResult, run_closed_loop, run_pipelined
-from repro.core.conditions import AttrRef, Comparison, Literal, Not
-from repro.core.events import ActionEvent
-from repro.core.instance import DROP, TieraInstance
-from repro.core.policy import Policy, Rule
-from repro.core.responses import Copy, Retrieve, Store
-from repro.core.selectors import InsertObject
+from repro.core.instance import TieraInstance
 from repro.core.server import TieraServer
 from repro.core.templates import (
     dedup_instance,
@@ -82,6 +77,8 @@ from repro.simcloud.cluster import Cluster
 from repro.simcloud.latency import LognormalLatency, SizeDependentLatency
 from repro.simcloud.resources import RequestContext
 from repro.simcloud.services.blockstore import SimBlockVolume
+from repro.spec import Compiler, compile_spec, parse
+from repro.spec.paper import paper_spec
 from repro.tiers.registry import TierRegistry
 from repro.workloads.distributions import ZipfianKeys
 from repro.workloads.fio import FioReader
@@ -645,6 +642,19 @@ def _fig14(t: Trial) -> Tuple[Rows, Facts]:
 
 # -- Figure 15: write latency vs the write-back interval -----------------------
 
+#: The t=0 point: write-through, the copy riding the insert.  Like
+#: PROMOTE_ON_MISS below, only the spec's rule joins a built instance —
+#: its tier declaration names the tier, ``Compiler.rules`` provisions
+#: nothing.
+WRITE_THROUGH = """
+Tiera WriteThroughRule() {
+    tier2: { name: EBS };
+    event "write-through"(insert.into) : response {
+        copy(what: insert.object, to: tier2);
+    }
+}
+"""
+
 
 def _fig15(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
@@ -659,11 +669,7 @@ def _fig15(t: Trial) -> Tuple[Rows, Facts]:
                     registry, t=3600.0, mem="64M", ebs="64M"
                 )
                 instance.policy.remove("write-back")
-                instance.policy.add(Rule(
-                    ActionEvent("insert"),
-                    [Copy(InsertObject(), "tier2")],
-                    name="write-through",
-                ))
+                instance.policy.add(*Compiler(parse(WRITE_THROUGH), registry).rules())
             else:
                 instance = low_latency_instance(
                     registry, t=float(interval), mem="64M", ebs="64M"
@@ -686,28 +692,28 @@ def _fig15(t: Trial) -> Tuple[Rows, Facts]:
 
 # -- Figure 16: a GrowingInstance under a growing working set ------------------
 
-
-def _not_cached():
-    return Not(Comparison(
-        "==", AttrRef(("insert", "object", "location")), Literal("tier1")
-    ))
+#: Reads promote cache misses back into Memcached so the cache re-warms
+#: after the grow completes (the paper's recovery).
+PROMOTE_ON_MISS = """
+Tiera PromoteOnMiss() {
+    tier1: { name: Memcached };
+    event "promote-on-miss"(get.of && insert.object.location != tier1) : response {
+        retrieve(what: insert.object, promote_to: tier1, exclusive: true);
+    }
+}
+"""
 
 
 def _fig16(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
     with t.section("build"):
         cluster = Cluster(seed=616)
+        registry = TierRegistry(cluster)
         instance = growing_instance(
-            TierRegistry(cluster), t=3600.0, mem=p.tier_size, ebs="64M",
+            registry, t=3600.0, mem=p.tier_size, ebs="64M",
             grow_threshold=0.75, grow_percent=100.0,
         )
-        # Reads promote cache misses back into Memcached so the cache
-        # re-warms after the grow completes (the paper's recovery).
-        instance.policy.add(Rule(
-            ActionEvent("get", guard=_not_cached()),
-            [Retrieve(InsertObject(), promote_to="tier1", exclusive=True)],
-            name="promote-on-miss",
-        ))
+        instance.policy.add(*Compiler(parse(PROMOTE_ON_MISS), registry).rules())
         server = TieraServer(instance)
     tier1 = instance.tiers.get("tier1")
     rng = random.Random(9)
@@ -1073,62 +1079,15 @@ PLACEMENT_CONFIG = dict(
 CACHE_HIT_CUTOFF = 0.0015
 
 
-def _cached():
-    return Comparison(
-        "==", AttrRef(("insert", "object", "location")), Literal("tier1")
-    )
-
-
 def _placement_instance(registry: TierRegistry, p, name: str) -> TieraInstance:
-    """One of the three deployments over the same Memcached-over-EBS pair.
-
-    * ``write-through-lru`` — the classic watermark policy: inserts land
-      in the cache and persist to EBS, GET misses promote, LRU drops.
-    * ``demand-lru`` — the stronger static baseline: inserts persist to
-      EBS only (updates refresh a cached copy in place), misses promote.
-    * ``adaptive`` — inserts persist to EBS; the placement engine
-      promotes the heat tracker's confirmed-hot keys and swap-demotes
-      decayed ones.
-    """
-    persist = [
-        Rule(ActionEvent("insert"), [Store(InsertObject(), "tier2")],
-             name="persist"),
-        Rule(ActionEvent("insert", guard=_cached()),
-             [Copy(InsertObject(), "tier1")], name="refresh-cached"),
-    ]
-    promote = Rule(
-        ActionEvent("get", guard=_not_cached()),
-        [Retrieve(InsertObject(), promote_to="tier1")],
-        name="promote-on-miss",
+    """One of the three deployments over the same Memcached-over-EBS
+    pair, the packaged spec of that name: ``write-through-lru`` (the
+    classic watermark policy), ``demand-lru`` (the stronger static
+    baseline) or ``adaptive`` (the placement engine decides)."""
+    mem = f"{p.cache_records * p.record_size // 1024}K"
+    return compile_spec(
+        paper_spec(name.replace("-", "_")), registry, args={"mem": mem}
     )
-    rules = {
-        "write-through-lru": [
-            Rule(ActionEvent("insert"),
-                 [Store(InsertObject(), "tier1"), Copy(InsertObject(), "tier2")],
-                 name="cache-and-persist"),
-            promote,
-        ],
-        "demand-lru": persist + [promote],
-        "adaptive": persist,
-    }[name]
-    tiers = [
-        registry.create(
-            "Memcached", tier_name="tier1",
-            size=parse_size(f"{p.cache_records * p.record_size // 1024}K"),
-            zone="us-east-1a",
-        ),
-        registry.create(
-            "EBS", tier_name="tier2", size=parse_size("16M"), zone="us-east-1a",
-        ),
-    ]
-    instance = TieraInstance(
-        name={"write-through-lru": "WriteThroughLru", "demand-lru": "DemandLru",
-              "adaptive": "AdaptivePlacement"}[name],
-        tiers=tiers, policy=Policy(rules), clock=registry.cluster.clock,
-    )
-    if name != "adaptive":
-        instance.eviction_chain.update({"tier1": DROP})
-    return instance
 
 
 PLACEMENT_POLICIES = ("write-through-lru", "demand-lru", "adaptive")

@@ -120,8 +120,8 @@ def cmd_validate(options) -> int:
         size = tier.size if tier.size is not None else "unbounded"
         print(f"  tier {tier.tier_name}: {tier.product}, size={size}")
     print(f"  events: {len(spec.events)}")
-    if not spec.params:
-        # A fully-ground spec can be compile-checked too.
+    if all(p.default is not None for p in spec.params):
+        # A spec whose every parameter has a default compile-checks too.
         try:
             _compile_file(options.spec, {})
         except Exception as exc:  # pragma: no cover - message path

@@ -162,7 +162,7 @@ class ControlLayer:
             assert isinstance(event, ThresholdEvent)
             if not event.should_fire(scope):
                 continue
-            if rule.background or event.background:
+            if rule.background:
                 self._schedule_background(rule, action, origin="threshold")
             else:
                 self._run_rule(rule, scope, ctx, swallow=False, origin="threshold")

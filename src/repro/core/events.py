@@ -9,9 +9,11 @@
   seconds in the prototype).
 * :class:`ThresholdEvent` fires when its condition *becomes* true
   (edge-triggered — "occur when the value of the attribute reaches a
-  certain value").  Threshold rules may be foreground (evaluated
-  synchronously inside the triggering request) or background
-  (evaluated asynchronously), exactly as §3 describes.
+  certain value").
+
+Whether a rule runs in the foreground (synchronously inside the
+triggering request) or the background (asynchronously, §3) is the
+:class:`~repro.core.policy.Rule`'s flag, not the event's.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ class ThresholdEvent(Event):
     """
 
     condition: Condition
-    background: bool = False
     _armed: bool = field(default=True, repr=False, compare=False)
 
     def should_fire(self, scope: EvalScope) -> bool:

@@ -26,8 +26,8 @@ class Rule:
 
     ``background`` follows §3: background rules run asynchronously
     (their cost never lands on the triggering client's latency); the
-    default is foreground.  Threshold events carry their own
-    ``background`` flag in the spec language — the compiler sets both.
+    default is foreground.  The spec language's ``background event``
+    prefix sets it.
     """
 
     event: Event
@@ -42,8 +42,6 @@ class Rule:
         self.name = name or f"rule-{next(_rule_ids)}"
         if not self.responses:
             raise PolicyError(f"{self.name}: a rule needs at least one response")
-        if isinstance(event, ThresholdEvent) and event.background:
-            self.background = True
 
 
 class Policy:

@@ -25,14 +25,18 @@ Example (Figure 3, verbatim modulo whitespace)::
 
 ``%`` starts a comment (unless it immediately follows a number, where it
 is the percent unit, as in ``75%``).
+
+The paper's own instances are packaged spec files:
+:func:`repro.spec.paper.paper_spec` reads one by name.
 """
 
 from repro.spec.lexer import Lexer, SpecSyntaxError, Token
 from repro.spec.parser import parse
-from repro.spec.compiler import compile_spec, compile_source
+from repro.spec.compiler import Compiler, compile_spec, compile_source
 from repro.spec.printer import print_spec
 
 __all__ = [
+    "Compiler",
     "Lexer",
     "SpecSyntaxError",
     "Token",

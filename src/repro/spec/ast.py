@@ -9,7 +9,7 @@ response class a call maps to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 
 # -- value/condition expressions ------------------------------------------------
@@ -31,7 +31,7 @@ class LiteralExpr:
 
     ``unit`` records the surface flavour: ``None`` (plain), ``size``
     (bytes), ``percent`` (fraction), ``bandwidth`` (bytes/sec),
-    ``string``, ``bool``.
+    ``string``, ``bool``, ``none`` (the ``none`` literal: "not set").
     """
 
     value: object
@@ -66,7 +66,14 @@ class CallExpr:
     args: Tuple["Expr", ...]
 
 
-Expr = object  # PathExpr | LiteralExpr | CompareExpr | BoolExpr | CallExpr
+@dataclass
+class ListExpr:
+    """A bracketed list: ``[tier1, tier2]`` (a multi-tier ``to:`` target)."""
+
+    items: Tuple["Expr", ...]
+
+
+Expr = object  # PathExpr | LiteralExpr | CompareExpr | BoolExpr | CallExpr | ListExpr
 
 
 # -- statements inside response blocks ----------------------------------------
@@ -106,33 +113,45 @@ Stmt = object  # CallStmt | AssignStmt | IfStmt
 # -- declarations ------------------------------------------------------------------
 
 
+FieldValue = Union[int, bool, str, None]
+
+
 @dataclass
 class TierDecl:
-    """``tier1: { name: Memcached, size: 5G };``"""
+    """``tier1: { name: Memcached, size: 5G, evict_to: tier2 };``
+
+    A field value is a literal or, as a string, an identifier — which
+    the compiler reads as a parameter when one has that name.
+    """
 
     tier_name: str
     product: str
-    size: Optional[int]
-    zone: Optional[str] = None
+    size: FieldValue
+    zone: FieldValue = None
+    evict_to: FieldValue = None
+    colocated: FieldValue = None
     line: int = field(default=0, compare=False)
 
 
 @dataclass
 class EventDecl:
-    """``[background] event(<expr>) : response { <stmts> }``"""
+    """``[background] event ["name"](<expr>) : response { <stmts> }``"""
 
     expr: Expr
     body: List[Stmt]
     background: bool = False
+    name: Optional[str] = None
     line: int = field(default=0, compare=False)
 
 
 @dataclass
 class Param:
-    """A formal parameter: ``time t`` (type then name) or bare ``t``."""
+    """A formal parameter: ``time t`` (type then name) or bare ``t``,
+    optionally with a default: ``size mem = 5G``."""
 
     name: str
     type_name: Optional[str] = None
+    default: Optional[LiteralExpr] = None
 
 
 @dataclass

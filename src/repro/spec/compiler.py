@@ -2,24 +2,32 @@
 
 The paper's prototype hand-codes each policy; compilation of
 specification files is listed as future work (§3).  Here we implement
-it.  :func:`compile_source` lowers parsed declarations onto the core
-policy machinery:
+it.  A :class:`Compiler` lowers parsed declarations onto the core
+policy machinery, part by part:
 
-* tier declarations provision tiers through the
+* :meth:`Compiler.tiers` provisions the tier declarations through the
   :class:`~repro.tiers.registry.TierRegistry`;
-* ``event(insert.into [== tierX])`` → :class:`ActionEvent`;
-* ``event(time=t)`` → :class:`TimerEvent` (``t`` from the instance's
-  formal parameters, bound at compile time);
-* any other event expression → :class:`ThresholdEvent` (``background``
-  prefix honoured); an ``==`` against a percent literal is lowered to
-  ``>=`` because the paper's ``tier1.filled == 75%`` means "reaches";
-* response-block statements map onto the Table 1 response classes,
-  assignments onto :class:`SetAttr`, ``if`` onto :class:`Conditional`.
+* :meth:`Compiler.rules` lowers each event declaration to a
+  :class:`Rule` named by its ``event "name"`` (else ``<Instance>-rule-N``):
+  ``event(insert.into [== tierX] [&& guard])`` → :class:`ActionEvent`;
+  ``event(time=t)`` → :class:`TimerEvent`; any other event expression →
+  :class:`ThresholdEvent` (an ``==`` against a percent literal is
+  lowered to ``>=`` because the paper's ``tier1.filled == 75%`` means
+  "reaches"); the ``background`` prefix marks the rule background;
+  response-block statements map onto the Table 1 response classes,
+  assignments onto :class:`SetAttr`, ``if`` onto :class:`Conditional`;
+* :meth:`Compiler.eviction_chain` collects the tiers' ``evict_to:``.
+
+:meth:`Compiler.compile` assembles the three into a
+:class:`TieraInstance`; a runtime reconfiguration takes the parts it
+needs.  Parameters are bound at construction: declared defaults first,
+then ``args`` (a string argument such as ``"1G"`` reads as the literal
+it spells); an argument the spec does not declare is an error.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.core.conditions import (
     And,
@@ -29,11 +37,12 @@ from repro.core.conditions import (
     HeatHot,
     Literal,
     Or,
+    TierDirtyBytes,
     TierFull,
 )
 from repro.core.errors import PolicyError
 from repro.core.events import ActionEvent, Event, ThresholdEvent, TimerEvent
-from repro.core.instance import TieraInstance
+from repro.core.instance import DROP, TieraInstance
 from repro.core.policy import Policy, Rule
 from repro.core.responses import (
     Compress,
@@ -61,7 +70,9 @@ from repro.core.selectors import (
     TierOldest,
 )
 from repro.spec import ast
-from repro.spec.parser import parse
+from repro.spec.lexer import SpecSyntaxError
+from repro.spec.parser import parse, parse_literal
+from repro.tiers.base import Tier
 from repro.tiers.registry import TierRegistry
 
 _ACTION_HEADS = {
@@ -73,6 +84,17 @@ _ACTION_HEADS = {
 }
 
 
+def _arg_value(value: object) -> object:
+    """A string argument that spells one literal (``"1G"``, ``"40KB/s"``,
+    ``"false"``) becomes that literal's value; anything else is kept."""
+    if isinstance(value, str):
+        try:
+            return parse_literal(value).value
+        except (SpecSyntaxError, ValueError):
+            return value
+    return value
+
+
 class Compiler:
     def __init__(
         self,
@@ -82,74 +104,128 @@ class Compiler:
     ):
         self.spec = spec
         self.registry = registry
-        self.args = dict(args or {})
-        self.tier_names: Set[str] = {t.tier_name for t in spec.tiers}
-        self.param_names: Set[str] = {p.name for p in spec.params}
-        missing = self.param_names - set(self.args)
+        self.tier_names = {t.tier_name for t in spec.tiers}
+        declared = {p.name for p in spec.params}
+        unknown = set(args or {}) - declared
+        if unknown:
+            raise PolicyError(
+                f"instance {spec.name!r} has no parameters {sorted(unknown)}"
+            )
+        self.args = {
+            p.name: p.default.value for p in spec.params if p.default is not None
+        }
+        self.args.update({k: _arg_value(v) for k, v in (args or {}).items()})
+        missing = declared - set(self.args)
         if missing:
             raise PolicyError(
                 f"instance {spec.name!r} needs arguments for: {sorted(missing)}"
             )
 
-    # -- top level -----------------------------------------------------------
+    # -- parts ----------------------------------------------------------------
 
-    def compile(self) -> TieraInstance:
+    def tiers(self) -> List[Tier]:
         tiers = []
         for decl in self.spec.tiers:
             if not self.registry.known(decl.product):
                 raise PolicyError(
                     f"line {decl.line}: unknown tier product {decl.product!r}"
                 )
+            size = self._field(decl.size)
+            if isinstance(size, str):
+                raise PolicyError(f"line {decl.line}: no parameter {size!r}")
+            extra = {"colocated": True} if self._field(decl.colocated) else {}
             tiers.append(
                 self.registry.create(
                     decl.product,
                     tier_name=decl.tier_name,
-                    size=decl.size,
-                    zone=decl.zone or "us-east-1a",
+                    size=size,
+                    zone=self._field(decl.zone) or "us-east-1a",
+                    **extra,
                 )
             )
-        rules = [
+        return tiers
+
+    def rules(self) -> List[Rule]:
+        return [
             self._compile_event(decl, index)
             for index, decl in enumerate(self.spec.events, start=1)
         ]
-        return TieraInstance(
+
+    def eviction_chain(self) -> Dict[str, str]:
+        chain = {}
+        for decl in self.spec.tiers:
+            target = self._field(decl.evict_to)
+            if target is None:
+                continue
+            if target != "drop" and target not in self.tier_names:
+                raise PolicyError(f"line {decl.line}: unknown tier {target!r}")
+            chain[decl.tier_name] = DROP if target == "drop" else target
+        return chain
+
+    def compile(self) -> TieraInstance:
+        instance = TieraInstance(
             name=self.spec.name,
-            tiers=tiers,
-            policy=Policy(rules),
+            tiers=self.tiers(),
+            policy=Policy(self.rules()),
             clock=self.registry.cluster.clock,
         )
+        instance.eviction_chain.update(self.eviction_chain())
+        return instance
+
+    def _field(self, value: ast.FieldValue) -> object:
+        """A tier field: an identifier naming a parameter reads as its value."""
+        return self.args.get(value, value) if isinstance(value, str) else value
 
     # -- events ---------------------------------------------------------------
 
     def _compile_event(self, decl: ast.EventDecl, index: int) -> Rule:
-        event = self._classify_event(decl)
-        responses = [self._compile_stmt(stmt) for stmt in decl.body]
         return Rule(
-            event,
-            responses,
+            self._classify_event(decl),
+            [self._compile_stmt(stmt) for stmt in decl.body],
             background=decl.background,
-            name=f"{self.spec.name}-rule-{index}",
+            name=decl.name or f"{self.spec.name}-rule-{index}",
         )
 
     def _classify_event(self, decl: ast.EventDecl) -> Event:
         expr = decl.expr
+        if isinstance(expr, ast.BoolExpr) and expr.op == "and":
+            # `get.of && <guard>`: an action event narrowed by a condition.
+            event = self._action_event(expr.parts[0], decl)
+            if event is not None:
+                rest = expr.parts[1:]
+                guard = rest[0] if len(rest) == 1 else ast.BoolExpr("and", rest)
+                event.guard = self._compile_condition(guard)
+                return event
+        event = self._action_event(expr, decl)
+        if event is not None:
+            return event
+        if (
+            isinstance(expr, ast.CompareExpr)
+            and isinstance(expr.lhs, ast.PathExpr)
+            and expr.lhs.parts == ("time",)
+            and expr.op in ("=", "==")
+        ):
+            return TimerEvent(self._numeric_value(expr.rhs))
+        return ThresholdEvent(self._compile_condition(expr, threshold=True))
+
+    def _action_event(
+        self, expr: ast.Expr, decl: ast.EventDecl
+    ) -> Optional[ActionEvent]:
         if isinstance(expr, ast.PathExpr):
             kind = _ACTION_HEADS.get(expr.parts)
-            if kind is not None:
-                return ActionEvent(kind)
-        if isinstance(expr, ast.CompareExpr) and isinstance(expr.lhs, ast.PathExpr):
-            lhs_parts = expr.lhs.parts
-            if lhs_parts == ("time",) and expr.op in ("=", "=="):
-                return TimerEvent(self._numeric_value(expr.rhs))
-            kind = _ACTION_HEADS.get(lhs_parts)
-            if kind is not None and expr.op in ("=", "=="):
-                if not isinstance(expr.rhs, ast.PathExpr) or len(expr.rhs.parts) != 1:
-                    raise PolicyError(
-                        f"line {decl.line}: action event must compare to a tier name"
-                    )
-                return ActionEvent(kind, tier=expr.rhs.parts[0])
-        condition = self._compile_condition(expr, threshold=True)
-        return ThresholdEvent(condition, background=decl.background)
+            return ActionEvent(kind) if kind is not None else None
+        if (
+            isinstance(expr, ast.CompareExpr)
+            and isinstance(expr.lhs, ast.PathExpr)
+            and expr.lhs.parts in _ACTION_HEADS
+            and expr.op in ("=", "==")
+        ):
+            if not isinstance(expr.rhs, ast.PathExpr) or len(expr.rhs.parts) != 1:
+                raise PolicyError(
+                    f"line {decl.line}: action event must compare to a tier name"
+                )
+            return ActionEvent(_ACTION_HEADS[expr.lhs.parts], tier=expr.rhs.parts[0])
+        return None
 
     def _numeric_value(self, expr: ast.Expr) -> float:
         if isinstance(expr, ast.LiteralExpr):
@@ -226,6 +302,8 @@ class Compiler:
                     return Literal(self.args[name])
                 if name in self.tier_names:
                     return Literal(name)  # tiers compare by name
+            if expr.parts[1:] == ("dirty_bytes",) and expr.parts[0] in self.tier_names:
+                return TierDirtyBytes(expr.parts[0])
             return AttrRef(expr.parts)
         if isinstance(expr, (ast.CompareExpr, ast.BoolExpr)):
             return self._compile_condition(expr)
@@ -287,11 +365,17 @@ class Compiler:
         )
 
     def _tier_arg(self, stmt: ast.CallStmt, arg: str, required: bool = True):
+        """A tier name; a ``to:`` target may also be a ``[tier, ...]`` list."""
         expr = stmt.args.get(arg)
         if expr is None:
             if required:
                 raise PolicyError(f"line {stmt.line}: {stmt.name} needs '{arg}:'")
             return None
+        if isinstance(expr, ast.ListExpr) and arg == "to":
+            return tuple(self._tier_name(stmt, arg, item) for item in expr.items)
+        return self._tier_name(stmt, arg, expr)
+
+    def _tier_name(self, stmt: ast.CallStmt, arg: str, expr: ast.Expr) -> str:
         if isinstance(expr, ast.PathExpr) and len(expr.parts) == 1:
             tier = expr.parts[0]
             if tier not in self.tier_names:
@@ -333,6 +417,7 @@ class Compiler:
         return Retrieve(
             self._selector(stmt),
             promote_to=self._tier_arg(stmt, "promote_to", required=False),
+            exclusive=bool(self._literal_arg(stmt, "exclusive", unit="bool")),
         )
 
     def _call_copy(self, stmt: ast.CallStmt) -> Copy:
@@ -340,6 +425,7 @@ class Compiler:
             self._selector(stmt),
             self._tier_arg(stmt, "to"),
             bandwidth=self._literal_arg(stmt, "bandwidth"),
+            clear_dirty=self._literal_arg(stmt, "clear_dirty", unit="bool") is not False,
         )
 
     def _call_move(self, stmt: ast.CallStmt) -> Move:
@@ -375,7 +461,11 @@ class Compiler:
         percent = self._literal_arg(stmt, "increment", unit="percent")
         if percent is None:
             raise PolicyError(f"line {stmt.line}: grow needs 'increment:'")
-        return Grow(self._tier_arg(stmt, "what"), float(percent) * 100.0)
+        return Grow(
+            self._tier_arg(stmt, "what"),
+            float(percent) * 100.0,
+            provisioning_delay=self._literal_arg(stmt, "delay"),
+        )
 
     def _call_snapshot(self, stmt: ast.CallStmt) -> "Response":
         from repro.core.responses import Snapshot

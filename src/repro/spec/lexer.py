@@ -8,7 +8,7 @@ Token kinds:
 * ``PERCENT`` — numbers with ``%`` (``75%``) — value stored as fraction
 * ``BANDWIDTH`` — sizes with ``/s`` (``40KB/s``) — value in bytes/second
 * ``STRING`` — double-quoted strings
-* operators/punctuation — ``{ } ( ) : ; , . == != <= >= < > = && ||``
+* operators/punctuation — ``{ } ( ) [ ] : ; , . == != <= >= < > = && ||``
 
 ``%`` immediately after a number is the percent unit; any other ``%``
 begins a comment that runs to end of line (the paper's comment style).
@@ -22,7 +22,7 @@ from typing import List
 from repro.core.units import parse_size
 from repro.simcloud.bandwidth import parse_bandwidth
 
-PUNCT = ("==", "!=", "<=", ">=", "&&", "||", "{", "}", "(", ")",
+PUNCT = ("==", "!=", "<=", ">=", "&&", "||", "{", "}", "(", ")", "[", "]",
          ":", ";", ",", ".", "<", ">", "=")
 
 

@@ -88,12 +88,15 @@ class Parser:
         if not self._peek().is_punct(")"):
             while True:
                 first = self._expect_ident().text
+                param = ast.Param(name=first)
                 if self._peek().kind == "IDENT":
-                    params.append(
-                        ast.Param(name=self._advance().text, type_name=first)
-                    )
-                else:
-                    params.append(ast.Param(name=first))
+                    param = ast.Param(name=self._advance().text, type_name=first)
+                if self._match_punct("="):
+                    token = self._peek()
+                    param.default = self._parse_operand()
+                    if not isinstance(param.default, ast.LiteralExpr):
+                        raise self._error("a parameter default must be a literal", token)
+                params.append(param)
                 if not self._match_punct(","):
                     break
         self._expect_punct(")")
@@ -117,25 +120,23 @@ class Parser:
                 f"tier {name_token.text!r} is missing its 'name' field", name_token
             )
         size_token = fields.get("size")
-        size: Optional[int] = None
-        if size_token is not None:
-            if size_token.kind not in ("SIZE", "NUMBER"):
-                raise self._error(
-                    f"bad size for tier {name_token.text!r}", size_token
-                )
-            size = int(size_token.value)
-        zone_token = fields.get("zone")
+        if size_token is not None and size_token.kind not in ("SIZE", "NUMBER", "IDENT"):
+            raise self._error(f"bad size for tier {name_token.text!r}", size_token)
+        values = {name: _field_value(token) for name, token in fields.items()}
         return ast.TierDecl(
             tier_name=name_token.text,
             product=fields["name"].text,
-            size=size,
-            zone=zone_token.text if zone_token is not None else None,
+            size=values.get("size"),
+            zone=values.get("zone"),
+            evict_to=values.get("evict_to"),
+            colocated=values.get("colocated"),
             line=name_token.line,
         )
 
     def _parse_event(self) -> ast.EventDecl:
         background = self._match_ident("background")
         start = self._expect_ident("event")
+        name = self._advance().value if self._peek().kind == "STRING" else None
         self._expect_punct("(")
         expr = self._parse_expr()
         self._expect_punct(")")
@@ -143,7 +144,7 @@ class Parser:
         self._expect_ident("response")
         body = self._parse_block()
         return ast.EventDecl(
-            expr=expr, body=body, background=background, line=start.line
+            expr=expr, body=body, background=background, name=name, line=start.line
         )
 
     def _parse_block(self) -> List[ast.Stmt]:
@@ -248,6 +249,9 @@ class Parser:
             if token.text in ("true", "false"):
                 self._advance()
                 return ast.LiteralExpr(value=token.text == "true", unit="bool")
+            if token.text == "none":
+                self._advance()
+                return ast.LiteralExpr(value=None, unit="none")
             path = self._parse_path()
             # `heat.hot(key)` — a path followed by `(` is a predicate call.
             if self._peek().is_punct("("):
@@ -276,6 +280,12 @@ class Parser:
         if token.kind == "STRING":
             self._advance()
             return ast.LiteralExpr(value=token.value, unit="string")
+        if self._match_punct("["):
+            items = [self._parse_operand()]
+            while self._match_punct(","):
+                items.append(self._parse_operand())
+            self._expect_punct("]")
+            return ast.ListExpr(items=tuple(items))
         raise self._error(f"expected a value, found {token.text!r}")
 
     def _parse_path(self) -> ast.PathExpr:
@@ -286,6 +296,25 @@ class Parser:
         return ast.PathExpr(parts=tuple(parts))
 
 
+def _field_value(token: Token) -> ast.FieldValue:
+    """A tier field's token: a size, a quoted string, ``true``/``false``,
+    or an identifier (kept as its text)."""
+    if token.kind in ("SIZE", "NUMBER"):
+        return int(token.value)
+    if token.kind == "IDENT" and token.text in ("true", "false"):
+        return token.text == "true"
+    return token.value if token.kind == "STRING" else token.text
+
+
 def parse(source: str) -> ast.InstanceSpec:
     """Parse a complete instance specification."""
     return Parser(tokenize(source)).parse_instance()
+
+
+def parse_literal(text: str) -> ast.LiteralExpr:
+    """Parse exactly one literal: ``1G``, ``40KB/s``, ``75%``, ``true``, ``none``."""
+    parser = Parser(tokenize(text))
+    literal = parser._parse_operand()
+    if not isinstance(literal, ast.LiteralExpr) or parser._peek().kind != "EOF":
+        raise parser._error(f"expected one literal, found {text!r}")
+    return literal

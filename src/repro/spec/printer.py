@@ -8,18 +8,21 @@ printer is proof the AST loses nothing the grammar can express).
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.core.units import format_size
 from repro.spec import ast
 
 INDENT = "    "
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def print_spec(spec: ast.InstanceSpec) -> str:
     """Render a full instance declaration in canonical form."""
     params = ", ".join(
-        f"{p.type_name} {p.name}" if p.type_name else p.name
+        (f"{p.type_name} {p.name}" if p.type_name else p.name)
+        + (f" = {_literal(p.default)}" if p.default is not None else "")
         for p in spec.params
     )
     lines: List[str] = [f"Tiera {spec.name}({params}) {{"]
@@ -34,16 +37,28 @@ def print_spec(spec: ast.InstanceSpec) -> str:
 
 def _tier(tier: ast.TierDecl) -> str:
     fields = [f"name: {tier.product}"]
-    if tier.size is not None:
-        fields.append(f"size: {format_size(tier.size)}")
-    if tier.zone:
-        fields.append(f"zone: {tier.zone}")
+    for name in ("size", "zone", "evict_to", "colocated"):
+        value = getattr(tier, name)
+        if value is not None:
+            fields.append(f"{name}: {_field(value)}")
     return f"{tier.tier_name}: {{ {', '.join(fields)} }};"
+
+
+def _field(value: ast.FieldValue) -> str:
+    """A tier field: quoted unless it lexes back as the same identifier."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return format_size(value)
+    if _IDENT.fullmatch(value) and value not in ("true", "false", "none"):
+        return value
+    return _string(value)
 
 
 def _event(event: ast.EventDecl) -> List[str]:
     prefix = "background " if event.background else ""
-    lines = [INDENT + f"{prefix}event({_expr(event.expr)}) : response {{"]
+    name = f" {_string(event.name)}" if event.name is not None else ""
+    lines = [INDENT + f"{prefix}event{name}({_expr(event.expr)}) : response {{"]
     for stmt in event.body:
         lines.extend(_stmt(stmt, depth=2))
     lines.append(INDENT + "}")
@@ -85,6 +100,8 @@ def _expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.CallExpr):
         args = ", ".join(_expr(arg) for arg in expr.args)
         return f"{'.'.join(expr.func)}({args})"
+    if isinstance(expr, ast.ListExpr):
+        return f"[{', '.join(_expr(item) for item in expr.items)}]"
     raise TypeError(f"cannot print expression {expr!r}")
 
 
@@ -101,8 +118,14 @@ def _literal(lit: ast.LiteralExpr) -> str:
                 return f"{int(rate // factor)}{suffix}/s"
         return f"{int(rate)}B/s"
     if lit.unit == "string":
-        escaped = str(lit.value).replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _string(str(lit.value))
     if lit.unit == "bool":
         return "true" if lit.value else "false"
+    if lit.unit == "none":
+        return "none"
     return f"{lit.value:g}" if isinstance(lit.value, float) else str(lit.value)
+
+
+def _string(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'

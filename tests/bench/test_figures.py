@@ -70,13 +70,8 @@ def test_cell_drift_fails_in_either_direction():
 def test_a_broken_paper_policy_fails_by_name(monkeypatch, tmp_path):
     """Figure 15's t=0 write-through rule made a background copy: the
     client stops paying the EBS write, so t=0 looks like write-back."""
-    rule = figures.Rule
-
-    def background_write_through(event, responses, name="", **kwargs):
-        return rule(event, responses, name=name,
-                    background=name == "write-through")
-
-    monkeypatch.setattr(figures, "Rule", background_write_through)
+    background = figures.WRITE_THROUGH.replace("event", "background event")
+    monkeypatch.setattr(figures, "WRITE_THROUGH", background)
     trial = run_figure("fig15", "smoke")
     assert "write-through > 3x write-back latency" in trial.failed
     write_record(make_record(trial), str(tmp_path))

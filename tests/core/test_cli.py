@@ -79,6 +79,14 @@ class TestCost:
         assert main(["cost", str(path), "--arg", "t=30"]) == 0
         assert "$35.00/month" in capsys.readouterr().out
 
+    def test_unknown_argument_is_an_error(self, tmp_path, capsys):
+        """Regression: a misspelt ``--arg`` priced the spec's defaults."""
+        path = tmp_path / "p.tiera"
+        path.write_text(PARAMETRIC)
+        assert main(["cost", str(path), "--arg", "t=30", "--arg", "typo=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "typo" in err
+
     def test_bad_arg_format(self, spec_file):
         with pytest.raises(SystemExit):
             main(["cost", spec_file, "--arg", "nonsense"])

@@ -177,9 +177,9 @@ class TestThresholdRules:
         return Rule(
             ThresholdEvent(
                 Comparison(">=", AttrRef(("tier1", "filled")), Literal(0.5)),
-                background=background,
             ),
             [probe],
+            background=background,
             name="th",
         )
 

@@ -30,10 +30,12 @@ class TestRule:
 
     def test_background_threshold_event_forces_background(self):
         rule = Rule(
-            ThresholdEvent(Literal(True), background=True),
+            ThresholdEvent(Literal(True)),
             [Store(InsertObject(), "t")],
+            background=True,
         )
-        assert rule.background
+        # One flag: the rule's.  The event carries none to disagree with.
+        assert rule.background and not hasattr(rule.event, "background")
 
 
 class TestPolicy:

@@ -11,8 +11,9 @@ def compile_with(registry, body, args=None, tiers=None):
         "tier1: { name: Memcached, size: 1G };\n"
         "tier2: { name: EBS, size: 1G };"
     )
+    params = ", ".join(args or {})
     return compile_spec(
-        f"Tiera T() {{ {tiers} {body} }}", registry, args=args
+        f"Tiera T({params}) {{ {tiers} {body} }}", registry, args=args
     )
 
 
@@ -80,13 +81,27 @@ class TestArguments:
                 registry,
             )
 
-    def test_extra_arguments_ignored(self, registry):
-        instance = compile_spec(
-            "Tiera T() { tier1: { name: S3 }; }",
-            registry,
-            args={"unused": 1},
+    def test_extra_arguments_rejected(self, registry):
+        """A misspelt argument must not silently build the default."""
+        with pytest.raises(PolicyError, match=r"\['mem', 'unused'\]"):
+            compile_spec(
+                "Tiera T(size memory = 1G) { tier1: { name: S3 }; }",
+                registry,
+                args={"unused": 1, "mem": "1G", "memory": "2G"},
+            )
+
+    def test_default_applies_and_argument_overrides(self, registry):
+        """Defaults bind unless passed; a string argument (``--arg``)
+        reads as the literal it spells — ``"false"`` is false."""
+        spec = (
+            "Tiera T(size mem = 1M, bool colo = true) {"
+            " tier1: { name: Memcached, size: mem, colocated: colo }; }"
         )
-        assert instance.name == "T"
+        tier = compile_spec(spec, registry).tiers.get("tier1")
+        assert (tier.capacity, tier.colocated) == (1 << 20, True)
+        built = compile_spec(spec, registry, args={"mem": "2M", "colo": "false"})
+        tier = built.tiers.get("tier1")
+        assert (tier.capacity, tier.colocated) == (2 << 20, False)
 
     def test_parameter_in_bandwidth_position(self, registry):
         instance = compile_with(

@@ -2,8 +2,9 @@
 
 Each spec below is Figure 3/4/5/6 as printed (modulo whitespace), plus
 the under-15-line §4.1.1 instances.  Compiling them must yield running
-instances whose behaviour matches what the paper describes — this is
-the repository's strongest spec-vs-templates consistency check.
+instances whose behaviour matches what the paper describes.  The
+packaged instances the benchmarks deploy (``repro/spec/paper/``) are
+checked in ``test_paper_instances.py``.
 """
 
 import pytest

@@ -61,6 +61,36 @@ class TestFormatting:
         call = roundtripped.events[0].body[0]
         assert call.args["key"].value == 'a"b'
 
+    def test_quoted_zone_roundtrips(self):
+        """Regression: a zone that is not an identifier printed bare
+        (``zone: us-east-1b``), which the lexer then rejected."""
+        spec = parse(
+            'Tiera T() { tier1: { name: Memcached, size: 1G, zone: "us-east-1b" }; }'
+        )
+        out = print_spec(spec)
+        assert 'zone: "us-east-1b"' in out
+        assert parse(out) == spec
+
+    def test_every_new_form_roundtrips(self):
+        spec = parse(
+            "Tiera T(size mem = 1G, bandwidth cap = none, bool colo = false) {"
+            " tier1: { name: Memcached, size: mem, colocated: colo, evict_to: tier2 };"
+            " tier2: { name: EBS, size: 2G, evict_to: drop };"
+            ' event "both"(insert.into) : response {'
+            " store(what: insert.object, to: [tier1, tier2]); }"
+            ' background event "promote"(get.of && insert.object.location != tier1)'
+            " : response { retrieve(what: insert.object, promote_to: tier1,"
+            " exclusive: true); }"
+            ' event "sync"(tier1.dirty_bytes >= 50M) : response {'
+            " copy(what: insert.object, to: tier2, clear_dirty: false,"
+            " bandwidth: cap); grow(what: tier1, increment: 50%, delay: 30); } }"
+        )
+        printed = print_spec(spec)
+        assert 'background event "promote"(get.of && ' in printed
+        assert "size mem = 1G, bandwidth cap = none" in printed
+        assert "evict_to: drop" in printed and "to: [tier1, tier2]" in printed
+        assert parse(printed) == spec
+
     def test_bandwidth_literal(self):
         spec = parse(
             "Tiera T() { tier1: { name: EBS, size: 1G };"
