@@ -189,7 +189,6 @@ class Trial:
         """Run ``runner(*args, obs=obs, **kwargs)`` inside ``drive``."""
         with self.section("drive"):
             if obs is not None:
-                obs.profiler = self.profiler  # nest the server's op sections
                 before = obs.metrics.snapshot()
             result = runner(*args, obs=obs, **kwargs)
         self.operations += result.operations

@@ -11,7 +11,8 @@ Commands mirror how the paper's prototype is operated:
 * ``cost <spec-file>`` — price the specified configuration per month.
 * ``stats --port P [--host H] [--format json|prometheus|summary]`` —
   query a running server's observability snapshot over RPC (the STATS
-  verb): metric registry, audit-log tail, health summary.
+  verb): metric registry, audit-log tail, health summary (per shard,
+  when the server is a shard router).
 * ``chaos [--scenario S] [--seed N] [--baseline] ...`` — run one
   deterministic fault-injection scenario against a canned deployment
   and print the JSON report.  Same seed ⇒ byte-identical output: the
@@ -40,9 +41,11 @@ Commands mirror how the paper's prototype is operated:
   same-seed runs; the CI crash-matrix job diffs two runs).
 * ``profile [--scenario S] [--cprofile] [--format text|json]`` — run a
   row of the paper-figures table at smoke scale under the scoped
-  profiler and print the combined wall-clock / virtual-time breakdown;
-  with ``--port`` it fetches a running server's live profile over RPC
-  instead.
+  profiler and print its build/load/drive wall-clock tree and
+  virtual-time breakdown.  ``profile --port P`` instead attributes a
+  running server's virtual time from its ``stats`` snapshot (the two
+  modes' flags are exclusive).  Per-op wall cost is measured by
+  ``benchmarks/perf``, not here.
 * ``bench [--name S ...] [--out DIR]`` — run the figure rows at smoke
   scale and write one ``BENCH_<name>.json`` record each.
 * ``benchdiff --current DIR [--baseline DIR] [--tolerance F]`` —
@@ -196,6 +199,9 @@ def cmd_stats(options) -> int:
             return 0
         # summary: the headline numbers a human wants at a glance.
         health = client.health()
+        if "shards" in health:
+            _print_router_summary(health, snapshot)
+            return 0
         print(f"instance {health['instance']} — status {health['status']} "
               f"at t={health['time']:.1f}s, {health['objects']} objects")
         for tier in health["tiers"]:
@@ -233,12 +239,37 @@ def cmd_stats(options) -> int:
         _print_backup_summary(health.get("backup"))
         print(f"  background errors: {health['background_errors']} "
               f"(audit: {health['audit_errors']})")
-        audit = snapshot.get("audit", {})
-        for record in audit.get("tail", [])[-5:]:
-            error = f" ERROR {record['error']}" if record.get("error") else ""
-            print(f"  [{record['time']:.3f}] {record['category']} "
-                  f"{record['name']} ({record['origin']}){error}")
+        _print_audit_tail(snapshot)
     return 0
+
+
+def _print_router_summary(health: Dict[str, object],
+                          snapshot: Dict[str, object]) -> None:
+    """The stats summary of a shard router: what its ``health()``
+    carries — one line per shard (with its failure-detector state when
+    the router replicates), the hint queue, the heat headline."""
+    shards = health["shards"]
+    objects = sum(shard["objects"] for shard in shards.values())
+    print(f"router — status {health['status']} at t={health['time']:.1f}s, "
+          f"{len(shards)} shards, {objects} objects")
+    cluster = health.get("cluster")
+    for name, shard in sorted(shards.items()):
+        state = f", {cluster['shards'][name]}" if cluster else ""
+        print(f"  shard {name}: {shard['status']}, "
+              f"{shard['objects']} objects{state}")
+    if cluster:
+        print(f"  cluster: {cluster['replicas']} replicas, "
+              f"{cluster['hints']['pending']} hints pending, "
+              f"{cluster['journal_pending']} migration intents pending")
+    _print_heat_summary(health.get("heat"))
+    _print_audit_tail(snapshot)
+
+
+def _print_audit_tail(snapshot: Dict[str, object]) -> None:
+    for record in snapshot.get("audit", {}).get("tail", [])[-5:]:
+        error = f" ERROR {record['error']}" if record.get("error") else ""
+        print(f"  [{record['time']:.3f}] {record['category']} "
+              f"{record['name']} ({record['origin']}){error}")
 
 
 def _print_heat_summary(heat: Optional[Dict[str, object]]) -> None:
@@ -249,8 +280,10 @@ def _print_heat_summary(heat: Optional[Dict[str, object]]) -> None:
     """
     if not heat:
         return
-    print(f"  heat: {heat['accesses']} accesses "
-          f"({heat['read_fraction'] * 100:.0f}% reads), "
+    # A router's headline merges its shards' and carries no read mix.
+    reads = (f" ({heat['read_fraction'] * 100:.0f}% reads)"
+             if "read_fraction" in heat else "")
+    print(f"  heat: {heat['accesses']} accesses{reads}, "
           f"{heat['tracked']} objects tracked, "
           f"skew {heat['skew']:.2f}, churn {heat['churn']:.2f}")
     hot = heat.get("hot_keys") or []
@@ -309,17 +342,21 @@ def _print_latency_summary(snapshot: Dict[str, object]) -> None:
 
 def cmd_profile(options) -> int:
     from repro.bench.telemetry import profile_scenario, render_profile
+    from repro.obs.profiler import virtual_breakdown
 
     if options.port is not None:
         client = _connect(options)
         if client is None:
             return 1
         with client:
-            report = client.profile(reset=options.reset)
+            # Everything the server's registry has charged so far.
+            report = {"virtual": virtual_breakdown(
+                None, client.stats(audit_limit=0)
+            )}
     else:
         try:
             report = profile_scenario(
-                options.scenario, cprofile=options.cprofile
+                options.scenario or "fig07", cprofile=options.cprofile
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -742,11 +779,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     rows = ", ".join(FIGURES)
     profile = commands.add_parser(
         "profile",
-        help="profile a benchmark scenario (or a running server's window)",
+        help="profile a benchmark scenario (or a running server's "
+             "virtual time)",
     )
     profile.add_argument(
-        "--scenario", default="fig07",
-        help=f"figure row to profile locally at smoke scale ({rows})",
+        "--scenario", default=None,
+        help=f"figure row to profile locally at smoke scale ({rows}; "
+             "default fig07)",
     )
     profile.add_argument(
         "--cprofile", action="store_true",
@@ -758,11 +797,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     profile.add_argument("--host", default="127.0.0.1")
     profile.add_argument(
         "--port", type=int, default=None,
-        help="query a running server's profile over RPC instead",
-    )
-    profile.add_argument(
-        "--reset", action="store_true",
-        help="with --port: clear the server's profile window after reading",
+        help="attribute a running server's virtual time over RPC instead",
     )
     profile.set_defaults(func=cmd_profile)
 
@@ -928,6 +963,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     cluster.set_defaults(func=cmd_cluster)
 
     options = parser.parse_args(argv)
+    if options.command == "profile" and options.port is not None:
+        local = [flag for flag, given in (
+            ("--scenario", options.scenario is not None),
+            ("--cprofile", options.cprofile),
+        ) if given]
+        if local:
+            profile.error(
+                f"{' and '.join(local)} profile a local run, not --port"
+            )
     try:
         return options.func(options)
     except BrokenPipeError:

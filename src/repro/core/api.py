@@ -19,9 +19,10 @@ one contract they all implement now:
   over-limit batch is refused up front with ``BACKPRESSURE`` before any
   item runs;
 * the one pipeline the in-process façades run those verbs through:
-  :func:`run_batch` (the bracket around a batch), :func:`schedule_lanes`
-  (the lane scheduler), :func:`failed_result` and :func:`close_request`
-  (how an op fails and ends).
+  :func:`run_request` (the bracket around one op), :func:`run_batch`
+  (the bracket around a batch), :func:`schedule_lanes` (the lane
+  scheduler), :func:`failed_result` and :func:`close_request` (how an
+  op fails and ends).
 
 The admin plane has the same shape: :class:`ManagementAPI`'s three
 verbs return :class:`ManagementResult` envelopes, all driven by the one
@@ -43,6 +44,7 @@ from typing import (
 )
 
 from repro.core import errors
+from repro.simcloud.errors import SimCloudError
 
 #: Operation names accepted in a batch.
 PUT = "put"
@@ -307,6 +309,39 @@ def close_request(
     # never touches virtual time.
     obs.slo.record(op, latency, exc is None, ctx.time)
     return latency
+
+
+def run_request(
+    obs, op: BatchOp, ctx, trace: bool, body, count=None
+) -> OpResult:
+    """The bracket every in-process façade runs one client op inside.
+
+    In order: open the request root on ``obs``'s tracer; call
+    ``body(op, ctx)``, which returns the op's envelope or raises; turn
+    a Tiera or simcloud error into :func:`failed_result`; on every exit
+    call ``count(op, latency, exc)`` (a façade's own request metrics,
+    when it keeps some) and then :func:`close_request`; set the
+    envelope's latency.  Anything else — a programming error, a
+    :class:`~repro.simcloud.errors.ProcessCrash` — closes the root and
+    propagates.
+    """
+    root = obs.tracer.start_request(op.op, op.key, ctx, force=trace)
+    started = ctx.time
+
+    def close(exc: Optional[BaseException] = None) -> float:
+        if count is not None:
+            count(op.op, ctx.time - started, exc)
+        return close_request(obs, op.op, root, ctx, started, exc)
+
+    try:
+        result = body(op, ctx)
+    except (errors.TieraError, SimCloudError) as exc:
+        return failed_result(op.op, op.key, exc, close(exc))
+    except BaseException as exc:
+        close(exc)
+        raise
+    result.latency = close()
+    return result
 
 
 def schedule_lanes(

@@ -563,7 +563,9 @@ class ClusterManager:
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        return self._write(BatchOp.put(key, data, tags=tags), ctx, trace)
+        return self._run_op(
+            BatchOp.put(key, data, tags=tags), self._ctx(ctx), trace
+        )
 
     def delete_object(
         self,
@@ -572,15 +574,20 @@ class ClusterManager:
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        return self._write(BatchOp.delete(key), ctx, trace)
+        return self._run_op(BatchOp.delete(key), self._ctx(ctx), trace)
 
-    def _write(
-        self, write: BatchOp, ctx: Optional[RequestContext], trace: bool
+    def _run_op(
+        self, op: BatchOp, ctx: RequestContext, trace: bool = False
     ) -> OpResult:
+        """One client op — a quorum write or a failover read — inside
+        the request bracket (:func:`repro.core.api.run_request`)."""
+        body = self._read if op.op == api.GET else self._write
+        return api.run_request(self.obs, op, ctx, trace, body)
+
+    def _write(self, write: BatchOp, ctx: RequestContext) -> OpResult:
+        """Fan ``write`` out to the key's owners; the envelope once a
+        quorum acked, :class:`NoQuorumError` otherwise."""
         op, key = write.op, write.key
-        ctx = self._ctx(ctx)
-        root = self.obs.tracer.start_request(op, key, ctx, force=trace)
-        started = ctx.time
         owners = self.owners(key)
         quorum = self.config.quorum(len(owners))
         acked: List[Tuple[str, OpResult]] = []
@@ -615,17 +622,12 @@ class ClusterManager:
                 op=op,
                 key=key,
                 ok=True,
-                latency=api.close_request(self.obs, op, root, ctx, started),
                 tier=",".join(sorted(shard_names)),
                 checksum=template.checksum,
                 size=template.size,
             )
         self._quorum_failures.inc(op=op)
-        exc = NoQuorumError(key, len(acked), quorum, causes)
-        return api.failed_result(
-            op, key, exc,
-            api.close_request(self.obs, op, root, ctx, started, exc),
-        )
+        raise NoQuorumError(key, len(acked), quorum, causes)
 
     def _hinted_write(
         self, write: BatchOp, target, owners, taken, branches, causes
@@ -666,17 +668,22 @@ class ClusterManager:
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
+        return self._run_op(
+            BatchOp.get(key, prefer=prefer), self._ctx(ctx), trace
+        )
+
+    def _read(self, read: BatchOp, ctx: RequestContext) -> OpResult:
         """Checksum-verified failover read along the owner list.
 
         Attempts are sequential (a client retries replicas one after
         another), skipping detector-down shards.  A returned payload is
         accepted only if its content checksum matches the majority of
         the owners' recorded checksums; a corrupt or stale copy is
-        skipped and queued for background repair.
+        skipped and queued for background repair.  When no replica
+        serves it, raises the error every reachable replica agrees on
+        (a missing key) or :class:`ClusterUnavailableError`.
         """
-        ctx = self._ctx(ctx)
-        root = self.obs.tracer.start_request(api.GET, key, ctx, force=trace)
-        started = ctx.time
+        key = read.key
         owners = self.owners(key)
         candidates = [s for s in owners if not self.detector.is_down(s)]
         if not candidates:
@@ -684,7 +691,6 @@ class ClusterManager:
         expected = self._checksum_vote(key, owners)
         causes: List[Tuple[str, BaseException]] = []
         missing = 0
-        read = BatchOp.get(key, prefer=prefer)
         for shard in candidates:
             result = self._replica_op(shard, read, ctx)
             if result.ok:
@@ -699,21 +705,13 @@ class ClusterManager:
                     self._failover_reads.inc(shard=owners[0])
                 if missing or causes:
                     self._schedule_repair(key, reason="read-repair")
-                result.latency = api.close_request(
-                    self.obs, api.GET, root, ctx, started
-                )
                 return result
             missing += result.error == "NO_SUCH_OBJECT"
             causes.append((shard, result.exception))
         if missing == len(candidates):
             # Every reachable replica agrees the key does not exist.
-            exc = causes[0][1]
-        else:
-            exc = ClusterUnavailableError(key, causes=causes)
-        return api.failed_result(
-            api.GET, key, exc,
-            api.close_request(self.obs, api.GET, root, ctx, started, exc),
-        )
+            raise causes[0][1]
+        raise ClusterUnavailableError(key, causes=causes)
 
     def _checksum_vote(self, key: str, owners: Sequence[str]) -> Optional[str]:
         """Majority content checksum across reachable owners' metadata.
@@ -759,11 +757,6 @@ class ClusterManager:
         results = api.schedule_lanes(ops, lanes, ctx, parent, self._run_op)
         return results, {"parallelism": lanes}
 
-    def _run_op(self, op: BatchOp, ctx: RequestContext) -> OpResult:
-        if op.op == api.GET:
-            return self.get_object(op.key, prefer=op.prefer, ctx=ctx)
-        return self._write(op, ctx, False)
-
     # -- metadata views ---------------------------------------------------
 
     def contains(self, key: str) -> bool:
@@ -781,22 +774,20 @@ class ClusterManager:
 
     @contextmanager
     def _background(
-        self, name: str, section: str,
-        ctx: Optional[RequestContext] = None, **attrs: object,
+        self, name: str, ctx: Optional[RequestContext] = None,
+        **attrs: object,
     ):
         """The bracket around a piece of maintenance work: a fresh
         context under a background trace root (or the ``ctx`` of the
-        sweep this work is part of, nesting under that sweep's root),
-        timed as profiler section ``cluster:<section>``.  Yields the
-        context and the root (``None`` when tracing is off or the
-        context was lent)."""
+        sweep this work is part of, nesting under that sweep's root).
+        Yields the context and the root (``None`` when tracing is off
+        or the context was lent)."""
         root = None
         if ctx is None:
             ctx = RequestContext(self.clock)
             root = self.obs.tracer.start_background(name, ctx, **attrs)
         try:
-            with self.obs.profiler.section(f"cluster:{section}"):
-                yield ctx, root
+            yield ctx, root
         finally:
             self.obs.tracer.finish_request(root, ctx)
 
@@ -838,8 +829,7 @@ class ClusterManager:
         counts = {"target": target or "*",
                   "replayed": 0, "dropped": 0, "requeued": 0}
         with self._background(
-            f"hint-replay {target or '*'}", "hint-replay",
-            target=target or "*",
+            f"hint-replay {target or '*'}", target=target or "*",
         ) as (ctx, root):
             for hint in self.hints.take(target):
                 if (hint.target not in self.shards
@@ -934,7 +924,7 @@ class ClusterManager:
         divergent_groups = 0
         skipped_groups = 0
         repairs = 0
-        with self._background("anti-entropy", "anti-entropy") as (ctx, root):
+        with self._background("anti-entropy") as (ctx, root):
             for owner_set in sorted(groups):
                 keys = sorted(groups[owner_set])
                 reachable = [s for s in owner_set
@@ -986,9 +976,7 @@ class ClusterManager:
         read-repair) open their own background trace root; an
         anti-entropy sweep passes its ``ctx`` so repairs nest under the
         sweep's root instead."""
-        with self._background(
-            f"read-repair {key}", "read-repair", ctx, key=key
-        ) as (ctx, _):
+        with self._background(f"read-repair {key}", ctx, key=key) as (ctx, _):
             return self._converge_replicas(key, ctx)
 
     def _converge_replicas(self, key: str, ctx: RequestContext) -> int:

@@ -23,10 +23,8 @@ from repro.core.api import (
     BatchVerbs,
     OpResult,
 )
-from repro.core.errors import TieraError
 from repro.core.instance import TieraInstance
 from repro.core.objects import ObjectMeta, content_checksum
-from repro.simcloud.errors import SimCloudError
 from repro.simcloud.resources import RequestContext
 
 
@@ -76,14 +74,13 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
     def _ctx(self, ctx: Optional[RequestContext]) -> RequestContext:
         return ctx if ctx is not None else RequestContext(self.clock)
 
-    def _end(self, op, root, ctx, start, error: Optional[BaseException] = None):
-        """Record the request's registry samples and close it."""
+    def _count(self, op: str, latency: float, error: Optional[BaseException]):
+        """Record a finished request's registry samples."""
         if error is None:
             self._requests.inc(op=op)
-            self._request_seconds.observe(ctx.time - start, op=op)
+            self._request_seconds.observe(latency, op=op)
         else:
             self._request_errors.inc(op=op, error=type(error).__name__)
-        return api.close_request(self.obs, op, root, ctx, start, error)
 
     # -- the StorageAPI surface (envelope verbs) -----------------------------
 
@@ -127,60 +124,48 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
     def _run_op(
         self, op: BatchOp, ctx: RequestContext, trace: bool = False
     ) -> OpResult:
-        """Execute one op, capturing domain failures into the envelope.
-
-        Only Tiera/simcloud errors are data; programming errors (and
-        :class:`~repro.simcloud.errors.ProcessCrash`, a BaseException)
-        still propagate.
-        """
-        root = self.obs.tracer.start_request(op.op, op.key, ctx, force=trace)
-        started = ctx.time
-        try:
-            # Leaving the write-back scope stores each object the op
-            # touched once — before any envelope is built, an error's
-            # included; a ProcessCrash stores nothing.
-            with self.obs.profiler.section(f"op:{op.op}"), \
-                    self.instance.meta_writeback:
-                result = self._apply_op(op, ctx)
-        except (TieraError, SimCloudError) as exc:
-            return api.failed_result(
-                op.op, op.key, exc, self._end(op.op, root, ctx, started, exc)
-            )
-        except BaseException as exc:
-            self._end(op.op, root, ctx, started, exc)
-            raise
-        result.latency = self._end(op.op, root, ctx, started)
-        # Heat accounting (per-object sketch + EWMA) rides the same
-        # completion event — one record per client op, whether the op
-        # arrived alone or inside a batch; inert until enabled.
-        self.obs.heat.record(op.op, op.key, size=result.size, at=ctx.time)
+        """Execute one op inside the request bracket
+        (:func:`repro.core.api.run_request`), this server's request
+        metrics counted as it closes."""
+        result = api.run_request(
+            self.obs, op, ctx, trace, self._apply_op, self._count
+        )
+        if result.ok:
+            # Heat accounting (per-object sketch + EWMA) rides the same
+            # completion event — one record per client op, whether the
+            # op arrived alone or inside a batch; inert until enabled.
+            self.obs.heat.record(op.op, op.key, size=result.size, at=ctx.time)
         return result
 
     def _apply_op(self, op: BatchOp, ctx: RequestContext) -> OpResult:
-        if op.op == api.PUT:
-            meta = self._put(op.key, op.data, op.tags or (), ctx)
-            return OpResult(
-                op=api.PUT,
-                key=op.key,
-                ok=True,
-                tier=",".join(sorted(meta.locations)),
-                checksum=meta.checksum,
-                size=len(op.data),
-            )
-        if op.op == api.GET:
-            ctx.served_by = None
-            data = self._get(op.key, ctx, op.prefer)
-            return OpResult(
-                op=api.GET,
-                key=op.key,
-                ok=True,
-                tier=ctx.served_by or "",
-                checksum=content_checksum(data),
-                size=len(data),
-                value=data,
-            )
-        self._delete(op.key, ctx)
-        return OpResult(op=api.DELETE, key=op.key, ok=True)
+        # Leaving the write-back scope stores each object the op touched
+        # once — before any envelope is built, an error's included; a
+        # ProcessCrash stores nothing.
+        with self.instance.meta_writeback:
+            if op.op == api.PUT:
+                meta = self._put(op.key, op.data, op.tags or (), ctx)
+                return OpResult(
+                    op=api.PUT,
+                    key=op.key,
+                    ok=True,
+                    tier=",".join(sorted(meta.locations)),
+                    checksum=meta.checksum,
+                    size=len(op.data),
+                )
+            if op.op == api.GET:
+                ctx.served_by = None
+                data = self._get(op.key, ctx, op.prefer)
+                return OpResult(
+                    op=api.GET,
+                    key=op.key,
+                    ok=True,
+                    tier=ctx.served_by or "",
+                    checksum=content_checksum(data),
+                    size=len(data),
+                    value=data,
+                )
+            self._delete(op.key, ctx)
+            return OpResult(op=api.DELETE, key=op.key, ok=True)
 
     def _put(
         self, key: str, data: bytes, tags: Iterable[str], ctx: RequestContext

@@ -53,6 +53,14 @@ class AuditRecord:
         return out
 
 
+def newest(items: list, n: int) -> list:
+    """The last ``n`` of ``items`` — none for 0; a negative ``n`` is a
+    caller's mistake (``ValueError``), not an index from the front."""
+    if n < 0:
+        raise ValueError(f"limit must be at least 0, got {n}")
+    return items[max(0, len(items) - n):]
+
+
 class AuditLog:
     """Bounded append-only ring of :class:`AuditRecord`."""
 
@@ -90,9 +98,7 @@ class AuditLog:
             and (name is None or r.name == name)
             and (not errors_only or r.error is not None)
         ]
-        if limit is not None:
-            out = out[-limit:]
-        return out
+        return out if limit is None else newest(out, limit)
 
     def tail(self, n: int = 20) -> List[AuditRecord]:
         return self.records(limit=n)

@@ -15,7 +15,6 @@ from typing import Optional
 
 from repro.obs.audit import AuditLog
 from repro.obs.heat import HeatTracker
-from repro.obs.profiler import Profiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SloEngine
 from repro.obs.trace import Tracer
@@ -30,7 +29,6 @@ class Observability:
         self.metrics = MetricsRegistry(clock)
         self.tracer = Tracer(clock)
         self.audit = AuditLog()
-        self.profiler = Profiler()
         self.slo = SloEngine(self.metrics, self.audit, clock)
         self.heat = HeatTracker(self.metrics, self.audit, clock)
 

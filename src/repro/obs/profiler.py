@@ -1,28 +1,27 @@
-"""The scoped profiler: where wall-clock and virtual time actually go.
+"""The scoped profiler: where wall-clock and virtual time go in a run.
 
-The simulation has two timelines, and performance questions span both:
+The simulation has two timelines, and a figure row's run spans both:
 
-* **Wall-clock time** — what the *simulator itself* burns while
-  executing a benchmark (the batch-scaling bench peaks at ~305 ops/s of
-  wall throughput; finding the hot path is ROADMAP item 3's license to
-  flatten it).  :class:`Profiler` attributes it with scoped
-  ``perf_counter`` sections that nest into a hierarchical tree, plus an
-  optional :func:`cprofile_capture` wrapper for function-level detail.
+* **Wall-clock time** — what the *simulator itself* burns executing the
+  phases of a figure row.  :class:`Profiler` attributes it with scoped
+  ``perf_counter`` sections (``build`` / ``load`` / ``drive``) that nest
+  into a hierarchical tree, plus an optional :func:`cprofile_capture`
+  wrapper for function-level detail.  Per-op wall cost, layer by layer,
+  is ``benchmarks/perf``'s job; no op opens a section.
 * **Virtual time** — what the *simulated stack* charged to requests,
   per tier/component.  :func:`virtual_breakdown` derives it from two
   metrics-registry snapshots (complete coverage, zero per-request
-  cost); :func:`trace_breakdown` aggregates retained request traces
-  into a per-component tree when tracing was enabled.
+  cost).
 
-Recording a section costs two ``perf_counter`` calls and a dict lookup,
-and never touches a :class:`~repro.simcloud.resources.RequestContext`
-— profiling cannot shift a simulated latency (the Figure 18 "observer
+Recording a section never touches a
+:class:`~repro.simcloud.resources.RequestContext` — profiling cannot
+shift a simulated latency (the Figure 18 "observer
 effect" rule applies to wall instrumentation too).
 """
 
 from __future__ import annotations
 
-import threading
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, List, Optional
 
@@ -34,7 +33,6 @@ __all__ = [
     "NULL_PROFILER",
     "cprofile_capture",
     "virtual_breakdown",
-    "trace_breakdown",
     "render_profile",
 ]
 
@@ -56,10 +54,6 @@ class ProfileNode:
             node = self.children[name] = ProfileNode(name)
         return node
 
-    def self_seconds(self) -> float:
-        """Seconds not accounted to any child section."""
-        return self.seconds - sum(c.seconds for c in self.children.values())
-
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "name": self.name,
@@ -76,87 +70,41 @@ class ProfileNode:
         return out
 
 
-class _Section:
-    """Context manager for one timed region (returned by ``section``)."""
-
-    __slots__ = ("_profiler", "_name", "_node", "_start")
-
-    def __init__(self, profiler: "Profiler", name: str):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_Section":
-        stack = self._profiler._stack()
-        self._node = stack[-1].child(self._name)
-        stack.append(self._node)
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        elapsed = perf_counter() - self._start
-        stack = self._profiler._stack()
-        if stack and stack[-1] is self._node:
-            stack.pop()
-        node = self._node
-        node.seconds += elapsed
-        node.count += 1
-
-
-class _NullSection:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SECTION = _NullSection()
-
-
 class Profiler:
     """Aggregating scoped wall-clock profiler.
 
     ``with profiler.section("load"):`` times a region; nested sections
     build a tree keyed by section path, so re-entering the same path
-    accumulates into one node.  Each thread keeps its own section
-    stack (all rooted at the shared tree), which keeps the RPC server's
-    pool threads from corrupting each other's nesting.
+    accumulates into one node.  One thread, one stack: a figure row's
+    trial is the only owner.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.root = ProfileNode("total")
-        self._local = threading.local()
+        self._stack: List[ProfileNode] = [self.root]
 
-    def _stack(self) -> List[ProfileNode]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = [self.root]
-        return stack
-
+    @contextmanager
     def section(self, name: str):
-        """A context manager timing the region under the current one."""
+        """Time the ``with`` body as a region under the current one."""
         if not self.enabled:
-            return _NULL_SECTION
-        return _Section(self, name)
-
-    def reset(self) -> None:
-        self.root = ProfileNode("total")
-        self._local = threading.local()
+            yield
+            return
+        node = self._stack[-1].child(name)
+        self._stack.append(node)
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            node.seconds += perf_counter() - start
+            node.count += 1
+            self._stack.pop()
 
     def wall_report(self) -> Dict[str, object]:
         """The aggregated tree: top-level sections and their totals."""
-        children = [
-            c.to_dict()
-            for c in sorted(
-                self.root.children.values(), key=lambda n: (-n.seconds, n.name)
-            )
-        ]
         return {
             "total_seconds": sum(c.seconds for c in self.root.children.values()),
-            "sections": children,
+            "sections": self.root.to_dict().get("children", []),
         }
 
 
@@ -276,39 +224,6 @@ def virtual_breakdown(
     }
 
 
-def trace_breakdown(spans) -> Dict[str, object]:
-    """Aggregate retained request traces into a per-component summary.
-
-    ``spans`` is a list of root :class:`~repro.obs.trace.Span` objects.
-    Tier-op child spans attribute to their service, rule spans to their
-    rule, split foreground (client path) vs background.
-    """
-    components: Dict[str, Dict[str, object]] = {}
-
-    def bump(name: str, duration: float, foreground: bool) -> None:
-        entry = components.setdefault(
-            name, {"seconds": 0.0, "count": 0, "foreground_seconds": 0.0}
-        )
-        entry["seconds"] += duration
-        entry["count"] += 1
-        if foreground:
-            entry["foreground_seconds"] += duration
-
-    total = 0.0
-    for root in spans:
-        total += root.duration
-        for span in root.find("tier-op"):
-            name = str(span.attrs.get("service", span.name))
-            bump(f"tier-op:{name}", span.duration, span.foreground)
-        for span in root.find("rule"):
-            bump(f"rule:{span.name}", span.duration, span.foreground)
-    return {
-        "traces": len(spans),
-        "request_seconds": total,
-        "components": components,
-    }
-
-
 # -- rendering ---------------------------------------------------------------
 
 
@@ -326,25 +241,27 @@ def _render_wall_node(node: Dict[str, object], total: float, depth: int,
 
 
 def render_profile(report: Dict[str, object]) -> str:
-    """Flamegraph-style text rendering of a profile report dict."""
-    lines: List[str] = []
-    wall = report.get("wall") or {}
-    total = wall.get("total_seconds", 0.0)
-    measured = report.get("measured_wall_seconds", total)
-    lines.append("wall-clock (per code region)")
-    lines.append("-" * 64)
-    lines.append(
-        f"  measured {measured * 1000:.1f} ms, "
-        f"sections cover {report.get('coverage', 1.0):.1%}"
-    )
-    for node in wall.get("sections", []):
-        _render_wall_node(node, measured or total, 0, lines)
+    """Flamegraph-style text rendering of a profile report dict: its
+    wall-clock tree, virtual-time attribution and cProfile rows, each
+    block only when the report has it."""
+    blocks: List[List[str]] = []
+    wall = report.get("wall")
+    if wall:
+        total = wall.get("total_seconds", 0.0)
+        measured = report.get("measured_wall_seconds", total)
+        lines = [
+            "wall-clock (per code region)",
+            "-" * 64,
+            f"  measured {measured * 1000:.1f} ms, "
+            f"sections cover {report.get('coverage', 1.0):.1%}",
+        ]
+        for node in wall.get("sections", []):
+            _render_wall_node(node, measured or total, 0, lines)
+        blocks.append(lines)
 
     virtual = report.get("virtual") or {}
     if virtual:
-        lines.append("")
-        lines.append("virtual time (per simulated component)")
-        lines.append("-" * 64)
+        lines = ["virtual time (per simulated component)", "-" * 64]
         services = virtual.get("services", {})
         total_service = virtual.get("total_service_seconds", 0.0)
         for name in sorted(services, key=lambda n: (-services[n], n)):
@@ -359,33 +276,17 @@ def render_profile(report: Dict[str, object]) -> str:
             )
         for rule, seconds in sorted(virtual.get("rules", {}).items()):
             lines.append(f"  {rule:<32} {seconds:>10.3f} s")
-
-    traces = report.get("traces") or {}
-    if traces.get("traces"):
-        lines.append("")
-        lines.append(
-            f"traced requests ({traces['traces']} retained, "
-            f"{traces['request_seconds']:.3f} s of virtual request time)"
-        )
-        lines.append("-" * 64)
-        components = traces.get("components", {})
-        for name in sorted(
-            components, key=lambda n: (-components[n]["seconds"], n)
-        ):
-            entry = components[name]
-            lines.append(
-                f"  {name:<32} {entry['seconds']:>10.3f} s  "
-                f"x{entry['count']} (fg {entry['foreground_seconds']:.3f} s)"
-            )
+        blocks.append(lines)
 
     functions = (report.get("cprofile") or {}).get("functions")
     if functions:
-        lines.append("")
-        lines.append("hottest functions (cProfile, by cumulative wall time)")
-        lines.append("-" * 64)
+        lines = [
+            "hottest functions (cProfile, by cumulative wall time)", "-" * 64,
+        ]
         for row in functions:
             lines.append(
                 f"  {row['cumtime']:>8.3f} s  {row['calls']:>8} calls  "
                 f"{row['function']}"
             )
-    return "\n".join(lines)
+        blocks.append(lines)
+    return "\n\n".join("\n".join(lines) for lines in blocks)

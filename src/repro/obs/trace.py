@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
+from repro.obs.audit import newest
 from repro.simcloud.clock import Clock
 
 #: How many completed request traces the tracer retains.
@@ -185,9 +186,7 @@ class Tracer:
     def recent(self, n: Optional[int] = None) -> List[Span]:
         """The most recent completed traces, oldest first."""
         traces = list(self._finished)
-        if n is not None:
-            traces = traces[-n:]
-        return traces
+        return traces if n is None else newest(traces, n)
 
     def last(self) -> Optional[Span]:
         return self._finished[-1] if self._finished else None

@@ -177,13 +177,6 @@ class TieraClient(BatchVerbs):
     def health(self) -> Dict[str, Any]:
         return self._call("health")
 
-    def profile(self, reset: bool = False) -> Dict[str, Any]:
-        """The server's accumulated wall/virtual profile report.
-
-        ``reset=True`` clears the server's wall-section tree after the
-        report, starting a fresh profiling window."""
-        return self._call("profile", reset=reset)
-
     # -- unified management API -------------------------------------------
 
     def configure(self, feature: str, **options) -> ManagementResult:

@@ -202,40 +202,18 @@ class TieraRpcServer:
     def _method_trace(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Inspect (and optionally toggle) per-request tracing."""
         tracer = self.tiera.obs.tracer
+        # Read first: a refused limit must not have toggled tracing.
+        traces = tracer.recent(int(params.get("limit", 10)))
         if "enable" in params:
             tracer.enabled = bool(params["enable"])
-        limit = int(params.get("limit", 10))
         return {
             "enabled": tracer.enabled,
             "dropped": tracer.dropped,
-            "traces": [span.to_dict() for span in tracer.recent(limit)],
+            "traces": [span.to_dict() for span in traces],
         }
 
     def _method_health(self, params: Dict[str, Any]) -> Dict[str, Any]:
         return self.tiera.health()
-
-    def _method_profile(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """The server's accumulated profile: wall-clock sections from
-        served requests, virtual-time attribution from the registry,
-        and a per-component rollup of retained traces.
-
-        ``reset=true`` clears the wall-section tree after reporting, so
-        the next call profiles a fresh window.
-        """
-        from repro.obs.profiler import trace_breakdown, virtual_breakdown
-
-        obs = self.tiera.obs
-        wall = obs.profiler.wall_report()
-        report = {
-            "measured_wall_seconds": wall["total_seconds"],
-            "coverage": 1.0,
-            "wall": wall,
-            "virtual": virtual_breakdown(None, obs.metrics.snapshot()),
-            "traces": trace_breakdown(obs.tracer.recent()),
-        }
-        if params.get("reset"):
-            obs.profiler.reset()
-        return report
 
     # -- unified management API ---------------------------------------------
 

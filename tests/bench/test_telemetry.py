@@ -57,6 +57,15 @@ class TestRecords:
         assert report["scenario"] == "batch_scaling"
         section_names = {s["name"] for s in report["wall"]["sections"]}
         assert {"build", "load", "drive"} <= section_names
+
+        def names(nodes):
+            for node in nodes:
+                yield node["name"]
+                yield from names(node.get("children", []))
+
+        # Per-op wall cost is benchmarks/perf's: no op opens a section.
+        assert not [n for n in names(report["wall"]["sections"])
+                    if n.startswith(("op:", "cluster:"))]
         assert report["coverage"] > 0.5
         assert report["virtual"]["total_request_seconds"] > 0
         assert report["record"]["operations"] == 400

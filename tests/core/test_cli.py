@@ -210,6 +210,17 @@ class TestProfileCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["virtual"]["requests"]["put"]["count"] == 8
 
+    @pytest.mark.parametrize("local", [
+        ["--scenario", "fig07"], ["--cprofile"],
+    ])
+    def test_local_flags_are_refused_with_port(self, live_rpc, capsys, local):
+        """Regression: ``--scenario`` and ``--cprofile`` were silently
+        ignored next to ``--port``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--port", str(live_rpc.port), *local])
+        assert excinfo.value.code == 2
+        assert "not --port" in capsys.readouterr().err
+
 
 class TestBenchCommands:
     def test_bench_writes_record(self, tmp_path, capsys):

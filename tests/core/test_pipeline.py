@@ -1,7 +1,8 @@
 """The one data-plane pipeline (docs/API.md, "One pipeline").
 
-Every in-process façade runs its batches through
-:func:`repro.core.api.run_batch` and its items through
+Every in-process façade runs each client op through
+:func:`repro.core.api.run_request`, its batches through
+:func:`repro.core.api.run_batch` and their items through
 :func:`repro.core.api.schedule_lanes`; every movement of an object
 between shards is :func:`repro.core.cluster.transfer`; every data op the
 replicated plane sends a shard goes through ``ClusterManager._replica_op``
@@ -29,6 +30,21 @@ from tests.core.test_cluster import CONFIG, bring_up, mark_down
 from tests.core.test_journal_bracket import CORE, _scoped_nodes
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+REPRO = CORE.parent
+
+
+def _src_calls(*names):
+    """``(path under src/repro, enclosing scope, name)`` for every call
+    of an attribute (or bare name) in ``names`` anywhere in src/repro."""
+    found = []
+    for path in sorted(REPRO.rglob("*.py")):
+        for scope, node in _scoped_nodes(path):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if name in names:
+                found.append((path.relative_to(REPRO).as_posix(), scope, name))
+    return found
 
 
 def make_shard(registry, name):
@@ -108,6 +124,21 @@ class TestBatchBracket:
         assert len(re.findall(r"error_type=type\(exc\)\.__name__", text)) == 1
         with open(os.path.join(SRC, "repro", "core", "sharding.py")) as handle:
             assert handle.read().count("self.cluster is") <= 1
+        # One request bracket: every request root is opened — by
+        # run_request or run_batch — failed and closed in core/api.py.
+        calls = _src_calls("start_request", "failed_result", "close_request")
+        assert sorted(
+            scope for _, scope, name in calls if name == "start_request"
+        ) == ["run_batch", "run_request"]
+        assert {path for path, _, _ in calls} == {"core/api.py"}
+        # One measurement stack: no façade, RPC verb or hub reads a
+        # wall profiler (benchmarks/perf times ops; Trial times phases).
+        for path in (*CORE.glob("*.py"), *(REPRO / "rpc").glob("*.py"),
+                     REPRO / "obs" / "hub.py"):
+            assert not [
+                node for _, node in _scoped_nodes(path)
+                if isinstance(node, ast.Attribute) and node.attr == "profiler"
+            ], path
 
 
 class TestTransfer:

@@ -53,6 +53,21 @@ class TestAuditLogRing:
         with pytest.raises(ValueError):
             AuditLog(capacity=0)
 
+    def test_limit_zero_is_none_and_negative_is_refused(self):
+        """Regression: ``limit=0`` sliced ``[-0:]`` and returned every
+        record; ``limit=-2`` silently dropped the two oldest."""
+        import pytest
+
+        log = AuditLog()
+        for n in range(5):
+            log.append(record(n))
+        assert log.records(limit=0) == [] and log.to_dicts(limit=0) == []
+        assert [r.name for r in log.records(limit=9)] == [
+            f"r{n}" for n in range(5)
+        ]
+        with pytest.raises(ValueError):
+            log.records(limit=-2)
+
 
 class TestControlLayerAuditing:
     def test_foreground_rule_is_audited_with_tiers(self, registry):

@@ -8,11 +8,9 @@ from repro.obs.profiler import (
     Profiler,
     cprofile_capture,
     render_profile,
-    trace_breakdown,
     virtual_breakdown,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Span
 
 
 class TestWallSections:
@@ -57,13 +55,6 @@ class TestWallSections:
         with NULL_PROFILER.section("x"):
             pass
         assert NULL_PROFILER.wall_report()["sections"] == []
-
-    def test_reset_clears_the_tree(self):
-        p = Profiler()
-        with p.section("x"):
-            pass
-        p.reset()
-        assert p.wall_report()["sections"] == []
 
     def test_exception_inside_section_still_closes_it(self):
         p = Profiler()
@@ -128,26 +119,11 @@ class TestVirtualBreakdown:
         assert report["services"] == {}
 
 
-class TestTraceBreakdown:
-    def test_aggregates_tier_ops_and_rules(self):
-        root = Span("put k", "request", 0.0)
-        tier = root.child("tier1.put", "tier-op", 0.0, service="tier1-svc")
-        tier.finish(0.004)
-        rule = root.child("write-through", "rule", 0.0)
-        rule.finish(0.010)
-        root.finish(0.010)
-        report = trace_breakdown([root])
-        assert report["traces"] == 1
-        assert report["request_seconds"] == 0.010
-        assert report["components"]["tier-op:tier1-svc"]["seconds"] == 0.004
-        assert report["components"]["rule:write-through"]["count"] == 1
-
-
 class TestRendering:
     def test_render_profile_text_sections(self):
         p = Profiler()
         with p.section("drive"):
-            with p.section("op:get"):
+            with p.section("load"):
                 time.sleep(0.002)
         report = {
             "measured_wall_seconds": 0.01,
@@ -164,9 +140,18 @@ class TestRendering:
         text = render_profile(report)
         assert "wall-clock (per code region)" in text
         assert "drive" in text
-        assert "op:get" in text
+        assert "  load" in text
         assert "service ebs-1" in text
         assert "95.0%" in text
+
+    def test_a_report_without_a_wall_tree_renders_only_its_blocks(self):
+        """``repro profile --port`` reports virtual attribution alone."""
+        text = render_profile({"virtual": {
+            "services": {"ebs-1": 1.5}, "requests": {}, "rules": {},
+            "total_service_seconds": 1.5, "total_request_seconds": 0.0,
+        }})
+        assert text.startswith("virtual time (per simulated component)")
+        assert "wall-clock" not in text
 
     def test_report_is_json_serializable(self):
         p = Profiler()

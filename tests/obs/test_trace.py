@@ -83,6 +83,21 @@ class TestTracer:
         assert tracer.dropped == 1
         assert [t.attrs["key"] for t in tracer.recent()] == ["k1", "k2"]
 
+    def test_recent_zero_is_none_and_negative_is_refused(self):
+        """Regression: ``recent(0)`` sliced ``[-0:]`` and returned every
+        retained trace."""
+        import pytest
+
+        clock = SimClock()
+        tracer = Tracer(clock, enabled=True)
+        for n in range(4):
+            ctx = RequestContext(clock)
+            tracer.finish_request(tracer.start_request("get", f"k{n}", ctx), ctx)
+        assert tracer.recent(0) == []
+        assert [t.attrs["key"] for t in tracer.recent(1)] == ["k3"]
+        with pytest.raises(ValueError):
+            tracer.recent(-1)
+
 
 class TestTracedRequests:
     """End-to-end traces through a real instance."""

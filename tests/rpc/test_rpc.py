@@ -102,6 +102,13 @@ class TestRpcRoundtrip:
             client._call("explode")
         assert excinfo.value.error_type == "UnknownMethod"
 
+    def test_the_retired_profile_verb_is_unknown(self, client):
+        """Per-op wall cost is measured by benchmarks/perf; an old
+        client's ``profile`` call gets the stable code, not a report."""
+        with pytest.raises(RpcError) as excinfo:
+            client._call("profile", reset=False)
+        assert excinfo.value.code == "UNKNOWN_METHOD"
+
 
 class TestIntrospection:
     def test_stats_snapshot(self, client):
@@ -130,6 +137,27 @@ class TestIntrospection:
         assert ops == ["put", "get"]
         get_trace = result["traces"][-1]
         assert get_trace["attrs"]["served_by"] in ("tier1", "tier2")
+
+    def test_zero_limits_return_nothing_and_negative_ones_are_refused(
+        self, client
+    ):
+        """Regression: ``audit_limit=0`` returned the whole audit tail and
+        ``limit=0`` every retained trace; a negative limit was sliced
+        from the front instead of refused."""
+        client.trace(enable=True)
+        for i in range(4):
+            client.put_object(f"k{i}", b"v").raise_for_error()
+        assert client.stats(audit_limit=0)["audit"]["tail"] == []
+        assert client.stats(audit_limit=2)["audit"]["tail"]
+        assert client.trace(limit=0)["traces"] == []
+        assert len(client.trace(limit=2)["traces"]) == 2
+        for call in (lambda: client.stats(audit_limit=-1),
+                     lambda: client.trace(limit=-2, enable=False)):
+            with pytest.raises(RpcError) as excinfo:
+                call()
+            assert excinfo.value.code == "BAD_REQUEST"
+        # The refused trace call toggled nothing.
+        assert client.trace(limit=0)["enabled"] is True
 
     def test_health(self, client):
         client.put_object("k", b"v").raise_for_error()
@@ -403,6 +431,29 @@ class TestClusterVerb:
                 conn.tiers()
             assert excinfo.value.code == "BAD_REQUEST"
 
+    def test_stats_summary_shows_shard_states_and_hints(
+        self, cluster_rpc, capsys
+    ):
+        """Regression: ``repro stats`` died with ``KeyError: 'instance'``
+        on a router; a replicated one adds each shard's detector state
+        and the hint queue."""
+        from repro.cli import main
+
+        rpc, router = cluster_rpc
+        with TieraClient(rpc.host, rpc.port) as conn:
+            conn.put_object("ck", b"cluster bytes").raise_for_error()
+        assert main(["stats", "--port", str(rpc.port)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("router — status ok at t=")
+        assert lines[0].endswith(", 3 shards, 2 objects")
+        assert [ln for ln in lines if ln.startswith("  shard ")] == [
+            f"  shard {name}: ok, {int(router.shards[name].contains('ck'))}"
+            " objects, up"
+            for name in sorted(router.shards)
+        ]
+        assert ("  cluster: 2 replicas, 0 hints pending, "
+                "0 migration intents pending") in lines
+
 
 class TestShardRouterManagement:
     """Regression: over RPC to a shard router, ``resilience``, ``fsck``,
@@ -456,6 +507,34 @@ class TestShardRouterManagement:
         with pytest.raises(RpcError) as excinfo:
             conn.add_tag("ghost", "even")
         assert excinfo.value.code == "NO_SUCH_OBJECT"
+
+    def test_stats_summary_renders_the_routers_health(
+        self, router_client, capsys
+    ):
+        """Regression: ``repro stats`` read ``health['instance']``, which
+        a router's health does not carry, and died with ``KeyError``."""
+        import re
+
+        from repro.cli import main
+
+        conn, names = router_client
+        conn.configure("heat").raise_for_error()
+        for i in range(16):
+            conn.put_object(f"k{i}", b"v" * 32).raise_for_error()
+        port = conn._sock.getpeername()[1]
+        assert main(["stats", "--port", str(port)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("router — status ok at t=")
+        assert lines[0].endswith(", 4 shards, 16 objects")
+        shard_lines = [ln for ln in lines if ln.startswith("  shard ")]
+        pattern = re.compile(r"^  shard (\S+): ok, (\d+) objects$")
+        matches = [pattern.match(ln) for ln in shard_lines]
+        assert all(matches), shard_lines
+        assert [m.group(1) for m in matches] == names
+        assert sum(int(m.group(2)) for m in matches) == 16
+        assert not any(ln.startswith("  cluster: ") for ln in lines)
+        heat = [ln for ln in lines if ln.startswith("  heat: ")]
+        assert len(heat) == 1 and "objects tracked" in heat[0]
 
     def test_tiers_refuses_with_an_explicit_message(self, router_client):
         conn, _ = router_client
