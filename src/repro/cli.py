@@ -17,24 +17,6 @@ Commands mirror how the paper's prototype is operated:
   deterministic fault-injection scenario against a canned deployment
   and print the JSON report.  Same seed ⇒ byte-identical output: the
   CI chaos job diffs two runs of this command.
-* ``fsck --port P [--repair]`` — run the metadata/tier cross-check
-  scrub on a running server over RPC; ``--repair`` fixes findings.
-* ``snapshot --port P --out FILE`` / ``restore --port P FILE`` —
-  barman-style full backup and restore of a running instance's state.
-* ``backup <snapshot|restore|prune|verify|list> --port P ...`` — the
-  backup lifecycle against a server started with ``--backup-root``:
-  incremental snapshots, point-in-time restore (``--to-seq`` /
-  ``--to-time``), retention pruning, and recovery verification.
-* ``heat --port P [--enable] [--format text|json]`` — the workload
-  heat tracker's snapshot over RPC: hot-key bars from the Space-Saving
-  sketch, per-tier occupancy gauges, and the occupancy timeline.
-  ``--enable`` turns the tracker on first (``--top-k``, ``--hot-min``,
-  ``--window``, ``--sample-interval``, ``--max-objects`` configure it).
-* ``placement <status|plan|run> --port P [--enable] [--objective O]
-  [--interval N] [--format text|json]`` — the adaptive placement
-  engine over RPC: engine status, the scored promote/demote/pre-warm
-  plan without moving data, or one executed cycle.  ``--enable``
-  configures it on first through the management API.
 * ``crashsweep [--deployment D] [--seed N] ...`` — offline: crash a
   scripted workload at every registered crash point, reopen, verify
   recovery invariants, print the JSON report (byte-identical across
@@ -42,10 +24,10 @@ Commands mirror how the paper's prototype is operated:
 * ``profile [--scenario S] [--cprofile] [--format text|json]`` — run a
   row of the paper-figures table at smoke scale under the scoped
   profiler and print its build/load/drive wall-clock tree and
-  virtual-time breakdown.  ``profile --port P`` instead attributes a
-  running server's virtual time from its ``stats`` snapshot (the two
-  modes' flags are exclusive).  Per-op wall cost is measured by
-  ``benchmarks/perf``, not here.
+  virtual-time breakdown.  ``profile --port P [--host H]`` instead
+  attributes a running server's virtual time from its ``stats``
+  snapshot (the two modes' flags are exclusive).  Per-op wall cost is
+  measured by ``benchmarks/perf``, not here.
 * ``bench [--name S ...] [--out DIR]`` — run the figure rows at smoke
   scale and write one ``BENCH_<name>.json`` record each.
 * ``benchdiff --current DIR [--baseline DIR] [--tolerance F]`` —
@@ -53,20 +35,52 @@ Commands mirror how the paper's prototype is operated:
   when a baseline has no fresh record, a shape predicate fails, or a
   same-seed number drifts beyond the tolerance (the CI figures job's
   gate).
+* ``cluster failover|migrate-crash [--seed N] ...`` — the replicated
+  cluster's offline drills (``failover`` is the default).
+
+The live admin commands are one table, :data:`COMMANDS`, over the
+management API's feature table (``repro.core.features.FEATURES``); each
+talks to a running server (``--port P [--host H]``):
+
+* ``fsck [--repair]``, ``snapshot --out FILE``, ``restore FILE`` — the
+  durability actions: metadata/tier scrub, barman-style full backup and
+  restore;
+* ``backup <snapshot|restore|prune|verify|list|mark-immutable>`` — the
+  backup lifecycle against a server started with ``--backup-root``;
+* ``resilience replay`` — kick the repair queue;
+* ``heat [--enable] [--format text|json]`` — hot keys, tier occupancy,
+  the occupancy timeline;
+* ``placement [status|plan|run] [--enable] [--format text|json]`` — the
+  adaptive placement engine (``status`` is the default);
+* ``cluster <status|fsck|replay|anti-entropy>`` — a replicated shard
+  router.
+
+A command row names its feature and, for a single-action command, the
+action; each action of a multi-action command is a subcommand.  Every
+flag comes from the table: an action's ``Param``s (a ``bytes`` one is a
+file to read; a byte-valued result is written to ``--out``) and, with
+``--enable``, the feature's configure options.  Output goes through
+:data:`RENDERERS` (keyed by ``(feature, action)``, sorted JSON
+otherwise); :data:`EXIT_OK` says which results exit nonzero.  A feature
+that is off prints ``{"enabled": false}`` through the renderer, one hint
+line on stderr, and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from collections import Counter
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core import features
 from repro.core.errors import FEATURE_DISABLED, TieraError
 from repro.core.server import TieraServer
 from repro.obs.export import parse_labels
+from repro.obs.heat import render_report
 from repro.simcloud.clock import WallClock
 from repro.simcloud.cluster import Cluster
 from repro.spec import SpecSyntaxError, compile_spec, parse
@@ -91,6 +105,11 @@ def _parse_args_option(pairs: List[str]) -> Dict[str, object]:
 _SPEC_ERRORS = (OSError, SpecSyntaxError, TieraError, ValueError, KeyError)
 
 
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def _read_spec(path: str) -> str:
     with open(path) as handle:
         return handle.read()
@@ -112,8 +131,7 @@ def cmd_validate(options) -> int:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 1
     except _SPEC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     print(f"instance {spec.name}")
     if spec.params:
         print("  parameters:", ", ".join(
@@ -139,8 +157,7 @@ def cmd_cost(options) -> int:
     try:
         _, instance = _compile_file(options.spec, args)
     except _SPEC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     print(f"{instance.name}: ${instance.monthly_cost():.2f}/month "
           f"(${instance.cost_per_gb_month():.2f}/GB-month)")
     for tier in instance.tiers:
@@ -159,8 +176,7 @@ def cmd_serve(options) -> int:
     try:
         cluster, instance = _compile_file(options.spec, args, wall=True)
     except _SPEC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     tiera = TieraServer(instance)
     if options.backup_root:
         attached = tiera.configure("backup", root=options.backup_root)
@@ -195,7 +211,7 @@ def cmd_stats(options) -> int:
             return 0
         snapshot = client.stats()
         if options.format == "json":
-            print(json.dumps(snapshot, indent=2, sort_keys=True))
+            _print_json(snapshot)
             return 0
         # summary: the headline numbers a human wants at a glance.
         health = client.health()
@@ -214,33 +230,27 @@ def cmd_stats(options) -> int:
                     extra += f", {tier['pending_repairs']} repairs queued"
             print(f"  tier {tier['name']} ({tier['kind']}): "
                   f"{tier['used']}/{cap} bytes, {state}{extra}")
-        resilience = health.get("resilience")
-        if resilience:
-            print(f"  resilience: {resilience['retries']} retries, "
-                  f"{resilience['degraded_writes']} degraded writes, "
-                  f"{resilience['replays']} repairs replayed "
-                  f"({resilience['repair_queue']['pending']} pending)")
+        _print_status(health, "resilience", options)
         fired = health["rules_fired"]
         if fired:
             print("  rules fired:", ", ".join(
                 f"{name}×{count}" for name, count in sorted(fired.items())
             ))
         _print_latency_summary(snapshot)
-        slo = snapshot.get("slo") or health.get("slo")
-        if slo:
-            for objective in slo["objectives"]:
-                flag = "ALERTING" if objective["alerting"] else (
-                    "ok" if objective["compliant"] else "breaching"
-                )
-                print(f"  slo {objective['name']}: {flag} "
-                      f"(current {objective['current']}, "
-                      f"burn {objective['burn_rate']:.2f}x)")
+        _print_status(health, "slo", options)
         _print_heat_summary(health.get("heat"))
-        _print_backup_summary(health.get("backup"))
+        _print_status(health, "backup", options)
         print(f"  background errors: {health['background_errors']} "
               f"(audit: {health['audit_errors']})")
         _print_audit_tail(snapshot)
     return 0
+
+
+def _print_status(health: Dict[str, object], feature: str, options) -> None:
+    """A feature's status as ``health()`` embeds it (only while on),
+    through the same renderer as everywhere else."""
+    if health.get(feature):
+        RENDERERS[feature, "status"](health[feature], options)
 
 
 def _print_router_summary(health: Dict[str, object],
@@ -291,34 +301,6 @@ def _print_heat_summary(heat: Optional[Dict[str, object]]) -> None:
         print(f"  hot keys ({len(hot)}): {', '.join(hot)}")
 
 
-def _print_backup_summary(backup: Optional[Dict[str, object]]) -> None:
-    """Backup-chain status lines for the stats summary.
-
-    The output shape is pinned by tests/core/test_cli.py — a ``backup:``
-    chain line and a ``last verified restore:`` line.
-    """
-    if not backup:
-        return
-    last = backup.get("last_snapshot")
-    wal = backup["wal"]
-    chain = (f"{backup['snapshots']} snapshots "
-             f"({backup['full']} full, {backup['incremental']} incremental)")
-    tail = ""
-    if last is not None:
-        tail = (f", last {last['kind']} #{last['id']} "
-                f"at t={last['created_at']:.1f}s")
-    print(f"  backup: {chain}, wal {wal['records']} records "
-          f"through seq {wal['last_seq']}{tail}")
-    verified = backup.get("last_verified_restore")
-    if verified is None:
-        print("  last verified restore: never")
-    else:
-        flag = "ok" if verified.get("ok") else "FAILED"
-        print(f"  last verified restore: t={verified['time']:.1f}s {flag} "
-              f"(snapshot {verified.get('snapshot')}, "
-              f"{verified.get('replayed', 0)} wal records replayed)")
-
-
 def _print_latency_summary(snapshot: Dict[str, object]) -> None:
     """Per-op latency percentiles from the request histogram's samples.
 
@@ -359,10 +341,9 @@ def cmd_profile(options) -> int:
                 options.scenario or "fig07", cprofile=options.cprofile
             )
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _error(exc)
     if options.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
     else:
         print(render_profile(report))
     return 0
@@ -377,8 +358,7 @@ def cmd_bench(options) -> int:
         try:
             record = run_scenario(name)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _error(exc)
         path = write_record(record, options.out)
         failed += [f"{name}: {check}"
                    for check, ok in record["checks"].items() if not ok]
@@ -400,8 +380,7 @@ def cmd_benchdiff(options) -> int:
             tolerance=options.tolerance, names=options.name or None,
         )
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     for line in lines:
         print(line)
     if not ok:
@@ -432,10 +411,51 @@ def cmd_chaos(options) -> int:
             clients=options.clients,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(report, indent=2, sort_keys=True))
+        return _error(exc)
+    _print_json(report)
     return 0
+
+
+def cmd_crashsweep(options) -> int:
+    from repro.bench.sim import run_crash_sweep
+
+    try:
+        report = run_crash_sweep(
+            deployment=options.deployment,
+            seed=options.seed,
+            max_points=options.max_points,
+        )
+    except ValueError as exc:
+        return _error(exc)
+    _print_json(report)
+    return 0 if report["summary"]["clean"] else 1
+
+
+def cmd_failover(options) -> int:
+    from repro.bench.sim import run_failover
+
+    report = run_failover(
+        seed=options.seed,
+        records=options.records,
+        duration=options.duration,
+        clients=options.clients,
+    )
+    _print_json(report)
+    ok = (
+        not report["acked_write_loss"]
+        and not report["hints"]["pending"]
+        and not report["anti_entropy"]["final_divergent"]
+        and report["fsck"]["clean"]
+    )
+    return 0 if ok else 1
+
+
+def cmd_migrate_crash(options) -> int:
+    from repro.bench.sim import run_migration_crash
+
+    report = run_migration_crash(seed=options.seed)
+    _print_json(report)
+    return 0 if report["clean"] else 1
 
 
 def _connect(options):
@@ -449,29 +469,92 @@ def _connect(options):
         return None
 
 
-def _add_flags(parser, params) -> None:
-    """argparse arguments for registry param specs: booleans are
-    switches, ``repeat`` params repeatable flags, and ``bytes`` params
-    a positional file whose content is the value."""
-    for param in params:
-        dest = param.flag or param.name
-        flag = "--" + dest.replace("_", "-")
-        if param.type is bytes:
-            parser.add_argument(dest, help=param.help)
-        elif param.type is bool:
-            parser.add_argument(
-                flag, dest=dest, action="store_true", help=param.help
-            )
-        elif param.repeat:
-            parser.add_argument(
-                flag, dest=dest, type=param.type, action="append",
-                default=[], help=param.help,
-            )
-        else:
-            parser.add_argument(
-                flag, dest=dest, type=param.type, default=None,
-                choices=param.choices, help=param.help,
-            )
+def _refused(what: str, result) -> int:
+    print(f"{what} failed: [{result.error}] {result.error_message}",
+          file=sys.stderr)
+    return 1
+
+
+# -- the live admin commands: one table over the feature table ---------------
+
+
+class Command(NamedTuple):
+    """A live admin command: what ``features.FEATURES`` cannot say."""
+
+    name: str
+    feature: str
+    #: the one action it runs; ``None``: each of the feature's actions
+    #: is a subcommand.
+    action: Optional[str] = None
+    #: takes ``--enable``, the feature's configure options as flags, and
+    #: ``--format text|json``.
+    enable: bool = False
+    #: the feature's status is a subcommand too, ``status``.
+    status: bool = False
+
+
+COMMANDS = (
+    Command("fsck", "durability", "fsck"),
+    Command("snapshot", "durability", "snapshot"),
+    Command("restore", "durability", "restore"),
+    Command("backup", "backup"),
+    Command("resilience", "resilience"),
+    Command("heat", "heat", "summary", enable=True),
+    Command("placement", "placement", enable=True, status=True),
+    Command("cluster", "cluster", status=True),
+)
+
+#: Why a feature is off, for the hint line (``--enable`` commands: pass it).
+_TURN_ON = {
+    "backup": "serve with --backup-root",
+    "cluster": "not a replicated shard cluster",
+    "resilience": "configure it through the management API",
+}
+
+_OFF = {"enabled": False}
+
+
+def cmd_live(options) -> int:
+    """Every live admin command: connect, configure on ``--enable``, ask
+    for the status or run the action, render, exit."""
+    row, action = options.row, options.action
+    spec = features.FEATURES[row.feature]
+    act = spec.action(action)
+    with contextlib.ExitStack() as files:
+        try:
+            params = _flag_params(options, act.params if act else ())
+            if act is not None and act.bytes_out:
+                options.out = files.enter_context(open(options.out, "wb"))
+        except OSError as exc:
+            return _error(exc)
+        config = _flag_params(options, spec.options) if row.enable else {}
+        if config and not options.enable:
+            print("configuration flags need --enable", file=sys.stderr)
+            return 1
+        client = _connect(options)
+        if client is None:
+            return 1
+        with client:
+            if row.enable and options.enable:
+                configured = client.configure(row.feature, **config)
+                if not configured.ok:
+                    return _refused(f"{row.feature} configure", configured)
+            result = (client.invoke(row.feature, action, **params) if act
+                      else client.feature_status(row.feature))
+        if not result.ok and result.error != FEATURE_DISABLED:
+            return _refused(f"{row.feature} {action}", result)
+        off = not result.enabled and (act is None or act.needs_enabled)
+        doc = _OFF if off else result.state
+        render = (_print_json if getattr(options, "format", "") == "json"
+                  else RENDERERS.get((row.feature, action), _print_json))
+        render(doc, options)
+    if off:
+        how = "pass --enable" if row.enable else _TURN_ON[row.feature]
+        print(f"{row.feature} is not enabled on this server ({how})",
+              file=sys.stderr)
+        return 1
+    ok = EXIT_OK.get((row.feature, action))
+    return 0 if ok is None or ok(doc) else 1
 
 
 def _flag_params(options, params) -> Dict[str, object]:
@@ -488,57 +571,71 @@ def _flag_params(options, params) -> Dict[str, object]:
     return out
 
 
-def _refused(what: str, result) -> int:
-    print(f"{what} failed: [{result.error}] {result.error_message}",
-          file=sys.stderr)
-    return 1
-
-
-def _manage(options, feature: str, action: str, enable: bool = False):
-    """One management call over RPC: ``status`` is the feature's status,
-    anything else one of its actions with the action's flags as params.
-    With ``enable``, ``--enable`` and the feature's option flags go
-    through ``configure`` first.  Returns ``None``, after a message,
-    when the server is unreachable or refuses; a feature that is merely
-    off comes back as its ``FEATURE_DISABLED`` envelope to render."""
-    client = _connect(options)
-    if client is None:
-        return None
-    with client:
-        if enable:
-            config = _flag_params(options, features.FEATURES[feature].options)
-            if config and not options.enable:
-                print("configuration flags need --enable", file=sys.stderr)
-                return None
-            if options.enable:
-                configured = client.configure(feature, **config)
-                if not configured.ok:
-                    _refused(f"{feature} configure", configured)
-                    return None
-        if action == "status":
-            result = client.feature_status(feature)
+def _add_flags(parser, params) -> None:
+    """argparse arguments for registry param specs: booleans are
+    switches, ``repeat`` params repeatable flags, and ``bytes`` params
+    a positional file whose content is the value."""
+    for param in params:
+        dest = param.flag or param.name
+        if param.type is bytes:
+            parser.add_argument(dest, help=param.help)
+            continue
+        if param.type is bool:
+            kind = {"action": "store_true"}
+        elif param.repeat:
+            kind = {"type": param.type, "action": "append", "default": []}
         else:
-            spec = features.action_spec(feature, action)
-            result = client.invoke(
-                feature, action, **_flag_params(options, spec.params)
-            )
-    if not result.ok and result.error != FEATURE_DISABLED:
-        _refused(f"{feature} {action}", result)
+            kind = {"type": param.type, "choices": param.choices}
+        parser.add_argument(
+            "--" + dest.replace("_", "-"), dest=dest, help=param.help, **kind
+        )
+
+
+def _add_live(commands, row: Command):
+    """``row``'s parser; for a multi-action command, its subcommands
+    group (one subparser per action, with exactly its flags)."""
+    actions = [a.name for a in features.FEATURES[row.feature].actions]
+    names = ([row.action] if row.action
+             else (["status"] if row.status else []) + actions)
+    shown = " | ".join(name.replace("_", "-") for name in names)
+    parser = commands.add_parser(
+        row.name, help=f"{row.feature} {shown} on a running server"
+    )
+    if row.action is not None:
+        _live_flags(parser, row, row.action)
         return None
-    return result
+    group = parser.add_subparsers(dest="subcommand", required=True)
+    for action in names:
+        _live_flags(group.add_parser(action.replace("_", "-")), row, action)
+    return group
 
 
-def _show(options, result, render) -> int:
-    """Print a feature document as JSON or through its text renderer;
-    exit status says whether the feature is on."""
-    if result is None:
-        return 1
-    doc = result.state or {"enabled": False}
-    if options.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        render(doc)
-    return 0 if result.enabled else 1
+def _live_flags(parser, row: Command, action: str) -> None:
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, required=True)
+    if row.enable:
+        parser.add_argument("--enable", action="store_true",
+                            help=f"configure {row.feature} on first")
+        _add_flags(parser, features.FEATURES[row.feature].options)
+        parser.add_argument("--format", choices=("text", "json"), default="text")
+    act = features.action_spec(row.feature, action)
+    if act is not None:
+        _add_flags(parser, act.params)
+        if act.bytes_out:
+            parser.add_argument(
+                "--out", required=True,
+                help=f"file to write the {', '.join(act.bytes_out)} to",
+            )
+    parser.set_defaults(func=cmd_live, row=row, action=action)
+
+
+# -- renderers and exit rules, keyed by (feature, action) ---------------------
+
+
+def _print_json(doc, options=None) -> None:
+    """Sorted, indented JSON: every renderer's fallback (``options``
+    unused)."""
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _per_shard(doc: Dict[str, object]) -> List[Dict[str, object]]:
@@ -547,88 +644,76 @@ def _per_shard(doc: Dict[str, object]) -> List[Dict[str, object]]:
     return list(doc["shards"].values()) if set(doc) == {"shards"} else [doc]
 
 
-def cmd_fsck(options) -> int:
-    result = _manage(options, "durability", "fsck")
-    if result is None:
-        return 1
-    print(json.dumps(result.state, indent=2, sort_keys=True))
-    return 0 if all(d["clean"] for d in _per_shard(result.state)) else 1
+def _on_every_shard(field: str) -> Callable[[dict], bool]:
+    """``field`` is true in the answer of every shard (or the one)."""
+    return lambda doc: all(d.get(field) for d in _per_shard(doc))
 
 
-def cmd_snapshot(options) -> int:
-    result = _manage(options, "durability", "snapshot")
-    if result is None:
-        return 1
-    archive = result.state["archive"]
-    manifests = _per_shard(result.state["manifest"])
-    with open(options.out, "wb") as handle:
-        handle.write(archive)
+def _write_snapshot(doc: Dict[str, object], options) -> None:
+    """Write the archive to ``--out`` (opened before the call) and say
+    what it holds."""
+    archive = doc["archive"]
+    manifests = _per_shard(doc["manifest"])
+    options.out.write(archive)
     names = dict.fromkeys(m["instance"] for m in manifests)
     print(f"snapshot of {', '.join(names)}: "
           f"{sum(m['objects'] for m in manifests)} objects, "
-          f"{len(archive)} bytes -> {options.out}")
+          f"{len(archive)} bytes -> {options.out.name}")
     for manifest in manifests:
         print(f"  state digest {manifest['state_digest']}")
-    return 0
 
 
-def cmd_restore(options) -> int:
-    result = _manage(options, "durability", "restore")
-    if result is None:
-        return 1
-    print(json.dumps(result.state, indent=2, sort_keys=True))
-    verified = all(d.get("verified") for d in _per_shard(result.state))
-    return 0 if verified else 1
+def _print_snapshots(doc: Dict[str, object], options) -> None:
+    for entry in doc.get("snapshots", ()):
+        flags = "".join(f" {flag}" for flag in ("immutable", "retired")
+                        if entry.get(flag))
+        parent = (f" parent #{entry['parent']}"
+                  if entry.get("parent") is not None else "")
+        print(f"#{entry['id']} {entry['kind']}: "
+              f"{entry['objects']} objects, {entry['bytes']} bytes, "
+              f"seq {entry['base_seq']}..{entry['upto_seq']}"
+              f"{parent}{flags}")
 
 
-def cmd_backup(options) -> int:
-    action = options.backup_action
-    result = _manage(options, "backup", action)
-    if result is None:
-        return 1
-    if not result.enabled:
-        print("backups are not enabled on this server "
-              "(serve with --backup-root)", file=sys.stderr)
-        return 1
-    if action == "list":
-        for entry in result.state["snapshots"]:
-            flags = "".join(
-                flag for flag, on in (
-                    (" immutable", entry.get("immutable")),
-                    (" retired", entry.get("retired")),
-                ) if on
-            )
-            parent = (f" parent #{entry['parent']}"
-                      if entry.get("parent") is not None else "")
-            print(f"#{entry['id']} {entry['kind']}: "
-                  f"{entry['objects']} objects, {entry['bytes']} bytes, "
-                  f"seq {entry['base_seq']}..{entry['upto_seq']}"
-                  f"{parent}{flags}")
-        return 0
-    print(json.dumps(result.state, indent=2, sort_keys=True))
-    if action == "verify":
-        return 0 if result.state.get("ok") else 1
-    return 0
+def _print_backup_status(backup: Dict[str, object], options) -> None:
+    """Backup-chain status lines (the stats summary's): a ``backup:``
+    chain line and a ``last verified restore:`` line."""
+    last = backup.get("last_snapshot")
+    wal = backup["wal"]
+    chain = (f"{backup['snapshots']} snapshots "
+             f"({backup['full']} full, {backup['incremental']} incremental)")
+    tail = "" if last is None else (f", last {last['kind']} #{last['id']} "
+                                    f"at t={last['created_at']:.1f}s")
+    print(f"  backup: {chain}, wal {wal['records']} records "
+          f"through seq {wal['last_seq']}{tail}")
+    verified = backup.get("last_verified_restore")
+    if verified is None:
+        print("  last verified restore: never")
+    else:
+        flag = "ok" if verified.get("ok") else "FAILED"
+        print(f"  last verified restore: t={verified['time']:.1f}s {flag} "
+              f"(snapshot {verified.get('snapshot')}, "
+              f"{verified.get('replayed', 0)} wal records replayed)")
 
 
-def cmd_heat(options) -> int:
-    from repro.obs.heat import render_report
-
-    result = _manage(options, "heat", "summary", enable=True)
-    return _show(options, result, lambda doc: print(render_report(doc)))
-
-
-def cmd_placement(options) -> int:
-    action = options.placement_action
-    result = _manage(options, "placement", action, enable=True)
-    return _show(
-        options, result,
-        _print_placement_status if action == "status"
-        else _print_placement_plan,
-    )
+def _print_resilience(status: Dict[str, object], options) -> None:
+    print(f"  resilience: {status['retries']} retries, "
+          f"{status['degraded_writes']} degraded writes, "
+          f"{status['replays']} repairs replayed "
+          f"({status['repair_queue']['pending']} pending)")
 
 
-def _print_placement_status(status: Dict[str, object]) -> None:
+def _print_slo(status: Dict[str, object], options) -> None:
+    for objective in status["objectives"]:
+        flag = "ALERTING" if objective["alerting"] else (
+            "ok" if objective["compliant"] else "breaching"
+        )
+        print(f"  slo {objective['name']}: {flag} "
+              f"(current {objective['current']}, "
+              f"burn {objective['burn_rate']:.2f}x)")
+
+
+def _print_placement_status(status: Dict[str, object], options) -> None:
     if not status.get("enabled"):
         print("placement: disabled (repro placement --enable, or "
               'configure("placement", ...))')
@@ -646,7 +731,7 @@ def _print_placement_status(status: Dict[str, object]) -> None:
               f"({last['origin']}), {last['skipped']} skipped")
 
 
-def _print_placement_plan(plan: Dict[str, object]) -> None:
+def _print_placement_plan(plan: Dict[str, object], options) -> None:
     if not plan.get("enabled"):
         print("placement: disabled")
         return
@@ -656,322 +741,181 @@ def _print_placement_plan(plan: Dict[str, object]) -> None:
     if not decisions:
         print("  no moves scored above threshold")
     for d in decisions:
-        applied = ""
-        if "applied" in d:
-            applied = " [applied]" if d["applied"] else " [failed]"
+        applied = ("" if "applied" not in d
+                   else " [applied]" if d["applied"] else " [failed]")
         print(f"  {d['action']:8s} {d['key']:<24s} "
               f"{d['from']} -> {d['to']}  "
               f"heat={d['heat']:.4f} score={d['score']:.3f} "
               f"({d['reason']}){applied}")
     skipped = plan.get("skipped") or []
     if skipped:
-        reasons: Dict[str, int] = {}
-        for s in skipped:
-            reasons[s["reason"]] = reasons.get(s["reason"], 0) + 1
+        reasons = Counter(s["reason"] for s in skipped)
         summary = ", ".join(f"{k}: {v}" for k, v in sorted(reasons.items()))
         print(f"  skipped {len(skipped)} ({summary})")
 
 
-def cmd_crashsweep(options) -> int:
-    from repro.bench.sim import run_crash_sweep
-
-    try:
-        report = run_crash_sweep(
-            deployment=options.deployment,
-            seed=options.seed,
-            max_points=options.max_points,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report["summary"]["clean"] else 1
+def _print_cluster(doc: Dict[str, object], options) -> None:
+    """The replicated cluster's answers nest under the action's name."""
+    _print_json(doc if doc == _OFF else {"enabled": True, options.action: doc})
 
 
-def cmd_cluster(options) -> int:
-    action = options.cluster_action
-    if action in ("failover", "migrate-crash"):
-        from repro.bench.sim import run_failover, run_migration_crash
+#: Text renderers, ``render(doc, options)``; any other pair prints JSON.
+RENDERERS: Dict[Tuple[str, str], Callable[..., None]] = {
+    ("heat", "summary"): lambda doc, options: print(render_report(doc)),
+    ("placement", "status"): _print_placement_status,
+    ("placement", "plan"): _print_placement_plan,
+    ("placement", "run"): _print_placement_plan,
+    ("backup", "list"): _print_snapshots,
+    ("durability", "snapshot"): _write_snapshot,
+    ("resilience", "status"): _print_resilience,
+    ("backup", "status"): _print_backup_status,
+    ("slo", "status"): _print_slo,
+    **{("cluster", name): _print_cluster for name in (
+        "status", *(a.name for a in features.FEATURES["cluster"].actions)
+    )},
+}
 
-        if action == "failover":
-            report = run_failover(
-                seed=options.seed,
-                records=options.records,
-                duration=options.duration,
-                clients=options.clients,
-            )
-            print(json.dumps(report, indent=2, sort_keys=True))
-            ok = (
-                not report["acked_write_loss"]
-                and not report["hints"]["pending"]
-                and not report["anti_entropy"]["final_divergent"]
-                and report["fsck"]["clean"]
-            )
-            return 0 if ok else 1
-        report = run_migration_crash(seed=options.seed)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["clean"] else 1
-
-    # Live actions go over RPC to a serving shard router.
-    if options.port is None:
-        print(f"cluster {action} needs --port (a running `repro serve`)",
-              file=sys.stderr)
-        return 1
-    action = action.replace("-", "_")
-    result = _manage(options, "cluster", action)
-    if result is None:
-        return 1
-    if not result.enabled:
-        print(json.dumps({"enabled": False}, indent=2, sort_keys=True))
-        print("server is not a replicated shard cluster", file=sys.stderr)
-        return 1
-    print(json.dumps(
-        {"enabled": True, action: result.state}, indent=2, sort_keys=True
-    ))
-    if action == "fsck":
-        return 0 if result.state["clean"] else 1
-    return 0
+#: Which results exit nonzero, ``ok(doc) -> bool``; any other pair is 0.
+EXIT_OK: Dict[Tuple[str, str], Callable[[dict], bool]] = {
+    ("durability", "fsck"): _on_every_shard("clean"),
+    ("durability", "restore"): _on_every_shard("verified"),
+    ("backup", "verify"): lambda doc: bool(doc.get("ok")),
+    ("cluster", "fsck"): lambda doc: doc["clean"],
+}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """Every command's parser; the live ones from :data:`COMMANDS` and
+    the feature table as it is now."""
+    from repro.bench.figures import FIGURES
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Tiera middleware (Middleware 2014 reproduction)"
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    validate = commands.add_parser("validate", help="parse/compile-check a spec")
-    validate.add_argument("spec")
-    validate.set_defaults(func=cmd_validate)
+    def command(name, func, help, group=commands):
+        sub = group.add_parser(name, help=help)
+        sub.set_defaults(func=func)
+        return sub
 
-    cost = commands.add_parser("cost", help="price a specification per month")
+    validate = command("validate", cmd_validate, "parse/compile-check a spec")
+    validate.add_argument("spec")
+    cost = command("cost", cmd_cost, "price a specification per month")
     cost.add_argument("spec")
     cost.add_argument("--arg", action="append", default=[])
-    cost.set_defaults(func=cmd_cost)
 
-    serve = commands.add_parser("serve", help="serve an instance over RPC")
+    serve = command("serve", cmd_serve, "serve an instance over RPC")
     serve.add_argument("spec")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0)
     serve.add_argument("--arg", action="append", default=[])
-    serve.add_argument(
-        "--backup-root", default=None,
-        help="attach a backup store (snapshots + archived WAL) at this "
-             "directory",
+    serve.add_argument("--backup-root", help="attach a backup store "
+                       "(snapshots + archived WAL) at this directory")
+
+    stats = command(
+        "stats", cmd_stats, "query a running server's observability snapshot"
     )
-    serve.set_defaults(func=cmd_serve)
-
-    def live(sub, func):
-        """A subcommand that talks to a running server over RPC."""
-        sub.add_argument("--host", default="127.0.0.1")
-        sub.add_argument("--port", type=int, required=True)
-        sub.set_defaults(func=func)
-        return sub
-
-    stats = live(commands.add_parser(
-        "stats", help="query a running server's observability snapshot"
-    ), cmd_stats)
+    stats.add_argument("--host", default="127.0.0.1")
+    stats.add_argument("--port", type=int, required=True)
     stats.add_argument(
         "--format", choices=("summary", "json", "prometheus"), default="summary"
     )
 
-    from repro.bench.figures import FIGURES
-
     rows = ", ".join(FIGURES)
-    profile = commands.add_parser(
-        "profile",
-        help="profile a benchmark scenario (or a running server's "
-             "virtual time)",
-    )
-    profile.add_argument(
-        "--scenario", default=None,
-        help=f"figure row to profile locally at smoke scale ({rows}; "
-             "default fig07)",
-    )
-    profile.add_argument(
-        "--cprofile", action="store_true",
-        help="also capture function-level detail via cProfile",
-    )
-    profile.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-    profile.add_argument("--host", default="127.0.0.1")
-    profile.add_argument(
-        "--port", type=int, default=None,
-        help="attribute a running server's virtual time over RPC instead",
-    )
-    profile.set_defaults(func=cmd_profile)
+    profile = command("profile", cmd_profile, "profile a benchmark scenario "
+                      "(or a running server's virtual time)")
+    profile.add_argument("--scenario", help="figure row to profile locally "
+                         f"at smoke scale ({rows}; default fig07)")
+    profile.add_argument("--cprofile", action="store_true",
+                         help="also capture function-level detail via cProfile")
+    profile.add_argument("--format", choices=("text", "json"), default="text")
+    profile.add_argument("--host", help="host of the server to profile "
+                         "(with --port; default 127.0.0.1)")
+    profile.add_argument("--port", type=int, help="attribute a running "
+                         "server's virtual time over RPC instead")
 
-    bench = commands.add_parser(
-        "bench", help="run the figure rows at smoke scale, write BENCH_*.json"
-    )
-    bench.add_argument(
-        "--name", action="append", default=[],
-        help=f"row to run (repeatable; default: all of {rows})",
-    )
-    bench.add_argument(
-        "--out", default="benchmarks/telemetry",
-        help="directory for BENCH_<name>.json records",
-    )
-    bench.set_defaults(func=cmd_bench)
+    bench = command("bench", cmd_bench,
+                    "run the figure rows at smoke scale, write BENCH_*.json")
+    bench.add_argument("--name", action="append", default=[],
+                       help=f"row to run (repeatable; default: all of {rows})")
+    bench.add_argument("--out", default="benchmarks/telemetry",
+                       help="directory for BENCH_<name>.json records")
 
-    benchdiff = commands.add_parser(
-        "benchdiff",
-        help="diff BENCH_*.json records against committed baselines",
-    )
-    benchdiff.add_argument(
-        "--baseline", default="benchmarks/baselines",
-        help="directory holding the committed baseline records",
-    )
-    benchdiff.add_argument(
-        "--current", required=True,
-        help="directory holding the fresh records to check",
-    )
+    benchdiff = command("benchdiff", cmd_benchdiff,
+                        "diff BENCH_*.json records against committed baselines")
+    benchdiff.add_argument("--baseline", default="benchmarks/baselines",
+                           help="directory holding the committed baseline records")
+    benchdiff.add_argument("--current", required=True,
+                           help="directory holding the fresh records to check")
     benchdiff.add_argument(
         "--tolerance", type=float, default=0.15,
         help="relative drift of any same-seed number, or virt_ops_per_s "
              "drop, that fails the gate (default 0.15)",
     )
-    benchdiff.add_argument(
-        "--name", action="append", default=[],
-        help="only diff these rows (repeatable)",
-    )
-    benchdiff.set_defaults(func=cmd_benchdiff)
+    benchdiff.add_argument("--name", action="append", default=[],
+                           help="only diff these rows (repeatable)")
 
-    chaos = commands.add_parser(
-        "chaos", help="run a deterministic fault-injection scenario"
-    )
+    chaos = command("chaos", cmd_chaos,
+                    "run a deterministic fault-injection scenario")
     chaos.add_argument("--scenario", default="transient-errors")
     chaos.add_argument("--deployment", default="write-through")
     chaos.add_argument("--seed", type=int, default=2014)
     chaos.add_argument("--duration", type=float, default=120.0)
     chaos.add_argument("--clients", type=int, default=4)
-    chaos.add_argument(
-        "--baseline", action="store_true",
-        help="run without the resilience layer",
-    )
-    chaos.add_argument(
-        "--list", action="store_true",
-        help="list known scenarios and deployments",
-    )
-    chaos.set_defaults(func=cmd_chaos)
+    chaos.add_argument("--baseline", action="store_true",
+                       help="run without the resilience layer")
+    chaos.add_argument("--list", action="store_true",
+                       help="list known scenarios and deployments")
 
-    def params_of(feature, action):
-        return features.action_spec(feature, action).params
-
-    fsck = live(commands.add_parser(
-        "fsck", help="scrub a running server's metadata vs tier contents"
-    ), cmd_fsck)
-    _add_flags(fsck, params_of("durability", "fsck"))
-
-    snapshot = live(commands.add_parser(
-        "snapshot", help="pull a full snapshot of a running instance"
-    ), cmd_snapshot)
-    snapshot.add_argument("--out", required=True, help="archive file to write")
-    _add_flags(snapshot, params_of("durability", "snapshot"))
-
-    restore = live(commands.add_parser(
-        "restore", help="restore a running instance from a snapshot archive"
-    ), cmd_restore)
-    _add_flags(restore, params_of("durability", "restore"))
-
-    backup = commands.add_parser(
-        "backup", help="backup lifecycle of a running instance"
-    )
-    backup_actions = backup.add_subparsers(
-        dest="backup_action", required=True
-    )
-    for action, summary in (
-        ("snapshot", "take a full or incremental snapshot"),
-        ("restore", "point-in-time restore from the backup store"),
-        ("prune", "apply retention policy to the snapshot catalog"),
-        ("verify", "restore the latest chain into a scratch instance "
-                   "and check it"),
-        ("list", "list the snapshot catalog"),
-    ):
-        sub = live(backup_actions.add_parser(action, help=summary), cmd_backup)
-        _add_flags(sub, params_of("backup", action))
-
-    heat = live(commands.add_parser(
-        "heat",
-        help="workload heat: hot keys, tier occupancy, access skew",
-    ), cmd_heat)
-    heat.add_argument(
-        "--enable", action="store_true",
-        help="turn the tracker on first (it starts disabled)",
-    )
-    _add_flags(heat, features.FEATURES["heat"].options)
-    _add_flags(heat, params_of("heat", "summary"))
-    heat.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-
-    placement = commands.add_parser(
-        "placement",
-        help="adaptive placement: inspect the plan, status, or run a cycle",
-    )
-    placement.add_argument(
-        "placement_action", nargs="?", default="status",
-        choices=("status", "plan", "run"),
-        help="status (engine state), plan (score candidates without "
-             "moving), run (execute one cycle now)",
-    )
-    live(placement, cmd_placement)
-    placement.add_argument(
-        "--enable", action="store_true",
-        help="configure the engine on first (it starts disabled)",
-    )
-    _add_flags(placement, features.FEATURES["placement"].options)
-    placement.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-
-    crashsweep = commands.add_parser(
-        "crashsweep",
-        help="crash at every boundary of a scripted workload and verify recovery",
+    crashsweep = command(
+        "crashsweep", cmd_crashsweep,
+        "crash at every boundary of a scripted workload and verify recovery",
     )
     crashsweep.add_argument("--deployment", default="write-through")
     crashsweep.add_argument("--seed", type=int, default=2014)
-    crashsweep.add_argument(
-        "--max-points", type=int, default=None,
-        help="sweep only the first N crash points",
-    )
-    crashsweep.set_defaults(func=cmd_crashsweep)
+    crashsweep.add_argument("--max-points", type=int,
+                            help="sweep only the first N crash points")
 
-    cluster = commands.add_parser(
-        "cluster",
-        help="replicated shard cluster: offline failover/migration drills "
-             "or live status over RPC",
-    )
-    cluster.add_argument(
-        "cluster_action", nargs="?", default="failover",
-        choices=("failover", "migrate-crash", "status", "fsck", "replay",
-                 "anti-entropy"),
-        help="failover/migrate-crash run offline simulations; "
-             "status/fsck/replay/anti-entropy talk to a running router",
-    )
-    cluster.add_argument("--seed", type=int, default=2014)
-    cluster.add_argument("--records", type=int, default=24)
-    cluster.add_argument("--duration", type=float, default=150.0)
-    cluster.add_argument("--clients", type=int, default=3)
-    cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument(
-        "--port", type=int, default=None,
-        help="RPC port of a running shard router (live actions only)",
-    )
-    for action in features.FEATURES["cluster"].actions:
-        _add_flags(cluster, action.params)
-    cluster.set_defaults(func=cmd_cluster)
+    groups = {row.name: _add_live(commands, row) for row in COMMANDS}
+    failover = command("failover", cmd_failover, "offline drill: kill a "
+                       "replicated shard mid-workload", groups["cluster"])
+    failover.add_argument("--seed", type=int, default=2014)
+    failover.add_argument("--records", type=int, default=24)
+    failover.add_argument("--duration", type=float, default=150.0)
+    failover.add_argument("--clients", type=int, default=3)
+    migrate = command("migrate-crash", cmd_migrate_crash, "offline drill: "
+                      "crash add_shard at every boundary", groups["cluster"])
+    migrate.add_argument("--seed", type=int, default=2014)
+    return parser
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # `placement` alone means `placement status`, `cluster` alone
+    # `cluster failover`: the subcommand goes in before any flag.
+    default = {"placement": "status", "cluster": "failover"}.get(
+        argv[0] if argv else ""
+    )
+    if default and (len(argv) == 1 or (
+        argv[1].startswith("-") and argv[1] not in ("-h", "--help")
+    )):
+        argv.insert(1, default)
     options = parser.parse_args(argv)
-    if options.command == "profile" and options.port is not None:
+    if options.command == "profile":
         local = [flag for flag, given in (
             ("--scenario", options.scenario is not None),
             ("--cprofile", options.cprofile),
         ) if given]
-        if local:
-            profile.error(
-                f"{' and '.join(local)} profile a local run, not --port"
+        if options.port is None and options.host is not None:
+            parser.error("profile --host names a server: it needs --port")
+        if options.port is not None and local:
+            parser.error(
+                f"profile {' and '.join(local)} profile a local run, "
+                "not --port"
             )
+        options.host = options.host or "127.0.0.1"
     try:
         return options.func(options)
     except BrokenPipeError:

@@ -749,13 +749,18 @@ class BackupManager:
         is a recorded policy violation), the newest active full, and
         any full/incremental a surviving snapshot's chain depends on.
         Retired (abandoned-timeline) snapshots are always discarded
-        unless immutable.
+        unless immutable.  A negative count is refused (``ValueError``)
+        before anything is read or deleted.
         """
+        for name, value in (("keep_last", keep_last),
+                            ("keep_window", keep_window)):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be at least 0, got {value}")
         now = self.instance.clock.now()
         active = self._active_snapshots()
         doomed_ids = set()
         if keep_last is not None:
-            for entry in active[:max(0, len(active) - max(0, int(keep_last)))]:
+            for entry in active[:max(0, len(active) - int(keep_last))]:
                 doomed_ids.add(int(entry["id"]))
         if keep_window is not None:
             for entry in active:
@@ -767,7 +772,7 @@ class BackupManager:
                 eid = int(entry["id"])
                 kept_by_last = (
                     keep_last is not None
-                    and entry in active[len(active) - max(0, int(keep_last)):]
+                    and entry in active[max(0, len(active) - int(keep_last)):]
                 )
                 kept_by_window = (
                     keep_window is not None

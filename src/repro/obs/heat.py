@@ -495,7 +495,11 @@ class HeatTracker:
         }
 
     def summary(self, limit: Optional[int] = None) -> Dict[str, object]:
-        """The full JSON-able heat snapshot (deterministic key order)."""
+        """The full JSON-able heat snapshot (deterministic key order);
+        ``limit`` caps the hot list — 0 is none, a negative one is
+        refused (``ValueError``), not an index from the end."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be at least 0, got {limit}")
         if not self.enabled:
             return {"enabled": False}
         hot = []

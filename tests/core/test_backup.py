@@ -424,6 +424,42 @@ class TestRetention:
         report = manager.prune()
         assert report["pruned"] == [abandoned["id"]]
 
+    @pytest.mark.parametrize("policy", [
+        {"keep_last": -1}, {"keep_window": -1.0},
+    ])
+    def test_a_negative_count_is_refused_and_deletes_nothing(
+        self, tmp_path, policy
+    ):
+        """Regression: ``keep_last=-1`` was clamped to keep none and a
+        negative window put the cutoff in the future — both pruned
+        every snapshot but the newest full."""
+        cluster, instance, server = _build(tmp_path)
+        manager = instance.backup
+        for i in range(4):
+            _put(cluster, server, f"k{i}", b"x" * 32)
+            manager.snapshot(kind="full")
+        catalog = json.dumps(manager.list_snapshots(), sort_keys=True)
+        with pytest.raises(ValueError, match="at least 0"):
+            manager.prune(**policy)
+        refused = server.invoke("backup", "prune", **policy)
+        assert not refused.ok and refused.error == "BAD_CONFIG"
+        assert json.dumps(manager.list_snapshots(), sort_keys=True) == catalog
+        assert [e["id"] for e in manager.snapshots] == [1, 2, 3, 4]
+        assert manager.prune(keep_last=0)["pruned"] == [1, 2, 3]
+
+    def test_keep_last_beyond_the_catalog_keeps_everything(self, tmp_path):
+        """Regression: with ``keep_last`` above the number of snapshots
+        the kept slice started from a negative index, so a window rule
+        pruned the oldest snapshot that ``keep_last`` keeps."""
+        cluster, instance, server = _build(tmp_path)
+        manager = instance.backup
+        for i in range(3):
+            _put(cluster, server, f"k{i}", b"x" * 32)
+            manager.snapshot(kind="full")
+            cluster.clock.run_until(cluster.clock.now() + 10.0)
+        report = manager.prune(keep_last=5, keep_window=1.0)
+        assert report["pruned"] == [] and report["kept"] == [1, 2, 3]
+
 
 class TestCrashAtomicity:
     def _crash_at(self, tmp_path, point):

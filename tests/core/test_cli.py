@@ -1,12 +1,19 @@
-"""The repro CLI: validate / cost / stats / profile / bench commands
-(serve itself is covered via the rpc tests)."""
+"""The repro CLI: validate / cost / stats / profile / bench commands, the
+live admin commands derived from the feature table, and their golden
+table (serve itself is covered via the rpc tests and the CI job)."""
 
+import argparse
 import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.core import features
+from repro.core.api import ManagementResult
 
 SPEC = """
 Tiera Demo() {
@@ -516,3 +523,378 @@ class TestLiveRouterCommands:
         assert main(["restore", "--port", str(rpc.port), archive]) == 1
         assert "BAD_CONFIG" in capsys.readouterr().err
         assert all(router.get_object(f"k{i}").ok for i in range(20))
+
+
+def _subcommands(parser):
+    return next((
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ), {})
+
+
+def _live_parsers():
+    """``(parser, row, action)`` of every live command and subcommand."""
+    for command in _subcommands(cli.build_parser()).values():
+        for parser in (command, *_subcommands(command).values()):
+            row = parser.get_default("row")
+            if row is not None:
+                yield parser, row, parser.get_default("action")
+
+
+def _never_connect(monkeypatch):
+    monkeypatch.setattr(
+        cli, "_connect", lambda options: pytest.fail("asked the server")
+    )
+
+
+class TestDerivedFromTheFeatureTable:
+    """The live commands are one table over ``features.FEATURES``."""
+
+    def test_every_table_action_is_reachable(self):
+        reached = {
+            (row.feature, action) for _, row, action in _live_parsers()
+            if action != "status"
+        }
+        assert reached == {
+            (feature.name, action.name)
+            for feature in features.FEATURES.values()
+            for action in feature.actions
+        }
+
+    def test_no_parser_takes_a_flag_its_action_does_not_declare(self):
+        common = {"-h", "--help", "--host", "--port"}
+        for parser, row, action in _live_parsers():
+            feature = features.FEATURES[row.feature]
+            act = feature.action(action)
+            declared = list(act.params if act else ())
+            allowed = set(common)
+            if row.enable:
+                declared += feature.options
+                allowed |= {"--enable", "--format"}
+            if act is not None and act.bytes_out:
+                allowed.add("--out")
+            for param in declared:
+                dest = param.flag or param.name
+                allowed.add(dest if param.type is bytes
+                            else "--" + dest.replace("_", "-"))
+            taken = {
+                name for arg in parser._actions
+                for name in (arg.option_strings or [arg.dest])
+            }
+            assert taken == allowed, (row.name, action)
+
+    def test_a_new_table_action_is_a_subcommand_with_its_flags(
+        self, monkeypatch, capsys
+    ):
+        spec = features.FEATURES["resilience"]
+        drain = features.Action(
+            "drain_queue", lambda server, max_items=None: {},
+            (features.Param("max_items", int, "stop after this many"),),
+        )
+        monkeypatch.setitem(features.FEATURES, "resilience", replace(
+            spec, actions=spec.actions + (drain,)
+        ))
+        calls = []
+
+        class Client:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def invoke(self, feature, action, **params):
+                calls.append((feature, action, params))
+                return ManagementResult(
+                    feature=feature, action=action, ok=True, enabled=True,
+                    state={"drained": params["max_items"]},
+                )
+
+        monkeypatch.setattr(cli, "_connect", lambda options: Client())
+        assert main([
+            "resilience", "drain-queue", "--port", "1", "--max-items", "3",
+        ]) == 0
+        assert calls == [("resilience", "drain_queue", {"max_items": 3})]
+        assert json.loads(capsys.readouterr().out) == {"drained": 3}
+
+
+class TestLiveCommandErrors:
+    def test_restore_of_a_missing_file_is_an_error_line(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """Regression: a ``FileNotFoundError`` traceback, after the CLI
+        had already connected."""
+        _never_connect(monkeypatch)
+        missing = str(tmp_path / "no-such.tar")
+        assert main(["restore", missing, "--port", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no-such.tar" in err
+
+    def test_snapshot_opens_its_output_before_asking_the_server(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """Regression: the server built the archive, then writing it to
+        a missing directory ended in a traceback."""
+        _never_connect(monkeypatch)
+        out = str(tmp_path / "no-such-dir" / "a.tar")
+        assert main(["snapshot", "--port", "1", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "a.tar" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "replay", "--port", "1", "--repair"],
+        ["cluster", "status", "--port", "1", "--target", "shard1"],
+        ["cluster", "anti-entropy", "--port", "1", "--repair"],
+        ["cluster", "failover", "--port", "1", "--target", "shard1"],
+        ["cluster", "migrate-crash", "--records", "5"],
+        ["profile", "--host", "127.0.0.1"],
+    ])
+    def test_a_flag_the_command_does_not_take_is_a_usage_error(
+        self, monkeypatch, capsys, argv
+    ):
+        """Regression: each of these ran and silently ignored a flag."""
+        import repro.bench.sim as sim
+
+        _never_connect(monkeypatch)
+        for drill in ("run_failover", "run_migration_crash"):
+            monkeypatch.setattr(sim, drill, lambda **kw: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_counts_are_refused_over_rpc(
+        self, live_rpc, tmp_path, capsys
+    ):
+        from repro.rpc import TieraClient
+
+        port = str(live_rpc.port)
+        with TieraClient(live_rpc.host, live_rpc.port) as conn:
+            conn.configure("backup", root=str(tmp_path / "bk")).raise_for_error()
+            conn.configure("heat").raise_for_error()
+            for _ in range(3):
+                conn.invoke("backup", "snapshot", kind="full").raise_for_error()
+        for argv in (["backup", "prune", "--keep-last", "-1"],
+                     ["backup", "prune", "--keep-window", "-1"],
+                     ["heat", "--limit", "-1"]):
+            assert main([*argv, "--port", port]) == 1
+            assert "[BAD_CONFIG]" in capsys.readouterr().err
+        assert main(["backup", "list", "--port", port]) == 0
+        assert capsys.readouterr().out.count(" full: ") == 3
+
+
+class TestOneAnswerWhenOff:
+    """A feature that is off: its ``{"enabled": false}`` document through
+    the command's renderer, one hint line on stderr, exit 1."""
+
+    @pytest.mark.parametrize("argv,out,hint", [
+        (["heat"], "heat tracking is not enabled (pass --enable)\n",
+         "pass --enable"),
+        (["placement", "plan"], "placement: disabled\n", "pass --enable"),
+        (["placement", "--format", "json"], '{\n  "enabled": false\n}\n',
+         "pass --enable"),
+        (["backup", "list"], "", "serve with --backup-root"),
+        (["backup", "verify"], '{\n  "enabled": false\n}\n',
+         "serve with --backup-root"),
+        (["resilience", "replay"], '{\n  "enabled": false\n}\n',
+         "management API"),
+        (["cluster", "fsck"], '{\n  "enabled": false\n}\n',
+         "not a replicated shard cluster"),
+    ], ids=["heat", "placement-plan", "placement-json", "backup-list",
+            "backup-verify", "resilience-replay", "cluster-fsck"])
+    def test_off_feature(self, live_rpc, capsys, argv, out, hint):
+        assert main([*argv, "--port", str(live_rpc.port)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == out
+        [line] = captured.err.splitlines()
+        assert "is not enabled on this server" in line and hint in line
+
+
+class TestTableOnlyActions:
+    """``backup mark-immutable`` and ``resilience replay``: table actions
+    that had no command."""
+
+    def test_resilience_replay(self, live_rpc, capsys):
+        from repro.rpc import TieraClient
+
+        with TieraClient(live_rpc.host, live_rpc.port) as conn:
+            conn.configure("resilience").raise_for_error()
+        assert main(["resilience", "replay", "--port", str(live_rpc.port)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "replay_kicked" in doc and "repair_queue" in doc
+
+    def test_backup_mark_immutable(self, live_rpc, tmp_path, capsys):
+        from repro.rpc import TieraClient
+
+        port = str(live_rpc.port)
+        with TieraClient(live_rpc.host, live_rpc.port) as conn:
+            conn.configure("backup", root=str(tmp_path / "bk")).raise_for_error()
+        assert main(["backup", "snapshot", "--port", port]) == 0
+        capsys.readouterr()
+        assert main([
+            "backup", "mark-immutable", "--port", port, "--snapshot-id", "1",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["immutable"] is True
+        assert main(["backup", "list", "--port", port]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(" immutable")
+        assert main([
+            "backup", "mark-immutable", "--port", port, "--snapshot-id", "9",
+        ]) == 1
+        assert "[BACKUP_ERROR]" in capsys.readouterr().err
+
+
+# -- the golden table ---------------------------------------------------------
+#
+# stdout and exit code of every live command x action x --format against
+# four simulated-clock deployments, so every number is a pure function of
+# the script.  ``cli_golden.json`` holds the expected entries; steps that
+# start with ``@`` drive the served façade in process between commands.
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+_OFF_FEATURES = [
+    ["heat"], ["heat", "--format", "json"],
+    ["placement"], ["placement", "status", "--format", "json"],
+    ["placement", "plan"], ["placement", "plan", "--format", "json"],
+    ["placement", "run"], ["placement", "run", "--format", "json"],
+    ["backup", "list"], ["backup", "snapshot"], ["backup", "verify"],
+    ["backup", "prune", "--keep-last", "1"],
+    ["backup", "restore", "--snapshot-id", "1"],
+    ["cluster", "status"], ["cluster", "fsck"], ["cluster", "replay"],
+    ["cluster", "anti-entropy"],
+]
+
+_HEAT_AND_PLACEMENT = [
+    ["heat", "--enable", "--hot-min", "2", "--top-k", "8"],
+    ["@drive"],
+    ["heat"], ["heat", "--format", "json"],
+    ["heat", "--limit", "1", "--format", "json"],
+    ["placement", "status", "--enable", "--objective", "latency"],
+    ["placement", "status", "--format", "json"],
+    ["placement", "plan"], ["placement", "plan", "--format", "json"],
+    ["placement", "run"], ["placement", "status"],
+    ["placement", "run", "--format", "json"],
+]
+
+GOLDEN_STEPS = {
+    "instance": [
+        ["fsck"], ["fsck", "--repair"],
+        ["snapshot", "--out", "{tmp}/a.tar"],
+        ["snapshot", "--out", "{tmp}/v.tar", "--include-volatile"],
+        ["restore", "{tmp}/a.tar"],
+        *_OFF_FEATURES,
+        *_HEAT_AND_PLACEMENT,
+        ["@configure", "resilience"], ["@configure", "slo"], ["@drive"],
+        ["stats"],
+    ],
+    "backup": [
+        ["backup", "list"], ["backup", "snapshot", "--kind", "full"],
+        ["@drive"],
+        ["backup", "snapshot"], ["backup", "list"], ["backup", "verify"],
+        ["stats"],
+        ["backup", "restore", "--snapshot-id", "1"], ["backup", "list"],
+        ["backup", "snapshot", "--kind", "full", "--immutable"],
+        ["backup", "prune", "--keep-last", "5"],
+        ["backup", "prune", "--keep-last", "1"],
+        ["backup", "prune", "--keep-window", "0.5"],
+        ["backup", "restore", "--snapshot-id", "99"],
+        ["backup", "list"], ["stats"],
+    ],
+    "four_shards": [
+        ["fsck"], ["fsck", "--repair"],
+        ["snapshot", "--out", "{tmp}/r.tar"], ["restore", "{tmp}/r.tar"],
+        ["restore", "{tmp}/r.tar"],
+        *_OFF_FEATURES,
+        *_HEAT_AND_PLACEMENT,
+        ["stats"],
+    ],
+    "replicated": [
+        ["cluster", "status"], ["cluster", "fsck"],
+        ["cluster", "fsck", "--repair"], ["cluster", "replay"],
+        ["cluster", "replay", "--target", "shard1"],
+        ["cluster", "anti-entropy"],
+        ["fsck"], ["heat"], ["placement", "plan"], ["backup", "list"],
+        ["heat", "--enable"], ["@drive"], ["heat", "--format", "json"],
+        ["stats"],
+    ],
+}
+
+
+def _golden_server(deployment: str, tmp: str):
+    """``(served façade, stop)`` for one golden deployment."""
+    from repro.core.server import TieraServer
+    from repro.core.sharding import ShardedTieraServer
+    from repro.core.templates import write_through_instance
+    from repro.simcloud.cluster import Cluster
+    from repro.tiers.registry import TierRegistry
+
+    def instance(seed):
+        return TieraServer(write_through_instance(
+            TierRegistry(Cluster(seed=seed)), mem="4M", ebs="4M"
+        ))
+
+    stop = []
+    if deployment == "four_shards":
+        server = ShardedTieraServer({f"s{i}": instance(i) for i in range(4)})
+    elif deployment == "replicated":
+        from repro.bench.sim import build_shard_cluster
+        from repro.core.cluster import ClusterConfig
+
+        _, server, _, _ = build_shard_cluster(
+            shards=3, config=ClusterConfig(replication_factor=2)
+        )
+        stop.append(server.cluster.stop)
+    else:
+        server = instance(7)
+        if deployment == "backup":
+            server.configure("backup", root=f"{tmp}/bk").raise_for_error()
+    for i in range(12):
+        server.put_object(f"k{i}", b"v%d" % i * 16).raise_for_error()
+    return server, stop
+
+
+def run_golden(deployment: str, tmp: str):
+    """Run one deployment's golden script; its ``[{argv, exit, stdout}]``."""
+    import contextlib
+    import io
+
+    from repro.rpc import TieraRpcServer
+
+    server, stop = _golden_server(deployment, tmp)
+    rpc = TieraRpcServer(server, port=0).start()
+    entries = []
+    try:
+        for step in GOLDEN_STEPS[deployment]:
+            if step[0] == "@drive":
+                for _ in range(4):
+                    for key in ("k0", "k1"):
+                        server.get_object(key).raise_for_error()
+                    server.put_object("k2", b"w" * 64).raise_for_error()
+                continue
+            if step[0] == "@configure":
+                server.configure(step[1]).raise_for_error()
+                continue
+            argv = [arg.replace("{tmp}", tmp) for arg in step]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--port", str(rpc.port)])
+            entries.append({
+                "argv": step, "exit": code,
+                "stdout": out.getvalue().replace(tmp, "<tmp>"),
+            })
+    finally:
+        rpc.stop()
+        for call in stop:
+            call()
+    return entries
+
+
+@pytest.mark.parametrize("deployment", sorted(GOLDEN_STEPS))
+def test_golden_table(deployment, tmp_path):
+    """Every live command's stdout and exit code, byte for byte."""
+    expected = json.loads(GOLDEN.read_text())[deployment]
+    got = run_golden(deployment, str(tmp_path))
+    assert [e["argv"] for e in got] == [e["argv"] for e in expected]
+    for have, want in zip(got, expected):
+        assert have == want, " ".join(want["argv"])

@@ -217,6 +217,18 @@ class TestHeatTracker:
         assert families["tiera_heat_tracked_objects"]["samples"] == {"": 1.0}
         assert families["tiera_heat_hot_count"]["samples"] == {"key=k": 5.0}
 
+    def test_limit_zero_is_none_and_negative_is_refused(self):
+        """Regression: ``limit=-1`` sliced ``[:-1]`` and silently dropped
+        the coldest hot key (``-3`` dropped all three)."""
+        tracker = make_tracker(hot_min=1)
+        for t, key in enumerate(["k0"] * 3 + ["k1"] * 2 + ["k2"]):
+            tracker.record("get", key, at=float(t))
+        assert tracker.summary()["hot_keys"] == ["k0", "k1", "k2"]
+        assert tracker.summary(limit=0)["hot_keys"] == []
+        for limit in (-1, -3):
+            with pytest.raises(ValueError, match="at least 0"):
+                tracker.summary(limit=limit)
+
     def test_enable_is_idempotent_and_reconfigures(self):
         tracker = make_tracker(top_k=4)
         tracker.record("get", "k", at=0.0)
@@ -377,3 +389,19 @@ class TestServerHeatSurface:
         summary = server.invoke("heat", "summary").state
         assert summary["enabled"] and summary["hot_keys"] == ["k"]
         assert "tier1" in summary["tiers"]
+
+    def test_a_negative_limit_is_bad_config_on_direct_and_router(
+        self, registry
+    ):
+        from repro.core.sharding import ShardedTieraServer
+
+        def server():
+            return TieraServer(build_instance(
+                registry, [("tier1", "Memcached", 64 * 1024)]
+            ))
+
+        for facade in (server(), ShardedTieraServer({"a": server(),
+                                                     "b": server()})):
+            facade.configure("heat").raise_for_error()
+            refused = facade.invoke("heat", "summary", limit=-1)
+            assert not refused.ok and refused.error == "BAD_CONFIG"
