@@ -298,7 +298,7 @@ DEPLOYMENTS: Dict[str, Callable[..., object]] = {
 #: What the chaos matrix and the instance crash sweep (and its CI
 #: crash-matrix job) cover.
 CHAOS_DEPLOYMENTS = ("write-through", "cached-s3")
-CRASH_DEPLOYMENTS = ("write-through", "writeback")
+CRASH_DEPLOYMENTS = ("write-through", "writeback", "lru-tiered", "cached-s3")
 
 
 @dataclass

@@ -50,7 +50,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from repro.core.errors import NoSuchObjectError, TieraError
 from repro.core.objects import ObjectMeta, content_checksum
-from repro.core.responses import Conditional, Copy, Store, StoreOnce
+from repro.core.responses import Conditional, Copy, Move, Store, StoreOnce
 from repro.obs.audit import AuditRecord
 from repro.simcloud.errors import SimCloudError
 from repro.simcloud.resources import RequestContext
@@ -462,7 +462,7 @@ def insert_targets(instance) -> List[str]:
     """Durable tiers the policy writes every new object to.
 
     Walks the policy's ``insert`` action rules collecting
-    Store/StoreOnce/Copy destinations (through Conditional branches).
+    Store/StoreOnce/Copy/Move destinations (through Conditional branches).
     Only durable targets count: volatile ones (memcached) may legally
     lose or evict their copy, so their absence is not a finding.
     """
@@ -470,7 +470,7 @@ def insert_targets(instance) -> List[str]:
 
     def walk(responses) -> None:
         for response in responses:
-            if isinstance(response, (Store, StoreOnce, Copy)):
+            if isinstance(response, (Store, StoreOnce, Copy, Move)):
                 names.extend(response.to)
             elif isinstance(response, Conditional):
                 walk(response.then)

@@ -479,7 +479,7 @@ class TieraInstance:
         tier_names: Sequence[str],
         ctx: RequestContext,
         evict_to: Optional[str] = None,
-        on_write=None,
+        redirect: bool = True,
     ) -> None:
         """Place ``data`` in several tiers, overlapped in virtual time.
 
@@ -493,29 +493,60 @@ class TieraInstance:
         Failure semantics also match the serial loop: the first failing
         insert stops later tiers from being attempted, and its exception
         re-raises after the join (the failed branch's spent time — e.g.
-        a full timeout — still holds the join back).  ``on_write`` is
-        called with each tier name that completed.
+        a full timeout — still holds the join back).  A call that returns
+        wrote every named tier (or, with ``redirect``, degraded it).
         """
         names = list(tier_names)
         if len(names) == 1:
-            self.write_to_tier(key, data, names[0], ctx, evict_to=evict_to)
-            if on_write is not None:
-                on_write(names[0])
+            self.write_to_tier(
+                key, data, names[0], ctx, evict_to=evict_to, redirect=redirect
+            )
             return
         branches = ctx.scatter()
         failure: Optional[Exception] = None
         for tier_name in names:
             bctx = branches.branch()
             try:
-                self.write_to_tier(key, data, tier_name, bctx, evict_to=evict_to)
+                self.write_to_tier(
+                    key, data, tier_name, bctx, evict_to=evict_to, redirect=redirect
+                )
             except Exception as exc:  # ProcessCrash is BaseException: flies
                 failure = exc
                 break
-            if on_write is not None:
-                on_write(tier_name)
         branches.join()
         if failure is not None:
             raise failure
+
+    def relocate(
+        self,
+        key: str,
+        to: Sequence[str],
+        ctx: RequestContext,
+        *,
+        data: Optional[bytes] = None,
+        prefer: Optional[str] = None,
+        drop_from: Iterable[str] = (),
+        redirect: bool = True,
+    ) -> None:
+        """The one cross-tier mover: land ``key``'s bytes in every tier
+        of ``to``, then drop it from each tier of ``drop_from`` that is
+        not a destination.
+
+        The bytes are ``data``, or else a :meth:`read_raw` (``prefer``
+        picks the source) — read only when ``to`` is non-empty.  The
+        write is :meth:`write_fanout`'s, ``redirect`` included.
+        ``drop_from`` is taken as it was on entry, so a degraded write's
+        fallback tier is never dropped, and the drops run in name order.
+        Whether a destination that already holds the key still needs the
+        bytes is the caller's call; ``dirty`` is the policy's.
+        """
+        drop = sorted(set(drop_from) - set(to))
+        if to:
+            if data is None:
+                data = self.read_raw(key, ctx, prefer=prefer)
+            self.write_fanout(key, data, to, ctx, redirect=redirect)
+        for tier_name in drop:
+            self.remove_from_tier(key, tier_name, ctx)
 
     def _make_room(
         self,
@@ -525,31 +556,31 @@ class TieraInstance:
         ctx: RequestContext,
         protect: str,
     ) -> None:
-        """Evict least-recently-used residents until ``incoming`` fits."""
+        """Evict least-recently-used residents until ``incoming`` fits.
+
+        Evicting may overflow the destination too: its own write makes
+        room down the instance's eviction chain (Table 2's exclusive
+        Memcached -> EBS -> S3 arrangement).
+        """
         drop_mode = evict_to == DROP
         dest = None if drop_mode else self.tiers.get(evict_to)
         while not tier.can_fit(incoming):
             victim = tier.oldest
             if victim is None or victim == protect:
                 break
-            victim_meta = self.meta(victim)
-            if drop_mode:
-                if len(victim_meta.locations) < 2:
-                    # The victim lives nowhere else; dropping would lose
-                    # data.  Refuse and let the caller hit NoCapacity.
-                    break
-                self.remove_from_tier(victim, tier.name, ctx)
-                continue
-            blob = tier.get(victim, ctx)
-            if not dest.contains(victim):
-                # Evicting may overflow the destination too: cascade down
-                # the instance's eviction chain (Table 2's exclusive
-                # Memcached -> EBS -> S3 arrangement).
-                self.write_to_tier(
-                    victim, blob, evict_to, ctx,
-                    evict_to=self.eviction_chain.get(evict_to),
-                )
-            self.remove_from_tier(victim, tier.name, ctx)
+            held = self.meta(victim).locations  # no row: raise, move nothing
+            if drop_mode and len(held) < 2:
+                # The victim lives nowhere else; dropping would lose
+                # data.  Refuse and let the caller hit NoCapacity.
+                break
+            # Skip a destination that physically holds the victim, even
+            # a stale copy of it (ROADMAP item 1, defect (a)).
+            to = () if drop_mode or dest.contains(victim) else (evict_to,)
+            self.relocate(
+                victim, to, ctx,
+                data=tier.get(victim, ctx) if to else None,
+                drop_from=(tier.name,),
+            )
 
     def read_raw(
         self,
@@ -850,7 +881,7 @@ class TieraInstance:
             target = candidates[-1].name if candidates else self.tiers.first().name
         self.create_object(version_key, len(data), tags={"version"})
         self._versions.setdefault(key, {})[version_key] = meta.version
-        self.write_to_tier(version_key, data, target, ctx)
+        self.relocate(version_key, (target,), ctx, data=data)
         self._trim_versions(key, ctx)
         return version_key
 

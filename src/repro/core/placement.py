@@ -652,16 +652,14 @@ class PlacementEngine:
         src = decision["from"]
         dst = decision["to"]
         if decision["action"] in ("promote", "prewarm"):
-            data = self.instance.read_raw(key, ctx, prefer=src)
-            self.instance.write_to_tier(key, data, dst, ctx)
+            self.instance.relocate(key, (dst,), ctx, prefer=src)
             return
         # demote: drop the fast copy, first materializing a slower one
-        # if the object lives nowhere below the source tier.
-        meta = self.instance.meta(key)
-        if dst not in meta.locations:
-            data = self.instance.read_raw(key, ctx, prefer=src)
-            self.instance.write_to_tier(key, data, dst, ctx)
-        self.instance.remove_from_tier(key, src, ctx)
+        # unless the object already lists one there (ROADMAP item 1).
+        held = dst in self.instance.meta(key).locations
+        self.instance.relocate(
+            key, () if held else (dst,), ctx, prefer=src, drop_from=(src,)
+        )
 
     def _audit(
         self, plan, origin, applied, bytes_moved, tiers_touched, ctx

@@ -395,14 +395,7 @@ class ResilienceLayer:
             break
         if fallback is None:
             raise cause
-        instance.write_to_tier(
-            key,
-            data,
-            fallback.name,
-            ctx,
-            evict_to=instance.eviction_chain.get(fallback.name),
-            redirect=False,
-        )
+        instance.relocate(key, (fallback.name,), ctx, data=data, redirect=False)
         self.degraded_write_count += 1
         self._degraded.inc(tier=failed_tier, fallback=fallback.name)
         enqueued = self.repair_queue.add(key, failed_tier, self.clock.now())
@@ -447,8 +440,8 @@ class ResilienceLayer:
         bg = ctx.fork()
         for tier_name in corrupted_tiers:
             try:
-                self.instance.write_to_tier(
-                    key, data, tier_name, ctx=bg, redirect=False
+                self.instance.relocate(
+                    key, (tier_name,), bg, data=data, redirect=False
                 )
             except Exception as exc:  # noqa: BLE001 - repair is best-effort
                 self.repair_queue.add(key, tier_name, self.clock.now())
@@ -521,10 +514,7 @@ class ResilienceLayer:
             if not instance.has_object(task.key):
                 continue  # deleted since; nothing to repair
             try:
-                data = instance.read_raw(task.key, ctx)
-                instance.write_to_tier(
-                    task.key, data, tier_name, ctx, redirect=False
-                )
+                instance.relocate(task.key, (tier_name,), ctx, redirect=False)
             except (TieraError, SimCloudError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 self.repair_queue.requeue(task)

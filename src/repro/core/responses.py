@@ -53,11 +53,11 @@ def _payload_for(scope: EvalScope, key: str, ctx: RequestContext) -> bytes:
     return scope.instance.read_raw(key, ctx)
 
 
-def _note_write(scope: EvalScope, key: str, tier: str, placed: bool) -> None:
-    """Record on the in-flight action that its payload reached ``tier``."""
+def _note_write(scope: EvalScope, key: str, tiers, placed: bool) -> None:
+    """Record on the in-flight action that its payload reached ``tiers``."""
     action = scope.action
     if action is not None and action.key == key and action.data is not None:
-        action.stored_in.add(tier)
+        action.stored_in.update(tiers)
         if placed:
             action.placed = True
 
@@ -87,12 +87,8 @@ class Store(Response):
             data = _payload_for(scope, key, ctx)
             # Multi-tier inserts overlap: the request pays max() over the
             # destination tiers, not their sum (see write_fanout).
-            instance.write_fanout(
-                key, data, self.to, ctx, evict_to=self.evict_to,
-                on_write=lambda tier, k=key: _note_write(
-                    scope, k, tier, placed=True
-                ),
-            )
+            instance.write_fanout(key, data, self.to, ctx, evict_to=self.evict_to)
+            _note_write(scope, key, self.to, placed=True)
 
 
 @dataclass
@@ -126,12 +122,8 @@ class StoreOnce(Response):
                 if scope.action is not None and scope.action.key == key:
                     scope.action.placed = True
                 continue
-            instance.write_fanout(
-                key, data, self.to, ctx, evict_to=self.evict_to,
-                on_write=lambda tier, k=key: _note_write(
-                    scope, k, tier, placed=True
-                ),
-            )
+            instance.write_fanout(key, data, self.to, ctx, evict_to=self.evict_to)
+            _note_write(scope, key, self.to, placed=True)
             instance.dedup_register(checksum, key)
 
 
@@ -156,23 +148,20 @@ class Retrieve(Response):
             data = instance.read_raw(key, ctx)
             if self.promote_to is None:
                 continue
-            previous = set(instance.meta(instance.resolve_alias(key)).locations)
             physical = instance.resolve_alias(key)
-            instance.write_to_tier(physical, data, self.promote_to, ctx)
-            if self.exclusive:
-                for tier_name in previous - {self.promote_to}:
-                    instance.remove_from_tier(physical, tier_name, ctx)
+            sources = instance.meta(physical).locations if self.exclusive else ()
+            instance.relocate(
+                physical, (self.promote_to,), ctx, data=data, drop_from=sources
+            )
 
 
-class Copy(Response):
-    """Copy objects to destination tiers, optionally bandwidth-capped.
+class _Transfer(Response):
+    """The body :class:`Copy` and :class:`Move` share: pace under the
+    cap, :meth:`~repro.core.instance.TieraInstance.relocate`, note the
+    in-flight action, and clear ``dirty`` once a durable tier landed."""
 
-    A successful copy to a durable tier clears the object's dirty flag —
-    this is the write-back semantics of Figure 3 ("copying data to
-    persistent store on a timer event").  When a cap is given, transfers
-    are paced on a private lane so they stop monopolising the device
-    that foreground requests need (Figure 14).
-    """
+    #: a move leaves the tiers it came from and counts as placing the object
+    moves = False
 
     def __init__(self, what: Selector, to, bandwidth=None, clear_dirty: bool = True):
         self.what = what
@@ -188,64 +177,49 @@ class Copy(Response):
                 start = self.cap.next_start(ctx.time, len(data))
                 if start > ctx.time:
                     ctx.wait(start - ctx.time)
-            copied_durable = False
-
-            def note_copy(tier, k=key):
-                nonlocal copied_durable
-                _note_write(scope, k, tier, placed=False)
-                if instance.tiers.get(tier).durable:
-                    copied_durable = True
-
-            instance.write_fanout(key, data, self.to, ctx, on_write=note_copy)
-            if self.clear_dirty and copied_durable:
+            instance.relocate(
+                key, self.to, ctx, data=data,
+                drop_from=instance.meta(key).locations if self.moves else (),
+            )
+            _note_write(scope, key, self.to, placed=self.moves)
+            if self.clear_dirty and any(
+                instance.tiers.get(tier).durable for tier in self.to
+            ):
                 meta = instance.meta(key)
                 meta.dirty = False
                 instance.persist_meta(meta)
 
     def __repr__(self) -> str:
-        return f"Copy(what={self.what!r}, to={self.to!r}, cap={self.cap!r})"
+        return (
+            f"{type(self).__name__}(what={self.what!r}, to={self.to!r}, "
+            f"cap={self.cap!r})"
+        )
 
 
-class Move(Response):
-    """Move objects to destination tiers (Table 1: ``move``).
+class Copy(_Transfer):
+    """Copy objects to destination tiers, optionally bandwidth-capped.
 
-    Writes to every destination, then removes the object from each tier
-    it previously occupied that is not a destination.  Like
-    :class:`Copy`, landing on a durable tier clears the dirty flag.
+    A successful copy to a durable tier clears the object's dirty flag —
+    this is the write-back semantics of Figure 3 ("copying data to
+    persistent store on a timer event") — unless ``clear_dirty`` is off
+    (Table 3's High Durability).  When a cap is given, transfers are
+    paced on a private lane so they stop monopolising the device that
+    foreground requests need (Figure 14).
     """
 
+
+class Move(_Transfer):
+    """Move objects to destination tiers (Table 1: ``move``).
+
+    :class:`Copy`'s body, then the object leaves each tier it previously
+    occupied that is not a destination.  Not a subclass of ``Copy``:
+    fsck's durable insert targets tell the two apart.
+    """
+
+    moves = True
+
     def __init__(self, what: Selector, to, bandwidth=None):
-        self.what = what
-        self.to = _tier_list(to)
-        self.cap: Optional[BandwidthCap] = cap_from(bandwidth)
-
-    def execute(self, scope: EvalScope, ctx: RequestContext) -> None:
-        instance = scope.instance
-        for key in self.what.resolve(scope):
-            meta = instance.meta(key)
-            sources = set(meta.locations)
-            data = _payload_for(scope, key, ctx)
-            if self.cap is not None:
-                start = self.cap.next_start(ctx.time, len(data))
-                if start > ctx.time:
-                    ctx.wait(start - ctx.time)
-            landed_durable = False
-
-            def note_move(tier, k=key):
-                nonlocal landed_durable
-                _note_write(scope, k, tier, placed=True)
-                if instance.tiers.get(tier).durable:
-                    landed_durable = True
-
-            instance.write_fanout(key, data, self.to, ctx, on_write=note_move)
-            for tier_name in sources - set(self.to):
-                instance.remove_from_tier(key, tier_name, ctx)
-            if landed_durable:
-                meta.dirty = False
-            instance.persist_meta(meta)
-
-    def __repr__(self) -> str:
-        return f"Move(what={self.what!r}, to={self.to!r}, cap={self.cap!r})"
+        super().__init__(what, to, bandwidth)
 
 
 @dataclass
@@ -265,9 +239,10 @@ class Delete(Response):
             if self.tiers is None:
                 instance.delete_object(key, ctx)
                 continue
-            for tier_name in self.tiers:
-                if instance.meta(key).in_tier(tier_name):
-                    instance.remove_from_tier(key, tier_name, ctx)
+            instance.relocate(
+                key, (), ctx,
+                drop_from=instance.meta(key).locations & set(self.tiers),
+            )
 
 
 def _keystream(key: str, length: int) -> bytes:
@@ -475,7 +450,7 @@ class Snapshot(Response):
             data = instance.read_raw(key, ctx)
             snap_key = f"{key}@{self.label}"
             instance.create_object(snap_key, len(data), tags={"snapshot"})
-            instance.write_to_tier(snap_key, data, self.to, ctx)
+            instance.relocate(snap_key, (self.to,), ctx, data=data)
 
 
 @dataclass

@@ -212,10 +212,8 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         """No rule placed the object: put it in the first-declared tier,
         making room down the eviction chain if one is configured."""
         instance = self.instance
-        first = instance.tiers.first().name
-        evict_to = instance.eviction_chain.get(first)
-        instance.write_to_tier(
-            action.key, action.data or b"", first, ctx, evict_to=evict_to
+        instance.write_fanout(
+            action.key, action.data or b"", (instance.tiers.first().name,), ctx
         )
 
     def _get(

@@ -20,9 +20,10 @@ from repro.core.durability import (
 from repro.core.events import ActionEvent
 from repro.core.objects import content_checksum
 from repro.core.policy import Policy, Rule
-from repro.core.responses import Store
+from repro.core.responses import Move, Store
 from repro.core.selectors import InsertObject
 from repro.core.server import TieraServer
+from repro.core.templates import dedup_instance
 from repro.kvstore import MemoryStore
 from repro.simcloud.cluster import Cluster
 from repro.simcloud.errors import ProcessCrash
@@ -270,6 +271,19 @@ class TestFsck:
         assert service._data["alpha"] == b"alpha bytes"
         assert fsck(instance)["clean"]
 
+    def test_move_on_insert_is_a_durable_target(self):
+        move_in = Rule(
+            ActionEvent("insert"), [Move(InsertObject(), "tier2")],
+            name="move-in",
+        )
+        cluster, instance, _ = _build(rules=(move_in,))
+        assert insert_targets(instance) == ["tier2"]
+        instance.create_object("k", 2)
+        instance.write_to_tier("k", b"kk", "tier1", RequestContext(cluster.clock))
+        assert [
+            (f["kind"], f["key"], f["tier"]) for f in fsck(instance)["findings"]
+        ] == [("under-replicated", "k", "tier2")]
+
     def test_report_only_mode_changes_nothing(self):
         _, instance, _ = self._seeded()
         service = instance.tiers.get("tier2").service
@@ -278,6 +292,62 @@ class TestFsck:
         report = fsck(instance, repair=False)
         assert not report["clean"] and report["repair"] is False
         assert instance.state_digest() == before
+
+
+class TestAliasOverwriteCrash:
+    """Overwrite a storeOnce canonical that has an alias, crashing at
+    each boundary of the overwrite's first write (ROADMAP defect (c))."""
+
+    OLD, NEW = b"old bytes " * 16, b"new bytes " * 16
+    POINTS = ("write.begin", "write.journaled", "write.data", "write.meta",
+              "write.commit")
+
+    def _crash_and_reopen(self, point):
+        cluster = Cluster(seed=2014)
+        instance = dedup_instance(TierRegistry(cluster), mem="16M")
+        instance.enable_durability()
+        server = TieraServer(instance)
+        server.put_object("a", self.OLD).raise_for_error()
+        server.put_object("b", self.OLD).raise_for_error()
+        assert instance.meta("b").alias_of == "a"
+        instance.crash_points = CrashPointInjector().arm(point, 0)
+        with pytest.raises(ProcessCrash):
+            server.put_object("a", self.NEW)
+        simulate_crash(instance)
+        successor, recovery = reopen_instance(
+            name=instance.name,
+            tiers=list(instance.tiers.ordered()),
+            policy=instance.policy,
+            clock=cluster.clock,
+            metadata_store=instance.metadata_store,
+            eviction_chain=dict(instance.eviction_chain),
+        )
+        return successor, recovery
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_the_alias_keeps_its_bytes_and_fsck_is_clean(self, point):
+        successor, _ = self._crash_and_reopen(point)
+        server = TieraServer(successor)
+        assert server.get_object("b").raise_for_error().value == self.OLD
+        assert fsck(successor)["clean"]
+
+    @pytest.mark.parametrize("point", [
+        pytest.param("write.begin", marks=pytest.mark.xfail(
+            strict=True,
+            reason="defect (c): _handoff_to_heir empties the canonical's "
+            "locations before any intent exists, so recovery's fsck drops "
+            "the acked object as lost",
+        )),
+        *POINTS[1:],
+    ])
+    def test_the_canonical_survives(self, point):
+        successor, recovery = self._crash_and_reopen(point)
+        assert recovery["fsck"]["counts"]["findings"] == 0
+        # Before its intent exists the overwrite may vanish, the acked
+        # old bytes never; once journaled it rolls forward.
+        allowed = (self.OLD, self.NEW) if point == "write.begin" else (self.NEW,)
+        result = TieraServer(successor).get_object("a").raise_for_error()
+        assert result.value in allowed
 
 
 class TestSnapshotRestore:

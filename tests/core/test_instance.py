@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.conditions import EvalScope
 from repro.core.errors import (
     NoCapacityError,
     NoSuchObjectError,
@@ -10,10 +11,12 @@ from repro.core.errors import (
 from repro.core.instance import DROP
 from repro.core.policy import Rule
 from repro.core.events import ActionEvent
-from repro.core.responses import Store
-from repro.core.selectors import InsertObject
+from repro.core.responses import Retrieve, Store
+from repro.core.selectors import InsertObject, NamedObjects
 from repro.core.server import TieraServer
 from repro.kvstore import LogStore
+from repro.simcloud.errors import ServiceUnavailableError
+from repro.simcloud.faults import FaultProfile
 from repro.simcloud.resources import RequestContext
 from tests.core.conftest import build_instance
 
@@ -121,6 +124,107 @@ class TestEvictionChain:
         inst.create_object("b", 4096)
         with pytest.raises(NoCapacityError):
             inst.write_to_tier("b", bytes(4096), "cache", ctx)
+
+    def test_a_victim_the_destination_holds_is_dropped_unread(self, two_tier, ctx):
+        two_tier.eviction_chain["tier1"] = "tier2"
+        two_tier.create_object("victim", 32 * 1024)
+        for tier_name in ("tier2", "tier1"):
+            two_tier.write_to_tier("victim", bytes(32 * 1024), tier_name, ctx)
+        tier1 = two_tier.tiers.get("tier1").service
+        gets = tier1.op_counts.get("get", 0)
+        two_tier.create_object("new", 48 * 1024)
+        two_tier.write_to_tier("new", bytes(48 * 1024), "tier1", ctx)
+        assert two_tier.meta("victim").locations == {"tier2"}
+        assert tier1.op_counts.get("get", 0) == gets
+
+
+def _gets(instance):
+    return {
+        tier.name: tier.service.op_counts.get("get", 0)
+        for tier in instance.tiers.ordered()
+    }
+
+
+def _sicken(registry, instance, tier_name):
+    service = instance.tiers.get(tier_name).service
+    registry.cluster.faults.inject(
+        f"service:{service.name}", FaultProfile(error_rate=1.0)
+    )
+
+
+class TestRelocate:
+    """The one cross-tier mover's contract."""
+
+    THREE = [
+        ("tier1", "Memcached", 10 ** 6),
+        ("tier2", "EBS", 10 ** 7),
+        ("tier3", "S3", None),
+    ]
+
+    def test_an_empty_to_reads_nothing(self, two_tier, ctx):
+        two_tier.create_object("k", 1)
+        for tier_name in ("tier1", "tier2"):
+            two_tier.write_to_tier("k", b"x", tier_name, ctx)
+        before = _gets(two_tier)
+        two_tier.relocate("k", (), ctx, drop_from=("tier1",))
+        assert _gets(two_tier) == before
+        assert two_tier.meta("k").locations == {"tier2"}
+        assert not two_tier.tiers.get("tier1").contains("k")
+
+    def test_drop_from_is_taken_on_entry(self, registry, ctx):
+        # tier2 refuses; the degraded write lands in tier1, which joins
+        # the live locations set mid-call and must not be dropped.
+        inst = build_instance(registry, self.THREE)
+        inst.enable_resilience()
+        inst.create_object("k", 4)
+        inst.write_to_tier("k", b"data", "tier3", ctx)
+        _sicken(registry, inst, "tier2")
+        inst.relocate("k", ("tier2",), ctx, drop_from=inst.meta("k").locations)
+        assert inst.meta("k").locations == {"tier1"}
+        assert inst.read_raw("k", ctx) == b"data"
+        assert inst.resilience.repair_queue.pending("tier2") == 1
+
+    def test_exclusive_promotion_drops_both_sources_in_name_order(
+        self, registry, ctx, monkeypatch
+    ):
+        inst = build_instance(registry, [
+            ("fast", "Memcached", 10 ** 6),
+            ("zcold", "S3", None),
+            ("bulk", "EBS", 10 ** 7),
+        ])
+        inst.create_object("k", 4)
+        for tier_name in ("zcold", "bulk"):
+            inst.write_to_tier("k", b"data", tier_name, ctx)
+        dropped = []
+        remove = inst.remove_from_tier
+
+        def spy(key, tier_name, rctx):
+            dropped.append(tier_name)
+            remove(key, tier_name, rctx)
+
+        monkeypatch.setattr(inst, "remove_from_tier", spy)
+        Retrieve(NamedObjects("k"), promote_to="fast", exclusive=True).execute(
+            EvalScope(instance=inst), ctx
+        )
+        assert dropped == ["bulk", "zcold"]
+        assert inst.meta("k").locations == {"fast"}
+
+    @pytest.mark.parametrize("redirect", [True, False])
+    def test_redirect_false_raises_instead_of_degrading(
+        self, registry, ctx, redirect
+    ):
+        inst = build_instance(registry, self.THREE)
+        inst.enable_resilience()
+        inst.create_object("k", 4)
+        _sicken(registry, inst, "tier2")
+        if redirect:
+            inst.relocate("k", ("tier2",), ctx, data=b"data")
+            assert inst.meta("k").locations == {"tier1"}
+            return
+        with pytest.raises(ServiceUnavailableError):
+            inst.relocate("k", ("tier2",), ctx, data=b"data", redirect=False)
+        assert inst.meta("k").locations == set()
+        assert inst.resilience.repair_queue.pending() == 0
 
 
 class TestDedup:

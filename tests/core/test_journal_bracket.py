@@ -251,3 +251,34 @@ class TestOneBracketOneTable:
             f"{op}.{point}" for op, intent in INTENTS.items()
             for point in intent.points
         }
+
+
+# -- lint: one mover ---------------------------------------------------------
+
+SRC = CORE.parent
+
+
+def _callers(attr):
+    """``(module, enclosing scope)`` of every ``.<attr>(...)`` call in src."""
+    return {
+        (path.relative_to(SRC).as_posix(), scope)
+        for path in sorted(SRC.rglob("*.py"))
+        for scope, node in _scoped_nodes(path)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", "") == attr
+    }
+
+
+class TestOneMover:
+    def test_tier_writes_go_through_write_fanout(self):
+        assert _callers("write_to_tier") == {
+            ("core/instance.py", "TieraInstance.write_fanout"),
+            ("core/durability.py", "_redo_write"),
+            ("core/durability.py", "fsck"),  # under-replication repair
+        }
+
+    def test_tier_drops_go_through_relocate(self):
+        assert _callers("remove_from_tier") == {
+            ("core/instance.py", "TieraInstance.relocate"),
+            ("core/durability.py", "_redo_remove"),
+        }

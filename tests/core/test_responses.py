@@ -129,14 +129,19 @@ class TestRetrieve:
 
 
 class TestCopy:
-    def test_copy_clears_dirty_on_durable_landing(self, two_tier, ctx):
+    """Copy and Move share one body; Move also leaves its sources."""
+
+    @pytest.mark.parametrize("cls", [Copy, Move])
+    def test_clears_dirty_on_durable_landing(self, two_tier, ctx, cls):
         put_into(two_tier, "k", b"v", "tier1", ctx)
         two_tier.meta("k").dirty = True
-        Copy(NamedObjects("k"), "tier2").execute(scope(two_tier), ctx)
-        assert two_tier.meta("k").locations == {"tier1", "tier2"}
+        cls(NamedObjects("k"), "tier2").execute(scope(two_tier), ctx)
+        expected = {"tier2"} if cls is Move else {"tier1", "tier2"}
+        assert two_tier.meta("k").locations == expected
         assert two_tier.meta("k").dirty is False
 
-    def test_copy_to_volatile_keeps_dirty(self, registry, ctx):
+    @pytest.mark.parametrize("cls", [Copy, Move])
+    def test_landing_on_volatile_keeps_dirty(self, registry, ctx, cls):
         from tests.core.conftest import build_instance
 
         inst = build_instance(
@@ -145,13 +150,23 @@ class TestCopy:
         )
         put_into(inst, "k", b"v", "m1", ctx)
         inst.meta("k").dirty = True
-        Copy(NamedObjects("k"), "m2").execute(scope(inst), ctx)
+        cls(NamedObjects("k"), "m2").execute(scope(inst), ctx)
+        assert "m2" in inst.meta("k").locations
         assert inst.meta("k").dirty is True
 
-    def test_bandwidth_cap_paces_transfers(self, two_tier, ctx):
+    def test_high_durability_copy_keeps_dirty(self, two_tier, ctx):
+        put_into(two_tier, "k", b"v", "tier1", ctx)
+        two_tier.meta("k").dirty = True
+        Copy(NamedObjects("k"), "tier2", clear_dirty=False).execute(
+            scope(two_tier), ctx
+        )
+        assert two_tier.meta("k").dirty is True
+
+    @pytest.mark.parametrize("cls", [Copy, Move])
+    def test_bandwidth_cap_paces_each_transfer(self, two_tier, ctx, cls):
         for i in range(3):
             put_into(two_tier, f"k{i}", b"x" * 10240, "tier1", ctx)
-        capped = Copy(
+        capped = cls(
             ObjectsWhere(
                 Comparison("==", AttrRef(("object", "location")), Literal("tier1"))
             ),
@@ -162,6 +177,7 @@ class TestCopy:
         capped.execute(scope(two_tier), ctx)
         # 30 KB at 10 KB/s: the last transfer cannot begin before t+2s.
         assert ctx.time - start >= 2.0
+        assert all("tier2" in two_tier.meta(f"k{i}").locations for i in range(3))
 
     def test_uncapped_copy_is_fast(self, two_tier, ctx):
         for i in range(3):
