@@ -7,7 +7,7 @@ Run:  python examples/quickstart.py
 
 from repro.core.server import TieraServer
 from repro.simcloud.cluster import Cluster
-from repro.spec import compile_spec
+from repro.spec import Compiler, compile_spec, parse
 from repro.tiers.registry import TierRegistry
 
 # Figure 3 of the paper, verbatim: a low-latency instance that stores
@@ -28,6 +28,17 @@ Tiera LowLatencyInstance(time t) {
     event(time=t) : response {
         copy(what: object.location == tier1 && object.dirty == true,
              to: tier2);
+    }
+}
+"""
+
+# A runtime policy change (§4.2.3) is spec text too: its rules compile
+# on their own and join the running instance.
+COMPRESS_SPEC = """
+Tiera Compressing() {
+    tier1: { name: Memcached, size: 64M };
+    event "compress-on-insert"(insert.into) : response {
+        compress(what: insert.object);
     }
 }
 """
@@ -64,20 +75,9 @@ def main() -> None:
 
     # Policies can change at runtime (§4.2.3): stop writing back, start
     # compressing instead.
-    from repro.core.events import ActionEvent
-    from repro.core.policy import Rule
-    from repro.core.responses import Compress
-    from repro.core.selectors import InsertObject
-
     instance.reconfigure(
         remove_rules=["LowLatencyInstance-rule-2"],
-        add_rules=[
-            Rule(
-                ActionEvent("insert"),
-                [Compress(InsertObject())],
-                name="compress-on-insert",
-            )
-        ],
+        add_rules=Compiler(parse(COMPRESS_SPEC), registry).rules(),
     )
     server.put_object("compressible", b"repetitive " * 1000)
     stored = instance.tiers.get("tier1").service.size_of("compressible")

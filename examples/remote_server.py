@@ -6,12 +6,8 @@ clients over TCP, on real wall-clock time.
 Run:  python examples/remote_server.py
 """
 
-from repro.core.instance import TieraInstance
-from repro.core.events import ActionEvent
-from repro.core.policy import Policy, Rule
-from repro.core.responses import Store
-from repro.core.selectors import InsertObject
 from repro.core.server import TieraServer
+from repro.core.templates import write_through_instance
 from repro.rpc import TieraClient, TieraRpcServer
 from repro.simcloud.clock import WallClock
 from repro.simcloud.cluster import Cluster
@@ -21,22 +17,9 @@ from repro.tiers.registry import TierRegistry
 def main() -> None:
     clock = WallClock()
     cluster = Cluster(clock=clock)
-    registry = TierRegistry(cluster)
-    tiers = [
-        registry.create("Memcached", tier_name="tier1", size=64 * 1024 * 1024),
-        registry.create("EBS", tier_name="tier2", size=64 * 1024 * 1024),
-    ]
-    instance = TieraInstance(
-        name="remote-demo",
-        tiers=tiers,
-        policy=Policy([
-            Rule(
-                ActionEvent("insert"),
-                [Store(InsertObject(), ("tier1", "tier2"))],
-                name="write-through",
-            ),
-        ]),
-        clock=clock,
+    # A PUT writes Memcached and EBS together before it is acknowledged.
+    instance = write_through_instance(
+        TierRegistry(cluster), mem="64M", ebs="64M"
     )
 
     with TieraRpcServer(TieraServer(instance), port=0) as rpc:

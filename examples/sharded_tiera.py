@@ -5,34 +5,17 @@ ring of Tiera instances, with live shard addition and drain.
 Run:  python examples/sharded_tiera.py
 """
 
-from repro.core.events import ActionEvent
-from repro.core.instance import TieraInstance
-from repro.core.policy import Policy, Rule
-from repro.core.responses import Store
-from repro.core.selectors import InsertObject
 from repro.core.server import TieraServer
 from repro.core.sharding import ShardedTieraServer
+from repro.core.templates import write_through_instance
 from repro.simcloud.cluster import Cluster
 from repro.tiers.registry import TierRegistry
 
 
 def make_shard(registry, name: str) -> TieraServer:
-    tiers = [
-        registry.create("Memcached", tier_name=f"{name}-mem", size=32 * 1024 * 1024),
-        registry.create("EBS", tier_name=f"{name}-ebs", size=128 * 1024 * 1024),
-    ]
-    instance = TieraInstance(
-        name=name,
-        tiers=tiers,
-        policy=Policy([
-            Rule(
-                ActionEvent("insert"),
-                [Store(InsertObject(), (f"{name}-mem", f"{name}-ebs"))],
-                name=f"{name}-write-through",
-            )
-        ]),
-        clock=registry.cluster.clock,
-    )
+    """One shard: the packaged write-through instance (Memcached + EBS)."""
+    instance = write_through_instance(registry, mem="32M", ebs="128M")
+    instance.name = name
     return TieraServer(instance)
 
 

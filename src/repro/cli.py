@@ -713,6 +713,19 @@ def _print_slo(status: Dict[str, object], options) -> None:
               f"burn {objective['burn_rate']:.2f}x)")
 
 
+def _each_shard(render: Callable[..., None]) -> Callable[..., None]:
+    """``render`` each shard of a multi-shard router's ``{"shards": …}``
+    nest under a ``shard <name>:`` line; anything else, the one."""
+    def each(doc: Dict[str, object], options) -> None:
+        if set(doc) != {"shards"}:
+            return render(doc, options)
+        for name, shard in sorted(doc["shards"].items()):
+            print(f"shard {name}:")
+            render(shard, options)
+
+    return each
+
+
 def _print_placement_status(status: Dict[str, object], options) -> None:
     if not status.get("enabled"):
         print("placement: disabled (repro placement --enable, or "
@@ -762,9 +775,9 @@ def _print_cluster(doc: Dict[str, object], options) -> None:
 #: Text renderers, ``render(doc, options)``; any other pair prints JSON.
 RENDERERS: Dict[Tuple[str, str], Callable[..., None]] = {
     ("heat", "summary"): lambda doc, options: print(render_report(doc)),
-    ("placement", "status"): _print_placement_status,
-    ("placement", "plan"): _print_placement_plan,
-    ("placement", "run"): _print_placement_plan,
+    ("placement", "status"): _each_shard(_print_placement_status),
+    ("placement", "plan"): _each_shard(_print_placement_plan),
+    ("placement", "run"): _each_shard(_print_placement_plan),
     ("backup", "list"): _print_snapshots,
     ("durability", "snapshot"): _write_snapshot,
     ("resilience", "status"): _print_resilience,
@@ -779,7 +792,7 @@ RENDERERS: Dict[Tuple[str, str], Callable[..., None]] = {
 EXIT_OK: Dict[Tuple[str, str], Callable[[dict], bool]] = {
     ("durability", "fsck"): _on_every_shard("clean"),
     ("durability", "restore"): _on_every_shard("verified"),
-    ("backup", "verify"): lambda doc: bool(doc.get("ok")),
+    ("backup", "verify"): _on_every_shard("ok"),
     ("cluster", "fsck"): lambda doc: doc["clean"],
 }
 

@@ -11,7 +11,8 @@ module closes that window with a classic redo-logging design:
   metadata does).  Every metadata-mutating primitive in
   :class:`~repro.core.instance.TieraInstance` journals its full redo
   plan (including the payload bytes) before touching any tier, and
-  deletes the record once both the tier and the metadata table agree.
+  deletes the record once the tier holds the bytes and the metadata
+  store the rows (when the op's write-back scope closes).
 
 * :class:`DurabilityLayer` — per-instance façade: a journaling hook and
   a redo per mutation kind (both declared once, in :data:`INTENTS`),
@@ -1070,7 +1071,7 @@ def simulate_crash(instance) -> None:
     if instance.resilience is not None:
         instance.resilience.detach()
     instance.obs.metrics.remove_collector(instance._collect_gauges)
-    instance.meta_writeback.keys.clear()  # a dead process flushes nothing
+    instance.meta_writeback.discard()  # a dead process flushes nothing
     cancel_all = getattr(instance.clock, "cancel_all", None)
     if cancel_all is not None:
         cancel_all()

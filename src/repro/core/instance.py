@@ -67,24 +67,51 @@ def state_fingerprint(meta_rows, tier_rows) -> str:
 
 
 class _MetaWriteBack:
-    """One client op's metadata write-back scope (``with
-    instance.meta_writeback:``, opened by ``TieraServer._run_op``).
+    """The metadata write-back scope (``with instance.meta_writeback:``):
+    a client op opens one (``TieraServer._apply_op``), and so does every
+    journaled primitive (:class:`_Journaled`), inside it or alone.
 
-    While a scope is open on an instance that has no journal,
-    :meth:`TieraInstance.persist_meta` and ``_drop_meta`` only note the
-    key; leaving the outermost scope writes every noted key's current
-    state to the metadata store once (a put, or a delete when the op
-    removed it) — so an acked or refused op's metadata is in the store
-    before its envelope exists.  A :class:`ProcessCrash` leaving the
-    scope writes nothing: a dead process does not flush.
+    The only place rows reach the metadata store.  While a scope is
+    open, :meth:`TieraInstance.persist_meta` and ``_drop_meta`` only
+    note the key, and a journaled primitive that returned hands over its
+    intent.  Leaving the outermost scope writes every noted key's
+    current state once (a put, or a delete when it was dropped), then
+    retires the noted intents in seq order, ``<op>.commit`` at each —
+    so an acked or refused op's rows are in the store before its
+    envelope exists, and an intent outlives the rows it names.  A
+    :class:`ProcessCrash` leaving the scope writes and retires nothing:
+    a dead process does not flush, and its intents stay pending for the
+    successor's ``recover()``.  With no scope open a noted row is
+    written at once (``add_tag``, fsck repairs, recovery and restore).
     """
 
-    __slots__ = ("instance", "depth", "keys")
+    __slots__ = ("instance", "depth", "keys", "intents")
 
     def __init__(self, instance: "TieraInstance"):
         self.instance = instance
         self.depth = 0
+        self.discard()
+
+    def discard(self) -> None:
+        """Forget the noted rows and intents (a dead process's)."""
         self.keys: Dict[str, None] = {}  # touched keys, first-touch order
+        self.intents: List[Tuple[int, str]] = []  # (seq, op) to retire
+
+    def note(self, key: str) -> None:
+        self.keys[key] = None
+        if not self.depth:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write every noted row now."""
+        keys, self.keys = self.keys, {}
+        table, store = self.instance._meta, self.instance.metadata_store
+        for key in keys:
+            meta = table.get(key)
+            if meta is None:
+                store.delete(key.encode("utf-8"))
+            else:
+                store.put(key.encode("utf-8"), meta.to_json())
 
     def __enter__(self) -> None:
         self.depth += 1
@@ -93,12 +120,15 @@ class _MetaWriteBack:
         self.depth -= 1
         if self.depth:
             return
-        keys, self.keys = self.keys, {}
         if exc_type is not None and issubclass(exc_type, ProcessCrash):
+            self.discard()
             return
+        intents, self.intents = self.intents, []
+        self.flush()
         instance = self.instance
-        for key in keys:
-            instance._store_meta(key, instance._meta.get(key))
+        for seq, op in sorted(intents):
+            instance.durability.commit(seq)
+            instance._crash_point(op + ".commit")
 
 
 class _Journaled:
@@ -107,11 +137,13 @@ class _Journaled:
     plans in :data:`repro.core.durability.INTENTS`).
 
     Enter: ``<op>.begin``, the intent (journal on and something to
-    record), ``<op>.journaled``.  Three exits: the body returned —
-    commit, ``<op>.commit``; it raised — abort: the intent never
-    happened (archived as a ``noop`` marker, never replayed); the
-    process died (:class:`ProcessCrash`) — the record stays pending for
-    the successor's ``recover()`` to roll forward.
+    record), ``<op>.journaled``, then the write-back scope — last, so a
+    crash at those points leaves no depth behind.  Three exits: the body
+    returned — the intent goes to the scope, which retires it once its
+    rows are written; it raised — abort: the intent never happened
+    (archived as a ``noop`` marker, never replayed); the process died
+    (:class:`ProcessCrash`) — the record stays pending for the
+    successor's ``recover()`` to roll forward.
     """
 
     __slots__ = ("instance", "op", "args", "seq")
@@ -130,17 +162,17 @@ class _Journaled:
             self.seq = getattr(dur, "journal_" + op)(*self.args)
             if self.seq is not None:
                 instance._crash_point(op + ".journaled")
+        instance.meta_writeback.__enter__()
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        seq = self.seq
-        if seq is None:
-            return
-        instance = self.instance
-        if exc_type is None:
-            instance.durability.commit(seq)
-            instance._crash_point(self.op + ".commit")
-        elif not issubclass(exc_type, ProcessCrash):
-            instance.durability.abort(seq)
+        instance, seq = self.instance, self.seq
+        writeback = instance.meta_writeback
+        if seq is not None:
+            if exc_type is None:
+                writeback.intents.append((seq, self.op))
+            elif not issubclass(exc_type, ProcessCrash):
+                instance.durability.abort(seq)
+        writeback.__exit__(exc_type, exc, tb)
 
 
 class TieraInstance:
@@ -307,24 +339,11 @@ class TieraInstance:
 
     def persist_meta(self, meta: ObjectMeta) -> None:
         """Send ``meta`` to the metadata store — the one way it gets
-        there.  Journal on, or outside a client op: now.  Inside a
-        client op with no journal: once, when the op ends."""
-        self._store_meta(meta.key, meta)
+        there: when the outermost open write-back scope closes, or now
+        when none is open."""
+        self.meta_writeback.note(meta.key)
         if self.on_meta_change is not None:
             self.on_meta_change(meta.key)
-
-    def _store_meta(self, key: str, meta: Optional[ObjectMeta]) -> None:
-        """Write ``key``'s row to the store (``None``: delete it) — or,
-        in an open write-back scope, leave that to the scope's end.
-        Never deferred with a journal: each intent's redo contract names
-        the persisted metadata around it."""
-        writeback = self.meta_writeback
-        if writeback.depth and self.durability is None:
-            writeback.keys[key] = None
-        elif meta is None:
-            self.metadata_store.delete(key.encode("utf-8"))
-        else:
-            self.metadata_store.put(key.encode("utf-8"), meta.to_json())
 
     def create_object(
         self, key: str, size: int, tags: Optional[Set[str]] = None
@@ -358,7 +377,7 @@ class TieraInstance:
         meta = self._meta.pop(key, None)
         if meta is not None:
             self._unindex(meta)
-        self._store_meta(key, None)
+        self.meta_writeback.note(key)
         if self.on_meta_change is not None:
             self.on_meta_change(key)
 
@@ -761,6 +780,7 @@ class TieraInstance:
         The alias index is left alone until every tier has renamed: a
         tier op that raises (no room for the second copy, an injected
         fault) leaves the links in place, so a retry hands off again.
+        No intent covers the rename, so its rows are written at once.
         """
         heir_key, *others = self._aliases[meta.key]
         heir = self._meta[heir_key]
@@ -783,6 +803,7 @@ class TieraInstance:
         if meta.checksum:
             self._dedup[meta.checksum] = heir.key
         self.persist_meta(heir)
+        self.meta_writeback.flush()
         meta.locations = set()
         meta.refcount = 0  # all aliases now point at the heir
 
@@ -1025,61 +1046,26 @@ class TieraInstance:
         same seeded scenario must produce identical digests.  Metadata
         only — computing it charges no virtual time.
 
-        ``durable_only=True`` restricts the fingerprint to what survives
-        a process crash: durable tiers' contents, and objects holding at
-        least one durable copy (locations filtered to durable tiers;
-        aliases count through their canonical).  Metadata is read from
-        the *persistent* store, not the in-memory table — mid-operation
-        the two can diverge, and only the persisted image survives.  The
-        crash sweep compares this form across a kill/reopen boundary,
-        where volatile-tier state is lost by design.
+        ``durable_only=True`` is the fingerprint of what survives a
+        process crash, which is what a snapshot archives — the digest
+        :func:`repro.core.durability.archived_state` puts in a snapshot
+        manifest: durable tiers' contents, and objects holding at least
+        one durable copy (locations filtered to durable tiers; aliases
+        count through their canonical).  The crash sweep compares this
+        form across a kill/reopen boundary, where volatile-tier state is
+        lost by design.
         """
-        if not durable_only:
-            meta_rows = [
-                (key, m.size, tuple(sorted(m.locations)), m.version, m.checksum)
-                for key, m in ((k, self._meta[k]) for k in sorted(self._meta))
-            ]
-            tier_rows = [
-                (t.name, {k: t.service._data[k] for k in t.keys()})
-                for t in self.tiers.ordered()
-            ]
-            return state_fingerprint(meta_rows, tier_rows)
-        durable = {t.name for t in self.tiers.ordered() if t.durable}
-        persisted: Dict[str, ObjectMeta] = {}
-        for raw_key, blob in self.metadata_store.items():
-            if raw_key.startswith(b"\x00"):
-                continue  # journal records are not object state
-            meta = ObjectMeta.from_json(blob)
-            persisted[meta.key] = meta
+        if durable_only:
+            from repro.core.durability import archived_state
 
-        def canonical_of(meta: ObjectMeta) -> Optional[ObjectMeta]:
-            seen = set()
-            while meta.alias_of is not None:
-                if meta.key in seen:
-                    return None
-                seen.add(meta.key)
-                meta = persisted.get(meta.alias_of)
-                if meta is None:
-                    return None
-            return meta
-
-        meta_rows: List[Tuple[str, int, Tuple[str, ...], int, str]] = []
-        for key in sorted(persisted):
-            meta = persisted[key]
-            if meta.alias_of is not None:
-                canonical = canonical_of(meta)
-                if canonical is None or not (canonical.locations & durable):
-                    continue
-                held: Tuple[str, ...] = ()
-            else:
-                kept = meta.locations & durable
-                if not kept:
-                    continue
-                held = tuple(sorted(kept))
-            meta_rows.append((key, meta.size, held, meta.version, meta.checksum))
+            return archived_state(self)[2]
+        meta_rows = [
+            (key, m.size, tuple(sorted(m.locations)), m.version, m.checksum)
+            for key, m in ((k, self._meta[k]) for k in sorted(self._meta))
+        ]
         tier_rows = [
             (t.name, {k: t.service._data[k] for k in t.keys()})
-            for t in self.tiers.ordered() if t.durable
+            for t in self.tiers.ordered()
         ]
         return state_fingerprint(meta_rows, tier_rows)
 

@@ -530,6 +530,23 @@ class TestScheduledVerification:
         revived = _reattach(instance, tmp_path, assume_continuity=True)
         assert revived.last_verified_restore["ok"] is True
 
+    def test_verified_digest_is_the_tip_manifests(self, tmp_path):
+        """With no tail to replay, the drill's durable digest is the one
+        the tip snapshot's manifest recorded: "what survives a crash"
+        and "what a snapshot archives" are one definition."""
+        cluster, instance, server = _build(tmp_path)
+        manager = instance.backup
+        for i in range(3):
+            _put(cluster, server, f"obj{i}", b"v0" * 64)
+        manager.snapshot(kind="full")
+        _put(cluster, server, "obj1", b"v1" * 64)
+        _delete(cluster, server, "obj2")
+        tip = manager.snapshot()
+        result = manager.verify_restore()
+        assert result["ok"] is True and result["replayed"] == 0
+        assert result["snapshot"] == tip["id"]
+        assert result["state_digest"] == tip["state_digest"]
+
     def test_failed_drill_is_recorded_not_raised(self, tmp_path):
         cluster, instance, server = _build(tmp_path)
         manager = instance.backup

@@ -512,6 +512,22 @@ class TestLiveRouterCommands:
         for i in range(20):
             assert router.get_object(f"k{i}").value == b"v%d" % i
 
+    def test_backup_verify_exits_0_when_every_shard_verified(
+        self, four_shards, tmp_path, capsys
+    ):
+        """Regression: a router's answer is a ``{"shards": …}`` nest, and
+        ``backup verify`` read ``ok`` off its top level — exit 1 with
+        every shard verified."""
+        router, rpc = four_shards
+        router.configure("backup", root=str(tmp_path / "bk")).raise_for_error()
+        port = str(rpc.port)
+        assert main(["backup", "snapshot", "--port", port]) == 0
+        capsys.readouterr()
+        assert main(["backup", "verify", "--port", port]) == 0
+        shards = json.loads(capsys.readouterr().out)["shards"]
+        assert sorted(shards) == ["s0", "s1", "s2", "s3"]
+        assert all(shard["ok"] for shard in shards.values())
+
     def test_restore_of_one_instances_archive_is_refused(
         self, four_shards, live_rpc, tmp_path, capsys
     ):

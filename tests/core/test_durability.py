@@ -129,8 +129,10 @@ class TestCrashRecovery:
     def test_crash_after_journal_rolls_write_forward(self):
         # Journaled but the tier never got the bytes: recovery replays
         # the intent, so the object lands exactly at the post-op state.
+        # The op's first write (tier1) is retired only when the op ends,
+        # so it is replayed too.
         cluster, successor, recovery = self._crash_at("write.journaled", 3)
-        assert [r["op"] for r in recovery["replayed"]] == ["write"]
+        assert [r["op"] for r in recovery["replayed"]] == ["write", "write"]
         assert fsck(successor)["clean"]
         reopened = TieraServer(successor)
         assert reopened.get_object(
@@ -295,14 +297,15 @@ class TestFsck:
 
 
 class TestAliasOverwriteCrash:
-    """Overwrite a storeOnce canonical that has an alias, crashing at
-    each boundary of the overwrite's first write (ROADMAP defect (c))."""
+    """Overwrite one of two storeOnce-linked keys — the canonical ``a``
+    or its alias ``b`` — crashing at each boundary of the overwrite's
+    first write (ROADMAP defect (c))."""
 
     OLD, NEW = b"old bytes " * 16, b"new bytes " * 16
     POINTS = ("write.begin", "write.journaled", "write.data", "write.meta",
               "write.commit")
 
-    def _crash_and_reopen(self, point):
+    def _crash_and_reopen(self, point, key="a"):
         cluster = Cluster(seed=2014)
         instance = dedup_instance(TierRegistry(cluster), mem="16M")
         instance.enable_durability()
@@ -312,7 +315,7 @@ class TestAliasOverwriteCrash:
         assert instance.meta("b").alias_of == "a"
         instance.crash_points = CrashPointInjector().arm(point, 0)
         with pytest.raises(ProcessCrash):
-            server.put_object("a", self.NEW)
+            server.put_object(key, self.NEW)
         simulate_crash(instance)
         successor, recovery = reopen_instance(
             name=instance.name,
@@ -334,9 +337,9 @@ class TestAliasOverwriteCrash:
     @pytest.mark.parametrize("point", [
         pytest.param("write.begin", marks=pytest.mark.xfail(
             strict=True,
-            reason="defect (c): _handoff_to_heir empties the canonical's "
-            "locations before any intent exists, so recovery's fsck drops "
-            "the acked object as lost",
+            reason="defect (c): _handoff_to_heir renames the canonical's "
+            "bytes to its heir and writes those rows before any intent "
+            "exists, so recovery's fsck drops the acked canonical as lost",
         )),
         *POINTS[1:],
     ])
@@ -348,6 +351,19 @@ class TestAliasOverwriteCrash:
         allowed = (self.OLD, self.NEW) if point == "write.begin" else (self.NEW,)
         result = TieraServer(successor).get_object("a").raise_for_error()
         assert result.value in allowed
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_an_overwritten_alias_survives(self, point):
+        # Detaching ``b`` from ``a`` is row work only, written with the
+        # op's other rows: a crash before the intent leaves ``b`` an
+        # alias of the old bytes, not an empty row fsck drops as lost.
+        successor, recovery = self._crash_and_reopen(point, key="b")
+        assert recovery["fsck"]["counts"]["findings"] == 0
+        server = TieraServer(successor)
+        assert server.get_object("a").raise_for_error().value == self.OLD
+        allowed = (self.OLD, self.NEW) if point == "write.begin" else (self.NEW,)
+        assert server.get_object("b").raise_for_error().value in allowed
+        assert fsck(successor)["clean"]
 
 
 class TestSnapshotRestore:

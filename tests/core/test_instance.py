@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.conditions import EvalScope
+from repro.core.durability import IntentJournal
 from repro.core.errors import (
     NoCapacityError,
     NoSuchObjectError,
@@ -335,17 +336,21 @@ class TestMetadataPersistence:
         assert "keep" in meta.tags
         assert meta.locations == {"tier2"}
 
+    @pytest.mark.parametrize("journal", [False, True], ids=["off", "on"])
     def test_acked_ops_are_in_the_store_without_a_shutdown(
-        self, registry, tmp_path
+        self, registry, tmp_path, journal
     ):
         """Acked means persisted: the write-back happens when each op
         ends, not at shutdown — a second process opening the log while
-        the first is still up (or dead without a goodbye) sees them all."""
+        the first is still up (or dead without a goodbye) sees them all,
+        and, with the journal on, no intent left pending."""
         path = str(tmp_path / "meta.db")
         tiers = [("tier1", "Memcached", 10 ** 6), ("tier2", "EBS", 10 ** 7)]
         inst = build_instance(
             registry, tiers, metadata_store=LogStore(path, sync_writes=True)
         )
+        if journal:
+            inst.enable_durability()
         server = TieraServer(inst)
         for n in range(25):
             server.put_object(f"k{n}", f"value {n}".encode()).raise_for_error()
@@ -364,3 +369,4 @@ class TestMetadataPersistence:
         for n in range(24):
             assert reopened.meta(f"k{n}") == inst.meta(f"k{n}")
         assert reopened.meta("k0").version == 1
+        assert IntentJournal(LogStore(path)).pending() == []

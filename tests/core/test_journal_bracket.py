@@ -221,12 +221,33 @@ class TestOneBracketOneTable:
         }
 
     def test_the_bracket_alone_retires_instance_intents(self):
+        # commit once the write-back scope has written the op's rows,
+        # abort at once when the body raised
         retiring = [
-            scope
+            (scope, node.attr)
             for scope, node in _scoped_nodes(CORE / "instance.py")
             if isinstance(node, ast.Attribute) and node.attr in ("commit", "abort")
         ]
-        assert retiring == ["_Journaled.__exit__", "_Journaled.__exit__"]
+        assert retiring == [
+            ("_MetaWriteBack.__exit__", "commit"),
+            ("_Journaled.__exit__", "abort"),
+        ]
+
+    def test_the_row_write_path_reads_no_durability(self):
+        """One write-back path: whether a journal is on selects nothing
+        on the way a metadata row reaches the store."""
+        path = {
+            "TieraInstance.persist_meta", "TieraInstance._drop_meta",
+            "_MetaWriteBack.note", "_MetaWriteBack.flush",
+        }
+        seen, reads = set(), []
+        for scope, node in _scoped_nodes(CORE / "instance.py"):
+            if scope in path:
+                seen.add(scope)
+                if getattr(node, "attr", getattr(node, "id", "")) == "durability":
+                    reads.append(scope)
+        assert seen == path
+        assert reads == []
 
     def test_backup_replays_through_the_durability_layer(self):
         for _, node in _scoped_nodes(CORE / "backup.py"):

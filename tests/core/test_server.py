@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.durability import simulate_crash
+from repro.core.durability import JOURNAL_PREFIX, simulate_crash
 from repro.core.errors import NoSuchObjectError
 from repro.core.events import ActionEvent
 from repro.core.objects import ObjectMeta
@@ -193,13 +193,16 @@ class CountingStore(MemoryStore):
         super().__init__()
         self.puts = []
         self.deletes = []
+        self.log = []  # ("put" | "delete", key), in order
 
     def put(self, key, value):
         self.puts.append(key.decode())
+        self.log.append(("put", key.decode()))
         super().put(key, value)
 
     def delete(self, key):
         self.deletes.append(key.decode())
+        self.log.append(("delete", key.decode()))
         return super().delete(key)
 
 
@@ -215,9 +218,9 @@ def persisted(instance, key):
 
 
 class TestMetadataWriteBack:
-    """Journal off, a client op writes each object it touched to the
-    metadata store once, when the op ends; journal on, every primitive
-    writes through as before."""
+    """A client op writes each object it touched to the metadata store
+    once, when the op ends — with the journal off or on; with it on, the
+    op's intents are retired after that write."""
 
     def test_one_store_put_per_object_touched(self, registry):
         instance = high_durability_instance(registry, mem="1M", ebs="1M")
@@ -256,14 +259,23 @@ class TestMetadataWriteBack:
         assert store.deletes == ["k"] and store.puts == ["k"]
         assert persisted(instance, "k") is None
 
-    def test_journal_on_keeps_the_per_step_persists(self, registry):
+    def test_journal_on_writes_each_row_once_per_op(self, registry):
         instance = high_durability_instance(registry, mem="1M", ebs="1M")
         store = counting(instance)
         instance.enable_durability()
         server = TieraServer(instance)
         server.put_object("k", b"first").raise_for_error()
-        meta_puts = [key for key in store.puts if not key.startswith("\x00")]
-        assert meta_puts == ["k"] * 5  # pinned: today's write-through count
+        # Record 0 is the rule's scope marker, retired as the rule ends;
+        # 1 and 2 are the tier1 and tier2 write intents, retired after
+        # the op's one row write.
+        scope, tier1, tier2 = (
+            (JOURNAL_PREFIX + b"%012d" % seq).decode() for seq in range(3)
+        )
+        assert store.log == [
+            ("put", scope), ("put", tier1), ("put", tier2), ("delete", scope),
+            ("put", "k"),
+            ("delete", tier1), ("delete", tier2),
+        ]
 
     def test_outside_a_client_op_persist_writes_through(self, two_tier, ctx):
         store = counting(two_tier)
@@ -305,7 +317,7 @@ class TestMetadataWriteBack:
         mid_op = []
 
         def on_hit(index, point):
-            # Unflushed: the durable digest reads the store as it is.
+            # Unflushed: mid-op, the store is as the last op left it.
             mid_op.append(dict(store._data) == before)
 
         instance.crash_points = CrashPointInjector(on_hit=on_hit).arm(

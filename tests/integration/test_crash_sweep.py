@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.bench.sim import CRASH_DEPLOYMENTS as DEPLOYMENTS, run_crash_sweep
+from repro.core.durability import INTENTS
 
 #: Boundaries swept in the quick per-deployment test.  The CI
 #: crash-matrix job runs the full sweep; here a prefix keeps the suite
@@ -41,6 +42,18 @@ class TestCrashSweep:
         assert json.dumps(first, sort_keys=True) == (
             json.dumps(second, sort_keys=True)
         )
+
+    def test_the_sweep_has_teeth(self, monkeypatch):
+        """A write intent that is journaled and then not redone must
+        show: rows land only when an op ends, so a crash mid-op leaves
+        the store without the write unless recovery rolls it forward."""
+        monkeypatch.setitem(
+            INTENTS, "write", INTENTS["write"]._replace(redo=lambda *args: None)
+        )
+        report = run_crash_sweep("write-through")
+        assert report["summary"]["failed"]
+        for failed in report["summary"]["failed"]:
+            assert failed["point"].startswith("write.")
 
     def test_unknown_deployment_rejected(self):
         with pytest.raises(ValueError, match="unknown deployment"):
