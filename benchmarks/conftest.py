@@ -1,7 +1,6 @@
 """Benchmark-suite plumbing.
 
-``bench_figures.py`` runs each row of the paper-figures table (and the
-other ``bench_*`` modules their own experiments) once inside
+``bench_figures.py`` runs each row of the figures table once inside
 ``benchmark.pedantic`` (so ``pytest benchmarks/ --benchmark-only``
 measures each one's wall time), prints the same series the paper plots
 (through ``capsys.disabled()`` so it lands on the terminal), and writes

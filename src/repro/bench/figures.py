@@ -2,7 +2,9 @@
 
 :data:`FIGURES` holds one :class:`Figure` row per table the evaluation
 prints — Figures 7-18 (with Figure 13's kill-and-restart and Figure
-17's resilience-layer variants) and three gated extensions.  A row
+17's resilience-layer variants), three gated extensions, the fault
+drills of :mod:`repro.bench.sim` (chaos matrix, crash sweep, shard
+failover, backup lifecycle) and three design ablations.  A row
 carries:
 
 * the **experiment**, parameterised by scale: ``full`` holds the
@@ -19,7 +21,10 @@ carries:
 (:mod:`repro.bench.telemetry`) runs the same rows at smoke scale and
 writes a ``BENCH_<row>.json`` record that ``repro benchdiff`` re-checks.
 Every experiment runs on the simulated clock with seeded RNGs, so a row
-is a pure function of its parameters.
+is a pure function of its parameters.  A drill row's facts carry the
+sha256 of each preset report it ran (:func:`repro.bench.sim.
+report_digest`), so a record pins those reports byte for byte without
+holding them.
 """
 
 from __future__ import annotations
@@ -52,6 +57,17 @@ from repro.bench.report import (
     tier_breakdown_rows,
 )
 from repro.bench.runner import RunResult, run_closed_loop, run_pipelined
+from repro.bench.sim import (
+    CHAOS_DEPLOYMENTS,
+    CRASH_DEPLOYMENTS,
+    FAILOVER_CHECKS,
+    report_digest,
+    run_backup_lifecycle,
+    run_chaos,
+    run_crash_sweep,
+    run_failover,
+    run_migration_crash,
+)
 from repro.core.instance import TieraInstance
 from repro.core.server import TieraServer
 from repro.core.templates import (
@@ -85,6 +101,7 @@ from repro.workloads.fio import FioReader
 from repro.workloads.sysbench import SysbenchOltp, load_table
 from repro.workloads.ycsb import (
     YcsbWorkload,
+    insert_stream,
     mixed_50_50,
     record_payload,
     write_only,
@@ -177,6 +194,12 @@ class Trial:
 
     def section(self, name: str):
         return self.profiler.section(name)
+
+    def tally(self, operations: int, duration: float = 0.0) -> None:
+        """Count a preset's operations (and driven window) in the record;
+        a crash sweep counts one per boundary it crashed and recovered."""
+        self.operations += operations
+        self.duration += duration
 
     def load(self, clock, workload) -> None:
         """Load a YCSB-style workload's records and settle the clock."""
@@ -1247,6 +1270,334 @@ def _placement_note(f: Facts, p: SimpleNamespace) -> str:
     )
 
 
+# -- Fault drills: the simulation harness's presets -----------------------------
+
+
+def _chaos(t: Trial) -> Tuple[Rows, Facts]:
+    """Each (scenario, deployment, seed, resilient) cell is one
+    :func:`run_chaos` report: availability, p99, MTTR and corrupt reads,
+    baseline vs the resilience layer."""
+    p = t.p
+    rows, cells = [], []
+    for scenario, deployment, seed, resilient in p.cells:
+        with t.section("drive"):
+            report = run_chaos(
+                scenario=scenario, deployment=deployment, seed=seed,
+                resilient=resilient, duration=p.duration,
+            )
+        t.tally(report["operations"], report["duration"])
+        res = report.get("resilience", {})
+        queue = res.get("repair_queue", {})
+        mode = "resilient" if resilient else "baseline"
+        p99 = max((v["p99"] for v in report["latency_seconds"].values()),
+                  default=0.0)
+        rows.append([
+            scenario, deployment, seed, mode,
+            round(report["availability"]["overall"] * 100, 2),
+            round(p99 * 1000, 1),
+            report["mttr"]["mean_seconds"],
+            report["corrupt_reads"],
+            res.get("retries", 0),
+            res.get("degraded_writes", 0),
+            res.get("replays", 0),
+        ])
+        cells.append({
+            "scenario": scenario, "deployment": deployment, "seed": seed,
+            "mode": mode,
+            "availability": report["availability"],
+            "corrupt_reads": report["corrupt_reads"],
+            "checked": report["model"]["checked"],
+            "violations": report["model"]["violations"],
+            "retries": res.get("retries", 0),
+            "read_repairs": res.get("read_repairs", 0),
+            "enqueued": queue.get("enqueued", 0),
+            "pending": queue.get("pending", 0),
+            "replays": res.get("replays", 0),
+            "sha256": report_digest(report),
+        })
+    return rows, {"cells": cells}
+
+
+def _cells(f: Facts, **match) -> List[Dict[str, object]]:
+    return [c for c in f["cells"] if all(c[k] == v for k, v in match.items())]
+
+
+def _headline(f: Facts, scenario: str, mode: str) -> Dict[str, object]:
+    """The seed-2014 write-through cell the headline claims are about."""
+    (cell,) = _cells(
+        f, scenario=scenario, deployment="write-through", seed=2014, mode=mode
+    )
+    return cell
+
+
+def _replays_every_redirect(cell: Dict[str, object]) -> bool:
+    return (cell["retries"] > 0 and cell["enqueued"] > 0
+            and cell["pending"] == 0 and cell["enqueued"] == cell["replays"])
+
+
+def _crash_sweep(t: Trial) -> Tuple[Rows, Facts]:
+    """:func:`run_crash_sweep` on each deployment: every boundary of the
+    scripted workload crashed, reopened and verified."""
+    p = t.p
+    rows, sweeps = [], []
+    for deployment in p.deployments:
+        with t.section("drive"):
+            report = run_crash_sweep(deployment, seed=p.seed)
+        t.tally(report["swept"])
+        reference, summary = report["reference"], report["summary"]
+        rows.append([
+            deployment, reference["crash_points"], report["swept"],
+            summary["ok"], reference["boundary_digests"],
+            sum(point["replayed"] for point in report["points"]),
+        ])
+        sweeps.append({
+            "deployment": deployment,
+            "crash_points": reference["crash_points"],
+            "ok": summary["ok"],
+            "clean": summary["clean"],
+            "sha256": report_digest(report),
+        })
+    return rows, {"sweeps": sweeps}
+
+
+def _shard_failover(t: Trial) -> Tuple[Rows, Facts]:
+    """:func:`run_failover` (kill 1 of 4 replicated shards) and
+    :func:`run_migration_crash` (crash ``add_shard`` at its boundaries)."""
+    p = t.p
+    with t.section("drive"):
+        report = run_failover(**p.failover)
+        crash = run_migration_crash(**p.migration)
+    t.tally(report["workload"]["operations"], report["workload"]["duration"])
+    t.tally(len(crash["swept"]))
+    hints, ae = report["hints"], report["anti_entropy"]
+    rows = [
+        ["availability (overall)", report["availability"]["overall"]],
+        ["operations", report["workload"]["operations"]],
+        ["acked writes / lost",
+         f"{report['acked_writes']} / {report['acked_write_loss']}"],
+        ["hints recorded / replayed / pending",
+         f"{hints['recorded']} / {hints['replayed']} / {hints['pending']}"],
+        ["anti-entropy runs / repairs / divergent",
+         f"{ae['runs']} / {ae['repairs']} / {ae['final_divergent']}"],
+        ["detector transitions", len(report["detector_transitions"])],
+        ["fsck clean", report["fsck"]["clean"]],
+        ["migration boundaries swept / clean",
+         f"{len(crash['swept'])} / {sum(e['ok'] for e in crash['swept'])}"],
+    ]
+    facts = {
+        # the fields FAILOVER_CHECKS read, at their report paths
+        "failover": {
+            "availability": {"overall": report["availability"]["overall"]},
+            "acked_write_loss": report["acked_write_loss"],
+            "model": report["model"],
+            "hints": hints,
+            "anti_entropy": {
+                "final_divergent": ae["final_divergent"],
+                "repairs": ae["repairs"],
+            },
+            "fsck": report["fsck"],
+            "sha256": report_digest(report),
+        },
+        "migration": {
+            "swept": len(crash["swept"]),
+            "clean": crash["clean"],
+            "sha256": report_digest(crash),
+        },
+    }
+    return rows, facts
+
+
+def _backup_lifecycle(t: Trial) -> Tuple[Rows, Facts]:
+    """:func:`run_backup_lifecycle`: snapshot bytes, full vs incremental,
+    then PITR and the scheduled restore drill."""
+    p = t.p
+    with t.section("drive"):
+        summary = run_backup_lifecycle(
+            records=p.records, waves=p.waves, section=t.section
+        )
+    t.tally(summary["records"] + summary["waves"] * summary["changed_per_wave"])
+    full = summary["snapshots"][0]["bytes"]
+    rows = [
+        [e["id"], e["kind"], e["objects"], e["bytes"], round(e["bytes"] / full, 3)]
+        for e in summary["snapshots"]
+    ]
+    facts = {
+        "incremental_vs_full_bytes": summary["incremental_vs_full_bytes"],
+        "pitr": summary["pitr"],
+        "verification": summary["verification"],
+        "sha256": report_digest(summary),
+    }
+    return rows, facts
+
+
+# -- Ablations: one design choice, two specs -----------------------------------
+
+#: Figure 5: a full cache evicts at insert time, by the policy under
+#: test; no read-side promotion.  LRU moves the oldest object out...
+LRU_EVICTION = """
+Tiera LruEviction(size mem) {
+    tier1: { name: Memcached, size: mem };
+    tier2: { name: EBS, size: 64M };
+    event "placement"(insert.into) : response {
+        if (tier1.filled) {
+            move(what: tier1.oldest, to: tier2);
+        }
+        store(what: insert.object, to: tier1);
+    }
+}
+"""
+#: ...and MRU the newest.
+MRU_EVICTION = LRU_EVICTION.replace("Lru", "Mru").replace("oldest", "newest")
+
+
+def _ablation_eviction(t: Trial) -> Tuple[Rows, Facts]:
+    """LRU vs MRU under zipfian updates (which keep re-inserting the hot
+    head, so the policy keeps choosing victims) and zipfian reads (which
+    reveal where the head ended up)."""
+    p = t.p
+    rows = []
+    for kind, spec, seed in (("LRU", LRU_EVICTION, 910),
+                             ("MRU", MRU_EVICTION, 911)):
+        with t.section("build"):
+            cluster = Cluster(seed=seed)
+            instance = compile_spec(
+                spec, TierRegistry(cluster),
+                args={"mem": int(p.records * 4096 * p.cache_share)},
+            )
+            workload = YcsbWorkload(
+                TieraServer(instance), p.records, read_proportion=0.5,
+                update_proportion=0.5, distribution="zipfian", theta=0.99,
+                seed=4,
+            )
+        t.load(cluster.clock, workload)
+        result = t.drive(
+            run_closed_loop, cluster.clock, clients=p.clients,
+            duration=p.duration, op_fn=workload, warmup=p.warmup,
+            think_time=p.think_time, obs=cluster.obs,
+        )
+        rows.append([
+            kind,
+            round(ms(result.latencies.mean("read")), 3),
+            round(ms(result.latencies.p95("read")), 2),
+            round(result.throughput),
+        ])
+    return rows, {}
+
+
+#: The inclusive alternative to Table 2's exclusive tiering: every
+#: object also lives in S3, so Memcached is a pure cache whose evictions
+#: are free drops.
+INCLUSIVE_CACHE = """
+Tiera InclusiveCache(size mem) {
+    tier1: { name: Memcached, size: mem, evict_to: drop };
+    tier3: { name: S3 };
+    event "cache-and-persist"(insert.into) : response {
+        store(what: insert.object, to: tier1);
+        copy(what: insert.object, to: tier3);
+    }
+    event "promote"(get.of && insert.object.location != tier1) : response {
+        retrieve(what: insert.object, promote_to: tier1);
+    }
+}
+"""
+
+
+def _ablation_inclusive(t: Trial) -> Tuple[Rows, Facts]:
+    """Figure 11's TI:2 shape both ways: read latency, and how many
+    objects have a durable copy."""
+    p = t.p
+    data = p.records * p.record_bytes
+    placements = (
+        ("exclusive (paper's TI:2)", 920, lambda registry: lru_tiered_instance(
+            registry, "TI2-exclusive",
+            mem=format_size(int(data * p.mem_share)),
+            ebs=format_size(int(data * p.ebs_share)),
+        )),
+        ("inclusive (cache over S3)", 921, lambda registry: compile_spec(
+            INCLUSIVE_CACHE, registry, args={"mem": int(data * p.mem_share)}
+        )),
+    )
+    rows = []
+    for name, seed, builder in placements:
+        for distribution in ("uniform", "zipfian"):
+            with t.section("build"):
+                cluster = Cluster(seed=seed)
+                instance = builder(TierRegistry(cluster))
+                workload = YcsbWorkload(
+                    TieraServer(instance), p.records, read_proportion=1.0,
+                    distribution=distribution, theta=0.99, seed=5,
+                )
+            t.load(cluster.clock, workload)
+            result = t.drive(
+                run_closed_loop, cluster.clock, clients=p.clients,
+                duration=p.duration, op_fn=workload, warmup=p.warmup,
+                obs=cluster.obs,
+            )
+            durable = sum(
+                1 for meta in instance.iter_meta()
+                if any(instance.tiers.get(tier).durable for tier in meta.locations)
+            )
+            rows.append([
+                name, distribution, round(ms(result.latencies.mean()), 2), durable,
+            ])
+    return rows, {"records": p.records}
+
+
+#: §3's threshold events: an expensive response (copy all of tier1 to
+#: S3) on a fill threshold, evaluated with the triggering request...
+FILL_BACKUP = """
+Tiera FillBackup() {
+    tier1: { name: Memcached, size: 32M };
+    tier2: { name: S3 };
+    event "place"(insert.into) : response {
+        store(what: insert.object, to: tier1);
+    }
+    event "backup"(tier1.filled >= 10%) : response {
+        copy(what: object.location == tier1, to: tier2);
+    }
+}
+"""
+#: ...or off the client path.
+BACKGROUND_FILL_BACKUP = FILL_BACKUP.replace(
+    'event "backup"', 'background event "backup"'
+)
+
+
+def _ablation_background_events(t: Trial) -> Tuple[Rows, Facts]:
+    """What a foreground vs a background threshold response costs client
+    PUTs.  Every PUT's latency is recorded, not just those completing in
+    the window: the one that trips the foreground threshold can outlast
+    the run, and that spike is the measurement."""
+    p = t.p
+    rows = []
+    for name, spec, seed in (("foreground threshold", FILL_BACKUP, 900),
+                             ("background threshold", BACKGROUND_FILL_BACKUP, 901)):
+        with t.section("build"):
+            cluster = Cluster(seed=seed)
+            instance = compile_spec(spec, TierRegistry(cluster))
+            workload = insert_stream(TieraServer(instance), seed=3)
+        latencies = []
+
+        def op(client, ctx):
+            start = ctx.time
+            label = workload(client, ctx)
+            latencies.append(ctx.time - start)
+            return label
+
+        t.drive(
+            run_closed_loop, cluster.clock, clients=p.clients,
+            duration=p.duration, op_fn=op, obs=cluster.obs,
+        )
+        latencies.sort()
+        rows.append([
+            name,
+            round(ms(sum(latencies) / len(latencies)), 2),
+            round(ms(latencies[int(0.95 * (len(latencies) - 1))]), 2),
+            round(ms(latencies[-1]), 1),
+        ])
+    return rows, {}
+
+
 # -- the table -----------------------------------------------------------------
 
 FIGURES: Dict[str, Figure] = {
@@ -1696,6 +2047,208 @@ FIGURES: Dict[str, Figure] = {
             "adaptive strictly better on p95 or cost":
                 lambda rows, f: f["adaptive_p95_ms"] < f["best_static_p95_ms"]
                 or f["adaptive_total_cost"] < f["best_static_total_cost"],
+        },
+    ),
+    "chaos": Figure(
+        output="chaos_matrix",
+        title="Chaos matrix — availability / p99 / MTTR, baseline vs resilient",
+        headers=("scenario", "deployment", "seed", "mode", "avail %", "p99 ms",
+                 "mttr s", "corrupt", "retries", "degraded", "replayed"),
+        experiment=_chaos,
+        full=dict(
+            duration=240.0,
+            cells=tuple(
+                (scenario, deployment, 2014, resilient)
+                for scenario in ("transient-errors", "latency-spike",
+                                 "flapping", "bitrot", "shard-loss")
+                for deployment in CHAOS_DEPLOYMENTS
+                for resilient in (False, True)
+            ),
+        ),
+        # three scenarios x three seeds on the resilient write-through
+        # instance, plus the two baselines the headline claims compare to
+        smoke=dict(
+            duration=150.0,
+            cells=tuple(
+                (scenario, "write-through", seed, True)
+                for seed in (2014, 7, 1717)
+                for scenario in ("transient-errors", "flapping", "bitrot")
+            ) + (
+                ("transient-errors", "write-through", 2014, False),
+                ("bitrot", "write-through", 2014, False),
+            ),
+        ),
+        note="Same seed drives each baseline/resilient pair; the only "
+             "difference is the resilience layer.  'corrupt' counts GETs "
+             "that returned bytes the reference ledger does not allow: "
+             "neither the key's last acked write nor an attempt made since.",
+        checks={
+            # headline: 20% EBS transient errors for 2 virtual minutes
+            "baseline transient-errors: PUT availability < 95%":
+                lambda rows, f: _headline(f, "transient-errors", "baseline")
+                ["availability"]["put"] < 0.95,
+            "resilient transient-errors: GET, PUT and overall >= 99%":
+                lambda rows, f: min(
+                    _headline(f, "transient-errors", "resilient")
+                    ["availability"][op] for op in ("get", "put", "overall")
+                ) >= 0.99,
+            "resilient transient-errors: retries, redirects, replays them all":
+                lambda rows, f: _replays_every_redirect(
+                    _headline(f, "transient-errors", "resilient")
+                ),
+            "baseline bitrot serves corrupt bytes":
+                lambda rows, f: _headline(f, "bitrot", "baseline")
+                ["corrupt_reads"] > 0,
+            "resilient bitrot: no corrupt read, reads repaired":
+                lambda rows, f: _headline(f, "bitrot", "resilient")
+                ["corrupt_reads"] == 0
+                and _headline(f, "bitrot", "resilient")["read_repairs"] > 0,
+            "every resilient cell: reads checked, no ledger violation":
+                lambda rows, f: all(
+                    c["checked"] > 0 and c["violations"] == 0
+                    and c["corrupt_reads"] == 0
+                    for c in _cells(f, mode="resilient")
+                ),
+            # cached-s3's baseline is out until ROADMAP defect (a) is
+            # fixed; tests/regressions/stale-overwrite-cached-s3.json
+            # pins it
+            "write-through baselines: only injected rot is a violation":
+                lambda rows, f: all(
+                    c["violations"] == 0
+                    for c in _cells(f, deployment="write-through", mode="baseline")
+                    if c["scenario"] != "bitrot"
+                ),
+        },
+    ),
+    "crash_sweep": Figure(
+        output="crash_sweep",
+        title="Crash sweep — every boundary of the scripted workload, "
+              "crashed and recovered",
+        headers=("deployment", "boundaries", "swept", "recovered clean",
+                 "durable digests", "records replayed"),
+        experiment=_crash_sweep,
+        full=dict(seed=2014, deployments=CRASH_DEPLOYMENTS),
+        note="After each crash a successor reopens over the surviving "
+             "metadata store and must be fsck-clean, sit on a durable "
+             "state the reference run passed through, and (where the "
+             "policy acks after a durable write) hold every acked key.",
+        checks={
+            "every deployment recovers clean":
+                lambda rows, f: all(s["clean"] for s in f["sweeps"]),
+            # a truncated sweep must not pass as clean
+            "every visited boundary swept and recovered":
+                lambda rows, f: all(
+                    s["ok"] == s["crash_points"] for s in f["sweeps"]
+                ),
+        },
+    ),
+    "shard_failover": Figure(
+        output="shard_failover",
+        title="Shard failover: kill 1 of 4 replicated shards mid-workload",
+        headers=("metric", "value"),
+        experiment=_shard_failover,
+        # the presets' own defaults at full scale
+        full=dict(failover={}, migration={}),
+        smoke=dict(
+            failover=dict(records=24, duration=150.0, clients=3,
+                          outage_at=30.0, outage=60.0, flap_duration=30.0),
+            migration=dict(records=8),
+        ),
+        note="replication_factor=3 write_quorum=2; the victim takes a hard\n"
+             "outage then flaps back; hints drain on recovery and\n"
+             "anti-entropy converges the replica groups.  The migration\n"
+             "sweep crashes add_shard at every journaled boundary.",
+        checks={
+            **{
+                name: lambda rows, f, check=check: check(f["failover"])
+                for name, check in FAILOVER_CHECKS.items()
+            },
+            "the outage parked hints":
+                lambda rows, f: f["failover"]["hints"]["recorded"] > 0,
+            "migration sweep recovers clean":
+                lambda rows, f: f["migration"]["clean"] is True,
+            # the membership pair once each, the three per-move points
+            # at their first, middle and last visit
+            "migration sweep armed 11 boundaries":
+                lambda rows, f: f["migration"]["swept"] == 11,
+        },
+    ),
+    "backup_lifecycle": Figure(
+        output="backup_lifecycle",
+        title="Backup lifecycle: snapshot bytes (full vs incremental chain)",
+        headers=("id", "kind", "objects", "bytes", "vs full"),
+        experiment=_backup_lifecycle,
+        full=dict(records=120, waves=4),
+        note=lambda f, p: (
+            "each wave mutates ~15% of the set; incrementals should cost\n"
+            "roughly the changed fraction of a full archive.  PITR to seq "
+            f"{f['pitr']['target_seq']} replayed {f['pitr']['replayed']} "
+            f"WAL records; digest match {f['pitr']['digest_match']}, "
+            f"scheduled verification ok {f['verification']['ok']}."
+        ),
+        checks={
+            "PITR lands on the target's durable digest":
+                lambda rows, f: f["pitr"]["digest_match"] is True,
+            "PITR replays WAL records": lambda rows, f: f["pitr"]["replayed"] > 0,
+            "the restored instance is fsck-clean":
+                lambda rows, f: f["pitr"]["fsck_clean"] is True,
+            "the scheduled restore drill passes":
+                lambda rows, f: f["verification"]["ok"] is True,
+            "an incremental costs < 0.7x a full archive":
+                lambda rows, f: f["incremental_vs_full_bytes"] < 0.7,
+        },
+    ),
+    "ablation_eviction": Figure(
+        output="ablation_eviction",
+        title="Ablation — LRU vs MRU eviction under zipfian reads",
+        headers=("policy", "avg read (ms)", "p95 read (ms)", "reads/sec"),
+        experiment=_ablation_eviction,
+        # unsaturated: queueing would wash out the policy difference
+        full=dict(records=1_000, cache_share=0.25, clients=4, duration=30.0,
+                  warmup=8.0, think_time=0.05),
+        smoke=dict(records=400, duration=10.0, warmup=3.0),
+        note="LRU keeps the zipfian head cached; MRU evicts it first.",
+        checks={
+            "LRU reads faster than MRU": lambda rows, f: rows[0][1] < rows[1][1],
+        },
+    ),
+    "ablation_inclusive": Figure(
+        output="ablation_inclusive",
+        title="Ablation — exclusive vs inclusive tiering (TI:2 shape)",
+        headers=("placement", "distribution", "avg read (ms)",
+                 "objects durable"),
+        experiment=_ablation_inclusive,
+        full=dict(records=2_000, record_bytes=4096, mem_share=0.60,
+                  ebs_share=0.20, clients=14, duration=25.0, warmup=8.0),
+        smoke=dict(records=300, duration=2.0, warmup=1.0),
+        note="Exclusive keeps hot objects only in Memcached (cheap reads, "
+             "volatile); inclusive keeps every object in S3 as well "
+             "(everything durable, cold reads slower).",
+        checks={
+            "inclusive keeps every object durable":
+                lambda rows, f: min(r[3] for r in rows[2:]) >= f["records"],
+            "exclusive leaves objects volatile":
+                lambda rows, f: max(r[3] for r in rows[:2]) < f["records"],
+        },
+    ),
+    "ablation_background_events": Figure(
+        output="ablation_background_events",
+        title="Ablation — foreground vs background threshold responses",
+        headers=("configuration", "avg PUT (ms)", "p95 PUT (ms)",
+                 "max PUT (ms)"),
+        experiment=_ablation_background_events,
+        # short on purpose: the point is the one threshold firing ~0.3 s
+        # in, and the run must stay within the 32 MB tier's capacity
+        full=dict(clients=2, duration=2.5),
+        # past the firing, the backlog of background copies costs wall
+        # time (about a minute at 2.5 s) and shows nothing new
+        smoke=dict(duration=1.0),
+        note="Foreground: the unlucky client that crosses the threshold "
+             "pays for the whole S3 backup inline (huge max latency). "
+             "Background: the backup runs off the client path.",
+        checks={
+            "foreground max PUT > 5x background":
+                lambda rows, f: rows[0][3] > 5 * rows[1][3],
         },
     ),
 }

@@ -32,9 +32,11 @@ action)`` for any action of the feature table, or a name from
 "xfail"?}`` (see docs/SIMULATION.md); replay one with ``run_steps(
 build(deployment, seed), steps)``.
 
-:func:`run_chaos`, :func:`run_matrix`, :func:`run_crash_sweep`,
-:func:`run_failover` and :func:`run_migration_crash` are the presets
-behind ``repro chaos | crashsweep | cluster`` and the CI byte-diff jobs.
+:func:`run_chaos`, :func:`run_crash_sweep`, :func:`run_failover`,
+:func:`run_migration_crash` and :func:`run_backup_lifecycle` are the
+presets behind ``repro chaos | crashsweep | cluster`` and the
+``chaos``, ``crash_sweep``, ``shard_failover`` and ``backup_lifecycle``
+rows of :data:`repro.bench.figures.FIGURES`.
 """
 
 from __future__ import annotations
@@ -42,9 +44,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import shutil
 import string
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, ContextManager, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.bench.runner import RunResult, run_closed_loop
 from repro.core.api import OpResult
@@ -69,6 +76,7 @@ from repro.simcloud.faults import (
     shard_loss,
 )
 from repro.simcloud.resources import RequestContext
+from repro.spec import compile_spec
 from repro.tiers.registry import TierRegistry
 from repro.workloads.ycsb import record_payload
 
@@ -84,6 +92,13 @@ PAYLOAD_BYTES = 4096
 FLUSH_PERIOD = 30.0
 
 Payload = Callable[[str, int], bytes]
+
+
+def report_digest(report: Dict[str, object]) -> str:
+    """sha256 of a report's canonical JSON (sorted keys, no whitespace):
+    equal digests, equal reports."""
+    blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def stamp_payload(seed: int) -> Payload:
@@ -295,8 +310,7 @@ DEPLOYMENTS: Dict[str, Callable[..., object]] = {
     "replicated": _replicated,
 }
 
-#: What the chaos matrix and the instance crash sweep (and its CI
-#: crash-matrix job) cover.
+#: What the chaos matrix and the instance crash sweep cover.
 CHAOS_DEPLOYMENTS = ("write-through", "cached-s3")
 CRASH_DEPLOYMENTS = ("write-through", "writeback", "lru-tiered", "cached-s3")
 
@@ -584,28 +598,6 @@ def run_chaos(
     return report
 
 
-def run_matrix(
-    scenarios=(
-        "transient-errors", "latency-spike", "flapping", "bitrot",
-        "shard-loss",
-    ),
-    deployments=CHAOS_DEPLOYMENTS,
-    seed: int = 2014,
-    resilient_modes=(False, True),
-    **kwargs,
-) -> List[Dict[str, object]]:
-    """The full sweep: scenarios × deployments × {baseline, resilient}."""
-    return [
-        run_chaos(
-            scenario=scenario, deployment=deployment, seed=seed,
-            resilient=resilient, **kwargs,
-        )
-        for scenario in scenarios
-        for deployment in deployments
-        for resilient in resilient_modes
-    ]
-
-
 #: The crash sweep's workload: PUTs (``writeback``: the 4th evicts
 #: obj00), a GET, an overwrite, a delete, a timer flush, more evictions,
 #: a checkpoint (the compact boundary) and a second flush.
@@ -652,8 +644,11 @@ def run_crash_sweep(
     that last check is skipped there.
 
     ``max_points`` caps how many boundaries are swept (for quick test
-    runs); the report records the cap so truncation is never silent.
+    runs; 0 runs the reference alone); the report records the cap so
+    truncation is never silent.
     """
+    if max_points is not None and max_points < 0:
+        raise ValueError(f"max_points must be >= 0, got {max_points}")
     digests: List[str] = []
 
     def recover(sim: Sim, crashed: bool) -> Dict[str, object]:
@@ -747,8 +742,9 @@ def run_failover(
     R-replicated cluster mid-workload with the ``shard-loss`` scenario
     (hard outage, then flapping recovery) and measure availability,
     acked-write loss, hinted-handoff drain and anti-entropy convergence.
-    The acceptance bar: availability ≥ 99.9 % and **zero** acked writes
-    lost."""
+    :func:`failover_gate` holds the acceptance bar."""
+    if records < 1:
+        raise ValueError(f"records must be >= 1, got {records}")
     config = ClusterConfig(
         replication_factor=replication_factor,
         write_quorum=write_quorum,
@@ -838,6 +834,24 @@ def run_failover(
     }
 
 
+#: The failover drill's acceptance bar, by name; each check reads a few
+#: fields of a :func:`run_failover` report.
+FAILOVER_CHECKS: Dict[str, Callable[[Dict[str, object]], bool]] = {
+    "availability >= 99.9%": lambda r: r["availability"]["overall"] >= 0.999,
+    "zero acked writes lost": lambda r: r["acked_write_loss"] == 0,
+    "no ledger violation": lambda r: r["model"]["violations"] == 0,
+    "every hint drained": lambda r: r["hints"]["pending"] == 0,
+    "anti-entropy converged":
+        lambda r: r["anti_entropy"]["final_divergent"] == 0,
+    "cluster fsck clean": lambda r: r["fsck"]["clean"] is True,
+}
+
+
+def failover_gate(report: Dict[str, object]) -> List[str]:
+    """The names of the :data:`FAILOVER_CHECKS` ``report`` fails."""
+    return [name for name, check in FAILOVER_CHECKS.items() if not check(report)]
+
+
 def _first_middle_last(schedule) -> List[Tuple[int, str]]:
     """The first, middle and last visit of every named crash point."""
     by_point: Dict[str, List[int]] = {}
@@ -924,4 +938,132 @@ def run_migration_crash(
         "model": model,
         "clean": reference_fsck["clean"]
         and all(entry["ok"] for entry in swept),
+    }
+
+
+#: The backup lifecycle's object size, the share of its objects each
+#: wave rewrites, and its restore drill's period (virtual seconds).
+BACKUP_RECORD_BYTES = 2048
+BACKUP_CHANGE_FRACTION = 0.15
+BACKUP_VERIFY_INTERVAL = 50.0
+
+#: The backup lifecycle's instance: write-through Memcached + EBS, and a
+#: timer-scheduled restore drill (``verifyBackup``).
+BACKUP_SPEC = """
+Tiera BackupLifecycle(time verify_interval) {
+    tier1: { name: Memcached, size: 32M };
+    tier2: { name: EBS, size: 256M };
+    event "write-through"(insert.into) : response {
+        store(what: insert.object, to: [tier1, tier2]);
+    }
+    event "verify-drill"(time=verify_interval) : response {
+        verifyBackup();
+    }
+}
+"""
+
+
+def run_backup_lifecycle(
+    seed: int = 2014,
+    records: int = 120,
+    waves: int = 4,
+    section: Callable[[str], ContextManager] = lambda name: nullcontext(),
+) -> Dict[str, object]:
+    """Full snapshot, incremental waves, crash, PITR, scheduled verify.
+
+    Each wave rewrites a fixed share of the set and is captured by
+    an incremental snapshot; mid-history a journal sequence number and
+    its durable digest are pinned as the point-in-time target.  The
+    instance then crashes, a successor reopens over the same metadata
+    and backup store and restores ``to_seq`` — the digest must land
+    exactly, fsck must be clean — and the timer's restore drill must
+    report through ``health()``.  ``section(name)`` brackets the full
+    snapshot (``"snapshot"``) and the restore (``"restore"``), the two
+    steps whose wall time is worth profiling.
+    """
+    rng = random.Random(seed)
+    root = tempfile.mkdtemp(prefix="tiera-backup-")
+    cluster = Cluster(seed=seed)
+
+    def put(server, key: str, tag: str) -> None:
+        block = bytes(rng.getrandbits(8) for _ in range(64))
+        body = block * (BACKUP_RECORD_BYTES // 64)
+        ctx = RequestContext(cluster.clock)
+        server.put_object(
+            key, tag.encode("ascii") + body[len(tag):], ctx=ctx
+        ).raise_for_error()
+        if ctx.time > cluster.clock.now():
+            cluster.clock.run_until(ctx.time)
+
+    try:
+        instance = compile_spec(
+            BACKUP_SPEC, TierRegistry(cluster),
+            args={"verify_interval": BACKUP_VERIFY_INTERVAL},
+        )
+        instance.name = "backup-bench"
+        instance.enable_durability()
+        instance.enable_backups(root)
+        server, manager = TieraServer(instance), instance.backup
+        for i in range(records):
+            put(server, f"obj{i:04d}", f"v0-{i}")
+        with section("snapshot"):
+            snapshots = [manager.snapshot(kind="full")]
+        changed = max(1, int(records * BACKUP_CHANGE_FRACTION))
+        for wave in range(1, waves + 1):
+            victims = rng.sample(range(records), changed)
+            for index, i in enumerate(victims):
+                put(server, f"obj{i:04d}", f"v{wave}-{i}")
+                if wave == (waves + 1) // 2 and index == changed // 2:
+                    # Pinned mid-wave, strictly between snapshots, so the
+                    # restore must replay WAL records on top of a chain.
+                    target_seq = manager.last_seq
+                    target_digest = instance.state_digest(durable_only=True)
+            snapshots.append(manager.snapshot())
+
+        tiers = list(instance.tiers.ordered())
+        simulate_crash(instance)
+        successor, _ = reopen_instance(
+            name=instance.name, tiers=tiers, policy=instance.policy,
+            clock=cluster.clock, metadata_store=instance.metadata_store,
+            eviction_chain=dict(instance.eviction_chain), backup_root=root,
+        )
+        server, manager = TieraServer(successor), successor.backup
+        with section("restore"):
+            restore = manager.restore(to_seq=target_seq)
+        scrub = fsck(successor, repair=False)
+        cluster.clock.run_until(
+            cluster.clock.now() + BACKUP_VERIFY_INTERVAL + 1.0
+        )
+        health = server.health()
+        verified = health["backup"]["last_verified_restore"]
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    return {
+        "records": records,
+        "waves": waves,
+        "changed_per_wave": changed,
+        "snapshots": [
+            {key: entry[key] for key in (
+                "id", "kind", "bytes", "objects", "upto_seq", "state_digest",
+            )}
+            for entry in snapshots
+        ],
+        "incremental_vs_full_bytes": round(
+            snapshots[1]["bytes"] / snapshots[0]["bytes"], 4
+        ),
+        "pitr": {
+            "target_seq": target_seq,
+            "base_snapshot": restore["base_snapshot"],
+            "replayed": restore["replayed"],
+            "digest_match": restore["durable_digest"] == target_digest,
+            "durable_digest": restore["durable_digest"],
+            "fsck_clean": scrub["clean"],
+        },
+        "verification": {
+            "ran": verified is not None,
+            "ok": bool(verified and verified["ok"]),
+            "snapshot": verified["snapshot"] if verified else None,
+            "replayed": verified["replayed"] if verified else None,
+            "health_status": health["status"],
+        },
     }

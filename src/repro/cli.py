@@ -15,12 +15,12 @@ Commands mirror how the paper's prototype is operated:
   when the server is a shard router).
 * ``chaos [--scenario S] [--seed N] [--baseline] ...`` — run one
   deterministic fault-injection scenario against a canned deployment
-  and print the JSON report.  Same seed ⇒ byte-identical output: the
-  CI chaos job diffs two runs of this command.
+  and print the JSON report.  Same seed ⇒ byte-identical output (the
+  ``chaos`` figure row digests these reports).
 * ``crashsweep [--deployment D] [--seed N] ...`` — offline: crash a
   scripted workload at every registered crash point, reopen, verify
   recovery invariants, print the JSON report (byte-identical across
-  same-seed runs; the CI crash-matrix job diffs two runs).
+  same-seed runs).
 * ``profile [--scenario S] [--cprofile] [--format text|json]`` — run a
   row of the paper-figures table at smoke scale under the scoped
   profiler and print its build/load/drive wall-clock tree and
@@ -36,7 +36,8 @@ Commands mirror how the paper's prototype is operated:
   same-seed number drifts beyond the tolerance (the CI figures job's
   gate).
 * ``cluster failover|migrate-crash [--seed N] ...`` — the replicated
-  cluster's offline drills (``failover`` is the default).
+  cluster's offline drills (``failover`` is the default); ``failover``
+  exits 0 iff the report passes ``repro.bench.sim.failover_gate``.
 
 The live admin commands are one table, :data:`COMMANDS`, over the
 management API's feature table (``repro.core.features.FEATURES``); each
@@ -432,22 +433,22 @@ def cmd_crashsweep(options) -> int:
 
 
 def cmd_failover(options) -> int:
-    from repro.bench.sim import run_failover
+    from repro.bench.sim import failover_gate, run_failover
 
-    report = run_failover(
-        seed=options.seed,
-        records=options.records,
-        duration=options.duration,
-        clients=options.clients,
-    )
+    try:
+        report = run_failover(
+            seed=options.seed,
+            records=options.records,
+            duration=options.duration,
+            clients=options.clients,
+        )
+    except ValueError as exc:
+        return _error(exc)
     _print_json(report)
-    ok = (
-        not report["acked_write_loss"]
-        and not report["hints"]["pending"]
-        and not report["anti_entropy"]["final_divergent"]
-        and report["fsck"]["clean"]
-    )
-    return 0 if ok else 1
+    failed = failover_gate(report)
+    for name in failed:
+        print(f"failover gate FAIL: {name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_migrate_crash(options) -> int:
@@ -797,6 +798,13 @@ EXIT_OK: Dict[Tuple[str, str], Callable[[dict], bool]] = {
 }
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Every command's parser; the live ones from :data:`COMMANDS` and
     the feature table as it is now."""
@@ -887,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crashsweep.add_argument("--deployment", default="write-through")
     crashsweep.add_argument("--seed", type=int, default=2014)
-    crashsweep.add_argument("--max-points", type=int,
+    crashsweep.add_argument("--max-points", type=_at_least_one,
                             help="sweep only the first N crash points")
 
     groups = {row.name: _add_live(commands, row) for row in COMMANDS}

@@ -26,8 +26,8 @@ module adds the Dynamo/Cassandra-style machinery that lets the cluster
 
 Everything runs on the simulated clock and draws no randomness of its
 own: same-seed runs produce byte-identical op envelopes, transition
-logs, and repair logs — the CI ``cluster-resilience`` job diffs exactly
-that.
+logs, and repair logs — the ``shard_failover`` figure row's report
+digests pin exactly that.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ schedulable, *deterministic* fault profiles:
 * every injected effect is counted (``tiera_faults_injected_total``)
   and logged, and :meth:`FaultInjector.report` renders the whole run as
   a JSON-able structure that is byte-identical across same-seed runs —
-  the CI chaos job diffs exactly that.
+  the ``chaos`` figure row's report digests pin exactly that.
 
 Services consult the injector through two hooks —
 :meth:`FaultInjector.before_op` inside

@@ -1,9 +1,12 @@
 """The paper-figures gate: committed baselines, drift, broken policies."""
 
 import copy
+import dataclasses
 import os
 
-from repro.bench import figures
+import pytest
+
+from repro.bench import figures, sim
 from repro.bench.figures import FIGURES, run_figure
 from repro.bench.telemetry import (
     diff_directories,
@@ -13,6 +16,8 @@ from repro.bench.telemetry import (
     record_path,
     write_record,
 )
+from repro.core.cluster import ClusterManager
+from repro.core.durability import INTENTS
 
 BASELINES = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "baselines"
@@ -78,3 +83,96 @@ def test_a_broken_paper_policy_fails_by_name(monkeypatch, tmp_path):
     ok, lines = diff_directories(BASELINES, str(tmp_path), names=["fig15"])
     assert not ok
     assert "fig15: predicate FAIL: write-through > 3x write-back latency" in lines
+
+
+def _smoke(monkeypatch, name, **smoke):
+    """Run row ``name`` at a smaller smoke scale."""
+    figure = FIGURES[name]
+    monkeypatch.setitem(
+        FIGURES, name, dataclasses.replace(figure, smoke={**figure.smoke, **smoke})
+    )
+
+
+def _resilience_off(monkeypatch):
+    """The resilient bitrot cell runs without the layer it claims."""
+    _smoke(monkeypatch, "chaos", duration=60.0,
+           cells=(("bitrot", "write-through", 2014, True),))
+    run_chaos = figures.run_chaos
+    monkeypatch.setattr(
+        figures, "run_chaos", lambda **kw: run_chaos(**{**kw, "resilient": False})
+    )
+
+
+def _write_redo_lost(monkeypatch):
+    """Recovery stops rolling journaled writes forward."""
+    _smoke(monkeypatch, "crash_sweep", deployments=("write-through",))
+    monkeypatch.setitem(
+        INTENTS, "write", INTENTS["write"]._replace(redo=lambda *args: None)
+    )
+
+
+def _hints_never_replayed(monkeypatch):
+    _smoke(monkeypatch, "shard_failover", failover=dict(
+        records=16, duration=120.0, clients=2,
+        outage_at=30.0, outage=45.0, flap_duration=20.0,
+    ))
+    monkeypatch.setattr(
+        ClusterManager, "replay_hints", lambda self, target=None: {}
+    )
+
+
+def _restore_drill_never_due(monkeypatch):
+    monkeypatch.setattr(sim, "BACKUP_SPEC", sim.BACKUP_SPEC.replace(
+        "time=verify_interval", "time=3600"
+    ))
+
+
+def _lru_evicts_newest(monkeypatch):
+    lru, mru = figures.LRU_EVICTION, figures.MRU_EVICTION
+    monkeypatch.setattr(figures, "LRU_EVICTION", mru)
+    monkeypatch.setattr(figures, "MRU_EVICTION", lru)
+
+
+def _inclusive_demotes(monkeypatch):
+    """The cache stops persisting on insert and demotes its victims
+    instead: exclusive tiering under the inclusive label."""
+    monkeypatch.setattr(figures, "INCLUSIVE_CACHE", figures.INCLUSIVE_CACHE.replace(
+        "copy(what: insert.object, to: tier3);", ""
+    ).replace("evict_to: drop", "evict_to: tier3"))
+
+
+def _background_runs_inline(monkeypatch):
+    monkeypatch.setattr(figures, "BACKGROUND_FILL_BACKUP", figures.FILL_BACKUP)
+
+
+#: row -> (a defect planted in its policy or its harness, the predicate
+#: that must name it)
+BROKEN = {
+    "chaos": (
+        _resilience_off, "every resilient cell: reads checked, no ledger violation"
+    ),
+    "crash_sweep": (_write_redo_lost, "every deployment recovers clean"),
+    "shard_failover": (_hints_never_replayed, "every hint drained"),
+    "backup_lifecycle": (
+        _restore_drill_never_due, "the scheduled restore drill passes"
+    ),
+    "ablation_eviction": (_lru_evicts_newest, "LRU reads faster than MRU"),
+    "ablation_inclusive": (
+        _inclusive_demotes, "inclusive keeps every object durable"
+    ),
+    "ablation_background_events": (
+        _background_runs_inline, "foreground max PUT > 5x background"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN))
+def test_a_broken_drill_or_ablation_fails_by_name(name, monkeypatch, tmp_path):
+    plant, check = BROKEN[name]
+    plant(monkeypatch)
+    trial = run_figure(name, "smoke")
+    assert check in trial.failed
+    write_record(make_record(trial), str(tmp_path))
+    ok, lines = diff_directories(BASELINES, str(tmp_path), names=[name])
+    assert not ok
+    assert f"{name}: predicate FAIL: {check}" in lines

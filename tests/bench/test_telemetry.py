@@ -28,7 +28,9 @@ class TestRecords:
             "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
             "fig13_kill_restart", "fig14", "fig15", "fig16", "fig17",
             "fig17_resilient", "fig18", "batch_scaling", "heat_telemetry",
-            "adaptive_placement",
+            "adaptive_placement", "chaos", "crash_sweep", "shard_failover",
+            "backup_lifecycle", "ablation_eviction", "ablation_inclusive",
+            "ablation_background_events",
         ]
         with pytest.raises(ValueError):
             run_scenario("fig99")

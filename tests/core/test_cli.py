@@ -700,6 +700,53 @@ class TestLiveCommandErrors:
         assert capsys.readouterr().out.count(" full: ") == 3
 
 
+class TestOfflineDrills:
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_crashsweep_refuses_a_sweep_of_nothing(
+        self, monkeypatch, capsys, points
+    ):
+        """Regression: ``--max-points 0`` passed a sweep that swept
+        nothing; ``-3`` silently skipped the last three boundaries."""
+        import repro.bench.sim as sim
+
+        monkeypatch.setattr(sim, "run_crash_sweep", lambda **kw: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["crashsweep", "--max-points", points])
+        assert excinfo.value.code == 2
+        assert "--max-points: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--records", "--clients"])
+    def test_failover_with_nothing_to_drive_is_an_error_line(self, capsys, flag):
+        """Regression: both ended in a traceback."""
+        assert main(["cluster", "failover", flag, "0", "--duration", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field, value, check", [
+        ("availability", {"overall": 0.99}, "availability >= 99.9%"),
+        ("model", {"violations": 1}, "no ledger violation"),
+    ])
+    def test_failover_exits_on_the_drill_gate(
+        self, monkeypatch, capsys, field, value, check
+    ):
+        """Regression: the exit status checked neither the availability
+        floor nor the ledger, so such a run exited 0."""
+        import repro.bench.sim as sim
+
+        passing = {
+            "availability": {"overall": 1.0}, "acked_write_loss": 0,
+            "model": {"violations": 0}, "hints": {"pending": 0},
+            "anti_entropy": {"final_divergent": 0}, "fsck": {"clean": True},
+        }
+        monkeypatch.setattr(sim, "run_failover", lambda **kw: passing)
+        assert main(["cluster", "failover"]) == 0
+        capsys.readouterr()
+        passing[field] = value
+        assert main(["cluster", "failover"]) == 1
+        assert capsys.readouterr().err == f"failover gate FAIL: {check}\n"
+
+
 class TestOneAnswerWhenOff:
     """A feature that is off: its ``{"enabled": false}`` document through
     the command's renderer, one hint line on stderr, exit 1."""

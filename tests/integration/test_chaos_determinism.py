@@ -3,7 +3,7 @@
 1. **Determinism** — one seed, two runs, byte-identical reports: the
    injected-fault sequence, retry counts, latency numbers, and the
    final-object-state digest all derive from seeded RNGs and the
-   virtual clock (this is exactly what the CI chaos job diffs).
+   virtual clock (what the ``chaos`` figure row's digests pin).
 2. **Zero-cost when idle** — with no faults scheduled, enabling the
    resilience layer does not shift a single simulated latency: same
    operation count, same latency summary, same final state digest as

@@ -9,9 +9,9 @@ import pytest
 from repro.bench.sim import CRASH_DEPLOYMENTS as DEPLOYMENTS, run_crash_sweep
 from repro.core.durability import INTENTS
 
-#: Boundaries swept in the quick per-deployment test.  The CI
-#: crash-matrix job runs the full sweep; here a prefix keeps the suite
-#: fast while still crossing journal/data/meta/commit edges.
+#: Boundaries swept in the quick per-deployment test.  The figures
+#: table's ``crash_sweep`` row runs the full sweep; here a prefix keeps
+#: the suite fast while still crossing journal/data/meta/commit edges.
 QUICK_POINTS = 12
 
 
@@ -54,6 +54,12 @@ class TestCrashSweep:
         assert report["summary"]["failed"]
         for failed in report["summary"]["failed"]:
             assert failed["point"].startswith("write.")
+
+    def test_a_negative_cap_is_refused(self):
+        """Regression: ``max_points=-3`` swept all but the last three
+        boundaries."""
+        with pytest.raises(ValueError, match="max_points"):
+            run_crash_sweep("write-through", max_points=-3)
 
     def test_unknown_deployment_rejected(self):
         with pytest.raises(ValueError, match="unknown deployment"):

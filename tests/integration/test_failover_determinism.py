@@ -3,8 +3,8 @@
 1. **Determinism** — one seed, two runs, byte-identical reports: op
    envelopes, detector transitions, hint-replay and anti-entropy logs,
    and the final cluster state digest all derive from the seeded RNGs
-   and the virtual clock (this is exactly what the CI
-   ``cluster-resilience`` job diffs).
+   and the virtual clock (what the ``shard_failover`` figure row's
+   digests pin).
 2. **Self-healing** — killing 1 of 4 replicated shards mid-workload
    keeps availability at or above 99.9 % with zero acked-write loss,
    and after recovery the hints drain, anti-entropy converges to zero

@@ -219,11 +219,14 @@ class TestOneSource:
     RULE_MACHINERY = ("Rule", "ActionEvent", "TimerEvent", "ThresholdEvent")
 
     def test_only_the_compiler_builds_rules(self):
-        """...in the package and in the examples: a policy is spec text."""
+        """...in the package, the examples and the benchmarks: a policy
+        is spec text."""
         compiler = SRC / "spec" / "compiler.py"
-        examples = sorted((Path(__file__).parents[2] / "examples").glob("*.py"))
-        assert examples
-        paths = [*sorted(SRC.rglob("*.py")), *examples]
+        root = Path(__file__).parents[2]
+        examples = sorted((root / "examples").glob("*.py"))
+        benchmarks = sorted((root / "benchmarks").rglob("*.py"))
+        assert examples and benchmarks
+        paths = [*sorted(SRC.rglob("*.py")), *examples, *benchmarks]
         found = []
         for path in paths:
             if path == compiler:
