@@ -34,7 +34,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 from repro.apps.bookstore.app import BookstoreApp
 from repro.apps.bookstore.browser import THINK_TIME as BROWSER_THINK_TIME
@@ -88,7 +88,8 @@ from repro.fs.dedupfs import DedupFileSystem
 from repro.fs.filesystem import TieraFileSystem
 from repro.fs.rawfs import RawDeviceFileSystem
 from repro.monitor import StorageMonitor
-from repro.obs.profiler import NULL_PROFILER, Profiler, virtual_breakdown
+from repro.obs.export import counter_delta, counter_totals
+from repro.obs.profiler import Profiler
 from repro.simcloud.cluster import Cluster
 from repro.simcloud.latency import LognormalLatency, SizeDependentLatency
 from repro.simcloud.resources import RequestContext
@@ -166,24 +167,24 @@ class Trial:
     """One run of a figure at one scale.
 
     Experiments read their parameters from ``p``, wrap their phases in
-    ``section("build" | "load" | "drive")`` and drive load through
+    ``section("build" | "load" | "drive")`` — wall-timed by the trial's
+    :class:`~repro.obs.profiler.Profiler` — and drive load through
     :meth:`drive`, which also totals every run's operations, latencies
     and registry counters for the telemetry record.
     """
 
-    def __init__(self, name: str, scale: str, profiler: Profiler):
+    def __init__(self, name: str, scale: str):
         self.name = name
         self.figure = FIGURES[name]
         self.scale = scale
         self.params = self.figure.params(scale)
         self.p = SimpleNamespace(**self.params)
-        self.profiler = profiler
+        self.profiler = Profiler()
         self.operations = 0
         self.errors = 0
         self.duration = 0.0
         self.latencies = LatencyRecorder()
         self.registry: Dict[str, float] = {}
-        self.virtual: Dict[str, object] = {}
         self.rows: Rows = []
         self.facts: Facts = {}
         self.verdicts: Dict[str, bool] = {}
@@ -219,52 +220,22 @@ class Trial:
         self.duration += result.duration
         self.latencies.merge(result.latencies)
         if obs is not None:
-            after = obs.metrics.snapshot()
-            _accumulate(self.registry, _counter_delta(before, after))
-            _accumulate(self.virtual, virtual_breakdown(before, after))
-            for entry in self.virtual["requests"].values():
-                entry["mean"] = entry["seconds"] / entry["count"]
+            delta = counter_delta(
+                counter_totals(before), counter_totals(obs.metrics.snapshot())
+            )
+            for name, value in delta.items():
+                self.registry[name] = self.registry.get(name, 0) + value
         return result
 
 
-def _counter_totals(snapshot: Dict[str, object]) -> Dict[str, float]:
-    return {
-        name: float(sum(family.get("samples", {}).values()))
-        for name, family in snapshot.get("metrics", {}).items()
-        if family.get("type") == "counter"
-    }
-
-
-def _counter_delta(before, after) -> Dict[str, float]:
-    prior = _counter_totals(before)
-    return {
-        name: total - prior.get(name, 0.0)
-        for name, total in _counter_totals(after).items()
-        if total != prior.get(name, 0.0)
-    }
-
-
-def _accumulate(total: Dict[str, object], part: Dict[str, object]) -> None:
-    """Add ``part``'s numeric leaves into ``total`` (nested dicts)."""
-    for key, value in part.items():
-        if isinstance(value, dict):
-            _accumulate(total.setdefault(key, {}), value)
-        else:
-            total[key] = total.get(key, 0) + value
-
-
-def run_figure(
-    name: str, scale: str = "full", profiler: Optional[Profiler] = None
-) -> Trial:
-    """Run one row at ``scale``; the trial holds its rows and verdicts.
-
-    Without a ``profiler`` the run is un-profiled: sections cost nothing.
-    """
+def run_figure(name: str, scale: str = "full") -> Trial:
+    """Run one row at ``scale``; the trial holds its rows, verdicts and
+    phase timings."""
     if name not in FIGURES:
         raise ValueError(
             f"unknown scenario {name!r}; have {', '.join(sorted(FIGURES))}"
         )
-    trial = Trial(name, scale, profiler or NULL_PROFILER)
+    trial = Trial(name, scale)
     trial.rows, trial.facts = trial.figure.experiment(trial)
     trial.verdicts = trial.figure.verdicts(trial.rows, trial.facts)
     return trial

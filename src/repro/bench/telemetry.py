@@ -21,14 +21,11 @@ the model changed; and virtual throughput must not drop by more than
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.figures import FIGURES, Trial, run_figure
-from repro.obs.profiler import Profiler, cprofile_capture, render_profile
+from repro.bench.figures import FIGURES, Trial
 
 SCHEMA_VERSION = 2
 
@@ -65,46 +62,6 @@ def make_record(trial: Trial) -> Dict[str, object]:
         },
     }
     return json.loads(json.dumps(record))
-
-
-def run_scenario(name: str) -> Dict[str, object]:
-    """Run one figure row at smoke scale and return its record."""
-    return make_record(run_figure(name, "smoke"))
-
-
-def profile_scenario(
-    name: str,
-    cprofile: bool = False,
-    cprofile_limit: int = 15,
-) -> Dict[str, object]:
-    """Run a row at smoke scale under the profiler; the full report.
-
-    The report's ``coverage`` is the fraction of the measured wall time
-    the top-level build/load/drive sections account for.
-    """
-    profiler = Profiler()
-    capture = (
-        cprofile_capture(cprofile_limit) if cprofile
-        else contextlib.nullcontext({})
-    )
-    started = perf_counter()
-    with capture as functions:
-        trial = run_figure(name, "smoke", profiler)
-    measured = perf_counter() - started
-    wall = profiler.wall_report()
-    report: Dict[str, object] = {
-        "scenario": name,
-        "measured_wall_seconds": round(measured, 6),
-        "coverage": round(
-            wall["total_seconds"] / measured if measured > 0 else 0.0, 4
-        ),
-        "wall": wall,
-        "virtual": trial.virtual,
-        "record": make_record(trial),
-    }
-    if cprofile:
-        report["cprofile"] = functions
-    return report
 
 
 # -- persistence and diffing --------------------------------------------------
@@ -268,13 +225,10 @@ def diff_directories(
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "run_scenario",
-    "profile_scenario",
     "make_record",
     "write_record",
     "load_record",
     "record_path",
     "diff_records",
     "diff_directories",
-    "render_profile",
 ]

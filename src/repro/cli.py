@@ -12,7 +12,8 @@ Commands mirror how the paper's prototype is operated:
 * ``stats --port P [--host H] [--format json|prometheus|summary]`` —
   query a running server's observability snapshot over RPC (the STATS
   verb): metric registry, audit-log tail, health summary (per shard,
-  when the server is a shard router).
+  when the server is a shard router) with the virtual seconds charged
+  per service and per rule.
 * ``chaos [--scenario S] [--seed N] [--baseline] ...`` — run one
   deterministic fault-injection scenario against a canned deployment
   and print the JSON report.  Same seed ⇒ byte-identical output (the
@@ -21,15 +22,13 @@ Commands mirror how the paper's prototype is operated:
   scripted workload at every registered crash point, reopen, verify
   recovery invariants, print the JSON report (byte-identical across
   same-seed runs).
-* ``profile [--scenario S] [--cprofile] [--format text|json]`` — run a
-  row of the paper-figures table at smoke scale under the scoped
-  profiler and print its build/load/drive wall-clock tree and
-  virtual-time breakdown.  ``profile --port P [--host H]`` instead
-  attributes a running server's virtual time from its ``stats``
-  snapshot (the two modes' flags are exclusive).  Per-op wall cost is
-  measured by ``benchmarks/perf``, not here.
 * ``bench [--name S ...] [--out DIR]`` — run the figure rows at smoke
-  scale and write one ``BENCH_<name>.json`` record each.
+  scale and write one ``BENCH_<name>.json`` record each; each row's
+  summary line is followed by its build/load/drive wall-clock phases
+  and the share of the row's wall time they cover (records stay
+  virtual-only).  Function-level detail:
+  ``python -m cProfile -s cumtime -m repro bench --name S``; per-op
+  wall cost is ``benchmarks/perf``'s.
 * ``benchdiff --current DIR [--baseline DIR] [--tolerance F]`` —
   compare fresh records against the committed baselines; exits nonzero
   when a baseline has no fresh record, a shape predicate fails, or a
@@ -80,7 +79,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.core import features
 from repro.core.errors import FEATURE_DISABLED, TieraError
 from repro.core.server import TieraServer
-from repro.obs.export import parse_labels
+from repro.obs.export import parse_labels, virtual_breakdown
 from repro.obs.heat import render_report
 from repro.simcloud.clock import WallClock
 from repro.simcloud.cluster import Cluster
@@ -238,6 +237,7 @@ def cmd_stats(options) -> int:
                 f"{name}×{count}" for name, count in sorted(fired.items())
             ))
         _print_latency_summary(snapshot)
+        _print_virtual_summary(snapshot)
         _print_status(health, "slo", options)
         _print_heat_summary(health.get("heat"))
         _print_status(health, "backup", options)
@@ -272,6 +272,7 @@ def _print_router_summary(health: Dict[str, object],
         print(f"  cluster: {cluster['replicas']} replicas, "
               f"{cluster['hints']['pending']} hints pending, "
               f"{cluster['journal_pending']} migration intents pending")
+    _print_virtual_summary(snapshot)
     _print_heat_summary(health.get("heat"))
     _print_audit_tail(snapshot)
 
@@ -323,43 +324,32 @@ def _print_latency_summary(snapshot: Dict[str, object]) -> None:
               f"({sample['count']} ops)")
 
 
-def cmd_profile(options) -> int:
-    from repro.bench.telemetry import profile_scenario, render_profile
-    from repro.obs.profiler import virtual_breakdown
-
-    if options.port is not None:
-        client = _connect(options)
-        if client is None:
-            return 1
-        with client:
-            # Everything the server's registry has charged so far.
-            report = {"virtual": virtual_breakdown(
-                None, client.stats(audit_limit=0)
-            )}
-    else:
-        try:
-            report = profile_scenario(
-                options.scenario or "fig07", cprofile=options.cprofile
-            )
-        except ValueError as exc:
-            return _error(exc)
-    if options.format == "json":
-        _print_json(report)
-    else:
-        print(render_profile(report))
-    return 0
+def _print_virtual_summary(snapshot: Dict[str, object]) -> None:
+    """Where the server's simulated time has gone so far: one line per
+    service (busiest first), then one per rule and mode."""
+    virtual = virtual_breakdown(None, snapshot)
+    services = virtual["services"]
+    for name in sorted(services, key=lambda n: (-services[n], n)):
+        print(f"  virtual service {name}: {services[name]:.3f} s")
+    for rule, seconds in sorted(virtual["rules"].items()):
+        print(f"  virtual rule {rule}: {seconds:.3f} s")
 
 
 def cmd_bench(options) -> int:
-    from repro.bench.figures import FIGURES
-    from repro.bench.telemetry import run_scenario, write_record
+    from time import perf_counter
+
+    from repro.bench.figures import FIGURES, run_figure
+    from repro.bench.telemetry import make_record, write_record
 
     failed = []
     for name in options.name or list(FIGURES):
+        started = perf_counter()
         try:
-            record = run_scenario(name)
+            trial = run_figure(name, "smoke")
         except ValueError as exc:
             return _error(exc)
+        measured = perf_counter() - started
+        record = make_record(trial)
         path = write_record(record, options.out)
         failed += [f"{name}: {check}"
                    for check, ok in record["checks"].items() if not ok]
@@ -367,6 +357,7 @@ def cmd_bench(options) -> int:
               f"{record['virt_ops_per_s']:.1f} virtual ops/s, "
               f"p95 {record['latency']['p95'] * 1000:.2f} ms, "
               f"{len(record['checks'])} predicates -> {path}")
+        print(f"  {trial.profiler.report(measured)}")
     for line in failed:
         print(f"predicate FAIL: {line}", file=sys.stderr)
     return 1 if failed else 0
@@ -844,18 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     rows = ", ".join(FIGURES)
-    profile = command("profile", cmd_profile, "profile a benchmark scenario "
-                      "(or a running server's virtual time)")
-    profile.add_argument("--scenario", help="figure row to profile locally "
-                         f"at smoke scale ({rows}; default fig07)")
-    profile.add_argument("--cprofile", action="store_true",
-                         help="also capture function-level detail via cProfile")
-    profile.add_argument("--format", choices=("text", "json"), default="text")
-    profile.add_argument("--host", help="host of the server to profile "
-                         "(with --port; default 127.0.0.1)")
-    profile.add_argument("--port", type=int, help="attribute a running "
-                         "server's virtual time over RPC instead")
-
     bench = command("bench", cmd_bench,
                     "run the figure rows at smoke scale, write BENCH_*.json")
     bench.add_argument("--name", action="append", default=[],
@@ -924,19 +903,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )):
         argv.insert(1, default)
     options = parser.parse_args(argv)
-    if options.command == "profile":
-        local = [flag for flag, given in (
-            ("--scenario", options.scenario is not None),
-            ("--cprofile", options.cprofile),
-        ) if given]
-        if options.port is None and options.host is not None:
-            parser.error("profile --host names a server: it needs --port")
-        if options.port is not None and local:
-            parser.error(
-                f"profile {' and '.join(local)} profile a local run, "
-                "not --port"
-            )
-        options.host = options.host or "127.0.0.1"
     try:
         return options.func(options)
     except BrokenPipeError:

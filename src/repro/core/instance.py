@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.control import EVAL_OVERHEAD, ControlLayer
 from repro.core.errors import (
@@ -173,6 +175,32 @@ class _Journaled:
             elif not issubclass(exc_type, ProcessCrash):
                 instance.durability.abort(seq)
         writeback.__exit__(exc_type, exc, tb)
+
+
+def _fan_out(ctx: RequestContext, items: Sequence, fn: Callable) -> None:
+    """``fn(item, ctx)`` for each item, overlapped in virtual time.
+
+    Several items run on their own branches of a scatter/join, so the
+    request pays the slowest, not the sum; one runs on ``ctx`` itself.
+    State effects keep item order.  The first failure stops later items
+    and re-raises after the join (the failed branch's spent time — e.g.
+    a full timeout — still holds the join back).
+    """
+    if len(items) <= 1:
+        for item in items:
+            fn(item, ctx)
+        return
+    branches = ctx.scatter()
+    failure: Optional[Exception] = None
+    for item in items:
+        try:
+            fn(item, branches.branch())
+        except Exception as exc:  # ProcessCrash is BaseException: flies
+            failure = exc
+            break
+    branches.join()
+    if failure is not None:
+        raise failure
 
 
 class TieraInstance:
@@ -503,38 +531,16 @@ class TieraInstance:
         """Place ``data`` in several tiers, overlapped in virtual time.
 
         The inserts are independent — a Memcached put does not wait for
-        the EBS put in a real multi-tier store — so each runs on its own
-        branch of a scatter/join: the request pays ``max()`` over the
-        tier inserts (plus any queueing each suffered on its tier's
-        channels), not their sum.  State effects keep code order, so
-        outcomes and digests match the old serial loop exactly.
-
-        Failure semantics also match the serial loop: the first failing
-        insert stops later tiers from being attempted, and its exception
-        re-raises after the join (the failed branch's spent time — e.g.
-        a full timeout — still holds the join back).  A call that returns
+        the EBS put in a real multi-tier store — so they fan out
+        (:func:`_fan_out`): the request pays ``max()`` over the tier
+        inserts (plus any queueing each suffered on its tier's
+        channels), not their sum, and the first failing insert stops
+        later tiers and re-raises after the join.  A call that returns
         wrote every named tier (or, with ``redirect``, degraded it).
         """
-        names = list(tier_names)
-        if len(names) == 1:
-            self.write_to_tier(
-                key, data, names[0], ctx, evict_to=evict_to, redirect=redirect
-            )
-            return
-        branches = ctx.scatter()
-        failure: Optional[Exception] = None
-        for tier_name in names:
-            bctx = branches.branch()
-            try:
-                self.write_to_tier(
-                    key, data, tier_name, bctx, evict_to=evict_to, redirect=redirect
-                )
-            except Exception as exc:  # ProcessCrash is BaseException: flies
-                failure = exc
-                break
-        branches.join()
-        if failure is not None:
-            raise failure
+        _fan_out(ctx, list(tier_names), lambda name, bctx: self.write_to_tier(
+            key, data, name, bctx, evict_to=evict_to, redirect=redirect
+        ))
 
     def relocate(
         self,
@@ -699,16 +705,17 @@ class TieraInstance:
         can never leave transformed bytes with an untransformed flag.
         """
         meta = self.meta(key)
-        with _Journaled(self, "rewrite", key, data, updates):
-            locations = sorted(meta.locations)
-            if len(locations) > 1:
-                branches = ctx.scatter()
-                for tier_name in locations:
-                    self.tiers.get(tier_name).put(key, data, branches.branch())
-                branches.join()
+        res = self.resilience
+
+        def put(tier_name: str, bctx: RequestContext) -> None:
+            tier = self.tiers.get(tier_name)
+            if res is None:
+                tier.put(key, data, bctx)
             else:
-                for tier_name in locations:
-                    self.tiers.get(tier_name).put(key, data, ctx)
+                res.guarded_put(tier, key, data, bctx)
+
+        with _Journaled(self, "rewrite", key, data, updates):
+            _fan_out(ctx, sorted(meta.locations), put)
             self._crash_point("rewrite.data")
             meta.size = len(data)
             for attr, value in (updates or {}).items():
@@ -842,6 +849,16 @@ class TieraInstance:
         """
         meta = self.meta(key)
         heir_holders = self._handoff_holders(meta)  # may refuse: no tombstone yet
+        res = self.resilience
+        emptied: List[str] = []
+
+        def drop(tier: Tier, bctx: RequestContext) -> None:
+            if res is None:
+                tier.delete(key, bctx)
+            else:
+                res.guarded_delete(tier, key, bctx)
+            emptied.append(tier.name)
+
         with _Journaled(self, "delete", key):
             if meta.alias_of is not None:
                 self._detach_alias(meta)
@@ -852,14 +869,13 @@ class TieraInstance:
                     self.tiers.get(name) for name in sorted(meta.locations)
                 ]
                 holders = [t for t in holders if t.contains(key) and t.available]
-                if len(holders) > 1:
-                    branches = ctx.scatter()
-                    for tier in holders:
-                        tier.delete(key, branches.branch())
-                    branches.join()
-                else:
-                    for tier in holders:
-                        tier.delete(key, ctx)
+                try:
+                    _fan_out(ctx, holders, drop)
+                except Exception:
+                    # The row unlists each tier whose delete landed.
+                    meta.locations.difference_update(emptied)
+                    self.persist_meta(meta)
+                    raise
                 self._crash_point("delete.data")
                 for tier in holders:
                     self.obs.heat.record_tier("delete", tier.name, at=ctx.time)
@@ -918,19 +934,19 @@ class TieraInstance:
 
     # -- resilience (retries / breakers / degraded-mode serving) ------------
 
-    def enable_resilience(self, config=None):
+    def enable_resilience(self):
         """Turn on the resilience layer for this instance's data path.
 
-        Idempotent; returns the layer.  ``config`` is a
-        :class:`~repro.core.resilience.ResilienceConfig` (defaults
-        apply when omitted).  Enabling the layer with no faults active
-        changes nothing observable: the success path performs no RNG
-        draws, schedules no clock events, and charges no virtual time.
+        Idempotent; returns the layer, whose retry and breaker values
+        are :mod:`repro.core.resilience`'s constants.  Enabling the
+        layer with no faults active changes nothing observable: the
+        success path performs no RNG draws, schedules no clock events,
+        and charges no virtual time.
         """
         if self.resilience is None:
             from repro.core.resilience import ResilienceLayer
 
-            self.resilience = ResilienceLayer(self, config)
+            self.resilience = ResilienceLayer(self)
         return self.resilience
 
     # -- durability (intent journal / recovery / fsck) ----------------------

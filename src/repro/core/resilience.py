@@ -59,37 +59,30 @@ CLOSED, HALF_OPEN, OPEN = "closed", "half-open", "open"
 _STATE_VALUE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard to try against one tier before giving up."""
-
-    attempts: int = 3            #: total attempts per operation
-    backoff_base: float = 0.05   #: first backoff, virtual seconds
-    backoff_multiplier: float = 2.0
-    jitter: float = 0.5          #: extra fraction of the backoff, in [0, jitter)
-
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        """Backoff before attempt ``attempt + 1`` (attempt counts from 1)."""
-        base = self.backoff_base * (self.backoff_multiplier ** (attempt - 1))
-        if self.jitter > 0:
-            base *= 1.0 + self.jitter * rng.random()
-        return base
+#: Retry policy: attempts per operation, the first backoff (virtual
+#: seconds), its growth per attempt, and the extra fraction of each
+#: backoff drawn in ``[0, JITTER)``.
+RETRY_ATTEMPTS = 3
+BACKOFF_BASE = 0.05
+BACKOFF_MULTIPLIER = 2.0
+JITTER = 0.5
+#: Circuit breaker: consecutive failures that open it, and the open →
+#: half-open cooldown (virtual seconds).
+BREAKER_THRESHOLD = 3
+BREAKER_RESET = 30.0
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Circuit-breaker thresholds (all times virtual)."""
-
-    failure_threshold: int = 3   #: consecutive failures that open the breaker
-    reset_timeout: float = 30.0  #: open → half-open cooldown, seconds
+def backoff(attempt: int, rng: random.Random) -> float:
+    """Backoff before attempt ``attempt + 1`` (attempt counts from 1)."""
+    base = BACKOFF_BASE * (BACKOFF_MULTIPLIER ** (attempt - 1))
+    return base * (1.0 + JITTER * rng.random())
 
 
 class CircuitBreaker:
     """One tier's closed/open/half-open state machine."""
 
-    def __init__(self, tier: str, config: BreakerConfig, clock):
+    def __init__(self, tier: str, clock):
         self.tier = tier
-        self.config = config
         self.clock = clock
         self.state = CLOSED
         self.consecutive_failures = 0
@@ -100,7 +93,7 @@ class CircuitBreaker:
         """May an operation proceed right now?  An open breaker flips to
         half-open (one trial allowed) once the cooldown has passed."""
         if self.state == OPEN:
-            if self.clock.now() - self.opened_at >= self.config.reset_timeout:
+            if self.clock.now() - self.opened_at >= BREAKER_RESET:
                 self._transition(HALF_OPEN)
                 return True
             return False
@@ -122,7 +115,7 @@ class CircuitBreaker:
             return True
         if (
             self.state == CLOSED
-            and self.consecutive_failures >= self.config.failure_threshold
+            and self.consecutive_failures >= BREAKER_THRESHOLD
         ):
             self._transition(OPEN)
             return True
@@ -214,27 +207,16 @@ class RepairQueue:
         return len(stale)
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Tunables for one instance's resilience layer."""
-
-    retry: RetryPolicy = RetryPolicy()
-    breaker: BreakerConfig = BreakerConfig()
-    #: jitter RNG seed; None derives one from the instance name
-    seed: Optional[int] = None
-
-
 class ResilienceLayer:
     """Retries + breakers + repair queue for one Tiera instance."""
 
-    def __init__(self, instance, config: Optional[ResilienceConfig] = None):
+    def __init__(self, instance):
         self.instance = instance
         self.clock = instance.clock
-        self.config = config if config is not None else ResilienceConfig()
-        seed = self.config.seed
-        if seed is None:
-            seed = zlib.crc32(instance.name.encode("utf-8")) ^ 0x9E3779B9
-        self.rng = random.Random(seed)
+        # The jitter RNG's seed comes from the instance name.
+        self.rng = random.Random(
+            zlib.crc32(instance.name.encode("utf-8")) ^ 0x9E3779B9
+        )
         self.breakers: Dict[str, CircuitBreaker] = {}
         self.repair_queue = RepairQueue()
         self.retry_count = 0
@@ -276,9 +258,7 @@ class ResilienceLayer:
     def breaker(self, tier_name: str) -> CircuitBreaker:
         br = self.breakers.get(tier_name)
         if br is None:
-            br = self.breakers[tier_name] = CircuitBreaker(
-                tier_name, self.config.breaker, self.clock
-            )
+            br = self.breakers[tier_name] = CircuitBreaker(tier_name, self.clock)
             self._breaker_gauge.set(0, tier=tier_name)
         return br
 
@@ -294,7 +274,7 @@ class ResilienceLayer:
     def open_error(self, tier) -> BreakerOpenError:
         br = self.breaker(tier.name)
         return BreakerOpenError(
-            tier.name, until=br.opened_at + self.config.breaker.reset_timeout
+            tier.name, until=br.opened_at + BREAKER_RESET
         )
 
     def _note_transition(self, br: CircuitBreaker, before: str) -> None:
@@ -344,18 +324,17 @@ class ResilienceLayer:
         """
         if not self.allow(tier):
             raise self.open_error(tier)
-        retry = self.config.retry
         attempt = 1
         while True:
             try:
                 result = fn()
             except TransientServiceError:
-                if attempt >= retry.attempts:
+                if attempt >= RETRY_ATTEMPTS:
                     self._on_failure(tier)
                     raise
                 self.retry_count += 1
                 self._retries.inc(tier=tier.name, op=op)
-                ctx.wait(retry.backoff(attempt, self.rng))
+                ctx.wait(backoff(attempt, self.rng))
                 attempt += 1
                 continue
             except ServiceUnavailableError:
@@ -369,6 +348,9 @@ class ResilienceLayer:
 
     def guarded_get(self, tier, key: str, ctx) -> bytes:
         return self.attempt(tier, "get", lambda: tier.get(key, ctx), ctx)
+
+    def guarded_delete(self, tier, key: str, ctx) -> None:
+        self.attempt(tier, "delete", lambda: tier.delete(key, ctx), ctx)
 
     # -- degraded-mode writes ---------------------------------------------
 

@@ -6,9 +6,12 @@ Three consumers, three shapes:
   RPC ``stats`` verb and the CLI (``format=prometheus``);
 * ``stats_snapshot`` — a JSON-able dict of every metric family plus the
   audit-log tail, for programmatic readers;
-* ``parse_labels`` / ``tier_report`` — turn two registry snapshots
-  (before/after a benchmark window) into the per-tier hit counts and
-  latency contributions the benchmark reports attach.
+* ``parse_labels`` / ``counter_totals`` / ``counter_delta`` /
+  ``tier_report`` / ``virtual_breakdown`` — turn two registry
+  snapshots (before/after a benchmark window) into counter deltas, the
+  per-tier hit counts and latency contributions the benchmark reports
+  attach, and the virtual seconds per service and rule ``repro stats``
+  prints.
 """
 
 from __future__ import annotations
@@ -122,20 +125,49 @@ def parse_labels(rendered: str) -> Dict[str, str]:
     return out
 
 
-def _samples(snapshot: Dict[str, object], name: str) -> Dict[str, object]:
-    metrics = snapshot.get("metrics", {})
-    family = metrics.get(name)
+def _samples(
+    snapshot: Optional[Dict[str, object]], name: str
+) -> Dict[str, object]:
+    family = (snapshot or {}).get("metrics", {}).get(name)
     return family["samples"] if family else {}
 
 
-def _counter_delta(before, after, name: str) -> Dict[str, float]:
-    prior = _samples(before, name) if before else {}
-    out: Dict[str, float] = {}
-    for key, value in _samples(after, name).items():
-        delta = value - prior.get(key, 0.0)
+def counter_totals(snapshot: Dict[str, object]) -> Dict[str, float]:
+    """Each counter family's total over its samples, by family name."""
+    return {
+        name: float(sum(family.get("samples", {}).values()))
+        for name, family in snapshot.get("metrics", {}).items()
+        if family.get("type") == "counter"
+    }
+
+
+def counter_delta(
+    prior: Dict[str, float], current: Dict[str, float]
+) -> Dict[str, float]:
+    """How far each counter in ``current`` rose from ``prior`` (keys
+    missing there start at 0), zeros omitted."""
+    return {
+        key: value - prior.get(key, 0.0)
+        for key, value in current.items()
+        if value != prior.get(key, 0.0)
+    }
+
+
+def _family_delta(before, after, name: str) -> Dict[str, float]:
+    """:func:`counter_delta` of counter family ``name``, by label key."""
+    return counter_delta(_samples(before, name), _samples(after, name))
+
+
+def _service_seconds(before, after) -> Dict[str, float]:
+    """Simulated seconds each service spent in tier ops, queueing included."""
+    seconds: Dict[str, float] = {}
+    prior = _samples(before, "tiera_tier_op_seconds")
+    for key, sample in _samples(after, "tiera_tier_op_seconds").items():
+        delta = sample["sum"] - prior.get(key, {"sum": 0.0})["sum"]
         if delta:
-            out[key] = delta
-    return out
+            service = parse_labels(key).get("service", "?")
+            seconds[service] = seconds.get(service, 0.0) + delta
+    return seconds
 
 
 def tier_report(
@@ -149,22 +181,13 @@ def tier_report(
     hit/miss counts) — the breakdown a benchmark report attaches.
     """
     ops: Dict[str, Dict[str, float]] = {}
-    for key, delta in _counter_delta(before, after, "tiera_tier_ops_total").items():
+    for key, delta in _family_delta(before, after, "tiera_tier_ops_total").items():
         labels = parse_labels(key)
         service = labels.get("service", "?")
         ops.setdefault(service, {})[labels.get("op", "?")] = delta
 
-    seconds: Dict[str, float] = {}
-    prior = _samples(before, "tiera_tier_op_seconds") if before else {}
-    for key, sample in _samples(after, "tiera_tier_op_seconds").items():
-        prev = prior.get(key, {"sum": 0.0})
-        delta = sample["sum"] - prev["sum"]
-        if delta:
-            service = parse_labels(key).get("service", "?")
-            seconds[service] = seconds.get(service, 0.0) + delta
-
     gets: Dict[str, float] = {}
-    for key, delta in _counter_delta(
+    for key, delta in _family_delta(
         before, after, "tiera_gets_served_total"
     ).items():
         gets[parse_labels(key).get("tier", "?")] = delta
@@ -174,8 +197,30 @@ def tier_report(
         ("tiera_page_cache_hits_total", "hits"),
         ("tiera_page_cache_misses_total", "misses"),
     ):
-        total = sum(_counter_delta(before, after, name).values())
+        total = sum(_family_delta(before, after, name).values())
         if total:
             cache[label] = total
 
-    return {"ops": ops, "seconds": seconds, "gets_served": gets, "cache": cache}
+    return {
+        "ops": ops,
+        "seconds": _service_seconds(before, after),
+        "gets_served": gets,
+        "cache": cache,
+    }
+
+
+def virtual_breakdown(
+    before: Optional[Dict[str, object]], after: Dict[str, object]
+) -> Dict[str, Dict[str, float]]:
+    """Where the simulated time went between two registry snapshots:
+    ``services`` (service → tier-op seconds, queueing included) and
+    ``rules`` (``"<rule> (<mode>)"`` → policy seconds, foreground or
+    background).  ``before=None`` is everything charged so far."""
+    rules: Dict[str, float] = {}
+    for key, delta in _family_delta(
+        before, after, "tiera_rule_seconds_total"
+    ).items():
+        labels = parse_labels(key)
+        name = f"{labels.get('rule', '?')} ({labels.get('mode', '?')})"
+        rules[name] = rules.get(name, 0.0) + delta
+    return {"services": _service_seconds(before, after), "rules": rules}

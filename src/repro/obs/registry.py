@@ -1,11 +1,12 @@
 """The metrics registry: labelled counters, gauges, and histograms.
 
-This subsumes the hand-rolled tallies that grew all over the tree
+Components record into one :class:`MetricsRegistry` under stable
+metric names, and anything — benchmark reports, the RPC ``stats`` verb,
+the CLI — reads one coherent snapshot stamped with simulated-clock
+time.  The hand-rolled tallies that predate it
 (``StorageService.op_counts``, ``ControlLayer.fired``, page-cache
-hit/miss attributes): components record into one
-:class:`MetricsRegistry` under stable metric names, and anything —
-benchmark reports, the RPC ``stats`` verb, the CLI — reads one
-coherent snapshot stamped with simulated-clock time.
+hit/miss attributes) are still kept beside it, written alongside the
+matching ``tiera_*`` families; they are not views over the registry.
 
 Design constraints, in order:
 

@@ -2,24 +2,24 @@
 
 import copy
 import json
+from time import perf_counter
 
 import pytest
 
-from repro.bench.figures import FIGURES
+from repro.bench.figures import FIGURES, run_figure
 from repro.bench.telemetry import (
     diff_directories,
     diff_records,
     load_record,
-    profile_scenario,
+    make_record,
     record_path,
-    run_scenario,
     write_record,
 )
 
 @pytest.fixture(scope="module")
 def batch_record():
     """One real run of the fastest scenario, shared across this module."""
-    return run_scenario("batch_scaling")
+    return make_record(run_figure("batch_scaling", "smoke"))
 
 
 class TestRecords:
@@ -33,7 +33,7 @@ class TestRecords:
             "ablation_background_events",
         ]
         with pytest.raises(ValueError):
-            run_scenario("fig99")
+            run_figure("fig99", "smoke")
 
     def test_record_shape(self, batch_record):
         record = batch_record
@@ -52,25 +52,24 @@ class TestRecords:
 
     def test_deterministic_fields_are_seed_stable(self, batch_record):
         # every field comes from the virtual timeline
-        assert run_scenario("batch_scaling") == batch_record
+        assert make_record(run_figure("batch_scaling", "smoke")) == batch_record
 
     def test_profile_scenario_covers_the_run(self):
-        report = profile_scenario("batch_scaling")
-        assert report["scenario"] == "batch_scaling"
-        section_names = {s["name"] for s in report["wall"]["sections"]}
-        assert {"build", "load", "drive"} <= section_names
-
-        def names(nodes):
-            for node in nodes:
-                yield node["name"]
-                yield from names(node.get("children", []))
-
-        # Per-op wall cost is benchmarks/perf's: no op opens a section.
-        assert not [n for n in names(report["wall"]["sections"])
-                    if n.startswith(("op:", "cluster:"))]
-        assert report["coverage"] > 0.5
-        assert report["virtual"]["total_request_seconds"] > 0
-        assert report["record"]["operations"] == 400
+        """The trial's phase timer covers the row's run, and no op opens
+        a section (per-op wall cost is benchmarks/perf's)."""
+        started = perf_counter()
+        trial = run_figure("batch_scaling", "smoke")
+        measured = perf_counter() - started
+        sections = trial.profiler.sections
+        assert {"build", "load", "drive"} <= set(sections)
+        assert not [path for path in sections
+                    if path.split("/")[-1].startswith(("op:", "cluster:"))]
+        covered = sum(seconds for path, (seconds, _) in sections.items()
+                      if "/" not in path)
+        assert covered / measured > 0.5
+        record = make_record(trial)
+        assert record["virtual_duration"] > 0
+        assert record["operations"] == 400
 
 
 class TestPersistence:

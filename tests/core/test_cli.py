@@ -1,4 +1,4 @@
-"""The repro CLI: validate / cost / stats / profile / bench commands, the
+"""The repro CLI: validate / cost / stats / bench commands, the
 live admin commands derived from the feature table, and their golden
 table (serve itself is covered via the rpc tests and the CI job)."""
 
@@ -101,7 +101,7 @@ class TestCost:
 
 @pytest.fixture
 def live_rpc():
-    """A served write-through instance for the stats/profile commands."""
+    """A served write-through instance for the stats commands."""
     from repro.core.instance import TieraInstance
     from repro.core.events import ActionEvent
     from repro.core.policy import Policy, Rule
@@ -183,50 +183,30 @@ class TestStatsSummary:
         assert len(slo_lines) == 4
         assert any("slo get_latency: ok" in ln for ln in slo_lines)
 
+    def test_virtual_seconds_per_service_and_rule(self, live_rpc, capsys):
+        """The summary attributes the server's simulated time: one line
+        per service and per rule, the numbers ``virtual_breakdown``
+        gives for everything charged so far."""
+        from repro.obs.export import virtual_breakdown
+        from repro.rpc import TieraClient
+
+        assert main(["stats", "--port", str(live_rpc.port)]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("  virtual ")]
+        with TieraClient(live_rpc.host, live_rpc.port) as conn:
+            virtual = virtual_breakdown(None, conn.stats(audit_limit=0))
+        services, rules = virtual["services"], virtual["rules"]
+        assert len(services) == 2 and "write-through (foreground)" in rules
+        assert lines == [
+            *(f"  virtual service {name}: {services[name]:.3f} s"
+              for name in sorted(services, key=lambda n: (-services[n], n))),
+            *(f"  virtual rule {rule}: {seconds:.3f} s"
+              for rule, seconds in sorted(rules.items())),
+        ]
+
     def test_connection_refused_is_a_clean_error(self, capsys):
         assert main(["stats", "--port", "1", "--format", "summary"]) == 1
         assert "cannot connect" in capsys.readouterr().err
-
-
-class TestProfileCommand:
-    def test_local_scenario_json(self, capsys):
-        assert main([
-            "profile", "--scenario", "batch_scaling", "--format", "json",
-        ]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["scenario"] == "batch_scaling"
-        assert report["coverage"] > 0.5
-        assert {"build", "load", "drive"} <= {
-            s["name"] for s in report["wall"]["sections"]
-        }
-
-    def test_local_scenario_text(self, capsys):
-        assert main(["profile", "--scenario", "batch_scaling"]) == 0
-        out = capsys.readouterr().out
-        assert "wall-clock (per code region)" in out
-        assert "drive" in out
-
-    def test_unknown_scenario(self, capsys):
-        assert main(["profile", "--scenario", "fig99"]) == 1
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_live_server_profile(self, live_rpc, capsys):
-        assert main([
-            "profile", "--port", str(live_rpc.port), "--format", "json",
-        ]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["virtual"]["requests"]["put"]["count"] == 8
-
-    @pytest.mark.parametrize("local", [
-        ["--scenario", "fig07"], ["--cprofile"],
-    ])
-    def test_local_flags_are_refused_with_port(self, live_rpc, capsys, local):
-        """Regression: ``--scenario`` and ``--cprofile`` were silently
-        ignored next to ``--port``."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", "--port", str(live_rpc.port), *local])
-        assert excinfo.value.code == 2
-        assert "not --port" in capsys.readouterr().err
 
 
 class TestBenchCommands:
@@ -239,6 +219,47 @@ class TestBenchCommands:
         assert "batch_scaling: 400 ops" in line
         record = json.load(open(f"{out_dir}/BENCH_batch_scaling.json"))
         assert record["name"] == "batch_scaling"
+
+    PHASE = re.compile(r"([\w/:]+) (\d+\.\d) ms x(\d+)")
+
+    def _phases(self, out: str, row: str):
+        """``({path: count}, coverage)`` from the phase line under a row's
+        summary line."""
+        lines = out.splitlines()
+        summary = next(i for i, ln in enumerate(lines)
+                       if ln.startswith(f"{row}: "))
+        head, _, tail = lines[summary + 1].partition("; ")
+        assert head.startswith("  phases: ")
+        paths = {m.group(1): int(m.group(3))
+                 for m in self.PHASE.finditer(head)}
+        coverage = float(re.match(r"(\d+\.\d)% of ", tail).group(1)) / 100
+        return paths, coverage
+
+    def test_bench_prints_each_rows_phases(self, tmp_path, capsys):
+        """The phase timer times a figure row's phases, never an op."""
+        assert main([
+            "bench", "--name", "batch_scaling", "--name", "backup_lifecycle",
+            "--out", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        paths, coverage = self._phases(out, "batch_scaling")
+        assert {"build", "load", "drive"} <= set(paths)
+        assert not [p for p in paths
+                    if p.split("/")[-1].startswith(("op:", "cluster:"))]
+        assert coverage > 0.5
+        paths, _ = self._phases(out, "backup_lifecycle")
+        assert {"drive/snapshot", "drive/restore"} <= set(paths)
+
+    def test_unknown_row_is_a_clean_error(self, tmp_path, capsys):
+        assert main(["bench", "--name", "fig99", "--out", str(tmp_path)]) == 1
+        assert "unknown scenario" in capsys.readouterr().err
+
+    def test_the_retired_profile_command_is_a_usage_error(self, capsys):
+        """Phases print from ``bench``, virtual time from ``stats``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--scenario", "batch_scaling"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
 
     def test_benchdiff_ok_and_regression(self, tmp_path, capsys):
         baseline = tmp_path / "baseline"

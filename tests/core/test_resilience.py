@@ -11,45 +11,47 @@ from repro.core.resilience import (
     HALF_OPEN,
     MAX_REPAIR_ATTEMPTS,
     OPEN,
-    BreakerConfig,
     CircuitBreaker,
     RepairQueue,
-    RetryPolicy,
+    backoff,
 )
 from repro.core.server import TieraServer
 from repro.core.templates import write_through_instance
 from repro.simcloud.cluster import Cluster
-from repro.simcloud.errors import ServiceUnavailableError
+from repro.core.conditions import EvalScope
+from repro.core.durability import fsck
+from repro.core.responses import Compress
+from repro.core.selectors import NamedObjects
+from repro.simcloud.errors import ServiceUnavailableError, TransientServiceError
 from repro.simcloud.faults import FaultProfile
 from repro.simcloud.resources import RequestContext
 from repro.tiers.registry import TierRegistry
 
 
+class _NoJitter(random.Random):
+    """Draws the jitter fraction's floor."""
+
+    def random(self):
+        return 0.0
+
+
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(
-            backoff_base=0.05, backoff_multiplier=2.0, jitter=0.0
-        )
-        rng = random.Random(0)
-        assert policy.backoff(1, rng) == pytest.approx(0.05)
-        assert policy.backoff(2, rng) == pytest.approx(0.10)
-        assert policy.backoff(3, rng) == pytest.approx(0.20)
+        rng = _NoJitter()
+        assert backoff(1, rng) == pytest.approx(0.05)
+        assert backoff(2, rng) == pytest.approx(0.10)
+        assert backoff(3, rng) == pytest.approx(0.20)
 
     def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(backoff_base=0.1, jitter=0.5)
         rng = random.Random(42)
         for _ in range(50):
-            backoff = policy.backoff(1, rng)
-            assert 0.1 <= backoff < 0.1 * 1.5
+            assert 0.05 <= backoff(1, rng) < 0.05 * 1.5
 
 
 class TestCircuitBreaker:
     @pytest.fixture
     def breaker(self, clock):
-        return CircuitBreaker(
-            "tier2", BreakerConfig(failure_threshold=3, reset_timeout=30.0),
-            clock,
-        )
+        return CircuitBreaker("tier2", clock)
 
     def test_opens_after_consecutive_failures(self, breaker):
         assert breaker.record_failure() is False
@@ -195,6 +197,59 @@ class TestRetriesAbsorbTransients:
         assert res.repair_queue.pending() == 0
         assert res.replay_count == 1
         assert instance.tiers.get("tier2").service.contains("k")
+
+
+def fail_once(monkeypatch, instance, tier_name, verb):
+    """The tier's service raises one TransientServiceError on ``verb``."""
+    service = instance.tiers.get(tier_name).service
+    real = getattr(service, verb)
+    failed = []
+
+    def flaky(*args, **kwargs):
+        if not failed:
+            failed.append(verb)
+            raise TransientServiceError(service.name, "injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(service, verb, flaky)
+
+
+class TestEveryTierOpIsGuarded:
+    """Regression: rewrites and DELETE sent raw tier ops, so one
+    transient error failed them where a PUT retries through it."""
+
+    def test_a_rewrite_retries_a_transient_error(self, monkeypatch):
+        cluster, instance, server = build_stack()
+        put(server, cluster, "k", b"compressible " * 64)
+        fail_once(monkeypatch, instance, "tier2", "put")
+        ctx = RequestContext(cluster.clock)
+        Compress(NamedObjects("k")).execute(EvalScope(instance=instance), ctx)
+        assert instance.resilience.retry_count == 1
+        assert instance.meta("k").compressed
+        assert server.get_object("k").ok
+
+    def test_a_delete_retries_a_transient_error(self, monkeypatch):
+        cluster, instance, server = build_stack()
+        put(server, cluster, "k", b"v" * 512)
+        fail_once(monkeypatch, instance, "tier2", "delete")
+        assert server.delete_object("k").ok
+        assert instance.resilience.retry_count == 1
+        assert not instance.tiers.get("tier2").contains("k")
+        assert fsck(instance)["clean"]
+
+    def test_a_failed_delete_unlists_only_the_tiers_it_emptied(
+        self, monkeypatch
+    ):
+        """Regression: a DELETE that failed on its second tier kept both
+        tiers listed, so every later GET failed on the emptied one."""
+        cluster, instance, server = build_stack(resilient=False)
+        put(server, cluster, "k", b"v" * 512)
+        fail_once(monkeypatch, instance, "tier2", "delete")
+        result = server.delete_object("k")
+        assert result.error == "TRANSIENT_ERROR"
+        assert instance.meta("k").locations == {"tier2"}
+        assert server.get_object("k").value == b"v" * 512
+        assert fsck(instance)["clean"]
 
 
 class TestBreakerRidesThroughOutage:
