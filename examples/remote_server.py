@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """The deployment shape of the paper's prototype: a Tiera server
-process (Thrift in the paper, framed JSON-RPC here) serving remote
-clients over TCP, on real wall-clock time.
+process (Thrift in the paper, binary frames behind a JSON header here)
+serving remote clients over TCP, on real wall-clock time.
 
 Run:  python examples/remote_server.py
 """

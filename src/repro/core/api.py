@@ -59,6 +59,26 @@ DEFAULT_PARALLELISM = 8
 DEFAULT_MAX_INFLIGHT = 128
 
 
+def check_wire(wire: object) -> Dict[str, object]:
+    """``wire`` itself, if it is a dict whose ``key`` is a string, whose
+    ``tag`` and ``prefer`` are strings or absent, and whose ``tags`` is
+    a list of strings or absent; ``TypeError`` otherwise.  What a peer
+    sends is checked here, before a façade indexes or sorts by it."""
+    if not isinstance(wire, dict):
+        raise TypeError(f"expected a JSON object, not {type(wire).__name__}")
+    if "key" in wire and not isinstance(wire["key"], str):
+        raise TypeError(f"key must be a string, not {wire['key']!r}")
+    for name in ("tag", "prefer"):
+        if wire.get(name) is not None and not isinstance(wire[name], str):
+            raise TypeError(f"{name} must be a string, not {wire[name]!r}")
+    tags = wire.get("tags")
+    if tags is not None and not (
+        isinstance(tags, list) and all(isinstance(tag, str) for tag in tags)
+    ):
+        raise TypeError(f"tags must be a list of strings, not {tags!r}")
+    return wire
+
+
 @dataclass
 class BatchOp:
     """One operation in a batch: what to do, to which key, with what."""
@@ -102,7 +122,7 @@ class BatchOp:
 
     @classmethod
     def from_wire(cls, wire: Dict[str, object], decode_bytes) -> "BatchOp":
-        data = wire.get("data")
+        data = check_wire(wire).get("data")
         return cls(
             op=wire["op"],
             key=wire["key"],
@@ -529,8 +549,8 @@ class ManagementResult:
     never raised: ``UNKNOWN_FEATURE``, ``UNKNOWN_ACTION``, ``BAD_CONFIG``
     (refused options or parameters), ``FEATURE_DISABLED``, or a domain
     error's own code.  ``state`` is a JSON-clean dict (no tuples; bytes
-    only in the fields the feature table marks, which RPC base64-codes)
-    so the RPC round-trip is the identity.
+    only in the fields the feature table marks, which RPC sends as
+    payload bytes) so the RPC round-trip is the identity.
     """
 
     feature: str

@@ -52,7 +52,7 @@ class Param:
     """One typed parameter of a configure call or an action.
 
     ``type`` is ``int``/``float``/``str``/``bool``/``bytes``; ``bytes``
-    parameters travel base64-coded over RPC and are files on the CLI.
+    parameters travel as payload bytes over RPC and are files on the CLI.
     ``repeat`` makes the value a list (a repeatable CLI flag); ``flag``
     is the CLI spelling when it differs from ``name``.  The spec is
     declarative: values are validated by the code they are passed to.
@@ -83,7 +83,7 @@ class Action:
     #: False for actions that work on the instance whether or not the
     #: feature's layer is on (fsck / snapshot / restore).
     needs_enabled: bool = True
-    #: state fields that carry bytes (base64-coded over RPC).
+    #: state fields that carry bytes (payload bytes over RPC).
     bytes_out: Tuple[str, ...] = ()
     #: how a multi-shard router folds the ``{shard: state}`` results
     #: into one; the default is the ``{"shards": {name: state}}`` nest.

@@ -7,6 +7,11 @@ the three :class:`~repro.core.api.ManagementAPI` verbs.  Captured
 failures carry an :class:`~repro.rpc.protocol.RpcError` (with the
 server's stable ``code``) as their exception, so ``raise_for_error``
 raises it.
+
+A call that fails inside its write/read exchange (a timeout, a dropped
+connection, a reply out of step) closes the connection: its reply may
+still be in flight, so no later call could tell it from its own.
+Every later call raises ``ConnectionError``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import api, features
 from repro.core.api import (
@@ -44,8 +50,11 @@ class TieraClient(BatchVerbs):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
+        #: why the connection was closed; None while it is open.
+        self._closed: Optional[str] = None
 
     def close(self) -> None:
+        self._closed = self._closed or "closed by the client"
         try:
             self._sock.close()
         except OSError:
@@ -57,17 +66,32 @@ class TieraClient(BatchVerbs):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _call(self, method: str, **params) -> Any:
+    def _call(
+        self, method: str, payload: bytes = b"", /, **params
+    ) -> Tuple[Any, Callable[[Any], bytes]]:
+        """One round trip carrying ``payload``, the section the params'
+        references point into: ``(result, decode)``, where ``decode``
+        resolves the result's references."""
         request_id = next(self._ids)
         with self._lock:
-            write_frame(
-                self._sock, {"id": request_id, "method": method, "params": params}
-            )
-            response = read_frame(self._sock)
-        if response is None:
-            raise ConnectionError("server closed the connection")
-        if response.get("id") != request_id:
-            raise RpcError("ProtocolError", "response id mismatch")
+            if self._closed is not None:
+                raise ConnectionError(f"connection closed: {self._closed}")
+            try:
+                write_frame(
+                    self._sock,
+                    {"id": request_id, "method": method, "params": params},
+                    payload,
+                )
+                frame = read_frame(self._sock)
+                if frame is None:
+                    raise ConnectionError("server closed the connection")
+                response, reply = frame
+                if not isinstance(response, dict) or response.get("id") != request_id:
+                    raise RpcError("ProtocolError", "response id mismatch")
+            except BaseException as exc:
+                self._closed = f"{method} failed with {type(exc).__name__}"
+                self.close()
+                raise
         if "error" in response:
             err = response["error"]
             raise RpcError(
@@ -75,13 +99,17 @@ class TieraClient(BatchVerbs):
                 err.get("message", ""),
                 code=err.get("code", "INTERNAL"),
             )
-        return response.get("result")
+        return response.get("result"), partial(decode_bytes, reply)
+
+    def _result(self, method: str, **params) -> Any:
+        """:meth:`_call` for a verb whose result carries no bytes."""
+        return self._call(method, **params)[0]
 
     @staticmethod
-    def _from_wire(wire: Dict[str, Any]) -> OpResult:
+    def _from_wire(wire: Dict[str, Any], decode) -> OpResult:
         """Decode an envelope, rehydrating failures as RpcErrors (with
         the stable ``code`` attached) for ``raise_for_error``."""
-        result = OpResult.from_wire(wire, decode_bytes)
+        result = OpResult.from_wire(wire, decode)
         if not result.ok:
             result.exception = RpcError(
                 result.error_type or "Error",
@@ -95,10 +123,11 @@ class TieraClient(BatchVerbs):
     def put_object(
         self, key: str, data: bytes, *, tags: Optional[List[str]] = None
     ) -> OpResult:
-        return self._from_wire(self._call(
-            "put_object",
+        payload = bytearray()
+        return self._from_wire(*self._call(
+            "put_object", payload,
             key=key,
-            data=encode_bytes(data),
+            data=encode_bytes(payload, data),
             tags=list(tags) if tags else None,
         ))
 
@@ -106,11 +135,11 @@ class TieraClient(BatchVerbs):
         self, key: str, *, prefer: Optional[str] = None
     ) -> OpResult:
         return self._from_wire(
-            self._call("get_object", key=key, prefer=prefer)
+            *self._call("get_object", key=key, prefer=prefer)
         )
 
     def delete_object(self, key: str) -> OpResult:
-        return self._from_wire(self._call("delete_object", key=key))
+        return self._from_wire(*self._call("delete_object", key=key))
 
     def execute_batch(
         self,
@@ -121,36 +150,38 @@ class TieraClient(BatchVerbs):
         """One round trip for the whole batch; the server overlaps the
         items in virtual time.  Raises :class:`RpcError` with code
         ``BACKPRESSURE`` when the server's admission control refuses."""
-        wire = self._call(
-            "batch",
-            ops=[op.to_wire(encode_bytes) for op in ops],
+        payload = bytearray()
+        encode = partial(encode_bytes, payload)
+        wire, decode = self._call(
+            "batch", payload,
+            ops=[op.to_wire(encode) for op in ops],
             parallelism=parallelism,
         )
         return BatchResult(
-            results=[self._from_wire(w) for w in wire["results"]],
+            results=[self._from_wire(w, decode) for w in wire["results"]],
             latency=wire["latency"],
             parallelism=wire["parallelism"],
         )
 
     def contains(self, key: str) -> bool:
-        return self._call("contains", key=key)
+        return self._result("contains", key=key)
 
     def stat(self, key: str) -> Dict[str, Any]:
-        return self._call("stat", key=key)
+        return self._result("stat", key=key)
 
     def add_tag(self, key: str, tag: str) -> None:
-        self._call("add_tag", key=key, tag=tag)
+        self._result("add_tag", key=key, tag=tag)
 
     def keys(self, tag: Optional[str] = None) -> List[str]:
         if tag is None:
-            return self._call("keys")
-        return self._call("keys", tag=tag)
+            return self._result("keys")
+        return self._result("keys", tag=tag)
 
     def ping(self) -> bool:
-        return self._call("ping") == "pong"
+        return self._result("ping") == "pong"
 
     def tiers(self) -> List[Dict[str, Any]]:
-        return self._call("tiers")
+        return self._result("tiers")
 
     # -- introspection ----------------------------------------------------
 
@@ -160,7 +191,7 @@ class TieraClient(BatchVerbs):
         ``format="json"`` returns the snapshot dict; ``"prometheus"``
         returns the text exposition as a string.
         """
-        result = self._call("stats", format=format, audit_limit=audit_limit)
+        result = self._result("stats", format=format, audit_limit=audit_limit)
         if format == "prometheus":
             return result["text"]
         return result
@@ -172,10 +203,10 @@ class TieraClient(BatchVerbs):
         params: Dict[str, Any] = {"limit": limit}
         if enable is not None:
             params["enable"] = enable
-        return self._call("trace", **params)
+        return self._result("trace", **params)
 
     def health(self) -> Dict[str, Any]:
-        return self._call("health")
+        return self._result("health")
 
     # -- unified management API -------------------------------------------
 
@@ -186,22 +217,23 @@ class TieraClient(BatchVerbs):
         compares equal to the direct façade's — errors (stable codes
         ``UNKNOWN_FEATURE``, ``BAD_CONFIG``, …) come back captured in
         the envelope, never raised."""
-        doc = self._call("configure", feature=feature, options=options)
+        doc = self._result("configure", feature=feature, options=options)
         return ManagementResult.from_wire(doc)
 
     def feature_status(self, feature: str) -> ManagementResult:
         """Inspect ``feature`` (the :class:`ManagementAPI` verb)."""
-        doc = self._call("feature_status", feature=feature)
+        doc = self._result("feature_status", feature=feature)
         return ManagementResult.from_wire(doc)
 
     def invoke(self, feature: str, action: str, **params) -> ManagementResult:
         """Run one of ``feature``'s extra actions (the
         :class:`ManagementAPI` verb); byte-valued parameters and state
-        fields are base64-coded on the wire and plain ``bytes`` here."""
-        doc = self._call(
-            "invoke", feature=feature, action=action,
-            params=features.code_params(feature, action, params, encode_bytes),
+        fields travel as payload references and are plain ``bytes`` here."""
+        payload = bytearray()
+        doc, decode = self._call(
+            "invoke", payload, feature=feature, action=action,
+            params=features.code_params(
+                feature, action, params, partial(encode_bytes, payload)
+            ),
         )
-        return features.code_state(
-            ManagementResult.from_wire(doc), decode_bytes
-        )
+        return features.code_state(ManagementResult.from_wire(doc), decode)

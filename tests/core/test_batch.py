@@ -13,7 +13,6 @@ from repro.core.responses import Store
 from repro.core.selectors import InsertObject
 from repro.core.server import TieraServer
 from repro.core.sharding import ShardedTieraServer
-from repro.rpc.protocol import encode_bytes
 from repro.simcloud.cluster import Cluster
 from repro.simcloud.latency import FixedLatency
 from repro.simcloud.resources import RequestContext
@@ -233,7 +232,8 @@ class TestAdmissionControl:
 
 
 def _trace(server, seed):
-    """One mixed batched run, serialized to bytes."""
+    """One mixed batched run, serialized to bytes; the payloads ride
+    along as hex, so a changed value changes the trace."""
     ops = [BatchOp.put(f"k{i}", bytes([i]) * 256) for i in range(8)]
     first = server.execute_batch(ops, parallelism=4)
     second = server.get_many([f"k{i}" for i in range(8)], parallelism=8)
@@ -248,7 +248,7 @@ def _trace(server, seed):
                 "latency": b.latency,
                 "parallelism": b.parallelism,
                 "code": b.code,
-                "results": [r.to_wire(encode_bytes) for r in b.results],
+                "results": [r.to_wire(bytes.hex) for r in b.results],
             }
             for b in (first, second, third)
         ],

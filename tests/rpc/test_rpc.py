@@ -1,6 +1,9 @@
 """RPC server/client over real sockets (WallClock instances)."""
 
+import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.core.server import TieraServer
 from repro.core.sharding import ShardedTieraServer
 from repro.core.templates import write_through_instance
 from repro.rpc import RpcError, TieraClient, TieraRpcServer
+from repro.rpc.protocol import MAX_FRAME, read_frame, write_frame
 from repro.simcloud.clock import WallClock
 from repro.simcloud.cluster import Cluster
 from repro.tiers.registry import TierRegistry
@@ -605,3 +609,203 @@ class TestShardRouterManagement:
         )
         refused = conn.invoke("backup", "list")
         assert refused.error == "FEATURE_DISABLED"
+
+
+class TestClientAfterAFailedCall:
+    def test_a_timed_out_call_closes_the_connection(self, live_server):
+        """Regression: the timed-out call's reply stayed unread, so each
+        later call read its predecessor's and failed with ``response id
+        mismatch``, forever.  Now the failure closes the connection and
+        no reply reaches the wrong call."""
+        with TieraClient(live_server.host, live_server.port, timeout=0.2) as conn:
+            conn.put_object("k", b"v").raise_for_error()
+            with live_server._op_lock:
+                with pytest.raises(socket.timeout):
+                    conn.get_object("k")
+            for _ in range(3):
+                with pytest.raises(ConnectionError):
+                    conn.get_object("k")
+        with TieraClient(live_server.host, live_server.port) as fresh:
+            assert fresh.get_object("k").raise_for_error().value == b"v"
+
+    def test_a_closed_client_raises_connection_error(self, live_server):
+        conn = TieraClient(live_server.host, live_server.port)
+        conn.close()
+        with pytest.raises(ConnectionError):
+            conn.ping()
+
+
+def _rpc_threads(before):
+    return [
+        t for t in threading.enumerate()
+        if t not in before and t.name.startswith("tiera-rpc")
+    ]
+
+
+class TestServerStop:
+    def test_stop_shuts_connected_clients(self):
+        """Regression: ``stop()`` left a connected client served (its
+        next ``ping()`` answered True) and its pool thread blocked on
+        the idle connection, so the process could not exit."""
+        before = set(threading.enumerate())
+        clock = WallClock()
+        instance = write_through_instance(
+            TierRegistry(Cluster(clock=clock)), mem="8M", ebs="8M"
+        )
+        rpc = TieraRpcServer(TieraServer(instance), port=0).start()
+        try:
+            with TieraClient(rpc.host, rpc.port) as idle:
+                assert idle.ping()
+                assert _rpc_threads(before)
+                rpc.stop()
+                with pytest.raises(ConnectionError):
+                    idle.ping()
+            deadline = time.monotonic() + 1.0
+            while _rpc_threads(before) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _rpc_threads(before) == []
+        finally:
+            rpc.stop()
+            instance.shutdown()
+            clock.shutdown()
+
+
+@pytest.fixture
+def raw(live_server):
+    """A bare socket to the live server, for frames no client sends."""
+    sock = socket.create_connection((live_server.host, live_server.port), timeout=5)
+    yield sock
+    sock.close()
+
+
+def _send(sock, header: bytes, payload: bytes = b""):
+    sock.sendall(struct.pack(">II", len(header), len(payload)) + header + payload)
+    return read_frame(sock)[0]
+
+
+def _still_serves(sock) -> bool:
+    write_frame(sock, {"id": "p", "method": "ping"})
+    return read_frame(sock)[0] == {"id": "p", "result": "pong"}
+
+
+class TestMalformedRequests:
+    """Each probe used to get no reply, only EOF; now each gets a coded
+    reply and the same connection serves on."""
+
+    @pytest.mark.parametrize("header, request_id", [
+        (b"[1, 2]", None),
+        (b"5", None),
+        (b'"put_object"', None),
+        (b'{"id": 3, "method": "keys", "params": [1]}', 3),
+        (b'{"id": 3, "method": "stats", "params": ["json"]}', 3),
+        (b'{"id": 3, "method": "invoke", "params": []}', 3),
+        (b'{"id": 3, "method": "invoke", "params": {"feature": "durability",'
+         b' "action": "fsck", "params": [true]}}', 3),
+        (b'{"id": 3, "method": "configure", "params": {"feature": "heat",'
+         b' "options": "on"}}', 3),
+        (b'{"id": 3, "method": "batch", "params": {"ops": [5]}}', 3),
+        (b'{"id": 3, "method": "batch", "params": {"ops": [{"op": "get",'
+         b' "key": 7}]}}', 3),
+        (b'{"id": 3, "method": "put_object", "params": {"key": 5,'
+         b' "data": [0, 1]}}', 3),
+        (b'{"id": 3, "method": "put_object", "params": {"key": "k",'
+         b' "data": [0, 1], "tags": [1]}}', 3),
+        (b'{"id": 3, "method": "add_tag", "params": {"key": "k", "tag": []}}', 3),
+        (b'{"id": 3, "method": "get_object", "params": {"key": "k",'
+         b' "prefer": 1}}', 3),
+        (b"{not json", None),
+        (b"\xff\xfe\x00", None),
+        (b"[" * 100000, None),
+    ])
+    def test_a_coded_reply_and_the_connection_serves_on(
+        self, raw, header, request_id
+    ):
+        reply = _send(raw, header, b"x")
+        assert reply["id"] == request_id
+        assert reply["error"]["code"] == "BAD_REQUEST"
+        assert _still_serves(raw)
+
+    def test_an_int_key_does_not_poison_the_server(self, raw, client):
+        """Regression: a PUT with ``"key": 5`` was acked into memory as
+        an int-keyed row, and every later ``keys`` failed comparing it
+        with str keys."""
+        client.put_object("a", b"1").raise_for_error()
+        reply = _send(
+            raw, b'{"id": 1, "method": "put_object",'
+                 b' "params": {"key": 5, "data": [0, 1]}}', b"x",
+        )
+        assert reply["error"]["code"] == "BAD_REQUEST"
+        assert client.keys() == ["a"]
+
+    @pytest.mark.parametrize("data", [b'"@@@"', b"[0, 9]", b"[-1, 1]", b'"eA=="'])
+    def test_a_bad_payload_reference_stores_nothing(self, raw, client, data):
+        """Regression: base64 ``"@@@"`` decoded to ``b""`` and was acked
+        as a 0-byte object."""
+        reply = _send(
+            raw, b'{"id": 1, "method": "put_object",'
+                 b' "params": {"key": "k", "data": ' + data + b"}}", b"abc",
+        )
+        assert reply["error"]["code"] == "BAD_REQUEST"
+        assert not client.contains("k")
+        assert _still_serves(raw)
+
+    def test_an_unknown_method_on_a_bare_socket(self, raw):
+        reply = _send(raw, b'{"id": 1, "method": ["ping"]}')
+        assert reply["error"]["code"] == "UNKNOWN_METHOD"
+        assert _still_serves(raw)
+
+    @pytest.mark.parametrize("prefix", [
+        struct.pack(">II", MAX_FRAME + 1, 0),
+        struct.pack(">II", 0, MAX_FRAME + 1),
+        struct.pack(">II", MAX_FRAME // 2 + 1, MAX_FRAME // 2 + 1),
+        struct.pack(">II", 0xFFFFFFFF, 0xFFFFFFFF),
+    ])
+    def test_a_lost_frame_boundary_closes_the_connection(self, raw, prefix, client):
+        raw.sendall(prefix)
+        assert raw.recv(1) == b""
+        assert client.ping()
+
+
+class _CountingSocket:
+    """The client's socket, counting the bytes of each direction."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent = self.received = 0
+
+    def sendall(self, data):
+        self.sent += len(data)
+        self._sock.sendall(data)
+
+    def recv(self, size):
+        data = self._sock.recv(size)
+        self.received += len(data)
+        return data
+
+    def close(self):
+        self._sock.close()
+
+
+class TestWireBytes:
+    def test_a_4k_get_costs_its_bytes_plus_a_small_header(self, client):
+        """Object bytes cross raw: no base64 (which alone is 4/3)."""
+        value = bytes(range(256)) * 16
+        client.put_object("k", value).raise_for_error()
+        counter = client._sock = _CountingSocket(client._sock)
+        assert client.get_object("k").raise_for_error().value == value
+        assert counter.received <= 4096 + 512
+        assert counter.sent <= 128
+        counter.sent = counter.received = 0
+        client.put_object("k", value).raise_for_error()
+        assert counter.sent <= 4096 + 512
+
+    def test_snapshot_archives_cross_as_payload(self, client):
+        """``invoke``'s marked state (the archive) and params (restore's
+        archive) ride in the payload section, byte-exact."""
+        client.put_object("k", bytes(range(256))).raise_for_error()
+        snap = client.invoke("durability", "snapshot").raise_for_error()
+        archive = snap.state["archive"]
+        assert isinstance(archive, bytes) and archive
+        client.put_object("k", b"changed").raise_for_error()
+        client.invoke("durability", "restore", archive=archive).raise_for_error()
+        assert client.get_object("k").value == bytes(range(256))
