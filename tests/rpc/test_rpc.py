@@ -612,21 +612,20 @@ class TestShardRouterManagement:
 
 
 class TestClientAfterAFailedCall:
-    def test_a_timed_out_call_closes_the_connection(self, live_server):
+    def test_a_timed_out_call_closes_the_connection(self, live_server, client):
         """Regression: the timed-out call's reply stayed unread, so each
         later call read its predecessor's and failed with ``response id
         mismatch``, forever.  Now the failure closes the connection and
         no reply reaches the wrong call."""
+        client.put_object("k", b"v").raise_for_error()
         with TieraClient(live_server.host, live_server.port, timeout=0.2) as conn:
-            conn.put_object("k", b"v").raise_for_error()
             with live_server._op_lock:
                 with pytest.raises(socket.timeout):
                     conn.get_object("k")
             for _ in range(3):
                 with pytest.raises(ConnectionError):
                     conn.get_object("k")
-        with TieraClient(live_server.host, live_server.port) as fresh:
-            assert fresh.get_object("k").raise_for_error().value == b"v"
+        assert client.get_object("k").raise_for_error().value == b"v"
 
     def test_a_closed_client_raises_connection_error(self, live_server):
         conn = TieraClient(live_server.host, live_server.port)
