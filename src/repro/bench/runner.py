@@ -46,14 +46,6 @@ class RunResult:
         """Successful operations per second over the measured window."""
         return self.operations / self.duration if self.duration > 0 else 0.0
 
-    def tier_hit_rate(self, tier: str) -> float:
-        """Fraction of served GETs answered by ``tier`` during the run."""
-        if not self.tier_report:
-            return 0.0
-        served = self.tier_report.get("gets_served", {})
-        total = sum(served.values())
-        return served.get(tier, 0.0) / total if total else 0.0
-
 
 def run_closed_loop(
     clock: SimClock,

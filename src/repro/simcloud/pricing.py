@@ -71,9 +71,12 @@ class CostMeter:
     def request_charges(self) -> float:
         """Total request-based charges accumulated so far, in dollars.
 
-        Services meter under ``<kind>.<op>`` (``ebs.get``/``ebs.put`` —
-        see ``StorageService._count``); the ``ebs.read``/``ebs.write``
-        aliases are kept for callers that record I/O manually."""
+        Services meter under ``<kind>.<op>`` (``ebs.get``/``ebs.put``):
+        ``StorageService._count`` records the key prebuilt for each op,
+        once per request made through ``_perform`` or charged by
+        :class:`~repro.fs.rawfs.RawDeviceFileSystem`.  The
+        ``ebs.read``/``ebs.write`` aliases are kept for callers that
+        record I/O manually."""
         ebs_io = (
             self.count("ebs.get") + self.count("ebs.put")
             + self.count("ebs.read") + self.count("ebs.write")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simcloud.clock import SimClock
-from repro.simcloud.resources import RequestContext, Resource
+from repro.simcloud.resources import RequestContext, Resource, _Channel
 
 
 class TestResource:
@@ -92,6 +92,49 @@ class TestResource:
             intervals = sorted(channel.intervals)
             for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
                 assert e1 <= s2 + 1e-9
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=100),
+                st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 7.25]),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=-5, max_value=120),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=40),
+                st.sampled_from([0.0, 0.5, 2.0, 10.0]),
+            ),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_prune_matches_a_full_filter(self, requests, channels, before, probes):
+        """The bisect prune keeps exactly the intervals a full filter on
+        ``end >= before`` keeps, zero-length bookings included, and the
+        channel answers every request from ``before`` on as it did."""
+        res = Resource("r", channels=channels)
+        for at, dur in requests:
+            res.acquire(at, dur)
+        for channel in res._channels:
+            full = list(channel.intervals)
+            kept = [iv for iv in full if iv[1] >= before]
+            unpruned = _Channel()
+            unpruned.intervals = full
+            intervals = channel.intervals
+            channel.prune(before)
+            assert channel.intervals is intervals  # pruned in place
+            assert channel.intervals == kept
+            for offset, dur in probes:
+                at = max(before, 0.0) + offset
+                assert channel.feasible_start(at, dur) == unpruned.feasible_start(
+                    at, dur
+                )
 
 
 class TestRequestContext:

@@ -113,6 +113,39 @@ class TestBasicStorage:
         assert meter.count("s3.put") == 1
 
 
+class TestOpCounts:
+    """``op_counts`` is a read-only view over the service's own
+    ``tiera_tier_ops_total`` cells."""
+
+    def test_each_service_counts_only_its_own_ops(self, registry):
+        cluster = registry.cluster
+        mem = registry.create("Memcached", tier_name="m", size=10 ** 6).service
+        ebs = registry.create("EBS", tier_name="e", size=10 ** 6).service
+        assert mem.obs is ebs.obs is cluster.obs
+        ctx = RequestContext(cluster.clock)
+        mem.put("a", b"1", ctx)
+        mem.get("a", ctx)
+        ebs.put("a", b"1", ctx)
+        ebs.put("b", b"2", ctx)
+        with pytest.raises(NoSuchKeyError):
+            ebs.get("c", ctx)
+        assert dict(mem.op_counts) == {"put": 1, "get": 1}
+        assert dict(ebs.op_counts) == {"put": 2, "miss": 1}
+        assert all(type(n) is int for n in ebs.op_counts.values())
+        ops = cluster.obs.metrics.counter("tiera_tier_ops_total")
+        assert ops.value(service=ebs.name, op="put") == 2
+        assert ops.total() == 5
+
+    def test_bare_service_counts_into_a_private_registry(self, env):
+        svc = make(SimBlockVolume, env)
+        svc.put("k", b"v", ctx_for(env))
+        assert svc.obs is None
+        assert svc.op_counts == {"put": 1}
+        assert "get" not in svc.op_counts and len(svc.op_counts) == 1
+        with pytest.raises(TypeError):
+            svc.op_counts["put"] = 0  # a view, not a tally
+
+
 class TestFailureInjection:
     def test_failed_service_times_out(self, env):
         svc = make(SimBlockVolume, env)
