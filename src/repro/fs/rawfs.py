@@ -164,9 +164,8 @@ class RawDeviceFile(FileHandle):
             last_file_block = (len(data) - 1) // bs if data else -1
             ahead = range(last + 1, min(last + 1 + self.READAHEAD, last_file_block + 1))
             for block in ahead:
-                if cache.get(self.path, block) is None:
+                if cache.peek(self.path, block) is None:
                     missing.append(block)
-            cache.misses -= len(ahead)  # probes above are not demand misses
         self._last_block = last
         self.fs._charge_runs(missing, ctx, "get")
         if cache is not None:
