@@ -1063,7 +1063,7 @@ HEAT_CONFIG = dict(
 #: cycles.
 PLACEMENT_CONFIG = dict(
     objective="balanced", interval=0.2, hysteresis=2.0, min_score=0.3,
-    max_moves=24, prewarm_limit=24, high_watermark=0.95, refine=True,
+    max_moves=24, prewarm_limit=24, high_watermark=0.95,
 )
 
 #: Reads faster than this came from Memcached (mem median ~0.31 ms, EBS

@@ -54,7 +54,7 @@ class ControlLayer:
         self.eval_overhead = eval_overhead
         self.fired: Dict[str, int] = {}
         self.background_errors: List[Tuple[str, Exception]] = []
-        self._timers: Dict[str, Timer] = {}
+        self._timers: Dict[Tuple[str, float], Timer] = {}
         self._started = False
         # Observability: the instance's hub, when it has one (tests may
         # hand this layer a bare stub).  Every rule firing is audited
@@ -102,20 +102,32 @@ class ControlLayer:
             self._sync_timers()
 
     def _sync_timers(self) -> None:
-        current = {r.name: r for r in self.policy.timer_rules()}
-        for name in list(self._timers):
-            if name not in current:
-                self._timers.pop(name).cancel()
-        for name, rule in current.items():
-            if name not in self._timers:
-                self._timers[name] = self.clock.schedule_repeating(
-                    rule.event.interval, self._make_timer_callback(rule)
+        """Arm one timer per ``(name, interval)`` of the timer rules.
+
+        A timer resolves its rule by name when it fires, so replacing a
+        rule at the same interval keeps the timer's phase and runs the
+        new responses; a new interval cancels the old timer and arms one
+        at the new cadence.
+        """
+        wanted = [(r.name, r.event.interval) for r in self.policy.timer_rules()]
+        for key in list(self._timers):
+            if key not in wanted:
+                self._timers.pop(key).cancel()
+        for key in wanted:
+            if key not in self._timers:
+                self._timers[key] = self.clock.schedule_repeating(
+                    key[1], self._make_timer_callback(key[0])
                 )
 
-    def _make_timer_callback(self, rule: Rule):
+    def armed(self, name: str) -> bool:
+        """Whether a timer is armed for the timer rule ``name``."""
+        return any(armed_name == name for armed_name, _ in self._timers)
+
+    def _make_timer_callback(self, name: str):
         def fire() -> None:
             ctx = RequestContext(self.clock)
             scope = EvalScope(instance=self.instance)
+            rule = self.policy.rule(name)
             self._run_rule(rule, scope, ctx, swallow=True, origin="timer")
             self._check_thresholds_after_mutation()
 

@@ -26,6 +26,7 @@ from repro.core.errors import (
     UnknownTierError,
 )
 from repro.core.objects import ObjectMeta
+from repro.core.placement import PLACEMENT_RULE, PLACEMENT_SPEC, PlacementEngine
 from repro.core.policy import Policy, Rule
 from repro.core.tierset import TierSet
 from repro.kvstore import KVStore, MemoryStore
@@ -1023,27 +1024,45 @@ class TieraInstance:
     # -- adaptive placement ---------------------------------------------------
 
     def enable_placement(self, **config):
-        """Turn on the heat-driven adaptive placement engine.
+        """Turn on heat-driven adaptive placement, on a policy cadence.
 
-        Idempotent (a second call reconfigures in place); returns the
-        :class:`~repro.core.placement.PlacementEngine`.  Keyword
-        arguments pass through to the engine (``objective=``,
-        ``interval=``, ``hysteresis=``, ``min_score=``, ``max_moves=``,
-        ``prewarm_limit=``, ``high_watermark=``, ``refine=``, plus
-        ``start_timer=`` on first enable).  Placement plans are driven
-        by heat measurements, so the heat tracker is enabled with its
-        defaults if it is not already on.
+        Creates or reconfigures the engine (:meth:`placement_engine`),
+        then installs, or replaces, the timer rule
+        :data:`~repro.core.placement.PLACEMENT_RULE`
+        (:data:`~repro.core.placement.PLACEMENT_SPEC`), which runs one
+        ``adaptive_placement`` cycle every ``interval`` virtual seconds:
+        the control layer is the only cadence.  A re-configure at the
+        same interval keeps the armed timer's phase.  Returns the engine.
+        """
+        from repro.spec import Compiler, parse  # the compiler imports us
+
+        engine = self.placement_engine(**config)
+        args = {"objective": engine.objective, "interval": engine.interval}
+        # A rule-only spec: the compiler needs no tier registry for it.
+        (rule,) = Compiler(parse(PLACEMENT_SPEC), None, args).rules()
+        if any(r.name == PLACEMENT_RULE for r in self.policy):
+            self.policy.replace(PLACEMENT_RULE, rule)
+        else:
+            self.policy.add(rule)
+        return engine
+
+    def placement_engine(self, **config):
+        """The :class:`~repro.core.placement.PlacementEngine`, created on
+        first use or reconfigured in place; touches no rule.
+
+        Keyword arguments are :data:`~repro.core.placement.OPTIONS`
+        (``objective=``, ``interval=``, ``hysteresis=``, ``min_score=``,
+        ``max_moves=``, ``prewarm_limit=``, ``high_watermark=``).
+        Placement plans are driven by heat measurements, so the heat
+        tracker is enabled with its defaults if it is not already on.
         """
         if not self.obs.heat.enabled:
             self.enable_heat()
         elif self.obs.heat.occupancy_source is None:
             self.obs.heat.occupancy_source = self._heat_occupancy
         if self.placement is None:
-            from repro.core.placement import PlacementEngine
-
             self.placement = PlacementEngine(self, **config)
         else:
-            config.pop("start_timer", None)
             self.placement.reconfigure(**config)
         return self.placement
 
@@ -1161,8 +1180,6 @@ class TieraInstance:
         return self.monthly_cost() / (provisioned / (1024 ** 3))
 
     def shutdown(self) -> None:
-        if self.placement is not None:
-            self.placement.detach()
         self.control.shutdown()
         if self.resilience is not None:
             self.resilience.detach()

@@ -26,8 +26,8 @@ The engine is deliberately a *planner + executor* split:
     EWMA rate alone, because sketch counts never decay and yesterday's
     hot key must be evictable once its recent rate collapses.  Plans are
     damped with hysteresis (a key moved recently is left alone so hot
-    keys don't thrash) and a high-watermark capacity penalty.  An optional
-    refinement pass runs a bounded local search over the greedy plan:
+    keys don't thrash) and a high-watermark capacity penalty.  A
+    refinement pass then runs a bounded local search over the greedy plan:
     promotions that didn't fit are paired with demoting the coldest
     resident of the target tier when the swap's combined gain is
     positive (the spirit of the Data-in-Motion ``p_hot`` + MILP
@@ -38,10 +38,12 @@ The engine is deliberately a *planner + executor* split:
     primitives, emits ``tiera_placement_*`` metrics, and appends an
     audit record under the ``placement`` category.
 
-Cadence comes from the virtual clock (``schedule_repeating``) when the
-engine is enabled through the management API, or from a policy rule's
-own timer when composed as the ``adaptive_placement(...)`` spec
-response — see :class:`repro.core.responses.AdaptivePlacement`.
+The engine owns no timer.  Its cadence is a policy rule, like every
+other piece of Tiera's background work: ``configure("placement", ...)``
+installs (or replaces) one timer rule named :data:`PLACEMENT_RULE` whose
+response is :class:`repro.core.responses.AdaptivePlacement`, and a spec
+can compose the same response under any event of its own.  Either way
+the control layer fires the rule and the response runs one cycle.
 """
 
 from __future__ import annotations
@@ -72,6 +74,24 @@ DEFAULT_PREWARM_LIMIT = 2
 DEFAULT_HIGH_WATERMARK = 0.90
 DEFAULT_REFINE_BUDGET = 16
 
+#: The timer rule ``configure("placement", ...)`` installs, by name and
+#: as spec text (its arguments are the engine's objective and interval).
+PLACEMENT_RULE = "adaptive-placement"
+PLACEMENT_SPEC = """
+Tiera Placement(time interval, objective) {
+    event "adaptive-placement"(time=interval) : response {
+        adaptive_placement(objective: objective, interval: interval);
+    }
+}
+"""
+
+#: Settable placement options and the type each value is coerced to.
+OPTIONS = {
+    "objective": str, "interval": float, "hysteresis": float,
+    "min_score": float, "max_moves": int, "prewarm_limit": int,
+    "high_watermark": float,
+}
+
 #: Fixed score charged per move (churn is never free) plus a transfer
 #: term per GiB moved, in the same dimensionless "score points" the
 #: latency and cost terms are normalized to.
@@ -92,6 +112,40 @@ PRESSURE_SCALE = 4.0
 #: Payload size used to rank tiers fast -> slow (the request-overhead
 #: term dominates at this size for every built-in latency model).
 REFERENCE_SIZE = 4096
+
+
+def check_options(options: Dict[str, object]) -> Dict[str, object]:
+    """Validate placement options before anything is changed.
+
+    Returns the options that are set (``None`` means "leave as is"),
+    coerced to their :data:`OPTIONS` types.  An unknown option raises
+    ``TypeError`` and an out-of-range value ``ValueError``; the spec
+    compiler re-raises both as a line-numbered ``PolicyError``.
+    """
+    unknown = set(options) - set(OPTIONS)
+    if unknown:
+        raise TypeError(
+            f"unknown placement option(s): {', '.join(sorted(unknown))}"
+        )
+    checked = {
+        name: OPTIONS[name](value)
+        for name, value in options.items() if value is not None
+    }
+    if checked.get("objective", DEFAULT_OBJECTIVE) not in OBJECTIVES:
+        raise ValueError(
+            f"unknown objective {checked['objective']!r}; expected one of "
+            f"{', '.join(sorted(OBJECTIVES))}"
+        )
+    if checked.get("interval", DEFAULT_INTERVAL) <= 0:
+        raise ValueError("interval must be positive")
+    if checked.get("hysteresis", 0.0) < 0:
+        raise ValueError("hysteresis cannot be negative")
+    if not 0.0 < checked.get("high_watermark", DEFAULT_HIGH_WATERMARK) <= 1.0:
+        raise ValueError("high_watermark must be in (0, 1]")
+    for count_opt in ("max_moves", "prewarm_limit"):
+        if checked.get(count_opt, 0) < 0:
+            raise ValueError(f"{count_opt} cannot be negative")
+    return checked
 
 
 def expected_latency(model, nbytes: int) -> float:
@@ -120,20 +174,7 @@ def expected_latency(model, nbytes: int) -> float:
 class PlacementEngine:
     """Greedy, hysteresis-damped promote/demote/pre-warm planner."""
 
-    def __init__(
-        self,
-        instance: "TieraInstance",
-        *,
-        objective: str = DEFAULT_OBJECTIVE,
-        interval: float = DEFAULT_INTERVAL,
-        hysteresis: Optional[float] = None,
-        min_score: float = DEFAULT_MIN_SCORE,
-        max_moves: int = DEFAULT_MAX_MOVES,
-        prewarm_limit: int = DEFAULT_PREWARM_LIMIT,
-        high_watermark: float = DEFAULT_HIGH_WATERMARK,
-        refine: bool = True,
-        start_timer: bool = True,
-    ):
+    def __init__(self, instance: "TieraInstance", **options):
         self.instance = instance
         self.clock = instance.clock
         self.tracker = instance.obs.heat
@@ -144,110 +185,33 @@ class PlacementEngine:
         self.max_moves = DEFAULT_MAX_MOVES
         self.prewarm_limit = DEFAULT_PREWARM_LIMIT
         self.high_watermark = DEFAULT_HIGH_WATERMARK
-        self.refine = True
         self._hysteresis_explicit = False
-        self._timer = None
         self._last_moved: Dict[str, float] = {}
         self._last_cycle: Optional[Dict[str, object]] = None
         self.cycles = 0
         self.moves = 0
         self.bytes_moved = 0
         self._install_metrics()
-        self.reconfigure(
-            objective=objective,
-            interval=interval,
-            hysteresis=hysteresis,
-            min_score=min_score,
-            max_moves=max_moves,
-            prewarm_limit=prewarm_limit,
-            high_watermark=high_watermark,
-            refine=refine,
-        )
-        if start_timer:
-            self.start()
-
-    # -- lifecycle -----------------------------------------------------------
+        self.reconfigure(**options)
 
     def reconfigure(self, **options) -> "PlacementEngine":
-        """Apply config in place (idempotent; validates before mutating)."""
-        known = {
-            "objective", "interval", "hysteresis", "min_score",
-            "max_moves", "prewarm_limit", "high_watermark", "refine",
-        }
-        unknown = set(options) - known
-        if unknown:
-            raise TypeError(
-                f"unknown placement option(s): {', '.join(sorted(unknown))}"
-            )
-        objective = options.get("objective")
-        if objective is not None and objective not in OBJECTIVES:
-            raise ValueError(
-                f"unknown objective {objective!r}; expected one of "
-                f"{', '.join(sorted(OBJECTIVES))}"
-            )
-        interval = options.get("interval")
-        if interval is not None:
-            interval = float(interval)
-            if interval <= 0:
-                raise ValueError("interval must be positive")
-        hysteresis = options.get("hysteresis")
-        if hysteresis is not None:
-            hysteresis = float(hysteresis)
-            if hysteresis < 0:
-                raise ValueError("hysteresis cannot be negative")
-        high_watermark = options.get("high_watermark")
-        if high_watermark is not None:
-            high_watermark = float(high_watermark)
-            if not 0.0 < high_watermark <= 1.0:
-                raise ValueError("high_watermark must be in (0, 1]")
-        for count_opt in ("max_moves", "prewarm_limit"):
-            if options.get(count_opt) is not None and int(options[count_opt]) < 0:
-                raise ValueError(f"{count_opt} cannot be negative")
-
-        if objective is not None:
-            self.objective = objective
-        if interval is not None:
-            reschedule = self._timer is not None and interval != self.interval
-            self.interval = interval
-            if not self._hysteresis_explicit:
-                self.hysteresis = 2 * interval
-            if reschedule:
-                self.stop()
-                self.start()
-        if hysteresis is not None:
-            self.hysteresis = hysteresis
+        """Apply :data:`OPTIONS` in place (idempotent; validates before
+        mutating).  Until ``hysteresis`` is set explicitly it tracks
+        twice the interval."""
+        checked = check_options(options)
+        if "interval" in checked and not self._hysteresis_explicit:
+            self.hysteresis = 2 * checked["interval"]
+        if "hysteresis" in checked:
             self._hysteresis_explicit = True
-        if options.get("min_score") is not None:
-            self.min_score = float(options["min_score"])
-        if options.get("max_moves") is not None:
-            self.max_moves = int(options["max_moves"])
-        if options.get("prewarm_limit") is not None:
-            self.prewarm_limit = int(options["prewarm_limit"])
-        if high_watermark is not None:
-            self.high_watermark = high_watermark
-        if options.get("refine") is not None:
-            self.refine = bool(options["refine"])
+        for name, value in checked.items():
+            setattr(self, name, value)
         return self
-
-    def start(self) -> None:
-        """Begin the virtual-time cycle cadence (idempotent)."""
-        if self._timer is None:
-            self._timer = self.clock.schedule_repeating(
-                self.interval, self._tick
-            )
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def detach(self) -> None:
-        """Instance shutdown hook: cancel the timer."""
-        self.stop()
 
     @property
     def running(self) -> bool:
-        return self._timer is not None
+        """Whether the control layer holds an armed timer for the
+        :data:`PLACEMENT_RULE` rule."""
+        return self.instance.control.armed(PLACEMENT_RULE)
 
     def _install_metrics(self) -> None:
         m = self.instance.obs.metrics
@@ -271,16 +235,6 @@ class PlacementEngine:
             "tiera_placement_plan_size",
             "Decisions in the most recent placement plan",
         )
-
-    def _tick(self) -> None:
-        """Timer fire: one cycle on a fresh background context."""
-        ctx = RequestContext(self.clock)
-        try:
-            self.run_cycle(ctx, origin="timer")
-        except Exception as exc:  # noqa: BLE001 - background isolation
-            control = getattr(self.instance, "control", None)
-            if control is not None:
-                control._note_background_error("placement", exc, ctx.time)
 
     # -- scoring -------------------------------------------------------------
 
@@ -481,7 +435,7 @@ class PlacementEngine:
                 projected[dst] += meta.size
             moves_left -= 1
 
-        if self.refine and blocked:
+        if blocked:
             self._refine(
                 blocked, decisions, skipped, planned_keys,
                 projected, order, rank, now,
@@ -712,7 +666,7 @@ class PlacementEngine:
             "max_moves": self.max_moves,
             "prewarm_limit": self.prewarm_limit,
             "high_watermark": self.high_watermark,
-            "refine": self.refine,
+            "refine": True,  # the swap search always runs
             "cycles": self.cycles,
             "moves": self.moves,
             "bytes_moved": self.bytes_moved,

@@ -20,6 +20,18 @@ from repro.core.responses import Response
 _rule_ids = itertools.count(1)
 
 
+def _unique(rules: Sequence["Rule"]) -> List["Rule"]:
+    """``rules`` as a list, or :class:`PolicyError` if two share a name:
+    timers and firing counts are keyed by name, so a duplicate would
+    silently shadow its twin."""
+    seen = set()
+    for rule in rules:
+        if rule.name in seen:
+            raise PolicyError(f"rule {rule.name!r} already installed")
+        seen.add(rule.name)
+    return list(rules)
+
+
 @dataclass
 class Rule:
     """One event with the responses it triggers.
@@ -48,11 +60,8 @@ class Policy:
     """An ordered, runtime-mutable collection of rules."""
 
     def __init__(self, rules: Sequence[Rule] = ()):
-        self._rules: List[Rule] = list(rules)
+        self._rules: List[Rule] = _unique(rules)
         self._listeners: List[Callable[[], None]] = []
-        names = [r.name for r in self._rules]
-        if len(set(names)) != len(names):
-            raise PolicyError("duplicate rule names in policy")
 
     def __iter__(self):
         return iter(list(self._rules))
@@ -78,9 +87,7 @@ class Policy:
     # -- runtime modification (§4.2.3) ------------------------------------
 
     def add(self, rule: Rule) -> None:
-        if any(r.name == rule.name for r in self._rules):
-            raise PolicyError(f"rule {rule.name!r} already installed")
-        self._rules.append(rule)
+        self._rules = _unique(self._rules + [rule])
         self._notify()
 
     def remove(self, name: str) -> Rule:
@@ -91,14 +98,14 @@ class Policy:
 
     def replace(self, name: str, new_rule: Rule) -> None:
         """Swap a rule in place, keeping its position in the order."""
-        old = self.rule(name)
-        idx = self._rules.index(old)
-        self._rules[idx] = new_rule
+        rules = list(self._rules)
+        rules[rules.index(self.rule(name))] = new_rule
+        self._rules = _unique(rules)
         self._notify()
 
     def replace_all(self, rules: Sequence[Rule]) -> None:
         """Install a completely new policy (the Figure 17 reconfiguration)."""
-        self._rules = list(rules)
+        self._rules = _unique(rules)
         self._notify()
 
     def subscribe(self, listener: Callable[[], None]) -> None:

@@ -500,12 +500,13 @@ class AdaptivePlacement(Response):
     """One adaptive placement cycle (``adaptive_placement(...)``).
 
     The heat-driven placement engine as a policy primitive: executing
-    the response enables the engine if needed (without its own timer —
-    the enclosing rule's event supplies the cadence, so it composes
-    with static rules and threshold triggers) and runs one
-    plan-and-apply cycle on the triggering context.  ``objective``
-    picks the cost-vs-latency weighting preset; ``interval`` feeds the
-    promote-vs-prewarm recency split and the default hysteresis.
+    the response gets the engine, creating it on first use, and runs one
+    plan-and-apply cycle on the triggering context.  It never touches
+    the policy; the enclosing rule's event is the cadence, so it
+    composes with static rules and threshold triggers.  When the engine
+    is created here, ``objective`` picks its cost-vs-latency weighting
+    preset and ``interval`` its promote-vs-prewarm recency split and
+    default hysteresis (twice the interval).
     """
 
     objective: str = "balanced"
@@ -513,17 +514,7 @@ class AdaptivePlacement(Response):
 
     def execute(self, scope: EvalScope, ctx: RequestContext) -> None:
         instance = scope.instance
-        try:
-            if instance.placement is None:
-                engine = instance.enable_placement(
-                    objective=self.objective,
-                    interval=self.interval,
-                    start_timer=False,
-                )
-            else:
-                engine = instance.enable_placement(
-                    objective=self.objective, interval=self.interval
-                )
-        except (TypeError, ValueError) as exc:
-            raise PolicyError(f"adaptive_placement: {exc}")
+        engine = instance.placement or instance.placement_engine(
+            objective=self.objective, interval=self.interval
+        )
         engine.run_cycle(ctx, origin="rule")

@@ -99,7 +99,7 @@ class Compiler:
     def __init__(
         self,
         spec: ast.InstanceSpec,
-        registry: TierRegistry,
+        registry: Optional[TierRegistry],
         args: Optional[Dict[str, object]] = None,
     ):
         self.spec = spec
@@ -508,26 +508,21 @@ class Compiler:
         return VerifyBackup()
 
     def _call_adaptive_placement(self, stmt: ast.CallStmt) -> "Response":
-        from repro.core.placement import OBJECTIVES
+        from repro.core.placement import check_options
         from repro.core.responses import AdaptivePlacement
 
-        objective = self._word_arg(stmt, "objective", "balanced")
-        if objective not in OBJECTIVES:
-            raise PolicyError(
-                f"line {stmt.line}: adaptive_placement 'objective:' must "
-                f"be one of {', '.join(sorted(OBJECTIVES))}"
-            )
         interval_expr = stmt.args.get("interval")
-        if interval_expr is None:
-            interval = 60.0
-        else:
-            interval = float(self._numeric_value(interval_expr))
-            if interval <= 0:
-                raise PolicyError(
-                    f"line {stmt.line}: adaptive_placement 'interval:' "
-                    f"must be positive"
-                )
-        return AdaptivePlacement(objective=objective, interval=interval)
+        options = {
+            "objective": self._word_arg(stmt, "objective", "balanced"),
+            "interval": 60.0 if interval_expr is None
+            else self._numeric_value(interval_expr),
+        }
+        try:
+            return AdaptivePlacement(**check_options(options))
+        except (TypeError, ValueError) as exc:
+            raise PolicyError(
+                f"line {stmt.line}: adaptive_placement: {exc}"
+            ) from None
 
     def _call_shrink(self, stmt: ast.CallStmt) -> Shrink:
         percent = self._literal_arg(stmt, "decrement", unit="percent")

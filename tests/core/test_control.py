@@ -3,12 +3,11 @@
 import pytest
 
 from repro.core.actions import Action
-from repro.core.conditions import AttrRef, Comparison, EvalScope, Literal
+from repro.core.conditions import AttrRef, Comparison, Literal
 from repro.core.events import ActionEvent, ThresholdEvent, TimerEvent
-from repro.core.objects import ObjectMeta
 from repro.core.policy import Rule
 from repro.core.responses import Copy, Response, Store
-from repro.core.selectors import InsertObject, NamedObjects, ObjectsWhere
+from repro.core.selectors import InsertObject
 from repro.simcloud.resources import RequestContext
 from tests.core.conftest import build_instance
 
@@ -149,6 +148,44 @@ class TestTimerRules:
         inst.policy.add(Rule(TimerEvent(5), [probe], name="t"))
         inst.clock.advance(11)
         assert len(probe.calls) == 2
+
+    def test_replaced_rule_fires_its_new_responses(self, registry):
+        old, new = Probe(), Probe()
+        inst = build_instance(
+            registry,
+            [("tier1", "Memcached", 10 ** 6)],
+            rules=[Rule(TimerEvent(10), [old], name="t")],
+        )
+        inst.policy.replace("t", Rule(TimerEvent(2), [new], name="t"))
+        inst.clock.advance(21)
+        assert old.calls == []
+        assert len(new.calls) == 10
+
+    def test_same_interval_replace_keeps_the_phase(self, registry):
+        old, new = Probe(), Probe()
+        inst = build_instance(
+            registry,
+            [("tier1", "Memcached", 10 ** 6)],
+            rules=[Rule(TimerEvent(10), [old], name="t")],
+        )
+        start = inst.clock.now()
+        inst.clock.advance(7)
+        inst.policy.replace("t", Rule(TimerEvent(10), [new], name="t"))
+        inst.clock.advance(5)
+        assert old.calls == []
+        assert new.calls == [start + 10]
+
+    def test_replace_policy_re_arms_timer_rules(self, registry):
+        old, new = Probe(), Probe()
+        inst = build_instance(
+            registry,
+            [("tier1", "Memcached", 10 ** 6)],
+            rules=[Rule(TimerEvent(10), [old], name="t")],
+        )
+        inst.reconfigure(replace_policy=[Rule(TimerEvent(3), [new], name="t")])
+        inst.clock.advance(10)
+        assert old.calls == []
+        assert len(new.calls) == 3
 
     def test_timer_errors_are_swallowed_and_recorded(self, registry):
         inst = build_instance(

@@ -3,14 +3,17 @@
 Covers the planner's determinism and scoring asymmetries (sketch-gated
 admission vs EWMA-driven eviction), the damping machinery (hysteresis,
 capacity pressure, refine swaps), the executor's metrics/audit side
-effects, the management-API envelopes, and the ``adaptive_placement``
+effects, the ``adaptive-placement`` timer rule that ``configure``
+installs, the management-API envelopes, and the ``adaptive_placement``
 spec primitive.
 """
 
 import pytest
 
-from repro.core.errors import BadConfigError, UnknownFeatureError
-from repro.core.placement import OBJECTIVES, expected_latency
+from repro.core.errors import (
+    BadConfigError, TieraError, UnknownFeatureError,
+)
+from repro.core.placement import OBJECTIVES, PLACEMENT_RULE, expected_latency
 from repro.core.policy import PolicyError, Rule
 from repro.core.responses import Store
 from repro.core.selectors import InsertObject
@@ -39,13 +42,12 @@ def cold_instance(registry, mem=16 * KB, ebs=10 ** 7):
 
 
 def enable(instance, **overrides):
-    config = dict(
-        interval=5.0, min_score=0.0, max_moves=8, prewarm_limit=4,
-        refine=True, start_timer=False,
-    )
+    """An engine with no rule driving it: cycles run only when a test
+    calls ``run_cycle``."""
+    config = dict(interval=5.0, min_score=0.0, max_moves=8, prewarm_limit=4)
     config.update(overrides)
     instance.enable_heat(windows=(10.0, 60.0), top_k=16, hot_min=2)
-    return instance.enable_placement(**config)
+    return instance.placement_engine(**config)
 
 
 def heat_up(server, key, ctx, times=4, gap=0.5):
@@ -184,7 +186,7 @@ class TestPlanning:
         self, registry, cluster, ctx
     ):
         # tier1 holds exactly one record; a colder resident must make
-        # way for a hotter blocked promotion — but only when refine is on.
+        # way for a hotter blocked promotion.
         instance = cold_instance(registry, mem=300)
         server = TieraServer(instance)
         engine = enable(instance, hysteresis=0.0)
@@ -194,10 +196,6 @@ class TestPlanning:
         engine.run_cycle(ctx)
         assert "tier1" in instance.meta("warm").locations
         heat_up(server, "blazing", ctx, times=8, gap=0.1)
-        engine.reconfigure(refine=False)
-        plan = engine.plan()
-        assert {"key": "blazing", "reason": "capacity"} in plan["skipped"]
-        engine.reconfigure(refine=True)
         plan = engine.plan()
         by_key = {d["key"]: d for d in plan["decisions"]}
         assert by_key["blazing"]["reason"] == "refine-swap"
@@ -248,7 +246,8 @@ class TestExecution:
         cluster.clock.run_until(ctx.time + 10.0)
         assert engine.cycles >= 4
         assert "tier1" in instance.meta("hot").locations
-        engine.stop()
+        instance.policy.remove(PLACEMENT_RULE)
+        assert not engine.running
         cycles = engine.cycles
         cluster.clock.run_until(ctx.time + 50.0)
         assert engine.cycles == cycles
@@ -257,8 +256,71 @@ class TestExecution:
         instance = cold_instance(registry)
         engine = instance.enable_placement(interval=2.0)
         assert engine.running
+        cluster.clock.run_until(5.0)
+        assert engine.cycles == 2
         instance.shutdown()
         assert not engine.running
+        cluster.clock.run_until(50.0)
+        assert engine.cycles == 2
+
+
+def placement_rules(instance):
+    return [r.name for r in instance.policy if r.name == PLACEMENT_RULE]
+
+
+class TestPlacementRule:
+    """``configure`` puts the engine on the control layer's cadence."""
+
+    def test_new_interval_re_arms_one_rule(self, registry, cluster):
+        instance = cold_instance(registry)
+        engine = instance.enable_placement(interval=2.0)
+        cluster.clock.run_until(5.0)            # fires at 2, 4
+        assert engine.cycles == 2
+        instance.enable_placement(interval=5.0)
+        cluster.clock.run_until(21.0)           # fires at 10, 15, 20
+        assert engine.cycles == 5
+        assert placement_rules(instance) == [PLACEMENT_RULE]
+        assert instance.policy.rule(PLACEMENT_RULE).event.interval == 5.0
+
+    def test_same_interval_keeps_the_timer_phase(self, registry, cluster):
+        instance = cold_instance(registry)
+        engine = instance.enable_placement(interval=4.0)
+        cluster.clock.run_until(3.0)
+        instance.enable_placement(interval=4.0, objective="cost")
+        cluster.clock.run_until(4.5)            # still due at 4, not at 7
+        assert engine.cycles == 1
+        assert engine.objective == "cost"
+        assert placement_rules(instance) == [PLACEMENT_RULE]
+
+    def test_spec_rule_named_placement_is_left_alone(self, registry, cluster):
+        instance = compile_spec(SPEC_WITH_PLACEMENT_RULE, registry)
+        server = TieraServer(instance)
+        server.configure("placement", interval=3.0).raise_for_error()
+        assert [r.name for r in instance.policy] == [
+            "placement", PLACEMENT_RULE,
+        ]
+        ctx = RequestContext(cluster.clock)
+        server.put_object("k", b"v" * 64, ctx=ctx).raise_for_error()
+        assert instance.control.fired["placement"] == 1
+        assert "tier2" in instance.meta("k").locations
+
+    def test_failed_cycle_is_a_background_error(
+        self, registry, cluster, monkeypatch
+    ):
+        instance = cold_instance(registry)
+        engine = instance.enable_placement(interval=2.0)
+
+        def boom(now=None):
+            raise TieraError("plan exploded")
+
+        monkeypatch.setattr(engine, "plan", boom)
+        cluster.clock.run_until(3.0)            # must not raise
+        (source, exc), = instance.control.background_errors
+        assert source == PLACEMENT_RULE
+        assert "plan exploded" in str(exc)
+        samples = instance.obs.metrics.snapshot()["metrics"][
+            "tiera_background_errors_total"]["samples"]
+        assert sum(samples.values()) == 1
 
 
 class TestReconfigure:
@@ -289,7 +351,7 @@ class TestReconfigure:
 
     def test_enable_placement_is_idempotent_reconfigure(self, registry):
         instance = cold_instance(registry)
-        engine = instance.enable_placement(interval=5.0, start_timer=False)
+        engine = instance.enable_placement(interval=5.0)
         again = instance.enable_placement(objective="cost")
         assert again is engine
         assert engine.objective == "cost"
@@ -298,7 +360,7 @@ class TestReconfigure:
     def test_enable_placement_turns_heat_on(self, registry):
         instance = cold_instance(registry)
         assert not instance.obs.heat.enabled
-        instance.enable_placement(start_timer=False)
+        instance.enable_placement()
         assert instance.obs.heat.enabled
 
 
@@ -360,6 +422,17 @@ Tiera AdaptiveInstance(time t) {
     }
     event(time=t) : response {
         adaptive_placement(objective: latency, interval: 30);
+    }
+}
+"""
+
+
+SPEC_WITH_PLACEMENT_RULE = """
+Tiera Ablation() {
+    tier1: { name: Memcached, size: 64K };
+    tier2: { name: EBS, size: 10M };
+    event "placement"(insert.into) : response {
+        store(what: insert.object, to: tier2);
     }
 }
 """

@@ -8,6 +8,7 @@ from repro.core.conditions import Literal
 from repro.core.policy import Policy, Rule
 from repro.core.responses import Store
 from repro.core.selectors import InsertObject
+from tests.core.conftest import build_instance
 
 
 def store_rule(name="r1", event=None):
@@ -80,6 +81,35 @@ class TestPolicy:
         policy = Policy([store_rule("a")])
         policy.replace_all([store_rule("x"), store_rule("y")])
         assert [r.name for r in policy] == ["x", "y"]
+
+    def test_replace_all_rejects_duplicate_names(self):
+        policy = Policy([store_rule("a")])
+        with pytest.raises(PolicyError, match="'x'"):
+            policy.replace_all([store_rule("x"), store_rule("x")])
+        assert [r.name for r in policy] == ["a"]
+
+    def test_replace_rejects_a_name_already_taken(self):
+        policy = Policy([store_rule("a"), store_rule("b")])
+        with pytest.raises(PolicyError, match="'b'"):
+            policy.replace("a", store_rule("b"))
+        assert [r.name for r in policy] == ["a", "b"]
+
+    def test_replace_may_keep_the_name(self):
+        policy = Policy([store_rule("a"), store_rule("b")])
+        policy.replace("a", store_rule("a"))
+        assert [r.name for r in policy] == ["a", "b"]
+
+    def test_reconfigure_refuses_duplicate_policy(self, registry):
+        instance = build_instance(
+            registry, [("tier1", "Memcached", 10 ** 6)],
+            rules=[store_rule("a")],
+        )
+        before = list(instance.policy)
+        with pytest.raises(PolicyError):
+            instance.reconfigure(
+                replace_policy=[store_rule("x"), store_rule("x")]
+            )
+        assert list(instance.policy) == before
 
     def test_listeners_notified_on_every_change(self):
         policy = Policy([store_rule("a")])
