@@ -621,8 +621,10 @@ def _surviving_bytes(instance, key: str) -> Optional[bytes]:
     if meta is None:
         return None
     for tier in instance.tiers.ordered():
-        if tier.durable and tier.name in meta.locations and tier.contains(key):
-            return tier.service._data[key]
+        if tier.durable and tier.name in meta.locations:
+            blob = tier.service.peek(key)
+            if blob is not None:
+                return blob
     return None
 
 

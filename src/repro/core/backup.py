@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.durability import (
     INTENTS,
     SNAPSHOT_FORMAT,
-    _erase,
     archive_manifest,
     archived_state,
     fsck,
@@ -540,22 +539,18 @@ class BackupManager:
 
         for key in manifest.get("deleted", []):
             for tier in target.tiers.ordered():
-                _erase(tier, key)
+                tier.service.erase(key)
             target._drop_meta(key)
         for meta in metas:
             # Stale copies from the parent state (the object may have
             # moved tiers since) are erased before the new ones land.
             for tier in target.tiers.ordered():
-                _erase(tier, meta.key)
+                tier.service.erase(meta.key)
             target.install_meta(meta)
         for name in sorted(tier_data):
-            tier = target.tiers.get(name)
-            service = tier.service
-            for key in sorted(tier_data[name]):
-                data = tier_data[name][key]
-                service._data[key] = data
-                service._used += len(data)
-                tier._order[key] = None
+            service = target.tiers.get(name).service
+            for key, data in sorted(tier_data[name].items()):
+                service.install(key, data)
 
     def _wal_records(self, lo: int, hi: int) -> List[Tuple[int, Dict]]:
         """The archived ``(seq, record)`` pairs with seq in (lo, hi]."""

@@ -452,15 +452,6 @@ def _verifiable(meta: ObjectMeta) -> bool:
     )
 
 
-def _erase(tier, key: str) -> None:
-    """Delete bytes directly at the service, off the virtual timeline
-    (fsck is an offline scrub; it charges no request latency)."""
-    service = tier.service
-    if key in service._data:
-        service._used -= len(service._data.pop(key))
-    tier._order.pop(key, None)
-
-
 def insert_targets(instance) -> List[str]:
     """Durable tiers the policy writes every new object to.
 
@@ -575,9 +566,9 @@ def fsck(
                 note("orphan", stored, tier.name,
                      "tier holds bytes with no metadata", "delete-bytes")
                 if repair:
-                    _erase(tier, stored)
+                    tier.service.erase(stored)
             elif tier.name not in meta.locations:
-                blob = tier.service._data[stored]
+                blob = tier.service.peek(stored)
                 if _verifiable(meta) and content_checksum(blob) == meta.checksum:
                     note("unrecorded", stored, tier.name,
                          "verified copy missing from metadata", "adopt")
@@ -589,7 +580,7 @@ def fsck(
                          "unverifiable copy missing from metadata",
                          "delete-bytes")
                     if repair:
-                        _erase(tier, stored)
+                        tier.service.erase(stored)
 
     # 5: checksum mismatches among recorded copies.
     for key in sorted(metas):
@@ -602,7 +593,7 @@ def fsck(
             tier = instance.tiers.get(tier_name)
             if not tier.contains(key):
                 continue  # ghost, handled above
-            blob = tier.service._data[key]
+            blob = tier.service.peek(key)
             if content_checksum(blob) == meta.checksum:
                 if good is None:
                     good = blob
@@ -614,13 +605,7 @@ def fsck(
                      "copy differs from recorded checksum",
                      "rewrite-from-clean-copy")
                 if repair:
-                    tier = instance.tiers.get(tier_name)
-                    service = tier.service
-                    old = service._data.get(key)
-                    if old is not None:
-                        service._used -= len(old)
-                    service._data[key] = good
-                    service._used += len(good)
+                    instance.tiers.get(tier_name).service.install(key, good)
         elif bad:
             # Every surviving copy mismatches the recorded checksum: an
             # overwrite recorded its new checksum but the new bytes died
@@ -631,10 +616,10 @@ def fsck(
             truth: Optional[bytes] = None
             for tier in instance.tiers.ordered():
                 if tier.name in bad:
-                    truth = tier.service._data[key]
+                    truth = tier.service.peek(key)
                     break
             for tier_name in bad:
-                blob = instance.tiers.get(tier_name).service._data[key]
+                blob = instance.tiers.get(tier_name).service.peek(key)
                 note("checksum-mismatch", key, tier_name,
                      "no clean copy; rolling back to surviving content",
                      "adopt-content" if blob == truth
@@ -646,11 +631,8 @@ def fsck(
                 instance.install_meta(meta)  # re-derives its dedup entry
                 for tier_name in bad:
                     service = instance.tiers.get(tier_name).service
-                    old = service._data.get(key)
-                    if old is not None and old != truth:
-                        service._used -= len(old)
-                        service._data[key] = truth
-                        service._used += len(truth)
+                    if service.peek(key) != truth:
+                        service.install(key, truth)
 
     # 6: lost objects (and aliases orphaned by dropping them).
     for key in sorted(list(metas)):
@@ -736,8 +718,10 @@ def _first_copy(instance, meta: ObjectMeta) -> Optional[bytes]:
     """The object's bytes from its first-declared recorded tier, read
     at the service (no virtual time, no LRU side effects)."""
     for tier in instance.tiers.ordered():
-        if tier.name in meta.locations and tier.contains(meta.key):
-            return tier.service._data[meta.key]
+        if tier.name in meta.locations:
+            blob = tier.service.peek(meta.key)
+            if blob is not None:
+                return blob
     return None
 
 
@@ -790,7 +774,7 @@ def archived_state(
     tier_rows: List[Tuple[str, Dict[str, bytes]]] = []
     for tier in instance.tiers.ordered():
         if tier.name in archived_names:
-            contents = {k: tier.service._data[k] for k in tier.keys()}
+            contents = tier.service.contents()
         else:
             contents = {}
         tier_rows.append((tier.name, contents))
@@ -985,8 +969,7 @@ def restore_archive(instance, blob: bytes) -> Dict[str, object]:
             )
 
     for tier in instance.tiers.ordered():
-        tier.service._drop_all()
-        tier._order.clear()
+        tier.service.wipe()
     instance.clear_meta()
     for key in list(instance.metadata_store.keys()):
         instance.metadata_store.delete(key)
@@ -996,12 +979,9 @@ def restore_archive(instance, blob: bytes) -> Dict[str, object]:
     for meta in metas:
         instance.install_meta(meta)
     for name in sorted(tier_data):
-        tier = instance.tiers.get(name)
-        service = tier.service
+        service = instance.tiers.get(name).service
         for key, data in sorted(tier_data[name].items()):
-            service._data[key] = data
-            service._used += len(data)
-            tier._order[key] = None
+            service.install(key, data)
 
     digest = instance.state_digest()
     result = {
@@ -1064,10 +1044,11 @@ def restore_snapshot(instance, path: str) -> Dict[str, object]:
 def simulate_crash(instance) -> None:
     """Kill the instance the way SIGKILL + node reboot would.
 
-    Volatile tiers (``service.persistent == False``: memcached) lose
-    their contents; durable services and the metadata store survive
-    untouched — including any in-flight journal records, which is the
-    whole point.  Scheduled background work dies with the process.
+    Volatile tiers (memcached) lose their contents
+    (:meth:`StorageService.crash`); durable services and the metadata
+    store survive untouched — including any in-flight journal records,
+    which is the whole point.  Scheduled background work dies with the
+    process.
     """
     instance.control.shutdown()
     if instance.resilience is not None:
@@ -1078,9 +1059,7 @@ def simulate_crash(instance) -> None:
     if cancel_all is not None:
         cancel_all()
     for tier in instance.tiers.ordered():
-        if not tier.service.persistent:
-            tier.service._drop_all()
-            tier._order.clear()
+        tier.service.crash()
 
 
 def reopen_instance(
@@ -1095,8 +1074,8 @@ def reopen_instance(
 ):
     """Boot a successor instance over crash-surviving state.
 
-    Rebuilds each tier's LRU book-keeping from the surviving contents
-    (sorted: access order died with the process), constructs the
+    Resets each tier's recency to its surviving keys in sorted order
+    (access order died with the process), constructs the
     instance, and runs durability recovery.  Returns ``(instance,
     recovery_report)``.
 
@@ -1108,9 +1087,8 @@ def reopen_instance(
     from repro.core.instance import TieraInstance
 
     for tier in tiers:
-        tier._order.clear()
         for key in sorted(tier.service.keys()):
-            tier._order[key] = None
+            tier.service.touch(key)
     instance = TieraInstance(
         name=name,
         tiers=tiers,

@@ -32,7 +32,11 @@ from repro.core.tierset import TierSet
 from repro.kvstore import KVStore, MemoryStore
 from repro.obs.registry import ChildCache
 from repro.simcloud.clock import Clock
-from repro.simcloud.errors import ProcessCrash, ServiceUnavailableError
+from repro.simcloud.errors import (
+    NoSuchKeyError,
+    ProcessCrash,
+    ServiceUnavailableError,
+)
 from repro.simcloud.pricing import PriceBook
 from repro.simcloud.resources import RequestContext
 from repro.tiers.base import Tier
@@ -631,6 +635,12 @@ class TieraInstance:
         ``max(timeout, healthy-read)`` rather than their sum — the
         hedged-request shape.  A tier already marked unavailable is
         skipped for free, as before.
+
+        A recorded copy that turned out not to be there (a volatile tier
+        restarted empty) is a miss, not a failure: its round trip stays
+        on its branch, the read fails over to the next location, and the
+        row drops every location that came up empty.  When all of them
+        did, the object is gone: :class:`NoSuchObjectError`.
         """
         physical = self.resolve_alias(key)
         meta = self.meta(physical)
@@ -646,6 +656,7 @@ class TieraInstance:
         res = self.resilience
         causes: List = []  # (tier_name, exception) per tier tried
         corrupted: List[str] = []
+        vanished: List[str] = []
         served: Optional[Tier] = None
         data = b""
         branches = ctx.scatter()
@@ -665,6 +676,10 @@ class TieraInstance:
             except ServiceUnavailableError as exc:
                 causes.append((tier.name, exc))
                 continue
+            except NoSuchKeyError as exc:
+                causes.append((tier.name, exc))
+                vanished.append(tier.name)
+                continue
             if (
                 res is not None
                 and res.verifiable(meta)
@@ -679,7 +694,12 @@ class TieraInstance:
             served = tier
             break
         branches.join()  # even a fruitless hedge's time is the client's
+        if vanished:
+            meta.locations.difference_update(vanished)
+            self.persist_meta(meta)
         if served is None:
+            if len(vanished) == len(causes):
+                raise NoSuchObjectError(key) from causes[-1][1]
             raise TierUnavailableError(key, causes=causes) from (
                 causes[-1][1] if causes else None
             )
@@ -1102,10 +1122,7 @@ class TieraInstance:
             (key, m.size, tuple(sorted(m.locations)), m.version, m.checksum)
             for key, m in ((k, self._meta[k]) for k in sorted(self._meta))
         ]
-        tier_rows = [
-            (t.name, {k: t.service._data[k] for k in t.keys()})
-            for t in self.tiers.ordered()
-        ]
+        tier_rows = [(t.name, t.service.contents()) for t in self.tiers.ordered()]
         return state_fingerprint(meta_rows, tier_rows)
 
     # -- runtime reconfiguration (§4.2.3 / Figure 17) ----------------------

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.simcloud.clock import Clock, SimClock
+
+if TYPE_CHECKING:
+    from repro.simcloud.services.base import StorageService
 
 
 # Cross-zone round trip inside one region, 2014-era AWS: ~1 ms.
@@ -40,16 +43,13 @@ class Node:
     name: str
     zone: AvailabilityZone
     failed: bool = False
-    services: List[object] = field(default_factory=list)
+    services: List["StorageService"] = field(default_factory=list)
 
     def fail(self) -> None:
         """Kill the instance: non-durable services on it lose their data."""
         self.failed = True
         for service in self.services:
-            if not getattr(service, "durable", True):
-                drop = getattr(service, "_drop_all", None)
-                if drop is not None:
-                    drop()
+            service.crash()
 
     def recover(self) -> None:
         self.failed = False

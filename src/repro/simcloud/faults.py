@@ -26,7 +26,7 @@ slowness/errors on the request's virtual timeline, never wall clock.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cluster import MIGRATION_CRASH_POINTS
@@ -336,7 +336,7 @@ class FaultInjector:
                 corrupted = bytearray(data)
                 corrupted[bit // 8] ^= 1 << (bit % 8)
                 data = bytes(corrupted)
-                service._data[key] = data
+                service.install(key, data)
                 self._record("corruption", service, "get")
         return data
 

@@ -6,11 +6,22 @@ and a failure switch.  Failures follow the paper's Figure 17 scenario:
 a failed service *times out* — the request spends the full timeout on
 its virtual timeline and then raises
 :class:`~repro.simcloud.errors.ServiceUnavailableError`.
+
+The service's ordered ``_data`` is the only record of what it holds
+and in what recency order (least recently used first): the tier above
+marks recency with :meth:`StorageService.touch` and reads it back
+through :meth:`~StorageService.lru_key` / :meth:`~StorageService.mru_key`.
+Offline work — fsck, snapshot restore, crash simulation, bit rot — goes
+through :meth:`~StorageService.peek`, :meth:`~StorageService.contents`,
+:meth:`~StorageService.install` and :meth:`~StorageService.erase`, which
+spend no virtual time and count nothing.  Nothing outside this package
+reads or writes ``_data`` / ``_used``.
 """
 
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from collections.abc import Mapping
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -68,10 +79,8 @@ class StorageService:
 
     #: pricing/classification kind: memcached | ebs | s3 | ephemeral
     kind: str = "generic"
-    #: survives node failure?
+    #: keeps its bytes when its host fails or restarts?
     durable: bool = True
-    #: survives service restart / power-off?
-    persistent: bool = True
 
     def __init__(
         self,
@@ -97,7 +106,8 @@ class StorageService:
         self.meter = meter
         self.timeout = timeout
         self.failed = False
-        self._data: Dict[str, bytes] = {}
+        #: key -> bytes, least recently used first
+        self._data: "OrderedDict[str, bytes]" = OrderedDict()
         self._used = 0
         #: fault-injection engine (repro.simcloud.faults) — optional;
         #: when present, every operation offers the injector a hook.
@@ -165,13 +175,21 @@ class StorageService:
     def fail(self) -> None:
         """Make every subsequent operation time out (Figure 17)."""
         self.failed = True
-        if not self.durable:
-            self._drop_all()
+        self.crash()
 
     def recover(self) -> None:
         self.failed = False
 
-    def _drop_all(self) -> None:
+    def crash(self) -> None:
+        """The host died or restarted: a volatile store (memcached, an
+        ephemeral disk) comes back empty, a durable one keeps its bytes.
+        The one rule for volatile loss — service failure, node failure
+        and a simulated process crash all apply it."""
+        if not self.durable:
+            self.wipe()
+
+    def wipe(self) -> None:
+        """Drop every key (offline: no virtual time, no counters)."""
         self._data.clear()
         self._used = 0
 
@@ -256,6 +274,46 @@ class StorageService:
 
     def keys(self):
         return self._data.keys()
+
+    # -- recency (the tier's LRU) -----------------------------------------
+
+    def touch(self, key: str) -> None:
+        """Mark ``key`` (held) the most recently used."""
+        self._data.move_to_end(key)
+
+    def lru_key(self) -> Optional[str]:
+        """Least-recently-used key, or ``None`` when empty."""
+        return next(iter(self._data), None)
+
+    def mru_key(self) -> Optional[str]:
+        """Most-recently-used key, or ``None`` when empty."""
+        return next(reversed(self._data), None)
+
+    # -- offline access (no virtual time, no counters) ---------------------
+
+    def peek(self, key: str) -> Optional[bytes]:
+        """The stored bytes of ``key``, or ``None`` when absent."""
+        return self._data.get(key)
+
+    def contents(self) -> Dict[str, bytes]:
+        """A copy of everything held, ``key -> bytes``."""
+        return dict(self._data)
+
+    def install(self, key: str, data: bytes) -> None:
+        """Store ``data`` under ``key`` with no capacity check.  An
+        existing key keeps its recency; a new key becomes the most
+        recent."""
+        old = self._data.get(key)
+        if old is not None:
+            self._used -= len(old)
+        self._data[key] = data
+        self._used += len(data)
+
+    def erase(self, key: str) -> None:
+        """Drop ``key`` if held."""
+        data = self._data.pop(key, None)
+        if data is not None:
+            self._used -= len(data)
 
     def resize(self, new_capacity: int) -> None:
         """Change provisioned capacity; shrinking below usage is refused."""

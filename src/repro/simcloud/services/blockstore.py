@@ -2,13 +2,11 @@
 
 Millisecond-scale request latency, a narrow resource bank (magnetic
 volumes serve few requests at once — this is the contention source in
-Figures 8 and 14), durable across node failures because the volume lives
-outside the instance, and snapshot support.
+Figures 8 and 14), and durable across node failures because the volume
+lives outside the instance.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.simcloud.latency import blockstore_latency
 from repro.simcloud.services.base import StorageService
@@ -17,7 +15,6 @@ from repro.simcloud.services.base import StorageService
 class SimBlockVolume(StorageService):
     kind = "ebs"
     durable = True
-    persistent = True
 
     #: Synchronous (barrier) writes on 2014 magnetic EBS cost several
     #: times a read: the write must reach the replicated backing store
@@ -29,26 +26,9 @@ class SimBlockVolume(StorageService):
         kwargs.setdefault("channels", 2)
         self.write_multiplier = kwargs.pop("write_multiplier", self.WRITE_MULTIPLIER)
         super().__init__(*args, **kwargs)
-        self._snapshots: Dict[str, Dict[str, bytes]] = {}
 
     def _op_multiplier(self, op: str) -> float:
         return self.write_multiplier if op == "put" else 1.0
 
     # EBS ops are billed per I/O request; the base class meters them via
     # kind-prefixed counters ("ebs.put" / "ebs.get").
-
-    def snapshot(self, snapshot_id: str) -> None:
-        """Point-in-time copy of the volume contents (like EBS snapshots)."""
-        if snapshot_id in self._snapshots:
-            raise ValueError(f"snapshot {snapshot_id!r} already exists")
-        self._snapshots[snapshot_id] = dict(self._data)
-
-    def restore(self, snapshot_id: str) -> None:
-        """Replace volume contents from a snapshot."""
-        if snapshot_id not in self._snapshots:
-            raise KeyError(f"no snapshot {snapshot_id!r}")
-        self._data = dict(self._snapshots[snapshot_id])
-        self._used = sum(len(v) for v in self._data.values())
-
-    def snapshots(self):
-        return sorted(self._snapshots)

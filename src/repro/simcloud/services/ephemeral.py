@@ -14,13 +14,8 @@ from repro.simcloud.services.base import StorageService
 class SimEphemeralDisk(StorageService):
     kind = "ephemeral"
     durable = False  # lost when the instance reboots or fails
-    persistent = False
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("latency", ephemeral_latency())
         kwargs.setdefault("channels", 2)
         super().__init__(*args, **kwargs)
-
-    def instance_reboot(self) -> None:
-        """Reboot of the host instance wipes the ephemeral disk."""
-        self._drop_all()

@@ -1,17 +1,15 @@
 """Simulated Memcached / ElastiCache node.
 
 Fast (sub-millisecond), highly parallel, expensive per GB, and volatile:
-contents are lost on node failure or restart.  Optionally evicts
-least-recently-used entries when full, like real memcached; Tiera
-instances that manage eviction themselves (the paper's Figure 5 LRU/MRU
-policies) run it with ``evict_on_full=False`` so the policy layer stays
-in charge.
+contents are lost on node failure or restart (:meth:`StorageService.crash`).
+Optionally evicts least-recently-used entries when full, like real
+memcached; Tiera instances that manage eviction themselves (the paper's
+Figure 5 LRU/MRU policies) run it with ``evict_on_full=False`` so the
+policy layer stays in charge.  Either way the LRU is the service's own
+key order, the same one the tier's ``oldest`` / ``newest`` read.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
-from typing import Optional
 
 from repro.simcloud.errors import CapacityExceededError
 from repro.simcloud.latency import memcached_latency
@@ -22,7 +20,6 @@ from repro.simcloud.services.base import StorageService
 class SimMemcached(StorageService):
     kind = "memcached"
     durable = False
-    persistent = False
 
     def __init__(self, *args, evict_on_full: bool = False, **kwargs):
         kwargs.setdefault("latency", memcached_latency())
@@ -30,7 +27,6 @@ class SimMemcached(StorageService):
         super().__init__(*args, **kwargs)
         self.evict_on_full = evict_on_full
         self.evictions = 0
-        self._data: "OrderedDict[str, bytes]" = OrderedDict()
 
     def put(self, key: str, data: bytes, ctx: RequestContext) -> None:
         if self.evict_on_full and self.capacity is not None:
@@ -44,25 +40,9 @@ class SimMemcached(StorageService):
                     self.name, growth, self.capacity - self._used
                 )
         super().put(key, data, ctx)
-        self._data.move_to_end(key)
+        self.touch(key)
 
     def get(self, key: str, ctx: RequestContext) -> bytes:
         data = super().get(key, ctx)
-        self._data.move_to_end(key)
+        self.touch(key)
         return data
-
-    def flush_all(self) -> None:
-        """Drop everything (memcached's ``flush_all``)."""
-        self._drop_all()
-
-    def restart(self) -> None:
-        """A restart empties a cache node."""
-        self._drop_all()
-
-    def lru_key(self) -> Optional[str]:
-        """Least-recently-used key, or ``None`` when empty."""
-        return next(iter(self._data), None)
-
-    def mru_key(self) -> Optional[str]:
-        """Most-recently-used key, or ``None`` when empty."""
-        return next(reversed(self._data), None)

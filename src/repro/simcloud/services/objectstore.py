@@ -15,7 +15,6 @@ from repro.simcloud.services.base import StorageService
 class SimObjectStore(StorageService):
     kind = "s3"
     durable = True
-    persistent = True
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("latency", objectstore_latency())

@@ -3,14 +3,18 @@
 "A tier can be any source or sink for data with a prescribed interface"
 (§2.2).  The prescribed interface is this class: keyed byte storage with
 capacity accounting, fill-fraction and recency attributes for threshold
-events and eviction selectors, grow/shrink with realistic provisioning
-delay, and per-tier access-order tracking used by the paper's
-``tier.oldest`` / ``tier.newest`` selectors (Figure 5).
+events and eviction selectors, and grow/shrink with realistic
+provisioning delay.
+
+A tier keeps no state of its own about what it holds.  The service's
+key order is the tier's LRU: every tier PUT and GET marks the key most
+recent (``service.touch``), and the paper's ``tier.oldest`` /
+``tier.newest`` selectors (Figure 5) read that order back.  So when a
+volatile service loses its bytes, its recency goes with them.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 from repro.simcloud.cluster import CROSS_ZONE_LATENCY, Node, PROVISIONING_DELAY
@@ -35,11 +39,6 @@ class Tier:
         #: runs in the application instance's spare RAM/disk, so it adds
         #: no marginal monthly cost (the paper's co-located deployments)
         self.colocated = colocated
-        # Access order across *tier* operations (LRU front, MRU back).
-        # Kept here rather than in the service because `tier1.oldest`
-        # must reflect Tiera-level accesses, including ones the backing
-        # service cannot see (e.g. metadata-driven placement).
-        self._order: "OrderedDict[str, None]" = OrderedDict()
         self.growing = False
 
     # -- classification -----------------------------------------------------
@@ -83,12 +82,12 @@ class Tier:
     @property
     def oldest(self) -> Optional[str]:
         """Least recently accessed key in this tier (``tier.oldest``)."""
-        return next(iter(self._order), None)
+        return self.service.lru_key()
 
     @property
     def newest(self) -> Optional[str]:
         """Most recently accessed key in this tier (``tier.newest``)."""
-        return next(reversed(self._order), None)
+        return self.service.mru_key()
 
     # -- data path ------------------------------------------------------------
 
@@ -132,8 +131,7 @@ class Tier:
         if span is not None:
             span.attrs["bytes"] = len(data)
             span.finish(ctx.time)
-        self._order[key] = None
-        self._order.move_to_end(key)
+        self.service.touch(key)
 
     def get(self, key: str, ctx: RequestContext) -> bytes:
         span = self._span(ctx, "get", key)
@@ -150,8 +148,7 @@ class Tier:
             span.attrs["bytes"] = len(data)
             span.attrs["hit"] = True
             span.finish(ctx.time)
-        if key in self._order:
-            self._order.move_to_end(key)
+        self.service.touch(key)
         return data
 
     def delete(self, key: str, ctx: RequestContext) -> None:
@@ -166,18 +163,12 @@ class Tier:
             raise
         if span is not None:
             span.finish(ctx.time)
-        self._order.pop(key, None)
 
     def contains(self, key: str) -> bool:
         return self.service.contains(key)
 
     def keys(self):
         return self.service.keys()
-
-    def touch(self, key: str) -> None:
-        """Refresh recency without a data operation (metadata hit)."""
-        if key in self._order:
-            self._order.move_to_end(key)
 
     def _existing_size(self, key: str) -> int:
         if self.service.contains(key):

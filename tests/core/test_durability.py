@@ -168,6 +168,26 @@ class TestCrashRecovery:
             ["write-through"]
         )
 
+    def test_recency_after_reopen_is_sorted(self):
+        # Access order dies with the process: the successor's LRU is the
+        # surviving keys in name order, whatever order they were used in.
+        store = MemoryStore()
+        cluster, instance, server = _build(store)
+        for key in ("c", "a", "b"):
+            _put(cluster, server, key, key.encode())
+        tier2 = instance.tiers.get("tier2")
+        assert (tier2.oldest, tier2.newest) == ("c", "b")
+        simulate_crash(instance)
+        assert instance.tiers.get("tier1").oldest is None  # volatile
+        reopen_instance(
+            name=instance.name,
+            tiers=list(instance.tiers.ordered()),
+            policy=Policy([WRITE_THROUGH]),
+            clock=cluster.clock,
+            metadata_store=store,
+        )
+        assert (tier2.oldest, tier2.newest) == ("a", "c")
+
     def test_journal_empty_after_recovery(self):
         _, successor, _ = self._crash_at("write.journaled", 2)
         assert len(successor.durability.journal) == 0
@@ -189,24 +209,22 @@ class TestFsck:
     def test_ghost_location_dropped(self):
         _, instance, _ = self._seeded()
         tier = instance.tiers.get("tier2")
-        tier.service._used -= len(tier.service._data.pop("alpha"))
-        tier._order.pop("alpha", None)
+        tier.service.erase("alpha")
         report = fsck(instance, repair=True)
         kinds = {f["kind"] for f in report["findings"]}
         # The dropped ghost location cascades into an under-replicated
         # recopy within the same pass: tier2 ends up holding real bytes.
         assert {"ghost", "under-replicated"} <= kinds
-        assert tier.service._data["alpha"] == b"alpha bytes"
+        assert tier.service.peek("alpha") == b"alpha bytes"
         assert fsck(instance)["clean"]
 
     def test_orphan_bytes_deleted(self):
         _, instance, _ = self._seeded()
         service = instance.tiers.get("tier2").service
-        service._data["stray"] = b"who wrote this"
-        service._used += 14
+        service.install("stray", b"who wrote this")
         report = fsck(instance, repair=True)
         assert [f["kind"] for f in report["findings"]] == ["orphan"]
-        assert "stray" not in service._data
+        assert not service.contains("stray")
         assert fsck(instance)["clean"]
 
     def test_unrecorded_verified_copy_adopted(self):
@@ -223,11 +241,12 @@ class TestFsck:
     def test_checksum_mismatch_rewritten_from_clean_copy(self):
         _, instance, _ = self._seeded()
         service = instance.tiers.get("tier2").service
-        service._data["beta"] = b"rotted bit"
+        service.install("beta", b"rotted bit")
         report = fsck(instance, repair=True)
         bad = [f for f in report["findings"] if f["kind"] == "checksum-mismatch"]
         assert bad and bad[0]["repair"] == "rewrite-from-clean-copy"
-        assert service._data["beta"] == b"beta bytes"
+        assert service.peek("beta") == b"beta bytes"
+        assert service.used == len(b"alpha bytes") + len(b"beta bytes")
         assert fsck(instance)["clean"]
 
     def test_no_clean_copy_rolls_back_to_surviving_content(self):
@@ -248,10 +267,7 @@ class TestFsck:
         _, instance, _ = self._seeded()
         meta = instance._meta["alpha"]
         for tier in instance.tiers.ordered():
-            service = tier.service
-            if "alpha" in service._data:
-                service._used -= len(service._data.pop("alpha"))
-            tier._order.pop("alpha", None)
+            tier.service.erase("alpha")
         meta.locations.clear()
         instance.persist_meta(meta)
         report = fsck(instance, repair=True)
@@ -264,13 +280,12 @@ class TestFsck:
         assert insert_targets(instance) == ["tier2"]
         meta = instance._meta["alpha"]
         service = instance.tiers.get("tier2").service
-        service._used -= len(service._data.pop("alpha"))
-        instance.tiers.get("tier2")._order.pop("alpha", None)
+        service.erase("alpha")
         meta.locations.discard("tier2")
         instance.persist_meta(meta)
         report = fsck(instance, repair=True)
         assert any(f["kind"] == "under-replicated" for f in report["findings"])
-        assert service._data["alpha"] == b"alpha bytes"
+        assert service.peek("alpha") == b"alpha bytes"
         assert fsck(instance)["clean"]
 
     def test_move_on_insert_is_a_durable_target(self):
@@ -289,7 +304,7 @@ class TestFsck:
     def test_report_only_mode_changes_nothing(self):
         _, instance, _ = self._seeded()
         service = instance.tiers.get("tier2").service
-        service._data["beta"] = b"rotted bit"
+        service.install("beta", b"rotted bit")
         before = instance.state_digest()
         report = fsck(instance, repair=False)
         assert not report["clean"] and report["repair"] is False
@@ -383,6 +398,20 @@ class TestSnapshotRestore:
         assert target.state_digest(durable_only=True) == (
             instance.state_digest(durable_only=True)
         )
+
+    def test_recency_after_restore_is_sorted(self):
+        cluster, instance, server = _build()
+        for key in ("c", "a", "b"):
+            _put(cluster, server, key, key.encode())
+        blob, _ = snapshot_archive(instance, include_volatile=True)
+        from repro.core.durability import restore_archive
+
+        target_cluster, target, target_server = _build(seed=99)
+        _put(target_cluster, target_server, "gone", b"replaced wholesale")
+        restore_archive(target, blob)
+        for tier in target.tiers.ordered():
+            assert (tier.oldest, tier.newest) == ("a", "c")
+            assert tier.used == 3
 
     def test_snapshot_is_deterministic(self):
         cluster, instance, server = _build()

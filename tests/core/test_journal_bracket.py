@@ -104,8 +104,8 @@ class TestARefusedTierOpAbortsItsIntent:
             instance.rewrite_everywhere(
                 "k", NEW, RequestContext(registry.cluster.clock)
             )
-        assert instance.tiers.get("tier1").service._data["k"] == NEW
-        assert instance.tiers.get("tier2").service._data["k"] == OLD
+        assert instance.tiers.get("tier1").service.peek("k") == NEW
+        assert instance.tiers.get("tier2").service.peek("k") == OLD
         findings = fsck(instance, repair=True)["findings"]
         assert [(f["kind"], f["tier"], f["repair"]) for f in findings] == [
             ("checksum-mismatch", "tier1", "rewrite-from-clean-copy")
@@ -145,7 +145,7 @@ class TestAProcessCrashLeavesTheIntentPending:
         assert report["errors"] == []
         assert len(instance.durability.journal) == 0
         assert fsck(instance)["clean"]
-        tier2 = instance.tiers.get("tier2").service._data
+        tier2 = instance.tiers.get("tier2").service.contents()
         if op == "write":
             assert instance.meta("fresh").locations == {"tier2"}
             assert tier2["fresh"] == NEW

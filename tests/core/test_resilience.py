@@ -303,7 +303,7 @@ class TestVerifiedReads:
         payload = b"p" * 1024
         put(server, cluster, "k", payload)
         tier1 = instance.tiers.get("tier1")
-        tier1.service._data["k"] = b"x" * 1024  # silent bit rot
+        tier1.service.install("k", b"x" * 1024)  # silent bit rot
 
         ctx = RequestContext(cluster.clock)
         # served from tier2
@@ -311,13 +311,13 @@ class TestVerifiedReads:
         res = instance.resilience
         assert res.corruption_count == 1
         assert res.read_repair_count == 1
-        assert tier1.service._data["k"] == payload  # repaired in place
+        assert tier1.service.peek("k") == payload  # repaired in place
 
     def test_baseline_serves_the_corruption(self):
         cluster, instance, server = build_stack(resilient=False)
         payload = b"p" * 1024
         put(server, cluster, "k", payload)
-        instance.tiers.get("tier1").service._data["k"] = b"x" * 1024
+        instance.tiers.get("tier1").service.install("k", b"x" * 1024)
         # nothing checks
         assert server.get_object("k").raise_for_error().value == b"x" * 1024
 

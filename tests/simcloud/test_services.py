@@ -218,12 +218,6 @@ class TestMemcached:
         with pytest.raises(CapacityExceededError):
             svc.put("b", b"x", ctx_for(env))
 
-    def test_flush_all(self, env):
-        svc = make(SimMemcached, env)
-        svc.put("a", b"1", ctx_for(env))
-        svc.flush_all()
-        assert svc.used == 0
-
     def test_lru_mru_keys(self, env):
         svc = make(SimMemcached, env)
         svc.put("a", b"1", ctx_for(env))
@@ -233,33 +227,56 @@ class TestMemcached:
         assert svc.mru_key() == "a"
 
 
-class TestBlockVolume:
-    def test_snapshot_restore(self, env):
+class TestRecency:
+    """The service's key order is the LRU: least recently used first."""
+
+    def test_plain_puts_and_gets_leave_order_to_the_caller(self, env):
         svc = make(SimBlockVolume, env)
-        svc.put("k", b"v1", ctx_for(env))
-        svc.snapshot("snap1")
-        svc.put("k", b"v2", ctx_for(env))
-        svc.restore("snap1")
-        assert svc.get("k", ctx_for(env)) == b"v1"
+        svc.put("a", b"1", ctx_for(env))
+        svc.put("b", b"1", ctx_for(env))
+        svc.get("a", ctx_for(env))
+        assert (svc.lru_key(), svc.mru_key()) == ("a", "b")
+        svc.touch("a")
+        assert (svc.lru_key(), svc.mru_key()) == ("b", "a")
 
-    def test_duplicate_snapshot_rejected(self, env):
+    def test_empty_service_has_no_lru(self, env):
+        svc = make(SimObjectStore, env)
+        assert svc.lru_key() is None and svc.mru_key() is None
+
+
+class TestOfflineAccess:
+    """peek / contents / install / erase: no virtual time, no counters."""
+
+    def test_install_keeps_used_and_recency(self, env):
         svc = make(SimBlockVolume, env)
-        svc.snapshot("s")
-        with pytest.raises(ValueError):
-            svc.snapshot("s")
+        svc.install("a", b"123")
+        svc.install("b", b"45")
+        svc.install("a", b"6")  # existing key: same place in the order
+        assert svc.used == 3
+        assert (svc.lru_key(), svc.mru_key()) == ("a", "b")
+        assert svc.peek("a") == b"6" and svc.peek("nope") is None
+        assert svc.contents() == {"a": b"6", "b": b"45"}
+        assert dict(svc.op_counts) == {}
 
-    def test_restore_unknown_snapshot(self, env):
-        svc = make(SimBlockVolume, env)
-        with pytest.raises(KeyError):
-            svc.restore("nope")
+    def test_erase_frees_space_and_ignores_absent_keys(self, env):
+        svc = make(SimBlockVolume, env, capacity=10)
+        svc.install("a", b"12345")
+        svc.erase("a")
+        svc.erase("a")
+        assert svc.used == 0 and not svc.contains("a")
 
-
-class TestEphemeral:
-    def test_instance_reboot_wipes(self, env):
-        svc = make(SimEphemeralDisk, env)
-        svc.put("k", b"v", ctx_for(env))
-        svc.instance_reboot()
-        assert svc.used == 0
+    def test_crash_wipes_only_volatile_stores(self, env):
+        cluster, node = env
+        eph = make(SimEphemeralDisk, env)
+        ebs = SimBlockVolume(
+            name="vol", node=node, clock=cluster.clock, rng=cluster.rng,
+            latency=FixedLatency(0.001),
+        )
+        for svc in (eph, ebs):
+            svc.install("k", b"v")
+            svc.crash()
+        assert eph.used == 0 and eph.lru_key() is None
+        assert ebs.peek("k") == b"v"
 
 
 class TestCluster:

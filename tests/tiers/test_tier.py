@@ -8,7 +8,6 @@ from repro.simcloud.latency import FixedLatency
 from repro.simcloud.resources import RequestContext
 from repro.simcloud.services import SimMemcached
 from repro.tiers.base import Tier
-from repro.tiers.registry import TierRegistry
 
 
 @pytest.fixture
@@ -58,14 +57,25 @@ class TestRecency:
         assert (tier.oldest, tier.newest) == ("a", "c")
         tier.get("a", c)
         assert (tier.oldest, tier.newest) == ("b", "a")
-        tier.touch("b")
-        assert tier.oldest == "c"
 
     def test_delete_forgets_recency(self, registry, tier):
         c = ctx_for(registry)
         tier.put("a", b"1", c)
         tier.delete("a", c)
         assert tier.oldest is None
+
+    def test_overwrite_marks_most_recent(self, registry, tier):
+        c = ctx_for(registry)
+        tier.put("a", b"1", c)
+        tier.put("b", b"2", c)
+        tier.put("a", b"3", c)
+        assert (tier.oldest, tier.newest) == ("b", "a")
+
+    def test_node_restart_forgets_recency(self, registry, tier):
+        tier.put("a", b"1", ctx_for(registry))
+        tier.service.node.fail()
+        tier.service.node.recover()
+        assert (tier.oldest, tier.newest) == (None, None)
 
 
 class TestGrowth:
