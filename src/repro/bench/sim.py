@@ -277,7 +277,8 @@ def _writeback(registry: TierRegistry):
 
 
 def _replicated(
-    registry: TierRegistry, shards: int = 4, config: Optional[ClusterConfig] = None,
+    registry: TierRegistry, shards: int = 4,
+    config: Optional[ClusterConfig] = ClusterConfig(),
     journal_store=None, mem: str = "64M", ebs: str = "64M",
 ) -> ShardedTieraServer:
     servers = {
@@ -285,7 +286,7 @@ def _replicated(
         for index in range(shards)
     }
     return ShardedTieraServer(
-        servers, replication=config or ClusterConfig(), journal_store=journal_store
+        servers, replication=config, journal_store=journal_store
     )
 
 
@@ -295,7 +296,7 @@ def _replicated(
 #: memcached-first / timer-flush instance with an eviction chain (so a
 #: sweep crosses copy/evict/move boundaries), lru-tiered Table 2's
 #: exclusive tiering; replicated is write-through shards behind a
-#: replicating router.
+#: replicating router (``config=None``: an unreplicated one).
 DEPLOYMENTS: Dict[str, Callable[..., object]] = {
     "write-through": lambda registry: TieraServer(
         write_through_instance(registry, mem="64M", ebs="64M")
@@ -871,13 +872,16 @@ def run_migration_crash(
     shards: int = 3,
     records: int = 16,
     record_size: int = 1024,
-    replication_factor: int = 2,
+    replication_factor: Optional[int] = 2,
+    action: str = "add",
 ) -> Dict[str, object]:
-    """Crash a journaled ``add_shard`` at the first, middle and last
-    visit of every ``cluster.*`` boundary; rebuild the router over the
-    *same shards and journal store*, :meth:`recover`, and check cluster
-    fsck plus every key against the ledger."""
-    config = ClusterConfig(
+    """Crash a journaled ``add_shard`` (``action="remove"``: removing
+    ``shard0``) at the first, middle and last visit of every
+    ``cluster.*`` boundary; rebuild the router over the *same shards and
+    journal store*, :meth:`recover`, and check cluster fsck plus every
+    key against the ledger.  ``replication_factor=None`` sweeps an
+    unreplicated router."""
+    config = None if replication_factor is None else ClusterConfig(
         replication_factor=replication_factor, write_quorum=1,
         anti_entropy_interval=0.0,
     )
@@ -899,9 +903,11 @@ def run_migration_crash(
             sim.clock.cancel_all()  # the dead migrator's timers die too
             # Rebuild the control layer over the surviving shards and
             # the same journal, exactly like reopening after a crash.
+            members = dict(router.shards)
+            if action == "add":
+                members["joiner"] = sim.joiner
             router = ShardedTieraServer(
-                {**router.shards, "joiner": sim.joiner},
-                replication=config,
+                members, replication=config,
                 journal_store=router.cluster.journal.store,
             )
             recovery = router.cluster.recover()
@@ -923,7 +929,8 @@ def run_migration_crash(
 
     reference, schedule, swept, model = sweep_boundaries(
         build_sim,
-        lambda sim: sim.server.add_shard("joiner", sim.joiner),
+        lambda sim: (sim.server.add_shard("joiner", sim.joiner)
+                     if action == "add" else sim.server.remove_shard("shard0")),
         recover,
         select=_first_middle_last,
     )
@@ -933,7 +940,7 @@ def run_migration_crash(
         "seed": seed,
         "shards": shards,
         "records": records,
-        "config": config.describe(),
+        "config": reference.server.cluster.config.describe(),
         "crash_points_visited": len(schedule),
         "reference_fsck_clean": reference_fsck["clean"],
         "swept": swept,

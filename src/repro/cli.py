@@ -52,8 +52,8 @@ talks to a running server (``--port P [--host H]``):
   the occupancy timeline;
 * ``placement [status|plan|run] [--enable] [--format text|json]`` — the
   adaptive placement engine (``status`` is the default);
-* ``cluster <status|fsck|replay|anti-entropy>`` — a replicated shard
-  router.
+* ``cluster <status|fsck|replay|anti-entropy>`` — a shard router's
+  membership, at any replication factor.
 
 A command row names its feature and, for a single-action command, the
 action; each action of a multi-action command is a subcommand.  Every
@@ -257,21 +257,19 @@ def _print_status(health: Dict[str, object], feature: str, options) -> None:
 def _print_router_summary(health: Dict[str, object],
                           snapshot: Dict[str, object]) -> None:
     """The stats summary of a shard router: what its ``health()``
-    carries — one line per shard (with its failure-detector state when
-    the router replicates), the hint queue, the heat headline."""
+    carries — one line per shard with its failure-detector state, the
+    hint queue, the heat headline."""
     shards = health["shards"]
     objects = sum(shard["objects"] for shard in shards.values())
     print(f"router — status {health['status']} at t={health['time']:.1f}s, "
           f"{len(shards)} shards, {objects} objects")
-    cluster = health.get("cluster")
+    cluster = health["cluster"]
     for name, shard in sorted(shards.items()):
-        state = f", {cluster['shards'][name]}" if cluster else ""
         print(f"  shard {name}: {shard['status']}, "
-              f"{shard['objects']} objects{state}")
-    if cluster:
-        print(f"  cluster: {cluster['replicas']} replicas, "
-              f"{cluster['hints']['pending']} hints pending, "
-              f"{cluster['journal_pending']} migration intents pending")
+              f"{shard['objects']} objects, {cluster['shards'][name]}")
+    print(f"  cluster: {cluster['replicas']} replicas, "
+          f"{cluster['hints']['pending']} hints pending, "
+          f"{cluster['journal_pending']} migration intents pending")
     _print_virtual_summary(snapshot)
     _print_heat_summary(health.get("heat"))
     _print_audit_tail(snapshot)

@@ -41,9 +41,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import api
 from repro.core.api import BatchOp, BatchResult, OpResult
 from repro.core.durability import Intent, IntentJournal
-from repro.core.errors import ClusterUnavailableError, NoQuorumError
+from repro.core.errors import ClusterUnavailableError, NoQuorumError, TieraError
 from repro.kvstore.store import MemoryStore
 from repro.obs.audit import AuditRecord
+from repro.obs.registry import ChildCache
 from repro.simcloud.resources import RequestContext
 
 #: Failure-detector states, in order of decreasing health.
@@ -110,6 +111,13 @@ class ClusterConfig:
             "anti_entropy_interval": self.anti_entropy_interval,
             "merkle_buckets": MERKLE_BUCKETS,
         }
+
+
+#: What a router built without ``replication=`` runs its membership
+#: changes at: one owner per key, no timers.
+UNREPLICATED = ClusterConfig(
+    replication_factor=1, write_quorum=1, anti_entropy_interval=0
+)
 
 
 @dataclass
@@ -276,8 +284,7 @@ class FailureDetector:
 
 def _public_verb(server, op: BatchOp, ctx) -> OpResult:
     """``op`` through ``server``'s public verb: the one place this
-    module calls a shard's data API, and :func:`transfer`'s default
-    sender."""
+    module calls a shard's data API."""
     if op.op == api.GET:
         return server.get_object(op.key, prefer=op.prefer, ctx=ctx)
     if op.op == api.PUT:
@@ -291,32 +298,9 @@ def _public_verb(server, op: BatchOp, ctx) -> OpResult:
     return result
 
 
-def transfer(
-    key: str, source, targets: Sequence, ctx: Optional[RequestContext] = None,
-    verify: Optional[str] = None, send=_public_verb,
-    stat=lambda shard, key: shard.stat(key),
-) -> Optional[List[OpResult]]:
-    """Copy ``key`` — bytes and tags — from one shard to others: one
-    read of ``source``, one put per target, all on ``ctx``.
-
-    Every movement of an object between shards is this function:
-    migration (journaled or not), hint replay, replica repair.  Returns
-    the puts' envelopes in ``targets`` order, or ``None`` without
-    writing anything when the source copy cannot be read or — given
-    ``verify``, the checksum its metadata records — does not match it.
-    ``send(shard, op, ctx)`` carries each op and ``stat(shard, key)``
-    reads the source's metadata: the defaults take shards as servers,
-    :class:`ClusterManager` passes names and its replica-op bracket.
-    """
-    fetched = send(source, BatchOp.get(key), ctx)
-    if not fetched.ok or (verify is not None and fetched.checksum != verify):
-        return None
-    copy = BatchOp.put(key, fetched.value, tags=sorted(stat(source, key).tags))
-    return [send(target, copy, ctx) for target in targets]
-
-
 def _took(written: Optional[List[OpResult]]) -> bool:
-    """Did a :func:`transfer` read its source and land every put?"""
+    """Did a :meth:`ClusterManager._transfer` read its source and land
+    every put?"""
     return written is not None and all(put.ok for put in written)
 
 
@@ -340,7 +324,9 @@ def _redo_membership(manager, record, ctx) -> None:
 
 def _redo_move(manager, record, ctx) -> str:
     key, source, target = record["key"], record["source"], record["target"]
-    if target in manager.shards and manager.shards[target].contains(key):
+    if target not in manager.shards:
+        return ABORTED  # the target left the cluster
+    if manager.shards[target].contains(key):
         return CONFIRMED
     if (source in manager.shards and manager.shards[source].contains(key)
             and _took(manager._transfer(key, source, [target], ctx, MIGRATE))):
@@ -354,7 +340,9 @@ def _redo_drop(manager, record, ctx) -> str:
             or not manager.shards[shard].contains(key)
             or shard in manager.owners(key)):
         return CONFIRMED
-    return REDONE if manager._drop(shard, key, ctx, MIGRATE).ok else ABORTED
+    # Only while an owner holds the key; else the sweep re-plans it.
+    took = manager.contains(key) and manager._drop(shard, key, ctx, MIGRATE).ok
+    return REDONE if took else ABORTED
 
 
 #: The journaled migration steps.  ``plan(*args)`` gives the record's
@@ -387,10 +375,12 @@ MIGRATION_CRASH_POINTS: Tuple[str, ...] = (
 class ClusterManager:
     """Replication, healing, and journaled migration over the router.
 
-    Owned by a :class:`~repro.core.sharding.ShardedTieraServer` built
-    with ``replication=ClusterConfig(...)``; the router delegates its
-    whole data path here.  ``router`` supplies the ring, the shard map,
-    the clock, and the observability hub.
+    Every :class:`~repro.core.sharding.ShardedTieraServer` owns one: it
+    is the one way shards join and leave, at every replication factor.
+    A router built with ``replication=ClusterConfig(...)`` also
+    delegates its whole data path here and arms the timers; without,
+    it runs at :data:`UNREPLICATED`.  ``router`` supplies the ring, the
+    shard map, the clock, and the observability hub.
     """
 
     def __init__(
@@ -455,6 +445,7 @@ class ClusterManager:
             "tiera_cluster_moves_total",
             "Journaled migration operations, by kind (copy/drop).",
         )
+        self._op_cells = ChildCache(self._bind_op)
         self.detector = FailureDetector(self)
         for shard in sorted(self.shards):
             self.detector.register(shard)
@@ -512,17 +503,26 @@ class ClusterManager:
         client request's fan-out, hinted handoff and failover read call
         it directly; hint replay, replica repair and migration reach it
         through :meth:`_transfer` and :meth:`_drop`."""
-        label = f"{role}-{op.op}" if role else op.op
-        self.router._shard_ops.inc(shard=shard, op=label)
+        routed, ok, failed = self._op_cells[shard, role, op.op]
+        routed.inc()
         result = _public_verb(self.shards[shard], op, ctx)
         if result.ok:
             self.detector.note_success(shard)
         elif result.error in _INFRA_CODES:
             self.detector.note_failure(shard)
-        self._replica_ops.inc(
-            shard=shard, op=label, outcome="ok" if result.ok else "error"
-        )
+        (ok if result.ok else failed).inc()
         return result
+
+    def _bind_op(self, key: Tuple[str, str, str]):
+        """The routing cell and the ok/error outcome cells of one
+        ``(shard, role, verb)``, whose ``op`` label is ``role-verb``."""
+        shard, role, verb = key
+        label = f"{role}-{verb}" if role else verb
+        return (
+            self.router._shard_ops.child(shard=shard, op=label),
+            self._replica_ops.child(shard=shard, op=label, outcome="ok"),
+            self._replica_ops.child(shard=shard, op=label, outcome="error"),
+        )
 
     def _drop(
         self, shard: str, key: str, ctx: RequestContext, role: str
@@ -534,13 +534,23 @@ class ClusterManager:
         self, key: str, source: str, targets: Sequence[str],
         ctx: RequestContext, role: str, verify: Optional[str] = None,
     ) -> Optional[List[OpResult]]:
-        """:func:`transfer` between this cluster's shards, by name, its
-        read and its puts sent by :meth:`_replica_op` as ``role``."""
-        return transfer(
-            key, source, targets, ctx, verify,
-            send=lambda shard, op, at: self._replica_op(shard, op, at, role),
-            stat=lambda shard, name: self.shards[shard].stat(name),
+        """Copy ``key`` — bytes and tags — from one shard to others, by
+        name: one read of ``source``, one put per target, all on ``ctx``
+        and sent by :meth:`_replica_op` as ``role``.
+
+        Every movement of an object between shards is this method:
+        migration, hint replay, replica repair.  Returns the puts'
+        envelopes in ``targets`` order, or ``None`` without writing
+        anything when the source copy cannot be read or — given
+        ``verify``, the checksum its metadata records — does not match
+        it."""
+        fetched = self._replica_op(source, BatchOp.get(key), ctx, role)
+        if not fetched.ok or (verify is not None and fetched.checksum != verify):
+            return None
+        copy = BatchOp.put(
+            key, fetched.value, tags=sorted(self.shards[source].stat(key).tags)
         )
+        return [self._replica_op(target, copy, ctx, role) for target in targets]
 
     def _handoff_target(
         self, key: str, owners: Sequence[str], taken: set
@@ -1038,34 +1048,49 @@ class ClusterManager:
             self.ring.add(name)
             self.detector.register(name)
 
-        return self._change_membership("add", name, join)
+        return self._change_membership(
+            "add", name, join, lambda: self.ring.remove(name)
+        )
 
     def remove_shard(self, name: str) -> int:
         """Drain and remove a shard, journaled like :meth:`add_shard`.
         The departing shard stays in the map while the rebalance sweep
         copies its keys to their new owners (it is a source, never a
         target, once off the ring)."""
-        moved = self._change_membership(
-            "remove", name, lambda: self.ring.remove(name)
+        return self._change_membership(
+            "remove", name, lambda: self.ring.remove(name),
+            lambda: self.ring.add(name),
         )
-        del self.shards[name]
-        self.detector.forget(name)
-        return moved
 
-    def _change_membership(self, action: str, shard: str, change) -> int:
+    def _change_membership(self, action: str, shard: str, change, revert) -> int:
         """One membership intent around the ring ``change`` and the
         rebalance sweep that follows it; it commits once the sweep has
         visited every key (a step the sweep could not finish keeps its
-        own record pending)."""
-        moved = 0
+        own record pending) and left every key held by an owner.
+
+        Otherwise the change is refused: ``revert`` restores the ring,
+        :meth:`recover` moves every copy back under it, retires what the
+        sweep left pending and lets a drained joiner go, and a
+        :class:`TieraError` says so."""
+        moved, stranded = 0, []
 
         def sweep() -> bool:
-            nonlocal moved
+            nonlocal moved, stranded
             change()
             moved = self._rebalance()
-            return True
+            stranded = self._stranded()
+            return not stranded
 
-        self._journaled("cluster.membership", action, shard, body=sweep)
+        if not self._journaled("cluster.membership", action, shard, body=sweep):
+            revert()
+            self.recover()
+            done = "added" if action == "add" else "removed"
+            raise TieraError(
+                f"shard {shard!r} not {done}: {len(stranded)} keys would "
+                "have no owner holding them"
+            )
+        if action == "remove":
+            self._leave(shard)
         self.migrations += moved
         self._audit(
             shard, f"migrate-{action}", {"action": action, "moved": moved},
@@ -1097,13 +1122,22 @@ class ClusterManager:
                     self._moves.inc(kind="copy")
             hint_holders = set(self.hints.holders_of(key))
             for holder in holders:
+                # A copy goes only while an owner holds the key.
                 if (holder not in owners and holder not in hint_holders
-                        and self._journaled(
+                        and self.contains(key) and self._journaled(
                             "cluster.drop", key, holder,
                             body=lambda: self._drop(
                                 holder, key, ctx, MIGRATE).ok)):
                     self._moves.inc(kind="drop")
         return moved
+
+    def _stranded(self) -> List[str]:
+        """Keys some shard holds and none of their owners does."""
+        return [key for key in self.router.keys() if not self.contains(key)]
+
+    def _leave(self, shard: str) -> None:
+        del self.shards[shard]
+        self.detector.forget(shard)
 
     def _holders(self, key: str) -> List[str]:
         return [s for s in sorted(self.shards) if self.shards[s].contains(key)]
@@ -1119,9 +1153,11 @@ class ClusterManager:
         Build the manager over the *same* journal store and the union of
         shards (including any shard that was mid-join), then call this:
         each pending record goes through its row's ``redo`` — a move is
-        confirmed, redone or (its source gone) aborted, a drop redone or
-        confirmed — and a full rebalance sweep reconciles placement with
-        the ring before the membership intents commit."""
+        confirmed, redone or (its source or target gone) aborted, a drop
+        redone, confirmed or (no owner holds the key) aborted — and a
+        full rebalance sweep reconciles placement with the ring before
+        the membership intents commit.  A shard off the ring (a refused
+        joiner) leaves the map once the sweep has drained it."""
         ctx = RequestContext(self.clock)
         counts = {REDONE: 0, CONFIRMED: 0, ABORTED: 0}
         after_sweep: List[int] = []
@@ -1137,6 +1173,9 @@ class ClusterManager:
             else:
                 self.journal.commit(seq)
         rebalanced = self._rebalance()
+        for name in set(self.shards) - set(self.ring.shards()):
+            if not self.shards[name].keys():
+                self._leave(name)  # a refused joiner, drained
         for seq in after_sweep:
             self.journal.commit(seq)
         report = {
@@ -1264,6 +1303,10 @@ class ClusterManager:
 
     def summary(self) -> Dict[str, object]:
         """JSON-able snapshot for health()/stats/CLI."""
+        if self.router.plane is not self:
+            # An unreplicated router arms no heartbeat and routes no
+            # client op through the detector: reading it is the probe.
+            self.detector.tick()
         ae_last = self.anti_entropy_runs[-1] if self.anti_entropy_runs else None
         return {
             "config": self.config.describe(),

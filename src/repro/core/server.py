@@ -179,14 +179,15 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         self, key: str, data: bytes, tags: Iterable[str], ctx: RequestContext
     ) -> ObjectMeta:
         instance = self.instance
-        if instance.versioning_enabled and instance.has_object(key):
-            instance.preserve_version(key, ctx)
-        if instance.has_object(key):
+        overwrite = instance.has_object(key)
+        if overwrite:
+            if instance.versioning_enabled:
+                instance.preserve_version(key, ctx)
             # Overwrite: keep the dedup index and any aliases coherent
             # before the new bytes land.
             instance.prepare_overwrite(key, ctx)
         prior_locations = (
-            set(instance.meta(key).locations) if instance.has_object(key) else set()
+            set(instance.meta(key).locations) if overwrite else set()
         )
         meta = instance.create_object(key, len(data), tags=set(tags))
         meta.checksum = content_checksum(data)
@@ -197,22 +198,28 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
             tier=instance.tiers.first().name if len(instance.tiers) else None,
             data=data,
         )
-        instance.control.dispatch_action(action, ctx)
-        if meta.alias_of is None and not action.placed:
-            # No Store/StoreOnce rule claimed placement.  New objects get
-            # the default placement (first-declared tier — the implicit
-            # "insert.into tier1" that Figure 4's write-through reacts
-            # to); overwritten objects are refreshed wherever they
-            # already live, minus tiers a reactive copy just wrote.
-            if prior_locations:
-                stale = sorted(prior_locations - action.stored_in)
-                if stale:
-                    instance.write_fanout(key, data, stale, ctx)
-            elif instance.tiers.first().name not in action.stored_in:
-                self._default_store(action, ctx)
-            # The default placement changed tier occupancy after the
-            # dispatch-time check: give threshold rules another look.
-            instance.control.evaluate_thresholds(ctx, action=action)
+        try:
+            instance.control.dispatch_action(action, ctx)
+            if meta.alias_of is None and not action.placed:
+                # No Store/StoreOnce rule claimed placement.  New objects
+                # get the default placement (first-declared tier — the
+                # implicit "insert.into tier1" that Figure 4's
+                # write-through reacts to); overwritten objects are
+                # refreshed wherever they already live, minus tiers a
+                # reactive copy just wrote.
+                if prior_locations:
+                    stale = sorted(prior_locations - action.stored_in)
+                    if stale:
+                        instance.write_fanout(key, data, stale, ctx)
+                elif instance.tiers.first().name not in action.stored_in:
+                    self._default_store(action, ctx)
+                # The default placement changed tier occupancy after the
+                # dispatch-time check: give threshold rules another look.
+                instance.control.evaluate_thresholds(ctx, action=action)
+        except Exception:
+            if not overwrite and not meta.locations:
+                instance._drop_meta(key)  # a new key no tier took: no row
+            raise
         instance.persist_meta(meta)
         return meta
 

@@ -27,10 +27,11 @@ from repro.core.api import (
     ManagementResult,
     OpResult,
 )
-from repro.core.cluster import ClusterConfig, ClusterManager, transfer
+from repro.core.cluster import UNREPLICATED, ClusterConfig, ClusterManager
 from repro.core.errors import EmptyRingError, TieraError
 from repro.core.server import TieraServer
 from repro.obs.hub import Observability
+from repro.obs.registry import ChildCache
 from repro.simcloud.resources import RequestContext
 
 VNODES = 64  # virtual nodes per shard for even key spread
@@ -99,23 +100,23 @@ class ConsistentHashRing:
 
 
 class SingleOwnerPlane:
-    """The unreplicated data plane: every key lives on its one ring
-    owner, whose own policy places it; the plane only routes.  It has
-    the verbs :class:`~repro.core.cluster.ClusterManager`, the
-    replicated plane, answers for R copies."""
+    """The unreplicated data path: every key lives on its one ring
+    owner, whose own policy places it; the plane only routes requests.
+    Membership and migration are the router's
+    :class:`~repro.core.cluster.ClusterManager`'s, as at every R."""
 
     def __init__(self, router: "ShardedTieraServer"):
         self.router = router
         self.ring = router.ring
         self.shards = router.shards
-        self.migrations = 0
-
-    def owners(self, key: str) -> List[str]:
-        return [self.ring.owner(key)]
+        #: ``(shard, op)`` -> its bound ``tiera_shard_ops_total`` cell
+        self._routed = ChildCache(lambda key: router._shard_ops.child(
+            shard=key[0], op=key[1]
+        ))
 
     def _route(self, key: str, op: str) -> TieraServer:
         shard = self.ring.owner(key)
-        self.router._shard_ops.inc(shard=shard, op=op)
+        self._routed[shard, op].inc()
         return self.shards[shard]
 
     def put_object(self, key: str, data: bytes, **options) -> OpResult:
@@ -148,8 +149,9 @@ class SingleOwnerPlane:
             groups.setdefault(owner, []).append(index)
 
         def fan_out(ops, lanes, ctx, parent):
+            routed = self._routed
             for owner, op in zip(owners, ops):
-                self.router._shard_ops.inc(shard=owner, op=op.op)
+                routed[owner, op.op].inc()
             results: List[Optional[OpResult]] = [None] * len(ops)
             branches = ctx.scatter()
             for name in sorted(groups):
@@ -183,66 +185,22 @@ class SingleOwnerPlane:
             ],
         )
 
-    def contains(self, key: str) -> bool:
-        return self.shards[self.ring.owner(key)].contains(key)
-
-    def stat(self, key: str):
-        return self.shards[self.ring.owner(key)].stat(key)
-
-    def add_shard(self, name: str, server: TieraServer) -> int:
-        before = {key: self.ring.owner(key) for key in self.router.keys()}
-        self.shards[name] = server
-        self.ring.add(name)
-        return self._rehome(
-            (key, self.shards[old]) for key, old in before.items()
-            if self.ring.owner(key) != old
-        )
-
-    def remove_shard(self, name: str) -> int:
-        departing = self.shards[name]
-        self.ring.remove(name)
-        moved = self._rehome((key, departing) for key in departing.keys())
-        if departing.keys():
-            raise TieraError(
-                f"shard {name!r} still holds keys that could not be read; "
-                "not removed"
-            )
-        del self.shards[name]
-        return moved
-
-    def _rehome(self, moves) -> int:
-        """Move each ``(key, holding shard)`` to the key's ring owner; a
-        key its holder cannot read stays where it is."""
-        moved = 0
-        for key, source in moves:
-            written = transfer(
-                key, source, [self.shards[self.ring.owner(key)]]
-            )
-            if written is None:
-                continue
-            written[0].raise_for_error()
-            source.delete_object(key).raise_for_error()
-            moved += 1
-        self.migrations += moved
-        return moved
-
 
 class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
     """PUT/GET over a consistent-hash ring of Tiera instances.
 
     Each shard is an ordinary :class:`~repro.core.server.TieraServer`
     whose instance runs its own policy; by default the sharding layer
-    only routes (:class:`SingleOwnerPlane`).  Adding or removing a
-    shard triggers a minimal migration: exactly the keys whose ring
-    owner changed are moved.
+    only routes (:class:`SingleOwnerPlane`).  Membership is always
+    ``router.cluster``'s, a :class:`~repro.core.cluster.ClusterManager`:
+    adding or removing a shard is a journaled, crash-safe migration of
+    exactly the keys whose ring owners changed (docs/CLUSTER.md).
 
-    Built with ``replication=ClusterConfig(...)``, the router's data
-    plane is a :class:`~repro.core.cluster.ClusterManager` instead
-    (also reachable as ``router.cluster``), and the data path becomes
-    replicated and self-healing: R copies per key, quorum writes,
-    checksum-verified failover reads, hinted handoff, Merkle
-    anti-entropy, and journaled crash-safe migration (docs/CLUSTER.md).
-    Either way every verb below is one call into ``self.plane``.
+    Built with ``replication=ClusterConfig(...)``, that manager is the
+    data plane too, and the data path becomes replicated and
+    self-healing: R copies per key, quorum writes, checksum-verified
+    failover reads, hinted handoff and Merkle anti-entropy.  Either way
+    every data verb below is one call into ``self.plane``.
     """
 
     def __init__(
@@ -271,21 +229,21 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
             "tiera_shard_ops_total", "Operations routed, by shard and op."
         )
         self.admission = AdmissionController(max_inflight, self.obs.metrics)
-        #: the replicated plane, when there is one (the feature table's
+        #: membership and migration at every R (the feature table's
         #: ``cluster`` entry and the drills reach it by this name).
-        self.cluster: Optional[ClusterManager] = None
+        self.cluster = ClusterManager(
+            self, replication or UNREPLICATED, journal_store=journal_store
+        )
         if replication is None:
             self.plane = SingleOwnerPlane(self)
         else:
-            self.plane = self.cluster = ClusterManager(
-                self, replication, journal_store=journal_store
-            )
-            self.plane.start()
+            self.plane = self.cluster
+            self.cluster.start()
 
     @property
     def migrations(self) -> int:
         """Objects moved by add/remove-shard so far."""
-        return self.plane.migrations
+        return self.cluster.migrations
 
     # -- the StorageAPI surface, routed -------------------------------------
 
@@ -341,10 +299,10 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         )
 
     def contains(self, key: str) -> bool:
-        return self.plane.contains(key)
+        return self.cluster.contains(key)
 
     def stat(self, key: str):
-        return self.plane.stat(key)
+        return self.cluster.stat(key)
 
     def keys(self) -> List[str]:
         seen = set()
@@ -367,7 +325,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
     def _retag(self, verb: str, key: str, tag: str) -> None:
         """Apply a tag verb on every owner replica holding ``key``."""
         self.stat(key)  # NoSuchObject for a missing key, as on one instance
-        for name in self.plane.owners(key):
+        for name in self.cluster.owners(key):
             if self.shards[name].contains(key):
                 getattr(self.shards[name], verb)(key, tag)
 
@@ -381,9 +339,8 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         }
 
     def health(self) -> Dict[str, object]:
-        """Router-level liveness summary: per-shard status plus (when
-        replication is on) the cluster layer's detector/hints/journal
-        view."""
+        """Router-level liveness summary: per-shard status plus the
+        cluster layer's detector/hints/journal view."""
         shard_health: Dict[str, object] = {}
         status = "ok"
         for name in sorted(self.shards):
@@ -399,12 +356,10 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
             "status": status,
             "shards": shard_health,
             "migrations": self.migrations,
+            "cluster": self.cluster.summary(),
         }
-        if self.cluster is not None:
-            summary = self.cluster.summary()
-            out["cluster"] = summary
-            if any(state != "up" for state in summary["shards"].values()):
-                out["status"] = "degraded"
+        if any(state != "up" for state in out["cluster"]["shards"].values()):
+            out["status"] = "degraded"
         heat = self.invoke("heat", "summary").state
         if heat.get("enabled"):
             out["heat"] = {
@@ -423,7 +378,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         envelopes by the feature table's rule (one shard: unchanged, so
         the parity suite can compare it with the direct façade; several:
         see :func:`repro.core.features.merge_shards`).  Router-level
-        features (the replicated cluster) are answered here instead."""
+        features (the cluster) are answered here instead."""
         spec = features.FEATURES.get(feature)
         if spec is not None and spec.router_level:
             return call(self, None)
@@ -440,11 +395,10 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
 
     def add_shard(self, name: str, server: TieraServer) -> int:
         """Join a shard and migrate the keys it now owns; returns the
-        number of objects moved.  With replication on, the migration is
-        journaled and crash-safe (see ClusterManager.add_shard)."""
+        number of objects moved (:meth:`ClusterManager.add_shard`)."""
         if name in self.shards:
             raise ValueError(f"shard {name!r} already in the cluster")
-        return self.plane.add_shard(name, server)
+        return self.cluster.add_shard(name, server)
 
     def remove_shard(self, name: str) -> int:
         """Drain and remove a shard; returns the objects moved off it."""
@@ -452,4 +406,4 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
             raise KeyError(f"no shard {name!r}")
         if len(self.shards) == 1:
             raise TieraError("cannot remove the last shard")
-        return self.plane.remove_shard(name)
+        return self.cluster.remove_shard(name)

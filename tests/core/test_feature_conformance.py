@@ -141,8 +141,10 @@ class TestRegistryConformance:
         spec = features.FEATURES[feature]
         act = spec.action(action) if action is not None else None
 
-        # 1-shard router and RPC answer exactly like the direct façade.
-        assert out["one_shard"] == out["direct"]
+        # 1-shard router and RPC answer exactly like the direct façade;
+        # a router answers its own features (the cluster) itself.
+        if not spec.router_level:
+            assert out["one_shard"] == out["direct"]
         assert out["rpc"] == out["direct"]
         # Every envelope survives the wire form.
         for envelopes in out.values():
@@ -166,10 +168,22 @@ class TestRegistryConformance:
                 for field in act.bytes_out:
                     assert isinstance(envelope.state[field], bytes)
 
+        # Every router runs its membership through the cluster, at R = 1
+        # when it does not replicate: enabled, fixed at construction.
+        for kind in ("one_shard", "four_shard") if spec.router_level else ():
+            router_configured, router_status, *router_acted = out[kind]
+            assert router_configured.error == "BAD_CONFIG"
+            assert router_status.ok and router_status.enabled
+            assert router_status.state["replicas"] == 1
+            for envelope in router_acted:
+                assert envelope.ok and envelope.enabled, envelope
+                assert envelope.action == action
+
         # The 4-shard router folds per the table's rule.
         wide = out["four_shard"]
-        assert [e.ok for e in wide] == [e.ok for e in out["direct"]], wide
-        assert [e.error for e in wide] == [e.error for e in out["direct"]]
+        if not spec.router_level:
+            assert [e.ok for e in wide] == [e.ok for e in out["direct"]], wide
+            assert [e.error for e in wide] == [e.error for e in out["direct"]]
         if spec.configure is not None:
             assert sorted(wide[1].state["shards"]) == SHARDS
             if act is not None and act.merge is None:
@@ -197,8 +211,14 @@ class TestRegistryConformance:
             assert not unknown.ok and unknown.error == "UNKNOWN_FEATURE"
             missing = facade.invoke(feature, "no-such-action")
             assert not missing.ok and missing.error == "UNKNOWN_ACTION"
+            # FEATURE_DISABLED only where the feature is off: a router
+            # answers ``cluster`` itself.
+            on = facade.feature_status(feature).enabled
             for action in gated:
                 off = facade.invoke(feature, action)
+                if on:
+                    assert off.ok and off.enabled, off
+                    continue
                 assert not off.ok and off.error == "FEATURE_DISABLED"
                 assert off.enabled is False
                 assert off.state in ({}, {"shards": {n: {} for n in SHARDS}})

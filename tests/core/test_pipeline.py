@@ -4,8 +4,8 @@ Every in-process façade runs each client op through
 :func:`repro.core.api.run_request`, its batches through
 :func:`repro.core.api.run_batch` and their items through
 :func:`repro.core.api.schedule_lanes`; every movement of an object
-between shards is :func:`repro.core.cluster.transfer`; every data op the
-replicated plane sends a shard goes through ``ClusterManager._replica_op``
+between shards is ``ClusterManager._transfer``; every data op the
+cluster manager sends a shard goes through ``ClusterManager._replica_op``
 and every migration step through its one journal bracket.  These tests
 pin the properties the hand-written copies used to disagree on.
 """
@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import api
 from repro.core.api import BatchOp
-from repro.core.cluster import MIGRATION_INTENTS, ClusterConfig, transfer
+from repro.core.cluster import MIGRATE, MIGRATION_INTENTS, ClusterConfig
 from repro.core.server import TieraServer
 from repro.core.sharding import ShardedTieraServer
 from repro.kvstore.store import MemoryStore
@@ -142,23 +142,38 @@ class TestBatchBracket:
 
 
 class TestTransfer:
+    """``ClusterManager._transfer``, the one shard-to-shard copy, on an
+    unreplicated router's manager (shards by name)."""
+
+    @staticmethod
+    def _router(registry, *names):
+        router = ShardedTieraServer({n: make_shard(registry, n) for n in names})
+
+        def transfer(key, source, targets, verify=None):
+            return router.cluster._transfer(
+                key, source, targets, RequestContext(router.clock), MIGRATE,
+                verify,
+            )
+        return router.shards, transfer
+
     def test_copies_bytes_and_tags_to_every_target(self, registry):
-        source, one, two = (make_shard(registry, n) for n in ("s", "t1", "t2"))
-        source.put_object("k", b"payload", tags=["keep"]).raise_for_error()
-        written = transfer("k", source, [one, two])
+        shards, transfer = self._router(registry, "s", "t1", "t2")
+        shards["s"].put_object("k", b"payload", tags=["keep"]).raise_for_error()
+        written = transfer("k", "s", ["t1", "t2"])
         assert [put.ok for put in written] == [True, True]
-        for target in (one, two):
+        for target in (shards["t1"], shards["t2"]):
             assert target.get_object("k").value == b"payload"
             assert target.stat("k").tags == {"keep"}
 
     def test_an_unreadable_or_unverified_source_writes_nothing(self, registry):
-        source, target = make_shard(registry, "s"), make_shard(registry, "t")
-        assert transfer("ghost", source, [target]) is None
+        shards, transfer = self._router(registry, "s", "t")
+        source, target = shards["s"], shards["t"]
+        assert transfer("ghost", "s", ["t"]) is None
         source.put_object("k", b"payload").raise_for_error()
-        assert transfer("k", source, [target], verify="not-it") is None
+        assert transfer("k", "s", ["t"], verify="not-it") is None
         assert not target.contains("k")
         checksum = source.stat("k").checksum
-        assert transfer("k", source, [target], verify=checksum)[0].ok
+        assert transfer("k", "s", ["t"], verify=checksum)[0].ok
 
 
 def _cluster_calls(*names):
@@ -183,7 +198,7 @@ class TestOneReplicaOpOneMigrationBracket:
             if not (isinstance(call.func.value, ast.Name)
                     and call.func.value.id == "self")
         }
-        # transfer's default sender, and the one line inside _replica_op
+        # the one line inside _replica_op
         assert scopes == {"_public_verb"}
         assert {scope for scope, _ in _cluster_calls("_public_verb")} == {
             "ClusterManager._replica_op"

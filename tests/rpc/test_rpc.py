@@ -531,12 +531,16 @@ class TestShardRouterManagement:
         assert lines[0].startswith("router — status ok at t=")
         assert lines[0].endswith(", 4 shards, 16 objects")
         shard_lines = [ln for ln in lines if ln.startswith("  shard ")]
-        pattern = re.compile(r"^  shard (\S+): ok, (\d+) objects$")
+        # every router's shard lines carry the detector state
+        pattern = re.compile(r"^  shard (\S+): ok, (\d+) objects, up$")
         matches = [pattern.match(ln) for ln in shard_lines]
         assert all(matches), shard_lines
         assert [m.group(1) for m in matches] == names
         assert sum(int(m.group(2)) for m in matches) == 16
-        assert not any(ln.startswith("  cluster: ") for ln in lines)
+        assert [ln for ln in lines if ln.startswith("  cluster: ")] == [
+            "  cluster: 1 replicas, 0 hints pending, "
+            "0 migration intents pending"
+        ]
         heat = [ln for ln in lines if ln.startswith("  heat: ")]
         assert len(heat) == 1 and "objects tracked" in heat[0]
 
