@@ -248,10 +248,13 @@ class FailureDetector:
             self._recompute(shard)
 
     def note_success(self, shard: str) -> None:
-        if shard in self.state:
-            self.op_failures[shard] = 0
-            self.misses[shard] = 0
-            self._recompute(shard)
+        if shard not in self.state or (
+                self.state[shard] == UP and not self.misses[shard]
+                and not self.op_failures[shard]):
+            return  # unknown, or up with nothing to forget
+        self.op_failures[shard] = 0
+        self.misses[shard] = 0
+        self._recompute(shard)
 
     def _recompute(self, shard: str) -> None:
         misses = self.misses[shard]
@@ -289,13 +292,13 @@ def _public_verb(server, op: BatchOp, ctx) -> OpResult:
         return server.get_object(op.key, prefer=op.prefer, ctx=ctx)
     if op.op == api.PUT:
         return server.put_object(op.key, op.data, tags=op.tags, ctx=ctx)
-    result = server.delete_object(op.key, ctx=ctx)
-    if result.error == "NO_SUCH_OBJECT":
-        # Deleting a key a replica never got is a successful delete
-        # from the cluster's point of view.
-        return OpResult(op=api.DELETE, key=op.key, ok=True,
-                        latency=result.latency)
-    return result
+    return server.delete_object(op.key, ctx=ctx)
+
+
+def _gone(result: OpResult) -> bool:
+    """Is ``result`` a delete of a copy the replica never held?  From
+    the cluster's point of view that replica took the delete."""
+    return result.op == api.DELETE and result.error == "NO_SUCH_OBJECT"
 
 
 def _took(written: Optional[List[OpResult]]) -> bool:
@@ -373,14 +376,15 @@ MIGRATION_CRASH_POINTS: Tuple[str, ...] = (
 
 
 class ClusterManager:
-    """Replication, healing, and journaled migration over the router.
+    """The data plane, replication, healing, and journaled migration
+    over the router.
 
     Every :class:`~repro.core.sharding.ShardedTieraServer` owns one: it
-    is the one way shards join and leave, at every replication factor.
-    A router built with ``replication=ClusterConfig(...)`` also
-    delegates its whole data path here and arms the timers; without,
-    it runs at :data:`UNREPLICATED`.  ``router`` supplies the ring, the
-    shard map, the clock, and the observability hub.
+    is the one way a client op reaches a shard and the one way shards
+    join and leave, at every replication factor.  A router built with
+    ``replication=ClusterConfig(...)`` arms the timers; without, it runs
+    at :data:`UNREPLICATED`.  ``router`` supplies the ring, the shard
+    map, the clock, and the observability hub.
     """
 
     def __init__(
@@ -489,7 +493,7 @@ class ClusterManager:
     def owners(self, key: str) -> List[str]:
         return self.ring.owners(key, self.replicas())
 
-    # -- the replicated data path ----------------------------------------
+    # -- the data path ----------------------------------------------------
 
     def _ctx(self, ctx: Optional[RequestContext]) -> RequestContext:
         return ctx if ctx is not None else RequestContext(self.clock)
@@ -506,11 +510,12 @@ class ClusterManager:
         routed, ok, failed = self._op_cells[shard, role, op.op]
         routed.inc()
         result = _public_verb(self.shards[shard], op, ctx)
-        if result.ok:
+        took = result.ok or _gone(result)
+        if took:
             self.detector.note_success(shard)
         elif result.error in _INFRA_CODES:
             self.detector.note_failure(shard)
-        (ok if result.ok else failed).inc()
+        (ok if took else failed).inc()
         return result
 
     def _bind_op(self, key: Tuple[str, str, str]):
@@ -527,8 +532,13 @@ class ClusterManager:
     def _drop(
         self, shard: str, key: str, ctx: RequestContext, role: str
     ) -> OpResult:
-        """Delete ``shard``'s copy of ``key`` as ``role``."""
-        return self._replica_op(shard, BatchOp.delete(key), ctx, role)
+        """Delete ``shard``'s copy of ``key`` as ``role``; a copy the
+        shard never held is an ok drop."""
+        result = self._replica_op(shard, BatchOp.delete(key), ctx, role)
+        if _gone(result):
+            return OpResult(op=api.DELETE, key=key, ok=True,
+                            latency=result.latency)
+        return result
 
     def _transfer(
         self, key: str, source: str, targets: Sequence[str],
@@ -589,10 +599,24 @@ class ClusterManager:
     def _run_op(
         self, op: BatchOp, ctx: RequestContext, trace: bool = False
     ) -> OpResult:
-        """One client op — a quorum write or a failover read — inside
-        the request bracket (:func:`repro.core.api.run_request`)."""
-        body = self._read if op.op == api.GET else self._write
+        """One client op — the owner's own op when a key has one owner,
+        else a quorum write or a failover read — inside the request
+        bracket (:func:`repro.core.api.run_request`)."""
+        if self.replicas() == 1:
+            body = self._owner_op
+        else:
+            body = self._read if op.op == api.GET else self._write
         return api.run_request(self.obs, op, ctx, trace, body)
+
+    def _owner_op(self, op: BatchOp, ctx: RequestContext) -> OpResult:
+        """A key with one owner: that shard's envelope, or its error
+        raised.  One copy has nothing to vote against and a hinted copy
+        could never count toward its quorum, so there is no vote, no
+        hint, and a refusal keeps the shard's own code."""
+        result = self._replica_op(self.ring.owner(op.key), op, ctx)
+        if result.ok:
+            return result
+        raise result.exception
 
     def _write(self, write: BatchOp, ctx: RequestContext) -> OpResult:
         """Fan ``write`` out to the key's owners; the envelope once a
@@ -613,7 +637,7 @@ class ClusterManager:
                 )
                 continue
             result = self._replica_op(shard, write, branches.branch())
-            if result.ok:
+            if result.ok or _gone(result):
                 acked.append((shard, result))
             else:
                 causes.append((shard, result.exception))
@@ -686,18 +710,18 @@ class ClusterManager:
         """Checksum-verified failover read along the owner list.
 
         Attempts are sequential (a client retries replicas one after
-        another), skipping detector-down shards.  A returned payload is
+        another), detector-down shards last: down is not missing, and
+        trying one feeds the detector.  A returned payload is
         accepted only if its content checksum matches the majority of
         the owners' recorded checksums; a corrupt or stale copy is
         skipped and queued for background repair.  When no replica
-        serves it, raises the error every reachable replica agrees on
-        (a missing key) or :class:`ClusterUnavailableError`.
+        serves it, raises the missing-key error only if every owner
+        answered missing, else :class:`ClusterUnavailableError`.
         """
         key = read.key
         owners = self.owners(key)
-        candidates = [s for s in owners if not self.detector.is_down(s)]
-        if not candidates:
-            candidates = list(owners)  # last resort: try them anyway
+        # A stable sort: the up owners in ring order, then the down ones.
+        candidates = sorted(owners, key=self.detector.is_down)
         expected = self._checksum_vote(key, owners)
         causes: List[Tuple[str, BaseException]] = []
         missing = 0
@@ -719,7 +743,7 @@ class ClusterManager:
             missing += result.error == "NO_SUCH_OBJECT"
             causes.append((shard, result.exception))
         if missing == len(candidates):
-            # Every reachable replica agrees the key does not exist.
+            # Every owner agrees the key does not exist.
             raise causes[0][1]
         raise ClusterUnavailableError(key, causes=causes)
 
@@ -755,17 +779,56 @@ class ClusterManager:
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> BatchResult:
-        """Batch over the replicated path: the same bracket and lane
-        scheduler as the single-instance server (admission is the
-        router's), each item fanning out to its own replica set."""
-        return api.run_batch(
-            ops, parallelism, self._ctx(ctx), trace,
-            self.obs.tracer, self.router.admission, self._run_items,
-        )
+        """Fan a batch out by ring owner, at every R.
 
-    def _run_items(self, ops: Sequence[BatchOp], lanes: int, ctx, parent):
-        results = api.schedule_lanes(ops, lanes, ctx, parent, self._run_op)
-        return results, {"parallelism": lanes}
+        Items group by their key's ring owner and each group runs on its
+        own branch of a scatter/join, lane-scheduled over ``parallelism``
+        lanes, every item one client op (:meth:`_run_op`).  Owners are
+        independent instances, so the router pays the slowest group,
+        not the sum, and results come back in submission order.  The
+        bracket (:func:`repro.core.api.run_batch`) admits the whole
+        batch on the router and each group's share on its owner before
+        any item runs.  With tracing on, each group gets a ``shard``
+        child of the batch root, its items' ``op`` spans under it.
+        """
+        ops = list(ops)
+        groups: Dict[str, List[int]] = {}  # submission indices, by owner
+        for index, op in enumerate(ops):
+            groups.setdefault(self.ring.owner(op.key), []).append(index)
+        names = sorted(groups)
+
+        def fan_out(ops, lanes, ctx, parent):
+            results: List[Optional[OpResult]] = [None] * len(ops)
+            branches = ctx.scatter()
+            for name in names:
+                indices = groups[name]
+                bctx = branches.branch()
+                span = None
+                if parent is not None:
+                    span = bctx.span = parent.child(
+                        name, "shard", bctx.time,
+                        shard=name, items=len(indices),
+                    )
+                group = api.schedule_lanes(
+                    [ops[i] for i in indices], lanes, bctx, span,
+                    self._run_op,
+                )
+                if span is not None:
+                    span.finish(bctx.time)
+                    bctx.span = None
+                for index, item in zip(indices, group):
+                    results[index] = item
+            branches.join()
+            return results, {"shards": len(groups)}
+
+        return api.run_batch(
+            ops, parallelism, self._ctx(ctx), trace, self.obs.tracer,
+            self.router.admission, fan_out,
+            shares=[
+                (self.shards[name].admission, len(groups[name]))
+                for name in names
+            ],
+        )
 
     # -- metadata views ---------------------------------------------------
 
@@ -1303,9 +1366,9 @@ class ClusterManager:
 
     def summary(self) -> Dict[str, object]:
         """JSON-able snapshot for health()/stats/CLI."""
-        if self.router.plane is not self:
-            # An unreplicated router arms no heartbeat and routes no
-            # client op through the detector: reading it is the probe.
+        if not self._timers:
+            # No heartbeat is armed (an unreplicated router): reading
+            # the detector is the probe.
             self.detector.tick()
         ae_last = self.anti_entropy_runs[-1] if self.anti_entropy_runs else None
         return {

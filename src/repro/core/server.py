@@ -292,8 +292,8 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
     def run_items(self, ops: Sequence[BatchOp], lanes: int, ctx, parent):
         """What this façade does inside the batch bracket: schedule the
         items on this instance and record the batch's registry samples.
-        A router holding the bracket (and this shard's admission) calls
-        it for its sub-batch."""
+        A router runs each item of its batches as one client op on the
+        owner instead, so a shard records no batch of a router's."""
         started = ctx.time
         results = api.schedule_lanes(ops, lanes, ctx, parent, self._run_op)
         self._batches.inc()

@@ -31,7 +31,6 @@ from repro.core.cluster import UNREPLICATED, ClusterConfig, ClusterManager
 from repro.core.errors import EmptyRingError, TieraError
 from repro.core.server import TieraServer
 from repro.obs.hub import Observability
-from repro.obs.registry import ChildCache
 from repro.simcloud.resources import RequestContext
 
 VNODES = 64  # virtual nodes per shard for even key spread
@@ -99,108 +98,22 @@ class ConsistentHashRing:
         return sorted(self._shards)
 
 
-class SingleOwnerPlane:
-    """The unreplicated data path: every key lives on its one ring
-    owner, whose own policy places it; the plane only routes requests.
-    Membership and migration are the router's
-    :class:`~repro.core.cluster.ClusterManager`'s, as at every R."""
-
-    def __init__(self, router: "ShardedTieraServer"):
-        self.router = router
-        self.ring = router.ring
-        self.shards = router.shards
-        #: ``(shard, op)`` -> its bound ``tiera_shard_ops_total`` cell
-        self._routed = ChildCache(lambda key: router._shard_ops.child(
-            shard=key[0], op=key[1]
-        ))
-
-    def _route(self, key: str, op: str) -> TieraServer:
-        shard = self.ring.owner(key)
-        self._routed[shard, op].inc()
-        return self.shards[shard]
-
-    def put_object(self, key: str, data: bytes, **options) -> OpResult:
-        return self._route(key, api.PUT).put_object(key, data, **options)
-
-    def get_object(self, key: str, **options) -> OpResult:
-        return self._route(key, api.GET).get_object(key, **options)
-
-    def delete_object(self, key: str, **options) -> OpResult:
-        return self._route(key, api.DELETE).delete_object(key, **options)
-
-    def execute_batch(
-        self, ops: Sequence[BatchOp], *, parallelism: int, ctx, trace: bool
-    ) -> BatchResult:
-        """Fan a batch out to the shards that own its keys.
-
-        Ops group by ring owner, each shard runs its sub-batch on its
-        own branch of a scatter/join — shards are independent
-        instances, so the router pays the slowest shard, not the sum —
-        and results reassemble into submission order.  The router's
-        bracket holds the whole batch's admission, here and on every
-        owning shard for its share, before any shard sees work.  With
-        tracing on, each sub-batch gets a ``shard`` child of the batch
-        root and the shard's per-item ``op`` spans nest under it.
-        """
-        ops = list(ops)
-        owners = [self.ring.owner(op.key) for op in ops]
-        groups: Dict[str, List[int]] = {}  # submission indices, by owner
-        for index, owner in enumerate(owners):
-            groups.setdefault(owner, []).append(index)
-
-        def fan_out(ops, lanes, ctx, parent):
-            routed = self._routed
-            for owner, op in zip(owners, ops):
-                routed[owner, op.op].inc()
-            results: List[Optional[OpResult]] = [None] * len(ops)
-            branches = ctx.scatter()
-            for name in sorted(groups):
-                indices = groups[name]
-                bctx = branches.branch()
-                span = None
-                if parent is not None:
-                    span = parent.child(
-                        name, "shard", bctx.time,
-                        shard=name, items=len(indices),
-                    )
-                    bctx.span = span
-                sub_results, _ = self.shards[name].run_items(
-                    [ops[i] for i in indices], lanes, bctx, span
-                )
-                if span is not None:
-                    span.finish(bctx.time)
-                    bctx.span = None
-                for index, item in zip(indices, sub_results):
-                    results[index] = item
-            branches.join()
-            return results, {"shards": len(groups)}
-
-        return api.run_batch(
-            ops, parallelism,
-            ctx if ctx is not None else RequestContext(self.router.clock),
-            trace, self.router.obs.tracer, self.router.admission, fan_out,
-            shares=[
-                (self.shards[name].admission, len(groups[name]))
-                for name in sorted(groups)
-            ],
-        )
-
-
 class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
     """PUT/GET over a consistent-hash ring of Tiera instances.
 
     Each shard is an ordinary :class:`~repro.core.server.TieraServer`
-    whose instance runs its own policy; by default the sharding layer
-    only routes (:class:`SingleOwnerPlane`).  Membership is always
-    ``router.cluster``'s, a :class:`~repro.core.cluster.ClusterManager`:
-    adding or removing a shard is a journaled, crash-safe migration of
-    exactly the keys whose ring owners changed (docs/CLUSTER.md).
+    whose instance runs its own policy.  The data path and membership
+    are ``router.cluster``'s, a :class:`~repro.core.cluster.ClusterManager`,
+    at every replication factor: every data verb below is one call into
+    it, and adding or removing a shard is a journaled, crash-safe
+    migration of exactly the keys whose ring owners changed
+    (docs/CLUSTER.md).  By default a key has one owner, whose envelope
+    a client op returns.
 
-    Built with ``replication=ClusterConfig(...)``, that manager is the
-    data plane too, and the data path becomes replicated and
-    self-healing: R copies per key, quorum writes, checksum-verified
-    failover reads, hinted handoff and Merkle anti-entropy.  Either way
-    every data verb below is one call into ``self.plane``.
+    Built with ``replication=ClusterConfig(...)``, the data path becomes
+    replicated and self-healing: R copies per key, quorum writes,
+    checksum-verified failover reads, hinted handoff and Merkle
+    anti-entropy, with the heartbeat and anti-entropy timers armed.
     """
 
     def __init__(
@@ -229,15 +142,13 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
             "tiera_shard_ops_total", "Operations routed, by shard and op."
         )
         self.admission = AdmissionController(max_inflight, self.obs.metrics)
-        #: membership and migration at every R (the feature table's
-        #: ``cluster`` entry and the drills reach it by this name).
+        #: the data path, membership and migration at every R (the
+        #: feature table's ``cluster`` entry and the drills reach it by
+        #: this name).
         self.cluster = ClusterManager(
             self, replication or UNREPLICATED, journal_store=journal_store
         )
-        if replication is None:
-            self.plane = SingleOwnerPlane(self)
-        else:
-            self.plane = self.cluster
+        if replication is not None:
             self.cluster.start()
 
     @property
@@ -256,7 +167,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        return self.plane.put_object(
+        return self.cluster.put_object(
             key, data, tags=tags, ctx=ctx, trace=trace
         )
 
@@ -268,7 +179,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        return self.plane.get_object(
+        return self.cluster.get_object(
             key, prefer=prefer, ctx=ctx, trace=trace
         )
 
@@ -279,7 +190,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> OpResult:
-        return self.plane.delete_object(key, ctx=ctx, trace=trace)
+        return self.cluster.delete_object(key, ctx=ctx, trace=trace)
 
     def execute_batch(
         self,
@@ -289,12 +200,11 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         ctx: Optional[RequestContext] = None,
         trace: bool = False,
     ) -> BatchResult:
-        """Run a batch on the data plane: split by ring owner
-        (:meth:`SingleOwnerPlane.execute_batch`) or lane-scheduled over
-        replica sets (:meth:`ClusterManager.execute_batch`), both
-        inside :func:`repro.core.api.run_batch` under this router's
-        admission and tracer."""
-        return self.plane.execute_batch(
+        """Run a batch split by ring owner, each owner's group on its own
+        branch (:meth:`ClusterManager.execute_batch`), inside
+        :func:`repro.core.api.run_batch` under this router's admission
+        and tracer."""
+        return self.cluster.execute_batch(
             ops, parallelism=parallelism, ctx=ctx, trace=trace
         )
 

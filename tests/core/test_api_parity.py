@@ -112,6 +112,29 @@ class TestParity:
     def test_direct_and_rpc_agree(self, direct, rpc_client):
         assert flatten(run_script(direct)) == flatten(run_script(rpc_client))
 
+    @pytest.mark.parametrize("replication", [None, ClusterConfig()])
+    def test_a_failed_tier_answers_alike_with_one_owner(
+        self, direct, replication
+    ):
+        """A key with one owner gets that shard's envelope — its own
+        refusal codes, a missing delete's ``NO_SUCH_OBJECT`` — whatever
+        R the router was built with, and no hint is parked for it."""
+        sharded = ShardedTieraServer(
+            {"s1": fresh_server()}, replication=replication
+        )
+        outcomes = []
+        for facade, shard in ((direct, direct), (sharded, sharded.shards["s1"])):
+            facade.put_object("alpha", b"a" * 512).raise_for_error()
+            for tier in shard.instance.tiers:
+                tier.service.fail()
+            outcomes.append(flatten(run_script(facade)))
+        sharded.cluster.stop()
+        assert outcomes[0] == outcomes[1]
+        assert {r.error for r in outcomes[0] if hasattr(r, "error")} >= {
+            "SERVICE_UNAVAILABLE", "NO_SUCH_OBJECT"
+        }
+        assert len(sharded.cluster.hints) == 0
+
     def test_missing_key_code_parity(self, direct, sharded, rpc_client):
         codes = set()
         types = set()

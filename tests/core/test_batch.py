@@ -116,6 +116,26 @@ class TestMaxPlusCost:
             sum(r.latency for r in batch.results)
         )
 
+    def test_router_batch_pays_the_slowest_shard(self):
+        """Owners are independent instances: an unreplicated router runs
+        each owner's group on its own branch, so at parallelism 1 the
+        batch costs its slowest group, not the sum of the groups."""
+        router = ShardedTieraServer({
+            f"s{i}": fixed_stack(rules=[WRITE_THROUGH], seed=i)
+            for i in range(4)
+        })
+        batch = router.put_many(
+            [(f"k{i}", b"v" * 4096) for i in range(32)], parallelism=1
+        )
+        assert batch.ok
+        groups = {}
+        for result in batch.results:
+            shard = router.shard_of(result.key)
+            groups[shard] = groups.get(shard, 0.0) + result.latency
+        assert len(groups) == 4
+        assert batch.latency == pytest.approx(max(groups.values()))
+        assert batch.latency < sum(groups.values())
+
     def test_deeper_pipeline_is_never_slower(self):
         results = {}
         for depth in (1, 2, 4, 8):

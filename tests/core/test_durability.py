@@ -381,6 +381,33 @@ class TestAliasOverwriteCrash:
         assert fsck(successor)["clean"]
 
 
+class TestRefusedOverwrite:
+    """An overwrite the only tier refuses must leave the acked bytes
+    readable and their row consistent (ROADMAP defect (a), refused-
+    overwrite form)."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="defect (a), ROADMAP item 1: the refused overwrite leaves "
+        "the row with the new checksum over the old bytes, so the GET "
+        "fails TIER_UNAVAILABLE and fsck finds no clean copy",
+    )
+    def test_the_old_bytes_survive_a_refused_overwrite(self):
+        registry = TierRegistry(Cluster(seed=1))
+        server = TieraServer(
+            build_instance(registry, [("tier1", "EBS", 10 ** 7)])
+        )
+        server.configure("resilience").raise_for_error()
+        server.configure("durability").raise_for_error()
+        server.put_object("k", b"v1").raise_for_error()
+        (tier,) = server.instance.tiers
+        tier.service.fail()
+        assert server.put_object("k", b"v2").error == "SERVICE_UNAVAILABLE"
+        tier.service.recover()
+        assert server.get_object("k").value == b"v1"
+        assert server.invoke("durability", "fsck").state["clean"]
+
+
 class TestSnapshotRestore:
     def test_roundtrip_durable_state(self, tmp_path):
         cluster, instance, server = _build()

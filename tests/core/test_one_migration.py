@@ -154,6 +154,34 @@ def test_a_removal_that_would_strand_keys_is_refused(registry, replication):
     router.cluster.stop()
 
 
+def test_a_key_held_only_by_a_down_owner_is_not_missing(registry):
+    """Regression: after a refused removal left keys held only by ``a``
+    (now detector-down), a read tried the up owner, heard "missing" and
+    answered ``NO_SUCH_OBJECT``, and ``health()`` stayed ``degraded``
+    until a probe round.  A read tries a down owner last: down is not
+    missing, and the answer it gets feeds the detector."""
+    router = build(registry, "abc", replicated(2))
+    for key in router.shards["a"].keys():
+        for name in router.cluster.owners(key):
+            if name != "a":
+                router.shards[name].delete_object(key).raise_for_error()
+    held = router.shards["a"].keys()
+    service(router.shards["a"]).fail()
+    with pytest.raises(TieraError, match="not removed"):
+        router.remove_shard("a")
+    assert router.cluster.detector.is_down("a")
+    unreadable = router.get_object(held[0])
+    assert unreadable.error == "CLUSTER_UNAVAILABLE"   # not NO_SUCH_OBJECT
+    assert router.health()["status"] == "degraded"
+    service(router.shards["a"]).recover()
+    for key in held:
+        index = int(key[1:])
+        assert router.get_object(key).value == b"v1-%d" % index, key
+    assert router.health()["status"] == "ok"   # no detector.tick()
+    assert router.get_object("ghost").error == "NO_SUCH_OBJECT"
+    router.cluster.stop()
+
+
 def test_a_joiner_that_dies_mid_join_keeps_its_copies_until_repair(registry):
     """A joiner that took some copies and then stopped answering cannot
     hand them back at the refusal: it stays in the map, off the ring,

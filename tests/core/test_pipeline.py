@@ -187,14 +187,19 @@ def _cluster_calls(*names):
     ]
 
 
+#: A shard's data verbs: what a router may reach only through its cluster.
+SHARD_VERBS = (
+    "put_object", "get_object", "delete_object", "run_items", "execute_batch",
+)
+
+
 class TestOneReplicaOpOneMigrationBracket:
     """The lints: each fails at the commit before the bracket."""
 
     def test_a_shard_verb_is_called_in_one_place(self):
         scopes = {
             scope
-            for scope, call in _cluster_calls(
-                "put_object", "get_object", "delete_object")
+            for scope, call in _cluster_calls(*SHARD_VERBS)
             if not (isinstance(call.func.value, ast.Name)
                     and call.func.value.id == "self")
         }
@@ -202,6 +207,22 @@ class TestOneReplicaOpOneMigrationBracket:
         assert scopes == {"_public_verb"}
         assert {scope for scope, _ in _cluster_calls("_public_verb")} == {
             "ClusterManager._replica_op"
+        }
+
+    def test_the_router_sends_every_data_op_through_its_cluster(self):
+        """One data plane at every R: the router's own verbs delegate to
+        ``self.cluster``, and nothing else in core/sharding.py calls a
+        data verb (no second plane routing to a shard)."""
+        receivers = {
+            (scope, ast.unparse(call.func.value))
+            for scope, call in _scoped_nodes(CORE / "sharding.py")
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", "") in SHARD_VERBS
+        }
+        assert {receiver for _, receiver in receivers} == {"self.cluster"}
+        assert {scope for scope, _ in receivers} == {
+            f"ShardedTieraServer.{verb}" for verb in SHARD_VERBS
+            if verb != "run_items"
         }
 
     def test_intents_are_begun_and_retired_by_the_bracket_and_recover(self):

@@ -22,9 +22,6 @@ PER_OP = {
     "core/durability.py": ("DurabilityLayer._begin",),
     "obs/heat.py": ("HeatTracker.record", "HeatTracker._record_tier"),
     "fs/cache.py": ("PageCache.get",),
-    "core/sharding.py": (
-        "SingleOwnerPlane._route", "SingleOwnerPlane.execute_batch.fan_out",
-    ),
     "core/cluster.py": ("ClusterManager._replica_op",),
 }
 
