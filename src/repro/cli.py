@@ -497,7 +497,7 @@ COMMANDS = (
 #: Why a feature is off, for the hint line (``--enable`` commands: pass it).
 _TURN_ON = {
     "backup": "serve with --backup-root",
-    "cluster": "not a replicated shard cluster",
+    "cluster": "not a shard router",
     "resilience": "configure it through the management API",
 }
 

@@ -753,31 +753,16 @@ class BackupManager:
                 raise ValueError(f"{name} must be at least 0, got {value}")
         now = self.instance.clock.now()
         active = self._active_snapshots()
-        doomed_ids = set()
-        if keep_last is not None:
-            for entry in active[:max(0, len(active) - int(keep_last))]:
-                doomed_ids.add(int(entry["id"]))
-        if keep_window is not None:
-            for entry in active:
-                if float(entry["created_at"]) < now - float(keep_window):
-                    doomed_ids.add(int(entry["id"]))
-        if keep_last is not None or keep_window is not None:
-            # A snapshot either rule keeps survives both.
-            for entry in active:
-                eid = int(entry["id"])
-                kept_by_last = (
-                    keep_last is not None
-                    and entry in active[max(0, len(active) - int(keep_last)):]
-                )
-                kept_by_window = (
-                    keep_window is not None
-                    and float(entry["created_at"]) >= now - float(keep_window)
-                )
-                if kept_by_last or kept_by_window:
-                    doomed_ids.discard(eid)
-        for entry in self.snapshots:
-            if entry.get("retired"):
-                doomed_ids.add(int(entry["id"]))
+        # One pass: doomed when a rule is given and no given rule keeps
+        # it (an absent rule keeps nothing).
+        ruled = keep_last is not None or keep_window is not None
+        newest = len(active) - int(keep_last) if keep_last is not None else len(active)
+        oldest = now - float(keep_window) if keep_window is not None else float("inf")
+        doomed_ids = {
+            int(entry["id"]) for index, entry in enumerate(active)
+            if ruled and index < newest and float(entry["created_at"]) < oldest
+        }
+        doomed_ids.update(int(e["id"]) for e in self.snapshots if e.get("retired"))
 
         protected: List[Dict[str, object]] = []
         violations = 0

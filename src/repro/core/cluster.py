@@ -177,9 +177,6 @@ class HintQueue:
              if h.key == key and h.op == api.PUT}
         )
 
-    def targets(self) -> List[str]:
-        return sorted({slot[0] for slot in self._hints})
-
     def __iter__(self):
         return iter(list(self._hints.values()))
 
@@ -891,7 +888,8 @@ class ClusterManager:
         if shard not in self.shards or self.detector.is_down(shard):
             return
         self.replay_hints(target=shard)
-        self.anti_entropy()
+        if self.replicas() > 1:  # one owner per key: no copies to compare
+            self.anti_entropy()
 
     def replay_hints(self, target: Optional[str] = None) -> Dict[str, object]:
         """Drain parked writes whose targets are reachable, FIFO.

@@ -25,7 +25,7 @@ from repro.core.errors import TieraError
 from repro.core.events import ThresholdEvent
 from repro.core.policy import Policy, Rule
 from repro.obs.audit import AuditRecord
-from repro.obs.registry import ChildCache
+from repro.obs.registry import ChildCache, MetricsRegistry
 from repro.obs.trace import Span
 from repro.simcloud.clock import Clock, Timer
 from repro.simcloud.errors import ProcessCrash, SimCloudError
@@ -52,35 +52,41 @@ class ControlLayer:
         self.policy = policy
         self.clock = clock
         self.eval_overhead = eval_overhead
-        self.fired: Dict[str, int] = {}
         self.background_errors: List[Tuple[str, Exception]] = []
         self._timers: Dict[Tuple[str, float], Timer] = {}
         self._started = False
-        # Observability: the instance's hub, when it has one (tests may
-        # hand this layer a bare stub).  Every rule firing is audited
-        # and counted; background failures stop being silent.
+        # Observability: the instance's hub, when it has one (a bare
+        # stub counts into a private registry and audits nothing).  Every
+        # rule firing is counted under the instance's owner id and
+        # audited; background failures stop being silent.
         self.obs = getattr(instance, "obs", None)
-        if self.obs is not None:
-            metrics = self.obs.metrics
-            self._fired_counter = metrics.counter(
-                "tiera_rules_fired_total", "Policy rule firings, by rule."
-            )
-            self._rule_seconds = metrics.counter(
-                "tiera_rule_seconds_total",
-                "Simulated seconds spent executing rule responses, "
-                "split foreground (client path) vs background.",
-            )
-            self._bg_errors = metrics.counter(
-                "tiera_background_errors_total",
-                "Errors raised by background/timer policy work.",
-            )
+        self.owner = getattr(instance, "owner", "")
+        metrics = self.obs.metrics if self.obs is not None else MetricsRegistry(clock)
+        self._fired_counter = metrics.counter(
+            "tiera_rules_fired_total", "Policy rule firings, by rule."
+        )
+        self._rule_seconds = metrics.counter(
+            "tiera_rule_seconds_total",
+            "Simulated seconds spent executing rule responses, "
+            "split foreground (client path) vs background.",
+        )
+        self._bg_errors = metrics.counter(
+            "tiera_background_errors_total",
+            "Errors raised by background/timer policy work.",
+        )
         #: (rule, mode) -> its fired, seconds and background-error children
         self._rule_cells = ChildCache(lambda key: (
-            self._fired_counter.child(rule=key[0]),
-            self._rule_seconds.child(rule=key[0], mode=key[1]),
-            self._bg_errors.child(source=key[0]),
+            self._fired_counter.child(instance=self.owner, rule=key[0]),
+            self._rule_seconds.child(instance=self.owner, rule=key[0], mode=key[1]),
+            self._bg_errors.child(instance=self.owner, source=key[0]),
         ))
         policy.subscribe(self._on_policy_change)
+
+    @property
+    def fired(self) -> Dict[str, int]:
+        """``rule -> firings``: a read-only view over this layer's
+        ``tiera_rules_fired_total`` cells, in first-firing order."""
+        return {rule: int(c[0].value) for (rule, _), c in self._rule_cells.items()}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -199,8 +205,8 @@ class ControlLayer:
     ) -> None:
         """A background failure: keep the legacy list, but surface it."""
         self.background_errors.append((source, exc))
+        self._bg_errors.inc(instance=self.owner, source=source)
         if self.obs is not None:
-            self._bg_errors.inc(source=source)
             self.obs.audit.append(
                 AuditRecord(
                     time=at,
@@ -228,7 +234,8 @@ class ControlLayer:
         can report which tiers the responses touched; ``swallow`` marks
         background execution — errors are recorded, not raised.
         """
-        self.fired[rule.name] = self.fired.get(rule.name, 0) + 1
+        cells = self._rule_cells[rule.name, "background" if swallow else "foreground"]
+        cells[0].inc()
         start = ctx.time
         parent = ctx.span
         if parent is not None:
@@ -267,7 +274,7 @@ class ControlLayer:
             ctx.span = parent
             span.finish(ctx.time)
             span.error = error
-            self._audit_rule(rule, span, origin, swallow, error)
+            self._audit_rule(rule, span, origin, swallow, error, cells)
 
     def _audit_rule(
         self,
@@ -276,15 +283,14 @@ class ControlLayer:
         origin: str,
         swallow: bool,
         error: Optional[str],
+        cells,
     ) -> None:
-        if self.obs is None:
-            return
-        mode = "background" if swallow else "foreground"
-        fired, seconds, bg_errors = self._rule_cells[rule.name, mode]
-        fired.inc()
+        _, seconds, bg_errors = cells
         seconds.inc(span.duration)
         if error is not None and swallow:
             bg_errors.inc()
+        if self.obs is None:
+            return
         tier_ops = span.find("tier-op")
         self.obs.audit.append(
             AuditRecord(

@@ -91,6 +91,9 @@ class Action:
     #: ``per_shard(params, shard) -> params``: what one of a router's
     #: several shards is handed when the call's value cannot be shared.
     per_shard: Optional[Callable[[dict, Shard], dict]] = None
+    #: the state lives on the shard's obs hub, which shards may share:
+    #: a router asks each distinct hub once.
+    on_hub: bool = False
 
 
 @dataclass(frozen=True)
@@ -206,6 +209,7 @@ FEATURES: Dict[str, Feature] = {f.name: f for f in (
                 lambda s, limit=None: s.obs.heat.summary(limit=limit),
                 (Param("limit", int, "cap the hot list in the snapshot"),),
                 merge=lambda states: merge_summaries(list(states.values())),
+                on_hub=True,
             ),
         ),
     ),
@@ -469,9 +473,9 @@ class ManagementVerbs:
         ``state``."""
         return self._manage(feature, lambda server, shard: invoke(
             server, feature, action, params, shard
-        ))
+        ), action)
 
-    def _manage(self, feature: str, call) -> ManagementResult:
+    def _manage(self, feature: str, call, action=None) -> ManagementResult:
         return call(self, None)
 
 

@@ -251,6 +251,9 @@ class TieraInstance:
 
             obs = Observability(clock)
         self.obs = obs
+        #: this incarnation's hub-unique id, the ``instance=`` label of
+        #: its gauges and of its control, resilience and placement cells
+        self.owner = obs.owner(name)
         self._gets_served = obs.metrics.counter(
             "tiera_gets_served_total", "GET requests answered, by tier."
         )
@@ -1166,16 +1169,16 @@ class TieraInstance:
             "tiera_tier_available", "1 when the tier answers requests."
         )
         for tier in self.tiers:
-            used.set(tier.used, instance=self.name, tier=tier.name)
+            used.set(tier.used, instance=self.owner, tier=tier.name)
             cap.set(
                 -1 if tier.capacity is None else tier.capacity,
-                instance=self.name,
+                instance=self.owner,
                 tier=tier.name,
             )
-            up.set(1 if tier.available else 0, instance=self.name, tier=tier.name)
+            up.set(1 if tier.available else 0, instance=self.owner, tier=tier.name)
         registry.gauge(
             "tiera_objects", "Objects in the instance's metadata table."
-        ).set(self.object_count(), instance=self.name)
+        ).set(self.object_count(), instance=self.owner)
 
     def monthly_cost(self) -> float:
         """Monthly storage cost of the provisioned configuration, dollars."""
@@ -1205,6 +1208,7 @@ class TieraInstance:
         if self.durability is not None:
             self.durability.close()
         self.obs.metrics.remove_collector(self._collect_gauges)
+        self.obs.metrics.forget(instance=self.owner)
         heat = getattr(self.obs, "heat", None)
         if heat is not None and heat.occupancy_source == self._heat_occupancy:
             heat.occupancy_source = None

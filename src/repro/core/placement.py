@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.obs.registry import ChildCache, owner_count
 from repro.simcloud.resources import RequestContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -188,9 +189,7 @@ class PlacementEngine:
         self._hysteresis_explicit = False
         self._last_moved: Dict[str, float] = {}
         self._last_cycle: Optional[Dict[str, object]] = None
-        self.cycles = 0
-        self.moves = 0
-        self.bytes_moved = 0
+        self.owner = instance.owner
         self._install_metrics()
         self.reconfigure(**options)
 
@@ -213,23 +212,38 @@ class PlacementEngine:
         :data:`PLACEMENT_RULE` rule."""
         return self.instance.control.armed(PLACEMENT_RULE)
 
+    # -- counts: read-only views over this engine's own cells -------------
+
+    cycles = owner_count("_m_cycles")
+    moves = owner_count("_m_moves")
+    bytes_moved = owner_count("_m_bytes")
+
     def _install_metrics(self) -> None:
-        m = self.instance.obs.metrics
+        """This engine's cells, bound under its instance's owner id."""
+        m, owner = self.instance.obs.metrics, self.owner
         self._m_cycles = m.counter(
             "tiera_placement_cycles_total",
             "Adaptive placement cycles executed",
         )
+        self._cycle_cell = self._m_cycles.child(instance=owner)
         self._m_moves = m.counter(
             "tiera_placement_moves_total",
             "Objects moved by the placement engine, by action",
+        )
+        self._move_cells = ChildCache(
+            lambda action: self._m_moves.child(instance=owner, action=action)
         )
         self._m_bytes = m.counter(
             "tiera_placement_bytes_moved_total",
             "Payload bytes moved by the placement engine",
         )
-        self._m_skipped = m.counter(
+        self._bytes_cell = self._m_bytes.child(instance=owner)
+        skipped = m.counter(
             "tiera_placement_skipped_total",
             "Candidate moves the planner rejected, by reason",
+        )
+        self._skip_cells = ChildCache(
+            lambda reason: skipped.child(instance=owner, reason=reason)
         )
         self._m_plan_size = m.gauge(
             "tiera_placement_plan_size",
@@ -257,11 +271,8 @@ class PlacementEngine:
     def _storage_rate(self, tier_name: str) -> float:
         """$/GB-month of the tier's product (0.0 if unpriced)."""
         tier = self.instance.tiers.get(tier_name)
-        book = getattr(self.instance, "price_book", None)
-        if book is None:
-            return 0.0
         try:
-            return book.storage_rate(tier.kind)
+            return self.instance.price_book.storage_rate(tier.kind)
         except KeyError:
             return 0.0
 
@@ -572,7 +583,7 @@ class PlacementEngine:
                 decision["applied"] = False
                 decision["error"] = f"{type(exc).__name__}: {exc}"
                 errors += 1
-                self._m_skipped.inc(reason="error")
+                self._skip_cells["error"].inc()
                 continue
             decision["applied"] = True
             self._last_moved[decision["key"]] = now
@@ -580,15 +591,12 @@ class PlacementEngine:
             bytes_moved += decision["size"]
             tiers_touched.add(decision["from"])
             tiers_touched.add(decision["to"])
-            self._m_moves.inc(action=decision["action"])
-            self._m_bytes.inc(decision["size"])
+            self._move_cells[decision["action"]].inc()
+            self._bytes_cell.inc(decision["size"])
         for entry in plan["skipped"]:
-            self._m_skipped.inc(reason=entry["reason"])
-        self.cycles += 1
-        self.moves += applied
-        self.bytes_moved += bytes_moved
-        self._m_cycles.inc()
-        self._m_plan_size.set(len(plan["decisions"]))
+            self._skip_cells[entry["reason"]].inc()
+        self._cycle_cell.inc()
+        self._m_plan_size.set(len(plan["decisions"]), instance=self.owner)
         self._last_cycle = {
             "time": plan["time"],
             "origin": origin,
@@ -618,9 +626,6 @@ class PlacementEngine:
     def _audit(
         self, plan, origin, applied, bytes_moved, tiers_touched, ctx
     ) -> None:
-        audit = getattr(self.instance.obs, "audit", None)
-        if audit is None:
-            return
         from repro.obs.audit import AuditRecord
 
         actions: Dict[str, int] = {}
@@ -629,7 +634,7 @@ class PlacementEngine:
                 actions[decision["action"]] = (
                     actions.get(decision["action"], 0) + 1
                 )
-        audit.append(AuditRecord(
+        self.instance.obs.audit.append(AuditRecord(
             time=plan["time"],
             category="placement",
             name=f"adaptive-{self.objective}",
@@ -666,7 +671,6 @@ class PlacementEngine:
             "max_moves": self.max_moves,
             "prewarm_limit": self.prewarm_limit,
             "high_watermark": self.high_watermark,
-            "refine": True,  # the swap search always runs
             "cycles": self.cycles,
             "moves": self.moves,
             "bytes_moved": self.bytes_moved,

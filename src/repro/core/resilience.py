@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.errors import BreakerOpenError
 from repro.obs.audit import AuditRecord
+from repro.obs.registry import owner_count
 from repro.simcloud.errors import (
     ServiceUnavailableError,
     TransientServiceError,
@@ -160,7 +161,6 @@ class RepairQueue:
     def __init__(self):
         self._tasks: "OrderedDict[Tuple[str, str], RepairTask]" = OrderedDict()
         self.enqueued = 0
-        self.replayed = 0
         self.dropped = 0
 
     def add(self, key: str, tier: str, now: float) -> bool:
@@ -219,14 +219,10 @@ class ResilienceLayer:
         )
         self.breakers: Dict[str, CircuitBreaker] = {}
         self.repair_queue = RepairQueue()
-        self.retry_count = 0
-        self.degraded_write_count = 0
-        self.read_repair_count = 0
-        self.replay_count = 0
-        self.corruption_count = 0
         self._replay_scheduled: Dict[str, bool] = {}
         obs = instance.obs
         self.obs = obs
+        self.owner = instance.owner
         metrics = obs.metrics
         self._retries = metrics.counter(
             "tiera_retries_total", "Transient-error retries, by tier and op."
@@ -253,13 +249,21 @@ class ResilienceLayer:
         )
         metrics.add_collector(self._collect)
 
+    # -- counts: read-only views over this layer's own cells ------------
+
+    retry_count = owner_count("_retries")
+    degraded_write_count = owner_count("_degraded")
+    read_repair_count = owner_count("_read_repairs")
+    replay_count = owner_count("_repairs")
+    corruption_count = owner_count("_corruptions")
+
     # -- breaker plumbing -------------------------------------------------
 
     def breaker(self, tier_name: str) -> CircuitBreaker:
         br = self.breakers.get(tier_name)
         if br is None:
             br = self.breakers[tier_name] = CircuitBreaker(tier_name, self.clock)
-            self._breaker_gauge.set(0, tier=tier_name)
+            self._breaker_gauge.set(0, instance=self.owner, tier=tier_name)
         return br
 
     def allow(self, tier) -> bool:
@@ -278,7 +282,9 @@ class ResilienceLayer:
         )
 
     def _note_transition(self, br: CircuitBreaker, before: str) -> None:
-        self._breaker_gauge.set(_STATE_VALUE[br.state], tier=br.tier)
+        self._breaker_gauge.set(
+            _STATE_VALUE[br.state], instance=self.owner, tier=br.tier
+        )
         self.obs.audit.append(
             AuditRecord(
                 time=self.clock.now(),
@@ -332,8 +338,7 @@ class ResilienceLayer:
                 if attempt >= RETRY_ATTEMPTS:
                     self._on_failure(tier)
                     raise
-                self.retry_count += 1
-                self._retries.inc(tier=tier.name, op=op)
+                self._retries.inc(instance=self.owner, tier=tier.name, op=op)
                 ctx.wait(backoff(attempt, self.rng))
                 attempt += 1
                 continue
@@ -378,8 +383,9 @@ class ResilienceLayer:
         if fallback is None:
             raise cause
         instance.relocate(key, (fallback.name,), ctx, data=data, redirect=False)
-        self.degraded_write_count += 1
-        self._degraded.inc(tier=failed_tier, fallback=fallback.name)
+        self._degraded.inc(
+            instance=self.owner, tier=failed_tier, fallback=fallback.name
+        )
         enqueued = self.repair_queue.add(key, failed_tier, self.clock.now())
         self.obs.audit.append(
             AuditRecord(
@@ -411,8 +417,7 @@ class ResilienceLayer:
         return content_checksum(data) == meta.checksum
 
     def note_corruption(self, tier, key: str) -> None:
-        self.corruption_count += 1
-        self._corruptions.inc(tier=tier.name)
+        self._corruptions.inc(instance=self.owner, tier=tier.name)
 
     def read_repair(
         self, key: str, data: bytes, corrupted_tiers: List[str], ctx
@@ -439,8 +444,7 @@ class ResilienceLayer:
                     )
                 )
                 continue
-            self.read_repair_count += 1
-            self._read_repairs.inc(tier=tier_name)
+            self._read_repairs.inc(instance=self.owner, tier=tier_name)
             self.obs.audit.append(
                 AuditRecord(
                     time=self.clock.now(),
@@ -502,8 +506,7 @@ class ResilienceLayer:
                 self.repair_queue.requeue(task)
                 break  # tier is still sick; the breaker will re-gate
             replayed += 1
-            self.replay_count += 1
-            self._repairs.inc(tier=tier_name)
+            self._repairs.inc(instance=self.owner, tier=tier_name)
         if replayed or error:
             self.obs.audit.append(
                 AuditRecord(
@@ -526,9 +529,7 @@ class ResilienceLayer:
         registry.gauge(
             "tiera_repair_queue_depth",
             "Redirected writes awaiting replay to their original tier.",
-        ).set(self.repair_queue.pending(), instance=self.instance.name)
-        for name, br in self.breakers.items():
-            self._breaker_gauge.set(_STATE_VALUE[br.state], tier=name)
+        ).set(self.repair_queue.pending(), instance=self.owner)
 
     def breaker_states(self) -> Dict[str, Dict[str, object]]:
         return {

@@ -283,22 +283,27 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
 
     # -- unified management API ----------------------------------------------
 
-    def _manage(self, feature: str, call) -> ManagementResult:
+    def _manage(self, feature: str, call, action=None) -> ManagementResult:
         """Run a :class:`ManagementAPI` verb on every shard and fold the
         envelopes by the feature table's rule (one shard: unchanged, so
         the parity suite can compare it with the direct façade; several:
         see :func:`repro.core.features.merge_shards`).  Router-level
-        features (the cluster) are answered here instead."""
+        features (the cluster) are answered here instead, and an action
+        whose state lives on the obs hub asks only the first shard of
+        each distinct hub."""
         spec = features.FEATURES.get(feature)
         if spec is not None and spec.router_level:
             return call(self, None)
         names = tuple(sorted(self.shards))
+        act = features.action_spec(feature, action) if action else None
+        hubs = [self.shards[name].obs for name in names]
         return features.merge_shards([
             (name, call(
                 self.shards[name],
                 features.Shard(name, names) if len(names) > 1 else None,
             ))
-            for name in names
+            for i, name in enumerate(names)
+            if not (act and act.on_hub) or hubs.index(hubs[i]) == i
         ])
 
     # -- elasticity ---------------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Tuple
 
+from repro.obs.registry import MetricsRegistry
+
 # Reading a cached page costs a memcpy + syscall, not a device trip.
 CACHE_HIT_COST = 3e-6
 
@@ -27,18 +29,24 @@ class PageCache:
         self.name = name
         self._pages: "OrderedDict[Tuple[str, int], bytes]" = OrderedDict()
         self._used = 0
-        self.hits = 0
-        self.misses = 0
-        # Optional repro.obs hub: hit/miss tallies also land in the
-        # metrics registry so benchmark reports can read them uniformly.
-        self._hit_cell = self._miss_cell = None
-        if obs is not None:
-            self._hit_cell = obs.metrics.counter(
-                "tiera_page_cache_hits_total", "Page-cache block hits."
-            ).child(cache=name)
-            self._miss_cell = obs.metrics.counter(
-                "tiera_page_cache_misses_total", "Page-cache block misses."
-            ).child(cache=name)
+        # Hits and misses count in the hub's registry under a hub-unique
+        # ``cache=`` owner id; a bare cache counts into a private one.
+        metrics = obs.metrics if obs is not None else MetricsRegistry()
+        owner = obs.owner(name) if obs is not None else name
+        self._hit_cell = metrics.counter(
+            "tiera_page_cache_hits_total", "Page-cache block hits."
+        ).child(cache=owner)
+        self._miss_cell = metrics.counter(
+            "tiera_page_cache_misses_total", "Page-cache block misses."
+        ).child(cache=owner)
+
+    @property
+    def hits(self) -> int:
+        return int(self._hit_cell.value)
+
+    @property
+    def misses(self) -> int:
+        return int(self._miss_cell.value)
 
     @property
     def used(self) -> int:
@@ -47,14 +55,7 @@ class PageCache:
     def get(self, path: str, block: int) -> Optional[bytes]:
         """A demand read: the block or None, counted as a hit or a miss."""
         page = self.peek(path, block)
-        if page is None:
-            self.misses += 1
-            if self._miss_cell is not None:
-                self._miss_cell.inc()
-            return None
-        self.hits += 1
-        if self._hit_cell is not None:
-            self._hit_cell.inc()
+        (self._miss_cell if page is None else self._hit_cell).inc()
         return page
 
     def peek(self, path: str, block: int) -> Optional[bytes]:

@@ -239,8 +239,6 @@ class HeatTracker:
         self.occupancy_source: Optional[Callable[[], List[Tuple]]] = None
         self._sketch = SpaceSavingSketch(self.top_k)
         self._objects: "OrderedDict[str, _ObjectHeat]" = OrderedDict()
-        self._tier_ops: Dict[Tuple[str, str], int] = {}
-        self._size_classes: Dict[str, int] = {}
         # children of the families enable() creates, by label value
         self._access_cells = ChildCache(lambda op: self._m_accesses.child(op=op))
         self._size_class_cells = ChildCache(
@@ -249,9 +247,6 @@ class HeatTracker:
         self._tier_cells = ChildCache(
             lambda key: self._m_tier_accesses.child(tier=key[0], op=key[1])
         )
-        self.reads = 0
-        self.writes = 0
-        self.deletes = 0
         self.timeline: Deque[Dict[str, object]] = deque(
             maxlen=DEFAULT_TIMELINE_CAPACITY
         )
@@ -332,6 +327,26 @@ class HeatTracker:
             self.metrics.remove_collector(self._collect)
             self._collector_installed = False
 
+    # -- counts: read-only views over the tracker's cells -------------------
+
+    @staticmethod
+    def _count(cells: ChildCache, *keys) -> int:
+        """Sum of the bound cells named by ``keys`` (every one if none)."""
+        return sum(int(cells[key].value) for key in keys or cells if key in cells)
+
+    @property
+    def reads(self) -> int:
+        return self._count(self._access_cells, "get")
+
+    @property
+    def deletes(self) -> int:
+        return self._count(self._access_cells, "delete")
+
+    @property
+    def writes(self) -> int:
+        """Accesses that are neither reads nor deletes."""
+        return self._count(self._access_cells) - self.reads - self.deletes
+
     # -- recording ----------------------------------------------------------
 
     def _now(self, at: Optional[float]) -> float:
@@ -345,23 +360,14 @@ class HeatTracker:
         op: str,
         key: str,
         size: Optional[int] = None,
-        tier: Optional[str] = None,
         at: Optional[float] = None,
     ) -> None:
         """One client-level object access (the per-op feed point)."""
         if not self.enabled:
             return
         now = self._now(at)
-        if op == "get":
-            self.reads += 1
-        elif op == "delete":
-            self.deletes += 1
-        else:
-            self.writes += 1
         self._access_cells[op].inc()
-        cls = size_class(size)
-        self._size_classes[cls] = self._size_classes.get(cls, 0) + 1
-        self._size_class_cells[cls].inc()
+        self._size_class_cells[size_class(size)].inc()
         self._sketch.observe(key)
         stats = self._objects.get(key)
         if stats is None:
@@ -371,8 +377,6 @@ class HeatTracker:
         stats.touch(op, size, now, self.windows)
         while len(self._objects) > self.max_objects:
             self._objects.popitem(last=False)
-        if tier is not None:
-            self._record_tier(op, tier)
         self._maybe_sample(now)
 
     def record_tier(
@@ -385,9 +389,7 @@ class HeatTracker:
         self._record_tier(op, tier)
 
     def _record_tier(self, op: str, tier: str) -> None:
-        key = (tier, op)
-        self._tier_ops[key] = self._tier_ops.get(key, 0) + 1
-        self._tier_cells[key].inc()
+        self._tier_cells[tier, op].inc()
 
     # -- sampling / characterizer -------------------------------------------
 
@@ -465,11 +467,8 @@ class HeatTracker:
 
     def tier_stats(self, tier: str) -> Dict[str, object]:
         """Measured heat attributes of one tier (spec-condition surface)."""
-        reads = self._tier_ops.get((tier, "get"), 0)
-        writes = (
-            self._tier_ops.get((tier, "put"), 0)
-            + self._tier_ops.get((tier, "delete"), 0)
-        )
+        reads = self._count(self._tier_cells, (tier, "get"))
+        writes = self._count(self._tier_cells, (tier, "put"), (tier, "delete"))
         total = reads + writes
         out: Dict[str, object] = {
             "reads": reads,
@@ -492,12 +491,12 @@ class HeatTracker:
 
     def global_stats(self) -> Dict[str, object]:
         """Workload-level heat attributes (spec-condition surface)."""
-        total = self.reads + self.writes + self.deletes
+        total, reads = self._count(self._access_cells), self.reads
         return {
             "accesses": total,
-            "reads": self.reads,
-            "writes": self.writes + self.deletes,
-            "read_fraction": round(self.reads / total, 6) if total else 0.0,
+            "reads": reads,
+            "writes": total - reads,
+            "read_fraction": round(reads / total, 6) if total else 0.0,
             "tracked": len(self._objects),
             "hot_count": len(self._hot_entries()),
             "skew": self.skew(),
@@ -524,12 +523,12 @@ class HeatTracker:
             if stats is not None:
                 entry.update(stats.to_dict(self.windows))
             hot.append(entry)
-        tier_names = sorted({tier for tier, _ in self._tier_ops})
+        tier_names = sorted({tier for tier, _ in self._tier_cells})
         if self.timeline:
             tier_names = sorted(
                 set(tier_names) | set(self.timeline[-1]["tiers"])
             )
-        total = self.reads + self.writes + self.deletes
+        total, reads = self._count(self._access_cells), self.reads
         return {
             "enabled": True,
             "config": {
@@ -541,12 +540,10 @@ class HeatTracker:
             },
             "accesses": {
                 "total": total,
-                "reads": self.reads,
+                "reads": reads,
                 "writes": self.writes,
                 "deletes": self.deletes,
-                "read_fraction": (
-                    round(self.reads / total, 6) if total else 0.0
-                ),
+                "read_fraction": round(reads / total, 6) if total else 0.0,
             },
             "tracked_objects": len(self._objects),
             "sketch_entries": len(self._sketch),
@@ -555,7 +552,10 @@ class HeatTracker:
             "tiers": {name: self.tier_stats(name) for name in tier_names},
             "skew": self.skew(),
             "churn": self.churn,
-            "size_classes": dict(sorted(self._size_classes.items())),
+            "size_classes": {
+                cls: self._count(self._size_class_cells, cls)
+                for cls in sorted(self._size_class_cells)
+            },
             "timeline": {
                 "samples": len(self.timeline),
                 "interval": self.sample_interval,
@@ -669,12 +669,13 @@ def render_report(summary: Dict[str, object], width: int = 40) -> str:
 def merge_summaries(parts: List[Dict[str, object]]) -> Dict[str, object]:
     """Aggregate per-shard heat summaries into one cluster view.
 
-    Keys route to exactly one shard, so the hot lists are disjoint and
-    merge by union → re-rank → truncate; tier traffic and occupancy
-    sum across shards; skew is re-estimated from the merged count
-    profile and churn is access-weighted.  With a single part the
-    input is returned untouched, so a one-shard router's snapshot is
-    byte-identical to the direct facade's.
+    Each part is one hub's tracker (a router asks each distinct hub
+    once).  Hot lists merge by union → re-rank → truncate, a key
+    replicated to several hubs listed once, at its hottest; tier
+    traffic and occupancy sum across parts; skew is re-estimated from
+    the merged count profile and churn is access-weighted.  With a
+    single part the input is returned untouched, so a one-shard
+    router's snapshot is byte-identical to the direct facade's.
     """
     enabled = [p for p in parts if p.get("enabled")]
     if not enabled:
@@ -683,10 +684,13 @@ def merge_summaries(parts: List[Dict[str, object]]) -> Dict[str, object]:
         return enabled[0]
     first = enabled[0]
     top_k = max(p["config"]["top_k"] for p in enabled)
-    hot = sorted(
+    hottest: Dict[str, Dict[str, object]] = {}
+    for entry in sorted(
         (entry for p in enabled for entry in p["hot"]),
         key=lambda e: (-e["count"], e["key"]),
-    )[:top_k]
+    ):
+        hottest.setdefault(entry["key"], entry)
+    hot = list(hottest.values())[:top_k]
     accesses = {
         field: sum(p["accesses"][field] for p in enabled)
         for field in ("total", "reads", "writes", "deletes")

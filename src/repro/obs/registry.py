@@ -3,11 +3,13 @@
 Components record into one :class:`MetricsRegistry` under stable
 metric names, and anything — benchmark reports, the RPC ``stats`` verb,
 the CLI — reads one coherent snapshot stamped with simulated-clock
-time.  ``StorageService.op_counts`` is a read-only view over its
-service's ``tiera_tier_ops_total`` cells; the per-owner tallies that
-remain (``ControlLayer.fired``, the heat tracker's counts, page-cache
-``hits``/``misses``) count one owner each, while their families are
-shared by every owner recording into the same hub.
+time.  Each fact is counted once, in a registry cell: the counts a
+component reports (``StorageService.op_counts``, ``ControlLayer.fired``,
+the resilience and placement counts, the heat tracker's access counts,
+page-cache ``hits``/``misses``) are read-only views over its own cells,
+told apart from other owners on the same hub by a hub-unique owner id
+(:meth:`repro.obs.hub.Observability.owner`).  Reading a view binds no
+child, so it never adds a sample.
 
 Design constraints, in order:
 
@@ -139,9 +141,12 @@ class Counter(Metric):
     def value(self, **labels: str) -> float:
         return self._values.get(_labelset(labels), 0.0)
 
-    def total(self) -> float:
-        """Sum over every label combination."""
-        return sum(self._values.values())
+    def total(self, **labels: str) -> float:
+        """Sum over every label combination that carries ``labels``."""
+        if not labels:
+            return sum(self._values.values())
+        wanted = set(_labelset(labels))
+        return sum(v for key, v in self._values.items() if wanted.issubset(key))
 
     def label_sets(self) -> List[LabelSet]:
         return sorted(self._values)
@@ -150,6 +155,12 @@ class Counter(Metric):
         return {
             _render_labels(ls): value for ls, value in sorted(self._values.items())
         }
+
+
+def owner_count(family: str) -> property:
+    """A read-only int view for a class body: the total of the counter
+    attribute ``family`` over the cells labelled ``instance=self.owner``."""
+    return property(lambda self: int(getattr(self, family).total(instance=self.owner)))
 
 
 class Gauge(Metric):
@@ -432,6 +443,15 @@ class MetricsRegistry:
     def collect(self) -> None:
         for fn in list(self._collectors):
             fn(self)
+
+    def forget(self, **labels: str) -> None:
+        """Drop the gauge samples carrying ``labels``: a retired owner's
+        readings of live state go with it; counters keep their history."""
+        wanted = set(_labelset(labels))
+        for metric in self._metrics.values():
+            if isinstance(metric, Gauge):
+                for key in [k for k in metric._values if wanted.issubset(k)]:
+                    del metric._values[key]
 
     # -- export -------------------------------------------------------------
 

@@ -509,7 +509,7 @@ class TestLiveRouterCommands:
         assert main(["cluster", "status", "--port", str(live_rpc.port)]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out) == {"enabled": False}
-        assert "not a replicated shard cluster" in captured.err
+        assert "not a shard router" in captured.err
 
     def test_fsck_folds_clean_across_shards(self, four_shards, capsys):
         _, rpc = four_shards
@@ -784,7 +784,7 @@ class TestOneAnswerWhenOff:
         (["resilience", "replay"], '{\n  "enabled": false\n}\n',
          "management API"),
         (["cluster", "fsck"], '{\n  "enabled": false\n}\n',
-         "not a replicated shard cluster"),
+         "not a shard router"),
     ], ids=["heat", "placement-plan", "placement-json", "backup-list",
             "backup-verify", "resilience-replay", "cluster-fsck"])
     def test_off_feature(self, live_rpc, capsys, argv, out, hint):

@@ -302,7 +302,7 @@ class TestHintQueue:
         queue.add(Hint(key="k3", target="t1", holder="h", op="put"))
         taken = queue.take("t1")
         assert [h.key for h in taken] == ["k1", "k3"]
-        assert queue.pending() == 1 and queue.targets() == ["t2"]
+        assert queue.pending() == 1 and queue.pending("t2") == 1
 
 
 class TestMigration:

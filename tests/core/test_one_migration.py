@@ -182,6 +182,37 @@ def test_a_key_held_only_by_a_down_owner_is_not_missing(registry):
     router.cluster.stop()
 
 
+def test_an_unreplicated_heal_sweeps_nothing(registry):
+    """Regression: at R = 1 a shard's down -> up transition ran
+    anti-entropy over every key, compared nothing (no key has two
+    owners) and logged a run."""
+    router = build(registry, "ab", keys=200)
+    on_a = [key for key in router.keys() if router.shard_of(key) == "a"]
+    service(router.shards["a"]).fail()
+    for key in on_a[:3]:
+        assert router.get_object(key).error == "TIER_UNAVAILABLE"
+    assert router.cluster.detector.is_down("a")
+    service(router.shards["a"]).recover()
+    assert router.get_object(on_a[0]).ok
+    router.clock.advance(1.0)  # the heal runs
+    assert not router.cluster.detector.is_down("a")
+    assert router.cluster.anti_entropy_runs == []
+
+
+def test_a_replicated_heal_still_sweeps(registry):
+    router = build(registry, "ab", replicated(2), keys=200)
+    service(router.shards["a"]).fail()
+    for i in range(3):
+        router.put_object(f"k{i}", b"v2").raise_for_error()
+    assert router.cluster.detector.is_down("a")
+    service(router.shards["a"]).recover()
+    router.cluster.detector.tick()
+    router.clock.advance(1.0)
+    assert not router.cluster.detector.is_down("a")
+    assert len(router.cluster.anti_entropy_runs) == 1
+    router.cluster.stop()
+
+
 def test_a_joiner_that_dies_mid_join_keeps_its_copies_until_repair(registry):
     """A joiner that took some copies and then stopped answering cannot
     hand them back at the refusal: it stays in the map, off the ring,

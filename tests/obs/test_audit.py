@@ -118,7 +118,7 @@ class TestControlLayerAuditing:
         assert failures[0].error
         # ...and the counter.
         bg = instance.obs.metrics.get("tiera_background_errors_total")
-        assert bg.value(source="push-to-s3") >= 1
+        assert bg.value(instance=instance.owner, source="push-to-s3") >= 1
 
     def test_rules_fired_counter_matches_legacy_dict(self, registry):
         instance = templates.write_through_instance(registry, mem="4M", ebs="4M")
@@ -126,7 +126,7 @@ class TestControlLayerAuditing:
         for n in range(3):
             server.put_object(f"k{n}", b"v").raise_for_error()
         fired = instance.obs.metrics.get("tiera_rules_fired_total")
-        assert fired.value(rule="write-through") == 3
+        assert fired.value(instance=instance.owner, rule="write-through") == 3
         assert instance.control.fired["write-through"] == 3
 
     def test_rule_seconds_split_by_mode(self, registry, cluster):
@@ -135,6 +135,13 @@ class TestControlLayerAuditing:
         server.put_object("k", b"v").raise_for_error()
         cluster.clock.advance(61)
         seconds = instance.obs.metrics.get("tiera_rule_seconds_total")
-        assert seconds.value(rule="write-through-ebs", mode="foreground") > 0
-        assert seconds.value(rule="push-to-s3", mode="background") > 0
-        assert seconds.value(rule="push-to-s3", mode="foreground") == 0
+        owner = instance.owner
+        assert seconds.value(
+            instance=owner, rule="write-through-ebs", mode="foreground"
+        ) > 0
+        assert seconds.value(
+            instance=owner, rule="push-to-s3", mode="background"
+        ) > 0
+        assert seconds.value(
+            instance=owner, rule="push-to-s3", mode="foreground"
+        ) == 0
