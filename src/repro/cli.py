@@ -216,7 +216,7 @@ def cmd_stats(options) -> int:
         # summary: the headline numbers a human wants at a glance.
         health = client.health()
         if "shards" in health:
-            _print_router_summary(health, snapshot)
+            _print_router_summary(health, snapshot, options)
             return 0
         print(f"instance {health['instance']} — status {health['status']} "
               f"at t={health['time']:.1f}s, {health['objects']} objects")
@@ -255,10 +255,11 @@ def _print_status(health: Dict[str, object], feature: str, options) -> None:
 
 
 def _print_router_summary(health: Dict[str, object],
-                          snapshot: Dict[str, object]) -> None:
+                          snapshot: Dict[str, object], options) -> None:
     """The stats summary of a shard router: what its ``health()``
     carries — one line per shard with its failure-detector state, the
-    hint queue, the heat headline."""
+    hint queue, the latency of the router's client requests, its SLOs,
+    the heat headline."""
     shards = health["shards"]
     objects = sum(shard["objects"] for shard in shards.values())
     print(f"router — status {health['status']} at t={health['time']:.1f}s, "
@@ -270,7 +271,9 @@ def _print_router_summary(health: Dict[str, object],
     print(f"  cluster: {cluster['replicas']} replicas, "
           f"{cluster['hints']['pending']} hints pending, "
           f"{cluster['journal_pending']} migration intents pending")
+    _print_latency_summary(snapshot)
     _print_virtual_summary(snapshot)
+    _print_status(health, "slo", options)
     _print_heat_summary(health.get("heat"))
     _print_audit_tail(snapshot)
 

@@ -21,8 +21,9 @@ one contract they all implement now:
 * the one pipeline the in-process façades run those verbs through:
   :func:`run_request` (the bracket around one op), :func:`run_batch`
   (the bracket around a batch), :func:`schedule_lanes` (the lane
-  scheduler), :func:`failed_result` and :func:`close_request` (how an
-  op fails and ends).
+  scheduler) and :func:`failed_result` (how an op fails); every op ends
+  in its hub's one completion hook,
+  :meth:`~repro.obs.hub.Observability.complete`.
 
 The admin plane has the same shape: :class:`ManagementAPI`'s three
 verbs return :class:`ManagementResult` envelopes, all driven by the one
@@ -314,53 +315,30 @@ class AdmissionController:
         self.inflight = max(0, self.inflight - count)
 
 
-def close_request(
-    obs, op: str, root, ctx, started: float,
-    exc: Optional[BaseException] = None,
-) -> float:
-    """Close a client request on hub ``obs`` — its trace root (with the
-    error, if it failed) and its SLO sample — and return its latency."""
-    latency = ctx.time - started
-    obs.tracer.finish_request(
-        root, ctx,
-        error=None if exc is None else f"{type(exc).__name__}: {exc}",
-    )
-    # SLO accounting is a no-op until objectives are installed, and
-    # never touches virtual time.
-    obs.slo.record(op, latency, exc is None, ctx.time)
-    return latency
-
-
-def run_request(
-    obs, op: BatchOp, ctx, trace: bool, body, count=None
-) -> OpResult:
+def run_request(obs, op: BatchOp, ctx, trace: bool, body) -> OpResult:
     """The bracket every in-process façade runs one client op inside.
 
     In order: open the request root on ``obs``'s tracer; call
     ``body(op, ctx)``, which returns the op's envelope or raises; turn
     a Tiera or simcloud error into :func:`failed_result`; on every exit
-    call ``count(op, latency, exc)`` (a façade's own request metrics,
-    when it keeps some) and then :func:`close_request`; set the
-    envelope's latency.  Anything else — a programming error, a
-    :class:`~repro.simcloud.errors.ProcessCrash` — closes the root and
-    propagates.
+    close the request once through the hub's
+    :meth:`~repro.obs.hub.Observability.complete`; set the envelope's
+    latency.  Anything else — a programming error, a
+    :class:`~repro.simcloud.errors.ProcessCrash` — closes the request
+    and propagates.
     """
     root = obs.tracer.start_request(op.op, op.key, ctx, force=trace)
     started = ctx.time
-
-    def close(exc: Optional[BaseException] = None) -> float:
-        if count is not None:
-            count(op.op, ctx.time - started, exc)
-        return close_request(obs, op.op, root, ctx, started, exc)
-
     try:
         result = body(op, ctx)
     except (errors.TieraError, SimCloudError) as exc:
-        return failed_result(op.op, op.key, exc, close(exc))
+        result = failed_result(op.op, op.key, exc, 0.0)
     except BaseException as exc:
-        close(exc)
+        obs.complete(op.op, op.key, root, ctx, started, exc)
         raise
-    result.latency = close()
+    result.latency = obs.complete(
+        op.op, op.key, root, ctx, started, result.exception, result.size
+    )
     return result
 
 

@@ -498,14 +498,13 @@ class ClusterManager:
     def _replica_op(
         self, shard: str, op: BatchOp, ctx: RequestContext, role: str = ""
     ) -> OpResult:
-        """Send ``op`` to ``shard`` — the only way this class does:
-        routing counter → the shard's public verb → detector feedback →
-        outcome counter → the envelope, for the caller to act on.  A
-        client request's fan-out, hinted handoff and failover read call
-        it directly; hint replay, replica repair and migration reach it
-        through :meth:`_transfer` and :meth:`_drop`."""
-        routed, ok, failed = self._op_cells[shard, role, op.op]
-        routed.inc()
+        """Send ``op`` to ``shard`` — the only way this class does: the
+        shard's public verb → detector feedback → outcome counter → the
+        envelope, for the caller to act on.  A client request's fan-out,
+        hinted handoff and failover read call it directly; hint replay,
+        replica repair and migration reach it through :meth:`_transfer`
+        and :meth:`_drop`."""
+        ok, failed = self._op_cells[shard, role, op.op]
         result = _public_verb(self.shards[shard], op, ctx)
         took = result.ok or _gone(result)
         if took:
@@ -516,12 +515,11 @@ class ClusterManager:
         return result
 
     def _bind_op(self, key: Tuple[str, str, str]):
-        """The routing cell and the ok/error outcome cells of one
-        ``(shard, role, verb)``, whose ``op`` label is ``role-verb``."""
+        """The ok/error outcome cells of one ``(shard, role, verb)``,
+        whose ``op`` label is ``role-verb``."""
         shard, role, verb = key
         label = f"{role}-{verb}" if role else verb
         return (
-            self.router._shard_ops.child(shard=shard, op=label),
             self._replica_ops.child(shard=shard, op=label, outcome="ok"),
             self._replica_ops.child(shard=shard, op=label, outcome="error"),
         )
@@ -598,7 +596,8 @@ class ClusterManager:
     ) -> OpResult:
         """One client op — the owner's own op when a key has one owner,
         else a quorum write or a failover read — inside the request
-        bracket (:func:`repro.core.api.run_request`)."""
+        bracket (:func:`repro.core.api.run_request`), which closes it on
+        the router's own hub once, whatever R is."""
         if self.replicas() == 1:
             body = self._owner_op
         else:

@@ -110,7 +110,8 @@ class Feature:
     #: the configure options the CLI exposes as flags.
     options: Tuple[Param, ...] = ()
     actions: Tuple[Action, ...] = ()
-    #: lives on the shard router itself, not on each shard.
+    #: lives on the shard router itself, not on each shard: a router
+    #: answers it from its own state (its cluster, its hub's SLOs).
     router_level: bool = False
     #: :attr:`Action.per_shard`, for the configure options.
     per_shard: Optional[Callable[[dict, Shard], dict]] = None
@@ -317,6 +318,7 @@ FEATURES: Dict[str, Feature] = {f.name: f for f in (
         enabled=lambda s: bool(s.obs.slo.objectives),
         status=lambda s: s.obs.slo.summary(),
         configure=_install_slos,
+        router_level=True,
     ),
     Feature(
         "cluster",

@@ -1036,12 +1036,13 @@ class TieraInstance:
         :class:`~repro.obs.heat.HeatTracker`.  Keyword arguments pass
         through to :meth:`~repro.obs.heat.HeatTracker.enable`
         (``windows=``, ``top_k=``, ``max_objects=``,
-        ``sample_interval=``, ``hot_min=``).  Wires the tracker's
-        occupancy source to this instance's live tier state so the
-        per-tier utilization timeline samples real fill levels.
+        ``sample_interval=``, ``hot_min=``).  Adds this instance's live
+        tier state to the tracker's occupancy sources, so the per-tier
+        utilization timeline samples real fill levels, summed over the
+        hub's heat-enabled instances.
         """
         tracker = self.obs.heat.enable(**config)
-        tracker.occupancy_source = self._heat_occupancy
+        tracker.occupancy_sources[self.owner] = self._heat_occupancy
         return tracker
 
     # -- adaptive placement ---------------------------------------------------
@@ -1076,13 +1077,11 @@ class TieraInstance:
         Keyword arguments are :data:`~repro.core.placement.OPTIONS`
         (``objective=``, ``interval=``, ``hysteresis=``, ``min_score=``,
         ``max_moves=``, ``prewarm_limit=``, ``high_watermark=``).
-        Placement plans are driven by heat measurements, so the heat
-        tracker is enabled with its defaults if it is not already on.
+        Placement plans are driven by heat measurements, so heat is
+        enabled for this instance too (:meth:`enable_heat`, keeping the
+        tracker's configuration if it is already on).
         """
-        if not self.obs.heat.enabled:
-            self.enable_heat()
-        elif self.obs.heat.occupancy_source is None:
-            self.obs.heat.occupancy_source = self._heat_occupancy
+        self.enable_heat()
         if self.placement is None:
             self.placement = PlacementEngine(self, **config)
         else:
@@ -1209,10 +1208,9 @@ class TieraInstance:
             self.durability.close()
         self.obs.metrics.remove_collector(self._collect_gauges)
         self.obs.metrics.forget(instance=self.owner)
-        heat = getattr(self.obs, "heat", None)
-        if heat is not None and heat.occupancy_source == self._heat_occupancy:
-            heat.occupancy_source = None
-            heat.shutdown()
+        sources = self.obs.heat.occupancy_sources
+        if sources.pop(self.owner, None) and not sources:
+            self.obs.heat.shutdown()  # the hub's last heat-enabled instance
         self.metadata_store.close()
 
     def __repr__(self) -> str:

@@ -25,7 +25,6 @@ from repro.core.api import (
 )
 from repro.core.instance import TieraInstance
 from repro.core.objects import ObjectMeta, content_checksum
-from repro.obs.registry import ChildCache
 from repro.simcloud.resources import RequestContext
 
 
@@ -51,22 +50,6 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         self.obs = instance.obs
         metrics = self.obs.metrics
         self.admission = AdmissionController(max_inflight, metrics)
-        self._requests = metrics.counter(
-            "tiera_requests_total", "Client PUT/GET/DELETE requests served."
-        )
-        self._request_errors = metrics.counter(
-            "tiera_request_errors_total", "Client requests that raised."
-        )
-        self._request_seconds = metrics.histogram(
-            "tiera_request_seconds",
-            "Client-observed simulated latency per request.",
-        )
-        self._op_cells = ChildCache(lambda op: (
-            self._requests.child(op=op), self._request_seconds.child(op=op)
-        ))
-        self._error_cells = ChildCache(lambda key: self._request_errors.child(
-            op=key[0], error=key[1]
-        ))
         self._batches = metrics.counter(
             "tiera_batches_total", "Batch requests served."
         )
@@ -80,15 +63,6 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
 
     def _ctx(self, ctx: Optional[RequestContext]) -> RequestContext:
         return ctx if ctx is not None else RequestContext(self.clock)
-
-    def _count(self, op: str, latency: float, error: Optional[BaseException]):
-        """Record a finished request's registry samples."""
-        if error is None:
-            requests, seconds = self._op_cells[op]
-            requests.inc()
-            seconds.observe(latency)
-        else:
-            self._error_cells[op, type(error).__name__].inc()
 
     # -- the StorageAPI surface (envelope verbs) -----------------------------
 
@@ -132,18 +106,9 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
     def _run_op(
         self, op: BatchOp, ctx: RequestContext, trace: bool = False
     ) -> OpResult:
-        """Execute one op inside the request bracket
-        (:func:`repro.core.api.run_request`), this server's request
-        metrics counted as it closes."""
-        result = api.run_request(
-            self.obs, op, ctx, trace, self._apply_op, self._count
-        )
-        if result.ok:
-            # Heat accounting (per-object sketch + EWMA) rides the same
-            # completion event — one record per client op, whether the
-            # op arrived alone or inside a batch; inert until enabled.
-            self.obs.heat.record(op.op, op.key, size=result.size, at=ctx.time)
-        return result
+        """Execute one op on this instance inside the request bracket
+        (:func:`repro.core.api.run_request`)."""
+        return api.run_request(self.obs, op, ctx, trace, self._apply_op)
 
     def _apply_op(self, op: BatchOp, ctx: RequestContext) -> OpResult:
         # Leaving the write-back scope stores each object the op touched

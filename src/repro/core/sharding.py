@@ -120,7 +120,6 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         self,
         shards: Dict[str, TieraServer],
         max_inflight: int = api.DEFAULT_MAX_INFLIGHT,
-        obs: Optional[Observability] = None,
         replication: Optional[ClusterConfig] = None,
         journal_store=None,
     ):
@@ -133,14 +132,11 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
             self.ring.add(name)
         first = next(iter(self.shards.values()))
         self.clock = first.clock
-        # The router gets its own hub (or an explicitly shared one) so
-        # routed traffic no longer pollutes the first shard's metrics
-        # and traces; per-shard routing shows up under
-        # ``tiera_shard_ops_total{shard=...}``.
-        self.obs = obs if obs is not None else Observability(self.clock)
-        self._shard_ops = self.obs.metrics.counter(
-            "tiera_shard_ops_total", "Operations routed, by shard and op."
-        )
+        # The router owns its hub: its client requests close there, once
+        # each, apart from the replica requests its shards close on
+        # theirs; per-shard routing shows up under
+        # ``tiera_cluster_replica_ops_total{shard=...}``.
+        self.obs = Observability(self.clock)
         self.admission = AdmissionController(max_inflight, self.obs.metrics)
         #: the data path, membership and migration at every R (the
         #: feature table's ``cluster`` entry and the drills reach it by
@@ -249,8 +245,8 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         }
 
     def health(self) -> Dict[str, object]:
-        """Router-level liveness summary: per-shard status plus the
-        cluster layer's detector/hints/journal view."""
+        """Router-level liveness summary: per-shard status, the cluster
+        layer's detector/hints/journal view and the router's SLOs."""
         shard_health: Dict[str, object] = {}
         status = "ok"
         for name in sorted(self.shards):
@@ -270,6 +266,12 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         }
         if any(state != "up" for state in out["cluster"]["shards"].values()):
             out["status"] = "degraded"
+        slo = self.feature_status("slo")
+        if slo.enabled:
+            # The router's own objectives, over its client requests.
+            out["slo"] = slo.state
+            if slo.state["alerting"]:
+                out["status"] = "degraded"
         heat = self.invoke("heat", "summary").state
         if heat.get("enabled"):
             out["heat"] = {
@@ -288,9 +290,9 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
         envelopes by the feature table's rule (one shard: unchanged, so
         the parity suite can compare it with the direct façade; several:
         see :func:`repro.core.features.merge_shards`).  Router-level
-        features (the cluster) are answered here instead, and an action
-        whose state lives on the obs hub asks only the first shard of
-        each distinct hub."""
+        features (the cluster, the SLOs) are answered here instead, and
+        an action whose state lives on the obs hub asks only the first
+        shard of each distinct hub."""
         spec = features.FEATURES.get(feature)
         if spec is not None and spec.router_level:
             return call(self, None)

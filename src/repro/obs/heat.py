@@ -234,9 +234,10 @@ class HeatTracker:
         self.max_objects = DEFAULT_MAX_OBJECTS
         self.sample_interval = DEFAULT_SAMPLE_INTERVAL
         self.hot_min = DEFAULT_HOT_MIN
-        #: live tier occupancy source, installed by the instance:
-        #: ``() -> [(tier, used, capacity), …]``.
-        self.occupancy_source: Optional[Callable[[], List[Tuple]]] = None
+        #: live tier occupancy, one source per heat-enabled instance on
+        #: the hub, by owner id: ``() -> [(tier, used, capacity), …]``
+        #: (capacity -1: unbounded).  A sample sums them per tier name.
+        self.occupancy_sources: Dict[str, Callable[[], List[Tuple]]] = {}
         self._sketch = SpaceSavingSketch(self.top_k)
         self._objects: "OrderedDict[str, _ObjectHeat]" = OrderedDict()
         # children of the families enable() creates, by label value
@@ -404,8 +405,13 @@ class HeatTracker:
     def sample(self, now: float) -> None:
         """Take one occupancy + characterizer sample at virtual ``now``."""
         tiers: Dict[str, Dict[str, object]] = {}
-        if self.occupancy_source is not None:
-            for name, used, capacity in self.occupancy_source():
+        for source in self.occupancy_sources.values():
+            for name, used, capacity in source():
+                if name in tiers:  # a tier of this name on another instance
+                    seen = tiers[name]["capacity"]
+                    used += tiers[name]["used"]
+                    # -1 is unbounded, and so is any sum with it
+                    capacity = -1 if -1 in (seen, capacity) else seen + capacity
                 utilization = (
                     round(used / capacity, 6) if capacity and capacity > 0
                     else None

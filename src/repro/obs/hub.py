@@ -15,6 +15,10 @@ hands each owner a hub-unique id instead — the name itself first, then
 ``name#2``, ``name#3`` … in construction order, never reused — and the
 owner labels its cells ``instance=<id>`` (a page cache: ``cache=<id>``).
 A reopened instance takes the next id, so its counts start afresh.
+
+Every client request a façade serves on a hub ends in one call,
+:meth:`Observability.complete`: the trace root, the request families,
+the SLO sample and the heat access are recorded there and nowhere else.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Dict, Optional
 
 from repro.obs.audit import AuditLog
 from repro.obs.heat import HeatTracker
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import ChildCache, MetricsRegistry
 from repro.obs.slo import SloEngine
 from repro.obs.trace import Tracer
 from repro.simcloud.clock import Clock
@@ -40,11 +44,56 @@ class Observability:
         self.slo = SloEngine(self.metrics, self.audit, clock)
         self.heat = HeatTracker(self.metrics, self.audit, clock)
         self._owners: Dict[str, int] = {}
+        # The request families: every façade's bracket records into its
+        # hub's through complete().
+        requests = self.metrics.counter(
+            "tiera_requests_total", "Client PUT/GET/DELETE requests served."
+        )
+        errors = self.metrics.counter(
+            "tiera_request_errors_total", "Client requests that raised."
+        )
+        seconds = self.metrics.histogram(
+            "tiera_request_seconds",
+            "Client-observed simulated latency per request.",
+        )
+        self._request_cells = ChildCache(lambda op: (
+            requests.child(op=op), seconds.child(op=op)
+        ))
+        self._error_cells = ChildCache(
+            lambda key: errors.child(op=key[0], error=key[1])
+        )
 
     def owner(self, name: str) -> str:
         """A hub-unique owner id for ``name``: ``name``, then ``name#2``…"""
         self._owners[name] = n = self._owners.get(name, 0) + 1
         return name if n == 1 else f"{name}#{n}"
+
+    def complete(
+        self, op: str, key: str, root, ctx, started: float,
+        exc: Optional[BaseException] = None, size: int = 0,
+    ) -> float:
+        """Close one client request ``op`` of ``key`` that began at
+        virtual ``started`` and ended at ``ctx.time``, and return its
+        latency: its trace ``root`` (with the error, if it raised
+        ``exc``), its request samples, on success its heat access of
+        ``size`` bytes, and its SLO sample (heat and SLOs are no-ops
+        until switched on).  The request bracket
+        (:func:`repro.core.api.run_request`) calls this once on every
+        exit; none of it touches virtual time."""
+        latency = ctx.time - started
+        ok = exc is None
+        self.tracer.finish_request(
+            root, ctx, error=None if ok else f"{type(exc).__name__}: {exc}"
+        )
+        if ok:
+            requests, seconds = self._request_cells[op]
+            requests.inc()
+            seconds.observe(latency)
+            self.heat.record(op, key, size=size, at=ctx.time)
+        else:
+            self._error_cells[op, type(exc).__name__].inc()
+        self.slo.record(op, latency, ok, ctx.time)
+        return latency
 
     def snapshot(self, audit_limit: int = 50) -> dict:
         """JSON-able snapshot of metrics plus the audit tail."""

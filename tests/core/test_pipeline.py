@@ -33,9 +33,9 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 REPRO = CORE.parent
 
 
-def _src_calls(*names):
-    """``(path under src/repro, enclosing scope, name)`` for every call
-    of an attribute (or bare name) in ``names`` anywhere in src/repro."""
+def _src_call_nodes(*names):
+    """``(path under src/repro, enclosing scope, call node)`` for every
+    call of an attribute (or bare name) in ``names`` in src/repro."""
     found = []
     for path in sorted(REPRO.rglob("*.py")):
         for scope, node in _scoped_nodes(path):
@@ -43,8 +43,17 @@ def _src_calls(*names):
                 continue
             name = getattr(node.func, "attr", getattr(node.func, "id", ""))
             if name in names:
-                found.append((path.relative_to(REPRO).as_posix(), scope, name))
+                found.append((path.relative_to(REPRO).as_posix(), scope, node))
     return found
+
+
+def _src_calls(*names):
+    """``(path under src/repro, enclosing scope, name)`` for every call
+    of an attribute (or bare name) in ``names`` anywhere in src/repro."""
+    return [
+        (path, scope, getattr(node.func, "attr", getattr(node.func, "id", "")))
+        for path, scope, node in _src_call_nodes(*names)
+    ]
 
 
 def make_shard(registry, name):
@@ -125,12 +134,30 @@ class TestBatchBracket:
         with open(os.path.join(SRC, "repro", "core", "sharding.py")) as handle:
             assert handle.read().count("self.cluster is") <= 1
         # One request bracket: every request root is opened — by
-        # run_request or run_batch — failed and closed in core/api.py.
-        calls = _src_calls("start_request", "failed_result", "close_request")
+        # run_request or run_batch — and failed in core/api.py.
+        calls = _src_calls("start_request", "failed_result")
         assert sorted(
             scope for _, scope, name in calls if name == "start_request"
         ) == ["run_batch", "run_request"]
         assert {path for path, _, _ in calls} == {"core/api.py"}
+        # One completion hook: run_request closes every single op through
+        # its hub's ``complete``, the one place a request's trace root,
+        # SLO sample and client heat access are recorded.
+        assert {scope for _, scope, _ in _src_calls("complete")} == {
+            "run_request"
+        }
+        hooks = [
+            (path, scope) for path, scope, node in _src_call_nodes("record")
+            if getattr(getattr(node.func, "value", None), "attr", "")
+            in ("slo", "heat")
+        ]
+        assert hooks == [("obs/hub.py", "Observability.complete")] * 2
+        assert sorted(
+            scope for _, scope, _ in _src_calls("finish_request")
+        ) == [
+            "ClusterManager._background", "Observability.complete",
+            "run_batch", "run_batch",
+        ]
         # One measurement stack: no façade, RPC verb or hub reads a
         # wall profiler (benchmarks/perf times ops; Trial times phases).
         for path in (*CORE.glob("*.py"), *(REPRO / "rpc").glob("*.py"),
@@ -281,18 +308,19 @@ OP_LABELS = {"put", "get", "delete", "handoff-put"} | {
 
 
 def _labels(counter):
-    """``{(shard, op label): count}`` of a routing counter."""
+    """``{(shard, op label): count}`` of
+    ``tiera_cluster_replica_ops_total``, summed over ``outcome``."""
     seen = {}
     for labels in map(dict, counter.label_sets()):
-        seen[labels["shard"], labels["op"]] = counter.value(**labels)
+        key = labels["shard"], labels["op"]
+        seen[key] = seen.get(key, 0) + counter.value(**labels)
     return seen
 
 
 class TestRoleMatrix:
     """Every path that sends a shard a data op — client or maintenance —
-    moves ``tiera_shard_ops_total`` and
-    ``tiera_cluster_replica_ops_total{outcome}`` under its role's label
-    and feeds the failure detector.  The maintenance rows fail at the
+    moves ``tiera_cluster_replica_ops_total{outcome}`` under its role's
+    label and feeds the failure detector.  The maintenance rows fail at the
     commit before ``_replica_op``: those ops went straight to the shard."""
 
     @pytest.fixture
@@ -308,7 +336,7 @@ class TestRoleMatrix:
         router.cluster.stop()
 
     def _check(self, rt, before, expected):
-        routed = _labels(rt._shard_ops)
+        routed = _labels(rt.cluster._replica_ops)
         assert {label for _, label in routed} <= OP_LABELS
         outcomes = rt.cluster._replica_ops
         for shard, label in expected:
@@ -320,7 +348,7 @@ class TestRoleMatrix:
 
     def test_client_ops(self, rt):
         owners = rt.cluster.owners("k")
-        before = _labels(rt._shard_ops)
+        before = _labels(rt.cluster._replica_ops)
         rt.put_object("k", b"v").raise_for_error()
         rt.get_object("k").raise_for_error()
         rt.delete_object("k").raise_for_error()
@@ -332,7 +360,7 @@ class TestRoleMatrix:
     def test_handoff_and_hint_replay_of_a_put(self, cluster, rt):
         owners = rt.cluster.owners("k")
         handles = mark_down(cluster, rt, owners[0])
-        before = _labels(rt._shard_ops)
+        before = _labels(rt.cluster._replica_ops)
         rt.put_object("k", b"v").raise_for_error()
         holder = next(iter(rt.cluster.hints)).holder
         self._check(rt, before, [(holder, "handoff-put")])
@@ -347,12 +375,12 @@ class TestRoleMatrix:
         rt.put_object("k", b"v").raise_for_error()
         owners = rt.cluster.owners("k")
         handles = mark_down(cluster, rt, owners[0])
-        before = _labels(rt._shard_ops)
+        before = _labels(rt.cluster._replica_ops)
         rt.delete_object("k").raise_for_error()
         holder = next(iter(rt.cluster.hints)).holder
         # Regression: the parent bumped {op="handoff-delete"} for an op
         # it never sent.
-        assert {k: v for k, v in _labels(rt._shard_ops).items()
+        assert {k: v for k, v in _labels(rt.cluster._replica_ops).items()
                 if k[0] == holder} == {k: v for k, v in before.items()
                                        if k[0] == holder}
         rt.fed.clear()
@@ -363,15 +391,15 @@ class TestRoleMatrix:
         rt.put_object("k", b"v").raise_for_error()
         owners = rt.cluster.owners("k")
         rt.shards[owners[0]].delete_object("k").raise_for_error()
-        before = _labels(rt._shard_ops)
+        before = _labels(rt.cluster._replica_ops)
         rt.fed.clear()
         rt.get_object("k").raise_for_error()
         rt.clock.run_until(rt.clock.now() + 0.01)
         self._check(rt, before, [(owners[0], "repair-put")])
         assert any(label == "repair-get" and count > before.get((s, label), 0)
-                   for (s, label), count in _labels(rt._shard_ops).items())
+                   for (s, label), count in _labels(rt.cluster._replica_ops).items())
         rt.shards[owners[1]].put_object("k", b"newer").raise_for_error()
-        before = _labels(rt._shard_ops)
+        before = _labels(rt.cluster._replica_ops)
         rt.fed.clear()
         assert rt.cluster.anti_entropy()["repairs"] == 2
         self._check(rt, before, [
@@ -382,10 +410,10 @@ class TestRoleMatrix:
     def test_migration_copy_and_drop_and_fsck_drop(self, registry, rt):
         for i in range(12):
             rt.put_object(f"k{i}", b"v").raise_for_error()
-        before = _labels(rt._shard_ops)
+        before = _labels(rt.cluster._replica_ops)
         rt.fed.clear()
         assert rt.add_shard("e", make_shard(registry, "e")) > 0
-        after = _labels(rt._shard_ops)
+        after = _labels(rt.cluster._replica_ops)
         self._check(rt, before, [("e", "migrate-put")])
         for label in ("migrate-get", "migrate-delete"):
             moved = [s for (s, op) in after if op == label]
@@ -394,7 +422,7 @@ class TestRoleMatrix:
         owners = rt.cluster.owners("k0")
         stray = next(s for s in sorted(rt.shards) if s not in owners)
         rt.shards[stray].put_object("k0", b"stray").raise_for_error()
-        before = _labels(rt._shard_ops)
+        before = _labels(rt.cluster._replica_ops)
         rt.fed.clear()
         rt.cluster.fsck(repair=True)
         self._check(rt, before, [(stray, "repair-delete")])
@@ -448,11 +476,11 @@ class TestDropWindow:
         reopened = ShardedTieraServer(
             {**shards, "d": joiner}, replication=config, journal_store=store
         )
-        routed = reopened._shard_ops
         report = reopened.cluster.recover()
         assert report["redone"] == 1 and report["aborted"] == 0
         assert not shards[drop["shard"]].contains(drop["key"])
-        assert routed.value(shard=drop["shard"], op="migrate-delete") >= 1
+        assert _labels(reopened.cluster._replica_ops)[
+            drop["shard"], "migrate-delete"] >= 1
         assert len(reopened.cluster.journal) == 0
         assert reopened.cluster.recover()["redone"] == 0   # exactly once
         assert reopened.cluster.fsck()["clean"]

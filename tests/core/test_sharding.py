@@ -171,19 +171,13 @@ class TestShardedServer:
         for i in range(30):
             sharded.put_object(f"key{i}", b"v").raise_for_error()
             sharded.get_object(f"key{i}").raise_for_error()
-        counter = sharded.obs.metrics.counter(
-            "tiera_shard_ops_total", "per-shard ops routed"
-        )
-        total_put = sum(
-            counter.value(shard=name, op="put") for name in sharded.shards
-        )
-        total_get = sum(
-            counter.value(shard=name, op="get") for name in sharded.shards
-        )
+        counter = sharded.obs.metrics.get("tiera_cluster_replica_ops_total")
+        total_put = counter.total(op="put")
+        total_get = counter.total(op="get")
         assert total_put == 30 and total_get == 30
         # Every shard saw some traffic (the 30 keys spread across 3).
         for name in sharded.shards:
-            assert counter.value(shard=name, op="put") > 0
+            assert counter.value(shard=name, op="put", outcome="ok") > 0
 
     def test_health_aggregates_shards(self, sharded):
         sharded.put_object("k", b"v").raise_for_error()

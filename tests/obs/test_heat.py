@@ -166,7 +166,7 @@ class TestHeatTracker:
 
     def test_timeline_samples_on_interval(self):
         tracker = make_tracker(sample_interval=10.0)
-        tracker.occupancy_source = lambda: [("tier1", 50, 100)]
+        tracker.occupancy_sources["solo"] = lambda: [("tier1", 50, 100)]
         tracker.record("get", "k", at=0.0)   # first record always samples
         assert len(tracker.timeline) == 1
         tracker.record("get", "k", at=5.0)   # inside the interval: no sample
@@ -193,7 +193,7 @@ class TestHeatTracker:
 
     def test_summary_round_trips_as_json(self):
         tracker = make_tracker()
-        tracker.occupancy_source = lambda: [("tier1", 10, 100)]
+        tracker.occupancy_sources["solo"] = lambda: [("tier1", 10, 100)]
         for t in range(8):
             tracker.record("put" if t % 2 else "get", f"k{t % 3}",
                            size=512, at=float(t))
@@ -243,7 +243,7 @@ class TestRenderReport:
 
     def test_report_sections(self):
         tracker = make_tracker(hot_min=2, sample_interval=1.0)
-        tracker.occupancy_source = lambda: [
+        tracker.occupancy_sources["solo"] = lambda: [
             ("tier1", 30, 100), ("tier2", 0, None),
         ]
         for t in range(6):
@@ -259,7 +259,7 @@ class TestRenderReport:
     def test_report_is_deterministic(self):
         def build():
             tracker = make_tracker(hot_min=1)
-            tracker.occupancy_source = lambda: [("tier1", 5, 10)]
+            tracker.occupancy_sources["solo"] = lambda: [("tier1", 5, 10)]
             for t in range(7):
                 tracker.record("get", f"k{t % 2}", size=100, at=float(t))
             return render_report(tracker.summary())
@@ -270,7 +270,7 @@ class TestRenderReport:
 class TestMergeSummaries:
     def _summary(self, keys, start=0.0):
         tracker = make_tracker(hot_min=1)
-        tracker.occupancy_source = lambda: [("tier1", 10, 100)]
+        tracker.occupancy_sources["solo"] = lambda: [("tier1", 10, 100)]
         t = start
         for key in keys:
             tracker.record("get", key, size=128, at=t)

@@ -16,11 +16,11 @@ SRC = Path(__file__).parents[2] / "src" / "repro"
 #: module -> the per-op functions in it, by qualified name
 PER_OP = {
     "simcloud/services/base.py": ("StorageService._perform", "StorageService._count"),
-    "core/server.py": ("TieraServer._count",),
     "core/control.py": ("ControlLayer._run_rule", "ControlLayer._audit_rule"),
     "core/instance.py": ("TieraInstance.read_raw",),
     "core/durability.py": ("DurabilityLayer._begin",),
     "obs/heat.py": ("HeatTracker.record", "HeatTracker._record_tier"),
+    "obs/hub.py": ("Observability.complete",),
     "fs/cache.py": ("PageCache.get",),
     "core/cluster.py": ("ClusterManager._replica_op",),
 }
