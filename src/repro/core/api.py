@@ -386,7 +386,7 @@ def run_batch(
     parallelism: int,
     ctx,
     trace: bool,
-    tracer,
+    obs,
     admission: AdmissionController,
     body,
     shares: Sequence[Tuple[AdmissionController, int]] = (),
@@ -397,12 +397,15 @@ def run_batch(
     ``admission`` and on every ``(controller, count)`` of ``shares`` (a
     router's per-shard sub-batches) — all or nothing, so a refusal
     anywhere is counted once, on ``admission``'s hub, and raised before
-    any item runs; open the ``batch`` root span on ``tracer``; call
-    ``body(ops, lanes, ctx, parent)``, which runs the items and returns
-    their results in submission order plus the root's extra attributes;
-    release; close the root (with the error, when the body raised);
-    build the :class:`BatchResult`.
+    any item runs; open the ``batch`` root span on ``obs``'s tracer;
+    call ``body(ops, lanes, ctx, parent)``, which runs the items and
+    returns their results in submission order plus the root's extra
+    attributes; release; close the root (with the error, when the body
+    raised); count the batch on ``obs``
+    (:meth:`~repro.obs.hub.Observability.complete_batch`); build the
+    :class:`BatchResult`.
     """
+    tracer = obs.tracer
     ops = list(ops)
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
@@ -435,9 +438,9 @@ def run_batch(
         root.attrs["items"] = len(ops)
         root.attrs.update(attrs)
     tracer.finish_request(root, ctx)
-    return BatchResult(
-        results=results, latency=ctx.time - started, parallelism=lanes
-    )
+    latency = ctx.time - started
+    obs.complete_batch(len(ops), latency)
+    return BatchResult(results=results, latency=latency, parallelism=lanes)
 
 
 class BatchVerbs:

@@ -818,7 +818,7 @@ class ClusterManager:
             return results, {"shards": len(groups)}
 
         return api.run_batch(
-            ops, parallelism, self._ctx(ctx), trace, self.obs.tracer,
+            ops, parallelism, self._ctx(ctx), trace, self.obs,
             self.router.admission, fan_out,
             shares=[
                 (self.shards[name].admission, len(groups[name]))

@@ -50,7 +50,7 @@ import tarfile
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import NoSuchObjectError, TieraError
-from repro.core.objects import ObjectMeta, content_checksum
+from repro.core.objects import SORTED_JSON, ObjectMeta, content_checksum
 from repro.core.responses import Conditional, Copy, Move, Store, StoreOnce
 from repro.obs.audit import AuditRecord
 from repro.obs.registry import ChildCache
@@ -118,7 +118,7 @@ class IntentJournal:
     def begin(self, record: Dict[str, object]) -> int:
         seq = self._next_seq
         self._next_seq += 1
-        blob = json.dumps(record, sort_keys=True).encode("utf-8")
+        blob = SORTED_JSON.encode(record).encode("utf-8")
         self.store.put(self._key(seq), blob)
         self._pending[seq] = record
         return seq

@@ -4,7 +4,8 @@
 dynamically modify, add, or replace policies while running" (§4.2.3).
 A :class:`Policy` is a mutable ordered rule list; the control layer
 subscribes to its changes so timers start/stop and thresholds re-arm as
-rules come and go.
+rules come and go.  The list is partitioned by event kind when it
+changes, not on every op that asks for its action or threshold rules.
 """
 
 from __future__ import annotations
@@ -60,8 +61,17 @@ class Policy:
     """An ordered, runtime-mutable collection of rules."""
 
     def __init__(self, rules: Sequence[Rule] = ()):
-        self._rules: List[Rule] = _unique(rules)
         self._listeners: List[Callable[[], None]] = []
+        self._install(_unique(rules))
+
+    def _install(self, rules: List[Rule]) -> None:
+        """Make ``rules`` the policy and partition them by event kind."""
+        self._rules = rules
+        self._actions = [r for r in rules if isinstance(r.event, ActionEvent)]
+        self._timers = [r for r in rules if isinstance(r.event, TimerEvent)]
+        self._thresholds = [
+            r for r in rules if isinstance(r.event, ThresholdEvent)
+        ]
 
     def __iter__(self):
         return iter(list(self._rules))
@@ -75,42 +85,41 @@ class Policy:
                 return r
         raise PolicyError(f"no rule named {name!r}")
 
+    # The partitions are shared: callers iterate, never edit them.
+
     def action_rules(self) -> List[Rule]:
-        return [r for r in self._rules if isinstance(r.event, ActionEvent)]
+        return self._actions
 
     def timer_rules(self) -> List[Rule]:
-        return [r for r in self._rules if isinstance(r.event, TimerEvent)]
+        return self._timers
 
     def threshold_rules(self) -> List[Rule]:
-        return [r for r in self._rules if isinstance(r.event, ThresholdEvent)]
+        return self._thresholds
 
     # -- runtime modification (§4.2.3) ------------------------------------
 
     def add(self, rule: Rule) -> None:
-        self._rules = _unique(self._rules + [rule])
-        self._notify()
+        self._change(self._rules + [rule])
 
     def remove(self, name: str) -> Rule:
         rule = self.rule(name)
-        self._rules.remove(rule)
-        self._notify()
+        self._change([r for r in self._rules if r is not rule])
         return rule
 
     def replace(self, name: str, new_rule: Rule) -> None:
         """Swap a rule in place, keeping its position in the order."""
         rules = list(self._rules)
         rules[rules.index(self.rule(name))] = new_rule
-        self._rules = _unique(rules)
-        self._notify()
+        self._change(rules)
 
     def replace_all(self, rules: Sequence[Rule]) -> None:
         """Install a completely new policy (the Figure 17 reconfiguration)."""
-        self._rules = _unique(rules)
-        self._notify()
+        self._change(rules)
 
     def subscribe(self, listener: Callable[[], None]) -> None:
         self._listeners.append(listener)
 
-    def _notify(self) -> None:
+    def _change(self, rules: Sequence[Rule]) -> None:
+        self._install(_unique(rules))
         for listener in self._listeners:
             listener()

@@ -48,18 +48,7 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         self.instance = instance
         self.clock = instance.clock
         self.obs = instance.obs
-        metrics = self.obs.metrics
-        self.admission = AdmissionController(max_inflight, metrics)
-        self._batches = metrics.counter(
-            "tiera_batches_total", "Batch requests served."
-        )
-        self._batch_items = metrics.counter(
-            "tiera_batch_items_total", "Operations submitted inside batches."
-        )
-        self._batch_seconds = metrics.histogram(
-            "tiera_batch_seconds",
-            "Client-observed simulated latency per batch.",
-        )
+        self.admission = AdmissionController(max_inflight, self.obs.metrics)
 
     def _ctx(self, ctx: Optional[RequestContext]) -> RequestContext:
         return ctx if ctx is not None else RequestContext(self.clock)
@@ -251,19 +240,15 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         """
         return api.run_batch(
             ops, parallelism, self._ctx(ctx), trace,
-            self.obs.tracer, self.admission, self.run_items,
+            self.obs, self.admission, self.run_items,
         )
 
     def run_items(self, ops: Sequence[BatchOp], lanes: int, ctx, parent):
         """What this façade does inside the batch bracket: schedule the
-        items on this instance and record the batch's registry samples.
-        A router runs each item of its batches as one client op on the
-        owner instead, so a shard records no batch of a router's."""
-        started = ctx.time
+        items on this instance.  A router runs each item of its batches
+        as one client op on the owner instead, so a shard counts no
+        batch of a router's; the router's own hub does."""
         results = api.schedule_lanes(ops, lanes, ctx, parent, self._run_op)
-        self._batches.inc()
-        self._batch_items.inc(len(ops))
-        self._batch_seconds.observe(ctx.time - started)
         return results, {"parallelism": lanes}
 
     # -- introspection ---------------------------------------------------------

@@ -19,6 +19,7 @@ A reopened instance takes the next id, so its counts start afresh.
 Every client request a façade serves on a hub ends in one call,
 :meth:`Observability.complete`: the trace root, the request families,
 the SLO sample and the heat access are recorded there and nowhere else.
+Every client batch is counted once, by :meth:`Observability.complete_batch`.
 """
 
 from __future__ import annotations
@@ -62,6 +63,20 @@ class Observability:
         self._error_cells = ChildCache(
             lambda key: errors.child(op=key[0], error=key[1])
         )
+        # The batch families: every façade's batch bracket records into
+        # its hub's through complete_batch().
+        self._batch_cells = (
+            self.metrics.counter(
+                "tiera_batches_total", "Batch requests served."
+            ).child(),
+            self.metrics.counter(
+                "tiera_batch_items_total", "Operations submitted inside batches."
+            ).child(),
+            self.metrics.histogram(
+                "tiera_batch_seconds",
+                "Client-observed simulated latency per batch.",
+            ).child(),
+        )
 
     def owner(self, name: str) -> str:
         """A hub-unique owner id for ``name``: ``name``, then ``name#2``…"""
@@ -94,6 +109,16 @@ class Observability:
             self._error_cells[op, type(exc).__name__].inc()
         self.slo.record(op, latency, ok, ctx.time)
         return latency
+
+    def complete_batch(self, items: int, latency: float) -> None:
+        """Count one batch of ``items`` ops served in ``latency`` virtual
+        seconds.  The batch bracket (:func:`repro.core.api.run_batch`)
+        calls this once per batch its body ran to the end; its items
+        close as requests on whichever hub runs them."""
+        batches, item_count, seconds = self._batch_cells
+        batches.inc()
+        item_count.inc(items)
+        seconds.observe(latency)
 
     def snapshot(self, audit_limit: int = 50) -> dict:
         """JSON-able snapshot of metrics plus the audit tail."""

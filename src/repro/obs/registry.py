@@ -20,7 +20,8 @@ Design constraints, in order:
 2. **Cheap in real time.**  ``counter.child(service=…, op=…)`` and
    ``histogram.child(…)`` resolve the sorted label key once and return
    a bound cell: its ``inc`` is one dict add and its ``observe`` one
-   bucket bump, each plus a clock read for ``last_updated``.  Per-op
+   bucket bump, each plus one clock read for ``last_updated`` (the
+   family binds its clock's ``now`` once).  Per-op
    call sites hold their children; the keyword forms
    (``counter.inc(op="get")``) sort the labels into a key on every
    event, then run the same child code, and serve the cold sites.
@@ -55,6 +56,10 @@ def _labelset(labels: Dict[str, str]) -> LabelSet:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+def _no_clock() -> None:
+    return None
+
+
 class Metric:
     """Base for one named metric family (all label combinations)."""
 
@@ -63,12 +68,13 @@ class Metric:
     def __init__(self, name: str, help: str = "", clock: Optional[Clock] = None):
         self.name = name
         self.help = help
-        self._clock = clock
+        #: the stamping rule, bound once: every event sets
+        #: ``last_updated = _now()`` — the clock's time, or ``None``
+        #: for a family without a clock
+        self._now: Callable[[], Optional[float]] = (
+            clock.now if clock is not None else _no_clock
+        )
         self.last_updated: Optional[float] = None
-
-    def _stamp(self) -> None:
-        if self._clock is not None:
-            self.last_updated = self._clock.now()
 
     def label_sets(self) -> List[LabelSet]:
         raise NotImplementedError
@@ -109,7 +115,8 @@ class CounterChild:
             raise ValueError("counters only go up")
         values = self._values
         values[self._key] = values.get(self._key, 0.0) + amount
-        self._family._stamp()
+        family = self._family
+        family.last_updated = family._now()
 
     @property
     def value(self) -> float:
@@ -174,12 +181,12 @@ class Gauge(Metric):
 
     def set(self, value: float, **labels: str) -> None:
         self._values[_labelset(labels)] = float(value)
-        self._stamp()
+        self.last_updated = self._now()
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         key = _labelset(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
-        self._stamp()
+        self.last_updated = self._now()
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
@@ -236,7 +243,7 @@ class HistogramChild:
         cell.count += 1
         if len(cell.reservoir) < EXACT_RESERVOIR:
             cell.reservoir.append(value)
-        family._stamp()
+        family.last_updated = family._now()
 
 
 class Histogram(Metric):

@@ -140,7 +140,7 @@ class RequestContext:
     """
 
     __slots__ = ("clock", "start", "time", "hops", "span", "trace",
-                 "served_by")
+                 "tally", "served_by")
 
     def __init__(self, clock: Clock, at: Optional[float] = None):
         self.clock = clock
@@ -153,6 +153,10 @@ class RequestContext:
         self.span = None
         #: root span of the traced request this context belongs to.
         self.trace = None
+        #: while an untraced policy rule runs: the tier name of each tier
+        #: op it made, for its audit record (a traced rule reads its
+        #: ``tier-op`` spans instead); ``None`` outside rules.
+        self.tally = None
         #: name of the tier that served the most recent read, if any.
         self.served_by: Optional[str] = None
 
@@ -174,8 +178,8 @@ class RequestContext:
         Used when a policy does asynchronous work on behalf of a request
         (background responses): the background work starts now but its
         time does not flow back into the client's latency.  The fork
-        carries no trace span — background work is attributed through
-        the audit log, not the client's trace.
+        carries no trace span or rule tally — background work is
+        attributed through the audit log, not the client's trace.
         """
         return RequestContext(self.clock, at=self.time)
 
@@ -193,8 +197,8 @@ class RequestContext:
         the same :class:`Resource` banks and contend normally.
 
         Unlike :meth:`fork`, branches stay on the client path: they
-        inherit the current trace span, and their hops count toward the
-        request.
+        inherit the current trace span (or rule tally), and their hops
+        count toward the request.
         """
         return BranchSet(self)
 
@@ -231,6 +235,7 @@ class BranchSet:
         ctx = RequestContext(self.parent.clock, at=start)
         ctx.span = self.parent.span
         ctx.trace = self.parent.trace
+        ctx.tally = self.parent.tally
         self.branches.append(ctx)
         return ctx
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench.sim import build_shard_cluster
 from repro.core import templates
+from repro.core.api import BatchOp
 from repro.core.cluster import ClusterConfig
 from repro.core.durability import reopen_instance, simulate_crash
 from repro.core.server import TieraServer
@@ -139,3 +140,28 @@ class TestHeatTimeline:
             "t": {"used": 8, "capacity": 40, "utilization": 0.2},
             "s3": {"used": 3, "capacity": -1, "utilization": None},
         }
+
+
+class TestRouterBatches:
+    """A client batch is counted once, by the bracket, on the hub of the
+    façade the client called: a router's on the router's hub, none on
+    the shards' (each item is one client op there)."""
+
+    def test_a_router_batch_counts_once_on_its_own_hub(self):
+        built = router(R1)
+        try:
+            done = built.execute_batch([
+                BatchOp.put(f"k{i}", b"v" * 10) if i % 2 else BatchOp.get("k1")
+                for i in range(8)
+            ])
+            assert len(done.results) == 8
+            counted = built.obs.metrics
+            assert counted.counter("tiera_batches_total").total() == 1
+            assert counted.counter("tiera_batch_items_total").total() == 8
+            assert counted.histogram("tiera_batch_seconds").count() == 1
+            shards = {shard.obs for shard in built.shards.values()}
+            assert built.obs not in shards
+            for hub in shards:
+                assert hub.metrics.counter("tiera_batches_total").total() == 0
+        finally:
+            built.cluster.stop()
