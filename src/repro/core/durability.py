@@ -1056,6 +1056,7 @@ def simulate_crash(instance) -> None:
     instance.obs.metrics.remove_collector(instance._collect_gauges)
     instance.obs.metrics.forget(instance=instance.owner)
     instance.obs.heat.occupancy_sources.pop(instance.owner, None)
+    instance.obs.heat.drop_sinks.pop(instance.owner, None)
     instance.meta_writeback.discard()  # a dead process flushes nothing
     cancel_all = getattr(instance.clock, "cancel_all", None)
     if cancel_all is not None:

@@ -293,6 +293,9 @@ class TieraInstance:
         #: adaptive placement engine (heat-driven promote/demote/pre-warm)
         #: — opt-in via :meth:`enable_placement`; ``None`` moves nothing.
         self.placement = None
+        #: the placement engine's coldness-index feed (its ``dirty``
+        #: keys), or ``None``: no engine, and so no work per row change
+        self._placement_dirty: Optional[Dict[str, None]] = None
         #: ``hook(key)`` fired on every metadata upsert/drop; the backup
         #: layer's change tracking listens here so metadata-only edits
         #: (tags, aliases, fsck repairs) dirty the object for the next
@@ -382,6 +385,9 @@ class TieraInstance:
         there: when the outermost open write-back scope closes, or now
         when none is open."""
         self.meta_writeback.note(meta.key)
+        dirty = self._placement_dirty
+        if dirty is not None:
+            dirty[meta.key] = None  # a new copy may be a demotion candidate
         if self.on_meta_change is not None:
             self.on_meta_change(meta.key)
 
@@ -418,6 +424,9 @@ class TieraInstance:
         if meta is not None:
             self._unindex(meta)
         self.meta_writeback.note(key)
+        dirty = self._placement_dirty
+        if dirty is not None:
+            dirty[key] = None  # its index entries retire
         if self.on_meta_change is not None:
             self.on_meta_change(key)
 
@@ -635,12 +644,12 @@ class TieraInstance:
         locations; ``prefer`` overrides.  Aliases (storeOnce) resolve to
         their canonical content.
 
-        Failover attempts overlap in virtual time: each tier actually
-        tried runs on its own branch of a scatter/join, so a read that
-        fails over from a timed-out tier to a healthy one costs
-        ``max(timeout, healthy-read)`` rather than their sum — the
-        hedged-request shape.  A tier already marked unavailable is
-        skipped for free, as before.
+        Failover attempts overlap in virtual time: the first tier tried
+        runs on ``ctx``, and each later one on a branch of a scatter
+        opened at the same instant, so a read that fails over from a
+        timed-out tier to a healthy one costs ``max(timeout,
+        healthy-read)`` rather than their sum — the hedged-request
+        shape.  A tier already marked unavailable is skipped for free.
 
         A recorded copy that turned out not to be there (a volatile tier
         restarted empty) is a miss, not a failure: its round trip stays
@@ -663,12 +672,21 @@ class TieraInstance:
         vanished: List[str] = []
         served: Optional[Tier] = None
         data = b""
-        branches = ctx.scatter()
+        # The first tier tried runs on ctx itself; only a failover opens
+        # the scatter, from the same instant, so the attempts overlap.
+        origin = ctx.time
+        branches = None
+        bctx = None
         for tier in candidates:
             if not tier.available:
                 causes.append((tier.name, self._unavailable(tier)))
                 continue
-            bctx = branches.branch()
+            if bctx is None:
+                bctx = ctx
+            else:
+                if branches is None:
+                    branches = ctx.scatter(at=origin)
+                bctx = branches.branch()
             try:
                 if res is None:
                     data = tier.get(physical, bctx)
@@ -697,7 +715,8 @@ class TieraInstance:
                 continue
             served = tier
             break
-        branches.join()  # even a fruitless hedge's time is the client's
+        if branches is not None:
+            branches.join()  # even a fruitless hedge's time is the client's
         if vanished:
             meta.locations.difference_update(vanished)
             self.persist_meta(meta)
@@ -1085,6 +1104,10 @@ class TieraInstance:
         self.enable_heat()
         if self.placement is None:
             self.placement = PlacementEngine(self, **config)
+            # The index's two feeds: every row change, and every key the
+            # tracker's table cap drops (its heat falls to zero).
+            self._placement_dirty = self.placement.index.dirty
+            self.obs.heat.drop_sinks[self.owner] = self._placement_dirty
         else:
             self.placement.reconfigure(**config)
         return self.placement
@@ -1209,6 +1232,7 @@ class TieraInstance:
             self.durability.close()
         self.obs.metrics.remove_collector(self._collect_gauges)
         self.obs.metrics.forget(instance=self.owner)
+        self.obs.heat.drop_sinks.pop(self.owner, None)
         sources = self.obs.heat.occupancy_sources
         if sources.pop(self.owner, None) and not sources:
             self.obs.heat.shutdown()  # the hub's last heat-enabled instance

@@ -48,7 +48,10 @@ the control layer fires the rule and the response runs one cycle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+import heapq
+import math
+from contextlib import closing
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.registry import ChildCache, owner_count
 from repro.simcloud.resources import RequestContext
@@ -114,6 +117,17 @@ PRESSURE_SCALE = 4.0
 #: term dominates at this size for every built-in latency model).
 REFERENCE_SIZE = 4096
 
+#: ``ln`` of the smallest heat a coldness-index walk orders by κ alone.
+#: Below ``e**-640`` (about 1e-278) ``exp`` nears the subnormal range,
+#: where the computed heats lose the relative precision that makes κ
+#: order them, and reach exactly 0.0 past ~745 windows idle; a walk
+#: that gets this deep pulls the whole zone and sorts it exactly.
+DEEP_LN_HEAT = -640.0
+
+#: Relative rounding allowance on κ: far above the ~1e-15 that one
+#: ``log``, ``exp`` and division lose, far below any real heat gap.
+ROUNDING = 1e-9
+
 
 def check_options(options: Dict[str, object]) -> Dict[str, object]:
     """Validate placement options before anything is changed.
@@ -172,6 +186,185 @@ def expected_latency(model, nbytes: int) -> float:
     return 0.0
 
 
+#: One index entry: ``(κ, last_access, key, src, rate)``.
+Entry = Tuple[float, float, str, str, float]
+
+
+class ColdnessIndex:
+    """The copies a plan may demote, coldest first, without a table scan
+    (docs/PLACEMENT.md, "Coldest first without a scan").
+
+    ``heat = rate·exp(−(now − last_access)/w)``, so ordering copies by
+    ``κ = ln rate + last_access/w`` gives the same coldest-first order at
+    every ``now``.  Each tier with a slower sibling has a heap of
+    :data:`Entry` tuples, one live entry per resident copy (``κ = −∞``
+    for a key the tracker does not hold: heat 0.0, ordered by key, just
+    as a sort by heat would).  Deletion is lazy: a walk checks each
+    entry it pops against the table and the tracker, a refresh retires
+    the entries of copies a key no longer has, and the heaps are rebuilt
+    from the live entries once they hold twice as many.
+
+    A touch only warms a key, so a stale entry surfaces before the key's
+    true position and is re-pushed then; touches need no feed.  What can
+    make an entry colder or new is fed into :attr:`dirty` — every row
+    change (``TieraInstance.persist_meta``) and every key the tracker's
+    table cap drops — and refreshed at the next :meth:`sync`.  The index
+    is the engine's own cache: planning still reads instance state only.
+    """
+
+    def __init__(self, instance: "TieraInstance"):
+        self.instance = instance
+        self.tracker = instance.obs.heat
+        #: keys whose row changed, or whose heat the tracker dropped,
+        #: since the last :meth:`sync`
+        self.dirty: Dict[str, None] = {}
+        self._shape: Optional[Tuple[Tuple[str, ...], float]] = None
+        self._table: Optional[Dict[str, object]] = None
+        self._heaps: Dict[str, List[Entry]] = {}
+        self._live: Dict[Tuple[str, str], Entry] = {}
+        self._rate_max = 1.0  # at least every entry's rate since the rebuild
+
+    def sync(self, order: List[str], now: float) -> None:
+        """Bring the index up to date for a plan: rebuild it when the
+        tier order, the heat window or the meta table changed, else
+        refresh the dirty keys."""
+        # Request threads keep feeding ``dirty`` (a live server's timer
+        # fires on its own thread): take keys out one at a time, and
+        # empty it before a rebuild reads the table.
+        dirty = self.dirty
+        table = self.instance._meta
+        shape = (tuple(order), self.tracker.windows[0])
+        if shape != self._shape or table is not self._table:
+            dirty.clear()
+            self._rebuild(shape, table)
+            return
+        while dirty:
+            self._refresh(dirty.popitem()[0])
+        if sum(map(len, self._heaps.values())) > 2 * len(self._live) + 64:
+            self._compact()
+
+    def _rebuild(self, shape, table) -> None:
+        self._shape, self._table = shape, table
+        self._heaps = {src: [] for src in shape[0][:-1]}
+        self._live = {}
+        self._rate_max = 1.0
+        for key, meta in table.items():
+            state = self.tracker.state(key)
+            for src in meta.locations:
+                heap = self._heaps.get(src)
+                if heap is not None:
+                    heap.append(self._entry(key, src, state))
+        for heap in self._heaps.values():
+            heapq.heapify(heap)
+
+    def _refresh(self, key: str) -> None:
+        """Give each indexed copy of ``key`` a live entry as of now, and
+        retire the entries of copies it no longer has."""
+        meta = self._table.get(key)
+        locations = meta.locations if meta is not None else ()
+        live = self._live
+        state = None
+        for src, heap in self._heaps.items():
+            entry = live.get((key, src))
+            if src not in locations:
+                if entry is not None:
+                    del live[key, src]
+                continue
+            if state is None:
+                state = self.tracker.state(key)
+            # A live entry no warmer than the key stays (touches only
+            # warm); a new copy, or a key the tracker dropped, gets one.
+            if entry is None or (self._kappa(state), state[1]) < entry[:2]:
+                heapq.heappush(heap, self._entry(key, src, state))
+
+    def _compact(self) -> None:
+        """Rebuild the heaps from the live entries alone."""
+        heaps = {src: [] for src in self._heaps}
+        for entry in self._live.values():
+            heaps[entry[3]].append(entry)
+        for heap in heaps.values():
+            heapq.heapify(heap)
+        self._heaps = heaps
+
+    def _entry(self, key: str, src: str, state: Tuple[float, float]) -> Entry:
+        """The live entry of ``key``'s copy in ``src``."""
+        rate, last_access = state
+        if rate > self._rate_max:
+            self._rate_max = rate
+        entry = (self._kappa(state), last_access, key, src, rate)
+        self._live[key, src] = entry
+        return entry
+
+    def _kappa(self, state: Tuple[float, float]) -> float:
+        """``ln rate + last_access/w``: ``−∞`` for an untracked key."""
+        rate, last_access = state
+        if not rate:
+            return -math.inf
+        return math.log(rate) + last_access / self._shape[1]
+
+    def walk(
+        self, srcs: Iterable[str], now: float
+    ) -> Iterator[Tuple[float, float, str, str, object]]:
+        """``(heat, last_access, key, src, meta)`` of every copy in the
+        tiers ``srcs``, in ascending order of the first four — exactly
+        what sorting a scan of the table would give — pulling from the
+        heaps only the prefix the caller reads (plus the entries it
+        cannot yet rule out).  Close it when done: the pulled entries go
+        back then.  Call :meth:`sync` first."""
+        tracker, table, live = self.tracker, self._table, self._live
+        window = self._shape[1]
+        # A key last touched after ``now`` does not decay (heat_rate's
+        # no-decay branch): its heat may sit this far below its κ.
+        ahead = max(0.0, (tracker.last_seen - now) / window)
+        heaps = [self._heaps[src] for src in srcs]
+        pending: List[tuple] = []  # (heat, last_access, key, src, entry)
+        held: List[Entry] = []
+        try:
+            while True:
+                for heap in heaps:
+                    while heap and (
+                        not pending or self._may_precede(
+                            heap[0], pending[0], now, window, ahead)
+                    ):
+                        entry = heapq.heappop(heap)
+                        key, src = entry[2], entry[3]
+                        if live.get((key, src)) is not entry:
+                            continue  # superseded
+                        meta = table.get(key)
+                        if meta is None or src not in meta.locations:
+                            del live[key, src]
+                            continue
+                        state = tracker.state(key)
+                        if state != (entry[4], entry[1]):
+                            # touched or re-tracked since: back at its κ
+                            heapq.heappush(heap, self._entry(key, src, state))
+                            continue
+                        heat = tracker.heat_rate(key, now)
+                        held.append(entry)
+                        heapq.heappush(
+                            pending, (heat, entry[1], key, src, entry)
+                        )
+                if not pending:
+                    return
+                heat, last_access, key, src, _ = heapq.heappop(pending)
+                yield heat, last_access, key, src, table[key]
+        finally:
+            for entry in held:
+                heapq.heappush(self._heaps[entry[3]], entry)
+
+    def _may_precede(self, top: Entry, head: tuple, now, window, ahead) -> bool:
+        """Whether the unpulled entry ``top`` (and so anything under it)
+        may sort before or level with the pending ``head``."""
+        if top[0] == -math.inf:
+            return (0.0, top[1], top[2], top[3]) < head[:4]
+        # Past the deep cut every unpulled heat is computed to full
+        # relative precision, so κ decides up to the rounding allowance.
+        deep = now / window + math.log(self._rate_max) + DEEP_LN_HEAT
+        bound = max(head[4][0], deep)
+        margin = ROUNDING * (1.0 + abs(bound) + abs(now) / window)
+        return top[0] - ahead <= bound + margin
+
+
 class PlacementEngine:
     """Greedy, hysteresis-damped promote/demote/pre-warm planner."""
 
@@ -190,6 +383,8 @@ class PlacementEngine:
         self._last_moved: Dict[str, float] = {}
         self._last_cycle: Optional[Dict[str, object]] = None
         self.owner = instance.owner
+        #: the demotion side's coldest-first source
+        self.index = ColdnessIndex(instance)
         self._install_metrics()
         self.reconfigure(**options)
 
@@ -404,47 +599,53 @@ class PlacementEngine:
             projected[dst] += meta.size
             moves_left -= 1
 
-        # Demotions: coldest residents of the fast tiers, coldest first.
-        demotion_candidates = self._demotion_candidates(order, rank, now)
-        for heat, last_access, key, src, meta in demotion_candidates:
-            if moves_left <= 0:
-                break
-            considered += 1
-            if key in planned_keys:
-                continue
-            if now - self._last_moved.get(key, -1e18) < self.hysteresis:
-                skip(key, "hysteresis")
-                continue
-            dst = self._demotion_target(meta, src, order, rank)
-            if dst is None:
-                skip(key, "no-slower-tier")
-                continue
-            needs_copy = dst not in meta.locations
-            pressure = (
-                self._pressure(projected, dst, meta.size) if needs_copy else 0.0
-            )
-            score = self.score_move(heat, src, dst, meta.size, pressure)
-            if score < self.min_score:
-                # Candidates are coldest-first: a warmer key demoting
-                # across the same tier pair scores strictly lower, so
-                # record one representative skip and stop scanning.
-                skip(key, "score")
-                break
-            decisions.append({
-                "key": key,
-                "action": "demote",
-                "from": src,
-                "to": dst,
-                "size": meta.size,
-                "heat": round(heat, 6),
-                "score": round(score, 4),
-                "reason": "cold",
-            })
-            planned_keys.add(key)
-            projected[src] -= meta.size
-            if needs_copy:
-                projected[dst] += meta.size
-            moves_left -= 1
+        # Demotions: copies in every tier that has a slower sibling,
+        # coldest first.  Sketch membership is deliberately ignored here
+        # — Space-Saving counts never decay, so a key hot last epoch but
+        # idle now must still be evictable; the EWMA-driven score
+        # protects currently-hot keys.
+        self.index.sync(order, now)
+        with closing(self.index.walk(order[:-1], now)) as coldest:
+            for heat, last_access, key, src, meta in coldest:
+                if moves_left <= 0:
+                    break
+                considered += 1
+                if key in planned_keys:
+                    continue
+                if now - self._last_moved.get(key, -1e18) < self.hysteresis:
+                    skip(key, "hysteresis")
+                    continue
+                dst = self._demotion_target(meta, src, order, rank)
+                if dst is None:
+                    skip(key, "no-slower-tier")
+                    continue
+                needs_copy = dst not in meta.locations
+                pressure = (
+                    self._pressure(projected, dst, meta.size)
+                    if needs_copy else 0.0
+                )
+                score = self.score_move(heat, src, dst, meta.size, pressure)
+                if score < self.min_score:
+                    # Candidates are coldest-first: a warmer key demoting
+                    # across the same tier pair scores strictly lower, so
+                    # record one representative skip and stop scanning.
+                    skip(key, "score")
+                    break
+                decisions.append({
+                    "key": key,
+                    "action": "demote",
+                    "from": src,
+                    "to": dst,
+                    "size": meta.size,
+                    "heat": round(heat, 6),
+                    "score": round(score, 4),
+                    "reason": "cold",
+                })
+                planned_keys.add(key)
+                projected[src] -= meta.size
+                if needs_copy:
+                    projected[dst] += meta.size
+                moves_left -= 1
 
         if blocked:
             self._refine(
@@ -467,24 +668,6 @@ class PlacementEngine:
             "skipped": skipped,
         }
 
-    def _demotion_candidates(self, order, rank, now):
-        """Residents of every tier that has a slower sibling, coldest
-        first; deterministic (heat, last_access, key) order.  Sketch
-        membership is deliberately ignored here — Space-Saving counts
-        never decay, so a key hot last epoch but idle now must still be
-        evictable; the EWMA-driven score protects currently-hot keys."""
-        out = []
-        slowest = order[-1] if order else None
-        for meta in self.instance.iter_meta():
-            heat = self.tracker.heat_rate(meta.key, now)
-            last_access = self.tracker.last_access(meta.key)
-            for src in meta.locations:
-                if src not in rank or src == slowest:
-                    continue
-                out.append((heat, last_access, meta.key, src, meta))
-        out.sort(key=lambda item: (item[0], item[1], item[2], item[3]))
-        return out
-
     @staticmethod
     def _demotion_target(meta, src, order, rank) -> Optional[str]:
         """Where reads land after dropping ``src``: the fastest slower
@@ -506,18 +689,17 @@ class PlacementEngine:
         demoting the coldest resident of the target tier when the swap's
         combined score clears the threshold."""
         budget = DEFAULT_REFINE_BUDGET
-        candidates = self._demotion_candidates(order, rank, now)
         for promo in blocked[:budget]:
             dst = promo["dst"]
             tier = self.instance.tiers.get(dst)
-            victim = next(
-                (
-                    c for c in candidates
-                    if c[3] == dst and c[2] not in planned_keys
-                    and c[2] != promo["key"]
-                ),
-                None,
-            )
+            with closing(self.index.walk((dst,), now)) as coldest:
+                victim = next(
+                    (
+                        c for c in coldest
+                        if c[2] not in planned_keys and c[2] != promo["key"]
+                    ),
+                    None,
+                )
             if victim is None:
                 continue
             v_heat, _, v_key, v_src, v_meta = victim

@@ -238,6 +238,9 @@ class HeatTracker:
         #: the hub, by owner id: ``() -> [(tier, used, capacity), …]``
         #: (capacity -1: unbounded).  A sample sums them per tier name.
         self.occupancy_sources: Dict[str, Callable[[], List[Tuple]]] = {}
+        #: where each key the table cap drops is noted, by owner id: a
+        #: placement engine's coldness index (the key just went cold).
+        self.drop_sinks: Dict[str, Dict[str, None]] = {}
         self._sketch = SpaceSavingSketch(self.top_k)
         self._objects: "OrderedDict[str, _ObjectHeat]" = OrderedDict()
         # children of the families enable() creates, by label value
@@ -377,7 +380,9 @@ class HeatTracker:
             self._objects.move_to_end(key)
         stats.touch(op, size, now, self.windows)
         while len(self._objects) > self.max_objects:
-            self._objects.popitem(last=False)
+            dropped, _ = self._objects.popitem(last=False)
+            for sink in self.drop_sinks.values():
+                sink[dropped] = None
         self._maybe_sample(now)
 
     def record_tier(
@@ -462,6 +467,19 @@ class HeatTracker:
         if now is not None and rate and now > stats.last_access:
             rate *= math.exp(-(now - stats.last_access) / self.windows[0])
         return rate
+
+    def state(self, key: str) -> Tuple[float, float]:
+        """``(rate, last_access)`` of ``key`` as stored, the inputs of its
+        :meth:`heat_rate`; ``(0.0, 0.0)`` if untracked."""
+        stats = self._objects.get(key)
+        if stats is None:
+            return 0.0, 0.0
+        return stats.rates[0], stats.last_access
+
+    @property
+    def last_seen(self) -> float:
+        """The latest virtual time recorded: no access is later."""
+        return self._last_seen
 
     def last_access(self, key: str) -> float:
         """Virtual time of ``key``'s latest access (0.0 if untracked)."""

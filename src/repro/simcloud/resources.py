@@ -183,14 +183,16 @@ class RequestContext:
         """
         return RequestContext(self.clock, at=self.time)
 
-    def scatter(self) -> "BranchSet":
-        """Open a scatter/join region at the current instant.
+    def scatter(self, at: Optional[float] = None) -> "BranchSet":
+        """Open a scatter/join region at the current instant (or at an
+        earlier ``at``: work already done on this context overlaps the
+        branches, as a failover read's first attempt does).
 
         Independent pieces of work within *one* request (a multi-tier
         store's inserts, failover read attempts, the items of a batch)
         do not wait on each other in a real system; they overlap.  Each
-        :meth:`BranchSet.branch` starts a branch context at this
-        context's current time; :meth:`BranchSet.join` advances this
+        :meth:`BranchSet.branch` starts a branch context at the scatter
+        instant; :meth:`BranchSet.join` advances this
         context to the *latest* branch completion.  The request thus
         pays ``max()`` over branch latencies — plus whatever queueing
         each branch suffered on its tier's channels, since branches book
@@ -200,7 +202,7 @@ class RequestContext:
         inherit the current trace span (or rule tally), and their hops
         count toward the request.
         """
-        return BranchSet(self)
+        return BranchSet(self, at)
 
     @property
     def elapsed(self) -> float:
@@ -219,9 +221,9 @@ class BranchSet:
 
     __slots__ = ("parent", "origin", "branches")
 
-    def __init__(self, parent: RequestContext):
+    def __init__(self, parent: RequestContext, at: Optional[float] = None):
         self.parent = parent
-        self.origin = parent.time
+        self.origin = parent.time if at is None else at
         self.branches: List[RequestContext] = []
 
     def branch(self, at: Optional[float] = None) -> RequestContext:

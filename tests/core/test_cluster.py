@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.sim import build_shard_cluster
 from repro.core.cluster import (
     DOWN_AFTER_MISSES,
     OP_FAILURE_THRESHOLD,
@@ -231,6 +232,27 @@ class TestSelfHealing:
         assert health["cluster"]["shards"]["b"] == "down"
         bring_up(cluster, rt, handles)
         assert rt.health()["status"] == "ok"
+
+
+class TestReplicatedHeat:
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="defect (e), ROADMAP item 12(a): every replica op closes "
+        "through its shard's Observability.complete, so one replicated "
+        "PUT records R client writes in the shards' heat",
+    )
+    def test_a_replicated_put_counts_once_in_heat(self):
+        cluster, router, _, _ = build_shard_cluster(
+            seed=1, shards=4, config=ClusterConfig()
+        )
+        router.configure("heat").raise_for_error()
+        keys = [f"k{i}" for i in range(10)]
+        for key in keys:
+            router.put_object(key, b"v" * 100).raise_for_error()
+        for key in keys:
+            router.get_object(key).raise_for_error()
+        heat = cluster.obs.heat  # the shards' hub; placement reads it
+        assert (heat.reads, heat.writes) == (10, 10)
 
 
 class TestBackgroundTracing:
