@@ -81,16 +81,18 @@ class _MetaWriteBack:
 
     The only place rows reach the metadata store.  While a scope is
     open, :meth:`TieraInstance.persist_meta` and ``_drop_meta`` only
-    note the key, and a journaled primitive that returned hands over its
-    intent.  Leaving the outermost scope writes every noted key's
-    current state once (a put, or a delete when it was dropped), then
-    retires the noted intents in seq order, ``<op>.commit`` at each —
-    so an acked or refused op's rows are in the store before its
-    envelope exists, and an intent outlives the rows it names.  A
-    :class:`ProcessCrash` leaving the scope writes and retires nothing:
-    a dead process does not flush, and its intents stay pending for the
-    successor's ``recover()``.  With no scope open a noted row is
-    written at once (``add_tag``, fsck repairs, recovery and restore).
+    note the key in ``keys``, and a journaled primitive that returned
+    hands over its intent.  Leaving the outermost scope writes every
+    noted key's current state once (a put, or a delete when it was
+    dropped), then retires the noted intents in seq order,
+    ``<op>.commit`` at each — so an acked or refused op's rows are in
+    the store before its envelope exists, and an intent outlives the
+    rows it names.  A :class:`ProcessCrash` leaving the scope writes and
+    retires nothing: a dead process does not flush, and its intents stay
+    pending for the successor's ``recover()``.  With no scope open a
+    noted row is written at once (``add_tag``, fsck repairs, recovery
+    and restore).  Without a journal or a crash-point injector a
+    primitive runs in this scope alone (:meth:`TieraInstance._bracket`).
     """
 
     __slots__ = ("instance", "depth", "keys", "intents")
@@ -104,11 +106,6 @@ class _MetaWriteBack:
         """Forget the noted rows and intents (a dead process's)."""
         self.keys: Dict[str, None] = {}  # touched keys, first-touch order
         self.intents: List[Tuple[int, str]] = []  # (seq, op) to retire
-
-    def note(self, key: str) -> None:
-        self.keys[key] = None
-        if not self.depth:
-            self.flush()
 
     def flush(self) -> None:
         """Write every noted row now."""
@@ -384,7 +381,10 @@ class TieraInstance:
         """Send ``meta`` to the metadata store — the one way it gets
         there: when the outermost open write-back scope closes, or now
         when none is open."""
-        self.meta_writeback.note(meta.key)
+        writeback = self.meta_writeback
+        writeback.keys[meta.key] = None
+        if not writeback.depth:
+            writeback.flush()
         dirty = self._placement_dirty
         if dirty is not None:
             dirty[meta.key] = None  # a new copy may be a demotion candidate
@@ -423,7 +423,10 @@ class TieraInstance:
         meta = self._meta.pop(key, None)
         if meta is not None:
             self._unindex(meta)
-        self.meta_writeback.note(key)
+        writeback = self.meta_writeback
+        writeback.keys[key] = None
+        if not writeback.depth:
+            writeback.flush()
         dirty = self._placement_dirty
         if dirty is not None:
             dirty[key] = None  # its index entries retire
@@ -477,6 +480,15 @@ class TieraInstance:
         if injector is not None:
             injector.reach(point)
 
+    def _bracket(self, op: str, *args):
+        """What a primitive's body runs in: :class:`_Journaled`, or the
+        write-back scope alone when there is no journal to record in and
+        no crash-point injector to reach (every step but the scope would
+        do nothing)."""
+        if self.durability is None and self.crash_points is None:
+            return self.meta_writeback
+        return _Journaled(self, op, *args)
+
     def write_to_tier(
         self,
         key: str,
@@ -524,17 +536,19 @@ class TieraInstance:
             if len(data) > room:
                 raise NoCapacityError(tier_name, key)
         try:
-            with _Journaled(self, "write", key, tier_name, data):
+            with self._bracket("write", key, tier_name, data):
                 if res is None:
                     tier.put(key, data, ctx)
                 else:
                     res.guarded_put(tier, key, data, ctx)
-                self._crash_point("write.data")
+                if self.crash_points is not None:
+                    self._crash_point("write.data")
                 meta = self.meta(key)
                 meta.locations.add(tier_name)
                 meta.size = len(data)
                 self.persist_meta(meta)
-                self._crash_point("write.meta")
+                if self.crash_points is not None:
+                    self._crash_point("write.meta")
                 self.obs.heat.record_tier("put", tier_name, at=ctx.time)
         except (ServiceUnavailableError, BreakerOpenError) as exc:
             if res is None or not redirect:
@@ -762,9 +776,10 @@ class TieraInstance:
             else:
                 res.guarded_put(tier, key, data, bctx)
 
-        with _Journaled(self, "rewrite", key, data, updates):
+        with self._bracket("rewrite", key, data, updates):
             _fan_out(ctx, sorted(meta.locations), put)
-            self._crash_point("rewrite.data")
+            if self.crash_points is not None:
+                self._crash_point("rewrite.data")
             meta.size = len(data)
             for attr, value in (updates or {}).items():
                 setattr(meta, attr, value)
@@ -772,10 +787,11 @@ class TieraInstance:
 
     def remove_from_tier(self, key: str, tier_name: str, ctx: RequestContext) -> None:
         tier = self.tiers.get(tier_name)
-        with _Journaled(self, "remove", key, tier_name):
+        with self._bracket("remove", key, tier_name):
             if tier.contains(key):
                 tier.delete(key, ctx)
-            self._crash_point("remove.data")
+            if self.crash_points is not None:
+                self._crash_point("remove.data")
             meta = self.meta(key)
             meta.locations.discard(tier_name)
             self.persist_meta(meta)
@@ -907,7 +923,7 @@ class TieraInstance:
                 res.guarded_delete(tier, key, bctx)
             emptied.append(tier.name)
 
-        with _Journaled(self, "delete", key):
+        with self._bracket("delete", key):
             if meta.alias_of is not None:
                 self._detach_alias(meta)
             elif heir_holders is not None:
@@ -924,7 +940,8 @@ class TieraInstance:
                     meta.locations.difference_update(emptied)
                     self.persist_meta(meta)
                     raise
-                self._crash_point("delete.data")
+                if self.crash_points is not None:
+                    self._crash_point("delete.data")
                 for tier in holders:
                     self.obs.heat.record_tier("delete", tier.name, at=ctx.time)
             self._drop_meta(key)

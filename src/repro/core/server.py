@@ -174,7 +174,9 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
             if not overwrite and not meta.locations:
                 instance._drop_meta(key)  # a new key no tier took: no row
             raise
-        instance.persist_meta(meta)
+        # Inside _apply_op's write-back scope create_object noted the
+        # row and every later change notes it again: leaving the scope
+        # writes its final state.
         return meta
 
     def _default_store(self, action: Action, ctx: RequestContext) -> None:

@@ -27,6 +27,7 @@ resource, or an RNG.  It is inert (and near-free) until
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -87,6 +88,12 @@ class SpaceSavingSketch:
     every downstream snapshot — is a pure function of the input
     stream), inheriting that count as its overestimation ``error``.
 
+    The victim comes off a lazy min-heap of ``(count, key)``, one item
+    per monitored key, whose count may lag the key's: an increment
+    leaves the item alone, and a lagging item that reaches the top is
+    brought up to date and sifted down before the top is read again.
+    So the top, once current, is exactly the smallest ``(count, key)``.
+
     Guarantees: every key with true frequency > N/capacity is present,
     and for each entry ``count − error ≤ true ≤ count``.
     """
@@ -96,6 +103,7 @@ class SpaceSavingSketch:
             raise ValueError("sketch capacity must be >= 1")
         self.capacity = capacity
         self._entries: Dict[str, List[int]] = {}  # key -> [count, error]
+        self._heap: List[Tuple[int, str]] = []  # (count at last sift, key)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -104,19 +112,25 @@ class SpaceSavingSketch:
         return key in self._entries
 
     def observe(self, key: str) -> None:
-        entry = self._entries.get(key)
+        entries = self._entries
+        entry = entries.get(key)
         if entry is not None:
             entry[0] += 1
             return
-        if len(self._entries) < self.capacity:
-            self._entries[key] = [1, 0]
+        heap = self._heap
+        if len(entries) < self.capacity:
+            entries[key] = [1, 0]
+            heapq.heappush(heap, (1, key))
             return
-        victim = min(
-            self._entries.items(), key=lambda item: (item[1][0], item[0])
-        )
-        min_count = victim[1][0]
-        del self._entries[victim[0]]
-        self._entries[key] = [min_count + 1, min_count]
+        while True:
+            count, victim = heap[0]
+            current = entries[victim][0]
+            if current == count:
+                break
+            heapq.heapreplace(heap, (current, victim))
+        del entries[victim]
+        entries[key] = [count + 1, count]
+        heapq.heapreplace(heap, (count + 1, key))
 
     def count(self, key: str) -> int:
         entry = self._entries.get(key)
@@ -270,11 +284,21 @@ class HeatTracker:
         sample_interval: Optional[float] = None,
         hot_min: Optional[int] = None,
     ) -> "HeatTracker":
-        """Turn the tracker on (idempotent; reconfigures in place)."""
+        """Turn the tracker on (idempotent; reconfigures in place).
+
+        A different tuple of ``windows`` re-seeds every tracked object's
+        rates for it: a window in both tuples keeps its rate, a new one
+        starts at 0.0, which the object's next access seeds (``1 /
+        window``).  The same tuple keeps them all."""
         if windows is not None:
-            self.windows = tuple(float(w) for w in windows)
-            if not self.windows or any(w <= 0 for w in self.windows):
+            new = tuple(float(w) for w in windows)
+            if not new or any(w <= 0 for w in new):
                 raise ValueError("decay windows must be positive")
+            if new != self.windows:
+                for stats in self._objects.values():
+                    kept = dict(zip(self.windows, stats.rates))
+                    stats.rates = [kept.get(window, 0.0) for window in new]
+                self.windows = new
         if top_k is not None:
             self.top_k = int(top_k)
             self._sketch = SpaceSavingSketch(self.top_k)

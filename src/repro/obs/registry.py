@@ -20,15 +20,15 @@ Design constraints, in order:
 2. **Cheap in real time.**  ``counter.child(service=…, op=…)`` and
    ``histogram.child(…)`` resolve the sorted label key once and return
    a bound cell: its ``inc`` is one dict add and its ``observe`` one
-   bucket bump, each plus one clock read for ``last_updated`` (the
-   family binds its clock's ``now`` once).  Per-op
-   call sites hold their children; the keyword forms
-   (``counter.inc(op="get")``) sort the labels into a key on every
-   event, then run the same child code, and serve the cold sites.
+   bucket bump; an event reads no clock.  Per-op call sites hold their
+   children; the keyword forms (``counter.inc(op="get")``) sort the
+   labels into a key on every event, then run the same child code, and
+   serve the cold sites.
 3. **Self-describing exports.**  :meth:`MetricsRegistry.snapshot`
-   returns plain JSON-able data; the Prometheus text form lives in
-   :mod:`repro.obs.export`.  A child creates its sample on its first
-   event, so binding one never adds a zero sample.
+   returns plain JSON-able data, stamped once with the registry's
+   clock; the Prometheus text form lives in :mod:`repro.obs.export`.
+   A child creates its sample on its first event, so binding one never
+   adds a zero sample.
 """
 
 from __future__ import annotations
@@ -56,25 +56,14 @@ def _labelset(labels: Dict[str, str]) -> LabelSet:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def _no_clock() -> None:
-    return None
-
-
 class Metric:
     """Base for one named metric family (all label combinations)."""
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str = "", clock: Optional[Clock] = None):
+    def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
-        #: the stamping rule, bound once: every event sets
-        #: ``last_updated = _now()`` — the clock's time, or ``None``
-        #: for a family without a clock
-        self._now: Callable[[], Optional[float]] = (
-            clock.now if clock is not None else _no_clock
-        )
-        self.last_updated: Optional[float] = None
 
     def label_sets(self) -> List[LabelSet]:
         raise NotImplementedError
@@ -103,10 +92,9 @@ class ChildCache(dict):
 class CounterChild:
     """One label combination of a :class:`Counter`, resolved once."""
 
-    __slots__ = ("_family", "_values", "_key")
+    __slots__ = ("_values", "_key")
 
     def __init__(self, family: "Counter", key: LabelSet):
-        self._family = family
         self._values = family._values
         self._key = key
 
@@ -115,8 +103,6 @@ class CounterChild:
             raise ValueError("counters only go up")
         values = self._values
         values[self._key] = values.get(self._key, 0.0) + amount
-        family = self._family
-        family.last_updated = family._now()
 
     @property
     def value(self) -> float:
@@ -133,8 +119,8 @@ class Counter(Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "", clock: Optional[Clock] = None):
-        super().__init__(name, help, clock)
+    def __init__(self, name: str, help: str = ""):
+        super().__init__(name, help)
         self._values: Dict[LabelSet, float] = {}
         self._children = ChildCache(lambda key: CounterChild(self, key))
 
@@ -175,18 +161,16 @@ class Gauge(Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "", clock: Optional[Clock] = None):
-        super().__init__(name, help, clock)
+    def __init__(self, name: str, help: str = ""):
+        super().__init__(name, help)
         self._values: Dict[LabelSet, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
         self._values[_labelset(labels)] = float(value)
-        self.last_updated = self._now()
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         key = _labelset(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
-        self.last_updated = self._now()
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
@@ -243,7 +227,6 @@ class HistogramChild:
         cell.count += 1
         if len(cell.reservoir) < EXACT_RESERVOIR:
             cell.reservoir.append(value)
-        family.last_updated = family._now()
 
 
 class Histogram(Metric):
@@ -259,10 +242,9 @@ class Histogram(Metric):
         self,
         name: str,
         help: str = "",
-        clock: Optional[Clock] = None,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ):
-        super().__init__(name, help, clock)
+        super().__init__(name, help)
         self.buckets: Tuple[float, ...] = tuple(sorted(buckets))
         if not self.buckets:
             raise ValueError("a histogram needs at least one bucket bound")
@@ -407,7 +389,7 @@ class MetricsRegistry:
     def _family(self, cls, name: str, help: str, **kwargs) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = cls(name, help=help, clock=self.clock, **kwargs)
+            metric = cls(name, help=help, **kwargs)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
             raise TypeError(
@@ -473,7 +455,6 @@ class MetricsRegistry:
             out["metrics"][metric.name] = {
                 "type": metric.kind,
                 "help": metric.help,
-                "last_updated": metric.last_updated,
                 "samples": metric.sample_dict(),
             }
         return out

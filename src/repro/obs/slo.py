@@ -30,8 +30,10 @@ Surfaces:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs.audit import AuditRecord
@@ -39,6 +41,8 @@ from repro.obs.audit import AuditRecord
 #: How often (virtual seconds) the engine re-evaluates objectives while
 #: samples stream in.  Evaluation also happens on demand (health, RPC).
 DEFAULT_EVAL_INTERVAL = 1.0
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -127,11 +131,24 @@ def default_slos() -> List[SloObjective]:
 
 @dataclass
 class _ObjectiveState:
-    """Mutable evaluation state for one installed objective."""
+    """Mutable evaluation state for one installed objective.
+
+    ``record`` only appends to ``samples``; :meth:`fold` brings the
+    running window state up to date when the engine evaluates, at a
+    cost set by the samples recorded and pruned since the last fold.
+    """
 
     objective: SloObjective
     #: (completion time, latency, ok) — pruned to the long window
     samples: Deque[Tuple[float, float, bool]] = field(default_factory=deque)
+    #: whether each folded sample consumed budget — the first
+    #: ``len(flags)`` samples are folded in, the rest are new
+    flags: Deque[bool] = field(default_factory=deque)
+    #: budget-consuming samples among the folded ones
+    bad: int = 0
+    #: latency objectives: the folded samples' latencies, ascending, a
+    #: failure at ``+inf``
+    ranked: List[float] = field(default_factory=list)
     alerting: bool = False
     compliant: bool = True
     burn_rate: float = 0.0
@@ -139,11 +156,30 @@ class _ObjectiveState:
     current: float = 0.0
     breaches: int = 0
 
-    def prune(self, now: float) -> None:
-        horizon = now - self.objective.window
-        samples = self.samples
+    def fold(self, now: float) -> None:
+        """Fold in the samples recorded since the last fold, then prune
+        the window at ``now`` and unfold what leaves it."""
+        samples, flags = self.samples, self.flags
+        objective = self.objective
+        latency_kind = objective.kind == "latency"
+        target = objective.target
+        ranked = self.ranked
+        fresh = len(samples) - len(flags)
+        if fresh:
+            new = list(islice(reversed(samples), fresh))
+            for _, latency, ok in reversed(new):
+                bad = not ok or (latency_kind and latency > target)
+                flags.append(bad)
+                self.bad += bad
+                if latency_kind:
+                    insort(ranked, latency if ok else _INF)
+        horizon = now - objective.window
         while samples and samples[0][0] < horizon:
-            samples.popleft()
+            _, latency, ok = samples.popleft()
+            self.bad -= flags.popleft()
+            if latency_kind:
+                # the oldest sample is the first of its equal values
+                del ranked[bisect_left(ranked, latency if ok else _INF)]
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -265,21 +301,20 @@ class SloEngine:
         for name in sorted(self._states):
             state = self._states[name]
             objective = state.objective
-            state.prune(now)
+            state.fold(now)
             samples = state.samples
             total = len(samples)
-            bad = sum(
-                1 for _, latency, ok in samples
-                if objective.violates(latency, ok)
-            )
+            bad = state.bad
+            # The short window walks newest first over the stored flags
+            # and stops at the first older sample: batch items complete
+            # out of order, so the short window is not a suffix by time.
             short_horizon = now - objective.short_window
             short_total = short_bad = 0
-            for at, latency, ok in reversed(samples):
+            for (at, _, _), flag in zip(reversed(samples), reversed(state.flags)):
                 if at < short_horizon:
                     break
                 short_total += 1
-                if objective.violates(latency, ok):
-                    short_bad += 1
+                short_bad += flag
             budget = objective.budget
             state.burn_rate = (bad / total / budget) if total else 0.0
             state.burn_rate_short = (
@@ -290,7 +325,7 @@ class SloEngine:
                 state.compliant = state.current >= objective.target
             else:
                 state.current = _windowed_percentile(
-                    samples, objective.percentile
+                    state.ranked, samples, objective.percentile
                 )
                 state.compliant = state.current <= objective.target
             alerting = (
@@ -370,22 +405,22 @@ class SloEngine:
             "alerting": [s["name"] for s in states if s["alerting"]],
         }
 
-def _windowed_percentile(samples, percentile: float) -> float:
-    """Nearest-rank percentile of the windowed latency samples.
+def _windowed_percentile(ranked, samples, percentile: float) -> float:
+    """Nearest-rank percentile of the windowed latency samples
+    (``ranked``: their latencies, ascending).
 
     Failed requests count at ``+inf`` — an errored GET is not evidence
-    of good latency — but an all-good empty window reports 0.
+    of good latency — but an all-good empty window reports 0.  A rank
+    that lands on a failure reports the window's slowest latency plus
+    one second.
     """
-    if not samples:
+    if not ranked:
         return 0.0
-    data = sorted(
-        latency if ok else float("inf") for _, latency, ok in samples
-    )
-    rank = int(percentile * len(data))
-    if rank < percentile * len(data):
+    rank = int(percentile * len(ranked))
+    if rank < percentile * len(ranked):
         rank += 1
-    rank = max(1, min(len(data), rank))
-    value = data[rank - 1]
-    return value if value != float("inf") else max(
+    rank = max(1, min(len(ranked), rank))
+    value = ranked[rank - 1]
+    return value if value != _INF else max(
         (lat for _, lat, _ok in samples), default=0.0
     ) + 1.0

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import instance as instance_module
 from repro.core.durability import INTENTS, fsck
 from repro.core.events import ActionEvent
 from repro.core.policy import Rule
@@ -175,6 +176,37 @@ class TestCrashPointsFireWithoutAJournal:
         ]
 
 
+class TestNoJournalNoBracket:
+    def test_only_a_journal_or_an_injector_builds_the_bracket(
+        self, registry, monkeypatch
+    ):
+        built = []
+        bracket = instance_module._Journaled
+        monkeypatch.setattr(
+            instance_module, "_Journaled",
+            lambda *args: built.append(args[1]) or bracket(*args),
+        )
+        instance = build_instance(registry, TIERS, rules=[WRITE_THROUGH])
+        server = TieraServer(instance)
+        ctx = RequestContext(registry.cluster.clock)
+        server.put_object("k", OLD).raise_for_error()
+        server.get_object("k").raise_for_error()
+        instance.rewrite_everywhere("k", NEW, ctx)
+        instance.remove_from_tier("k", "tier2", ctx)
+        assert built == []
+        # the write-back scope alone still writes every row
+        rows = dict(instance.metadata_store.items())
+        assert rows[b"k"] == instance.meta("k").to_json()
+        server.delete_object("k").raise_for_error()
+        assert built == [] and b"k" not in dict(instance.metadata_store.items())
+        instance.crash_points = CrashPointInjector()
+        server.put_object("k", OLD).raise_for_error()
+        instance.crash_points = None
+        instance.enable_durability()
+        server.delete_object("k").raise_for_error()
+        assert built == ["write", "write", "delete"]
+
+
 # -- lint: one bracket, one table -------------------------------------------
 
 CORE = Path(__file__).parents[2] / "src" / "repro" / "core"
@@ -238,7 +270,7 @@ class TestOneBracketOneTable:
         on the way a metadata row reaches the store."""
         path = {
             "TieraInstance.persist_meta", "TieraInstance._drop_meta",
-            "_MetaWriteBack.note", "_MetaWriteBack.flush",
+            "_MetaWriteBack.flush",
         }
         seen, reads = set(), []
         for scope, node in _scoped_nodes(CORE / "instance.py"):

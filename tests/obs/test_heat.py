@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.conditions import AttrRef, EvalScope, HeatHot
 from repro.core.errors import PolicyError
@@ -71,6 +73,67 @@ class TestSpaceSavingSketch:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             SpaceSavingSketch(capacity=0)
+
+
+class ScanSketch(SpaceSavingSketch):
+    """The sketch as it was before the victim heap: every unmonitored
+    key scans all entries for the smallest ``(count, key)``."""
+
+    def observe(self, key):
+        entry = self._entries.get(key)
+        if entry is not None:
+            entry[0] += 1
+            return
+        if len(self._entries) < self.capacity:
+            self._entries[key] = [1, 0]
+            return
+        victim = min(
+            self._entries.items(), key=lambda item: (item[1][0], item[0])
+        )
+        min_count = victim[1][0]
+        del self._entries[victim[0]]
+        self._entries[key] = [min_count + 1, min_count]
+
+
+class TestVictimHeap:
+    """The heap's victim is exactly the scan's, so entries and ``top()``
+    agree after every observation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(
+            # few distinct keys: repeats, count ties and re-admissions
+            st.sampled_from([f"k{i}" for i in range(10)])
+            | st.text("ab", min_size=1, max_size=3),
+            max_size=200,
+        ),
+    )
+    def test_equal_to_the_scan(self, capacity, stream):
+        heap, scan = SpaceSavingSketch(capacity), ScanSketch(capacity)
+        for key in stream:
+            heap.observe(key)
+            scan.observe(key)
+            assert heap._entries == scan._entries
+            assert heap.top() == scan.top()
+        assert len(heap._heap) == len(heap)
+
+    def test_capacity_one_replaces_every_miss(self):
+        heap, scan = SpaceSavingSketch(1), ScanSketch(1)
+        for key in ["a", "a", "b", "c", "c", "a"]:
+            heap.observe(key)
+            scan.observe(key)
+        assert heap.top() == scan.top() == [("a", 6, 5)]
+
+    def test_ties_break_on_the_smallest_key_after_increments(self):
+        # "b" and "c" lag in the heap at count 1, then catch "a" up to a
+        # three-way tie at 2: the victim is still the smallest key
+        heap, scan = SpaceSavingSketch(3), ScanSketch(3)
+        for key in ["c", "b", "a", "a", "b", "c", "z"]:
+            heap.observe(key)
+            scan.observe(key)
+        assert heap.top() == scan.top()
+        assert "a" not in heap and heap.count("z") == 3
 
 
 class TestEstimateSkew:
@@ -389,6 +452,30 @@ class TestServerHeatSurface:
         summary = server.invoke("heat", "summary").state
         assert summary["enabled"] and summary["hot_keys"] == ["k"]
         assert "tier1" in summary["tiers"]
+
+    def test_new_windows_reseed_tracked_objects(self, registry):
+        inst = build_instance(registry, [("tier1", "Memcached", 64 * 1024)])
+        server = TieraServer(inst)
+        server.configure("heat", windows=[1.0, 2.0], hot_min=1).raise_for_error()
+        for key in ("a", "b", "c"):
+            server.put_object(key, b"x" * 64).raise_for_error()
+        server.get_object("a").raise_for_error()
+
+        def rates():
+            hot = server.invoke("heat", "summary").state["hot"]
+            return {entry["key"]: entry["rates"] for entry in hot}["a"]
+
+        before = rates()
+        server.configure("heat", windows=[1.0, 2.0]).raise_for_error()
+        assert rates() == before  # the same tuple keeps them
+        server.configure("heat", windows=[1.0, 2.0, 3.0]).raise_for_error()
+        assert rates() == dict(before, **{"3s": 0.0})
+        # the longer tuple used to raise IndexError out of this GET
+        server.get_object("a").raise_for_error()
+        assert rates()["3s"] == round(1 / 3, 9)
+        server.configure("heat", windows=[2.0]).raise_for_error()
+        assert list(rates()) == ["2s"]
+        server.get_object("b").raise_for_error()
 
     def test_a_negative_limit_is_bad_config_on_direct_and_router(
         self, registry
