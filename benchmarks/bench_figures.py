@@ -52,6 +52,6 @@ def test_fig18_rule_evaluation_microbenchmark(benchmark):
             kind="insert", key="probe", meta=meta, tier="tier1", data=payload
         )
         instance.control.dispatch_action(action, ctx)
-        meta.locations.clear()
+        meta.clear_copies()
 
     benchmark(dispatch_once)

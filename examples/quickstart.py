@@ -59,7 +59,7 @@ def main() -> None:
                                tags=["demo"])
     meta = server.stat("greeting")
     print(f"PUT took {result.latency * 1000:.3f} ms "
-          f"→ locations={sorted(meta.locations)} dirty={meta.dirty}")
+          f"→ locations={meta.copies()} dirty={meta.dirty}")
 
     # GET: served from the fastest tier holding the object.
     result = server.get_object("greeting")
@@ -68,7 +68,7 @@ def main() -> None:
     # Let simulated time pass: the timer event writes dirty data back.
     cluster.clock.advance(31)
     meta = server.stat("greeting")
-    print(f"after 31 s: locations={sorted(meta.locations)} dirty={meta.dirty}")
+    print(f"after 31 s: locations={meta.copies()} dirty={meta.dirty}")
 
     # The instance knows what its configuration costs per month.
     print(f"monthly storage cost: ${instance.monthly_cost():.2f}")

@@ -628,7 +628,7 @@ def _fig14(t: Trial) -> Tuple[Rows, Facts]:
             name,
             round(ms(result.latencies.mean()), 2),
             round(ms(result.latencies.p95()), 2),
-            sum(1 for meta in instance.iter_meta() if "tier2" in meta.locations),
+            sum(1 for meta in instance.iter_meta() if meta.holds("tier2")),
         ])
     return rows, {}
 
@@ -1506,7 +1506,7 @@ def _ablation_inclusive(t: Trial) -> Tuple[Rows, Facts]:
             )
             durable = sum(
                 1 for meta in instance.iter_meta()
-                if any(instance.tiers.get(tier).durable for tier in meta.locations)
+                if any(instance.tiers.get(tier).durable for tier in meta.copies())
             )
             rows.append([
                 name, distribution, round(ms(result.latencies.mean()), 2), durable,

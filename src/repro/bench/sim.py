@@ -622,7 +622,7 @@ def _surviving_bytes(instance, key: str) -> Optional[bytes]:
     if meta is None:
         return None
     for tier in instance.tiers.ordered():
-        if tier.durable and tier.name in meta.locations:
+        if tier.durable and meta.holds(tier.name):
             blob = tier.service.peek(key)
             if blob is not None:
                 return blob

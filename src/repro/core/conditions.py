@@ -191,7 +191,7 @@ class AttrRef(Condition):
         if attr not in _OBJECT_ATTRS:
             raise PolicyError(f"unknown object attribute {attr!r}")
         if attr == "location":
-            return meta.locations
+            return set(meta.copies())
         if attr == "access_frequency":
             return meta.access_frequency(scope.now)
         return getattr(meta, attr)
@@ -390,5 +390,5 @@ class TierDirtyBytes(Condition):
         return sum(
             meta.size
             for meta in scope.instance.iter_meta()
-            if meta.dirty and self.tier_name in meta.locations
+            if meta.dirty and meta.holds(self.tier_name)
         )

@@ -165,8 +165,7 @@ def _install_post(instance, record) -> None:
 
 
 def _plan_write(meta: ObjectMeta, tier_name: str, data: bytes):
-    post = meta.to_doc()
-    post["locations"] = sorted(meta.locations | {tier_name})
+    post = meta.to_doc(with_copy=tier_name)
     post["size"] = len(data)
     return {"tier": tier_name, "data_b64": _b64(data), "post_meta": post}
 
@@ -181,8 +180,7 @@ def _redo_write(instance, record, ctx: RequestContext) -> None:
 
 
 def _plan_remove(meta: ObjectMeta, tier_name: str):
-    post = meta.to_doc()
-    post["locations"] = sorted(meta.locations - {tier_name})
+    post = meta.to_doc(without_copy=tier_name)
     return {"tier": tier_name, "post_meta": post}
 
 
@@ -198,7 +196,7 @@ def _plan_rewrite(meta: ObjectMeta, data: bytes, updates):
     post["size"] = len(data)
     post.update(updates or {})
     return {
-        "locations": sorted(meta.locations),
+        "locations": meta.copies(),
         "data_b64": _b64(data),
         "post_meta": post,
     }
@@ -216,7 +214,7 @@ def _plan_delete(meta: ObjectMeta):
     # Tombstone-first: the intent names every tier that may still hold
     # bytes, so a crash mid-delete finishes the removal on reopen
     # instead of leaving orphan replicas.
-    return {"locations": sorted(meta.locations)}
+    return {"locations": meta.copies()}
 
 
 def _redo_delete(instance, record, ctx: RequestContext) -> None:
@@ -532,19 +530,19 @@ def fsck(
     # 1+2: stale locations and ghosts.
     for key in sorted(metas):
         meta = metas[key]
-        for tier_name in sorted(meta.locations):
+        for tier_name in meta.copies():
             if tier_name not in tier_names:
                 note("stale-location", key, tier_name,
                      "location names an unconfigured tier", "drop-location")
                 if repair:
-                    meta.locations.discard(tier_name)
+                    meta.drop_copy(tier_name)
                     instance.persist_meta(meta)
             elif not instance.tiers.get(tier_name).contains(key):
                 note("ghost", key, tier_name,
                      "metadata lists a copy the tier does not hold",
                      "drop-location")
                 if repair:
-                    meta.locations.discard(tier_name)
+                    meta.drop_copy(tier_name)
                     instance.persist_meta(meta)
 
     # 3: dangling aliases.
@@ -567,13 +565,13 @@ def fsck(
                      "tier holds bytes with no metadata", "delete-bytes")
                 if repair:
                     tier.service.erase(stored)
-            elif tier.name not in meta.locations:
+            elif not meta.holds(tier.name):
                 blob = tier.service.peek(stored)
                 if _verifiable(meta) and content_checksum(blob) == meta.checksum:
                     note("unrecorded", stored, tier.name,
                          "verified copy missing from metadata", "adopt")
                     if repair:
-                        meta.locations.add(tier.name)
+                        meta.add_copy(tier.name)
                         instance.persist_meta(meta)
                 else:
                     note("unrecorded", stored, tier.name,
@@ -589,7 +587,7 @@ def fsck(
             continue
         good: Optional[bytes] = None
         bad: List[str] = []
-        for tier_name in sorted(meta.locations & tier_names):
+        for tier_name in [t for t in meta.copies() if t in tier_names]:
             tier = instance.tiers.get(tier_name)
             if not tier.contains(key):
                 continue  # ghost, handled above
@@ -637,7 +635,7 @@ def fsck(
     # 6: lost objects (and aliases orphaned by dropping them).
     for key in sorted(list(metas)):
         meta = metas.get(key)
-        if meta is None or meta.alias_of is not None or meta.locations:
+        if meta is None or meta.alias_of is not None or meta.copies():
             continue
         note("lost", key, "", "no tier holds this object", "drop-object")
         if repair:
@@ -660,12 +658,12 @@ def fsck(
     if targets:
         for key in sorted(metas):
             meta = metas[key]
-            if meta.alias_of is not None or not meta.locations:
+            if meta.alias_of is not None or not meta.copies():
                 continue
             if meta.tags & {"version", "snapshot"}:
                 continue  # side copies follow their own placement
             for tier_name in targets:
-                if tier_name in meta.locations:
+                if meta.holds(tier_name):
                     continue
                 note("under-replicated", key, tier_name,
                      "durable policy target holds no copy", "recopy")
@@ -718,7 +716,7 @@ def _first_copy(instance, meta: ObjectMeta) -> Optional[bytes]:
     """The object's bytes from its first-declared recorded tier, read
     at the service (no virtual time, no LRU side effects)."""
     for tier in instance.tiers.ordered():
-        if tier.name in meta.locations:
+        if meta.holds(tier.name):
             blob = tier.service.peek(meta.key)
             if blob is not None:
                 return blob
@@ -752,11 +750,11 @@ def archived_state(
         meta = instance._meta[key]
         if meta.alias_of is not None:
             continue  # second pass below, once canonicals are decided
-        held = meta.locations & archived_names
+        held = [t for t in meta.copies() if t in archived_names]
         if not held:
             continue
         copy = ObjectMeta.from_doc(meta.to_doc())
-        copy.locations = held
+        copy.set_copies(held)
         kept.append(copy)
         kept_keys.add(key)
     for key in sorted(instance._meta):
@@ -778,10 +776,7 @@ def archived_state(
         else:
             contents = {}
         tier_rows.append((tier.name, contents))
-    meta_rows = [
-        (m.key, m.size, tuple(sorted(m.locations)), m.version, m.checksum)
-        for m in kept
-    ]
+    meta_rows = [m.digest_row() for m in kept]
     from repro.core.instance import state_fingerprint
 
     return kept, tier_rows, state_fingerprint(meta_rows, tier_rows)

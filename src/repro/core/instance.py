@@ -544,7 +544,7 @@ class TieraInstance:
                 if self.crash_points is not None:
                     self._crash_point("write.data")
                 meta = self.meta(key)
-                meta.locations.add(tier_name)
+                meta.add_copy(tier_name)
                 meta.size = len(data)
                 self.persist_meta(meta)
                 if self.crash_points is not None:
@@ -631,8 +631,8 @@ class TieraInstance:
             victim = tier.oldest
             if victim is None or victim == protect:
                 break
-            held = self.meta(victim).locations  # no row: raise, move nothing
-            if drop_mode and len(held) < 2:
+            meta = self.meta(victim)  # no row: raise, move nothing
+            if drop_mode and len(meta.copies()) < 2:
                 # The victim lives nowhere else; dropping would lose
                 # data.  Refuse and let the caller hit NoCapacity.
                 break
@@ -671,12 +671,13 @@ class TieraInstance:
         row drops every location that came up empty.  When all of them
         did, the object is gone: :class:`NoSuchObjectError`.
         """
-        physical = self.resolve_alias(key)
-        meta = self.meta(physical)
-        candidates = [
-            t for t in self.tiers if t.name in meta.locations and t.name != prefer
-        ]
-        if prefer is not None and prefer in meta.locations:
+        meta = self.meta(key)
+        if meta.alias_of is not None:  # storeOnce: read the canonical's copies
+            meta = self.meta(self.resolve_alias(key))
+        physical = meta.key
+        held = meta.copies()
+        candidates = [t for t in self.tiers if t.name in held and t.name != prefer]
+        if prefer is not None and prefer in held:
             candidates.insert(0, self.tiers.get(prefer))
         if not candidates:
             raise NoSuchObjectError(key)
@@ -732,7 +733,7 @@ class TieraInstance:
         if branches is not None:
             branches.join()  # even a fruitless hedge's time is the client's
         if vanished:
-            meta.locations.difference_update(vanished)
+            meta.drop_copies(vanished)
             self.persist_meta(meta)
         if served is None:
             if len(vanished) == len(causes):
@@ -777,7 +778,7 @@ class TieraInstance:
                 res.guarded_put(tier, key, data, bctx)
 
         with self._bracket("rewrite", key, data, updates):
-            _fan_out(ctx, sorted(meta.locations), put)
+            _fan_out(ctx, meta.copies(), put)
             if self.crash_points is not None:
                 self._crash_point("rewrite.data")
             meta.size = len(data)
@@ -793,7 +794,7 @@ class TieraInstance:
             if self.crash_points is not None:
                 self._crash_point("remove.data")
             meta = self.meta(key)
-            meta.locations.discard(tier_name)
+            meta.drop_copy(tier_name)
             self.persist_meta(meta)
 
     def _detach_alias(self, meta: ObjectMeta) -> None:
@@ -804,7 +805,7 @@ class TieraInstance:
             self.persist_meta(canonical)
         self._unlink(self._aliases, meta.alias_of, meta.key)
         meta.alias_of = None
-        meta.locations = set()
+        meta.clear_copies()
         self.persist_meta(meta)
 
     def _handoff_holders(self, meta: ObjectMeta) -> Optional[List[Tier]]:
@@ -820,7 +821,7 @@ class TieraInstance:
         if meta.key not in self._aliases:
             return None
         holders = [
-            tier for tier in map(self.tiers.get, sorted(meta.locations))
+            tier for tier in map(self.tiers.get, meta.copies())
             if tier.contains(meta.key)
         ]
         down = [tier for tier in holders if not tier.available]
@@ -861,7 +862,7 @@ class TieraInstance:
             tier.delete(meta.key, ctx)
         del self._aliases[meta.key]
         heir.alias_of = None
-        heir.locations = set(meta.locations)
+        heir.set_copies(meta.copies())
         heir.size = meta.size
         heir.checksum = meta.checksum
         heir.refcount = len(others)
@@ -875,7 +876,7 @@ class TieraInstance:
             self._dedup[meta.checksum] = heir.key
         self.persist_meta(heir)
         self.meta_writeback.flush()
-        meta.locations = set()
+        meta.clear_copies()
         meta.refcount = 0  # all aliases now point at the heir
 
     def _drop_dedup_entry(self, meta: ObjectMeta) -> None:
@@ -929,15 +930,13 @@ class TieraInstance:
             elif heir_holders is not None:
                 self._handoff_to_heir(meta, heir_holders, ctx)
             else:
-                holders = [
-                    self.tiers.get(name) for name in sorted(meta.locations)
-                ]
+                holders = [self.tiers.get(name) for name in meta.copies()]
                 holders = [t for t in holders if t.contains(key) and t.available]
                 try:
                     _fan_out(ctx, holders, drop)
                 except Exception:
                     # The row unlists each tier whose delete landed.
-                    meta.locations.difference_update(emptied)
+                    meta.drop_copies(emptied)
                     self.persist_meta(meta)
                     raise
                 if self.crash_points is not None:
@@ -973,13 +972,13 @@ class TieraInstance:
         enabled.
         """
         meta = self._meta.get(key)
-        if meta is None or (not meta.locations and meta.alias_of is None):
+        if meta is None or (not meta.copies() and meta.alias_of is None):
             return None
         data = self.read_raw(key, ctx)
         version_key = f"{key}@v{meta.version}"
         target = self.versioning_tier
         if target is None:
-            candidates = [t for t in self.tiers.ordered() if t.name in meta.locations]
+            candidates = [t for t in self.tiers.ordered() if meta.holds(t.name)]
             target = candidates[-1].name if candidates else self.tiers.first().name
         self.create_object(version_key, len(data), tags={"version"})
         self._versions.setdefault(key, {})[version_key] = meta.version
@@ -1161,10 +1160,7 @@ class TieraInstance:
             from repro.core.durability import archived_state
 
             return archived_state(self)[2]
-        meta_rows = [
-            (key, m.size, tuple(sorted(m.locations)), m.version, m.checksum)
-            for key, m in ((k, self._meta[k]) for k in sorted(self._meta))
-        ]
+        meta_rows = [self._meta[key].digest_row() for key in sorted(self._meta)]
         tier_rows = [(t.name, t.service.contents()) for t in self.tiers.ordered()]
         return state_fingerprint(meta_rows, tier_rows)
 
@@ -1185,7 +1181,7 @@ class TieraInstance:
         for name in remove_tiers:
             removed = self.tiers.remove(name)
             for meta in self._meta.values():
-                meta.locations.discard(removed.name)
+                meta.drop_copy(removed.name)
         if replace_policy is not None:
             self.policy.replace_all(list(replace_policy))
         else:

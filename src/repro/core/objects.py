@@ -10,6 +10,11 @@ key; they cannot be edited in place but may be overwritten (which bumps
 ``version``).  ``checksum`` supports the ``storeOnce`` de-duplicating
 response; ``compressed``/``encrypted`` record transformations applied by
 the corresponding responses so GET can reverse them.
+
+Which tiers hold a copy of an object is known to this module alone:
+every other module asks through :class:`ObjectMeta`'s copy methods
+(``holds``, ``copies``, ``add_copy``, ``drop_copy``, ...), never the
+``locations`` field (``tests/core/test_one_copy_api.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: ``json.dumps(doc, sort_keys=True)``'s encoder, built once: ``dumps``
 #: builds a fresh one on every call.
@@ -66,18 +71,60 @@ class ObjectMeta:
         age = max(now - self.created_at, 1e-9)
         return self.access_count / age
 
-    def in_tier(self, tier_name: str) -> bool:
-        return tier_name in self.locations
+    # -- copies: which tiers hold this object ------------------------------
+    # A copy is a tier name in ``locations``; a version per copy (ROADMAP
+    # item 1a) changes these methods and the doc codec, not their callers.
+
+    def holds(self, tier: str) -> bool:
+        """Whether ``tier`` holds a copy."""
+        return tier in self.locations
+
+    def copies(self) -> List[str]:
+        """The names of the tiers holding a copy, sorted (a fresh list)."""
+        return sorted(self.locations)
+
+    def add_copy(self, tier: str) -> None:
+        self.locations.add(tier)
+
+    def drop_copy(self, tier: str) -> None:
+        """Unlist ``tier``'s copy (nothing when it holds none)."""
+        self.locations.discard(tier)
+
+    def drop_copies(self, tiers: Iterable[str]) -> None:
+        self.locations.difference_update(tiers)
+
+    def set_copies(self, tiers: Iterable[str]) -> None:
+        """Record exactly ``tiers`` as holding a copy."""
+        self.locations = set(tiers)
+
+    def clear_copies(self) -> None:
+        self.locations = set()
+
+    def digest_row(self) -> Tuple[str, int, Tuple[str, ...], int, str]:
+        """The row :func:`repro.core.instance.state_fingerprint` hashes."""
+        return (self.key, self.size, tuple(sorted(self.locations)),
+                self.version, self.checksum)
 
     # -- persistence (metadata survives server restart via the kvstore) --
 
-    def to_doc(self) -> Dict[str, object]:
+    def to_doc(
+        self, with_copy: Optional[str] = None, without_copy: Optional[str] = None
+    ) -> Dict[str, object]:
         """The JSON-able image behind store rows, journal post-images
-        and snapshot members (a fresh dict: callers may edit it)."""
+        and snapshot members (a fresh dict: callers may edit it).
+
+        ``with_copy`` / ``without_copy`` give the image after
+        :meth:`add_copy` / :meth:`drop_copy` of that tier (a journaled
+        write's or removal's post-image), leaving ``self`` as it is."""
+        locations = self.locations
+        if with_copy is not None:
+            locations = locations | {with_copy}
+        if without_copy is not None:
+            locations = locations - {without_copy}
         return {
             "key": self.key,
             "size": self.size,
-            "locations": sorted(self.locations),
+            "locations": sorted(locations),
             "dirty": self.dirty,
             "tags": sorted(self.tags),
             "created_at": self.created_at,

@@ -250,7 +250,7 @@ class ColdnessIndex:
         self._rate_max = 1.0
         for key, meta in table.items():
             state = self.tracker.state(key)
-            for src in meta.locations:
+            for src in meta.copies():
                 heap = self._heaps.get(src)
                 if heap is not None:
                     heap.append(self._entry(key, src, state))
@@ -261,12 +261,12 @@ class ColdnessIndex:
         """Give each indexed copy of ``key`` a live entry as of now, and
         retire the entries of copies it no longer has."""
         meta = self._table.get(key)
-        locations = meta.locations if meta is not None else ()
+        held = meta.copies() if meta is not None else ()
         live = self._live
         state = None
         for src, heap in self._heaps.items():
             entry = live.get((key, src))
-            if src not in locations:
+            if src not in held:
                 if entry is not None:
                     del live[key, src]
                 continue
@@ -331,7 +331,7 @@ class ColdnessIndex:
                         if live.get((key, src)) is not entry:
                             continue  # superseded
                         meta = table.get(key)
-                        if meta is None or src not in meta.locations:
+                        if meta is None or not meta.holds(src):
                             del live[key, src]
                             continue
                         state = tracker.state(key)
@@ -546,14 +546,13 @@ class PlacementEngine:
                 skip(key, "missing")
                 continue
             meta = self.instance.meta(key)
-            current = [t for t in meta.locations if t in rank]
+            current = [t for t in meta.copies() if t in rank]
             if not current:
                 skip(key, "untiered")
                 continue
             src = min(current, key=lambda t: rank[t])
             dst = next(
-                (t for t in order if rank[t] < rank[src]
-                 and t not in meta.locations),
+                (t for t in order if rank[t] < rank[src] and not meta.holds(t)),
                 None,
             )
             if dst is None:
@@ -619,7 +618,7 @@ class PlacementEngine:
                 if dst is None:
                     skip(key, "no-slower-tier")
                     continue
-                needs_copy = dst not in meta.locations
+                needs_copy = not meta.holds(dst)
                 pressure = (
                     self._pressure(projected, dst, meta.size)
                     if needs_copy else 0.0
@@ -672,9 +671,7 @@ class PlacementEngine:
     def _demotion_target(meta, src, order, rank) -> Optional[str]:
         """Where reads land after dropping ``src``: the fastest slower
         copy if one exists, else the next slower tier to copy into."""
-        slower_copies = [
-            t for t in meta.locations if t in rank and rank[t] > rank[src]
-        ]
+        slower_copies = [t for t in meta.copies() if t in rank and rank[t] > rank[src]]
         if slower_copies:
             return min(slower_copies, key=lambda t: rank[t])
         for name in order[rank[src] + 1:]:
@@ -742,7 +739,7 @@ class PlacementEngine:
             planned_keys.add(v_key)
             planned_keys.add(promo["key"])
             projected[dst] = freed + promo["size"]
-            if v_dst not in v_meta.locations:
+            if not v_meta.holds(v_dst):
                 projected[v_dst] += v_meta.size
 
     # -- execution -----------------------------------------------------------
@@ -800,7 +797,7 @@ class PlacementEngine:
             return
         # demote: drop the fast copy, first materializing a slower one
         # unless the object already lists one there (ROADMAP item 1).
-        held = dst in self.instance.meta(key).locations
+        held = self.instance.meta(key).holds(dst)
         self.instance.relocate(
             key, () if held else (dst,), ctx, prefer=src, drop_from=(src,)
         )

@@ -149,7 +149,7 @@ class Retrieve(Response):
             if self.promote_to is None:
                 continue
             physical = instance.resolve_alias(key)
-            sources = instance.meta(physical).locations if self.exclusive else ()
+            sources = instance.meta(physical).copies() if self.exclusive else ()
             instance.relocate(
                 physical, (self.promote_to,), ctx, data=data, drop_from=sources
             )
@@ -179,7 +179,7 @@ class _Transfer(Response):
                     ctx.wait(start - ctx.time)
             instance.relocate(
                 key, self.to, ctx, data=data,
-                drop_from=instance.meta(key).locations if self.moves else (),
+                drop_from=instance.meta(key).copies() if self.moves else (),
             )
             _note_write(scope, key, self.to, placed=self.moves)
             if self.clear_dirty and any(
@@ -241,7 +241,7 @@ class Delete(Response):
                 continue
             instance.relocate(
                 key, (), ctx,
-                drop_from=instance.meta(key).locations & set(self.tiers),
+                drop_from=[t for t in instance.meta(key).copies() if t in self.tiers],
             )
 
 

@@ -110,7 +110,7 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
                     op=api.PUT,
                     key=op.key,
                     ok=True,
-                    tier=",".join(sorted(meta.locations)),
+                    tier=",".join(meta.copies()),
                     checksum=meta.checksum,
                     size=len(op.data),
                 )
@@ -140,10 +140,8 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
             # Overwrite: keep the dedup index and any aliases coherent
             # before the new bytes land.
             instance.prepare_overwrite(key, ctx)
-        prior_locations = (
-            set(instance.meta(key).locations) if overwrite else set()
-        )
         meta = instance.create_object(key, len(data), tags=set(tags))
+        prior_locations = set(meta.copies()) if overwrite else set()
         meta.checksum = content_checksum(data)
         action = Action(
             kind=INSERT,
@@ -171,7 +169,7 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
                 # dispatch-time check: give threshold rules another look.
                 instance.control.evaluate_thresholds(ctx, action=action)
         except Exception:
-            if not overwrite and not meta.locations:
+            if not overwrite and not meta.copies():
                 instance._drop_meta(key)  # a new key no tier took: no row
             raise
         # Inside _apply_op's write-back scope create_object noted the

@@ -289,7 +289,9 @@ class HeatTracker:
         A different tuple of ``windows`` re-seeds every tracked object's
         rates for it: a window in both tuples keeps its rate, a new one
         starts at 0.0, which the object's next access seeds (``1 /
-        window``).  The same tuple keeps them all."""
+        window``).  The same tuple keeps them all.  Likewise a different
+        ``top_k`` starts an empty sketch of that size, and the same one
+        keeps the sketch and its hot set."""
         if windows is not None:
             new = tuple(float(w) for w in windows)
             if not new or any(w <= 0 for w in new):
@@ -299,9 +301,9 @@ class HeatTracker:
                     kept = dict(zip(self.windows, stats.rates))
                     stats.rates = [kept.get(window, 0.0) for window in new]
                 self.windows = new
-        if top_k is not None:
+        if top_k is not None and int(top_k) != self.top_k:
+            self._sketch = SpaceSavingSketch(int(top_k))  # rejects < 1
             self.top_k = int(top_k)
-            self._sketch = SpaceSavingSketch(self.top_k)
         if max_objects is not None:
             self.max_objects = int(max_objects)
         if sample_interval is not None:

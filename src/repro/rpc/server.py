@@ -227,7 +227,7 @@ class TieraRpcServer:
         return {
             "key": meta.key,
             "size": meta.size,
-            "locations": sorted(meta.locations),
+            "locations": meta.copies(),
             "dirty": meta.dirty,
             "tags": sorted(meta.tags),
             "access_count": meta.access_count,

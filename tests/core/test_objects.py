@@ -31,10 +31,63 @@ class TestObjectMeta:
         assert meta.version == 1
         assert meta.last_modified == 5.0
 
-    def test_in_tier(self):
+    def test_holds(self):
         meta = ObjectMeta(key="k", locations={"tier1"})
-        assert meta.in_tier("tier1")
-        assert not meta.in_tier("tier2")
+        assert meta.holds("tier1")
+        assert not meta.holds("tier2")
+
+    def test_add_and_drop_copy_are_idempotent(self):
+        meta = ObjectMeta(key="k")
+        meta.add_copy("tier2")
+        meta.add_copy("tier2")
+        assert meta.copies() == ["tier2"]
+        meta.drop_copy("tier2")
+        meta.drop_copy("tier2")
+        meta.drop_copy("never")
+        assert meta.copies() == [] and not meta.holds("tier2")
+
+    def test_copies_are_sorted_and_fresh(self):
+        meta = ObjectMeta(key="k")
+        for tier in ("tier3", "tier1", "tier2"):
+            meta.add_copy(tier)
+        held = meta.copies()
+        assert held == ["tier1", "tier2", "tier3"]
+        held.append("tier9")  # the caller's list, not the row
+        assert not meta.holds("tier9")
+
+    def test_bulk_forms(self):
+        meta = ObjectMeta(key="k", locations={"a", "b", "c"})
+        meta.drop_copies(["a", "c", "z"])
+        assert meta.copies() == ["b"]
+        meta.set_copies(["d", "c"])
+        assert meta.copies() == ["c", "d"]
+        meta.clear_copies()
+        assert meta.copies() == []
+
+    def test_doc_keeps_copies_a_sorted_list(self):
+        meta = ObjectMeta(key="k")
+        for tier in ("tier3", "tier1", "tier2"):
+            meta.add_copy(tier)
+        doc = meta.to_doc()
+        assert doc["locations"] == ["tier1", "tier2", "tier3"]
+        restored = ObjectMeta.from_doc(json.loads(json.dumps(doc)))
+        assert restored == meta
+        assert restored.copies() == meta.copies()
+        assert restored.to_json() == meta.to_json()
+        assert b'"locations": ["tier1", "tier2", "tier3"]' in meta.to_json()
+
+    def test_doc_post_images_leave_the_row_alone(self):
+        meta = ObjectMeta(key="k", locations={"tier2"})
+        assert meta.to_doc(with_copy="tier1")["locations"] == ["tier1", "tier2"]
+        assert meta.to_doc(with_copy="tier2")["locations"] == ["tier2"]
+        assert meta.to_doc(without_copy="tier2")["locations"] == []
+        assert meta.to_doc(without_copy="tier9")["locations"] == ["tier2"]
+        assert meta.copies() == ["tier2"]
+
+    def test_digest_row(self):
+        meta = ObjectMeta(key="k", size=4, locations={"b", "a"}, version=2,
+                          checksum="ff")
+        assert meta.digest_row() == ("k", 4, ("a", "b"), 2, "ff")
 
     def test_json_roundtrip(self):
         meta = ObjectMeta(

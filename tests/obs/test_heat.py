@@ -477,6 +477,33 @@ class TestServerHeatSurface:
         assert list(rates()) == ["2s"]
         server.get_object("b").raise_for_error()
 
+    def test_the_same_top_k_keeps_the_hot_set(self, registry):
+        inst = build_instance(registry, [("tier1", "Memcached", 64 * 1024)])
+        server = TieraServer(inst)
+        server.configure("heat", top_k=8, hot_min=1).raise_for_error()
+        server.put_object("k", b"x" * 64).raise_for_error()
+        for _ in range(10):
+            server.get_object("k").raise_for_error()
+        assert server.health()["heat"]["hot_keys"] == ["k"]
+        server.configure("heat", top_k=8).raise_for_error()
+        assert server.health()["heat"]["hot_keys"] == ["k"]
+        server.configure("heat", top_k=4).raise_for_error()  # a new size
+        assert server.health()["heat"]["hot_keys"] == []
+        assert inst.obs.heat.top_k == 4
+
+    def test_a_refused_top_k_changes_nothing(self, registry):
+        inst = build_instance(registry, [("tier1", "Memcached", 64 * 1024)])
+        server = TieraServer(inst)
+        server.configure("heat", top_k=8, hot_min=1).raise_for_error()
+        server.put_object("k", b"x" * 64).raise_for_error()
+        server.get_object("k").raise_for_error()
+        refused = server.configure("heat", top_k=0)
+        assert not refused.ok and refused.error == "BAD_CONFIG"
+        assert inst.obs.heat.top_k == 8
+        assert server.health()["heat"]["hot_keys"] == ["k"]
+        summary = server.invoke("heat", "summary").state
+        assert summary["config"]["top_k"] == 8
+
     def test_a_negative_limit_is_bad_config_on_direct_and_router(
         self, registry
     ):
