@@ -59,6 +59,7 @@ from repro.core.durability import (
     restore_archive,
     snapshot_archive,
     unpack_archive,
+    wal_record,
 )
 from repro.core.errors import BackupError
 from repro.obs.audit import AuditRecord
@@ -272,6 +273,7 @@ class BackupManager:
             }
         elif record.get("key"):
             self._dirty.add(str(record["key"]))
+            record = wal_record(record)
         entry = {"seq": seq, "time": self.instance.clock.now(),
                  "op": op, "record": record}
         self._wal[int(seq)] = entry

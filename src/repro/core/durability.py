@@ -10,9 +10,11 @@ module closes that window with a classic redo-logging design:
   instance's metadata store* (they ride on the same synced log the
   metadata does).  Every metadata-mutating primitive in
   :class:`~repro.core.instance.TieraInstance` journals its full redo
-  plan (including the payload bytes) before touching any tier, and
-  deletes the record once the tier holds the bytes and the metadata
-  store the rows (when the op's write-back scope closes).
+  plan (a JSON head, then the payload's raw bytes) before touching any
+  tier, and deletes the record once the tier holds the bytes and the
+  metadata store the rows (when the op's write-back scope closes).  A
+  cross-tier move is one record: the ``write`` intent of the copy that
+  lands last also names the tiers the move leaves.
 
 * :class:`DurabilityLayer` — per-instance façade: a journaling hook and
   a redo per mutation kind (both declared once, in :data:`INTENTS`),
@@ -80,8 +82,12 @@ class IntentJournal:
     A record is begun before the operation's first side effect and
     deleted (committed) after its last; whatever is still present when
     an instance reopens is exactly the set of operations in flight at
-    the crash.  Record payloads are ``sort_keys`` JSON so journal bytes
-    are deterministic for identical histories.
+    the crash.  A stored record is its ``sort_keys`` JSON head — so
+    journal bytes are deterministic for identical histories — and, when
+    it carries a payload (its ``data`` bytes), ``b"\n"`` and the raw
+    bytes.  The head's JSON never holds a raw newline, so the first one
+    splits the two.  A record stored before payloads were raw (all
+    JSON, the payload as ``data_b64``) still loads, and redoes the same.
     """
 
     def __init__(self, store):
@@ -105,11 +111,14 @@ class IntentJournal:
             blob = self.store.get(key)
             if blob is None:
                 continue
+            head, raw, payload = blob.partition(b"\n")
             try:
                 seq = int(key[len(JOURNAL_PREFIX):].decode("ascii"))
-                record = json.loads(blob.decode("utf-8"))
+                record = json.loads(head.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
                 continue  # unreadable record: treat as never begun
+            if raw:
+                record["data"] = payload
             yield seq, record
 
     def _key(self, seq: int) -> bytes:
@@ -118,7 +127,11 @@ class IntentJournal:
     def begin(self, record: Dict[str, object]) -> int:
         seq = self._next_seq
         self._next_seq += 1
+        payload = record.pop("data", None)
         blob = SORTED_JSON.encode(record).encode("utf-8")
+        if payload is not None:
+            blob = b"".join((blob, b"\n", payload))
+            record["data"] = payload
         self.store.put(self._key(seq), blob)
         self._pending[seq] = record
         return seq
@@ -164,23 +177,48 @@ def _install_post(instance, record) -> None:
         instance.install_meta(ObjectMeta.from_doc(doc))
 
 
-def _plan_write(meta: ObjectMeta, tier_name: str, data: bytes):
-    post = meta.to_doc(with_copy=tier_name)
+def _payload(record) -> bytes:
+    """A record's payload: raw ``data``, or a pre-raw-bytes journal's
+    and the backup WAL's ``data_b64``."""
+    data = record.get("data")
+    return _unb64(record["data_b64"]) if data is None else data
+
+
+def wal_record(record: Dict[str, object]) -> Dict[str, object]:
+    """``record`` as the backup WAL stores it: JSON all through, the
+    payload as ``data_b64`` (what journal records were before their
+    payload went raw, so WAL bytes are what they were)."""
+    if "data" not in record:
+        return record
+    doc = dict(record)
+    doc["data_b64"] = _b64(doc.pop("data"))
+    return doc
+
+
+def _plan_write(meta: ObjectMeta, tier_name: str, data: bytes, drop=()):
+    # ``drop``: a relocation's tiers left behind (``instance.relocate``);
+    # this intent covers their removals, so the post-image lacks them.
+    post = meta.to_doc(with_copy=tier_name, without_copies=drop)
     post["size"] = len(data)
-    return {"tier": tier_name, "data_b64": _b64(data), "post_meta": post}
+    record = {"tier": tier_name, "data": data, "post_meta": post}
+    if drop:
+        record["drop"] = list(drop)
+    return record
 
 
 def _redo_write(instance, record, ctx: RequestContext) -> None:
     _install_post(instance, record)
-    tier_name = str(record["tier"])
-    if instance.tiers.has(tier_name):
-        instance.write_to_tier(
-            str(record["key"]), _unb64(record["data_b64"]), tier_name, ctx
-        )
+    key, tier_name = str(record["key"]), str(record["tier"])
+    if not instance.tiers.has(tier_name):
+        return  # no destination: a relocation's sources keep their copies
+    instance.write_to_tier(key, _payload(record), tier_name, ctx)
+    drop = [t for t in map(str, record.get("drop", ())) if instance.tiers.has(t)]
+    if drop and instance.has_object(key):
+        instance.relocate(key, (), ctx, drop_from=drop)
 
 
 def _plan_remove(meta: ObjectMeta, tier_name: str):
-    post = meta.to_doc(without_copy=tier_name)
+    post = meta.to_doc(without_copies=(tier_name,))
     return {"tier": tier_name, "post_meta": post}
 
 
@@ -197,14 +235,14 @@ def _plan_rewrite(meta: ObjectMeta, data: bytes, updates):
     post.update(updates or {})
     return {
         "locations": meta.copies(),
-        "data_b64": _b64(data),
+        "data": data,
         "post_meta": post,
     }
 
 
 def _redo_rewrite(instance, record, ctx: RequestContext) -> None:
     _install_post(instance, record)
-    data = _unb64(record["data_b64"])
+    data = _payload(record)
     for tier_name in map(str, record.get("locations", [])):
         if instance.tiers.has(tier_name):
             instance.tiers.get(tier_name).put(str(record["key"]), data, ctx)

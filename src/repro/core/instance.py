@@ -180,6 +180,46 @@ class _Journaled:
         writeback.__exit__(exc_type, exc, tb)
 
 
+class _Cover:
+    """A journaled relocation in flight (``with _Cover(instance, key,
+    last, drop):``, :meth:`TieraInstance.relocate`): one intent for the
+    whole move.
+
+    The ``write`` intent of ``key``'s copy in ``last``, the destination
+    that lands last, records ``drop`` and a post-image without them.
+    Once that write returned (``landed``), ``remove_from_tier`` runs each
+    drop in the write-back scope alone: no intent, no tombstone.  The
+    cover holds a write-back scope open across the move, so the intent
+    is retired only after every drop's row is written.  A write that
+    degraded (its intent aborted, the bytes redirected) never lands, and
+    the drops journal themselves.  Covers nest: an eviction made to fit
+    the write relocates its victim under a cover of its own.
+    """
+
+    __slots__ = ("instance", "key", "last", "drop", "landed", "outer")
+
+    def __init__(self, instance: "TieraInstance", key: str, last: str, drop):
+        self.instance = instance
+        self.key = key
+        self.last = last
+        self.drop = drop
+        self.landed = False
+        self.outer: Optional["_Cover"] = None
+
+    def covers(self, key: str, tier_name: str) -> bool:
+        return self.landed and key == self.key and tier_name in self.drop
+
+    def __enter__(self) -> None:
+        instance = self.instance
+        self.outer, instance._cover = instance._cover, self
+        instance.meta_writeback.__enter__()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        instance = self.instance
+        instance._cover = self.outer
+        instance.meta_writeback.__exit__(exc_type, exc, tb)
+
+
 def _fan_out(ctx: RequestContext, items: Sequence, fn: Callable) -> None:
     """``fn(item, ctx)`` for each item, overlapped in virtual time.
 
@@ -268,6 +308,8 @@ class TieraInstance:
         #: key -> {preserved version key: version number}
         self._versions: Dict[str, Dict[str, int]] = {}
         self.meta_writeback = _MetaWriteBack(self)
+        #: the innermost journaled relocation in flight, or ``None``
+        self._cover: Optional[_Cover] = None
         #: tier -> tier overflow map: when making room in a tier, evicted
         #: LRU objects move to its chain successor (and so on down).
         #: Templates implementing exclusive LRU tiering set this.
@@ -535,8 +577,13 @@ class TieraInstance:
                 room = service.room(key)
             if len(data) > room:
                 raise NoCapacityError(tier_name, key)
+        cover = self._cover
+        if cover is not None and (key, tier_name) != (cover.key, cover.last):
+            cover = None
         try:
-            with self._bracket("write", key, tier_name, data):
+            with self._bracket(
+                "write", key, tier_name, data, cover.drop if cover else ()
+            ):
                 if res is None:
                     tier.put(key, data, ctx)
                 else:
@@ -550,6 +597,8 @@ class TieraInstance:
                 if self.crash_points is not None:
                     self._crash_point("write.meta")
                 self.obs.heat.record_tier("put", tier_name, at=ctx.time)
+            if cover is not None:
+                cover.landed = True
         except (ServiceUnavailableError, BreakerOpenError) as exc:
             if res is None or not redirect:
                 raise
@@ -602,14 +651,24 @@ class TieraInstance:
         fallback tier is never dropped, and the drops run in name order.
         Whether a destination that already holds the key still needs the
         bytes is the caller's call; ``dirty`` is the policy's.
+
+        With a journal on, a move that writes and drops is one intent
+        (:class:`_Cover`); otherwise each write and drop brackets itself.
         """
         drop = sorted(set(drop_from) - set(to))
-        if to:
-            if data is None:
-                data = self.read_raw(key, ctx, prefer=prefer)
+        if to and data is None:
+            data = self.read_raw(key, ctx, prefer=prefer)
+        dur = self.durability
+        if not (to and drop) or dur is None or dur.recovering:
+            if to:
+                self.write_fanout(key, data, to, ctx, redirect=redirect)
+            for tier_name in drop:
+                self.remove_from_tier(key, tier_name, ctx)
+            return
+        with _Cover(self, key, to[-1], drop):
             self.write_fanout(key, data, to, ctx, redirect=redirect)
-        for tier_name in drop:
-            self.remove_from_tier(key, tier_name, ctx)
+            for tier_name in drop:
+                self.remove_from_tier(key, tier_name, ctx)
 
     def _make_room(
         self,
@@ -788,7 +847,12 @@ class TieraInstance:
 
     def remove_from_tier(self, key: str, tier_name: str, ctx: RequestContext) -> None:
         tier = self.tiers.get(tier_name)
-        with self._bracket("remove", key, tier_name):
+        cover = self._cover
+        if cover is not None and cover.covers(key, tier_name):
+            scope = self.meta_writeback  # the move's write intent names it
+        else:
+            scope = self._bracket("remove", key, tier_name)
+        with scope:
             if tier.contains(key):
                 tier.delete(key, ctx)
             if self.crash_points is not None:

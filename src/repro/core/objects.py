@@ -108,19 +108,20 @@ class ObjectMeta:
     # -- persistence (metadata survives server restart via the kvstore) --
 
     def to_doc(
-        self, with_copy: Optional[str] = None, without_copy: Optional[str] = None
+        self, with_copy: Optional[str] = None, without_copies: Iterable[str] = ()
     ) -> Dict[str, object]:
         """The JSON-able image behind store rows, journal post-images
         and snapshot members (a fresh dict: callers may edit it).
 
-        ``with_copy`` / ``without_copy`` give the image after
-        :meth:`add_copy` / :meth:`drop_copy` of that tier (a journaled
-        write's or removal's post-image), leaving ``self`` as it is."""
+        ``with_copy`` / ``without_copies`` give the image after
+        :meth:`add_copy` of that tier / :meth:`drop_copies` of those (a
+        journaled write's, relocation's or removal's post-image),
+        leaving ``self`` as it is."""
         locations = self.locations
         if with_copy is not None:
             locations = locations | {with_copy}
-        if without_copy is not None:
-            locations = locations - {without_copy}
+        if without_copies:
+            locations = locations.difference(without_copies)
         return {
             "key": self.key,
             "size": self.size,

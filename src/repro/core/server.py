@@ -201,7 +201,9 @@ class TieraServer(BatchVerbs, features.ManagementVerbs):
         instance.control.dispatch_action(action, ctx)
         data = instance.read_raw(key, ctx, prefer=prefer)
         meta.touch(self.clock.now())
-        physical_meta = instance.meta(instance.resolve_alias(key))
+        physical_meta = meta if meta.alias_of is None else instance.meta(
+            instance.resolve_alias(key)
+        )
         if physical_meta.compressed and not physical_meta.encrypted:
             # Encrypted objects come back as stored: the ciphertext
             # wraps the compressed bytes, and only a decrypt response

@@ -105,6 +105,9 @@ class LogStore(KVStore):
         self._lock = threading.RLock()
         self._index: Dict[bytes, Tuple[int, int]] = {}  # key -> (off, len)
         self._dead_bytes = 0
+        #: the log's length, where the next append lands (every read
+        #: seeks back to the end, so no ``tell()`` per append)
+        self._end = 0
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         # A crash between writing the compaction temp file and the
@@ -142,13 +145,15 @@ class LogStore(KVStore):
                     self._dead_bytes += old[1]
                 self._index[key] = (offset, nxt - offset)
             offset = nxt
+        self._end = offset
         self._file.seek(0, os.SEEK_END)
 
     # -- primitives --------------------------------------------------------
 
     def _append(self, blob: bytes) -> int:
-        offset = self._file.tell()
+        offset = self._end
         self._file.write(blob)
+        self._end = offset + len(blob)
         if self.sync_writes:
             self._file.flush()
             os.fsync(self._file.fileno())
@@ -226,11 +231,13 @@ class LogStore(KVStore):
                     out.write(blob)
                 out.flush()
                 os.fsync(out.fileno())
+                end = out.tell()
             self._file.close()
             os.replace(tmp_path, self.path)
             self._file = open(self.path, "a+b")
             self._index = new_index
             self._dead_bytes = 0
+            self._end = end
 
     def sync(self) -> None:
         with self._lock:

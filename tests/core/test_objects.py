@@ -80,8 +80,11 @@ class TestObjectMeta:
         meta = ObjectMeta(key="k", locations={"tier2"})
         assert meta.to_doc(with_copy="tier1")["locations"] == ["tier1", "tier2"]
         assert meta.to_doc(with_copy="tier2")["locations"] == ["tier2"]
-        assert meta.to_doc(without_copy="tier2")["locations"] == []
-        assert meta.to_doc(without_copy="tier9")["locations"] == ["tier2"]
+        assert meta.to_doc(without_copies=("tier2",))["locations"] == []
+        assert meta.to_doc(without_copies=("tier9",))["locations"] == ["tier2"]
+        assert meta.to_doc(
+            with_copy="tier1", without_copies=("tier2", "tier9")
+        )["locations"] == ["tier1"]
         assert meta.copies() == ["tier2"]
 
     def test_digest_row(self):

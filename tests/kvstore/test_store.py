@@ -222,3 +222,61 @@ class TestLogStore:
                     model[key] = value
         with LogStore(path) as store:
             assert {k: store.get(k) for k in store.keys()} == model
+
+
+def _concatenated_encode(key, value):
+    """The record formula before the CRC was chained: hash the lengths
+    and the body joined into one buffer."""
+    import struct
+    import zlib
+
+    vlen = 0xFFFFFFFF if value is None else len(value)
+    body = key if value is None else key + value
+    lengths = struct.pack("<II", len(key), vlen)
+    crc = zlib.crc32(lengths + body) & 0xFFFFFFFF
+    return struct.pack("<III", crc, len(key), vlen) + body
+
+
+class TestCheaperAppends:
+    @given(st.binary(max_size=64), st.one_of(st.none(), st.binary(max_size=256)))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_is_the_concatenated_formula(self, key, value):
+        assert encode(key, value) == _concatenated_encode(key, value)
+
+    def test_index_offsets_survive_every_append_path(self, store_path):
+        def check(store):
+            # every indexed record sits where the index says, and the
+            # next append lands at the end of the file
+            with open(store_path, "rb") as handle:
+                buf = handle.read()
+            for key, (offset, length) in store._index.items():
+                got, value, nxt = decode_at(buf, offset)
+                assert (got, nxt - offset) == (key, length)
+                assert value == store.get(key)
+            assert store._end == len(buf)
+
+        store = LogStore(store_path)
+        for i in range(20):
+            store.put(b"k%d" % i, b"v" * i)
+        for i in range(0, 20, 3):
+            store.delete(b"k%d" % i)
+        store.put(b"k1", b"again")
+        store.sync()
+        check(store)
+        store.close()
+        with open(store_path, "ab") as handle:
+            handle.write(encode(b"torn", b"tail")[:7])
+        store = LogStore(store_path)
+        check(store)
+        store.put(b"after-torn", b"x")
+        store.sync()
+        check(store)
+        store.compact()
+        check(store)
+        store.put(b"after-compact", b"y")
+        store.delete(b"k2")
+        store.sync()
+        check(store)
+        assert store.get(b"after-torn") == b"x"
+        assert store.get(b"after-compact") == b"y"
+        store.close()
