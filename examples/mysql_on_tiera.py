@@ -5,13 +5,10 @@ three deployments, under a sysbench-style OLTP workload.
 Run:  python examples/mysql_on_tiera.py
 """
 
-from repro.bench.deployments import (
-    mysql_on_ebs,
-    mysql_on_memcached_ebs,
-    mysql_on_memcached_replicated,
-)
+from repro.bench.deployments import mysql_on_ebs, mysql_on_tiera
 from repro.bench.report import format_table
 from repro.bench.runner import run_closed_loop
+from repro.bench.sim import build
 from repro.workloads.sysbench import SysbenchOltp, load_table
 
 ROWS = 50_000
@@ -36,9 +33,10 @@ def main() -> None:
     rows = []
     for name, builder in (
         ("MySQL On EBS", lambda: mysql_on_ebs(os_cache="8M")),
-        ("Tiera MemcachedReplicated",
-         lambda: mysql_on_memcached_replicated(mem="256M")),
-        ("Tiera MemcachedEBS", lambda: mysql_on_memcached_ebs(mem="256M")),
+        ("Tiera MemcachedReplicated", lambda: mysql_on_tiera(
+            build("memcached-replicated", 2014, mem="256M"))),
+        ("Tiera MemcachedEBS", lambda: mysql_on_tiera(
+            build("memcached-ebs", 2014, mem="256M"))),
     ):
         for read_only, label in ((True, "read-only"), (False, "read-write")):
             deployment = builder()

@@ -1,17 +1,17 @@
 """The §4.1 deployments: MySQL on EBS, on Tiera instances, in memory.
 
-Each builder assembles one complete stack — cluster, Tiera instance,
-FUSE-gateway file system, minidb — matching a deployment the paper
-benchmarks:
+Each builder assembles one complete stack — cluster, storage, file
+system, minidb — matching a deployment the paper benchmarks:
 
 * **MySQL On EBS** — a single EBS tier; the EC2 instance's OS buffer
   cache sits between the database and the volume (this cache is why the
   paper's read-only gains are smaller than read-write ones).
-* **MemcachedReplicated** — two Memcached tiers in different AZs,
-  both written before acknowledging.
-* **MemcachedEBS** — write-through Memcached + EBS.
-* **MemcachedS3** — a small co-located Memcached LRU cache over S3
-  (the §4.1.1 cost-optimised instance).
+* **MySQL on Tiera** — minidb through the FUSE gateway over a Tiera
+  deployment that :func:`repro.bench.sim.build` made: §4.1.1's
+  ``memcached-replicated`` (two Memcached tiers in different AZs, both
+  written before the ack), ``memcached-ebs`` (write-through Memcached +
+  EBS) or ``memcached-s3`` (a small co-located Memcached LRU cache over
+  S3, the cost-optimised instance).
 * **Memory Engine** — MySQL's Memory engine: no Tiera, no files,
   table-level locks (the ≈0.15 TPS baseline).
 """
@@ -24,20 +24,13 @@ from typing import Optional
 from repro.apps.minidb.database import Database
 from repro.core.instance import TieraInstance
 from repro.core.server import TieraServer
-from repro.core.templates import (
-    memcached_ebs_instance,
-    memcached_replicated_instance,
-    memcached_s3_instance,
-)
 from repro.core.units import parse_size
 from repro.fs.cache import PageCache
 from repro.fs.filesystem import TieraFileSystem
 from repro.fs.rawfs import RawDeviceFileSystem
-from repro.simcloud.pricing import PriceBook
-from repro.simcloud.services.blockstore import SimBlockVolume
 from repro.simcloud.cluster import Cluster
-from repro.simcloud.pricing import CostMeter
-from repro.tiers.registry import TierRegistry
+from repro.simcloud.pricing import CostMeter, PriceBook
+from repro.simcloud.services.blockstore import SimBlockVolume
 
 #: MySQL buffer pool: the paper uses stock MySQL config on an
 #: m3.medium.  256 pages (1 MB) against the ~10 MB sbtest table keeps
@@ -77,10 +70,7 @@ class Deployment:
 
 
 def _stack(seed: int):
-    cluster = Cluster(seed=seed)
-    meter = CostMeter()
-    registry = TierRegistry(cluster, meter=meter)
-    return cluster, meter, registry
+    return Cluster(seed=seed), CostMeter()
 
 
 def mysql_on_ebs(
@@ -96,7 +86,7 @@ def mysql_on_ebs(
     cache, request coalescing, and all — exactly the baseline the paper
     compares against.
     """
-    cluster, meter, _ = _stack(seed)
+    cluster, meter = _stack(seed)
     node = cluster.add_node("mysql-host")
     volume = SimBlockVolume(
         name="ebs-volume",
@@ -116,59 +106,20 @@ def mysql_on_ebs(
     return dep
 
 
-def mysql_on_memcached_replicated(
-    mem: str = "512M",
-    pool_pages: int = DEFAULT_POOL_PAGES,
-    seed: int = 2014,
-) -> Deployment:
-    """Tiera MemcachedReplicated: both AZ replicas written before ack."""
-    cluster, meter, registry = _stack(seed)
-    instance = memcached_replicated_instance(registry, mem=mem)
-    server = TieraServer(instance)
-    fs = TieraFileSystem(server)  # FUSE path: no OS cache
+def mysql_on_tiera(sim, pool_pages: int = DEFAULT_POOL_PAGES) -> Deployment:
+    """minidb on ``sim``'s Tiera instance (a :class:`repro.bench.sim.Sim`),
+    through the FUSE gateway: no OS cache on this path."""
+    fs = TieraFileSystem(sim.server)
     db = Database(fs, "sbtest", buffer_pool_pages=pool_pages)
+    instance = sim.instance
     return Deployment(
-        "Tiera MemcachedReplicated", cluster, meter, db, instance, server, fs
-    )
-
-
-def mysql_on_memcached_ebs(
-    mem: str = "512M",
-    ebs: str = "8G",
-    pool_pages: int = DEFAULT_POOL_PAGES,
-    seed: int = 2014,
-) -> Deployment:
-    """Tiera MemcachedEBS: write-through to EBS, reads from Memcached."""
-    cluster, meter, registry = _stack(seed)
-    instance = memcached_ebs_instance(registry, mem=mem, ebs=ebs)
-    server = TieraServer(instance)
-    fs = TieraFileSystem(server)
-    db = Database(fs, "sbtest", buffer_pool_pages=pool_pages)
-    return Deployment(
-        "Tiera MemcachedEBS", cluster, meter, db, instance, server, fs
-    )
-
-
-def mysql_on_memcached_s3(
-    mem: str = "1M",
-    pool_pages: int = DEFAULT_POOL_PAGES,
-    seed: int = 2014,
-) -> Deployment:
-    """Tiera MemcachedS3 (§4.1.1 cost optimisation): a small co-located
-    Memcached LRU cache over S3.  The cache is deliberately not large
-    enough for the database; S3 is the persistent store."""
-    cluster, meter, registry = _stack(seed)
-    instance = memcached_s3_instance(registry, mem=mem, colocated=True)
-    server = TieraServer(instance)
-    fs = TieraFileSystem(server)
-    db = Database(fs, "sbtest", buffer_pool_pages=pool_pages)
-    return Deployment(
-        "Tiera MemcachedS3", cluster, meter, db, instance, server, fs
+        f"Tiera {instance.name}", sim.cluster, sim.registry.meter, db,
+        instance, sim.server, fs,
     )
 
 
 def mysql_memory_engine(seed: int = 2014) -> Deployment:
     """MySQL Memory Engine: tables in one node's RAM, table locks only."""
-    cluster, meter, _ = _stack(seed)
+    cluster, meter = _stack(seed)
     db = Database(None, "sbtest", engine="memory")
     return Deployment("MySQL Memory Engine", cluster, meter, db)

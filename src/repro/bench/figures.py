@@ -45,9 +45,7 @@ from repro.bench.deployments import (
     _stack,
     mysql_memory_engine,
     mysql_on_ebs,
-    mysql_on_memcached_ebs,
-    mysql_on_memcached_replicated,
-    mysql_on_memcached_s3,
+    mysql_on_tiera,
 )
 from repro.bench.metrics import LatencyRecorder
 from repro.bench.report import (
@@ -61,26 +59,14 @@ from repro.bench.sim import (
     CHAOS_DEPLOYMENTS,
     CRASH_DEPLOYMENTS,
     FAILOVER_CHECKS,
+    Sim,
+    build,
     report_digest,
     run_backup_lifecycle,
     run_chaos,
     run_crash_sweep,
     run_failover,
     run_migration_crash,
-)
-from repro.core.instance import TieraInstance
-from repro.core.server import TieraServer
-from repro.core.templates import (
-    dedup_instance,
-    ephemeral_s3_reconfiguration,
-    growing_instance,
-    high_durability_instance,
-    low_durability_instance,
-    low_latency_instance,
-    lru_tiered_instance,
-    memcached_ebs_instance,
-    replicated_volumes_instance,
-    write_through_instance,
 )
 from repro.core.units import format_size, parse_size
 from repro.fs.cache import PageCache
@@ -94,7 +80,7 @@ from repro.simcloud.cluster import Cluster
 from repro.simcloud.latency import LognormalLatency, SizeDependentLatency
 from repro.simcloud.resources import RequestContext
 from repro.simcloud.services.blockstore import SimBlockVolume
-from repro.spec import Compiler, compile_spec, parse
+from repro.spec import Compiler, parse
 from repro.spec.paper import paper_spec
 from repro.tiers.registry import TierRegistry
 from repro.workloads.distributions import ZipfianKeys
@@ -131,6 +117,8 @@ class Figure:
     #: title of the per-tier breakdown table appended from
     #: ``facts["breakdown"]`` (Figures 7 and 8)
     breakdown: str = ""
+    #: the :data:`repro.bench.sim.DEPLOYMENTS` rows the experiment builds
+    deployments: Tuple[str, ...] = ()
 
     def params(self, scale: str) -> Dict[str, object]:
         """``full``, with the ``smoke`` overrides when ``scale == "smoke"``."""
@@ -166,11 +154,14 @@ class Figure:
 class Trial:
     """One run of a figure at one scale.
 
-    Experiments read their parameters from ``p``, wrap their phases in
-    ``section("build" | "load" | "drive")`` — wall-timed by the trial's
-    :class:`~repro.obs.profiler.Profiler` — and drive load through
-    :meth:`drive`, which also totals every run's operations, latencies
-    and registry counters for the telemetry record.
+    Experiments read their parameters from ``p``, build their Tiera
+    deployments through :meth:`build` (rows of
+    :data:`repro.bench.sim.DEPLOYMENTS` the figure declares), wrap their
+    phases in ``section("build" | "load" | "drive")`` — wall-timed by
+    the trial's :class:`~repro.obs.profiler.Profiler` — and drive load
+    through :meth:`drive` (:meth:`closed_loop` for the closed-loop
+    runner), which also totals every run's operations, latencies and
+    registry counters for the telemetry record.
     """
 
     def __init__(self, name: str, scale: str):
@@ -196,6 +187,16 @@ class Trial:
     def section(self, name: str):
         return self.profiler.section(name)
 
+    def build(self, deployment: str, seed: int, **overrides) -> Sim:
+        """:func:`repro.bench.sim.build` in the ``build`` section, of a
+        deployment the figure declares."""
+        if deployment not in self.figure.deployments:
+            raise ValueError(
+                f"{self.name} builds {deployment!r}, which it does not declare"
+            )
+        with self.section("build"):
+            return build(deployment, seed, **overrides)
+
     def tally(self, operations: int, duration: float = 0.0) -> None:
         """Count a preset's operations (and driven window) in the record;
         a crash sweep counts one per boundary it crashed and recovered."""
@@ -209,7 +210,20 @@ class Trial:
             workload.load(ctx=ctx)
             clock.run_until(ctx.time)
 
-    def drive(self, runner=run_closed_loop, *args, obs=None, **kwargs) -> RunResult:
+    def closed_loop(self, cluster, op_fn, **loop) -> RunResult:
+        """:meth:`drive` a :func:`run_closed_loop` of ``op_fn`` on
+        ``cluster``'s clock, with the figure's ``clients``, ``duration``
+        and ``warmup`` unless ``loop`` names them."""
+        defaults = {
+            key: self.params[key] for key in ("clients", "duration", "warmup")
+            if key in self.params
+        }
+        return self.drive(
+            run_closed_loop, cluster.clock, op_fn=op_fn, obs=cluster.obs,
+            **{**defaults, **loop},
+        )
+
+    def drive(self, runner, *args, obs=None, **kwargs) -> RunResult:
         """Run ``runner(*args, obs=obs, **kwargs)`` inside ``drive``."""
         with self.section("drive"):
             if obs is not None:
@@ -248,15 +262,11 @@ def _by(rows: Rows, value: int = 2) -> Dict[tuple, object]:
 
 # -- Figures 7 and 8: sysbench on MySQL ----------------------------------------
 
-#: Each builder takes the trial's parameters: smoke shrinks the table and
-#: every cache in front of it together, keeping the cache:data ratios.
-SYSBENCH_DEPLOYMENTS = (
-    ("MySQL On EBS", lambda p: mysql_on_ebs(
-        os_cache=p.os_cache, pool_pages=p.pool_pages)),
-    ("Tiera MemcachedReplicated", lambda p: mysql_on_memcached_replicated(
-        mem="512M", pool_pages=p.pool_pages)),
-    ("Tiera MemcachedEBS", lambda p: mysql_on_memcached_ebs(
-        mem="512M", pool_pages=p.pool_pages)),
+#: The bare-EBS baseline, then the Tiera rows.  Smoke shrinks the table
+#: and every cache in front of it together, keeping the cache:data ratios.
+SYSBENCH_DEPLOYMENTS = (None, "memcached-replicated", "memcached-ebs")
+EBS, REPLICATED, MC_EBS = (
+    "MySQL On EBS", "Tiera MemcachedReplicated", "Tiera MemcachedEBS"
 )
 
 
@@ -264,20 +274,22 @@ def _sysbench_sweep(t: Trial, read_only: bool) -> Tuple[Rows, Facts]:
     """The deployment × hot-% sweep, plus each cell's per-tier breakdown."""
     p = t.p
     rows, breakdown = [], []
-    for name, builder in SYSBENCH_DEPLOYMENTS:
-        with t.section("build"):
-            deployment = builder(p)
+    for row in SYSBENCH_DEPLOYMENTS:
+        if row is None:
+            with t.section("build"):
+                deployment = mysql_on_ebs(
+                    os_cache=p.os_cache, pool_pages=p.pool_pages
+                )
+        else:
+            deployment = mysql_on_tiera(t.build(row, 2014), p.pool_pages)
+        name = deployment.name
         with t.section("load"):
             load_table(deployment.db, p.rows, clock=deployment.clock)
         for hot in p.hot_fractions:
             workload = SysbenchOltp(
                 deployment.db, p.rows, hot_fraction=hot, read_only=read_only
             )
-            result = t.drive(
-                run_closed_loop, deployment.clock, clients=p.clients,
-                duration=p.duration, op_fn=workload, warmup=p.warmup,
-                obs=deployment.cluster.obs,
-            )
+            result = t.closed_loop(deployment.cluster, workload)
             rows.append([
                 name,
                 f"{hot:.0%}",
@@ -300,8 +312,6 @@ SYSBENCH_SMOKE = dict(
     hot_fractions=(0.01, 0.30), duration=2.0, warmup=0.5,
 )
 
-EBS, REPLICATED, MC_EBS = (name for name, _ in SYSBENCH_DEPLOYMENTS)
-
 
 # -- Figure 9: MemcachedS3 cost optimisation -----------------------------------
 
@@ -315,10 +325,8 @@ def _fig09(t: Trial) -> Tuple[Rows, Facts]:
         workload = SysbenchOltp(
             deployment.db, p.rows, hot_fraction=p.hot, read_only=read_only
         )
-        return t.drive(
-            run_closed_loop, deployment.clock, clients=p.clients,
-            duration=duration, op_fn=workload, warmup=p.warmup,
-            obs=deployment.cluster.obs,
+        return t.closed_loop(
+            deployment.cluster, workload, duration=duration
         ).throughput
 
     rows = []
@@ -327,14 +335,16 @@ def _fig09(t: Trial) -> Tuple[Rows, Facts]:
     # database").  The Tiera cost column adds ~$0.30 for 10 GB-equivalent
     # S3 provisioning to mirror the paper's total-cost basis; the cache
     # is co-located (no marginal cost).
-    for name, builder, extra in (
-        ("MySQL On EBS", lambda: mysql_on_ebs(os_cache="8M"), 0.0),
-        ("MySQL On Tiera (MemcachedS3)",
-         lambda: mysql_on_memcached_s3(mem="16M"), 0.30),
+    for row, name, extra in (
+        (None, "MySQL On EBS", 0.0),
+        ("memcached-s3", "MySQL On Tiera (MemcachedS3)", 0.30),
     ):
         for label, read_only in (("R", True), ("R/W", False)):
-            with t.section("build"):
-                deployment = builder()
+            if row is None:
+                with t.section("build"):
+                    deployment = mysql_on_ebs(os_cache="8M")
+            else:
+                deployment = mysql_on_tiera(t.build(row, 2014, mem="16M"))
             rows.append([
                 name, label,
                 round(tps(deployment, read_only, p.duration), 2),
@@ -355,25 +365,27 @@ def _fig09(t: Trial) -> Tuple[Rows, Facts]:
 
 def _bookstore(t: Trial, on_tiera: bool):
     p = t.p
-    cluster, meter, registry = _stack(seed=77)
     if on_tiera:
-        instance = memcached_ebs_instance(registry, mem="512M", ebs="8G")
-        fs = TieraFileSystem(TieraServer(instance))
+        sim = t.build("memcached-ebs", 77)
+        cluster, fs = sim.cluster, TieraFileSystem(sim.server)
     else:
-        node = cluster.add_node("web-db-host")
-        # One magnetic volume shared by the database files AND the static
-        # content, serving a concurrent mixed read/write stream: one
-        # queue, ~100 IOPS — the 2014 standard-EBS figure under load.
-        volume = SimBlockVolume(
-            name="ebs", node=node, clock=cluster.clock, rng=cluster.rng,
-            capacity=parse_size("8G"), meter=meter, channels=1,
-            latency=SizeDependentLatency(
-                LognormalLatency(0.009, 0.40), 90 * 1024 * 1024
-            ),
-        )
-        fs = RawDeviceFileSystem(
-            volume, page_cache=PageCache(parse_size(p.os_cache))
-        )
+        with t.section("build"):
+            cluster, meter = _stack(seed=77)
+            node = cluster.add_node("web-db-host")
+            # One magnetic volume shared by the database files AND the
+            # static content, serving a concurrent mixed read/write
+            # stream: one queue, ~100 IOPS — the 2014 standard-EBS
+            # figure under load.
+            volume = SimBlockVolume(
+                name="ebs", node=node, clock=cluster.clock, rng=cluster.rng,
+                capacity=parse_size("8G"), meter=meter, channels=1,
+                latency=SizeDependentLatency(
+                    LognormalLatency(0.009, 0.40), 90 * 1024 * 1024
+                ),
+            )
+            fs = RawDeviceFileSystem(
+                volume, page_cache=PageCache(parse_size(p.os_cache))
+            )
     db = Database(fs, "tpcw", buffer_pool_pages=p.pool_pages)
     app = BookstoreApp(
         db, fs, items=p.items, customers=p.customers,
@@ -386,8 +398,7 @@ def _fig10(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
     rows = []
     for name, on_tiera in (("TPC-W On EBS", False), ("TPC-W On Tiera", True)):
-        with t.section("build"):
-            cluster, app = _bookstore(t, on_tiera)
+        cluster, app = _bookstore(t, on_tiera)
         with t.section("load"):
             app.populate(clock=cluster.clock)
         for browsers in p.browsers:
@@ -395,12 +406,11 @@ def _fig10(t: Trial) -> Tuple[Rows, Facts]:
                 EmulatedBrowser(app, browser_id=i, seed=13)
                 for i in range(browsers)
             ]
-            result = t.drive(
-                run_closed_loop, cluster.clock, clients=browsers,
-                duration=p.duration,
-                op_fn=lambda client, ctx, s=sessions: s[client].next_interaction(ctx),
-                think_time=BROWSER_THINK_TIME, warmup=p.ramp,
-                start_stagger=0.05, obs=cluster.obs,
+            result = t.closed_loop(
+                cluster,
+                lambda client, ctx, s=sessions: s[client].next_interaction(ctx),
+                clients=browsers, think_time=BROWSER_THINK_TIME, warmup=p.ramp,
+                start_stagger=0.05,
             )
             rows.append([name, browsers, round(result.throughput, 2)])
     return rows, {}
@@ -420,28 +430,19 @@ def _fig11(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
 
     def measure(name, mem_share, ebs_share, seed, distribution):
-        with t.section("build"):
-            cluster = Cluster(seed=seed)
-            data_bytes = p.records * p.record_bytes
-            instance = lru_tiered_instance(
-                TierRegistry(cluster),
-                name=name,
-                mem=format_size(int(data_bytes * mem_share)),
-                ebs=format_size(int(data_bytes * ebs_share)),
-                s3="10G",
-            )
-            server = TieraServer(instance)
-            workload = YcsbWorkload(
-                server, p.records, read_proportion=1.0,
-                distribution=distribution, theta=0.99, seed=5,
-            )
-        t.load(cluster.clock, workload)
-        result = t.drive(
-            run_closed_loop, cluster.clock, clients=p.clients,
-            duration=p.duration, op_fn=workload, warmup=p.warmup,
-            think_time=p.think_time, obs=cluster.obs,
+        data_bytes = p.records * p.record_bytes
+        sim = t.build(
+            name, seed,
+            mem=format_size(int(data_bytes * mem_share)),
+            ebs=format_size(int(data_bytes * ebs_share)),
         )
-        return instance, result.latencies.mean()
+        workload = YcsbWorkload(
+            sim.server, p.records, read_proportion=1.0,
+            distribution=distribution, theta=0.99, seed=5,
+        )
+        t.load(sim.clock, workload)
+        result = t.closed_loop(sim.cluster, workload, think_time=p.think_time)
+        return sim.instance, result.latencies.mean()
 
     rows = []
     for index, (name, mem_share, ebs_share) in enumerate(TI_CONFIGS):
@@ -466,13 +467,12 @@ def _fig12(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
     rows = []
     for index, share in enumerate(p.duplicate_shares):
-        with t.section("build"):
-            cluster = Cluster(seed=300 + index)
-            instance = dedup_instance(
-                TierRegistry(cluster),
-                mem=format_size(int(p.blocks * p.block * p.cache_share)),
-            )
-            fs = DedupFileSystem(TieraServer(instance))
+        sim = t.build(
+            "cached-s3", 300 + index,
+            mem=format_size(int(p.blocks * p.block * p.cache_share)),
+        )
+        cluster, instance = sim.cluster, sim.instance
+        fs = DedupFileSystem(sim.server)
         with t.section("load"):
             # ``share`` of the blocks repeat earlier content.
             ctx = RequestContext(cluster.clock)
@@ -485,11 +485,7 @@ def _fig12(t: Trial) -> Tuple[Rows, Facts]:
             cluster.clock.run_until(ctx.time)
         s3 = instance.tiers.get("tier2").service
         reader = FioReader(fs, "/data", io_size=p.block, theta=1.2, seed=8)
-        result = t.drive(
-            run_closed_loop, cluster.clock, clients=p.clients,
-            duration=p.duration, op_fn=reader, warmup=p.warmup,
-            obs=cluster.obs,
-        )
+        result = t.closed_loop(cluster, reader)
         rows.append([
             f"{share:.0%}",
             round(ms(result.latencies.mean()), 2),
@@ -502,40 +498,32 @@ def _fig12(t: Trial) -> Tuple[Rows, Facts]:
 # -- Figure 13 / Table 3: durability vs performance vs cost --------------------
 
 
-def _durability_instances(push_interval: float):
-    return (
-        ("High Durability", lambda reg: high_durability_instance(
-            reg, mem="100M", ebs="100M", push_interval=push_interval)),
-        ("Low Durability", lambda reg: low_durability_instance(
-            reg, mem="100M", push_interval=push_interval)),
-    )
+#: Table 3's two instances: (name, deployment).
+DURABILITY = (
+    ("High Durability", "high-durability"), ("Low Durability", "low-durability"),
+)
 
 
-def _durability_seed(name: str) -> int:
-    """Per-instance cluster seed; crc32, not ``hash()``, whose ``str``
-    values are salted per process."""
-    return zlib.crc32(name.encode("utf-8")) % 1000
+def _durability_build(t: Trial, name: str, row: str, **overrides) -> Sim:
+    """Table 3's ``row`` for instance ``name``, seeded by the name's
+    crc32 (not ``hash()``, whose ``str`` values are salted per process)."""
+    seed = zlib.crc32(name.encode("utf-8")) % 1000
+    return t.build(row, seed, push_interval=t.p.push_interval, **overrides)
 
 
 def _fig13(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
     rows = []
-    for name, builder in _durability_instances(p.push_interval):
-        with t.section("build"):
-            cluster = Cluster(seed=_durability_seed(name))
-            instance = builder(TierRegistry(cluster))
-            workload = mixed_50_50(TieraServer(instance), p.records, seed=3)
-        t.load(cluster.clock, workload)
-        result = t.drive(
-            run_closed_loop, cluster.clock, clients=p.clients,
-            duration=p.duration, op_fn=workload, warmup=p.warmup,
-            obs=cluster.obs,
-        )
+    for name, row in DURABILITY:
+        sim = _durability_build(t, name, row)
+        workload = mixed_50_50(sim.server, p.records, seed=3)
+        t.load(sim.clock, workload)
+        result = t.closed_loop(sim.cluster, workload)
         rows.append([
             name,
             round(ms(result.latencies.mean("read")), 2),
             round(ms(result.latencies.mean("write")), 2),
-            round(instance.monthly_cost(), 2),
+            round(sim.instance.monthly_cost(), 2),
             "~0 s (synchronous EBS)" if name == "High Durability"
             else f"{p.push_interval:.0f} s (S3 push window)",
         ])
@@ -549,42 +537,32 @@ def _kill_payload(key: str) -> bytes:
 
 def _fig13_kill_restart(t: Trial) -> Tuple[Rows, Facts]:
     """PUT a batch, crash inside the push window, reopen, count survivors."""
-    from repro.core.durability import reopen_instance, simulate_crash
+    from repro.core.durability import simulate_crash
 
     p = t.p
     rows = []
-    for name, builder in _durability_instances(p.push_interval):
-        with t.section("build"):
-            cluster = Cluster(seed=_durability_seed(name))
-            instance = builder(TierRegistry(cluster))
-            instance.enable_durability()
-            server = TieraServer(instance)
+    for name, row in DURABILITY:
+        sim = _durability_build(t, name, row, features=("durability",))
+        clock = sim.clock
         keys = [f"rec{i:04d}" for i in range(p.kill_objects)]
         with t.section("drive"):
             for key in keys:
-                ctx = RequestContext(cluster.clock)
-                server.put_object(key, _kill_payload(key), ctx=ctx).raise_for_error()
-                cluster.clock.run_until(ctx.time)
-            cluster.clock.run_until(cluster.clock.now() + p.kill_advance)
-            simulate_crash(instance)
-            successor, recovery = reopen_instance(
-                name=instance.name,
-                tiers=list(instance.tiers.ordered()),
-                policy=instance.policy,
-                clock=cluster.clock,
-                metadata_store=instance.metadata_store,
-                eviction_chain=dict(instance.eviction_chain),
-            )
-            reopened = TieraServer(successor)
+                ctx = RequestContext(clock)
+                sim.server.put_object(
+                    key, _kill_payload(key), ctx=ctx
+                ).raise_for_error()
+                clock.run_until(ctx.time)
+            clock.run_until(clock.now() + p.kill_advance)
+            simulate_crash(sim.instance)
+            reopened, recovery = sim.reopen()
             survived = sum(
                 1 for key in keys
                 if reopened.contains(key)
                 and reopened.get_object(
-                    key, ctx=RequestContext(cluster.clock)
+                    key, ctx=RequestContext(clock)
                 ).raise_for_error().value == _kill_payload(key)
             )
-            successor.control.shutdown()
-            successor.obs.metrics.remove_collector(successor._collect_gauges)
+            reopened.instance.shutdown()
         rows.append([
             name,
             p.kill_objects,
@@ -609,21 +587,16 @@ def _fig14(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
     rows = []
     for index, (name, bandwidth, replicate) in enumerate(THROTTLE_VARIANTS):
-        with t.section("build"):
-            cluster = Cluster(seed=400 + index)
-            instance = replicated_volumes_instance(
-                TierRegistry(cluster), size="64M", trigger_bytes=p.trigger,
-                bandwidth=bandwidth,
-            )
-            if not replicate:
-                instance.policy.remove("replicate")
-            workload = write_only(TieraServer(instance), p.records, seed=4)
-        t.load(cluster.clock, workload)
-        result = t.drive(
-            run_closed_loop, cluster.clock, clients=p.clients,
-            duration=p.duration, op_fn=workload, warmup=p.warmup,
-            obs=cluster.obs,
+        sim = t.build(
+            "replicated-volumes", 400 + index,
+            trigger_bytes=p.trigger, bandwidth=bandwidth,
         )
+        instance = sim.instance
+        if not replicate:
+            instance.policy.remove("replicate")
+        workload = write_only(sim.server, p.records, seed=4)
+        t.load(sim.clock, workload)
+        result = t.closed_loop(sim.cluster, workload)
         rows.append([
             name,
             round(ms(result.latencies.mean()), 2),
@@ -653,27 +626,17 @@ def _fig15(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
     rows = []
     for index, interval in enumerate(p.intervals):
-        with t.section("build"):
-            cluster = Cluster(seed=500 + index)
-            registry = TierRegistry(cluster)
-            if interval == 0:
-                # t=0 degenerates to write-through: the copy rides the insert.
-                instance = low_latency_instance(
-                    registry, t=3600.0, mem="64M", ebs="64M"
-                )
-                instance.policy.remove("write-back")
-                instance.policy.add(*Compiler(parse(WRITE_THROUGH), registry).rules())
-            else:
-                instance = low_latency_instance(
-                    registry, t=float(interval), mem="64M", ebs="64M"
-                )
-            workload = write_only(TieraServer(instance), p.records, seed=6)
-        t.load(cluster.clock, workload)
-        result = t.drive(
-            run_closed_loop, cluster.clock, clients=p.clients,
-            duration=p.duration, op_fn=workload, warmup=p.warmup,
-            obs=cluster.obs,
+        sim = t.build(
+            "low-latency", 500 + index, t=float(interval) if interval else 3600.0
         )
+        if interval == 0:
+            # t=0 degenerates to write-through: the copy rides the insert.
+            policy = sim.instance.policy
+            policy.remove("write-back")
+            policy.add(*Compiler(parse(WRITE_THROUGH), sim.registry).rules())
+        workload = write_only(sim.server, p.records, seed=6)
+        t.load(sim.clock, workload)
+        result = t.closed_loop(sim.cluster, workload)
         rows.append([
             interval,
             round(ms(result.latencies.mean()), 2),
@@ -699,15 +662,9 @@ Tiera PromoteOnMiss() {
 
 def _fig16(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
-    with t.section("build"):
-        cluster = Cluster(seed=616)
-        registry = TierRegistry(cluster)
-        instance = growing_instance(
-            registry, t=3600.0, mem=p.tier_size, ebs="64M",
-            grow_threshold=0.75, grow_percent=100.0,
-        )
-        instance.policy.add(*Compiler(parse(PROMOTE_ON_MISS), registry).rules())
-        server = TieraServer(instance)
+    sim = t.build("growing", 616, mem=p.tier_size)
+    cluster, instance, server = sim.cluster, sim.instance, sim.server
+    instance.policy.add(*Compiler(parse(PROMOTE_ON_MISS), sim.registry).rules())
     tier1 = instance.tiers.get("tier1")
     rng = random.Random(9)
     state = {"next_key": 0}
@@ -733,10 +690,9 @@ def _fig16(t: Trial) -> Tuple[Rows, Facts]:
         ).raise_for_error()
         return "write"
 
-    result = t.drive(
-        run_closed_loop, cluster.clock, clients=p.clients,
-        duration=p.minutes * 60.0, op_fn=op, think_time=p.think_time,
-        series_bucket=60.0, obs=cluster.obs,
+    result = t.closed_loop(
+        cluster, op, duration=p.minutes * 60.0, think_time=p.think_time,
+        series_bucket=60.0,
     )
     read_latency = {
         int(start // 60): sum(samples) / len(samples)
@@ -775,21 +731,21 @@ def _outage(t: Trial, resilient: bool) -> Tuple[Rows, Facts]:
     run, so pacing both phases equally changes nothing they check).
     """
     p = t.p
-    with t.section("build"):
-        cluster = Cluster(seed=1717)
-        registry = TierRegistry(cluster)
-        instance = write_through_instance(registry, mem="64M", ebs="64M")
-        server = TieraServer(instance)
-        if resilient:
-            instance.enable_resilience()
+    sim = t.build(
+        "write-through", 1717, features=("resilience",) if resilient else ()
+    )
+    cluster, instance, server = sim.cluster, sim.instance, sim.server
     events = {}
 
     def repair():
         events["repaired_at"] = cluster.clock.now()
-        tiers, rules = ephemeral_s3_reconfiguration(registry, backup_interval=120)
+        kit = Compiler(
+            parse(paper_spec("ephemeral_s3")), sim.registry,
+            dict(backup_interval=120),
+        )
         instance.reconfigure(
-            add_tiers=tiers, remove_tiers=["tier1", "tier2"],
-            replace_policy=rules,
+            add_tiers=kit.tiers(), remove_tiers=["tier1", "tier2"],
+            replace_policy=kit.rules(),
         )
 
     StorageMonitor(server, repair, probe_interval=p.probe_interval).start()
@@ -799,11 +755,9 @@ def _outage(t: Trial, resilient: bool) -> Tuple[Rows, Facts]:
     cluster.clock.schedule(
         p.failure_at, lambda: instance.tiers.get("tier2").service.fail()
     )
-    result = t.drive(
-        run_closed_loop, cluster.clock, clients=p.clients, duration=p.window,
-        op_fn=workload, series_bucket=60.0,
+    result = t.closed_loop(
+        cluster, workload, duration=p.window, series_bucket=60.0,
         think_time=p.think_time,
-        obs=cluster.obs,
     )
     rates = {
         int(start // 60): round(rate, 1)
@@ -837,21 +791,13 @@ def _fig18(t: Trial) -> Tuple[Rows, Facts]:
     p = t.p
 
     def with_control_layer(clients, seed):
-        with t.section("build"):
-            cluster = Cluster(seed=seed)
-            instance = write_through_instance(
-                TierRegistry(cluster), mem="64M", ebs="64M"
-            )
-            workload = YcsbWorkload(
-                TieraServer(instance), p.records, read_proportion=0.5,
-                update_proportion=0.5, distribution="zipfian", seed=2,
-            )
-        t.load(cluster.clock, workload)
-        return t.drive(
-            run_closed_loop, cluster.clock, clients=clients,
-            duration=p.duration, op_fn=workload, warmup=p.warmup,
-            obs=cluster.obs,
+        sim = t.build("write-through", seed)
+        workload = YcsbWorkload(
+            sim.server, p.records, read_proportion=0.5,
+            update_proportion=0.5, distribution="zipfian", seed=2,
         )
+        t.load(sim.clock, workload)
+        return t.closed_loop(sim.cluster, workload, clients=clients)
 
     def without_control_layer(clients, seed):
         """The application drives both tiers itself: no events, no
@@ -882,10 +828,7 @@ def _fig18(t: Trial) -> Tuple[Rows, Facts]:
             tier2.put(key, payload, ctx)
             return "write"
 
-        return t.drive(
-            run_closed_loop, cluster.clock, clients=clients,
-            duration=p.duration, op_fn=op, warmup=p.warmup, obs=cluster.obs,
-        )
+        return t.closed_loop(cluster, op, clients=clients)
 
     rows = []
     for index, clients in enumerate(p.client_counts):
@@ -917,17 +860,12 @@ def _batch_scaling(t: Trial) -> Tuple[Rows, Facts]:
     rows = []
     serial = None
     for depth in p.depths:
-        with t.section("build"):
-            cluster = Cluster(seed=p.seed)
-            instance = high_durability_instance(
-                TierRegistry(cluster), mem="100M", ebs="100M"
-            )
-            server = TieraServer(instance)
-            workload = mixed_50_50(server, p.records, seed=3)
-        t.load(cluster.clock, workload)
+        sim = t.build("high-durability", p.seed)
+        workload = mixed_50_50(sim.server, p.records, seed=3)
+        t.load(sim.clock, workload)
         result = t.drive(
-            run_pipelined, cluster.clock, server, workload, p.operations,
-            depth=depth, obs=cluster.obs,
+            run_pipelined, sim.clock, sim.server, workload, p.operations,
+            depth=depth, obs=sim.cluster.obs,
         )
         serial = serial or result.throughput
         rows.append([
@@ -958,19 +896,15 @@ def _heat_stream(t: Trial, enable_heat: bool):
     disabled runs execute byte-identical request sequences.
     """
     p = t.p
-    with t.section("build"):
-        cluster = Cluster(seed=p.seed)
-        instance = memcached_ebs_instance(
-            TierRegistry(cluster), mem="64M", ebs="256M"
-        )
-        server = TieraServer(instance)
-        tracker = None
-        if enable_heat:
-            server.configure(
-                "heat", top_k=p.top_k, hot_min=p.hot_min,
-                max_objects=p.max_objects, sample_interval=5.0,
-            ).raise_for_error()
-            tracker = server.obs.heat
+    sim = t.build("memcached-ebs", p.seed, mem="64M", ebs="256M")
+    cluster, server = sim.cluster, sim.server
+    tracker = None
+    if enable_heat:
+        server.configure(
+            "heat", top_k=p.top_k, hot_min=p.hot_min,
+            max_objects=p.max_objects, sample_interval=5.0,
+        ).raise_for_error()
+        tracker = server.obs.heat
     keys = ZipfianKeys(p.records, theta=p.theta, seed=p.seed + 1)
     mix = random.Random(p.seed + 2)
     ctx = RequestContext(cluster.clock)
@@ -1072,17 +1006,10 @@ PLACEMENT_CONFIG = dict(
 CACHE_HIT_CUTOFF = 0.0015
 
 
-def _placement_instance(registry: TierRegistry, p, name: str) -> TieraInstance:
-    """One of the three deployments over the same Memcached-over-EBS
-    pair, the packaged spec of that name: ``write-through-lru`` (the
-    classic watermark policy), ``demand-lru`` (the stronger static
-    baseline) or ``adaptive`` (the placement engine decides)."""
-    mem = f"{p.cache_records * p.record_size // 1024}K"
-    return compile_spec(
-        paper_spec(name.replace("-", "_")), registry, args={"mem": mem}
-    )
-
-
+#: Three deployments over the same Memcached-over-EBS pair:
+#: ``write-through-lru`` (the classic watermark policy), ``demand-lru``
+#: (the stronger static baseline) and ``adaptive`` (the placement engine
+#: decides).
 PLACEMENT_POLICIES = ("write-through-lru", "demand-lru", "adaptive")
 
 
@@ -1101,11 +1028,11 @@ def _placement_run(t: Trial, policy: str) -> Dict[str, object]:
     come from placement alone.
     """
     p = t.p
-    with t.section("build"):
-        cluster = Cluster(seed=p.seed)
-        registry = TierRegistry(cluster)
-        instance = _placement_instance(registry, p, policy)
-        server = TieraServer(instance)
+    sim = t.build(
+        policy, p.seed, mem=f"{p.cache_records * p.record_size // 1024}K"
+    )
+    cluster, registry = sim.cluster, sim.registry
+    instance, server = sim.instance, sim.server
     ctx = RequestContext(cluster.clock)
     with t.section("load"):
         for index in range(p.records):
@@ -1403,49 +1330,24 @@ def _backup_lifecycle(t: Trial) -> Tuple[Rows, Facts]:
 
 # -- Ablations: one design choice, two specs -----------------------------------
 
-#: Figure 5: a full cache evicts at insert time, by the policy under
-#: test; no read-side promotion.  LRU moves the oldest object out...
-LRU_EVICTION = """
-Tiera LruEviction(size mem) {
-    tier1: { name: Memcached, size: mem };
-    tier2: { name: EBS, size: 64M };
-    event "placement"(insert.into) : response {
-        if (tier1.filled) {
-            move(what: tier1.oldest, to: tier2);
-        }
-        store(what: insert.object, to: tier1);
-    }
-}
-"""
-#: ...and MRU the newest.
-MRU_EVICTION = LRU_EVICTION.replace("Lru", "Mru").replace("oldest", "newest")
-
-
 def _ablation_eviction(t: Trial) -> Tuple[Rows, Facts]:
     """LRU vs MRU under zipfian updates (which keep re-inserting the hot
     head, so the policy keeps choosing victims) and zipfian reads (which
     reveal where the head ended up)."""
     p = t.p
     rows = []
-    for kind, spec, seed in (("LRU", LRU_EVICTION, 910),
-                             ("MRU", MRU_EVICTION, 911)):
-        with t.section("build"):
-            cluster = Cluster(seed=seed)
-            instance = compile_spec(
-                spec, TierRegistry(cluster),
-                args={"mem": int(p.records * 4096 * p.cache_share)},
-            )
-            workload = YcsbWorkload(
-                TieraServer(instance), p.records, read_proportion=0.5,
-                update_proportion=0.5, distribution="zipfian", theta=0.99,
-                seed=4,
-            )
-        t.load(cluster.clock, workload)
-        result = t.drive(
-            run_closed_loop, cluster.clock, clients=p.clients,
-            duration=p.duration, op_fn=workload, warmup=p.warmup,
-            think_time=p.think_time, obs=cluster.obs,
+    for kind, seed in (("LRU", 910), ("MRU", 911)):
+        sim = t.build(
+            f"{kind.lower()}-eviction", seed,
+            mem=int(p.records * 4096 * p.cache_share),
         )
+        workload = YcsbWorkload(
+            sim.server, p.records, read_proportion=0.5,
+            update_proportion=0.5, distribution="zipfian", theta=0.99,
+            seed=4,
+        )
+        t.load(sim.clock, workload)
+        result = t.closed_loop(sim.cluster, workload, think_time=p.think_time)
         rows.append([
             kind,
             round(ms(result.latencies.mean("read")), 3),
@@ -1455,55 +1357,31 @@ def _ablation_eviction(t: Trial) -> Tuple[Rows, Facts]:
     return rows, {}
 
 
-#: The inclusive alternative to Table 2's exclusive tiering: every
-#: object also lives in S3, so Memcached is a pure cache whose evictions
-#: are free drops.
-INCLUSIVE_CACHE = """
-Tiera InclusiveCache(size mem) {
-    tier1: { name: Memcached, size: mem, evict_to: drop };
-    tier3: { name: S3 };
-    event "cache-and-persist"(insert.into) : response {
-        store(what: insert.object, to: tier1);
-        copy(what: insert.object, to: tier3);
-    }
-    event "promote"(get.of && insert.object.location != tier1) : response {
-        retrieve(what: insert.object, promote_to: tier1);
-    }
-}
-"""
-
-
 def _ablation_inclusive(t: Trial) -> Tuple[Rows, Facts]:
     """Figure 11's TI:2 shape both ways: read latency, and how many
     objects have a durable copy."""
     p = t.p
     data = p.records * p.record_bytes
     placements = (
-        ("exclusive (paper's TI:2)", 920, lambda registry: lru_tiered_instance(
-            registry, "TI2-exclusive",
+        ("exclusive (paper's TI:2)", "TI:2", 920, dict(
             mem=format_size(int(data * p.mem_share)),
             ebs=format_size(int(data * p.ebs_share)),
         )),
-        ("inclusive (cache over S3)", 921, lambda registry: compile_spec(
-            INCLUSIVE_CACHE, registry, args={"mem": int(data * p.mem_share)}
+        ("inclusive (cache over S3)", "inclusive-cache", 921, dict(
+            mem=int(data * p.mem_share),
         )),
     )
     rows = []
-    for name, seed, builder in placements:
+    for name, row, seed, args in placements:
         for distribution in ("uniform", "zipfian"):
-            with t.section("build"):
-                cluster = Cluster(seed=seed)
-                instance = builder(TierRegistry(cluster))
-                workload = YcsbWorkload(
-                    TieraServer(instance), p.records, read_proportion=1.0,
-                    distribution=distribution, theta=0.99, seed=5,
-                )
-            t.load(cluster.clock, workload)
-            result = t.drive(
-                run_closed_loop, cluster.clock, clients=p.clients,
-                duration=p.duration, op_fn=workload, warmup=p.warmup,
-                obs=cluster.obs,
+            sim = t.build(row, seed, **args)
+            instance = sim.instance
+            workload = YcsbWorkload(
+                sim.server, p.records, read_proportion=1.0,
+                distribution=distribution, theta=0.99, seed=5,
             )
+            t.load(sim.clock, workload)
+            result = t.closed_loop(sim.cluster, workload)
             durable = sum(
                 1 for meta in instance.iter_meta()
                 if any(instance.tiers.get(tier).durable for tier in meta.copies())
@@ -1514,39 +1392,18 @@ def _ablation_inclusive(t: Trial) -> Tuple[Rows, Facts]:
     return rows, {"records": p.records}
 
 
-#: §3's threshold events: an expensive response (copy all of tier1 to
-#: S3) on a fill threshold, evaluated with the triggering request...
-FILL_BACKUP = """
-Tiera FillBackup() {
-    tier1: { name: Memcached, size: 32M };
-    tier2: { name: S3 };
-    event "place"(insert.into) : response {
-        store(what: insert.object, to: tier1);
-    }
-    event "backup"(tier1.filled >= 10%) : response {
-        copy(what: object.location == tier1, to: tier2);
-    }
-}
-"""
-#: ...or off the client path.
-BACKGROUND_FILL_BACKUP = FILL_BACKUP.replace(
-    'event "backup"', 'background event "backup"'
-)
-
-
 def _ablation_background_events(t: Trial) -> Tuple[Rows, Facts]:
     """What a foreground vs a background threshold response costs client
     PUTs.  Every PUT's latency is recorded, not just those completing in
     the window: the one that trips the foreground threshold can outlast
     the run, and that spike is the measurement."""
-    p = t.p
     rows = []
-    for name, spec, seed in (("foreground threshold", FILL_BACKUP, 900),
-                             ("background threshold", BACKGROUND_FILL_BACKUP, 901)):
-        with t.section("build"):
-            cluster = Cluster(seed=seed)
-            instance = compile_spec(spec, TierRegistry(cluster))
-            workload = insert_stream(TieraServer(instance), seed=3)
+    for name, row, seed in (
+        ("foreground threshold", "fill-backup", 900),
+        ("background threshold", "background-fill-backup", 901),
+    ):
+        sim = t.build(row, seed)
+        cluster, workload = sim.cluster, insert_stream(sim.server, seed=3)
         latencies = []
 
         def op(client, ctx):
@@ -1555,10 +1412,7 @@ def _ablation_background_events(t: Trial) -> Tuple[Rows, Facts]:
             latencies.append(ctx.time - start)
             return label
 
-        t.drive(
-            run_closed_loop, cluster.clock, clients=p.clients,
-            duration=p.duration, op_fn=op, obs=cluster.obs,
-        )
+        t.closed_loop(cluster, op)
         latencies.sort()
         rows.append([
             name,
@@ -1577,6 +1431,7 @@ FIGURES: Dict[str, Figure] = {
         title="Figure 7 — sysbench read-only, 8 threads (TPS and p95 latency)",
         headers=("deployment", "% hot", "TPS", "p95 (ms)"),
         experiment=lambda t: _sysbench_sweep(t, read_only=True),
+        deployments=SYSBENCH_DEPLOYMENTS[1:],
         full=SYSBENCH_FULL,
         smoke=SYSBENCH_SMOKE,
         note="Paper: MemcachedReplicated +47% TPS over EBS; MemcachedEBS "
@@ -1601,6 +1456,7 @@ FIGURES: Dict[str, Figure] = {
         title="Figure 8 — sysbench read-write, 8 threads (TPS and p95 latency)",
         headers=("deployment", "% hot", "TPS", "p95 (ms)"),
         experiment=lambda t: _sysbench_sweep(t, read_only=False),
+        deployments=SYSBENCH_DEPLOYMENTS[1:],
         full=SYSBENCH_FULL,
         smoke=SYSBENCH_SMOKE,
         note="Paper: MemcachedReplicated +125% TPS over EBS; MemcachedEBS "
@@ -1622,6 +1478,7 @@ FIGURES: Dict[str, Figure] = {
         title="Figure 9 — throughput (log-scale in the paper) and monthly cost",
         headers=("deployment", "workload", "TPS", "cost $/month"),
         experiment=_fig09,
+        deployments=("memcached-s3",),
         full=dict(
             rows=50_000, hot=0.10, clients=8, duration=12.0, warmup=3.0,
             # the Memory Engine needs a long window to commit at all
@@ -1650,6 +1507,7 @@ FIGURES: Dict[str, Figure] = {
         title="Figure 10 — TPC-W shopping mix, average WIPS",
         headers=("deployment", "emulated browsers", "WIPS"),
         experiment=_fig10,
+        deployments=("memcached-ebs",),
         full=dict(
             browsers=(5, 10, 15, 20, 25),
             duration=150.0,  # paper: 600 s; scaled for bench wall time
@@ -1683,6 +1541,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("instance", "configuration", "uniform (ms)", "zipfian (ms)",
                  "cost $/mo"),
         experiment=_fig11,
+        deployments=tuple(name for name, _, _ in TI_CONFIGS),
         full=dict(
             records=2_000, record_bytes=4096,  # ~8 MB of data
             clients=14,  # "simulated read requests from 14 clients"
@@ -1709,6 +1568,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("% duplicates", "avg read latency (ms)", "S3 requests",
                  "space savings"),
         experiment=_fig12,
+        deployments=("cached-s3",),
         full=dict(
             blocks=2_000, block=4096,  # ~8 MB logical data
             cache_share=0.20,          # "20% Memcached and 80% S3"
@@ -1736,6 +1596,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("instance", "read (ms)", "write (ms)", "cost $/mo",
                  "loss window"),
         experiment=_fig13,
+        deployments=tuple(row for _, row in DURABILITY),
         full=dict(records=1_000, clients=8, duration=30.0, warmup=8.0,
                   push_interval=120.0),
         smoke=dict(records=300, clients=2, duration=3.0, warmup=1.0),
@@ -1756,6 +1617,7 @@ FIGURES: Dict[str, Figure] = {
               "inside the S3 push window",
         headers=("instance", "acked", "survived", "lost", "recovery repairs"),
         experiment=_fig13_kill_restart,
+        deployments=tuple(row for _, row in DURABILITY),
         full=dict(push_interval=120.0, kill_objects=64,
                   kill_advance=30.0),  # crash inside the push window
         smoke=dict(kill_objects=16),
@@ -1780,6 +1642,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("configuration", "avg write (ms)", "p95 write (ms)",
                  "objects replicated"),
         experiment=_fig14,
+        deployments=("replicated-volumes",),
         full=dict(records=400, clients=4, duration=60.0, warmup=5.0,
                   trigger="512K"),
         smoke=dict(duration=20.0),
@@ -1804,6 +1667,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("interval (s)", "avg write (ms)", "p95 write (ms)",
                  "worst-case loss"),
         experiment=_fig15,
+        deployments=("low-latency",),
         full=dict(records=300, clients=2, duration=15.0, warmup=5.0,
                   intervals=(0, 10, 20, 40, 60, 80, 100)),
         smoke=dict(duration=3.0, warmup=1.0, intervals=(0, 10, 100)),
@@ -1823,6 +1687,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("minute", "space used (KB)", "capacity (KB)",
                  "avg latency (ms)"),
         experiment=_fig16,
+        deployments=("growing",),
         full=dict(
             minutes=14, tier_size="2M", object_bytes=4096,
             # ~1.6 inserts/s crosses the 75% threshold around t ≈ 6 min,
@@ -1857,6 +1722,7 @@ FIGURES: Dict[str, Figure] = {
         title="Figure 17 — ops/sec over the 10-minute outage window",
         headers=("minute", "ops/sec"),
         experiment=lambda t: _outage(t, resilient=False),
+        deployments=("write-through",),
         full=dict(
             records=200, clients=4,
             window=600.0,       # the 10-minute window
@@ -1888,6 +1754,7 @@ FIGURES: Dict[str, Figure] = {
         title="Figure 17 (with resilience layer) — ops/sec over the outage window",
         headers=("minute", "ops/sec"),
         experiment=lambda t: _outage(t, resilient=True),
+        deployments=("write-through",),
         full=dict(
             records=200, clients=4, window=600.0, failure_at=245.0,
             probe_interval=120.0, think_time=0.02,
@@ -1927,6 +1794,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("events/sec", "op", "without CL (ms)", "with CL (ms)",
                  "overhead %"),
         experiment=_fig18,
+        deployments=("write-through",),
         full=dict(records=500, duration=20.0, warmup=5.0,
                   client_counts=(1, 2, 4, 8), record_bytes=4096),
         smoke=dict(duration=8.0, warmup=2.0, client_counts=(1, 8)),
@@ -1943,6 +1811,7 @@ FIGURES: Dict[str, Figure] = {
         title="Batch scaling: High Durability instance, YCSB 50/50, 4 KB records",
         headers=("depth", "ops/s", "speedup", "get ms", "put ms", "errors"),
         experiment=_batch_scaling,
+        deployments=("high-durability",),
         full=dict(seed=11, records=200, operations=400, depths=(1, 2, 4, 8)),
         smoke=dict(operations=200, depths=(1, 8)),
         note="depth 1 is the serial closed loop; deeper pipelines overlap\n"
@@ -1958,6 +1827,7 @@ FIGURES: Dict[str, Figure] = {
         title="Heat telemetry: shifting-hot-set zipfian, Space-Saving hot set",
         headers=("phase", "distinct", "true hot (suffixes)", "found", "recall"),
         experiment=_heat_telemetry,
+        deployments=("memcached-ebs",),
         full=dict(
             seed=2014,
             records=400,        # keyspace — an order of magnitude over top_k
@@ -1994,6 +1864,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("policy", "hit", "p50 ms", "p95 ms", "p99 ms", "ebs reads",
                  "month cost", "moves"),
         experiment=_adaptive_placement,
+        deployments=PLACEMENT_POLICIES,
         full=dict(
             seed=4117,
             records=640,          # whole keyspace (scans read all of it)
@@ -2026,6 +1897,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("scenario", "deployment", "seed", "mode", "avail %", "p99 ms",
                  "mttr s", "corrupt", "retries", "degraded", "replayed"),
         experiment=_chaos,
+        deployments=CHAOS_DEPLOYMENTS,
         full=dict(
             duration=240.0,
             cells=tuple(
@@ -2098,6 +1970,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("deployment", "boundaries", "swept", "recovered clean",
                  "durable digests", "records replayed"),
         experiment=_crash_sweep,
+        deployments=CRASH_DEPLOYMENTS,
         full=dict(seed=2014, deployments=CRASH_DEPLOYMENTS),
         note="After each crash a successor reopens over the surviving "
              "metadata store and must be fsck-clean, sit on a durable "
@@ -2118,6 +1991,7 @@ FIGURES: Dict[str, Figure] = {
         title="Shard failover: kill 1 of 4 replicated shards mid-workload",
         headers=("metric", "value"),
         experiment=_shard_failover,
+        deployments=("replicated",),
         # the presets' own defaults at full scale
         full=dict(failover={}, migration={}),
         smoke=dict(
@@ -2149,6 +2023,7 @@ FIGURES: Dict[str, Figure] = {
         title="Backup lifecycle: snapshot bytes (full vs incremental chain)",
         headers=("id", "kind", "objects", "bytes", "vs full"),
         experiment=_backup_lifecycle,
+        deployments=("backup-lifecycle",),
         full=dict(records=120, waves=4),
         note=lambda f, p: (
             "each wave mutates ~15% of the set; incrementals should cost\n"
@@ -2174,6 +2049,7 @@ FIGURES: Dict[str, Figure] = {
         title="Ablation — LRU vs MRU eviction under zipfian reads",
         headers=("policy", "avg read (ms)", "p95 read (ms)", "reads/sec"),
         experiment=_ablation_eviction,
+        deployments=("lru-eviction", "mru-eviction"),
         # unsaturated: queueing would wash out the policy difference
         full=dict(records=1_000, cache_share=0.25, clients=4, duration=30.0,
                   warmup=8.0, think_time=0.05),
@@ -2189,6 +2065,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("placement", "distribution", "avg read (ms)",
                  "objects durable"),
         experiment=_ablation_inclusive,
+        deployments=("TI:2", "inclusive-cache"),
         full=dict(records=2_000, record_bytes=4096, mem_share=0.60,
                   ebs_share=0.20, clients=14, duration=25.0, warmup=8.0),
         smoke=dict(records=300, duration=2.0, warmup=1.0),
@@ -2208,6 +2085,7 @@ FIGURES: Dict[str, Figure] = {
         headers=("configuration", "avg PUT (ms)", "p95 PUT (ms)",
                  "max PUT (ms)"),
         experiment=_ablation_background_events,
+        deployments=("fill-backup", "background-fill-backup"),
         # short on purpose: the point is the one threshold firing ~0.3 s
         # in, and the run must stay within the 32 MB tier's capacity
         full=dict(clients=2, duration=2.5),

@@ -60,12 +60,6 @@ from repro.core.durability import fsck, insert_targets, reopen_instance, simulat
 from repro.core.errors import NoSuchObjectError
 from repro.core.server import TieraServer
 from repro.core.sharding import ShardedTieraServer
-from repro.core.templates import (
-    dedup_instance,
-    low_latency_instance,
-    lru_tiered_instance,
-    write_through_instance,
-)
 from repro.kvstore import MemoryStore
 from repro.simcloud.cluster import Cluster
 from repro.simcloud.errors import ProcessCrash
@@ -77,6 +71,7 @@ from repro.simcloud.faults import (
 )
 from repro.simcloud.resources import RequestContext
 from repro.spec import compile_spec
+from repro.spec.paper import paper_spec
 from repro.tiers.registry import TierRegistry
 from repro.workloads.ycsb import record_payload
 
@@ -268,47 +263,94 @@ class OpStats:
 # -- 1. build ----------------------------------------------------------------
 
 
-def _writeback(registry: TierRegistry):
-    instance = low_latency_instance(
-        registry, t=FLUSH_PERIOD, mem=str(3 * PAYLOAD_BYTES), ebs="64M"
-    )
-    instance.eviction_chain["tier1"] = "tier2"
-    return instance
+@dataclass(frozen=True)
+class Row:
+    """One named deployment: a spec, its arguments, the features
+    :func:`build` switches on through ``configure``, and a shard shape.
+
+    ``spec`` names a packaged spec (:func:`repro.spec.paper.paper_spec`)
+    or is spec text itself; ``name`` renames the compiled instance.
+    ``shape`` (``shards``, ``config``, ``journal_store``) puts ``shards``
+    instances of the spec behind a replicating
+    :class:`ShardedTieraServer`; without one the deployment is a single
+    :class:`TieraServer`.
+    """
+
+    spec: str
+    args: Dict[str, object] = field(default_factory=dict)
+    features: Tuple[str, ...] = ()
+    shape: Optional[Dict[str, object]] = None
+    name: Optional[str] = None
+
+    def serve(self, registry: TierRegistry, **args) -> TieraServer:
+        """One instance of the spec, compiled with exactly ``args``
+        over ``registry``, behind its server."""
+        text = paper_spec(self.spec) if self.spec.isidentifier() else self.spec
+        instance = compile_spec(text, registry, args=args)
+        if self.name is not None:
+            instance.name = self.name
+        return TieraServer(instance)
 
 
-def _replicated(
-    registry: TierRegistry, shards: int = 4,
-    config: Optional[ClusterConfig] = ClusterConfig(),
-    journal_store=None, mem: str = "64M", ebs: str = "64M",
-) -> ShardedTieraServer:
-    servers = {
-        f"shard{index}": TieraServer(write_through_instance(registry, mem=mem, ebs=ebs))
-        for index in range(shards)
-    }
-    return ShardedTieraServer(
-        servers, replication=config, journal_store=journal_store
-    )
+#: Figure 3 with an eviction chain: a full Memcached moves its LRU
+#: object to EBS, so a crash sweep crosses copy/evict/move boundaries.
+WRITEBACK_SPEC = paper_spec("low_latency").replace(
+    "size: mem }", "size: mem, evict_to: tier2 }"
+)
 
+#: The backup lifecycle's object size, the share of its objects each
+#: wave rewrites, and its restore drill's period (virtual seconds).
+BACKUP_RECORD_BYTES = 2048
+BACKUP_CHANGE_FRACTION = 0.15
+BACKUP_VERIFY_INTERVAL = 50.0
 
-#: name -> ``builder(registry, **shape)`` returning the serving façade.
-#: All paper shapes: write-through is Figure 17's starting instance,
-#: cached-s3 Figure 12's cache over a durable store, writeback Figure 3's
-#: memcached-first / timer-flush instance with an eviction chain (so a
-#: sweep crosses copy/evict/move boundaries), lru-tiered Table 2's
-#: exclusive tiering; replicated is write-through shards behind a
-#: replicating router (``config=None``: an unreplicated one).
-DEPLOYMENTS: Dict[str, Callable[..., object]] = {
-    "write-through": lambda registry: TieraServer(
-        write_through_instance(registry, mem="64M", ebs="64M")
-    ),
-    "cached-s3": lambda registry: TieraServer(
-        dedup_instance(registry, mem="16M")
-    ),
-    "writeback": lambda registry: TieraServer(_writeback(registry)),
-    "lru-tiered": lambda registry: TieraServer(lru_tiered_instance(
-        registry, "LruTiered", mem=str(3 * PAYLOAD_BYTES), ebs="64M"
+#: a 64 MB Memcached + EBS pair; a fast tier that holds three payloads
+_WT = dict(mem="64M", ebs="64M")
+_SMALL = dict(mem=str(3 * PAYLOAD_BYTES), ebs="64M")
+
+#: Every deployment a figure, a drill or a schedule file builds, by name.
+#: The fault drills' shapes: write-through is Figure 17's starting
+#: instance, cached-s3 Figure 12's cache over a durable store, writeback
+#: Figure 3 with an eviction chain, lru-tiered Table 2's exclusive
+#: tiering (both with a three-object fast tier), replicated write-through
+#: shards behind a replicating router (``config=None``: an unreplicated
+#: one).  The rest are the evaluation's instances as the figures use
+#: them (docs/SIMULATION.md has the table).
+DEPLOYMENTS: Dict[str, Row] = {
+    "write-through": Row("write_through", _WT),
+    "cached-s3": Row("dedup", dict(mem="16M")),
+    "writeback": Row(WRITEBACK_SPEC, dict(t=FLUSH_PERIOD, **_SMALL)),
+    "lru-tiered": Row("lru_tiered", _SMALL),
+    "replicated": Row("write_through", _WT, shape=dict(
+        shards=4, config=ClusterConfig(), journal_store=None,
     )),
-    "replicated": _replicated,
+    # §4.1.1's MySQL deployments (Figures 7-10)
+    "memcached-replicated": Row("memcached_replicated", dict(mem="512M")),
+    "memcached-ebs": Row("memcached_ebs", dict(mem="512M", ebs="8G")),
+    "memcached-s3": Row("memcached_s3", dict(mem="1M", colocated=True)),
+    # Table 2's TI:n; Figure 11 sizes the tiers from its data set
+    **{f"TI:{n}": Row("lru_tiered", dict(s3="10G"), name=f"TI:{n}")
+       for n in (1, 2, 3)},
+    # Table 3 (Figure 13, batch scaling)
+    "high-durability": Row("high_durability"),
+    "low-durability": Row("low_durability"),
+    "replicated-volumes": Row("replicated_volumes", dict(size="64M")),  # Fig 14
+    "low-latency": Row("low_latency", _WT),  # Figure 15
+    "growing": Row("growing", dict(t=3600.0, ebs="64M")),  # Figure 16
+    # the adaptive-placement row's three deployments
+    "write-through-lru": Row("write_through_lru"),
+    "demand-lru": Row("demand_lru"),
+    "adaptive": Row("adaptive"),
+    # the ablations and the backup drill
+    "lru-eviction": Row("lru_eviction"),
+    "mru-eviction": Row("mru_eviction"),
+    "inclusive-cache": Row("inclusive_cache"),
+    "fill-backup": Row("fill_backup"),
+    "background-fill-backup": Row("background_fill_backup"),
+    "backup-lifecycle": Row(
+        "backup_lifecycle", dict(verify_interval=BACKUP_VERIFY_INTERVAL),
+        features=("durability",), name="backup-bench",
+    ),
 }
 
 #: What the chaos matrix and the instance crash sweep cover.
@@ -368,6 +410,23 @@ class Sim:
         target = manager if manager is not None else self.server.instance
         target.crash_points = injector
 
+    def reopen(self, **kwargs) -> Tuple[TieraServer, Dict[str, object]]:
+        """Boot a successor over what the instance left behind (same
+        name, tiers, policy, metadata store and eviction chain; a crash
+        is :func:`simulate_crash`'s to make): its server and its
+        recovery report."""
+        instance = self.instance
+        successor, recovery = reopen_instance(
+            name=instance.name,
+            tiers=list(instance.tiers.ordered()),
+            policy=instance.policy,
+            clock=self.clock,
+            metadata_store=instance.metadata_store,
+            eviction_chain=dict(instance.eviction_chain),
+            **kwargs,
+        )
+        return TieraServer(successor), recovery
+
     def digest(self) -> str:
         shards = getattr(self.server, "shards", None)
         if shards is None:
@@ -384,18 +443,33 @@ def build(
     seed: int,
     payload: Optional[Payload] = None,
     features: Sequence[str] = (),
-    **shape,
+    **overrides,
 ) -> Sim:
-    """A fresh seeded simcloud with ``deployment`` on it and each of
-    ``features`` configured with its defaults."""
-    if deployment not in DEPLOYMENTS:
+    """A fresh seeded simcloud with the :data:`DEPLOYMENTS` row named
+    ``deployment`` on it: its spec compiled with the row's arguments,
+    ``overrides`` applied (a sharded row's ``shards``, ``config`` and
+    ``journal_store`` among them), then the row's features and each of
+    ``features`` configured with their defaults."""
+    row = DEPLOYMENTS.get(deployment)
+    if row is None:
         raise ValueError(
             f"unknown deployment {deployment!r}; pick one of {tuple(DEPLOYMENTS)}"
         )
     cluster = Cluster(seed=seed)
     registry = TierRegistry(cluster)
-    server = DEPLOYMENTS[deployment](registry, **shape)
-    for feature in features:
+    args = {**row.args, **overrides}
+    if row.shape is None:
+        server = row.serve(registry, **args)
+    else:
+        shape = {key: args.pop(key, value) for key, value in row.shape.items()}
+        server = ShardedTieraServer(
+            {
+                f"shard{index}": row.serve(registry, **args)
+                for index in range(shape["shards"])
+            },
+            replication=shape["config"], journal_store=shape["journal_store"],
+        )
+    for feature in (*row.features, *features):
         server.configure(feature).raise_for_error()
     return Sim(cluster, registry, server, Ledger(payload or stamp_payload(seed)))
 
@@ -655,17 +729,10 @@ def run_crash_sweep(
     digests: List[str] = []
 
     def recover(sim: Sim, crashed: bool) -> Dict[str, object]:
-        instance = sim.instance
         if crashed:
-            simulate_crash(instance)
-        successor, recovery = reopen_instance(
-            name=instance.name,
-            tiers=list(instance.tiers.ordered()),
-            policy=instance.policy,
-            clock=sim.clock,
-            metadata_store=instance.metadata_store,
-            eviction_chain=dict(instance.eviction_chain),
-        )
+            simulate_crash(sim.instance)
+        server, recovery = sim.reopen()
+        successor = server.instance
         scrub = fsck(successor, repair=False)
         in_reference = successor.state_digest(durable_only=True) in digests
         acked_lost = []
@@ -673,8 +740,7 @@ def run_crash_sweep(
             acked_lost = sim.verify(
                 sim.ledger.keys(), lambda key: _surviving_bytes(successor, key)
             )
-        successor.control.shutdown()
-        successor.obs.metrics.remove_collector(successor._collect_gauges)
+        successor.shutdown()
         return {
             "fsck_findings": scrub["counts"]["findings"],
             "digest_in_reference": in_reference,
@@ -892,7 +958,7 @@ def run_migration_crash(
             "replicated", seed, ycsb_payload(record_size),
             shards=shards, config=config, journal_store=MemoryStore(),
         )
-        sim.joiner = TieraServer(write_through_instance(sim.registry))
+        sim.joiner = DEPLOYMENTS["replicated"].serve(sim.registry)
         load(sim, keys)
         return sim
 
@@ -950,28 +1016,6 @@ def run_migration_crash(
     }
 
 
-#: The backup lifecycle's object size, the share of its objects each
-#: wave rewrites, and its restore drill's period (virtual seconds).
-BACKUP_RECORD_BYTES = 2048
-BACKUP_CHANGE_FRACTION = 0.15
-BACKUP_VERIFY_INTERVAL = 50.0
-
-#: The backup lifecycle's instance: write-through Memcached + EBS, and a
-#: timer-scheduled restore drill (``verifyBackup``).
-BACKUP_SPEC = """
-Tiera BackupLifecycle(time verify_interval) {
-    tier1: { name: Memcached, size: 32M };
-    tier2: { name: EBS, size: 256M };
-    event "write-through"(insert.into) : response {
-        store(what: insert.object, to: [tier1, tier2]);
-    }
-    event "verify-drill"(time=verify_interval) : response {
-        verifyBackup();
-    }
-}
-"""
-
-
 def run_backup_lifecycle(
     seed: int = 2014,
     records: int = 120,
@@ -992,27 +1036,23 @@ def run_backup_lifecycle(
     """
     rng = random.Random(seed)
     root = tempfile.mkdtemp(prefix="tiera-backup-")
-    cluster = Cluster(seed=seed)
+    sim = build("backup-lifecycle", seed)
+    clock = sim.clock
 
     def put(server, key: str, tag: str) -> None:
         block = bytes(rng.getrandbits(8) for _ in range(64))
         body = block * (BACKUP_RECORD_BYTES // 64)
-        ctx = RequestContext(cluster.clock)
+        ctx = RequestContext(clock)
         server.put_object(
             key, tag.encode("ascii") + body[len(tag):], ctx=ctx
         ).raise_for_error()
-        if ctx.time > cluster.clock.now():
-            cluster.clock.run_until(ctx.time)
+        if ctx.time > clock.now():
+            clock.run_until(ctx.time)
 
     try:
-        instance = compile_spec(
-            BACKUP_SPEC, TierRegistry(cluster),
-            args={"verify_interval": BACKUP_VERIFY_INTERVAL},
-        )
-        instance.name = "backup-bench"
-        instance.enable_durability()
+        instance = sim.instance
         instance.enable_backups(root)
-        server, manager = TieraServer(instance), instance.backup
+        server, manager = sim.server, instance.backup
         for i in range(records):
             put(server, f"obj{i:04d}", f"v0-{i}")
         with section("snapshot"):
@@ -1029,19 +1069,14 @@ def run_backup_lifecycle(
                     target_digest = instance.state_digest(durable_only=True)
             snapshots.append(manager.snapshot())
 
-        tiers = list(instance.tiers.ordered())
         simulate_crash(instance)
-        successor, _ = reopen_instance(
-            name=instance.name, tiers=tiers, policy=instance.policy,
-            clock=cluster.clock, metadata_store=instance.metadata_store,
-            eviction_chain=dict(instance.eviction_chain), backup_root=root,
-        )
-        server, manager = TieraServer(successor), successor.backup
+        server, _ = sim.reopen(backup_root=root)
+        successor, manager = server.instance, server.instance.backup
         with section("restore"):
             restore = manager.restore(to_seq=target_seq)
         scrub = fsck(successor, repair=False)
-        cluster.clock.run_until(
-            cluster.clock.now() + BACKUP_VERIFY_INTERVAL + 1.0
+        clock.run_until(
+            clock.now() + BACKUP_VERIFY_INTERVAL + 1.0
         )
         health = server.health()
         verified = health["backup"]["last_verified_restore"]

@@ -93,6 +93,21 @@ class BreakerOpenError(TieraError):
         )
 
 
+class LastCopyError(TieraError):
+    """A step would unlist the last tier holding a live object.
+
+    Only a delete may empty a row (:meth:`TieraInstance.delete_object`);
+    ``remove_from_tier`` raises this instead.  No client request can
+    cause it, so it keeps the base ``INTERNAL`` code: one surfacing is a
+    bug in the control layer, refused loudly rather than losing data.
+    """
+
+    def __init__(self, key: str, tier: str):
+        self.key = key
+        self.tier = tier
+        super().__init__(f"refusing to remove the last copy of {key!r} ({tier!r})")
+
+
 class PolicyError(TieraError):
     """A rule is malformed or cannot be installed/executed."""
 

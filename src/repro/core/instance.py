@@ -13,13 +13,15 @@ from __future__ import annotations
 import hashlib
 import re
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.core.control import EVAL_OVERHEAD, ControlLayer
 from repro.core.errors import (
     BreakerOpenError,
     CorruptObjectError,
+    LastCopyError,
     NoCapacityError,
     NoSuchObjectError,
     TierUnavailableError,
@@ -539,9 +541,10 @@ class TieraInstance:
         ctx: RequestContext,
         evict_to: Optional[str] = None,
         redirect: bool = True,
-    ) -> None:
+        avoid: Collection[str] = (),
+    ) -> str:
         """Place ``data`` for ``key`` in a tier, evicting LRU residents if
-        the tier cannot fit it.
+        the tier cannot fit it; returns the tier the bytes landed in.
 
         Eviction target resolution: an explicit ``evict_to`` wins, else
         the instance's ``eviction_chain`` entry for this tier.  The
@@ -551,9 +554,12 @@ class TieraInstance:
 
         With the resilience layer enabled the put runs under breaker +
         retry policy, and on final failure (``redirect=True``) the write
-        degrades to a surviving tier, leaving a repair task behind.
+        degrades to a surviving tier not in ``avoid``, leaving a repair
+        task behind, and that tier is the one returned.
         ``redirect=False`` is the layer's own writes — fallbacks,
-        repairs — which must fail rather than cascade.
+        repairs — which must fail rather than cascade.  When no tier can
+        take an eviction's victim, the victim stays and this write fails
+        with the refusing tier's error (docs/RESILIENCE.md).
         """
         tier = self.tiers.get(tier_name)
         res = self.resilience
@@ -562,8 +568,7 @@ class TieraInstance:
             # 5-second timeout charged against a known-sick tier).
             err = res.open_error(tier)
             if redirect:
-                res.redirect_write(key, data, tier_name, ctx, err)
-                return
+                return res.redirect_write(key, data, tier_name, ctx, err, avoid)
             raise err
         service = tier.service
         room = service.room(key)
@@ -604,7 +609,8 @@ class TieraInstance:
                 raise
             # The degraded write goes elsewhere, journaled by its own
             # write_to_tier call; this tier's intent was aborted.
-            res.redirect_write(key, data, tier_name, ctx, exc)
+            return res.redirect_write(key, data, tier_name, ctx, exc, avoid)
+        return tier_name
 
     def write_fanout(
         self,
@@ -614,8 +620,10 @@ class TieraInstance:
         ctx: RequestContext,
         evict_to: Optional[str] = None,
         redirect: bool = True,
-    ) -> None:
-        """Place ``data`` in several tiers, overlapped in virtual time.
+        avoid: Collection[str] = (),
+    ) -> List[str]:
+        """Place ``data`` in several tiers, overlapped in virtual time;
+        returns the tiers the bytes landed in (:meth:`write_to_tier`).
 
         The inserts are independent — a Memcached put does not wait for
         the EBS put in a real multi-tier store — so they fan out
@@ -625,9 +633,13 @@ class TieraInstance:
         later tiers and re-raises after the join.  A call that returns
         wrote every named tier (or, with ``redirect``, degraded it).
         """
-        _fan_out(ctx, list(tier_names), lambda name, bctx: self.write_to_tier(
-            key, data, name, bctx, evict_to=evict_to, redirect=redirect
+        landed: List[str] = []
+        _fan_out(ctx, list(tier_names), lambda name, bctx: landed.append(
+            self.write_to_tier(
+                key, data, name, bctx, evict_to, redirect, avoid
+            )
         ))
+        return landed
 
     def relocate(
         self,
@@ -646,9 +658,10 @@ class TieraInstance:
 
         The bytes are ``data``, or else a :meth:`read_raw` (``prefer``
         picks the source) — read only when ``to`` is non-empty.  The
-        write is :meth:`write_fanout`'s, ``redirect`` included.
-        ``drop_from`` is taken as it was on entry, so a degraded write's
-        fallback tier is never dropped, and the drops run in name order.
+        write is :meth:`write_fanout`'s, ``redirect`` included; a
+        degraded write never falls back into a tier of ``drop_from``,
+        and a tier the write landed in is never dropped.  The drops run
+        in name order, after the write.
         Whether a destination that already holds the key still needs the
         bytes is the caller's call; ``dirty`` is the policy's.
 
@@ -660,15 +673,20 @@ class TieraInstance:
             data = self.read_raw(key, ctx, prefer=prefer)
         dur = self.durability
         if not (to and drop) or dur is None or dur.recovering:
-            if to:
-                self.write_fanout(key, data, to, ctx, redirect=redirect)
+            landed = self.write_fanout(
+                key, data, to, ctx, redirect=redirect, avoid=drop
+            ) if to else ()
             for tier_name in drop:
-                self.remove_from_tier(key, tier_name, ctx)
+                if tier_name not in landed:
+                    self.remove_from_tier(key, tier_name, ctx)
             return
         with _Cover(self, key, to[-1], drop):
-            self.write_fanout(key, data, to, ctx, redirect=redirect)
+            landed = self.write_fanout(
+                key, data, to, ctx, redirect=redirect, avoid=drop
+            )
             for tier_name in drop:
-                self.remove_from_tier(key, tier_name, ctx)
+                if tier_name not in landed:
+                    self.remove_from_tier(key, tier_name, ctx)
 
     def _make_room(
         self,
@@ -682,7 +700,9 @@ class TieraInstance:
 
         Evicting may overflow the destination too: its own write makes
         room down the instance's eviction chain (Table 2's exclusive
-        Memcached -> EBS -> S3 arrangement).
+        Memcached -> EBS -> S3 arrangement).  A victim no tier takes
+        keeps its copy: the refusing tier's error stops the loop and
+        fails the write that needed the room.
         """
         drop_mode = evict_to == DROP
         dest = None if drop_mode else self.tiers.get(evict_to)
@@ -846,6 +866,11 @@ class TieraInstance:
             self.persist_meta(meta)
 
     def remove_from_tier(self, key: str, tier_name: str, ctx: RequestContext) -> None:
+        """Drop ``key``'s copy in one tier; a live row's last copy is
+        refused (:class:`LastCopyError`): only a delete empties a row."""
+        meta = self.meta(key)
+        if meta.sole_copy(tier_name):
+            raise LastCopyError(key, tier_name)
         tier = self.tiers.get(tier_name)
         cover = self._cover
         if cover is not None and cover.covers(key, tier_name):
@@ -857,7 +882,6 @@ class TieraInstance:
                 tier.delete(key, ctx)
             if self.crash_points is not None:
                 self._crash_point("remove.data")
-            meta = self.meta(key)
             meta.drop_copy(tier_name)
             self.persist_meta(meta)
 

@@ -83,6 +83,10 @@ class ObjectMeta:
         """The names of the tiers holding a copy, sorted (a fresh list)."""
         return sorted(self.locations)
 
+    def sole_copy(self, tier: str) -> bool:
+        """Whether ``tier`` holds the row's only copy."""
+        return len(self.locations) == 1 and tier in self.locations
+
     def add_copy(self, tier: str) -> None:
         self.locations.add(tier)
 

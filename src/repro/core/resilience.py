@@ -43,7 +43,7 @@ import random
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Collection, Dict, List, Optional, Tuple, TypeVar
 
 from repro.core.errors import BreakerOpenError
 from repro.obs.audit import AuditRecord
@@ -360,24 +360,25 @@ class ResilienceLayer:
     # -- degraded-mode writes ---------------------------------------------
 
     def redirect_write(
-        self, key: str, data: bytes, failed_tier: str, ctx, cause: Exception
+        self, key: str, data: bytes, failed_tier: str, ctx, cause: Exception,
+        avoid: Collection[str] = (),
     ) -> str:
         """Write ``key`` to a surviving tier instead of ``failed_tier``
         and enqueue a repair task; returns the fallback tier's name.
 
-        Raises the original ``cause`` when no tier can take the write
-        (nowhere to degrade to — a genuine outage)."""
+        ``avoid`` are the tiers the caller is moving ``key`` out of: an
+        eviction never degrades into its own source.  Raises the
+        original ``cause`` when no tier can take the write (nowhere to
+        degrade to — a genuine outage)."""
         instance = self.instance
         fallback = None
         for tier in instance.tiers.ordered():
-            if tier.name == failed_tier or not tier.available:
+            if tier.name == failed_tier or tier.name in avoid or not tier.available:
                 continue
             if self.breaker(tier.name).state == OPEN:
                 continue
-            if not tier.can_fit(len(data)) and not instance.eviction_chain.get(
-                tier.name
-            ):
-                continue
+            if not tier.can_fit(len(data)):
+                continue  # a degraded write never evicts
             fallback = tier
             break
         if fallback is None:

@@ -224,7 +224,8 @@ class Move(_Transfer):
 
 @dataclass
 class Delete(Response):
-    """Delete objects from specific tiers, or entirely when ``tiers=None``."""
+    """Delete objects from specific tiers, or entirely when ``tiers=None``
+    or the tiers hold every copy (only a delete empties a row)."""
 
     what: Selector
     tiers: Optional[Tuple[str, ...]] = None
@@ -236,13 +237,13 @@ class Delete(Response):
     def execute(self, scope: EvalScope, ctx: RequestContext) -> None:
         instance = scope.instance
         for key in self.what.resolve(scope):
-            if self.tiers is None:
-                instance.delete_object(key, ctx)
-                continue
-            instance.relocate(
-                key, (), ctx,
-                drop_from=[t for t in instance.meta(key).copies() if t in self.tiers],
-            )
+            if self.tiers is not None:
+                copies = instance.meta(key).copies()
+                drop = [t for t in copies if t in self.tiers]
+                if not drop or len(drop) < len(copies):
+                    instance.relocate(key, (), ctx, drop_from=drop)
+                    continue
+            instance.delete_object(key, ctx)
 
 
 def _keystream(key: str, length: int) -> bytes:

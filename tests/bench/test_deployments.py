@@ -5,11 +5,15 @@ import pytest
 from repro.bench.deployments import (
     mysql_memory_engine,
     mysql_on_ebs,
-    mysql_on_memcached_ebs,
-    mysql_on_memcached_replicated,
-    mysql_on_memcached_s3,
+    mysql_on_tiera,
 )
+from repro.bench.sim import build
 from repro.workloads.sysbench import SysbenchOltp, load_table
+
+
+def on_tiera(deployment, **args):
+    """minidb on a §4.1.1 row of the deployment table."""
+    return lambda: mysql_on_tiera(build(deployment, 2014, **args))
 
 
 class TestBuilders:
@@ -20,12 +24,13 @@ class TestBuilders:
         assert dep.monthly_cost() == pytest.approx(0.80)  # 8 GB EBS
 
     def test_memcached_replicated_two_zones(self):
-        dep = mysql_on_memcached_replicated()
+        dep = on_tiera("memcached-replicated")()
         zones = {t.service.node.zone.name for t in dep.instance.tiers}
         assert len(zones) == 2
 
     def test_memcached_s3_cache_is_colocated(self):
-        dep = mysql_on_memcached_s3(mem="1M")
+        dep = on_tiera("memcached-s3")()
+        assert dep.name == "Tiera MemcachedS3"
         cache = dep.instance.tiers.get("tier1")
         assert cache.colocated
         # Co-located cache adds nothing; S3 costs by usage (≈0 empty).
@@ -40,9 +45,15 @@ class TestBuilders:
         "builder",
         [
             mysql_on_ebs,
-            mysql_on_memcached_replicated,
-            mysql_on_memcached_ebs,
-            mysql_on_memcached_s3,
+            on_tiera("memcached-replicated"),
+            on_tiera("memcached-ebs"),
+            on_tiera("memcached-s3"),
+        ],
+        ids=[
+            "mysql_on_ebs",
+            "mysql_on_memcached_replicated",
+            "mysql_on_memcached_ebs",
+            "mysql_on_memcached_s3",
         ],
     )
     def test_each_stack_runs_a_transaction(self, builder):

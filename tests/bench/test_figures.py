@@ -18,6 +18,7 @@ from repro.bench.telemetry import (
 )
 from repro.core.cluster import ClusterManager
 from repro.core.durability import INTENTS
+from repro.spec.paper import paper_spec
 
 BASELINES = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "baselines"
@@ -121,28 +122,33 @@ def _hints_never_replayed(monkeypatch):
     )
 
 
+def _respec(monkeypatch, deployment, spec):
+    """Deployment ``deployment`` compiles ``spec`` instead of its own."""
+    row = dataclasses.replace(sim.DEPLOYMENTS[deployment], spec=spec)
+    monkeypatch.setitem(sim.DEPLOYMENTS, deployment, row)
+
+
 def _restore_drill_never_due(monkeypatch):
-    monkeypatch.setattr(sim, "BACKUP_SPEC", sim.BACKUP_SPEC.replace(
+    _respec(monkeypatch, "backup-lifecycle", paper_spec("backup_lifecycle").replace(
         "time=verify_interval", "time=3600"
     ))
 
 
 def _lru_evicts_newest(monkeypatch):
-    lru, mru = figures.LRU_EVICTION, figures.MRU_EVICTION
-    monkeypatch.setattr(figures, "LRU_EVICTION", mru)
-    monkeypatch.setattr(figures, "MRU_EVICTION", lru)
+    _respec(monkeypatch, "lru-eviction", paper_spec("mru_eviction"))
+    _respec(monkeypatch, "mru-eviction", paper_spec("lru_eviction"))
 
 
 def _inclusive_demotes(monkeypatch):
     """The cache stops persisting on insert and demotes its victims
     instead: exclusive tiering under the inclusive label."""
-    monkeypatch.setattr(figures, "INCLUSIVE_CACHE", figures.INCLUSIVE_CACHE.replace(
+    _respec(monkeypatch, "inclusive-cache", paper_spec("inclusive_cache").replace(
         "copy(what: insert.object, to: tier3);", ""
     ).replace("evict_to: drop", "evict_to: tier3"))
 
 
 def _background_runs_inline(monkeypatch):
-    monkeypatch.setattr(figures, "BACKGROUND_FILL_BACKUP", figures.FILL_BACKUP)
+    _respec(monkeypatch, "background-fill-backup", paper_spec("fill_backup"))
 
 
 #: row -> (a defect planted in its policy or its harness, the predicate

@@ -77,6 +77,8 @@ class TestThresholdEvent:
         two_tier.create_object("a", 40 * 1024)
         two_tier.write_to_tier("a", b"x" * (40 * 1024), "tier1", ctx)
         assert event.should_fire(s)
+        # demote: tier2 keeps a copy (a live row's last one is never removed)
+        two_tier.write_to_tier("a", b"x" * (40 * 1024), "tier2", ctx)
         two_tier.remove_from_tier("a", "tier1", ctx)
         assert not event.should_fire(s)      # below again: re-arm
         two_tier.write_to_tier("a", b"x" * (40 * 1024), "tier1", ctx)

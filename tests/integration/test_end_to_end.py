@@ -5,9 +5,10 @@ import pytest
 from repro.bench.deployments import (
     mysql_memory_engine,
     mysql_on_ebs,
-    mysql_on_memcached_replicated,
+    mysql_on_tiera,
 )
 from repro.bench.runner import run_closed_loop
+from repro.bench.sim import build
 from repro.core import templates
 from repro.core.server import TieraServer
 from repro.fs.dedupfs import DedupFileSystem
@@ -38,7 +39,9 @@ class TestMySQLOnTiera:
             mysql_on_ebs(os_cache="512K", pool_pages=32), rows=10000
         )
         tiera = self._tps(
-            mysql_on_memcached_replicated(mem="64M", pool_pages=32),
+            mysql_on_tiera(
+                build("memcached-replicated", 2014, mem="64M"), pool_pages=32
+            ),
             rows=10000,
         )
         assert tiera > ebs * 1.2

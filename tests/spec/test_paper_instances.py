@@ -11,13 +11,12 @@
 
 import ast as pyast
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import repro
-from repro.bench.deployments import mysql_on_memcached_s3
-from repro.bench.figures import PLACEMENT_POLICIES, _placement_instance
+from repro.bench.figures import PLACEMENT_POLICIES
+from repro.bench.sim import build
 from repro.cli import main
 from repro.core import templates
 from repro.simcloud.cluster import Cluster
@@ -182,13 +181,12 @@ class TestGoldenFingerprints:
         assert _built(builder, args, kwargs) == GOLDEN[_call(builder, args, kwargs)]
 
     def test_mysql_memcached_s3_deployment(self):
-        instance = mysql_on_memcached_s3(mem="1M").instance
+        instance = build("memcached-s3", 2014, mem="1M").instance
         assert _of(instance) == GOLDEN["mysql_on_memcached_s3(mem='1M')"]
 
     @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
     def test_placement_deployments(self, policy):
-        p = SimpleNamespace(cache_records=88, record_size=4096)
-        instance = _placement_instance(TierRegistry(Cluster(seed=1)), p, policy)
+        instance = build(policy, 1, mem="352K").instance
         assert _of(instance) == GOLDEN[f"_placement_instance({policy!r})"]
 
 
