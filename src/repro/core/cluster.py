@@ -13,8 +13,10 @@ module adds the Dynamo/Cassandra-style machinery that lets the cluster
   RNG-free liveness read), combining probe misses with data-path
   failures into up → suspect → down transitions;
 * **hinted handoff** — writes for a down owner land on the next healthy
-  successor with a :class:`Hint`; the queue drains deterministically
-  when the owner returns;
+  successor and park a hint, a :class:`~repro.core.deferred.Deferred`
+  naming that holder, in the deferred-write queue the instance's
+  resilience layer uses too; it drains deterministically when the
+  owner returns;
 * **anti-entropy** — periodic Merkle-tree comparison of replica groups,
   repairing divergence toward the highest ``(version, checksum)`` copy;
 * **crash-safe migration** — add/remove-shard journals a membership
@@ -33,13 +35,19 @@ digests pin exactly that.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import api
 from repro.core.api import BatchOp, BatchResult, OpResult
+from repro.core.deferred import (
+    DROPPED,
+    REPLAYED,
+    REQUEUED,
+    Deferred,
+    DeferredQueue,
+)
 from repro.core.durability import Intent, IntentJournal
 from repro.core.errors import ClusterUnavailableError, NoQuorumError, TieraError
 from repro.kvstore.store import MemoryStore
@@ -118,70 +126,6 @@ class ClusterConfig:
 UNREPLICATED = ClusterConfig(
     replication_factor=1, write_quorum=1, anti_entropy_interval=0
 )
-
-
-@dataclass
-class Hint:
-    """One write owed to a down shard, parked on a healthy one."""
-
-    key: str
-    target: str          #: the down owner the write was destined for
-    holder: str          #: healthy shard holding the bytes meanwhile
-    op: str              #: ``put`` or ``delete``
-    checksum: str = ""
-    created_at: float = 0.0
-    attempts: int = 0
-
-
-class HintQueue:
-    """FIFO of hinted writes, newest write per (target, key) wins."""
-
-    def __init__(self):
-        self._hints: "OrderedDict[Tuple[str, str], Hint]" = OrderedDict()
-        self.recorded = 0
-        self.replayed = 0
-
-    def add(self, hint: Hint) -> None:
-        # A newer write to the same (target, key) supersedes the parked
-        # one; an existing slot keeps its queue position so drain order
-        # is stable.
-        self._hints[(hint.target, hint.key)] = hint
-        self.recorded += 1
-
-    def discard(self, target: str, key: str) -> None:
-        self._hints.pop((target, key), None)
-
-    def take(self, target: Optional[str] = None) -> List[Hint]:
-        """Remove and return hints (for one target, or all), FIFO."""
-        out = []
-        for slot in list(self._hints):
-            if target is None or slot[0] == target:
-                out.append(self._hints.pop(slot))
-        return out
-
-    def requeue(self, hint: Hint) -> None:
-        hint.attempts += 1
-        slot = (hint.target, hint.key)
-        if slot not in self._hints:
-            self._hints[slot] = hint
-
-    def pending(self, target: Optional[str] = None) -> int:
-        if target is None:
-            return len(self._hints)
-        return sum(1 for slot in self._hints if slot[0] == target)
-
-    def holders_of(self, key: str) -> List[str]:
-        """Shards currently holding a parked copy of ``key``."""
-        return sorted(
-            {h.holder for h in self._hints.values()
-             if h.key == key and h.op == api.PUT}
-        )
-
-    def __iter__(self):
-        return iter(list(self._hints.values()))
-
-    def __len__(self) -> int:
-        return len(self._hints)
 
 
 class FailureDetector:
@@ -396,7 +340,7 @@ class ClusterManager:
         self.obs = router.obs
         self.ring = router.ring
         self.shards: Dict[str, object] = router.shards
-        self.hints = HintQueue()
+        self.hints = DeferredQueue()
         self.journal = IntentJournal(
             journal_store if journal_store is not None else MemoryStore()
         )
@@ -671,7 +615,6 @@ class ClusterManager:
             )
             return
         taken.add(holder)
-        checksum = ""
         if op == api.PUT:
             # A delete owed to a down shard parks no bytes — just the
             # intent to delete when the target returns, so only a put
@@ -682,11 +625,7 @@ class ClusterManager:
             if not result.ok:
                 causes.append((holder, result.exception))
                 return
-            checksum = result.checksum
-        self.hints.add(Hint(
-            key=key, target=target, holder=holder, op=op,
-            checksum=checksum, created_at=self.clock.now(),
-        ))
+        self.hints.add(Deferred(key, target, holder, op))
         self._hints_recorded.inc(target=target)
         self._hints_pending.set(len(self.hints))
 
@@ -891,66 +830,69 @@ class ClusterManager:
             self.anti_entropy()
 
     def replay_hints(self, target: Optional[str] = None) -> Dict[str, object]:
-        """Drain parked writes whose targets are reachable, FIFO.
+        """Drain parked writes whose targets are reachable, FIFO
+        (docs/RESILIENCE.md, "One deferred-write queue").
 
-        Hints for still-down targets (a flapping shard can drop mid-
-        replay) re-queue; a hint whose holder lost the bytes is dropped
-        — anti-entropy owns that divergence."""
-        counts = {"target": target or "*",
-                  "replayed": 0, "dropped": 0, "requeued": 0}
+        Hints for a target that is down, or that refused one replay in
+        this drain, re-queue; a hint whose holder lost the bytes is
+        dropped — anti-entropy owns that divergence."""
+
+        def replay(hint: Deferred) -> str:
+            outcome = self._replay(hint, ctx)
+            self._hint_replays.inc(
+                target=hint.target,
+                outcome="ok" if outcome == REPLAYED else outcome,
+            )
+            return outcome
+
         with self._background(
             f"hint-replay {target or '*'}", target=target or "*",
         ) as (ctx, root):
-            for hint in self.hints.take(target):
-                if (hint.target not in self.shards
-                        or self.detector.is_down(hint.target)):
-                    outcome = "requeued"  # not attempted, so not metered
-                else:
-                    outcome = self._replay(hint, ctx)
-                    self._hint_replays.inc(
-                        target=hint.target,
-                        outcome="ok" if outcome == "replayed" else outcome,
-                    )
-                counts[outcome] += 1
-                if outcome == "requeued":
-                    self.hints.requeue(hint)
-                elif outcome == "replayed":
-                    self.hints.replayed += 1
+            counts = {"target": target or "*",
+                      **self.hints.drain(target, self._ready, replay)}
             self._hints_pending.set(len(self.hints))
-            moved = counts["replayed"]
+            moved = counts[REPLAYED]
             if root is not None:
                 root.attrs.update(
-                    replayed=moved, dropped=counts["dropped"],
-                    requeued=counts["requeued"],
+                    replayed=moved, dropped=counts[DROPPED],
+                    requeued=counts[REQUEUED],
                 )
         record = {"time": self.clock.now(), **counts}
-        if moved or counts["dropped"] or counts["requeued"]:
+        if moved or counts[DROPPED] or counts[REQUEUED]:
             if len(self.replay_runs) < _LOG_CAP:
                 self.replay_runs.append(record)
             self._audit(target or "*", "hint-replay", counts, moved=moved)
         return record
 
-    def _replay(self, hint: Hint, ctx: RequestContext) -> str:
+    def _ready(self, shard: str) -> bool:
+        """May hints replay to ``shard`` now?"""
+        return shard in self.shards and not self.detector.is_down(shard)
+
+    def _parked_on(self, key: str) -> set:
+        """Shards holding a parked copy of ``key`` for some hint."""
+        return {h.holder for h in self.hints.for_key(key) if h.op == api.PUT}
+
+    def _replay(self, hint: Deferred, ctx: RequestContext) -> str:
         """Send one hint's write to its target: ``replayed``,
         ``requeued`` (the target refused) or ``dropped``."""
         if hint.op == api.DELETE:
             took = self._drop(hint.target, hint.key, ctx, REPLAY).ok
-            return "replayed" if took else "requeued"
+            return REPLAYED if took else REQUEUED
         holder = self.shards.get(hint.holder)
         if holder is None or not holder.contains(hint.key):
-            return "dropped"  # the holder lost the bytes
+            return DROPPED  # the holder lost the bytes
         if not _took(self._transfer(
                 hint.key, hint.holder, [hint.target], ctx, REPLAY)):
-            return "requeued"
+            return REQUEUED
         if (hint.holder not in self.owners(hint.key)
-                and hint.holder not in self.hints.holders_of(hint.key)):
+                and hint.holder not in self._parked_on(hint.key)):
             # The parked copy served its purpose; drop the stray so the
             # key is held only by its owners again.  The replay took
             # either way: a refused drop has fed the detector and its
             # outcome counter (the bracket), and the stray it leaves is
             # fsck's ``orphan-copy`` to find and drop.
             self._drop(hint.holder, hint.key, ctx, REPLAY)
-        return "replayed"
+        return REPLAYED
 
     # -- self-healing: Merkle anti-entropy -------------------------------
 
@@ -1180,7 +1122,7 @@ class ClusterManager:
                 ):
                     moved += 1
                     self._moves.inc(kind="copy")
-            hint_holders = set(self.hints.holders_of(key))
+            hint_holders = self._parked_on(key)
             for holder in holders:
                 # A copy goes only while an owner holds the key.
                 if (holder not in owners and holder not in hint_holders
@@ -1198,6 +1140,8 @@ class ClusterManager:
     def _leave(self, shard: str) -> None:
         del self.shards[shard]
         self.detector.forget(shard)
+        if self.hints.discard(shard):  # writes owed to it go with it
+            self._hints_pending.set(len(self.hints))
 
     def _holders(self, key: str) -> List[str]:
         return [s for s in sorted(self.shards) if self.shards[s].contains(key)]
@@ -1274,8 +1218,8 @@ class ClusterManager:
             holders = self._holders(key)
             if not holders:
                 continue
-            hint_targets = {h.target for h in self.hints if h.key == key}
-            hint_holders = set(self.hints.holders_of(key))
+            hint_targets = {h.target for h in self.hints.for_key(key)}
+            hint_holders = self._parked_on(key)
             for owner in owners:
                 if owner not in holders and owner not in hint_targets:
                     found("under-replicated", key, owner,
@@ -1310,7 +1254,7 @@ class ClusterManager:
             "findings": findings,
         }
 
-    def _orphaned(self, hint: Hint) -> Optional[Tuple[str, str]]:
+    def _orphaned(self, hint: Deferred) -> Optional[Tuple[str, str]]:
         """(the shard that is gone, why) for a hint nothing can honour."""
         if hint.target not in self.shards:
             return hint.target, "hint target left the cluster"
@@ -1347,8 +1291,8 @@ class ClusterManager:
                         else "kept (sole copy)"
                     )
             elif kind == "orphan-hint":
-                for hint in self.hints:
-                    if hint.key == finding["key"] and self._orphaned(hint):
+                for hint in self.hints.for_key(finding["key"]):
+                    if self._orphaned(hint):
                         self.hints.discard(hint.target, hint.key)
                 finding["repair"] = "dropped orphan hint"
                 self._hints_pending.set(len(self.hints))

@@ -711,8 +711,7 @@ def fsck(
                         continue
                     res = instance.resilience
                     if res is not None:
-                        res.repair_queue.add(key, tier_name,
-                                             instance.clock.now())
+                        res.defer(key, tier_name)
                         res.schedule_replay(tier_name)
                     else:
                         try:

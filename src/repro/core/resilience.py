@@ -15,9 +15,10 @@ visible outage:
   successful trial.  An open breaker fails fast: no 5-second timeout is
   paid per request against a dead service.
 * **Degraded-mode writes** — a write whose target tier is sick (breaker
-  open, or retries exhausted) redirects to a surviving tier and leaves
-  a repair task behind; the repair queue replays the redirected writes
-  to the original tier when its breaker closes again.
+  open, or retries exhausted) redirects to a surviving tier and parks a
+  deferred write (:mod:`repro.core.deferred`, the queue the shard
+  cluster's hinted handoff uses too); the repair queue replays the
+  redirected writes to the original tier when it is ready again.
 * **Verified failover reads** — when an object's recorded checksum is
   verifiable, reads are checked against it; corrupt copies are skipped
   (the next located tier serves) and repaired in the background from a
@@ -41,17 +42,24 @@ from __future__ import annotations
 
 import random
 import zlib
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Collection, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Collection, Dict, List, TypeVar
 
-from repro.core.errors import BreakerOpenError
+from repro.core.deferred import (
+    DROPPED,
+    REPLAYED,
+    REQUEUED,
+    Deferred,
+    DeferredQueue,
+)
+from repro.core.errors import BreakerOpenError, TieraError
 from repro.obs.audit import AuditRecord
 from repro.obs.registry import owner_count
 from repro.simcloud.errors import (
     ServiceUnavailableError,
+    SimCloudError,
     TransientServiceError,
 )
+from repro.simcloud.resources import RequestContext
 
 T = TypeVar("T")
 
@@ -136,77 +144,6 @@ class CircuitBreaker:
         }
 
 
-@dataclass
-class RepairTask:
-    """One redirected write awaiting replay to its original tier."""
-
-    key: str
-    tier: str
-    enqueued_at: float
-    attempts: int = 0
-
-
-#: Replays of one redirected write before its repair task is dropped.
-MAX_REPAIR_ATTEMPTS = 5
-
-
-class RepairQueue:
-    """FIFO of repair tasks, deduplicated on (key, tier).
-
-    Under a sustained outage the same key may be redirected many times;
-    only one pending task per (key, tier) is kept — replay copies the
-    *current* bytes, so one task per destination is always enough.
-    """
-
-    def __init__(self):
-        self._tasks: "OrderedDict[Tuple[str, str], RepairTask]" = OrderedDict()
-        self.enqueued = 0
-        self.dropped = 0
-
-    def add(self, key: str, tier: str, now: float) -> bool:
-        handle = (key, tier)
-        if handle in self._tasks:
-            return False
-        self._tasks[handle] = RepairTask(key=key, tier=tier, enqueued_at=now)
-        self.enqueued += 1
-        return True
-
-    def pending(self, tier: Optional[str] = None) -> int:
-        if tier is None:
-            return len(self._tasks)
-        return sum(1 for t in self._tasks.values() if t.tier == tier)
-
-    def tiers(self) -> List[str]:
-        return sorted({t.tier for t in self._tasks.values()})
-
-    def take(self, tier: str) -> Optional[RepairTask]:
-        """Pop the oldest pending task for ``tier`` (None when drained)."""
-        for handle, task in self._tasks.items():
-            if task.tier == tier:
-                del self._tasks[handle]
-                return task
-        return None
-
-    def requeue(self, task: RepairTask) -> bool:
-        """Put a failed task back (front-of-line); False when it has
-        exhausted its attempts and was dropped instead."""
-        task.attempts += 1
-        if task.attempts >= MAX_REPAIR_ATTEMPTS:
-            self.dropped += 1
-            return False
-        self._tasks[(task.key, task.tier)] = task
-        self._tasks.move_to_end((task.key, task.tier), last=False)
-        return True
-
-    def discard_tier(self, tier: str) -> int:
-        """Forget every task targeting ``tier`` (tier was removed)."""
-        stale = [h for h, t in self._tasks.items() if t.tier == tier]
-        for handle in stale:
-            del self._tasks[handle]
-        self.dropped += len(stale)
-        return len(stale)
-
-
 class ResilienceLayer:
     """Retries + breakers + repair queue for one Tiera instance."""
 
@@ -218,7 +155,7 @@ class ResilienceLayer:
             zlib.crc32(instance.name.encode("utf-8")) ^ 0x9E3779B9
         )
         self.breakers: Dict[str, CircuitBreaker] = {}
-        self.repair_queue = RepairQueue()
+        self.repair_queue = DeferredQueue()
         self._replay_scheduled: Dict[str, bool] = {}
         obs = instance.obs
         self.obs = obs
@@ -285,36 +222,32 @@ class ResilienceLayer:
         self._breaker_gauge.set(
             _STATE_VALUE[br.state], instance=self.owner, tier=br.tier
         )
-        self.obs.audit.append(
-            AuditRecord(
-                time=self.clock.now(),
-                category="breaker",
-                name=br.tier,
-                origin="resilience",
-                foreground=False,
-                detail={"from": before, "to": br.state},
-            )
+        self._audit(
+            "breaker", br.tier, "resilience", foreground=False,
+            detail={"from": before, "to": br.state},
         )
+
+    def _audit(self, category: str, name: str, origin: str, **fields) -> None:
+        self.obs.audit.append(AuditRecord(
+            time=self.clock.now(), category=category, name=name,
+            origin=origin, **fields,
+        ))
 
     def _on_success(self, tier) -> None:
         br = self.breaker(tier.name)
         before = br.state
-        closed_now = br.record_success()
-        if br.state != before:
+        if br.record_success():
             self._note_transition(br, before)
         # Recovery detection is traffic-driven: a success against a tier
         # with pending repairs (breaker just closed, or failures healed
         # before the breaker ever opened) schedules a background replay.
-        if (closed_now or before == CLOSED) and self.repair_queue.pending(
-            tier.name
-        ):
+        if self.repair_queue.pending(tier.name):
             self.schedule_replay(tier.name)
 
     def _on_failure(self, tier) -> None:
         br = self.breaker(tier.name)
         before = br.state
-        br.record_failure()
-        if br.state != before:
+        if br.record_failure():
             self._note_transition(br, before)
 
     # -- guarded operations ----------------------------------------------
@@ -364,7 +297,8 @@ class ResilienceLayer:
         avoid: Collection[str] = (),
     ) -> str:
         """Write ``key`` to a surviving tier instead of ``failed_tier``
-        and enqueue a repair task; returns the fallback tier's name.
+        and defer the write to ``failed_tier``; returns the fallback
+        tier's name.
 
         ``avoid`` are the tiers the caller is moving ``key`` out of: an
         eviction never degrades into its own source.  Raises the
@@ -387,18 +321,12 @@ class ResilienceLayer:
         self._degraded.inc(
             instance=self.owner, tier=failed_tier, fallback=fallback.name
         )
-        enqueued = self.repair_queue.add(key, failed_tier, self.clock.now())
-        self.obs.audit.append(
-            AuditRecord(
-                time=self.clock.now(),
-                category="degraded-write",
-                name=key,
-                origin="resilience",
-                foreground=True,
-                tiers_touched=(failed_tier, fallback.name),
-                error=f"{type(cause).__name__}: {cause}",
-                detail={"fallback": fallback.name, "repair_enqueued": enqueued},
-            )
+        enqueued = self.defer(key, failed_tier)
+        self._audit(
+            "degraded-write", key, "resilience",
+            tiers_touched=(failed_tier, fallback.name),
+            error=f"{type(cause).__name__}: {cause}",
+            detail={"fallback": fallback.name, "repair_enqueued": enqueued},
         )
         return fallback.name
 
@@ -432,33 +360,34 @@ class ResilienceLayer:
                     key, (tier_name,), bg, data=data, redirect=False
                 )
             except Exception as exc:  # noqa: BLE001 - repair is best-effort
-                self.repair_queue.add(key, tier_name, self.clock.now())
-                self.obs.audit.append(
-                    AuditRecord(
-                        time=self.clock.now(),
-                        category="repair",
-                        name=key,
-                        origin="read-repair",
-                        foreground=False,
-                        tiers_touched=(tier_name,),
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                self.defer(key, tier_name)
+                self._audit(
+                    "repair", key, "read-repair", foreground=False,
+                    tiers_touched=(tier_name,),
+                    error=f"{type(exc).__name__}: {exc}",
                 )
                 continue
             self._read_repairs.inc(instance=self.owner, tier=tier_name)
-            self.obs.audit.append(
-                AuditRecord(
-                    time=self.clock.now(),
-                    category="repair",
-                    name=key,
-                    origin="read-repair",
-                    foreground=False,
-                    tiers_touched=(tier_name,),
-                    objects_moved=1,
-                )
+            self._audit(
+                "repair", key, "read-repair", foreground=False,
+                tiers_touched=(tier_name,), objects_moved=1,
             )
 
     # -- repair replay -----------------------------------------------------
+
+    def defer(self, key: str, tier_name: str) -> bool:
+        """Park a write of ``key`` owed to ``tier_name``; True when it
+        opened a new slot.  Replay copies the row's current bytes."""
+        return self.repair_queue.add(Deferred(key, tier_name))
+
+    def _ready(self, tier_name: str) -> bool:
+        """May parked writes replay to ``tier_name`` now?"""
+        tiers = self.instance.tiers
+        return (
+            tiers.has(tier_name)
+            and tiers.get(tier_name).available
+            and self.breaker(tier_name).state != OPEN
+        )
 
     def schedule_replay(self, tier_name: str) -> None:
         """Queue a background replay of pending repairs for a tier."""
@@ -471,57 +400,42 @@ class ResilienceLayer:
         """Kick replays for every tier that looks ready (used by the
         monitor after a healthy probe, and callable explicitly)."""
         kicked = 0
-        for tier_name in self.repair_queue.tiers():
+        for tier_name in self.repair_queue.targets():
             if not self.instance.tiers.has(tier_name):
-                self.repair_queue.discard_tier(tier_name)
-                continue
-            tier = self.instance.tiers.get(tier_name)
-            if tier.available and self.breaker(tier_name).state != OPEN:
+                self.repair_queue.discard(tier_name)
+            elif self._ready(tier_name):
                 self.schedule_replay(tier_name)
                 kicked += 1
         return kicked
 
     def _replay_tier(self, tier_name: str) -> None:
-        from repro.core.errors import TieraError
-        from repro.simcloud.errors import SimCloudError
-        from repro.simcloud.resources import RequestContext
-
         self._replay_scheduled[tier_name] = False
         instance = self.instance
         if not instance.tiers.has(tier_name):
-            self.repair_queue.discard_tier(tier_name)
+            self.repair_queue.discard(tier_name)
             return
         ctx = RequestContext(self.clock)
-        replayed = 0
-        error: Optional[str] = None
-        while True:
-            task = self.repair_queue.take(tier_name)
-            if task is None:
-                break
+        errors: List[str] = []
+
+        def replay(task: Deferred) -> str:
             if not instance.has_object(task.key):
-                continue  # deleted since; nothing to repair
+                return DROPPED  # deleted since; nothing to repair
             try:
                 instance.relocate(task.key, (tier_name,), ctx, redirect=False)
             except (TieraError, SimCloudError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                self.repair_queue.requeue(task)
-                break  # tier is still sick; the breaker will re-gate
-            replayed += 1
+                errors.append(f"{type(exc).__name__}: {exc}")
+                return REQUEUED  # still sick; the breaker will re-gate
             self._repairs.inc(instance=self.owner, tier=tier_name)
-        if replayed or error:
-            self.obs.audit.append(
-                AuditRecord(
-                    time=self.clock.now(),
-                    category="repair",
-                    name=tier_name,
-                    origin="replay",
-                    foreground=False,
-                    tiers_touched=(tier_name,),
-                    objects_moved=replayed,
-                    duration=ctx.elapsed,
-                    error=error,
-                    detail={"pending": self.repair_queue.pending(tier_name)},
-                )
+            return REPLAYED
+
+        counts = self.repair_queue.drain(tier_name, self._ready, replay)
+        replayed = counts[REPLAYED]
+        if replayed or errors:
+            self._audit(
+                "repair", tier_name, "replay", foreground=False,
+                tiers_touched=(tier_name,), objects_moved=replayed,
+                duration=ctx.elapsed, error=errors[0] if errors else None,
+                detail={"pending": self.repair_queue.pending(tier_name)},
             )
 
     # -- introspection ----------------------------------------------------

@@ -7,9 +7,8 @@ from repro.core.cluster import (
     DOWN_AFTER_MISSES,
     OP_FAILURE_THRESHOLD,
     ClusterConfig,
-    Hint,
-    HintQueue,
 )
+from repro.core.deferred import REPLAYED, Deferred
 from repro.core.server import TieraServer
 from repro.core.sharding import ShardedTieraServer
 from repro.kvstore.store import MemoryStore
@@ -183,7 +182,8 @@ class TestSelfHealing:
         handles = mark_down(cluster, rt, owners[0])
         assert rt.delete_object("heal-2").ok
         hint = next(iter(rt.cluster.hints))
-        assert hint.op == "delete" and hint.checksum == ""
+        assert hint.op == "delete"
+        assert not rt.shards[hint.holder].contains("heal-2")
         bring_up(cluster, rt, handles)
         assert len(rt.cluster.hints) == 0
         assert not rt.shards[owners[0]].contains("heal-2")
@@ -197,6 +197,33 @@ class TestSelfHealing:
         assert len(rt.cluster.hints) == 1
         bring_up(cluster, rt, handles)
         assert len(rt.cluster.hints) == 0
+
+    def test_a_refusing_target_is_tried_once_per_drain(self, cluster, rt):
+        """Regression: a drain tried every hint for a target that had
+        just refused one, paying a refusal and a detector strike each."""
+        target = "a"
+        keys = [f"stall-{i}" for i in range(12)
+                if target in rt.cluster.owners(f"stall-{i}")][:3]
+        handles = mark_down(cluster, rt, target)
+        for key in keys:
+            assert rt.put_object(key, b"parked").ok
+        assert rt.cluster.hints.pending(target) == 3
+        for handle in handles:
+            cluster.faults.clear(handle)
+        for tier in rt.shards[target].instance.tiers:
+            cluster.faults.inject(
+                f"service:{tier.service.name}",
+                FaultProfile(name="refuse", error_rate=1.0),
+            )
+        rt.cluster.detector.tick()
+        assert not rt.cluster.detector.is_down(target)
+        replays = rt.obs.metrics.counter(
+            "tiera_cluster_hint_replays_total", ""
+        )
+        record = rt.cluster.replay_hints(target=target)
+        assert record["requeued"] == 3 and record["replayed"] == 0
+        assert replays.value(target=target, outcome="requeued") == 1
+        assert rt.cluster.hints.pending(target) == 3
 
     def test_anti_entropy_converges_divergent_group(self, rt):
         rt.put_object("ae-1", b"original")
@@ -307,24 +334,21 @@ class TestBackgroundTracing:
 
 
 class TestHintQueue:
-    def test_newer_write_supersedes_same_slot(self):
-        queue = HintQueue()
-        queue.add(Hint(key="k", target="t", holder="h1", op="put",
-                       checksum="c1"))
-        queue.add(Hint(key="k", target="t", holder="h2", op="put",
-                       checksum="c2"))
-        assert len(queue) == 1
-        assert queue.recorded == 2
-        assert next(iter(queue)).checksum == "c2"
-
-    def test_take_is_fifo_and_target_scoped(self):
-        queue = HintQueue()
-        queue.add(Hint(key="k1", target="t1", holder="h", op="put"))
-        queue.add(Hint(key="k2", target="t2", holder="h", op="put"))
-        queue.add(Hint(key="k3", target="t1", holder="h", op="put"))
-        taken = queue.take("t1")
-        assert [h.key for h in taken] == ["k1", "k3"]
-        assert queue.pending() == 1 and queue.pending("t2") == 1
+    def test_take_is_fifo_and_target_scoped(self, rt, monkeypatch):
+        """A replay for one shard takes that shard's hints in the order
+        they were parked and leaves every other shard's in place."""
+        hints = rt.cluster.hints
+        for key, target in (("k1", "a"), ("k2", "b"), ("k3", "a")):
+            hints.add(Deferred(key, target, holder="c"))
+        seen = []
+        monkeypatch.setattr(
+            rt.cluster, "_replay",
+            lambda hint, ctx: seen.append(hint.key) or REPLAYED,
+        )
+        record = rt.cluster.replay_hints(target="a")
+        assert seen == ["k1", "k3"]
+        assert record["replayed"] == 2
+        assert hints.pending() == 1 and hints.pending("b") == 1
 
 
 class TestMigration:
@@ -433,6 +457,20 @@ class TestMigration:
         for i in range(24):
             assert router.get_object(f"mig{i:03d}").ok
         router.cluster.stop()
+
+    def test_removing_a_shard_drops_the_hints_owed_to_it(self, cluster, rt):
+        """Regression: a hint for a removed shard stayed pending for
+        good, requeued by every drain."""
+        key = next(f"gone-{i}" for i in range(50)
+                   if "a" in rt.cluster.owners(f"gone-{i}"))
+        mark_down(cluster, rt, "a")
+        assert rt.put_object(key, b"parked").ok
+        assert rt.cluster.hints.pending("a") == 1
+        rt.remove_shard("a")
+        assert len(rt.cluster.hints) == 0
+        assert rt.cluster.hints.dropped == 1
+        assert rt.cluster.fsck()["clean"]
+        assert rt.get_object(key).value == b"parked"
 
     @pytest.mark.parametrize("point", [
         "cluster.move.intent", "cluster.move.copied", "cluster.migrate.done",

@@ -9,10 +9,8 @@ from repro.core.errors import TierUnavailableError
 from repro.core.resilience import (
     CLOSED,
     HALF_OPEN,
-    MAX_REPAIR_ATTEMPTS,
     OPEN,
     CircuitBreaker,
-    RepairQueue,
     backoff,
 )
 from repro.core.server import TieraServer
@@ -98,46 +96,6 @@ class TestCircuitBreaker:
         assert breaker.allow() is False          # fresh cooldown from now
 
 
-class TestRepairQueue:
-    def test_deduplicates_on_key_and_tier(self):
-        queue = RepairQueue()
-        assert queue.add("k", "tier2", now=1.0) is True
-        assert queue.add("k", "tier2", now=2.0) is False
-        assert queue.add("k", "tier3", now=3.0) is True
-        assert queue.enqueued == 2
-        assert queue.pending() == 2
-        assert queue.pending("tier2") == 1
-
-    def test_take_is_fifo_per_tier(self):
-        queue = RepairQueue()
-        queue.add("a", "tier2", now=1.0)
-        queue.add("b", "tier3", now=2.0)
-        queue.add("c", "tier2", now=3.0)
-        assert queue.take("tier2").key == "a"
-        assert queue.take("tier2").key == "c"
-        assert queue.take("tier2") is None
-        assert queue.pending("tier3") == 1
-
-    def test_requeue_goes_front_of_line_and_drops_when_exhausted(self):
-        queue = RepairQueue()
-        queue.add("a", "tier2", now=1.0)
-        queue.add("b", "tier2", now=2.0)
-        task = queue.take("tier2")
-        for _ in range(MAX_REPAIR_ATTEMPTS - 1):
-            assert queue.requeue(task) is True  # retried first
-            assert queue.take("tier2").key == "a"
-        assert queue.requeue(task) is False     # the last attempt: dropped
-        assert queue.dropped == 1
-        assert queue.pending("tier2") == 1      # only "b" remains
-
-    def test_discard_tier(self):
-        queue = RepairQueue()
-        queue.add("a", "tier2", now=1.0)
-        queue.add("b", "tier3", now=2.0)
-        assert queue.discard_tier("tier2") == 1
-        assert queue.tiers() == ["tier3"]
-
-
 # -- integration over a real two-tier instance -------------------------------
 
 
@@ -156,6 +114,29 @@ def put(server, cluster, key, data):
     server.put_object(key, data, ctx=ctx).raise_for_error()
     cluster.clock.run_until(ctx.time)
     return ctx
+
+
+class TestRepairQueue:
+    def test_take_is_fifo_per_tier(self, monkeypatch):
+        """A tier's replay writes its parked repairs back in the order
+        they were parked and leaves other tiers' repairs in place."""
+        cluster, instance, server = build_stack()
+        for key in ("a", "b", "c"):
+            put(server, cluster, key, b"v")
+        res = instance.resilience
+        res.defer("a", "tier2")
+        res.defer("b", "tier1")
+        res.defer("c", "tier2")
+        seen = []
+        monkeypatch.setattr(
+            instance, "relocate",
+            lambda key, tiers, *args, **kwargs: seen.append((key, tiers)),
+        )
+        res.schedule_replay("tier2")
+        cluster.clock.run_until(cluster.clock.now() + 1.0)
+        assert seen == [("a", ("tier2",)), ("c", ("tier2",))]
+        assert res.repair_queue.pending("tier2") == 0
+        assert res.repair_queue.pending("tier1") == 1
 
 
 class TestRetriesAbsorbTransients:
@@ -195,6 +176,39 @@ class TestRetriesAbsorbTransients:
         cluster.clock.run_until(cluster.clock.now() + 1.0)
         res = instance.resilience
         assert res.repair_queue.pending() == 0
+        assert res.replay_count == 1
+        assert instance.tiers.get("tier2").service.contains("k")
+
+
+class TestRepairOutlivesRefusals:
+    def test_a_repair_outlives_five_refused_replays_then_lands(
+        self, monkeypatch
+    ):
+        """Regression: five refused replays dropped a repair task, so a
+        copy the policy asked for was never written back."""
+        cluster, instance, server = build_stack()
+        fault = cluster.faults.inject(
+            "kind:ebs", FaultProfile(name="dead", error_rate=1.0)
+        )
+        put(server, cluster, "k", b"v" * 512)
+        cluster.faults.clear(fault)
+        res = instance.resilience
+        relocate = instance.relocate
+        refused = []
+
+        def refuse(key, *args, **kwargs):
+            if len(refused) < 5:
+                refused.append(key)
+                raise TierUnavailableError("tier2")
+            return relocate(key, *args, **kwargs)
+
+        monkeypatch.setattr(instance, "relocate", refuse)
+        for _ in range(6):
+            assert res.replay_pending() == 1
+            cluster.clock.run_until(cluster.clock.now() + 1.0)
+        assert refused == ["k"] * 5
+        assert res.repair_queue.pending() == 0
+        assert res.repair_queue.dropped == 0
         assert res.replay_count == 1
         assert instance.tiers.get("tier2").service.contains("k")
 
