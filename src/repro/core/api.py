@@ -60,26 +60,6 @@ DEFAULT_PARALLELISM = 8
 DEFAULT_MAX_INFLIGHT = 128
 
 
-def check_wire(wire: object) -> Dict[str, object]:
-    """``wire`` itself, if it is a dict whose ``key`` is a string, whose
-    ``tag`` and ``prefer`` are strings or absent, and whose ``tags`` is
-    a list of strings or absent; ``TypeError`` otherwise.  What a peer
-    sends is checked here, before a façade indexes or sorts by it."""
-    if not isinstance(wire, dict):
-        raise TypeError(f"expected a JSON object, not {type(wire).__name__}")
-    if "key" in wire and not isinstance(wire["key"], str):
-        raise TypeError(f"key must be a string, not {wire['key']!r}")
-    for name in ("tag", "prefer"):
-        if wire.get(name) is not None and not isinstance(wire[name], str):
-            raise TypeError(f"{name} must be a string, not {wire[name]!r}")
-    tags = wire.get("tags")
-    if tags is not None and not (
-        isinstance(tags, list) and all(isinstance(tag, str) for tag in tags)
-    ):
-        raise TypeError(f"tags must be a list of strings, not {tags!r}")
-    return wire
-
-
 @dataclass
 class BatchOp:
     """One operation in a batch: what to do, to which key, with what."""
@@ -108,29 +88,6 @@ class BatchOp:
     @classmethod
     def delete(cls, key: str) -> "BatchOp":
         return cls(DELETE, key)
-
-    # -- wire form (RPC) -----------------------------------------------------
-
-    def to_wire(self, encode_bytes) -> Dict[str, object]:
-        wire: Dict[str, object] = {"op": self.op, "key": self.key}
-        if self.data is not None:
-            wire["data"] = encode_bytes(self.data)
-        if self.tags is not None:
-            wire["tags"] = list(self.tags)
-        if self.prefer is not None:
-            wire["prefer"] = self.prefer
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object], decode_bytes) -> "BatchOp":
-        data = check_wire(wire).get("data")
-        return cls(
-            op=wire["op"],
-            key=wire["key"],
-            data=decode_bytes(data) if data is not None else None,
-            tags=list(wire["tags"]) if wire.get("tags") is not None else None,
-            prefer=wire.get("prefer"),
-        )
 
 
 @dataclass
@@ -173,43 +130,6 @@ class OpResult:
         raise RuntimeError(
             f"{self.op} {self.key!r} failed: "
             f"[{self.error}] {self.error_message}"
-        )
-
-    # -- wire form (RPC) -----------------------------------------------------
-
-    def to_wire(self, encode_bytes) -> Dict[str, object]:
-        wire: Dict[str, object] = {
-            "op": self.op,
-            "key": self.key,
-            "ok": self.ok,
-            "latency": self.latency,
-            "tier": self.tier,
-            "checksum": self.checksum,
-            "size": self.size,
-        }
-        if not self.ok:
-            wire["error"] = self.error
-            wire["error_message"] = self.error_message
-            wire["error_type"] = self.error_type
-        if self.value is not None:
-            wire["value"] = encode_bytes(self.value)
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: Dict[str, object], decode_bytes) -> "OpResult":
-        value = wire.get("value")
-        return cls(
-            op=wire["op"],
-            key=wire["key"],
-            ok=wire["ok"],
-            latency=wire.get("latency", 0.0),
-            tier=wire.get("tier", ""),
-            checksum=wire.get("checksum", ""),
-            size=wire.get("size", 0),
-            error=wire.get("error"),
-            error_message=wire.get("error_message", ""),
-            error_type=wire.get("error_type", ""),
-            value=decode_bytes(value) if value is not None else None,
         )
 
 

@@ -2,8 +2,9 @@
 
 The paper deploys the Tiera server as a Thrift server so applications in
 any language can call PUT/GET remotely.  This package provides the
-equivalent: length-prefixed frames of a JSON header and raw payload
-bytes (:mod:`repro.rpc.protocol`), a thread-pooled server
+equivalent: length-prefixed frames of a header — binary for the four
+data verbs, JSON for the rest — and raw payload bytes
+(:mod:`repro.rpc.protocol`), a thread-pooled server
 (:class:`~repro.rpc.server.TieraRpcServer`) whose pool sizes come from
 the control layer's configuration (§3's "thread pool dedicated to
 service client requests"), and a blocking client

@@ -2,8 +2,9 @@
 
 Implements the same :class:`~repro.core.api.StorageAPI` surface as the
 in-process façades: envelope verbs (``put_object``/``get_object``/
-``delete_object``), batch verbs riding the ``batch`` wire method, and
-the three :class:`~repro.core.api.ManagementAPI` verbs.  Captured
+``delete_object``) and batch verbs riding the ``batch`` wire method,
+all four in binary headers, and the three
+:class:`~repro.core.api.ManagementAPI` verbs in JSON ones.  Captured
 failures carry an :class:`~repro.rpc.protocol.RpcError` (with the
 server's stable ``code``) as their exception, so ``raise_for_error``
 raises it.
@@ -31,9 +32,17 @@ from repro.core.api import (
     OpResult,
 )
 from repro.rpc.protocol import (
+    BATCH,
+    DELETE_OBJECT,
+    GET_OBJECT,
+    PUT_OBJECT,
+    Item,
+    REQUEST_ID,
     RpcError,
     decode_bytes,
+    decode_reply,
     encode_bytes,
+    encode_request,
     read_frame,
     write_frame,
 )
@@ -66,32 +75,41 @@ class TieraClient(BatchVerbs):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _call(
-        self, method: str, payload: bytes = b"", /, **params
-    ) -> Tuple[Any, Callable[[Any], bytes]]:
-        """One round trip carrying ``payload``, the section the params'
-        references point into: ``(result, decode)``, where ``decode``
-        resolves the result's references."""
-        request_id = next(self._ids)
+    def _call(self, request, payload: bytes = b"") -> Tuple[Any, Any]:
+        """One round trip: send ``request`` — a JSON request object, or
+        a data verb's binary header — with its payload section; return
+        the reply's ``(header, payload)``."""
         with self._lock:
             if self._closed is not None:
                 raise ConnectionError(f"connection closed: {self._closed}")
             try:
-                write_frame(
-                    self._sock,
-                    {"id": request_id, "method": method, "params": params},
-                    payload,
-                )
+                write_frame(self._sock, request, payload)
                 frame = read_frame(self._sock)
                 if frame is None:
                     raise ConnectionError("server closed the connection")
-                response, reply = frame
-                if not isinstance(response, dict) or response.get("id") != request_id:
+                reply = frame[0]
+                if type(reply) is not type(request) or (
+                    reply[REQUEST_ID] != request[REQUEST_ID]
+                    if type(reply) is bytes
+                    else reply.get("id") != request["id"]
+                ):
                     raise RpcError("ProtocolError", "response id mismatch")
             except BaseException as exc:
-                self._closed = f"{method} failed with {type(exc).__name__}"
+                self._closed = f"a call failed with {type(exc).__name__}"
                 self.close()
                 raise
+        return frame
+
+    def _json(
+        self, method: str, payload: bytes = b"", /, **params
+    ) -> Tuple[Any, Callable[[Any], bytes]]:
+        """A JSON-header method's round trip carrying ``payload``, the
+        section the params' references point into: ``(result,
+        decode)``, where ``decode`` resolves the result's references."""
+        response, reply = self._call(
+            {"id": next(self._ids), "method": method, "params": params},
+            payload,
+        )
         if "error" in response:
             err = response["error"]
             raise RpcError(
@@ -102,44 +120,30 @@ class TieraClient(BatchVerbs):
         return response.get("result"), partial(decode_bytes, reply)
 
     def _result(self, method: str, **params) -> Any:
-        """:meth:`_call` for a verb whose result carries no bytes."""
-        return self._call(method, **params)[0]
+        """:meth:`_json` for a verb whose result carries no bytes."""
+        return self._json(method, **params)[0]
 
-    @staticmethod
-    def _from_wire(wire: Dict[str, Any], decode) -> OpResult:
-        """Decode an envelope, rehydrating failures as RpcErrors (with
-        the stable ``code`` attached) for ``raise_for_error``."""
-        result = OpResult.from_wire(wire, decode)
-        if not result.ok:
-            result.exception = RpcError(
-                result.error_type or "Error",
-                result.error_message,
-                code=result.error or "INTERNAL",
-            )
-        return result
+    def _data(self, method: int, items: List[Item], parallelism: int = 0):
+        """A data verb's round trip in binary headers: its decoded
+        :class:`OpResult` or :class:`BatchResult`."""
+        return decode_reply(*self._call(
+            *encode_request(method, next(self._ids), items, parallelism)
+        ))
 
     # -- the StorageAPI surface -------------------------------------------
 
     def put_object(
         self, key: str, data: bytes, *, tags: Optional[List[str]] = None
     ) -> OpResult:
-        payload = bytearray()
-        return self._from_wire(*self._call(
-            "put_object", payload,
-            key=key,
-            data=encode_bytes(payload, data),
-            tags=list(tags) if tags else None,
-        ))
+        return self._data(PUT_OBJECT, [(api.PUT, key, data, tags, None)])
 
     def get_object(
         self, key: str, *, prefer: Optional[str] = None
     ) -> OpResult:
-        return self._from_wire(
-            *self._call("get_object", key=key, prefer=prefer)
-        )
+        return self._data(GET_OBJECT, [(api.GET, key, None, None, prefer)])
 
     def delete_object(self, key: str) -> OpResult:
-        return self._from_wire(*self._call("delete_object", key=key))
+        return self._data(DELETE_OBJECT, [(api.DELETE, key, None, None, None)])
 
     def execute_batch(
         self,
@@ -150,17 +154,9 @@ class TieraClient(BatchVerbs):
         """One round trip for the whole batch; the server overlaps the
         items in virtual time.  Raises :class:`RpcError` with code
         ``BACKPRESSURE`` when the server's admission control refuses."""
-        payload = bytearray()
-        encode = partial(encode_bytes, payload)
-        wire, decode = self._call(
-            "batch", payload,
-            ops=[op.to_wire(encode) for op in ops],
-            parallelism=parallelism,
-        )
-        return BatchResult(
-            results=[self._from_wire(w, decode) for w in wire["results"]],
-            latency=wire["latency"],
-            parallelism=wire["parallelism"],
+        return self._data(
+            BATCH, [(op.op, op.key, op.data, op.tags, op.prefer) for op in ops],
+            parallelism,
         )
 
     def contains(self, key: str) -> bool:
@@ -230,7 +226,7 @@ class TieraClient(BatchVerbs):
         :class:`ManagementAPI` verb); byte-valued parameters and state
         fields travel as payload references and are plain ``bytes`` here."""
         payload = bytearray()
-        doc, decode = self._call(
+        doc, decode = self._json(
             "invoke", payload, feature=feature, action=action,
             params=features.code_params(
                 feature, action, params, partial(encode_bytes, payload)

@@ -7,8 +7,9 @@ The pool size is taken from the instance's control layer.
 
 A frame whose boundary is lost (a length over ``MAX_FRAME``, EOF
 mid-frame) closes its connection; anything else gets a coded reply:
-a header that is not JSON, or not an object, or params of the wrong
-shape is ``BAD_REQUEST``, and the same connection serves on.
+a JSON header that does not parse, or is not an object, a binary header
+that does not hold its verb's fields, or params of the wrong shape is
+``BAD_REQUEST``, and the same connection serves on.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core import api, features
+from repro.core import features
 from repro.core.api import BatchOp
 from repro.core.errors import (
     BAD_REQUEST,
@@ -31,10 +32,19 @@ from repro.core.errors import (
 )
 from repro.core.server import TieraServer
 from repro.rpc.protocol import (
+    BATCH,
+    GET_OBJECT,
+    PUT_OBJECT,
+    VERBS,
+    Item,
     MalformedHeader,
     decode_bytes,
+    decode_request,
     encode_bytes,
+    encode_error,
+    encode_reply,
     read_frame,
+    request_head,
     write_frame,
 )
 from repro.simcloud.errors import SimCloudError
@@ -145,79 +155,80 @@ class TieraRpcServer:
                 self._conns.discard(conn)
             conn.close()
 
-    def _handle(self, request: Any, payload) -> Tuple[Dict[str, Any], bytes]:
+    def _handle(self, request: Any, payload) -> Tuple[Any, bytes]:
         """Answer one request: ``(response header, payload section)``.
-        The method's byte fields resolve against ``payload`` and its
-        reply's are appended to a fresh section."""
-        if not isinstance(request, dict):
+
+        A binary header is one of the four data verbs, answered in a
+        binary header (:func:`~repro.rpc.protocol.decode_request`,
+        :func:`~repro.rpc.protocol.encode_reply`).  A JSON one names
+        its ``_method_*``, whose byte fields resolve against ``payload``
+        and whose reply's are appended to a fresh section."""
+        binary = type(request) is bytes
+        if binary:
+            method, request_id = request_head(request)
+            # too short to name a method: malformed, refused below
+            known = method is None or method in VERBS
+        elif isinstance(request, dict):
+            request_id = request.get("id")
+            method = request.get("method", "")
+            handler = getattr(self, f"_method_{method}", None)
+            known = handler is not None
+        else:
             return _error(None, "BadRequest", "a request is a JSON object", BAD_REQUEST)
-        request_id = request.get("id")
-        method_name = request.get("method", "")
-        handler = getattr(self, f"_method_{method_name}", None)
-        if handler is None:
-            return _error(request_id, "UnknownMethod", str(method_name), UNKNOWN_METHOD)
-        out = bytearray()
+        if not known:
+            return _error(request_id, "UnknownMethod", str(method),
+                          UNKNOWN_METHOD, binary)
         try:
-            params = api.check_wire(_object(request.get("params"), "params"))
             # The instance's data structures are not thread-safe; one
             # operation at a time, like a single control-layer worker.
+            if binary:
+                items, parallelism = decode_request(request, payload)
+                with self._op_lock:
+                    reply = self._data_verb(method, items, parallelism)
+                return encode_reply(method, request_id, reply)
+            params = _params(request.get("params"))
+            out = bytearray()
             with self._op_lock:
                 result = handler(
                     params, partial(decode_bytes, payload),
                     partial(encode_bytes, out),
                 )
         except (TieraError, SimCloudError) as exc:
-            return _error(request_id, type(exc).__name__, str(exc), code_for(exc))
+            return _error(request_id, type(exc).__name__, str(exc),
+                          code_for(exc), binary)
         except (KeyError, ValueError, TypeError) as exc:
-            return _error(request_id, "BadRequest", str(exc), BAD_REQUEST)
+            return _error(request_id, "BadRequest", str(exc), BAD_REQUEST, binary)
         except Exception as exc:
             # Not BAD_REQUEST: an AttributeError here is a verb the
             # façade lacks — a bug, which must not pass for a malformed
             # request — so its traceback is logged; the connection
             # still serves on.
-            _log.exception("rpc method %s failed", method_name)
-            return _error(request_id, type(exc).__name__, str(exc), INTERNAL)
+            _log.exception("rpc method %s failed", method)
+            return _error(request_id, type(exc).__name__, str(exc),
+                          INTERNAL, binary)
         return {"id": request_id, "result": result}, out
 
     # -- methods ------------------------------------------------------------------
 
-    def _method_put_object(self, params: Params, decode, encode) -> Dict[str, Any]:
-        tags = params.get("tags")
-        result = self.tiera.put_object(
-            params["key"],
-            decode(params["data"]),
-            tags=list(tags) if tags else None,
-        )
-        return result.to_wire(encode)
-
-    def _method_get_object(self, params: Params, decode, encode) -> Dict[str, Any]:
-        result = self.tiera.get_object(
-            params["key"], prefer=params.get("prefer")
-        )
-        return result.to_wire(encode)
-
-    def _method_delete_object(self, params: Params, decode, encode) -> Dict[str, Any]:
-        return self.tiera.delete_object(params["key"]).to_wire(encode)
-
-    def _method_batch(self, params: Params, decode, encode) -> Dict[str, Any]:
-        """Run a batch of ops, overlapped server-side in virtual time.
+    def _data_verb(self, method: int, items: List[Item], parallelism: int):
+        """Run a decoded data verb: a batch overlapped server-side in
+        virtual time, or a single verb's one item (the façade's verb
+        checks it, as a :class:`BatchOp` checks a batch's).
 
         Item failures come back inside their envelopes (never as an RPC
         error); an over-limit batch raises backpressure out of
         ``execute_batch``, which :meth:`_handle` maps to the
         ``BACKPRESSURE`` error code.
         """
-        ops = [BatchOp.from_wire(wire, decode) for wire in params["ops"]]
-        batch = self.tiera.execute_batch(
-            ops,
-            parallelism=int(params.get("parallelism", api.DEFAULT_PARALLELISM)),
-        )
-        return {
-            "results": [r.to_wire(encode) for r in batch.results],
-            "latency": batch.latency,
-            "parallelism": batch.parallelism,
-            "code": batch.code,
-        }
+        if method == BATCH:
+            return self.tiera.execute_batch(
+                [BatchOp(*item) for item in items], parallelism=parallelism)
+        ((_, key, data, tags, prefer),) = items
+        if method == PUT_OBJECT:
+            return self.tiera.put_object(key, data, tags=tags or None)
+        if method == GET_OBJECT:
+            return self.tiera.get_object(key, prefer=prefer)
+        return self.tiera.delete_object(key)
 
     def _method_contains(self, params: Params, decode, encode) -> bool:
         return self.tiera.contains(params["key"])
@@ -331,10 +342,25 @@ def _object(value: Any, what: str) -> Dict[str, Any]:
     return value
 
 
+def _params(value: Any) -> Params:
+    """A JSON request's params, checked before a façade indexes or
+    sorts by them: ``TypeError`` (so ``BAD_REQUEST``) unless ``key`` is
+    a string where given and ``tag`` a string or null."""
+    params = _object(value, "params")
+    if "key" in params and not isinstance(params["key"], str):
+        raise TypeError(f"key must be a string, not {params['key']!r}")
+    if params.get("tag") is not None and not isinstance(params["tag"], str):
+        raise TypeError(f"tag must be a string, not {params['tag']!r}")
+    return params
+
+
 def _error(
-    request_id, error_type: str, message: str, code: str
-) -> Tuple[Dict[str, Any], bytes]:
-    """An error reply: its header, and an empty payload section."""
+    request_id, error_type: str, message: str, code: str, binary: bool = False
+) -> Tuple[Any, bytes]:
+    """An error reply: its header — binary to a binary request — and an
+    empty payload section."""
+    if binary:
+        return encode_error(request_id, code, error_type, message), b""
     return {
         "id": request_id,
         "error": {"code": code, "type": error_type, "message": message},

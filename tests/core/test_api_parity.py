@@ -166,6 +166,56 @@ class TestParity:
             assert getattr(err.value, "code") == "NO_SUCH_OBJECT"
 
 
+#: one short script per binary data verb, errors included.
+VERB_SCRIPTS = {
+    "put_object": lambda f: [
+        f.put_object("k", b"v" * 64, tags=["t"]), f.put_object("k", b""),
+    ],
+    "get_object": lambda f: [
+        f.put_object("k", b"v"), f.get_object("k"),
+        f.get_object("k", prefer="tier2"), f.get_object("ghost"),
+    ],
+    "delete_object": lambda f: [
+        f.put_object("k", b"v"), f.delete_object("k"), f.delete_object("k"),
+    ],
+    "execute_batch": lambda f: [f.execute_batch(
+        [BatchOp.put("k", b"v", tags=[]), BatchOp.get("k"),
+         BatchOp.get("ghost"), BatchOp.delete("ghost")],
+        parallelism=2,
+    )],
+}
+
+
+class TestDataVerbParityOverRpc:
+    """Each data verb's binary round trip returns the direct façade's
+    envelope, its error envelopes and codes included."""
+
+    @pytest.mark.parametrize("verb", sorted(VERB_SCRIPTS))
+    def test_the_verb_agrees(self, direct, rpc_client, verb):
+        script = VERB_SCRIPTS[verb]
+        outcomes = flatten(script(direct))
+        assert outcomes == flatten(script(rpc_client))
+        if verb != "put_object":
+            assert "NO_SUCH_OBJECT" in {getattr(r, "error", None) for r in outcomes}
+
+    def test_an_over_limit_batch_is_refused_alike(self):
+        ops = [BatchOp.put(f"k{i}", b"v") for i in range(3)]
+        direct = fresh_server(max_inflight=2)
+        with pytest.raises(BackpressureError) as refused:
+            direct.execute_batch(ops)
+        rpc = TieraRpcServer(fresh_server(max_inflight=2), port=0).start()
+        try:
+            with TieraClient(rpc.host, rpc.port) as client:
+                with pytest.raises(RpcError) as remote:
+                    client.execute_batch(ops)
+                assert (remote.value.code, remote.value.error_type) == (
+                    refused.value.code, type(refused.value).__name__)
+                assert flatten([client.execute_batch(ops[:2])]) == flatten(
+                    [direct.execute_batch(ops[:2])])
+        finally:
+            rpc.stop()
+
+
 def refusals(facade) -> float:
     """``tiera_backpressure_total{op="batch"}`` on the façade's own hub."""
     family = facade.obs.metrics.snapshot()["metrics"]["tiera_backpressure_total"]

@@ -1,6 +1,7 @@
 """The batched data path and its max-plus-queueing virtual-time cost."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -251,6 +252,13 @@ class TestAdmissionControl:
         assert sharded.put_many(items).ok
 
 
+def _fields(result):
+    """An envelope's compared fields, JSON-clean: the payload as hex."""
+    doc = {f.name: getattr(result, f.name) for f in fields(result) if f.compare}
+    doc["value"] = None if result.value is None else result.value.hex()
+    return doc
+
+
 def _trace(server, seed):
     """One mixed batched run, serialized to bytes; the payloads ride
     along as hex, so a changed value changes the trace."""
@@ -268,7 +276,7 @@ def _trace(server, seed):
                 "latency": b.latency,
                 "parallelism": b.parallelism,
                 "code": b.code,
-                "results": [r.to_wire(bytes.hex) for r in b.results],
+                "results": [_fields(r) for r in b.results],
             }
             for b in (first, second, third)
         ],
