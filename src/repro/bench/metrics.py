@@ -8,8 +8,9 @@ The paper reports transactions/sec, web interactions/sec, average and
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.registry import nearest_rank
 
 
 class LatencyRecorder:
@@ -54,7 +55,7 @@ class LatencyRecorder:
         data = sorted(self._data(label))
         if not data:
             return 0.0
-        rank = max(1, math.ceil(p / 100.0 * len(data)))
+        rank = max(1, nearest_rank(p / 100.0, len(data)))
         return data[rank - 1]
 
     def p95(self, label: Optional[str] = None) -> float:

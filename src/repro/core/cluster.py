@@ -17,8 +17,9 @@ module adds the Dynamo/Cassandra-style machinery that lets the cluster
   naming that holder, in the deferred-write queue the instance's
   resilience layer uses too; it drains deterministically when the
   owner returns;
-* **anti-entropy** — periodic Merkle-tree comparison of replica groups,
-  repairing divergence toward the highest ``(version, checksum)`` copy;
+* **anti-entropy** — a periodic key-by-key comparison of each replica
+  group's owners, repairing divergence toward the highest
+  ``(version, checksum)`` copy;
 * **crash-safe migration** — add/remove-shard journals a membership
   intent plus per-key move intents through a durability-layer
   :class:`~repro.core.durability.IntentJournal`, so a crash mid-
@@ -34,7 +35,6 @@ digests pin exactly that.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,6 +50,7 @@ from repro.core.deferred import (
 )
 from repro.core.durability import Intent, IntentJournal
 from repro.core.errors import ClusterUnavailableError, NoQuorumError, TieraError
+from repro.core.objects import ObjectMeta
 from repro.kvstore.store import MemoryStore
 from repro.obs.audit import AuditRecord
 from repro.obs.registry import ChildCache
@@ -71,7 +72,8 @@ _INFRA_CODES = frozenset(
     }
 )
 
-#: Bound on the in-memory transition / repair-run logs.
+#: Bound on the in-memory transition / repair-run logs, which keep
+#: their newest entries.
 _LOG_CAP = 1000
 
 #: Consecutive probe misses before a shard is marked down (one miss
@@ -80,8 +82,6 @@ DOWN_AFTER_MISSES = 2
 #: Consecutive data-path infra failures before a shard is marked down
 #: without waiting for the prober.
 OP_FAILURE_THRESHOLD = 3
-#: Leaf buckets per shard in the Merkle comparison.
-MERKLE_BUCKETS = 16
 #: Who sends a replica op besides a client request: the role prefixes
 #: the op in the routing and outcome counters (``replay-put``; a
 #: client's op is bare).
@@ -117,7 +117,6 @@ class ClusterConfig:
             "down_after_misses": DOWN_AFTER_MISSES,
             "op_failure_threshold": OP_FAILURE_THRESHOLD,
             "anti_entropy_interval": self.anti_entropy_interval,
-            "merkle_buckets": MERKLE_BUCKETS,
         }
 
 
@@ -211,19 +210,30 @@ class FailureDetector:
             return
         self.state[shard] = new
         self.manager._state_gauge.set(_STATE_VALUE[new], shard=shard)
-        if len(self.transitions) < _LOG_CAP:
-            self.transitions.append(
-                {
-                    "time": self.manager.clock.now(),
-                    "shard": shard,
-                    "from": old,
-                    "to": new,
-                }
-            )
+        _log(self.transitions, {
+            "time": self.manager.clock.now(),
+            "shard": shard,
+            "from": old,
+            "to": new,
+        })
         self.manager._note_transition(shard, old, new)
 
     def summary(self) -> Dict[str, str]:
         return {shard: self.state[shard] for shard in sorted(self.state)}
+
+
+def _log(entries: List[Dict[str, object]], record: Dict[str, object]) -> None:
+    """Append ``record`` to a cluster log, dropping its oldest entries
+    past :data:`_LOG_CAP`."""
+    entries.append(record)
+    del entries[:-_LOG_CAP]
+
+
+def _precedence(copies: Dict[str, ObjectMeta]):
+    """The sort key of replica precedence over a
+    :meth:`ClusterManager._copies` view: the highest
+    ``(version, checksum)`` wins, ties to the greater shard name."""
+    return lambda shard: (copies[shard].version, copies[shard].checksum, shard)
 
 
 def _public_verb(server, op: BatchOp, ctx) -> OpResult:
@@ -668,12 +678,12 @@ class ClusterManager:
                         (shard, ClusterUnavailableError(
                             key, detail=f"checksum mismatch on {shard!r}"))
                     )
-                    self._schedule_repair(key, reason="divergent-read")
+                    self._schedule_repair(key)
                     continue
                 if shard != owners[0]:
                     self._failover_reads.inc(shard=owners[0])
                 if missing or causes:
-                    self._schedule_repair(key, reason="read-repair")
+                    self._schedule_repair(key)
                 return result
             missing += result.error == "NO_SUCH_OBJECT"
             causes.append((shard, result.exception))
@@ -859,8 +869,7 @@ class ClusterManager:
                 )
         record = {"time": self.clock.now(), **counts}
         if moved or counts[DROPPED] or counts[REQUEUED]:
-            if len(self.replay_runs) < _LOG_CAP:
-                self.replay_runs.append(record)
+            _log(self.replay_runs, record)
             self._audit(target or "*", "hint-replay", counts, moved=moved)
         return record
 
@@ -894,42 +903,36 @@ class ClusterManager:
             self._drop(hint.holder, hint.key, ctx, REPLAY)
         return REPLAYED
 
-    # -- self-healing: Merkle anti-entropy -------------------------------
+    # -- self-healing: anti-entropy ----------------------------------------
 
-    def _bucket(self, key: str) -> int:
-        digest = hashlib.sha256(key.encode()).digest()
-        return int.from_bytes(digest[:4], "big") % MERKLE_BUCKETS
-
-    def _merkle(self, shard: str, keys: Sequence[str]) -> Tuple[str, List[str]]:
-        """(root, per-bucket digests) of ``shard``'s view of ``keys``.
-
-        A leaf line is ``key=checksum`` for keys the shard holds,
-        ``key=absent`` for keys it is missing — presence differences
-        hash differently, so a lost replica shows up as divergence.
-        Versions are deliberately left out of the leaves: a repair
-        rewrite bumps the repaired copy's version, and hashing versions
-        would keep a healed group "divergent" forever."""
-        buckets: List[List[str]] = [[] for _ in range(MERKLE_BUCKETS)]
-        server = self.shards[shard]
-        for key in keys:
+    def _copies(self, key: str, shards: Sequence[str]) -> Dict[str, ObjectMeta]:
+        """The replica view: ``{shard: its copy's metadata}`` for each of
+        ``shards`` that holds ``key``, in the order given.  One
+        ``contains`` and one ``stat`` per shard, no payload read and no
+        virtual time; anti-entropy, fsck, replica repair and the
+        rebalance sweep all ask the shards through it."""
+        copies: Dict[str, ObjectMeta] = {}
+        for shard in shards:
+            server = self.shards[shard]
             if server.contains(key):
-                line = f"{key}={server.stat(key).checksum}"
-            else:
-                line = f"{key}=absent"
-            buckets[self._bucket(key)].append(line)
-        digests = [
-            hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
-            for lines in buckets
-        ]
-        root = hashlib.sha256("".join(digests).encode()).hexdigest()
-        return root, digests
+                copies[shard] = server.stat(key)
+        return copies
+
+    def _diverges(self, key: str, shards: Sequence[str]) -> bool:
+        """Do ``shards`` disagree on ``key``?  Each one's view is its
+        copy's checksum, or absent.  Versions stay out: a repair bumps
+        the version of the copy it rewrites, so comparing versions would
+        keep a healed group divergent forever."""
+        copies = self._copies(key, shards)
+        views = {copies[s].checksum if s in copies else None for s in shards}
+        return len(views) > 1
 
     def anti_entropy(self) -> Dict[str, object]:
-        """One sweep: compare every replica group's Merkle trees and
-        repair divergent keys toward the highest (version, checksum)
-        copy.  Groups with an unreachable member are compared among the
-        reachable ones only; the next sweep after recovery finishes the
-        job."""
+        """One sweep: compare every replica group's reachable owners key
+        by key and repair each key whose views differ toward the highest
+        (version, checksum) copy.  Groups with an unreachable member are
+        compared among the reachable ones only; the next sweep after
+        recovery finishes the job."""
         groups: Dict[Tuple[str, ...], List[str]] = {}
         for key in self.router.keys():
             groups.setdefault(tuple(self.owners(key)), []).append(key)
@@ -938,25 +941,16 @@ class ClusterManager:
         repairs = 0
         with self._background("anti-entropy") as (ctx, root):
             for owner_set in sorted(groups):
-                keys = sorted(groups[owner_set])
                 reachable = [s for s in owner_set
                              if not self.detector.is_down(s)]
                 if len(reachable) < 2:
                     skipped_groups += 1
                     continue
-                trees = {s: self._merkle(s, keys) for s in reachable}
-                roots = {tree[0] for tree in trees.values()}
-                if len(roots) == 1:
-                    continue
-                divergent_groups += 1
-                suspect_buckets = set()
-                for bucket in range(MERKLE_BUCKETS):
-                    digests = {trees[s][1][bucket] for s in reachable}
-                    if len(digests) > 1:
-                        suspect_buckets.add(bucket)
-                for key in keys:
-                    if self._bucket(key) in suspect_buckets:
-                        repairs += self._sync_key(key, ctx=ctx)
+                divergent = [key for key in sorted(groups[owner_set])
+                             if self._diverges(key, reachable)]
+                divergent_groups += bool(divergent)
+                for key in divergent:
+                    repairs += self._sync_key(key, ctx=ctx)
             self._ae_runs.inc()
             if root is not None:
                 root.attrs.update(divergent=divergent_groups, repairs=repairs)
@@ -967,13 +961,12 @@ class ClusterManager:
             "repairs": repairs,
         }
         record = {"time": self.clock.now(), **counts}
-        if len(self.anti_entropy_runs) < _LOG_CAP:
-            self.anti_entropy_runs.append(record)
+        _log(self.anti_entropy_runs, record)
         if divergent_groups:
             self._audit("anti-entropy", "timer", counts, moved=repairs)
         return record
 
-    def _schedule_repair(self, key: str, reason: str) -> None:
+    def _schedule_repair(self, key: str) -> None:
         self.clock.schedule(0.0, lambda: self._sync_key(key))
 
     def _sync_key(
@@ -995,16 +988,13 @@ class ClusterManager:
         reachable = [
             s for s in self.owners(key) if not self.detector.is_down(s)
         ]
-        candidates = sorted(
-            (self._rank(key, s) for s in reachable
-             if self.shards[s].contains(key)),
-            reverse=True,
-        )
-        recorded = {shard: checksum for _, checksum, shard in candidates}
-        for _, checksum, shard in candidates:
+        copies = self._copies(key, reachable)
+        recorded = {shard: meta.checksum for shard, meta in copies.items()}
+        for shard in sorted(copies, key=_precedence(copies), reverse=True):
             # Trust a recorded checksum equal to the winner's; deep
             # verification is the read path's job.  Divergence here
             # means a missed or torn write.
+            checksum = recorded[shard]
             stale = [s for s in reachable if recorded.get(s) != checksum]
             written = self._transfer(
                 key, shard, stale, ctx, REPAIR, verify=checksum
@@ -1108,12 +1098,13 @@ class ClusterManager:
         uncounted, and the sweep carries on."""
         ctx = RequestContext(self.clock)
         moved = 0
+        names = sorted(self.shards)
         for key in self.router.keys():
             owners = self.owners(key)
-            holders = self._holders(key)
+            holders = self._copies(key, names)
             if not holders:
                 continue
-            source = max(holders, key=lambda s: self._rank(key, s))
+            source = max(holders, key=_precedence(holders))
             for target in owners:
                 if target not in holders and self._journaled(
                     "cluster.move", key, source, target,
@@ -1142,14 +1133,6 @@ class ClusterManager:
         self.detector.forget(shard)
         if self.hints.discard(shard):  # writes owed to it go with it
             self._hints_pending.set(len(self.hints))
-
-    def _holders(self, key: str) -> List[str]:
-        return [s for s in sorted(self.shards) if self.shards[s].contains(key)]
-
-    def _rank(self, key: str, shard: str) -> Tuple[int, str, str]:
-        """Replica precedence: the highest (version, checksum) wins."""
-        meta = self.shards[shard].stat(key)
-        return meta.version, meta.checksum, shard
 
     def recover(self) -> Dict[str, object]:
         """Finish whatever a crashed or refused migration left pending.
@@ -1213,9 +1196,10 @@ class ClusterManager:
             )
 
         keys = self.router.keys()
+        names = sorted(self.shards)
         for key in keys:
             owners = self.owners(key)
-            holders = self._holders(key)
+            holders = self._copies(key, names)
             if not holders:
                 continue
             hint_targets = {h.target for h in self.hints.for_key(key)}
@@ -1229,8 +1213,7 @@ class ClusterManager:
                     found("orphan-copy", key, holder,
                           f"non-owner {holder!r} holds a copy")
             checksums = {
-                self.shards[s].stat(key).checksum
-                for s in holders if s in owners
+                meta.checksum for s, meta in holders.items() if s in owners
             }
             if len(checksums) > 1:
                 found("divergent-replicas", key,
@@ -1322,7 +1305,7 @@ class ClusterManager:
                 "replayed": self.hints.replayed,
             },
             "anti_entropy": {
-                "runs": len(self.anti_entropy_runs),
+                "runs": int(self._ae_runs.value()),
                 "last": ae_last,
             },
             "migrations": self.migrations,

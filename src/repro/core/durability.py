@@ -912,16 +912,6 @@ def snapshot_archive(
     return blob, manifest
 
 
-def write_snapshot(
-    instance, path: str, include_volatile: bool = False
-) -> Dict[str, object]:
-    """Snapshot to a file; returns the manifest."""
-    blob, manifest = snapshot_archive(instance, include_volatile)
-    with open(path, "wb") as out:
-        out.write(blob)
-    return manifest
-
-
 def _open_archive(blob: bytes) -> tarfile.TarFile:
     try:
         return tarfile.open(fileobj=io.BytesIO(blob))
@@ -1063,11 +1053,6 @@ def shard_archive(blob: bytes, shard: str, shards: Sequence[str]) -> bytes:
                 f"this router's are {sorted(shards)}"
             )
         return _read_member(tar, f"shards/{shard}.tar")
-
-
-def restore_snapshot(instance, path: str) -> Dict[str, object]:
-    with open(path, "rb") as handle:
-        return restore_archive(instance, handle.read())
 
 
 # -- crash simulation (used by the sweep harness and tests) ---------------

@@ -112,7 +112,7 @@ class ShardedTieraServer(BatchVerbs, features.ManagementVerbs):
 
     Built with ``replication=ClusterConfig(...)``, the data path becomes
     replicated and self-healing: R copies per key, quorum writes,
-    checksum-verified failover reads, hinted handoff and Merkle
+    checksum-verified failover reads, hinted handoff and key-by-key
     anti-entropy, with the heartbeat and anti-entropy timers armed.
     """
 

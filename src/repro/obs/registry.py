@@ -287,7 +287,7 @@ class Histogram(Metric):
         cell = self._cells.get(_labelset(labels))
         if cell is None or cell.count == 0:
             return 0.0
-        rank = max(1, min(cell.count, _ceil_rank(q, cell.count)))
+        rank = max(1, min(cell.count, nearest_rank(q, cell.count)))
         if cell.count <= len(cell.reservoir):
             return sorted(cell.reservoir)[rank - 1]
         running = 0
@@ -346,8 +346,9 @@ class Histogram(Metric):
         return out
 
 
-def _ceil_rank(q: float, count: int) -> int:
-    """Nearest-rank index: the smallest rank covering fraction ``q``."""
+def nearest_rank(q: float, count: int) -> int:
+    """Nearest-rank index: the smallest rank covering fraction ``q`` of
+    ``count`` samples, ``ceil(q * count)``."""
     rank = int(q * count)
     if rank < q * count:
         rank += 1

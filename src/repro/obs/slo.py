@@ -37,6 +37,7 @@ from itertools import islice
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs.audit import AuditRecord
+from repro.obs.registry import nearest_rank
 
 #: How often (virtual seconds) the engine re-evaluates objectives while
 #: samples stream in.  Evaluation also happens on demand (health, RPC).
@@ -324,9 +325,20 @@ class SloEngine:
                 state.current = (total - bad) / total if total else 1.0
                 state.compliant = state.current >= objective.target
             else:
-                state.current = _windowed_percentile(
-                    state.ranked, samples, objective.percentile
-                )
+                # Nearest rank over the window's latencies, failures
+                # ranked at +inf (an errored GET is not evidence of good
+                # latency); an empty window reports 0, a rank that lands
+                # on a failure the slowest latency plus one second.
+                ranked = state.ranked
+                current = 0.0
+                if ranked:
+                    rank = nearest_rank(objective.percentile, len(ranked))
+                    current = ranked[max(1, min(len(ranked), rank)) - 1]
+                if current == _INF:
+                    current = max(
+                        (lat for _, lat, _ok in samples), default=0.0
+                    ) + 1.0
+                state.current = current
                 state.compliant = state.current <= objective.target
             alerting = (
                 state.burn_rate > objective.burn_threshold
@@ -404,23 +416,3 @@ class SloEngine:
             "breaching": [s["name"] for s in states if not s["compliant"]],
             "alerting": [s["name"] for s in states if s["alerting"]],
         }
-
-def _windowed_percentile(ranked, samples, percentile: float) -> float:
-    """Nearest-rank percentile of the windowed latency samples
-    (``ranked``: their latencies, ascending).
-
-    Failed requests count at ``+inf`` — an errored GET is not evidence
-    of good latency — but an all-good empty window reports 0.  A rank
-    that lands on a failure reports the window's slowest latency plus
-    one second.
-    """
-    if not ranked:
-        return 0.0
-    rank = int(percentile * len(ranked))
-    if rank < percentile * len(ranked):
-        rank += 1
-    rank = max(1, min(len(ranked), rank))
-    value = ranked[rank - 1]
-    return value if value != _INF else max(
-        (lat for _, lat, _ok in samples), default=0.0
-    ) + 1.0

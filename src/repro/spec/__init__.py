@@ -32,7 +32,7 @@ The paper's own instances are packaged spec files:
 
 from repro.spec.lexer import Lexer, SpecSyntaxError, Token
 from repro.spec.parser import parse
-from repro.spec.compiler import Compiler, compile_spec, compile_source
+from repro.spec.compiler import Compiler, compile_spec
 from repro.spec.printer import print_spec
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "Lexer",
     "SpecSyntaxError",
     "Token",
-    "compile_source",
     "compile_spec",
     "parse",
     "print_spec",

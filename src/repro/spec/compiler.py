@@ -531,14 +531,10 @@ class Compiler:
         return Shrink(self._tier_arg(stmt, "what"), float(percent) * 100.0)
 
 
-def compile_source(
+def compile_spec(
     source: str,
     registry: TierRegistry,
     args: Optional[Dict[str, object]] = None,
 ) -> TieraInstance:
     """Parse and compile a specification string into a live instance."""
     return Compiler(parse(source), registry, args).compile()
-
-
-# Back-compat alias used throughout the docs.
-compile_spec = compile_source

@@ -5,9 +5,12 @@ behaviors the runner and reports rely on: empty time series, the
 percentile extremes, and merges that must keep label partitions apart.
 """
 
+import math
+
 import pytest
 
 from repro.bench.metrics import LatencyRecorder, TimeSeries
+from repro.obs.registry import nearest_rank
 
 
 class TestTimeSeriesRate:
@@ -66,6 +69,16 @@ class TestPercentileExtremes:
         assert recorder.percentile(0) == 0.25
         assert recorder.percentile(50) == 0.25
         assert recorder.percentile(100) == 0.25
+
+    def test_nearest_rank_is_the_ceiling_rule(self):
+        """The recorder, the histograms and the SLO windows share one
+        rank rule; it must pick the rank ``math.ceil`` picks, or records
+        written before they shared it would move."""
+        for count in range(1, 202):
+            for p in (0, 1, 5, 10, 33.3, 50, 66.7, 90, 95, 99, 99.9, 100):
+                assert nearest_rank(p / 100.0, count) == math.ceil(
+                    p / 100.0 * count
+                )
 
 
 class TestMergeLabelPartitions:

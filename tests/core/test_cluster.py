@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.sim import build_shard_cluster
+from repro.core import cluster as cluster_module
 from repro.core.cluster import (
     DOWN_AFTER_MISSES,
     OP_FAILURE_THRESHOLD,
@@ -235,6 +236,68 @@ class TestSelfHealing:
         assert second["divergent"] == 0
         for shard in owners:
             assert rt.shards[shard].get_object("ae-1").value == b"newer-write"
+
+    def test_anti_entropy_rereads_only_the_divergent_key(self, registry):
+        """Regression: the sweep re-read every key hashed into a
+        differing Merkle bucket, agreeing keys included; it compares the
+        owners key by key and reads only the key they disagree on."""
+        shards = {name: make_shard(registry, name) for name in ("a", "b", "c")}
+        router = ShardedTieraServer(shards, replication=CONFIG)
+        group = router.cluster.owners("ae-0000")
+        keys = [key for key in (f"ae-{i:04d}" for i in range(2000))
+                if router.cluster.owners(key) == group][:64]
+        assert len(keys) == 64  # one replica group
+        for key in keys:
+            router.put_object(key, b"agreed").raise_for_error()
+        router.shards["b"].put_object(keys[17], b"overwritten")
+        report = router.cluster.anti_entropy()
+        assert (report["groups"], report["divergent"]) == (1, 1)
+        assert report["repairs"] == 2  # the overwrite is newer and wins
+        replica_ops = router.obs.metrics.counter(
+            "tiera_cluster_replica_ops_total", ""
+        )
+        assert replica_ops.total(op="repair-get") == 1
+        for name in shards:
+            assert shards[name].get_object(keys[17]).value == b"overwritten"
+        assert router.cluster.anti_entropy()["divergent"] == 0
+        router.cluster.stop()
+
+    def test_cluster_logs_keep_their_newest_entries(
+        self, cluster, rt, monkeypatch
+    ):
+        """Regression: the transition, sweep and replay logs stopped
+        appending once they held ``_LOG_CAP`` entries, so ``summary()``'s
+        last sweep and recent transitions stopped changing."""
+        monkeypatch.setattr(cluster_module, "_LOG_CAP", 3)
+        manager = rt.cluster
+        for _ in range(5):
+            rt.clock.advance(1.0)
+            manager.anti_entropy()
+        now = rt.clock.now()
+        assert [r["time"] for r in manager.anti_entropy_runs] == [
+            now - 2.0, now - 1.0, now
+        ]
+        summary = manager.summary()
+        assert summary["anti_entropy"]["runs"] == 5
+        assert summary["anti_entropy"]["last"]["time"] == now
+
+        for _ in range(2):  # up -> suspect -> down -> up, twice
+            bring_up(cluster, rt, mark_down(cluster, rt, "a"))
+        assert len(manager.detector.transitions) == 3
+        assert manager.detector.transitions[-1]["to"] == "up"
+        assert manager.summary()["transitions"] == manager.detector.transitions
+
+        monkeypatch.setattr(
+            manager, "_replay", lambda hint, ctx: REPLAYED
+        )
+        for i in range(5):
+            rt.clock.advance(1.0)
+            manager.hints.add(Deferred(f"k{i}", "a", holder="c"))
+            manager.replay_hints(target="a")
+        now = rt.clock.now()
+        assert [r["time"] for r in manager.replay_runs] == [
+            now - 2.0, now - 1.0, now
+        ]
 
     def test_detector_trips_on_op_failures_alone(self, cluster, rt):
         owners = rt.cluster.owners("fd-1")

@@ -12,10 +12,9 @@ from repro.core.durability import (
     fsck,
     insert_targets,
     reopen_instance,
-    restore_snapshot,
+    restore_archive,
     simulate_crash,
     snapshot_archive,
-    write_snapshot,
 )
 from repro.core.events import ActionEvent
 from repro.core.objects import content_checksum
@@ -409,17 +408,16 @@ class TestRefusedOverwrite:
 
 
 class TestSnapshotRestore:
-    def test_roundtrip_durable_state(self, tmp_path):
+    def test_roundtrip_durable_state(self):
         cluster, instance, server = _build()
         for i in range(5):
             _put(cluster, server, f"obj{i}", b"payload-%d" % i)
-        path = str(tmp_path / "backup.tar")
-        manifest = write_snapshot(instance, path)
+        blob, manifest = snapshot_archive(instance)
         assert manifest["objects"] == 5
 
         # Restore into a *fresh* same-shape instance.
         _, target, _ = _build(seed=99)
-        result = restore_snapshot(target, path)
+        result = restore_archive(target, blob)
         assert result["verified"] is True
         assert result["objects"] == 5
         assert target.state_digest(durable_only=True) == (
@@ -431,8 +429,6 @@ class TestSnapshotRestore:
         for key in ("c", "a", "b"):
             _put(cluster, server, key, key.encode())
         blob, _ = snapshot_archive(instance, include_volatile=True)
-        from repro.core.durability import restore_archive
-
         target_cluster, target, target_server = _build(seed=99)
         _put(target_cluster, target_server, "gone", b"replaced wholesale")
         restore_archive(target, blob)
@@ -452,8 +448,6 @@ class TestSnapshotRestore:
         _put(cluster, server, "a", b"one")
         _put(cluster, server, "b", b"two")
         blob, manifest = snapshot_archive(instance, include_volatile=True)
-        from repro.core.durability import restore_archive
-
         _, target, _ = _build(seed=99)
         result = restore_archive(target, blob)
         assert result["verified"] is True
@@ -470,8 +464,6 @@ class TestSnapshotRestore:
             registry2, [("tier1", "Memcached", 10 ** 6)],
             metadata_store=MemoryStore(),
         )
-        from repro.core.durability import restore_archive
-
         with pytest.raises(ValueError, match="no tier"):
             restore_archive(lonely, tampered)
 
@@ -490,8 +482,6 @@ class TestSnapshotRestore:
             info = tarfile.TarInfo("manifest.json")
             info.size = len(raw)
             tar.addfile(info, io.BytesIO(raw))
-        from repro.core.durability import restore_archive
-
         with pytest.raises(ValueError, match="newer"):
             restore_archive(instance, out.getvalue())
 

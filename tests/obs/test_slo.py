@@ -281,7 +281,7 @@ class TestServerIntegration:
 
 class TestSpecLanguage:
     def test_event_on_slo_burn_compiles_and_evaluates(self, registry):
-        from repro.spec import compile_source
+        from repro.spec import compile_spec
 
         source = """
         Tiera SloReactive() {
@@ -292,7 +292,7 @@ class TestSpecLanguage:
             }
         }
         """
-        instance = compile_source(source, registry)
+        instance = compile_spec(source, registry)
         instance.obs.slo.install(default_slos())
         rule = list(instance.policy)[0]
         # The compiled condition reads the live engine through the scope.
